@@ -1,0 +1,11 @@
+"""Make ``perfbench`` and the program under test importable when the
+self-tests run as ``python -m pytest perfbench/tests`` from the root."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+for path in (os.path.join(ROOT, "src"), ROOT):
+    if path not in sys.path:
+        sys.path.insert(0, path)
