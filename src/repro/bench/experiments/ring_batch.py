@@ -2,10 +2,11 @@
 
 The same fio op stream (fixed seed, so identical offsets, mix, and
 fsync pacing) is driven through the submission/completion ring at batch
-depths 1 to 64.  Depth 1 is exactly the sync-syscall path -- every data
-syscall in the stack *is* a batch of one -- so the sweep isolates what
-batching buys: the ``T_syscall`` user/kernel mode switch is paid once
-per batch instead of once per op, and fsyncs marked ``IOSQE_ASYNC``
+depths 1 to 64.  Depth 1 costs exactly what the sync-syscall path
+costs -- every data syscall in the stack runs the same per-SQE core,
+without the queues -- so the sweep isolates what batching buys: the
+``T_syscall`` user/kernel mode switch is paid once per batch instead
+of once per op, and fsyncs marked ``IOSQE_ASYNC``
 resolve their CQEs at the persist point instead of blocking the
 submitter inside the handler.
 

@@ -6,11 +6,13 @@ numbers are opaque positive integers; inode 1 is always the root
 directory.
 
 Data-path operations travel as :class:`repro.io.IORequest` objects
-through :meth:`FileSystem.submit`, which dispatches to the per-fs
-``write_iter``/``read_iter`` hooks; the positional ``read``/``write``
-methods remain as compatibility shims that build a single-iovec request.
+through :meth:`FileSystem.submit`, the one entry point callers above a
+file system use: it dispatches to the per-fs ``write_iter``/
+``read_iter``/``sync_iter`` hooks, and the positional ``read``/``write``
+conveniences build a single-iovec request and submit it too.
 """
 
+from repro.fs.errors import InvalidArgument
 from repro.io import OP_READ, OP_SYNC, OP_WRITE, IORequest
 
 ROOT_INO = 1
@@ -132,14 +134,15 @@ class FileSystem:
         (short at EOF) as one flat buffer."""
         raise NotImplementedError
 
-    # Compatibility shims: internal callers (recovery, crash checking,
-    # tests) that address the fs below the VFS still use the positional
-    # signatures; each builds a single-iovec request.
+    # Positional conveniences for callers below the VFS (recovery, crash
+    # checking, tests): each builds a single-iovec request and submits
+    # it, so whatever ``submit`` routes (a live MAP_ATOMIC mapping, a
+    # shard) routes here too.
 
     def read(self, ctx, ino, offset, count):
         """Return up to ``count`` bytes from ``offset`` (short at EOF)."""
         req = IORequest(self.env.next_req_id(), OP_READ, ino, [count], offset)
-        return self.read_iter(ctx, req)
+        return self.submit(ctx, req)
 
     def write(self, ctx, ino, offset, data, eager=False):
         """Write ``data`` at ``offset``.
@@ -150,7 +153,7 @@ class FileSystem:
         """
         req = IORequest(self.env.next_req_id(), OP_WRITE, ino, [data], offset,
                         eager=eager)
-        return self.write_iter(ctx, req)
+        return self.submit(ctx, req)
 
     def sync_iter(self, ctx, req):
         """Execute one OP_SYNC request.
@@ -183,6 +186,18 @@ class FileSystem:
     def truncate(self, ctx, ino, new_size):
         """Grow or shrink the file to ``new_size`` bytes."""
         raise NotImplementedError
+
+    # -- memory-mapped I/O --------------------------------------------------
+
+    def mmap(self, ctx, ino):
+        """Map a file for direct access (direct-access stacks only)."""
+        raise InvalidArgument("%s does not support mmap" % self.name)
+
+    def mmap_atomic(self, ctx, ino, length=None, policy="auto",
+                    log_blocks=4, log_checksums=True):
+        """Map a file in library mode (:mod:`repro.io.mmio`)."""
+        raise InvalidArgument(
+            "%s does not support library-mode mmap" % self.name)
 
     # -- deferred writeback errors ----------------------------------------
 

@@ -358,14 +358,22 @@ class PMFS(FileSystem):
 
     def fsync(self, ctx, ino):
         """PMFS data is always durable; fsync is just an ordering point."""
-        self._inode(ino)
-        self.device.fence(ctx)
+        self._ordering_point(ctx, ino)
 
     def fdatasync(self, ctx, ino):
         """Identical ordering point -- spelled out (rather than the base
         fsync fallback) so subclasses layering metadata journaling on
         ``fsync`` don't drag the journal into a data-only sync."""
+        self._ordering_point(ctx, ino)
+
+    def _ordering_point(self, ctx, ino):
+        """Fence -- after committing the epoch of a live MAP_ATOMIC
+        mapping, which a sync called below the VFS (no request for
+        :meth:`submit` to route) must make durable all the same."""
         self._inode(ino)
+        mapping = self.atomic_mapping(ino)
+        if mapping is not None:
+            mapping.msync(ctx)
         self.device.fence(ctx)
 
     def truncate(self, ctx, ino, new_size):

@@ -599,15 +599,6 @@ class ShardedFS(FileSystem):
         finally:
             req.ino = gino
 
-    def write_iter(self, ctx, req):
-        return self.submit(ctx, req)
-
-    def read_iter(self, ctx, req):
-        return self.submit(ctx, req)
-
-    def sync_iter(self, ctx, req):
-        return self.submit(ctx, req)
-
     def fsync(self, ctx, ino):
         s, local = self._dec(ino)
         self.shards[s].fsync(ctx, local)
@@ -634,11 +625,6 @@ class ShardedFS(FileSystem):
         return self.shards[s].mmap_atomic(
             ctx, local, length=length, policy=policy, log_blocks=log_blocks,
             log_checksums=log_checksums)
-
-    def atomic_mapping(self, ino):
-        s, local = self._dec(ino)
-        mapping = getattr(self.shards[s], "atomic_mapping", None)
-        return mapping(local) if mapping is not None else None
 
     # -- health / errors -----------------------------------------------------
 

@@ -21,9 +21,7 @@ disjoint files never contend here; shared bottlenecks below (NVMM writer
 slots, the journal) remain the only cross-file serialization.
 """
 
-from contextlib import contextmanager
-
-from repro.engine.locks import InodeLockTable, VCompletion
+from repro.engine.locks import InodeLockTable
 from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
 from repro.fs.health import MountHealth
@@ -55,6 +53,30 @@ class OpenFile:
         #: errseq cursor sampled at open: deferred writeback errors newer
         #: than this are reported by the next fsync/close on this fd.
         self.wb_cursor = wb_cursor
+
+
+class _Syscall:
+    """One namespace syscall: its span and entry charge on enter, one
+    completed op on a clean exit (a syscall that raises completed
+    nothing)."""
+
+    __slots__ = ("vfs", "ctx", "span")
+
+    def __init__(self, vfs, ctx, name):
+        self.vfs = vfs
+        self.ctx = ctx
+        self.span = ctx.syscall(name)
+
+    def __enter__(self):
+        self.span.__enter__()
+        vfs = self.vfs
+        self.ctx.charge(vfs.config.syscall_ns + vfs.config.vfs_op_ns)
+        vfs.env.stats.bump("vfs_syscall_entries")
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.vfs.env.stats.ops_completed += 1
+        return self.span.__exit__(exc_type, exc, tb)
 
 
 class VFS:
@@ -95,23 +117,16 @@ class VFS:
             env, media_error_threshold=media_error_threshold,
             isolate_threshold=isolate_threshold,
         )
-        self.media_error_threshold = media_error_threshold
         fs.wb_error_hook = self._on_async_media_error
         #: Per-tenant QoS controller (:class:`repro.fs.qos.QosController`)
-        #: or None; the data-path handlers consult it once per request.
+        #: or None; the data path consults it once per request.
         self.qos = None
         #: Per-thread submission/completion rings (see :meth:`ring`).
         self._rings = {}
-        #: THE dispatch table of the data path: every data syscall --
-        #: sync wrapper or batched ring submission -- executes through
-        #: exactly these handlers.
-        self.op_table = {
-            uring.IORING_OP_READV: self._op_readv,
-            uring.IORING_OP_WRITEV: self._op_writev,
-            uring.IORING_OP_FSYNC: self._op_fsync,
-        }
         if fs.degraded_reason:
-            self._remount_ro(fs.degraded_reason)
+            # errors=remount-ro: a mount whose recovery failed starts
+            # degraded instead of crashing the scheduler.
+            self.health.force_degraded(0, fs.degraded_reason)
 
     # -- QoS ---------------------------------------------------------------
 
@@ -129,23 +144,6 @@ class VFS:
 
     # -- degradation / health --------------------------------------------
 
-    @property
-    def read_only(self):
-        """Compat view of the health FSM: anything not HEALTHY is RO."""
-        return not self.health.writable
-
-    @property
-    def ro_reason(self):
-        return self.health.reason
-
-    @property
-    def media_errors(self):
-        return self.health.media_errors
-
-    def _remount_ro(self, reason, now_ns=0):
-        """Degrade the mount read-only instead of crashing the scheduler."""
-        self.health.force_degraded(now_ns, reason)
-
     def _check_writable(self, what):
         if not self.health.writable:
             raise ReadOnly(
@@ -160,22 +158,19 @@ class VFS:
                 "%s on isolated mount (%s)" % (what, self.health.reason)
             )
 
-    def _count_media_error(self, now_ns=0):
-        self.health.count_media_error(now_ns)
-
     def _on_async_media_error(self, ino):
         """Background writeback hit bad media; nobody to raise at, so the
         error only feeds the degradation threshold (and the errseq map,
         which the next fsync/close of the file reports from)."""
-        self._count_media_error()
+        self.health.count_media_error(0)
 
-    @contextmanager
-    def _media_guard(self, ctx=None):
-        """Count EIO from a synchronous fs call toward the health FSM."""
+    def _guarded(self, ctx, fs_call, *args, **kwargs):
+        """Run a synchronous namespace call into the fs, counting an
+        EIO from it toward the health FSM."""
         try:
-            yield
+            return fs_call(ctx, *args, **kwargs)
         except MediaError:
-            self._count_media_error(ctx.now if ctx is not None else 0)
+            self.health.count_media_error(ctx.now)
             raise
 
     def scrub(self, ctx):
@@ -199,10 +194,6 @@ class VFS:
             )
 
     # -- internals ------------------------------------------------------
-
-    def _syscall_entry(self, ctx):
-        ctx.charge(self.config.syscall_ns + self.config.vfs_op_ns)
-        self.env.stats.bump("vfs_syscall_entries")
 
     def _file(self, fd):
         try:
@@ -251,59 +242,50 @@ class VFS:
 
     def open(self, ctx, path, flags=f.O_RDWR):
         """open(2); returns a file descriptor."""
-        with ctx.syscall("open"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "open"):
             parent, name = self._resolve_parent(ctx, path)
             ino = self._lookup_child(ctx, parent, name)
             if ino is None:
                 if not flags & f.O_CREAT:
                     raise NotFound(path)
                 self._check_writable("create of %r" % path)
-                with self._media_guard(ctx):
-                    ino = self.fs.create_file(ctx, parent, name)
+                ino = self._guarded(ctx, self.fs.create_file, parent, name)
                 self._dcache[(parent, name)] = ino
             else:
                 if self.fs.getattr(ctx, ino).is_dir:
                     raise IsADirectory(path)
                 if flags & f.O_TRUNC and f.writable(flags):
                     self._check_writable("truncate of %r" % path)
-                    with self.ilocks.write_locked(ctx, ino), \
-                            self._media_guard(ctx):
-                        self.fs.truncate(ctx, ino, 0)
+                    with self.ilocks.write_locked(ctx, ino):
+                        self._guarded(ctx, self.fs.truncate, ino, 0)
             fd = self._next_fd
             self._next_fd += 1
             self._files[fd] = OpenFile(
                 fd, ino, flags, path, wb_cursor=self.fs.wb_err.sample(ino)
             )
-            self.env.stats.ops_completed += 1
             return fd
 
     def close(self, ctx, fd):
-        with ctx.syscall("close"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "close"):
             file = self._file(fd)
             del self._files[fd]
-            self.env.stats.ops_completed += 1
-            # Like Linux filp_close: the fd is gone either way, but a
-            # deferred writeback error unreported on this fd surfaces now.
-            self._check_wb_error(file)
+        # Like Linux filp_close: the fd is gone and the close counted
+        # either way, but a deferred writeback error unreported on this
+        # fd surfaces now.
+        self._check_wb_error(file)
 
     def mkdir(self, ctx, path):
-        with ctx.syscall("mkdir"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "mkdir"):
             self._check_writable("mkdir of %r" % path)
             parent, name = self._resolve_parent(ctx, path)
             if self._lookup_child(ctx, parent, name) is not None:
                 raise ExistsError(path)
-            with self._media_guard(ctx):
-                ino = self.fs.mkdir(ctx, parent, name)
+            ino = self._guarded(ctx, self.fs.mkdir, parent, name)
             self._dcache[(parent, name)] = ino
-            self.env.stats.ops_completed += 1
             return ino
 
     def unlink(self, ctx, path):
-        with ctx.syscall("unlink"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "unlink"):
             self._check_writable("unlink of %r" % path)
             parent, name = self._resolve_parent(ctx, path)
             ino = self._lookup_child(ctx, parent, name)
@@ -313,16 +295,13 @@ class VFS:
                 raise IsADirectory(path)
             # Parent and victim locked together, lowest inode first.
             with self.ilocks.write_locked_many(ctx, (parent, ino)):
-                with self._media_guard(ctx):
-                    self.fs.unlink(ctx, parent, name, ino)
+                self._guarded(ctx, self.fs.unlink, parent, name, ino)
             self.ilocks.drop(ino)
             self._dcache.pop((parent, name), None)
             self._unsynced_bytes.pop(ino, None)
-            self.env.stats.ops_completed += 1
 
     def rmdir(self, ctx, path):
-        with ctx.syscall("rmdir"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "rmdir"):
             self._check_writable("rmdir of %r" % path)
             parent, name = self._resolve_parent(ctx, path)
             ino = self._lookup_child(ctx, parent, name)
@@ -330,10 +309,8 @@ class VFS:
                 raise NotFound(path)
             if not self.fs.getattr(ctx, ino).is_dir:
                 raise NotADirectory(path)
-            with self._media_guard(ctx):
-                self.fs.rmdir(ctx, parent, name, ino)
+            self._guarded(ctx, self.fs.rmdir, parent, name, ino)
             self._dcache.pop((parent, name), None)
-            self.env.stats.ops_completed += 1
 
     def rename(self, ctx, old_path, new_path):
         """rename(2): atomically move ``old_path`` to ``new_path``.
@@ -343,8 +320,7 @@ class VFS:
         at no crash point do both names vanish).  Replacing a directory
         is rejected to keep the namespace model simple.
         """
-        with ctx.syscall("rename"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "rename"):
             self._check_writable("rename of %r" % old_path)
             old_parent, old_name = self._resolve_parent(ctx, old_path)
             ino = self._lookup_child(ctx, old_parent, old_name)
@@ -352,7 +328,6 @@ class VFS:
                 raise NotFound(old_path)
             new_parent, new_name = self._resolve_parent(ctx, new_path)
             if (old_parent, old_name) == (new_parent, new_name):
-                self.env.stats.ops_completed += 1
                 return
             replaced = self._lookup_child(ctx, new_parent, new_name)
             if replaced is not None:
@@ -369,11 +344,10 @@ class VFS:
             if replaced is not None:
                 lock_set.append(replaced)
             with self.ilocks.write_locked_many(ctx, lock_set):
-                with self._media_guard(ctx):
-                    moved = self.fs.rename(
-                        ctx, old_parent, old_name, new_parent, new_name, ino,
-                        replaced_ino=replaced,
-                    )
+                moved = self._guarded(
+                    ctx, self.fs.rename, old_parent, old_name, new_parent,
+                    new_name, ino, replaced_ino=replaced,
+                )
             if replaced is not None:
                 self.ilocks.drop(replaced)
             self._dcache.pop((old_parent, old_name), None)
@@ -394,24 +368,19 @@ class VFS:
                 self._dcache[(new_parent, new_name)] = ino
             if replaced is not None:
                 self._unsynced_bytes.pop(replaced, None)
-            self.env.stats.ops_completed += 1
 
     def readdir(self, ctx, path):
-        with ctx.syscall("readdir"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "readdir"):
             parts = [p for p in path.split("/") if p]
             ino = self._walk(ctx, parts)
             if not self.fs.getattr(ctx, ino).is_dir:
                 raise NotADirectory(path)
-            self.env.stats.ops_completed += 1
             return self.fs.readdir(ctx, ino)
 
     def stat(self, ctx, path):
-        with ctx.syscall("stat"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "stat"):
             parts = [p for p in path.split("/") if p]
             ino = self._walk(ctx, parts) if parts else ROOT_INO
-            self.env.stats.ops_completed += 1
             return self.fs.getattr(ctx, ino)
 
     def exists(self, ctx, path):
@@ -421,15 +390,13 @@ class VFS:
         except NotFound:
             return False
 
-    # -- the submission/completion ring and its dispatch table -------------
+    # -- the data path -------------------------------------------------------
     #
-    # The ring IS the data path: every data syscall below is a batch of
-    # one submitted through :meth:`ring`, executed by the handlers in
-    # ``op_table`` (one IORequest per SQE, submitted to the fs under the
-    # request's trace span).  Workloads batching many SQEs per submit
-    # pay the ``T_syscall`` mode switch once per batch instead of once
-    # per op; the handlers and their accounting are identical either
-    # way.
+    # Every data operation is one SQE executed by :meth:`execute`, reached
+    # through the thread's ring either way: the sync syscalls below call
+    # ``ring.execute_one`` (value back or exception raised, no queues),
+    # batching workloads ``ring.submit`` many SQEs and pay the
+    # ``T_syscall`` mode switch once per batch instead of once per op.
 
     def ring(self, ctx, sq_depth=64):
         """This thread's :class:`repro.io.ring.IORing` (lazily created)."""
@@ -439,63 +406,60 @@ class VFS:
             self._rings[ctx] = ring
         return ring
 
-    def _submit_sync(self, ctx, sqe):
-        """The sync-syscall wrapper: one batch of one SQE, reaped
-        immediately; failures re-raise the operation's exception."""
-        cqe = self.ring(ctx).submit_reaping([sqe])[0]
-        if cqe.error is not None:
-            raise cqe.error
-        return cqe.value
+    def execute(self, ctx, sqe, ring):
+        """Run one SQE: descriptor and generic checks, one
+        :class:`IORequest`, one trip down :meth:`_submit` under the
+        request's span.
 
-    def _submit_batch(self, ctx, sqes):
-        """Submit ``sqes`` as one batch and reap them all; raises the
-        first real failure (link cancellations ride behind it)."""
-        cqes = self.ring(ctx).submit_reaping(sqes)
-        for cqe in cqes:
-            if cqe.error is not None and cqe.res != -uring.ECANCELED:
-                raise cqe.error
-        return cqes
-
-    def _op_readv(self, ctx, sqe, ring):
-        """Dispatch-table handler: scatter read (read/pread/readv/preadv).
-
-        ``sqe.offset is None`` means read(2) semantics: start at the
-        descriptor's position and advance it."""
+        Returns a read's per-iovec buffers, a write's byte count, or for
+        fsync 0 -- unless the SQE allows a deferred completion
+        (``IOSQE_ASYNC``) and the fs hands back a pending
+        :class:`~repro.engine.locks.VCompletion`.  ``sqe.offset is None``
+        means read(2)/write(2) semantics: use the descriptor's position
+        (honouring O_APPEND) and advance it.  The descriptor is resolved
+        before anything is charged or recorded, for every opcode.
+        """
         file = self._file(sqe.fd)
-        if not f.readable(file.flags):
-            raise ReadOnly("fd %d not open for reading" % sqe.fd)
-        self._check_readable("read of %r" % file.path)
+        if sqe.op == uring.IORING_OP_FSYNC:
+            # The span opens before the request is built: a traced run
+            # draws the span's id, then the request's, and the golden
+            # fixtures pin that order.
+            with ctx.syscall(sqe.syscall):
+                req = IORequest(
+                    self.env.next_req_id(), OP_SYNC, file.ino, (), 0,
+                    flags=file.flags, eager=not sqe.flags & uring.IOSQE_ASYNC,
+                    datasync=bool(
+                        sqe.fsync_flags & uring.IORING_FSYNC_DATASYNC),
+                    syscall=sqe.syscall, tenant=sqe.tenant,
+                )
+                token = self._submit(ctx, req, ring)
+                self.env.stats.bump(
+                    "app_bytes_fsynced", self._unsynced_bytes.pop(file.ino, 0))
+                # A deferred error from background writeback of this
+                # inode is reported by the first fsync after it was
+                # recorded -- exactly once per fd (errseq semantics).
+                self._check_wb_error(file)
+            return token
         positional = sqe.offset is None
-        offset = file.pos if positional else sqe.offset
-        sizes = [int(count) for count in sqe.iovecs]
-        if offset < 0 or any(count < 0 for count in sizes):
-            raise InvalidArgument("negative offset/count")
-        req = IORequest(
-            self.env.next_req_id(), OP_READ, file.ino, sizes, offset,
-            flags=file.flags, syscall=sqe.syscall, tenant=sqe.tenant,
-        )
-        with ctx.syscall(sqe.syscall, req=req):
-            ring.charge_entry(ctx)
-            if self.qos is not None:
-                self.qos.admit(ctx, req)
-            with self.ilocks.read_locked(ctx, file.ino):
-                with self._media_guard(ctx), ctx.layer("fs"):
-                    data = self.fs.submit(ctx, req)
-            self.env.stats.ops_completed += 1
-            bufs = req.scatter(data)
-        if positional:
-            file.pos += len(data)
-        return len(data), bufs
-
-    def _op_writev(self, ctx, sqe, ring):
-        """Dispatch-table handler: gather write (write/pwrite/writev/
-        pwritev).  ``sqe.offset is None`` means write(2) semantics:
-        write at the descriptor's position (honouring O_APPEND) and
-        advance it."""
-        file = self._file(sqe.fd)
+        if sqe.op == uring.IORING_OP_READV:
+            if not f.readable(file.flags):
+                raise ReadOnly("fd %d not open for reading" % sqe.fd)
+            self._check_readable("read of %r" % file.path)
+            offset = file.pos if positional else sqe.offset
+            if offset < 0 or any(count < 0 for count in sqe.iovecs):
+                raise InvalidArgument("negative offset/count")
+            req = IORequest(
+                self.env.next_req_id(), OP_READ, file.ino, sqe.iovecs, offset,
+                flags=file.flags, syscall=sqe.syscall, tenant=sqe.tenant,
+            )
+            with ctx.syscall(sqe.syscall, req=req):
+                data = self._submit(ctx, req, ring)
+                bufs = req.scatter(data)
+            if positional:
+                file.pos += len(data)
+            return bufs
         if not f.writable(file.flags):
             raise ReadOnly("fd %d not open for writing" % sqe.fd)
-        positional = sqe.offset is None
         if positional:
             if file.flags & f.O_APPEND:
                 file.pos = self.fs.getattr(ctx, file.ino).size
@@ -515,86 +479,67 @@ class VFS:
             syscall=sqe.syscall, tenant=sqe.tenant,
         )
         with ctx.syscall(sqe.syscall, req=req):
-            ring.charge_entry(ctx)
-            if self.qos is not None:
-                self.qos.admit(ctx, req)
-            with self.ilocks.write_locked(ctx, file.ino):
-                with self._media_guard(ctx), ctx.layer("fs"):
-                    written = self.fs.submit(ctx, req)
-            self.env.stats.ops_completed += 1
-            self.env.stats.bump("app_bytes_written", written)
+            written = self._submit(ctx, req, ring)
+            stats = self.env.stats
+            stats.bump("app_bytes_written", written)
             if eager:
-                self.env.stats.bump("app_bytes_fsynced", written)
+                stats.bump("app_bytes_fsynced", written)
             else:
                 self._unsynced_bytes[file.ino] = (
                     self._unsynced_bytes.get(file.ino, 0) + written
                 )
         if positional:
             file.pos += written
-        return written, written
+        return written
 
-    def _op_fsync(self, ctx, sqe, ring):
-        """Dispatch-table handler: fsync/fdatasync.
+    def _submit(self, ctx, req, ring):
+        """The request pipeline every data operation shares, in order:
+        entry charge, QoS admission, the inode lock (shared for reads,
+        exclusive for writes and syncs), the fs -- an EIO from it feeds
+        the health FSM before the lock is released -- and the completed
+        op count."""
+        ring.charge_entry(ctx)
+        if self.qos is not None:
+            self.qos.admit(ctx, req)
+        lock = self.ilocks.read_locked if req.op == OP_READ \
+            else self.ilocks.write_locked
+        with lock(ctx, req.ino):
+            try:
+                with ctx.layer("fs"):
+                    result = self.fs.submit(ctx, req)
+            except MediaError:
+                self.health.count_media_error(ctx.now)
+                raise
+        self.env.stats.ops_completed += 1
+        return result
 
-        Builds an OP_SYNC request for the fs.  With ``IOSQE_ASYNC`` the
-        fs may return a pending completion (resolved when the persist
-        lands -- an async flush's device end, a jbd2 commit); the ring
-        turns it into a CQE at reap time.  Without it (the sync-wrapper
-        path) the flush is fully foreground."""
-        datasync = bool(sqe.fsync_flags & uring.IORING_FSYNC_DATASYNC)
-        token = None
-        with ctx.syscall(sqe.syscall):
-            ring.charge_entry(ctx)
-            file = self._file(sqe.fd)
-            req = IORequest(
-                self.env.next_req_id(), OP_SYNC, file.ino, [], 0,
-                flags=file.flags, eager=not sqe.flags & uring.IOSQE_ASYNC,
-                datasync=datasync, syscall=sqe.syscall, tenant=sqe.tenant,
-            )
-            if self.qos is not None:
-                self.qos.admit(ctx, req)
-            with self.ilocks.write_locked(ctx, file.ino):
-                with self._media_guard(ctx), ctx.layer("fs"):
-                    token = self.fs.submit(ctx, req)
-            self.env.stats.ops_completed += 1
-            self.env.stats.bump(
-                "app_bytes_fsynced", self._unsynced_bytes.pop(file.ino, 0)
-            )
-            # A deferred error from background writeback of this inode is
-            # reported by the first fsync after it was recorded -- exactly
-            # once per fd (errseq semantics).
-            self._check_wb_error(file)
-        if isinstance(token, VCompletion):
-            return token
-        return 0, 0
-
-    # -- data syscalls: thin submit-and-wait wrappers ---------------------
+    # -- data syscalls: one SQE each, executed now --------------------------
 
     def read(self, ctx, fd, count):
         """read(2) at the descriptor's position."""
-        return self._submit_sync(ctx, uring.prep_read(fd, count))[0]
+        return self.ring(ctx).execute_one(uring.prep_read(fd, count))[0]
 
     def pread(self, ctx, fd, offset, count):
         """pread(2): positioned single-buffer read."""
-        return self._submit_sync(ctx, uring.prep_read(fd, count, offset))[0]
+        return self.ring(ctx).execute_one(
+            uring.prep_read(fd, count, offset))[0]
 
     def readv(self, ctx, fd, sizes):
         """readv(2): scatter-read at the descriptor's position."""
-        return self._submit_sync(ctx, uring.prep_readv(fd, list(sizes)))
+        return self.ring(ctx).execute_one(uring.prep_readv(fd, sizes))
 
     def preadv(self, ctx, fd, offset, sizes):
         """preadv(2): positioned scatter read."""
-        return self._submit_sync(
-            ctx, uring.prep_readv(fd, list(sizes), offset, syscall="preadv")
-        )
+        return self.ring(ctx).execute_one(
+            uring.prep_readv(fd, sizes, offset, syscall="preadv"))
 
     def write(self, ctx, fd, data):
         """write(2) at the descriptor's position (honours O_APPEND)."""
-        return self._submit_sync(ctx, uring.prep_write(fd, data))
+        return self.ring(ctx).execute_one(uring.prep_write(fd, data))
 
     def pwrite(self, ctx, fd, offset, data):
         """pwrite(2): positioned single-buffer write."""
-        return self._submit_sync(ctx, uring.prep_write(fd, data, offset))
+        return self.ring(ctx).execute_one(uring.prep_write(fd, data, offset))
 
     def writev(self, ctx, fd, iovecs):
         """writev(2) at the descriptor's position (honours O_APPEND).
@@ -602,35 +547,30 @@ class VFS:
         The whole iovec list is ONE request: one syscall-overhead
         charge, one fs submission, one eager/lazy decision below.
         """
-        return self._submit_sync(ctx, uring.prep_writev(fd, list(iovecs)))
+        return self.ring(ctx).execute_one(uring.prep_writev(fd, iovecs))
 
     def pwritev(self, ctx, fd, offset, iovecs):
         """pwritev(2): positioned gather write."""
-        return self._submit_sync(
-            ctx, uring.prep_writev(fd, list(iovecs), offset,
-                                   syscall="pwritev")
-        )
+        return self.ring(ctx).execute_one(
+            uring.prep_writev(fd, iovecs, offset, syscall="pwritev"))
 
     def fsync(self, ctx, fd):
         """fsync(2): the file's data and metadata are durable on return."""
-        self._submit_sync(ctx, uring.prep_fsync(fd))
+        self.ring(ctx).execute_one(uring.prep_fsync(fd))
 
     def fdatasync(self, ctx, fd):
         """fdatasync(2): the file's data (and the metadata needed to read
         it back) is durable on return; clean-metadata commits are
         skipped."""
-        self._submit_sync(ctx, uring.prep_fsync(fd, datasync=True))
+        self.ring(ctx).execute_one(uring.prep_fsync(fd, datasync=True))
 
     def truncate(self, ctx, path, new_size):
-        with ctx.syscall("truncate"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "truncate"):
             self._check_writable("truncate of %r" % path)
             parts = [p for p in path.split("/") if p]
             ino = self._walk(ctx, parts)
-            with self.ilocks.write_locked(ctx, ino):
-                with self._media_guard(ctx), ctx.layer("fs"):
-                    self.fs.truncate(ctx, ino, new_size)
-            self.env.stats.ops_completed += 1
+            with self.ilocks.write_locked(ctx, ino), ctx.layer("fs"):
+                self._guarded(ctx, self.fs.truncate, ino, new_size)
 
     def lseek(self, ctx, fd, pos, whence=f.SEEK_SET):
         """lseek(2): reposition the descriptor; returns the new offset.
@@ -654,11 +594,8 @@ class VFS:
 
     def fstat(self, ctx, fd):
         """fstat(2): attributes of an open descriptor."""
-        with ctx.syscall("fstat"):
-            self._syscall_entry(ctx)
-            file = self._file(fd)
-            self.env.stats.ops_completed += 1
-            return self.fs.getattr(ctx, file.ino)
+        with _Syscall(self, ctx, "fstat"):
+            return self.fs.getattr(ctx, self._file(fd).ino)
 
     # -- memory-mapped I/O ----------------------------------------------------
 
@@ -674,43 +611,27 @@ class VFS:
         undo/redo/auto, Libnvmmio-style) keeping stores crash-atomic.
         Without it, a plain volatile-until-msync ``MappedRegion``.
         """
-        with ctx.syscall("mmap"):
-            self._syscall_entry(ctx)
+        with _Syscall(self, ctx, "mmap"):
             file = self._file(fd)
-            if flags & f.MAP_ATOMIC:
-                self._check_writable("atomic mmap of %r" % file.path)
-                if not f.writable(file.flags):
-                    raise InvalidArgument(
-                        "MAP_ATOMIC needs a writable descriptor")
-                mmap_atomic = getattr(self.fs, "mmap_atomic", None)
-                if mmap_atomic is None:
-                    raise InvalidArgument(
-                        "%s does not support library-mode mmap"
-                        % self.fs.name)
-                with self._media_guard(ctx), ctx.layer("fs"):
-                    region = mmap_atomic(
-                        ctx, file.ino, length=length, policy=policy,
-                        log_blocks=log_blocks, log_checksums=log_checksums)
-            else:
-                fs_mmap = getattr(self.fs, "mmap", None)
-                if fs_mmap is None:
-                    raise InvalidArgument(
-                        "%s does not support mmap" % self.fs.name)
-                with self._media_guard(ctx), ctx.layer("fs"):
-                    region = fs_mmap(ctx, file.ino)
-            self.env.stats.ops_completed += 1
-            return region
+            if not flags & f.MAP_ATOMIC:
+                with ctx.layer("fs"):
+                    return self._guarded(ctx, self.fs.mmap, file.ino)
+            self._check_writable("atomic mmap of %r" % file.path)
+            if not f.writable(file.flags):
+                raise InvalidArgument(
+                    "MAP_ATOMIC needs a writable descriptor")
+            with ctx.layer("fs"):
+                return self._guarded(
+                    ctx, self.fs.mmap_atomic, file.ino, length=length,
+                    policy=policy, log_blocks=log_blocks,
+                    log_checksums=log_checksums)
 
     def msync(self, ctx, region):
-        with ctx.syscall("msync"):
-            self._syscall_entry(ctx)
-            self.env.stats.ops_completed += 1
+        with _Syscall(self, ctx, "msync"):
             return region.msync(ctx)
 
     def munmap(self, ctx, region):
-        with ctx.syscall("munmap"):
-            self._syscall_entry(ctx)
-            self.env.stats.ops_completed += 1
+        with _Syscall(self, ctx, "munmap"):
             region.munmap(ctx)
 
     # -- whole-file helpers (workload convenience, still charged) ---------
@@ -727,9 +648,8 @@ class VFS:
             self.close(ctx, fd)
             return b""
         sizes = self._chunk_sizes(size, chunk)
-        bufs = self._submit_sync(
-            ctx, uring.prep_readv(fd, sizes, 0, syscall="read")
-        )
+        bufs = self.ring(ctx).execute_one(
+            uring.prep_readv(fd, sizes, 0, syscall="read"))
         self.close(ctx, fd)
         return b"".join(bufs)
 
@@ -750,9 +670,16 @@ class VFS:
             write_sqe = uring.prep_writev(fd, iovecs, 0, syscall="write")
             if sync:
                 write_sqe.flags |= uring.IOSQE_IO_LINK
-                self._submit_batch(ctx, [write_sqe, uring.prep_fsync(fd)])
+                cqes = self.ring(ctx).submit_and_wait(
+                    [write_sqe, uring.prep_fsync(fd)])
+                for cqe in cqes:
+                    # The first real failure; the fsync it cancelled
+                    # rides behind it.
+                    if cqe.error is not None and \
+                            cqe.res != -uring.ECANCELED:
+                        raise cqe.error
             else:
-                self._submit_sync(ctx, write_sqe)
+                self.ring(ctx).execute_one(write_sqe)
         elif sync:
             self.fsync(ctx, fd)
         self.close(ctx, fd)

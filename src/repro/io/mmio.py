@@ -547,6 +547,12 @@ class MmioMapping(MappedRegion):
             self.log.append(ctx, kind, epoch, file_offset, payload)
         except LogFull:
             self._commit_epoch(ctx)
+            # The interrupted store belongs to the epoch this opens, and
+            # one epoch runs one policy: re-resolving mid-store would mix
+            # undo dirty ranges with a redo overlay that its commit path
+            # never flushes or applies.
+            self._epoch_policy = \
+                POLICY_UNDO if kind == KIND_UNDO else POLICY_REDO
             self.fs.env.stats.bump("mmio_autocommits")
             self.log.append(ctx, kind, self.log.committed + 1, file_offset,
                             payload)

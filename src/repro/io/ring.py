@@ -1,18 +1,21 @@
 """io_uring-style submission/completion rings in virtual time.
 
-The ring is the *primary* I/O path of the stack: every data syscall the
-VFS exposes is a batch of one submitted here, and workloads that want
-the real benefit submit many :class:`SQE` s per batch.  Submission pays
-the user/kernel mode switch (``T_syscall``) once per **batch**, not once
-per operation -- the amortization KucoFS and io_uring are built on --
-while the per-op VFS bookkeeping cost (``vfs_op_ns``) remains per SQE.
+Every data operation of the stack is one :class:`SQE` run by one
+per-SQE core, :meth:`IORing._dispatch` (fault hooks, retry policy,
+:meth:`repro.fs.vfs.VFS.execute`), reached two ways.  The sync syscalls
+call :meth:`IORing.execute_one`: the value comes straight back (or the
+exception is raised), with no SQ/CQ traffic and no CQE.  Workloads that
+want the real benefit :meth:`IORing.submit` many SQEs per batch:
+submission pays the user/kernel mode switch (``T_syscall``) once per
+**batch**, not once per operation -- the amortization KucoFS and
+io_uring are built on -- while the per-op VFS bookkeeping cost
+(``vfs_op_ns``) remains per SQE.
 
-Execution is inline at submit time on the submitting thread's context
-(io_uring's non-blocking fast path): each SQE is dispatched through the
-VFS's single operation table, its failure becomes a CQE with
-``res = -errno`` (the exception object rides along for the sync
-wrappers), and linked chains (``IOSQE_IO_LINK``) cancel their remainder
-with ``-ECANCELED`` when a member fails.  Operations marked
+Batch execution is inline at submit time on the submitting thread's
+context (io_uring's non-blocking fast path): an SQE's failure becomes a
+CQE with ``res = -errno`` (the exception object rides along), and linked
+chains (``IOSQE_IO_LINK``) cancel their remainder with ``-ECANCELED``
+when a member fails.  Operations marked
 ``IOSQE_ASYNC`` may return a pending
 :class:`~repro.engine.locks.VCompletion` from the file system (an async
 fsync whose persist lands on the device's or journal's timeline); their
@@ -22,9 +25,9 @@ time exactly like a contended lock.
 Trace integration: a batch of more than one SQE opens a ``ring``-layer
 span carrying per-SQE ``ring.sq_wait`` (queued before execution) and
 ``ring.in_flight`` (executing) phases; a blocking reap opens a
-``ring``-layer span with a ``ring.cq_wait`` phase.  Batches of one --
-the sync syscall path -- add no spans, so plain syscall traces are
-unchanged.
+``ring``-layer span with a ``ring.cq_wait`` phase.  A single SQE --
+:meth:`IORing.execute_one` or a batch of one -- adds no spans, so plain
+syscall traces are unchanged.
 """
 
 import errno as _errno
@@ -34,7 +37,7 @@ from repro.fs.errors import FSError, InvalidArgument, MediaError
 from repro.obs.trace import LAYER_RING, RING_CQ_WAIT, RING_IN_FLIGHT, \
     RING_SQ_WAIT
 
-#: Ring opcodes (the subset of io_uring ops the VFS dispatch table
+#: Ring opcodes (the subset of io_uring ops :meth:`VFS.execute`
 #: implements; namespace syscalls stay synchronous).
 IORING_OP_READV = 1
 IORING_OP_WRITEV = 2
@@ -96,7 +99,7 @@ class SQE:
 
 def prep_readv(fd, sizes, offset=None, **kwargs):
     """Scatter read of ``sizes`` byte counts."""
-    return SQE(IORING_OP_READV, fd, offset, list(sizes), **kwargs)
+    return SQE(IORING_OP_READV, fd, offset, sizes, **kwargs)
 
 
 def prep_read(fd, count, offset=None, **kwargs):
@@ -107,7 +110,7 @@ def prep_read(fd, count, offset=None, **kwargs):
 
 def prep_writev(fd, iovecs, offset=None, **kwargs):
     """Gather write of bytes-like ``iovecs``."""
-    return SQE(IORING_OP_WRITEV, fd, offset, list(iovecs), **kwargs)
+    return SQE(IORING_OP_WRITEV, fd, offset, iovecs, **kwargs)
 
 
 def prep_write(fd, data, offset=None, **kwargs):
@@ -136,8 +139,8 @@ class CQE:
         #: The operation's Python-level payload (read buffers, written
         #: byte count); None on failure.
         self.value = value
-        #: The original exception object on failure (sync wrappers
-        #: re-raise it so error classes/messages are preserved).
+        #: The original exception object on failure (callers that want
+        #: to raise it keep its class and message).
         self.error = error
         #: Submission sequence number (monotonic per ring).
         self.seq = seq
@@ -239,6 +242,38 @@ class IORing:
             self._execute(ctx, sqes, None)
         return len(sqes)
 
+    def execute_one(self, sqe):
+        """Run one SQE now and return its value, raising its failure:
+        the sync syscalls' entrance to :meth:`_dispatch`.
+
+        Accounted as the batch of one it replaces (one ``T_syscall``
+        entry, one sequence number, the ``ring_*`` counters) but nothing
+        is queued: no CQE is built, and completions another user of this
+        ring has in flight stay theirs to reap.  A deferred completion
+        is waited for inline.
+        """
+        ctx = self.ctx
+        stats = self.env.stats
+        stats.bump("ring_batches")
+        stats.bump("ring_sqes")
+        stats.bump("ring_cqes")
+        seq = self._seq
+        self._seq += 1
+        self._entry_done = False
+        if sqe.flags & IOSQE_IO_DRAIN:
+            self._drain(ctx)
+        try:
+            value = self._dispatch(ctx, seq, sqe)
+            if isinstance(value, VCompletion):
+                value = value.wait(ctx, layer=RING_CQ_WAIT)
+        except FSError:
+            if self.faults is not None:
+                self.faults.after_op(ctx, seq, sqe)
+            raise
+        if self.faults is not None:
+            self.faults.after_op(ctx, seq, sqe)
+        return value
+
     def _execute(self, ctx, sqes, sp):
         batch_start = ctx.now
         cancelling = False
@@ -261,13 +296,7 @@ class IORing:
             error = None
             result = None
             try:
-                handler = self.vfs.op_table.get(sqe.op)
-                if handler is None:
-                    raise InvalidArgument(
-                        "ring opcode %r not in the dispatch table"
-                        % (sqe.op,)
-                    )
-                result = self._dispatch(ctx, seq, sqe, handler)
+                result = self._dispatch(ctx, seq, sqe)
             except FSError as exc:
                 error = exc
             if sp is not None:
@@ -280,31 +309,34 @@ class IORing:
             elif isinstance(result, VCompletion):
                 self._pending.append(_Pending(seq, sqe, result))
             else:
-                res, value = result
-                self._push(CQE(sqe.user_data, res, value, None, seq, ctx.now))
+                # res is the bytes moved: a write's count (fsync's 0) as
+                # is, a read's buffers by total length.
+                res = result if isinstance(result, int) \
+                    else sum(map(len, result))
+                self._push(CQE(sqe.user_data, res, result, None, seq,
+                               ctx.now))
             if self.faults is not None:
                 self.faults.after_op(ctx, seq, sqe)
             linked_prev = bool(sqe.flags & IOSQE_IO_LINK)
 
-    def _dispatch(self, ctx, seq, sqe, handler):
-        """Run one SQE's handler, resubmitting on EIO under the ring's
-        retry policy.  Safe to re-run: a failed handler never advances
-        the descriptor's position, so the resubmission repeats the same
+    def _dispatch(self, ctx, seq, sqe):
+        """The per-SQE core both entrances share: run one SQE through
+        :meth:`VFS.execute`, resubmitting on EIO under the ring's retry
+        policy.  Safe to re-run: a failed execution never advances the
+        descriptor's position, so the resubmission repeats the same
         operation.  Injected ring faults (:attr:`faults`) fire inside the
         retry loop, so an armed fault with ``max_hits`` set models a
         transient EIO the resubmission recovers from."""
         policy = self.retry_policy
-        if policy is None:
-            if self.faults is not None:
-                self.faults.before_op(ctx, seq, sqe)
-            return handler(ctx, sqe, self)
         attempt = 0
         while True:
             try:
                 if self.faults is not None:
                     self.faults.before_op(ctx, seq, sqe)
-                result = handler(ctx, sqe, self)
+                result = self.vfs.execute(ctx, sqe, self)
             except MediaError:
+                if policy is None:
+                    raise
                 attempt += 1
                 if not policy.allows(attempt) or policy.circuit_open(ctx.now):
                     policy.record_failure(ctx.now)
@@ -405,29 +437,6 @@ class IORing:
         if min_complete is None:
             min_complete = submitted
         return self.wait(min_complete)
-
-    def submit_reaping(self, sqes):
-        """Submit a batch and reap exactly *its* CQEs (by sequence), in
-        submission order, leaving earlier completions alone.
-
-        This is the sync-wrapper path: a batch of one whose CQE must not
-        scoop completions a concurrent async user still owns.
-        """
-        sqes = list(sqes)
-        first_seq = self._seq
-        self.submit(sqes)
-        want = set(range(first_seq, first_seq + len(sqes)))
-        ctx = self.ctx
-        self._reap_resolved(ctx)
-        while any(p.seq in want for p in self._pending):
-            entry = min((p for p in self._pending if p.seq in want),
-                        key=lambda p: p.seq)
-            self._pending.remove(entry)
-            self._materialise(ctx, entry)
-        mine = [c for c in self._cq if c.seq in want]
-        self._cq = [c for c in self._cq if c.seq not in want]
-        mine.sort(key=lambda c: c.seq)
-        return mine
 
     def __repr__(self):
         return "IORing(%s, cq=%d, pending=%d)" % (

@@ -60,12 +60,14 @@ class FioWorkload(Workload):
 class RingFioWorkload(FioWorkload):
     """The fio op stream driven through the submission ring in batches.
 
-    Offsets, read/write mix, and fsync pacing are identical to
-    :class:`FioWorkload` at the same seed -- only the submission
-    granularity changes.  Runs at different ``batch_depth`` therefore
-    execute the same ops and differ purely in how often the
-    ``T_syscall`` entry is paid (once per batch) and in whether fsync
-    completions may defer to their persist point (``IOSQE_ASYNC``).
+    Offsets, read/write mix, and fsync pacing are drawn exactly as
+    :class:`FioWorkload` draws them, but not the same values at the same
+    seed: :meth:`Workload.rng` keys the stream on ``self.name``, and
+    ``"fio-ring"`` is not ``"fio"``.  Runs of *this* class at different
+    ``batch_depth`` do execute the same ops, and differ purely in how
+    often the ``T_syscall`` entry is paid (once per batch) and in
+    whether fsync completions may defer to their persist point
+    (``IOSQE_ASYNC``).
     """
 
     name = "fio-ring"

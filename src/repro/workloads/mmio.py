@@ -48,9 +48,6 @@ class MmapFioWorkload(FioWorkload):
         nothing here charges time, draws a syscall span, or leaves even
         a zero-valued entry in ``stats.syscall_time_ns``.
         """
-        if not hasattr(fs, "mmap_atomic"):
-            raise ValueError(
-                "%s does not support library-mode mmap" % fs.name)
         ctx = prepare_context(env)
         maps = env.stats.count("mmio_maps")
         for tid in range(self.threads):

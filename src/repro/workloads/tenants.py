@@ -187,45 +187,29 @@ class TenantFleet(Workload):
         )
         tenant_kw = {"tenant": spec.tenant_id}
 
-        def issue(ctx, ring, fd):
-            """One admitted op (retrying shed attempts); False = dropped."""
+        def make_sqe(fd, flags=0):
             offset = rng.randrange(max_offset)
             if rng.random() < spec.read_fraction:
-                sqe = uring.prep_read(fd, spec.io_size, offset, **tenant_kw)
-            else:
-                sqe = uring.prep_write(fd, chunk, offset, **tenant_kw)
-            attempt = 0
-            while True:
-                cqe = ring.submit_reaping([sqe])[0]
-                if cqe.error is None:
-                    policy.record_success()
-                    return True
-                if not isinstance(cqe.error, TryAgain):
-                    raise cqe.error
-                result.shed += 1
-                attempt += 1
-                if policy.circuit_open(ctx.now) or not policy.allows(attempt):
-                    policy.record_failure(ctx.now)
-                    result.dropped += 1
-                    return False
-                policy.note_retry()
-                ctx.charge(policy.backoff_ns(attempt))
+                return uring.prep_read(fd, spec.io_size, offset, flags=flags,
+                                       **tenant_kw)
+            return uring.prep_write(fd, chunk, offset, flags=flags,
+                                    **tenant_kw)
 
-        def make_sqe(fd):
-            offset = rng.randrange(max_offset)
-            if rng.random() < spec.read_fraction:
-                return uring.prep_read(fd, spec.io_size, offset,
-                                       flags=uring.IOSQE_ASYNC, **tenant_kw)
-            return uring.prep_write(fd, chunk, offset,
-                                    flags=uring.IOSQE_ASYNC, **tenant_kw)
+        def shed_once(ring, sqe):
+            """Run one SQE now; True when admission shed it (EAGAIN)."""
+            try:
+                ring.execute_one(sqe)
+            except TryAgain:
+                return True
+            return False
 
-        def finalize(ctx, ring, sqe, error, scheduled):
-            """Settle one batched op: retry shed attempts one-by-one
-            (admission rejects per op), then account it."""
+        def settle(ctx, ring, sqe, scheduled, shed):
+            """See one op through after its first attempt: retry while
+            admission sheds it (one by one -- admission rejects per op)
+            until the budget or the breaker gives out, a drop; then
+            account the admitted op."""
             attempt = 0
-            while error is not None:
-                if not isinstance(error, TryAgain):
-                    raise error
+            while shed:
                 result.shed += 1
                 attempt += 1
                 if policy.circuit_open(ctx.now) or not policy.allows(attempt):
@@ -234,8 +218,11 @@ class TenantFleet(Workload):
                     return
                 policy.note_retry()
                 ctx.charge(policy.backoff_ns(attempt))
-                error = ring.submit_reaping([sqe])[0].error
+                shed = shed_once(ring, sqe)
             policy.record_success()
+            # Queue-inclusive for open/burst: time since the op was
+            # *scheduled*, not since the client got around to
+            # submitting it.
             result.latencies_ns.append(ctx.now - scheduled)
             result.ops_done += 1
             result.bytes_done += spec.io_size
@@ -249,14 +236,22 @@ class TenantFleet(Workload):
             for i in range(spec.ops):
                 if spec.mode == MODE_BURST and rng.random() < spec.off_prob:
                     scheduled += int(rng.expovariate(1.0 / spec.off_mean_ns))
-                pending.append((make_sqe(fd), scheduled))
+                pending.append((make_sqe(fd, uring.IOSQE_ASYNC), scheduled))
                 scheduled += spec.interval_ns
                 if len(pending) >= spec.batch or i == spec.ops - 1:
                     if ctx.now < pending[-1][1]:
                         ctx.sync_to(pending[-1][1])
-                    cqes = ring.submit_reaping([s for s, _ in pending])
+                    cqes = ring.submit_and_wait([s for s, _ in pending])
+                    # Only this thread uses the ring, and reads and
+                    # writes complete inline: the CQ holds exactly this
+                    # batch, in submission order.
+                    assert [c.seq for c in cqes] == list(
+                        range(cqes[0].seq, cqes[0].seq + len(pending)))
                     for (sqe, sched), cqe in zip(pending, cqes):
-                        finalize(ctx, ring, sqe, cqe.error, sched)
+                        if cqe.error is not None and \
+                                not isinstance(cqe.error, TryAgain):
+                            raise cqe.error
+                        settle(ctx, ring, sqe, sched, cqe.error is not None)
                     pending = []
                     yield
 
@@ -280,14 +275,8 @@ class TenantFleet(Workload):
                             rng.expovariate(1.0 / spec.off_mean_ns))
                     if ctx.now < scheduled:
                         ctx.sync_to(scheduled)
-                ok = issue(ctx, ring, fd)
-                if ok:
-                    # Queue-inclusive for open/burst: time since the op
-                    # was *scheduled*, not since the client got around to
-                    # submitting it.
-                    result.latencies_ns.append(ctx.now - scheduled)
-                    result.ops_done += 1
-                    result.bytes_done += spec.io_size
+                sqe = make_sqe(fd)
+                settle(ctx, ring, sqe, scheduled, shed_once(ring, sqe))
                 if closed:
                     if spec.think_ns:
                         ctx.charge(spec.think_ns)

@@ -67,7 +67,7 @@ class TestSynchronousEIO:
         model.poison_line(data_line(fs, vfs._files[fd].ino))
         with pytest.raises(MediaError):
             vfs.pwrite(ctx, fd, 0, b"b" * 64)
-        assert vfs.media_errors == 1
+        assert vfs.health.media_errors == 1
 
     def test_hinfs_fsync_hits_bad_writeback_target(self):
         env, config, device, fs, vfs, ctx, model = build_hinfs()
@@ -76,7 +76,7 @@ class TestSynchronousEIO:
         model.poison_line(data_line(fs, vfs._files[fd].ino))
         with pytest.raises(MediaError):
             vfs.fsync(ctx, fd)
-        assert vfs.media_errors == 1
+        assert vfs.health.media_errors == 1
 
     def test_error_carries_faulting_lines(self):
         env, config, device, fs, vfs, ctx, model = build_pmfs()
@@ -129,7 +129,7 @@ class TestRemountReadOnly:
         for _ in range(3):
             with pytest.raises(MediaError):
                 vfs.pread(ctx, fd, 0, 64)
-        assert vfs.read_only
+        assert not vfs.health.writable
         with pytest.raises(ReadOnly):
             vfs.pwrite(ctx, fd, 4096, b"b")
         with pytest.raises(ReadOnly):
@@ -166,7 +166,7 @@ class TestRemountReadOnly:
             name = "w%d" % i
             sched.spawn(name, lambda c, n=name: body(c, n))
         sched.run()
-        assert vfs.read_only
+        assert not vfs.health.writable
         kinds = {kind for _, kind in outcomes}
         assert "MediaError" in kinds and "ReadOnly" in kinds
 
@@ -180,7 +180,7 @@ class TestRemountReadOnly:
         recovered = PMFS.mount(env, device, config)
         assert recovered.degraded_reason is not None
         vfs2 = VFS(env, recovered, config)
-        assert vfs2.read_only
+        assert not vfs2.health.writable
         assert vfs2.read_file(ctx, "/keep") == b"k" * 4096
         with pytest.raises(ReadOnly):
             vfs2.write_file(ctx, "/nope", b"x")
@@ -254,6 +254,6 @@ class TestErrseq:
         vfs.pwrite(ctx, fd, 0, b"a" * 4096)
         model.poison_line(data_line(fs, vfs._files[fd].ino))
         fs.writeback.demand_reclaim(ctx)
-        assert vfs.read_only
+        assert not vfs.health.writable
         with pytest.raises(ReadOnly):
             vfs.pwrite(ctx, fd, 4096, b"b")

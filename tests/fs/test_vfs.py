@@ -4,8 +4,10 @@ import pytest
 
 from repro.fs import flags as f
 from repro.fs.errors import (
+    FSError,
     InvalidArgument,
     IsADirectory,
+    MediaError,
     NotADirectory,
     NotFound,
 )
@@ -120,6 +122,29 @@ def test_ops_completed_counts_syscalls(rig):
     before = rig.env.stats.ops_completed
     rig.vfs.write_file(rig.ctx, "/f", b"x")  # open + write + close
     assert rig.env.stats.ops_completed - before == 3
+
+
+def test_namespace_syscall_that_raises_completes_nothing(rig):
+    """Every namespace syscall pays its entry and records its span, but
+    counts as a completed op only on a clean exit -- except close(2),
+    which closed the fd even when it reports a deferred error."""
+    stats = rig.env.stats
+    ops, entries = stats.ops_completed, stats.count("vfs_syscall_entries")
+    for failing in (lambda: rig.vfs.stat(rig.ctx, "/missing"),
+                    lambda: rig.vfs.readdir(rig.ctx, "/missing"),
+                    lambda: rig.vfs.fstat(rig.ctx, 99),
+                    lambda: rig.vfs.unlink(rig.ctx, "/missing")):
+        with pytest.raises(FSError):
+            failing()
+    assert stats.count("vfs_syscall_entries") == entries + 4
+    assert stats.ops_completed == ops
+    assert stats.syscall_counts["stat"] >= 1
+    fd = rig.vfs.open(rig.ctx, "/f", f.O_CREAT | f.O_RDWR)
+    rig.fs.wb_err.record(rig.fs.lookup(rig.ctx, 1, "f"))
+    ops = stats.ops_completed
+    with pytest.raises(MediaError):
+        rig.vfs.close(rig.ctx, fd)
+    assert stats.ops_completed == ops + 1
 
 
 # -- rename(2) -----------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.engine.scheduler import Scheduler
 from repro.fs import flags as f
+from repro.fs.base import FileSystem
 from repro.fs.errors import FSError
 from repro.nvmm.config import NVMMConfig
 
@@ -317,7 +318,7 @@ class DifferentialOracle(RuleBasedStateMachine):
         per_stack = []
         for stack in self.stacks:
             fd = stack.vfs.open(stack.ctx, path, f.O_RDWR)
-            if hasattr(stack.fs, "mmap_atomic"):
+            if type(stack.fs).mmap_atomic is not FileSystem.mmap_atomic:
                 region = stack.vfs.mmap(stack.ctx, fd, flags=f.MAP_ATOMIC,
                                         policy=policy)
                 per_stack.append(("real", fd, region))

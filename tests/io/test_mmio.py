@@ -11,16 +11,20 @@ The properties under test, in rough order of importance:
   the open epoch.
 """
 
+import random
+
 import pytest
 
 from repro.engine.stats import CAT_WRITE_ACCESS
 from repro.faults.mmiofault import MmioFaultInjector
 from repro.fs import flags as f
+from repro.fs.base import ROOT_INO
 from repro.fs.errors import InvalidArgument, MediaError
 from repro.io import mmio
 from repro.nvmm.config import CACHELINE_SIZE
 
 from tests.fs.conftest import PmfsRig
+from tests.fs.test_shard import ShardRig, name_on
 
 
 @pytest.fixture()
@@ -178,17 +182,54 @@ def test_auto_policy_tracks_previous_epoch_mix(rig):
     region.msync(rig.ctx)
 
 
-def test_log_full_autocommits_and_retries(rig):
-    _fd, region = amap(rig, "/m", data=b"e" * 8192, policy="undo",
-                       log_blocks=1)
-    # Each 2048-byte store costs 33 log lines; a 64-line block fills
-    # after the second store, forcing an automatic epoch commit.
-    for i in range(4):
-        region.store(rig.ctx, i * 2048, b"F" * 2048)
-    assert rig.env.stats.count("mmio_autocommits") >= 1
-    region.msync(rig.ctx)
-    rig.crash_and_remount()
-    assert rig.vfs.read_file(rig.ctx, "/m") == b"F" * 8192
+def test_log_full_autocommits_and_retries():
+    for policy in ("undo", "auto"):
+        rig = PmfsRig()
+        _fd, region = amap(rig, "/m", data=b"e" * 16384, policy=policy,
+                           log_blocks=1)
+        count = rig.env.stats.count
+        # Each 2048-byte store costs 33 log lines; a 64-line block fills
+        # after the second store, forcing an automatic epoch commit.
+        for i in range(4):
+            region.store(rig.ctx, i * 2048, b"F" * 2048)
+        assert count("mmio_autocommits") >= 1
+        # One store of four entries fills the log on its second and
+        # third chunks: the epoch the autocommit opens mid-store keeps
+        # the interrupted entry's policy for the chunks that follow.
+        before = count("mmio_autocommits")
+        region.store(rig.ctx, 8192, b"G" * 8192)
+        assert count("mmio_autocommits") - before >= 2
+        region.msync(rig.ctx)
+        rig.crash_and_remount()
+        assert rig.vfs.read_file(rig.ctx, "/m") == \
+            b"F" * 8192 + b"G" * 8192, policy
+
+
+def test_stores_survive_autocommits_under_log_pressure():
+    """A 2-block log under 4 KB stores autocommits ~170 times per run;
+    every load and the final image must match a shadow buffer (an
+    autocommit used to reset the epoch's policy mid-store, and a later
+    overlapping store was lost)."""
+    size = 64 << 10
+    for seed in range(10):
+        rig = PmfsRig()
+        _fd, region = amap(rig, "/m", data=b"\0" * size, policy="auto",
+                           log_blocks=2)
+        shadow = bytearray(size)
+        rng = random.Random(seed)
+        for op in range(400):
+            offset = rng.randrange(size - 4096)
+            if rng.random() < 1 / 3:
+                assert region.load(rig.ctx, offset, 4096) == \
+                    shadow[offset:offset + 4096], (seed, op)
+            else:
+                data = bytes([rng.randrange(256)]) * 4096
+                region.store(rig.ctx, offset, data)
+                shadow[offset:offset + 4096] = data
+            if (op + 1) % 32 == 0:
+                region.msync(rig.ctx)
+        assert rig.env.stats.count("mmio_autocommits") > 100
+        assert region.load(rig.ctx, 0, size) == shadow, seed
 
 
 def test_oversized_single_entry_is_rejected(rig):
@@ -210,6 +251,39 @@ def test_pwrite_on_mapped_file_routes_through_mapping(rig):
     assert region.load(rig.ctx, 50, 6) == b"VIA-FD"
     rig.crash_and_remount()
     assert rig.vfs.read_file(rig.ctx, "/m") == b"f" * 4096
+
+
+@pytest.mark.parametrize("kind", ["pmfs", "pmfs@2"])
+def test_below_vfs_read_write_fsync_go_through_the_mapping(kind):
+    """``fs.read``/``fs.write``/``fs.fsync`` enter through ``submit``
+    like the VFS does, so they are as coherent with a live mapping as
+    descriptor I/O -- on one device and on shard 1 of a sharded mount."""
+    if kind == "pmfs":
+        rig, name = PmfsRig(), "m"
+        crash = rig.crash_and_remount
+    else:
+        rig, name = ShardRig("pmfs", nshards=2), name_on(1, 2)
+        crash = rig.remount  # from the persistent images: a power cut
+    fd, region = amap(rig, "/" + name, data=b"c" * 4096, policy="redo")
+    ino = rig.fs.lookup(rig.ctx, ROOT_INO, name)
+    if kind == "pmfs@2":
+        assert rig.fs._dec(ino)[0] == 1
+    count = rig.env.stats.count
+    region.store(rig.ctx, 100, b"STAGED")
+    # A staged redo store is visible to a read below the VFS exactly as
+    # it is to pread (the positional shim used to skip the routing).
+    assert rig.vfs.pread(rig.ctx, fd, 100, 6) == b"STAGED"
+    assert rig.fs.read(rig.ctx, ino, 100, 6) == b"STAGED"
+    routed = count("mmio_routed")
+    assert rig.fs.write(rig.ctx, ino, 200, b"BELOW") == 5
+    assert count("mmio_routed") == routed + 1
+    assert region.load(rig.ctx, 200, 5) == b"BELOW"
+    epochs = count("mmio_epochs_committed")
+    rig.fs.fsync(rig.ctx, ino)
+    assert count("mmio_epochs_committed") == epochs + 1
+    crash()
+    data = rig.vfs.read_file(rig.ctx, "/" + name)
+    assert data[100:106] == b"STAGED" and data[200:205] == b"BELOW"
 
 
 def test_fsync_on_mapped_file_commits_the_epoch(rig):

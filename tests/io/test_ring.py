@@ -6,7 +6,13 @@ from repro.bench.runner import build_stack
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.fs import flags as f
-from repro.fs.errors import InvalidArgument, ReadOnly
+from repro.faults import RetryPolicy, RingFaultInjector
+from repro.fs.errors import (
+    BadFileDescriptor,
+    InvalidArgument,
+    MediaError,
+    ReadOnly,
+)
 from repro.io import ring as uring
 from repro.nvmm.config import NVMMConfig
 
@@ -180,7 +186,7 @@ def test_oversized_batch_is_einval():
         ring.submit(sqes)
 
 
-def test_submit_reaping_leaves_foreign_completions_alone():
+def test_execute_one_leaves_foreign_completions_alone():
     rig = Rig()
     fd = rig.open()
     ring = rig.vfs.ring(rig.ctx)
@@ -224,3 +230,139 @@ def test_fdatasync_sqe_accounted_under_its_own_syscall():
     rig.vfs.fdatasync(rig.ctx, fd)
     assert rig.env.stats.syscall_counts["fdatasync"] == 1
     assert "fsync" not in rig.env.stats.syscall_counts
+
+
+# -- one core, two entrances ------------------------------------------------
+#
+# A sync syscall (``ring.execute_one``) and a batch of one
+# (``ring.submit_and_wait([sqe])``) run the same per-SQE core, so on
+# identical rigs they cost the same virtual time, move the same counters,
+# record the same spans and show the fault injector the same ops.
+
+
+def _ready_rig(fs_name):
+    """A traced rig with 4 KB already in /f; the op under test runs as
+    ring sequence number 1 (the set-up write was number 0)."""
+    rig = Rig(fs_name)
+    rig.env.enable_tracing(256)
+    fd = rig.open()
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"s" * 4096)
+    return rig, fd
+
+
+def _observe(rig):
+    ring = rig.vfs.ring(rig.ctx)
+    spans = [(sp.req_id, sp.name, sp.layer, sp.thread, sp.start_ns,
+              sp.end_ns, sp.phases, sp.meta) for sp in rig.env.trace.spans()]
+    return (rig.ctx.now, dict(rig.env.stats.counters), spans,
+            ring.faults.observed if ring.faults is not None else None)
+
+
+_OPS = {
+    "read": (lambda vfs, ctx, fd: vfs.pread(ctx, fd, 128, 512),
+             lambda fd: uring.prep_read(fd, 512, 128)),
+    "write": (lambda vfs, ctx, fd: vfs.pwrite(ctx, fd, 128, b"w" * 512),
+              lambda fd: uring.prep_write(fd, b"w" * 512, 128)),
+    "fsync": (lambda vfs, ctx, fd: vfs.fsync(ctx, fd),
+              lambda fd: uring.prep_fsync(fd)),
+    "fdatasync": (lambda vfs, ctx, fd: vfs.fdatasync(ctx, fd),
+                  lambda fd: uring.prep_fsync(fd, datasync=True)),
+}
+
+
+def _both_entrances(fs_name, op, arm=None):
+    """Run ``op`` through each entrance on fresh identical rigs; returns
+    ``((sync outcome, observation), (batch outcome, observation))``
+    where an outcome is the op's value or its exception."""
+    wrapper, prep = _OPS[op]
+    out = []
+    for entrance in ("sync", "batch"):
+        rig, fd = _ready_rig(fs_name)
+        if arm is not None:
+            arm(rig.vfs.ring(rig.ctx))
+        if entrance == "sync":
+            try:
+                outcome = wrapper(rig.vfs, rig.ctx, fd)
+            except MediaError as exc:
+                outcome = exc
+        else:
+            (cqe,) = rig.vfs.ring(rig.ctx).submit_and_wait([prep(fd)])
+            outcome = cqe.error if cqe.error is not None else cqe.value
+        out.append((outcome, _observe(rig)))
+    return out
+
+
+@pytest.mark.parametrize("fs_name", ["pmfs", "hinfs", "ext4-nvmmbd"])
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_sync_wrapper_and_batch_of_one_are_indistinguishable(fs_name, op):
+    (sync_value, sync_seen), (batch_value, batch_seen) = \
+        _both_entrances(fs_name, op)
+    assert sync_seen == batch_seen
+    if op == "read":
+        assert [sync_value] == batch_value == [b"s" * 512]
+    elif op == "write":
+        assert sync_value == batch_value == 512
+    else:
+        assert sync_value is None and batch_value == 0
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_injected_eio_is_the_same_failure_through_both_entrances(op):
+    def arm(ring):
+        ring.faults = RingFaultInjector().arm_fail(1)
+
+    (sync_exc, sync_seen), (batch_exc, batch_seen) = \
+        _both_entrances("hinfs", op, arm)
+    assert isinstance(sync_exc, MediaError)
+    assert isinstance(batch_exc, MediaError)
+    assert str(sync_exc) == str(batch_exc)
+    assert sync_seen == batch_seen
+    assert sync_seen[1]["ring_fault_injections"] == 1
+    assert sync_seen[3][-1][0] == 1  # armed by sequence number
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_retry_policy_recovers_the_same_way_through_both_entrances(op):
+    def arm(ring):
+        ring.faults = RingFaultInjector(max_hits=1).arm_fail(1)
+        ring.retry_policy = RetryPolicy(max_retries=2, base_backoff_ns=700,
+                                        jitter_frac=0.5, seed=9)
+
+    (sync_value, sync_seen), (batch_value, batch_seen) = \
+        _both_entrances("hinfs", op, arm)
+    assert not isinstance(sync_value, MediaError)
+    assert not isinstance(batch_value, MediaError)
+    assert sync_seen == batch_seen
+    counters = sync_seen[1]
+    assert counters["ring_sqe_retries"] == 1
+    assert counters["ring_sqe_retry_successes"] == 1
+    # Seen twice under the same sequence number: the failed attempt and
+    # its resubmission.
+    assert [seq for seq, _name in sync_seen[3]].count(1) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda vfs, ctx: vfs.pread(ctx, 99, 0, 8),
+    lambda vfs, ctx: vfs.pwrite(ctx, 99, 0, b"x"),
+    lambda vfs, ctx: vfs.fsync(ctx, 99),
+], ids=["read", "write", "fsync"])
+def test_bad_descriptor_fails_before_anything_is_charged_or_recorded(call):
+    """One rule for all three opcodes: the descriptor is resolved first,
+    so EBADF costs no virtual time, no syscall entry and no span."""
+    rig = Rig()
+    rig.env.enable_tracing(64)
+    rig.open()
+    now = rig.ctx.now
+    entries = rig.env.stats.count("vfs_syscall_entries")
+    ops = rig.env.stats.ops_completed
+    spans = len(rig.env.trace.spans())
+    with pytest.raises(BadFileDescriptor):
+        call(rig.vfs, rig.ctx)
+    assert rig.ctx.now == now
+    assert rig.env.stats.count("vfs_syscall_entries") == entries
+    assert rig.env.stats.ops_completed == ops
+    assert len(rig.env.trace.spans()) == spans
+    # The same through a batch: an error CQE, still nothing charged.
+    (cqe,) = rig.vfs.ring(rig.ctx).submit_and_wait([uring.prep_fsync(99)])
+    assert isinstance(cqe.error, BadFileDescriptor)
+    assert rig.ctx.now == now
