@@ -372,8 +372,7 @@ class ChaosCampaign:
         if dirty:
             line = dirty[self._rng.randrange(len(dirty))]
             new = mem.dirty_lines_snapshot()[line]
-            old = mem.persistent_snapshot()[
-                line * CACHELINE_SIZE:(line + 1) * CACHELINE_SIZE]
+            old = mem.persistent_read(line * CACHELINE_SIZE, CACHELINE_SIZE)
             # A proper nonempty word subset: genuinely torn, not a plain
             # lost-or-persisted line.
             count = self._rng.randint(1, WORDS_PER_LINE - 1)

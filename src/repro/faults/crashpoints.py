@@ -14,9 +14,13 @@ eviction* states: the same prefix image with a random subset of the
 then-dirty CPU-cache lines written back, modelling lines the cache
 evicted on its own before the crash.
 
-Each reconstructed state is mounted on a fresh device and the recovered
-file system is checked against invariants derived from the operations
-that had completed before the crash point:
+Every crash image of one recorded run equals the pre-run baseline
+outside the cachelines some tape event touched, so a state is kept as a
+*sparse delta*: the bytes of those line extents only.  Each state is
+written over the baseline on one reusable device image (the arena),
+power-cycled -- a fresh env, device and file system on the surviving
+media -- and the recovered file system is checked against invariants
+derived from the operations that had completed before the crash point:
 
 1. recovery succeeds (journal replay / rollback is correct);
 2. durably-acknowledged namespace operations survive (created files
@@ -34,6 +38,7 @@ Everything is deterministic: the only randomness is a seeded
 
 import hashlib
 import random
+from bisect import bisect_right
 
 from repro.core import HiNFS, HiNFSConfig
 from repro.engine.context import ExecContext
@@ -42,6 +47,7 @@ from repro.fs import flags as f
 from repro.fs.errors import FSError
 from repro.fs.pmfs.pmfs import PMFS
 from repro.fs.vfs import VFS
+from repro.mem.cpucache import CachedPersistentRegion
 from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
 from repro.nvmm.device import NVMMDevice
 from repro.workloads.base import payload
@@ -85,6 +91,31 @@ class TapeRecorder:
             self.boundaries.append(len(self.events))
 
 
+def touched_extents(events, size):
+    """Sorted, coalesced, line-aligned ``(start, end)`` byte extents
+    covering every cacheline a tape event touches, in a region of
+    ``size`` bytes (the tail line is clamped to the region).
+
+    Stores and persists both count: evicted and torn lines come from
+    stores.  Every crash image of the run equals the baseline outside
+    these extents.
+    """
+    lines = set()
+    for _kind, addr, data in events:
+        if data:
+            lines.update(range(addr // CACHELINE_SIZE,
+                               (addr + len(data) - 1) // CACHELINE_SIZE + 1))
+    extents = []
+    for line in sorted(lines):
+        base = line * CACHELINE_SIZE
+        end = min(base + CACHELINE_SIZE, size)
+        if extents and extents[-1][1] == base:
+            extents[-1] = (extents[-1][0], end)
+        else:
+            extents.append((base, end))
+    return extents
+
+
 class ShadowImage:
     """Replays a tape, mirroring the cache model's crash semantics.
 
@@ -92,19 +123,51 @@ class ShadowImage:
     cachelines as they were at each point of the recorded run, so any
     prefix yields (a) the post-crash image and (b) the eviction
     candidates -- whole dirty lines that may additionally persist.
+
+    Only the bytes inside ``extents`` are kept (see
+    :func:`touched_extents`), concatenated in address order; images come
+    back in that compact form.  The tape must stay inside the extents.
+    Without ``extents`` the whole baseline is one extent and the compact
+    form *is* the full image.
     """
 
-    def __init__(self, baseline):
-        self.image = bytearray(baseline)
+    def __init__(self, baseline, extents=None):
+        self.size = len(baseline)
+        if extents is None:
+            extents = [(0, self.size)]
+        self._starts = [start for start, _end in extents]
+        self._ends = [end for _start, end in extents]
+        self._offsets = []
+        self.image = bytearray()
+        view = memoryview(baseline)
+        for start, end in extents:
+            self._offsets.append(len(self.image))
+            self.image += view[start:end]
         self.dirty = {}  # line index -> bytearray(CACHELINE_SIZE)
+
+    def _offset(self, addr, length):
+        """Compact offset of ``[addr, addr+length)``, which one extent
+        must hold (extents are coalesced, so a tape event never spans
+        two)."""
+        i = bisect_right(self._starts, addr) - 1
+        if i < 0 or addr + length > self._ends[i]:
+            raise ValueError(
+                "range [%d, %d) lies outside the shadow's extents"
+                % (addr, addr + length))
+        return self._offsets[i] + addr - self._starts[i]
+
+    def _line_span(self, line):
+        """``(compact offset, length)`` of a line, clamped to the region."""
+        base = line * CACHELINE_SIZE
+        length = min(base + CACHELINE_SIZE, self.size) - base
+        return self._offset(base, length), length
 
     def _line_buf(self, line):
         buf = self.dirty.get(line)
         if buf is None:
-            base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, len(self.image))
-            buf = bytearray(self.image[base:end])
-            buf.extend(b"\0" * (CACHELINE_SIZE - len(buf)))
+            off, length = self._line_span(line)
+            buf = bytearray(self.image[off:off + length])
+            buf.extend(b"\0" * (CACHELINE_SIZE - length))
             self.dirty[line] = buf
         return buf
 
@@ -125,7 +188,9 @@ class ShadowImage:
         else:
             for line in range(first, last + 1):
                 self.dirty.pop(line, None)
-            self.image[addr:addr + len(data)] = data
+            if data:  # an empty persist lies in no extent
+                off = self._offset(addr, len(data))
+                self.image[off:off + len(data)] = data
 
     def crash_image(self, evict_lines=(), torn=None):
         """Post-power-failure image; ``evict_lines`` persisted first.
@@ -136,28 +201,24 @@ class ShadowImage:
         leaves behind.  Each word persists atomically; the rest of the
         line keeps its old persistent bytes.
         """
-        image = bytes(self.image)
         if not evict_lines and not torn:
-            return image
-        image = bytearray(image)
+            return bytes(self.image)
+        image = bytearray(self.image)
         for line in evict_lines:
-            buf = self.dirty[line]
-            base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, len(image))
-            image[base:end] = buf[: end - base]
+            off, length = self._line_span(line)
+            image[off:off + length] = self.dirty[line][:length]
         if torn:
             for line in sorted(torn):
                 buf = self.dirty[line]
                 mask = torn[line]
-                base = line * CACHELINE_SIZE
+                off, length = self._line_span(line)
                 for word in range(WORDS_PER_LINE):
                     if not mask >> word & 1:
                         continue
-                    lo = base + word * WORD_SIZE
-                    hi = min(lo + WORD_SIZE, len(image))
+                    lo = word * WORD_SIZE
+                    hi = min(lo + WORD_SIZE, length)
                     if lo < hi:
-                        image[lo:hi] = buf[word * WORD_SIZE:
-                                           word * WORD_SIZE + (hi - lo)]
+                        image[off + lo:off + hi] = buf[lo:hi]
         return bytes(image)
 
     def torn_persist_image(self, event, word_mask, evict_lines=()):
@@ -169,6 +230,7 @@ class ShadowImage:
         if kind != EV_PERSIST:
             raise ValueError("only persist events can tear")
         image = bytearray(self.crash_image(evict_lines))
+        shift = self._offset(addr, len(data)) - addr
         first_word = addr // WORD_SIZE
         last_word = (addr + len(data) - 1) // WORD_SIZE
         for i, word in enumerate(range(first_word, last_word + 1)):
@@ -176,7 +238,7 @@ class ShadowImage:
                 continue
             lo = max(addr, word * WORD_SIZE)
             hi = min(addr + len(data), (word + 1) * WORD_SIZE)
-            image[lo:hi] = data[lo - addr:hi - addr]
+            image[shift + lo:shift + hi] = data[lo - addr:hi - addr]
         return bytes(image)
 
     @staticmethod
@@ -186,6 +248,29 @@ class ShadowImage:
         if kind != EV_PERSIST or not data:
             return 0
         return (addr + len(data) - 1) // WORD_SIZE - addr // WORD_SIZE + 1
+
+
+class CrashArena:
+    """The one device image every crash state of a run is mounted on.
+
+    ``load`` restores the baseline into the region (both slabs, dirty
+    flags cleared -- whatever the previous state's recovery wrote is
+    gone) and writes a state's compact bytes back at their extents; the
+    region then holds exactly that state's durable image.
+    """
+
+    def __init__(self, baseline, extents):
+        self.baseline = baseline
+        self.extents = extents
+        self.mem = CachedPersistentRegion(len(baseline))
+
+    def load(self, compact):
+        self.mem.load_snapshot(self.baseline)
+        view = memoryview(compact)
+        off = 0
+        for start, end in self.extents:
+            self.mem.write_nocache(start, view[off:off + end - start])
+            off += end - start
 
 
 class Expectations:
@@ -365,6 +450,8 @@ class CrashPointExplorer:
         self.mmio_log_checksums = mmio_log_checksums
         self.device_bytes = device_bytes
         self._rng = random.Random(seed)
+        #: The :class:`CrashArena` of the exploration in progress.
+        self._arena = None
 
     # -- stack construction -------------------------------------------
 
@@ -384,11 +471,12 @@ class CrashPointExplorer:
         vfs = VFS(env, fs, config)
         return env, config, device, fs, vfs, ExecContext(env, "crashpoints")
 
-    def _mount_state(self, image):
+    def _mount(self):
+        """Power-cycle the arena: a fresh env, device and file system on
+        the media as it stands (the caller dropped any volatile lines)."""
         env = SimEnv()
         config = NVMMConfig()
-        device = NVMMDevice(env, config, len(image))
-        device.mem.load_snapshot(image)
+        device = NVMMDevice.on_region(env, config, self._arena.mem)
         if self.fs_kind == "hinfs":
             fs = HiNFS.mount(env, device, config,
                              journal_checksums=self.journal_checksums,
@@ -571,6 +659,8 @@ class CrashPointExplorer:
         ops = list(ops)
         report = ExplorationReport(self.fs_kind, ops)
         tape, baseline, checkpoints = self._run_ops(ops)
+        extents = touched_extents(tape.events, len(baseline))
+        self._arena = CrashArena(baseline, extents)
         report.events = len(tape.events)
         report.boundaries = len(set(tape.boundaries))
         report.op_request_ids = dict(self._op_request_ids)
@@ -594,7 +684,7 @@ class CrashPointExplorer:
             op_windows.append((op_index, pos, end))
 
         seen = {}
-        shadow = ShadowImage(baseline)
+        shadow = ShadowImage(baseline, extents)
         # Prefix 0 (crash before anything ran) through every event.
         self._check_dedup(report, seen, shadow, 0, expect_at, ())
         for k, event in enumerate(tape.events):
@@ -613,7 +703,7 @@ class CrashPointExplorer:
             for _ in range(self.eviction_samples_per_op):
                 k = self._rng.randint(start, end)
                 draw_points.setdefault(k, []).append(op_index)
-        shadow = ShadowImage(baseline)
+        shadow = ShadowImage(baseline, extents)
         for op_index in draw_points.get(0, ()):
             report.eviction_draws[op_index] += 1
             self._check_eviction_draw(report, seen, shadow, 0, expect_at)
@@ -638,7 +728,7 @@ class CrashPointExplorer:
             for _ in range(self.torn_samples_per_op):
                 k = self._rng.randint(start, max(start, end - 1))
                 torn_points.setdefault(k, []).append(op_index)
-        shadow = ShadowImage(baseline)
+        shadow = ShadowImage(baseline, extents)
         for k in range(len(tape.events) + 1):
             for op_index in torn_points.get(k, ()):
                 report.torn_draws[op_index] += 1
@@ -690,6 +780,9 @@ class CrashPointExplorer:
     def _check_image(self, report, seen, image, k, expect_at, evicted,
                      torn=None):
         op_index, expect = expect_at(k)
+        # ``image`` is compact (the touched extents only).  Baseline and
+        # extents are fixed for the run, so two compact images are equal
+        # exactly when the full device images are: the key is still exact.
         key = (hashlib.sha1(image).digest(), id(expect))
         if key in seen:
             report.states_deduped += 1
@@ -706,8 +799,9 @@ class CrashPointExplorer:
 
     def _check_state(self, image, expect):
         problems = []
+        self._arena.load(image)
         try:
-            device, fs, vfs, ctx = self._mount_state(image)
+            device, fs, vfs, ctx = self._mount()
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             return ["mount failed: %r" % (exc,)]
         if fs.degraded_reason is not None:
@@ -719,12 +813,12 @@ class CrashPointExplorer:
         if problems:
             return problems
         # Crash again right after recovery: remount must also be clean
-        # (recovery itself only persists ordered, flushed state).
+        # (recovery itself only persists ordered, flushed state).  The
+        # media is not restored in between -- the second mount sees
+        # exactly what the first one's recovery left durable.
         device.crash()
         try:
-            _, fs2, vfs2, ctx2 = self._mount_state(
-                device.mem.persistent_snapshot()
-            )
+            _, fs2, vfs2, ctx2 = self._mount()
         except Exception as exc:  # noqa: BLE001
             return ["remount after recovery failed: %r" % (exc,)]
         problems.extend(self._check_namespace(vfs2, ctx2, expect))

@@ -10,10 +10,10 @@ them.
 For every protocol boundary (after the intent record, after the data
 copy, after the ``copied`` record, after a cross-shard victim's unlink,
 after the target-shard link, after the source-shard unlink) the explorer
-runs the rename up to that boundary, snapshots every device's persistent
-image (whole volatile cachelines lost, per the crash model), remounts the
-sharded stack from the images -- running intent recovery and mirror
-reconciliation -- and checks the recovery contract:
+runs the rename up to that boundary, power-cycles every device (whole
+volatile cachelines lost, per the crash model; the media itself is kept,
+not copied), remounts the sharded stack on it -- running intent recovery
+and mirror reconciliation -- and checks the recovery contract:
 
 - **exactly one name**: the moved file's content is reachable under
   exactly one of (old name, new name), never zero, never both;
@@ -110,15 +110,15 @@ def _build(base, nshards):
 
 
 def _remount(fs, base):
-    """Remount from every device's post-crash persistent image."""
-    images = [inner.device.mem.persistent_snapshot() for inner in fs.shards]
+    """Power-cycle every device (volatile lines lost, media kept) and
+    remount the sharded stack on a fresh env."""
     env = SimEnv()
     config = NVMMConfig()
     devices = []
-    for s, image in enumerate(images):
-        device = NVMMDevice(env, config, len(image), domain="dev%d" % s)
-        device.mem.load_snapshot(image)
-        devices.append(device)
+    for s, inner in enumerate(fs.shards):
+        inner.device.crash()
+        devices.append(NVMMDevice.on_region(env, config, inner.device.mem,
+                                            domain="dev%d" % s))
     return env, mount_sharded(env, devices, base, config)
 
 

@@ -254,13 +254,16 @@ class Journal:
         """
         current_gen = self._read_header_gen()
         transactions = {}
-        for slot in range(self.capacity):
-            raw = self.device.read_media(self._slot_addr(slot), ENTRY_SIZE)
-            magic, tx_id, kind, gen, length, addr, csum, payload = \
-                struct.unpack(ENTRY_FMT, raw)
+        # One fault-checked read of the whole ring (every mount scans
+        # it): a bad line anywhere in it fails the scan with MediaError.
+        ring = self.device.read_media(self._slot_addr(0),
+                                      self.capacity * ENTRY_SIZE)
+        for slot, (magic, tx_id, kind, gen, length, addr, csum, payload) \
+                in enumerate(struct.iter_unpack(ENTRY_FMT, ring)):
             if magic != ENTRY_MAGIC or gen != current_gen:
                 continue
-            if self.checksums and csum != entry_checksum(raw):
+            if self.checksums and csum != entry_checksum(
+                    ring[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE]):
                 # Torn or corrupt entry: never replay it.  Safe to drop --
                 # an undo entry is durable *before* its metadata mutation,
                 # so a torn entry's transaction changed nothing yet.

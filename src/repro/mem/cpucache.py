@@ -251,6 +251,13 @@ class CachedPersistentRegion:
         """Contents as they would be read after an immediate crash."""
         return self._persistent.snapshot()
 
+    def persistent_read(self, addr, length):
+        """``length`` durable bytes at ``addr``: the same range of
+        :meth:`persistent_snapshot` without copying the whole image."""
+        if addr < 0 or length < 0 or addr + length > self.size:
+            raise IndexError("load outside region")
+        return self._persistent.read(addr, length)
+
     def load_snapshot(self, image):
         """Replace the persistent contents with ``image`` (crash-state
         replay); all volatile lines are discarded."""

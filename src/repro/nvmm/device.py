@@ -33,6 +33,27 @@ class NVMMDevice:
     """
 
     def __init__(self, env, config, size, domain=None):
+        self._bind(env, config, CachedPersistentRegion(size), domain)
+
+    @classmethod
+    def on_region(cls, env, config, mem, domain=None):
+        """A device after a power cycle: the media (``mem``, an existing
+        :class:`CachedPersistentRegion`) survives, everything bound to
+        the old env -- stats, writer-slot pool, fault model -- is new.
+
+        The region must hold no volatile lines (``crash()`` the old
+        device first): a power failure cannot carry CPU-cache contents
+        over, and a remount that saw them would test the wrong state.
+        """
+        if mem.dirty_line_indices():
+            raise ValueError(
+                "region still holds volatile lines; crash() or flush the "
+                "old device before power-cycling its media")
+        device = cls.__new__(cls)
+        device._bind(env, config, mem, domain)
+        return device
+
+    def _bind(self, env, config, mem, domain):
         self.env = env
         self.config = config
         #: Resource-domain name for multi-device (sharded) stacks.  None
@@ -42,7 +63,7 @@ class NVMMDevice:
         #: grant counters, so independent devices never queue behind each
         #: other's media.
         self.domain = domain
-        self.mem = CachedPersistentRegion(size)
+        self.mem = mem
         #: Optional :class:`~repro.faults.media.MediaFaultModel`; when
         #: attached, reads and persists of registered lines fail with
         #: :class:`~repro.fs.errors.MediaError` (EIO).

@@ -1,0 +1,228 @@
+"""Sparse crash states equal the full images they stand for.
+
+The explorer keeps a crash state as the bytes of the tape-touched line
+extents and materialises it on one reusable arena.  The reference here
+is the same :class:`ShadowImage` with no extents -- the whole baseline
+as one extent, i.e. a full device image per state, which is what the
+explorer mounted before it went sparse.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from repro.faults.crashpoints import (
+    DEFAULT_OPS,
+    EV_PERSIST,
+    EV_STORE,
+    MMIO_OPS,
+    WORDS_PER_LINE,
+    CrashArena,
+    CrashPointExplorer,
+    ShadowImage,
+    touched_extents,
+)
+from repro.fs.pmfs.journal import Journal
+from repro.nvmm.config import CACHELINE_SIZE
+
+#: Small device: the reference copies and hashes a full image per state.
+DEVICE_BYTES = 1 << 20
+
+
+def durable(arena):
+    return arena.mem.persistent_read(0, arena.mem.size)
+
+
+class CheckedExplorer(CrashPointExplorer):
+    """An explorer that rebuilds every candidate state on a full-image
+    reference shadow and compares it with what is about to be mounted."""
+
+    def __init__(self, fs_kind):
+        super().__init__(fs_kind, seed=3, eviction_samples_per_op=8,
+                         torn_samples_per_op=8, device_bytes=DEVICE_BYTES)
+        self.digests = []    # (sparse digest, reference digest) per candidate
+        self.compared = 0    # states whose pre-mount media was compared
+        self._pending = None
+
+    def _run_ops(self, ops):
+        self.tape, self.baseline, checkpoints = super()._run_ops(ops)
+        return self.tape, self.baseline, checkpoints
+
+    def _reference(self, k, evicted, torn):
+        ref = ShadowImage(self.baseline)
+        for event in self.tape.events[:k]:
+            ref.apply(event)
+        if torn is None:
+            return ref.crash_image(evicted)
+        if torn[0] == "persist":
+            return ref.torn_persist_image(self.tape.events[k], torn[1])
+        _, line, mask = torn
+        return ref.crash_image(torn={line: mask})
+
+    def _check_image(self, report, seen, image, k, expect_at, evicted,
+                     torn=None):
+        self._pending = self._reference(k, evicted, torn)
+        self.digests.append((hashlib.sha1(image).digest(),
+                             hashlib.sha1(self._pending).digest()))
+        super()._check_image(report, seen, image, k, expect_at, evicted,
+                             torn=torn)
+
+    def _mount(self):
+        # The first mount after a candidate is the one that sees the
+        # materialised state; the second-crash mount sees recovery's output.
+        if self._pending is not None:
+            assert durable(self._arena) == self._pending
+            self.compared += 1
+            self._pending = None
+        return super()._mount()
+
+
+@pytest.mark.parametrize("ops", [DEFAULT_OPS[:7], MMIO_OPS[:7]],
+                         ids=["default", "mmio"])
+@pytest.mark.parametrize("fs_kind", ["pmfs", "hinfs"])
+def test_mounted_media_equals_reference_image(fs_kind, ops):
+    explorer = CheckedExplorer(fs_kind)
+    report = explorer.explore(ops)
+    report.raise_if_failed()
+    assert explorer.compared == report.states_checked > 0
+    assert sum(report.eviction_draws.values()) > 0
+    assert sum(report.torn_draws.values()) > 0
+    # The states really are sparse: far smaller than the device.
+    covered = sum(end - start for start, end in explorer._arena.extents)
+    assert 0 < covered < DEVICE_BYTES // 8
+    # Same dedup key iff same full image: the digests pair off one to one.
+    assert len(explorer.digests) == (report.states_checked
+                                     + report.states_deduped)
+    pairs = set(explorer.digests)
+    assert len(pairs) == len({sparse for sparse, _ref in pairs})
+    assert len(pairs) == len({ref for _sparse, ref in pairs})
+    assert len(pairs) < len(explorer.digests)  # duplicates did occur
+
+
+def test_unaligned_region_tail_line():
+    """A region whose size is not a multiple of 64: the tail line is
+    clamped in the image and zero-padded in the line buffers."""
+    size = 4 * CACHELINE_SIZE + 24
+    rng = random.Random(11)
+    baseline = bytes(rng.randrange(256) for _ in range(size))
+    tail = 4 * CACHELINE_SIZE
+    tape = [
+        (EV_STORE, tail + 4, b"T" * 20),                 # tail line only
+        (EV_STORE, 3 * CACHELINE_SIZE + 50, b"S" * 30),  # lines 3 and tail
+        (EV_PERSIST, tail, b"P" * 24),                   # whole tail line
+        (EV_STORE, size - 3, b"xyz"),                    # last bytes
+        (EV_STORE, 70, b"q" * 10),                       # line 1, far away
+        (EV_PERSIST, 64, b"r" * 64),
+    ]
+    extents = touched_extents(tape, size)
+    assert extents == [(64, 128), (3 * CACHELINE_SIZE, size)]
+    arena = CrashArena(baseline, extents)
+    sparse, ref = ShadowImage(baseline, extents), ShadowImage(baseline)
+
+    def same(sparse_image, ref_image):
+        arena.load(sparse_image)
+        assert durable(arena) == ref_image
+
+    for k in range(len(tape) + 1):
+        assert sparse.dirty == ref.dirty
+        assert all(len(buf) == CACHELINE_SIZE for buf in sparse.dirty.values())
+        same(sparse.crash_image(), ref.crash_image())
+        dirty = sorted(sparse.dirty)
+        for n in range(1, len(dirty) + 1):
+            evicted = tuple(sorted(rng.sample(dirty, n)))
+            same(sparse.crash_image(evicted), ref.crash_image(evicted))
+        for line in dirty:
+            mask = rng.randrange(1, (1 << WORDS_PER_LINE) - 1)
+            same(sparse.crash_image(torn={line: mask}),
+                 ref.crash_image(torn={line: mask}))
+        if k < len(tape):
+            event = tape[k]
+            for _ in range(4 if event[0] == EV_PERSIST else 0):
+                nwords = ShadowImage.persist_word_count(event)
+                mask = rng.randrange(1, (1 << nwords) - 1)
+                same(sparse.torn_persist_image(event, mask),
+                     ref.torn_persist_image(event, mask))
+            sparse.apply(event)
+            ref.apply(event)
+
+
+def test_tape_outside_extents_is_rejected():
+    shadow = ShadowImage(b"\0" * 512, [(64, 128)])
+    with pytest.raises(ValueError):
+        shadow.apply((EV_PERSIST, 256, b"x"))
+    with pytest.raises(ValueError):
+        shadow.apply((EV_STORE, 120, b"x" * 16))  # runs off the extent
+
+
+# -- no leak between states ------------------------------------------------
+
+
+def prepared(fs_kind, ops):
+    """An explorer with its run recorded and its arena built, plus the
+    compact crash image and expectations of every event prefix."""
+    explorer = CrashPointExplorer(fs_kind, device_bytes=DEVICE_BYTES)
+    tape, baseline, checkpoints = explorer._run_ops(ops)
+    extents = touched_extents(tape.events, len(baseline))
+    explorer._arena = CrashArena(baseline, extents)
+    shadow = ShadowImage(baseline, extents)
+    states = []
+    for k in range(len(tape.events) + 1):
+        expect = [cp[2] for cp in checkpoints if cp[0] <= k][-1]
+        states.append((shadow.crash_image(), expect))
+        if k < len(tape.events):
+            shadow.apply(tape.events[k])
+    # Record the media each mount sees.
+    explorer.mounted = []
+    mount = explorer._mount
+
+    def recording_mount():
+        explorer.mounted.append(durable(explorer._arena))
+        return mount()
+
+    explorer._mount = recording_mount
+    return explorer, states
+
+
+@pytest.mark.parametrize("fs_kind", ["pmfs", "hinfs"])
+def test_recovery_writes_do_not_leak_into_the_next_state(
+        fs_kind, monkeypatch):
+    ops = DEFAULT_OPS[:3]
+    rollbacks = []
+    recover = Journal.recover
+
+    def counting_recover(journal, ctx):
+        rollbacks.append(recover(journal, ctx))
+        return rollbacks[-1]
+
+    monkeypatch.setattr(Journal, "recover", counting_recover)
+
+    first, states = prepared(fs_kind, ops)
+    # Find a state whose recovery rolls a transaction back, and the next
+    # prefix whose image differs from it.
+    x = None
+    for k, (image, expect) in enumerate(states):
+        del rollbacks[:]
+        first._check_state(image, expect)
+        if rollbacks[0] > 0:
+            x = k
+            break
+    assert x is not None, "no prefix needed a rollback"
+    y = next(k for k in range(x + 1, len(states))
+             if states[k][0] != states[x][0])
+
+    del first.mounted[:]
+    assert first._check_state(*states[x]) == []
+    before_recovery, after_recovery = first.mounted
+    # Recovery changed the media, and the second-crash mount saw that --
+    # not a restored image.
+    assert after_recovery != before_recovery
+    del first.mounted[:]
+    verdict_after_x = first._check_state(*states[y])
+
+    fresh, fresh_states = prepared(fs_kind, ops)
+    assert fresh_states[y][0] == states[y][0]
+    verdict_alone = fresh._check_state(*fresh_states[y])
+    assert verdict_after_x == verdict_alone == []
+    assert first.mounted == fresh.mounted
+    assert len(fresh.mounted) == 2

@@ -160,3 +160,52 @@ def test_journal_costs_time(setup):
     journal.commit(ctx, tx)
     # 1 undo entry flush + metadata flush + commit entry flush: >= 3 lines.
     assert ctx.now - before >= 3 * 200
+
+
+# -- scan: one guarded read of the whole ring --------------------------------
+
+
+def test_scan_fails_on_any_bad_ring_line(setup):
+    from repro.faults.media import MediaFaultModel
+    from repro.fs.errors import MediaError
+    from repro.nvmm.config import CACHELINE_SIZE
+
+    env, device, journal, ctx, addr = setup
+    tx = journal.begin(ctx)
+    journal.journaled_write(ctx, tx, addr, b"new-value")
+    model = device.attach_faults(MediaFaultModel())
+    bad = [journal._slot_addr(slot) // CACHELINE_SIZE
+           for slot in (3, journal.capacity - 1)]
+    for line in bad:
+        model.poison_line(line)
+    with pytest.raises(MediaError) as excinfo:
+        journal.scan()
+    assert list(excinfo.value.lines) == bad
+    assert model.read_errors == 1
+    # A bad line just past the ring is not the journal's problem.
+    for line in bad:
+        model.heal_line(line)
+    model.poison_line(journal._slot_addr(journal.capacity) // CACHELINE_SIZE)
+    assert list(journal.scan()) == [tx.tx_id]
+
+
+def test_scan_drops_corrupt_entries_and_keeps_append_order(setup):
+    env, device, journal, ctx, addr = setup
+    device.mem.write_nocache(addr, b"A" * 100)
+    txs = []
+    for i in range(3):
+        tx = journal.begin(ctx)
+        journal.journaled_write(ctx, tx, addr, bytes([i]) * 100)
+        txs.append(tx)
+    journal.commit(ctx, txs[1])
+    # Corrupt the payload of the second transaction's first undo entry
+    # (three entries per 100-byte write): its CRC no longer matches.
+    device.mem.write_nocache(journal._slot_addr(3) + 30, b"\xff" * 8)
+    scanned = journal.scan()
+    assert env.stats.count("journal_csum_drops") == 1
+    assert list(scanned) == [tx.tx_id for tx in txs]
+    assert [len(scanned[tx.tx_id]["undo"]) for tx in txs] == [3, 2, 3]
+    assert [scanned[tx.tx_id]["committed"] for tx in txs] == [False, True,
+                                                              False]
+    offsets = [a - addr for a, _old in scanned[txs[0].tx_id]["undo"]]
+    assert offsets == [0, ENTRY_PAYLOAD_MAX, 2 * ENTRY_PAYLOAD_MAX]

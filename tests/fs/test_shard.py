@@ -42,17 +42,15 @@ class ShardRig:
         self.ctx = ExecContext(self.env, "test")
 
     def remount(self):
-        """Rebuild the whole sharded stack from every device's
-        persistent image (clean images: unmount first for that)."""
-        images = [inner.device.mem.persistent_snapshot()
-                  for inner in self.fs.shards]
+        """Rebuild the whole sharded stack on every device's
+        power-cycled media (clean images: unmount first for that)."""
         self.env = SimEnv()
         devices = []
-        for s, image in enumerate(images):
-            device = NVMMDevice(self.env, self.config, len(image),
-                                domain="dev%d" % s)
-            device.mem.load_snapshot(image)
-            devices.append(device)
+        for s, inner in enumerate(self.fs.shards):
+            inner.device.crash()
+            devices.append(NVMMDevice.on_region(
+                self.env, self.config, inner.device.mem,
+                domain="dev%d" % s))
         self.fs = mount_sharded(self.env, devices, self.base, self.config)
         self.vfs = VFS(self.env, self.fs, self.config)
         self.ctx = ExecContext(self.env, "test")

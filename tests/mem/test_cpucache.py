@@ -189,3 +189,16 @@ def test_load_snapshot_rejects_size_mismatch():
     region = CachedPersistentRegion(512)
     with pytest.raises(ValueError):
         region.load_snapshot(b"\0" * 100)
+
+
+def test_persistent_read_is_a_range_of_the_durable_image():
+    region = CachedPersistentRegion(512)
+    region.write_nocache(60, b"durable!")
+    region.write(64, b"volatile")
+    assert region.persistent_read(60, 8) == b"durable!"
+    assert region.persistent_read(64, 8) == region.persistent_snapshot()[64:72]
+    assert region.persistent_read(0, 512) == region.persistent_snapshot()
+    assert region.read(64, 8) == b"volatile"
+    for addr, length in ((-1, 4), (510, 4), (0, -1)):
+        with pytest.raises(IndexError):
+            region.persistent_read(addr, length)

@@ -129,3 +129,52 @@ def test_two_devices_share_slots_in_same_env(env, cfg):
     first = make_nvmm(env, cfg)
     second = NVMMDevice(env, cfg, 4096)
     assert first.write_slots is second.write_slots
+
+
+# -- power cycle: a new device on surviving media ---------------------------
+
+
+def test_on_region_power_cycles_the_media(env, cfg):
+    old = make_nvmm(env, cfg)
+    ctx = ExecContext(env, "t")
+    old.write_cached(ctx, 0, b"kept" * 16)
+    old.clflush(ctx, 0, 64)
+    old.write_cached(ctx, 4096, b"lost" * 16)  # never flushed
+    old.crash()
+
+    env2 = SimEnv()
+    new = NVMMDevice.on_region(env2, cfg, old.mem)
+    assert new.mem is old.mem and new.size == old.size
+    ctx2 = ExecContext(env2, "t")
+    assert new.read(ctx2, 0, 64) == b"kept" * 16
+    assert new.read(ctx2, 4096, 64) == b"\0" * 64
+    # Env-bound state is new: own slot pool, zeroed stats, no fault model.
+    assert new.env is env2
+    assert new.write_slots is not old.write_slots
+    assert new.write_slots is env2.resource("nvmm_write_slots")
+    assert env.stats.bytes_written_nvmm == 64
+    assert env2.stats.bytes_written_nvmm == 0
+    assert new.fault_model is None
+    new.write_persistent(ctx2, 8192, b"z" * 64)
+    assert env2.stats.bytes_written_nvmm == 64
+    assert env.stats.bytes_written_nvmm == 64
+
+
+def test_on_region_honours_domain(env, cfg):
+    old = NVMMDevice(env, cfg, 1 << 16, domain="dev1")
+    env2 = SimEnv()
+    new = NVMMDevice.on_region(env2, cfg, old.mem, domain="dev1")
+    assert new.domain == "dev1"
+    assert new.write_slots is env2.resource("nvmm_write_slots@dev1")
+    assert not env2.has_resource("nvmm_write_slots")
+    new.write_persistent(ExecContext(env2, "t"), 0, b"x" * 64)
+    assert env2.stats.count("nvmm_slot_grants@dev1") == 1
+    assert env2.stats.count("nvmm_slot_grants_total") == 1
+    assert env.stats.count("nvmm_slot_grants_total") == 0
+
+
+def test_on_region_rejects_volatile_lines(env, cfg):
+    old = make_nvmm(env, cfg)
+    old.write_cached(ExecContext(env, "t"), 0, b"dirty")
+    with pytest.raises(ValueError):
+        NVMMDevice.on_region(SimEnv(), cfg, old.mem)
