@@ -35,6 +35,10 @@ class Table:
         index = self.columns.index(name)
         return [row[index] for row in self.rows]
 
+    def to_json(self):
+        return {"title": self.title, "columns": self.columns,
+                "rows": self.rows}
+
     def __str__(self):
         return self.format()
 
@@ -54,6 +58,10 @@ class Series:
 
     def xs(self):
         return [x for x, _ in self.points]
+
+    def to_json(self):
+        return {"name": self.name,
+                "points": [[x, y] for x, y in self.points]}
 
     def __repr__(self):
         return "Series(%r, %r)" % (self.name, self.points)

@@ -19,6 +19,7 @@ import sys
 
 from repro.bench.experiments.common import SCALES
 from repro.bench.registry import EXPERIMENTS, run_experiment
+from repro.bench.report import Series, Table
 
 
 def crashcheck_main(argv):
@@ -210,6 +211,15 @@ def simspeed_main(argv):
     return 0
 
 
+def _to_json(value):
+    """``json.dump`` hook: a Series or a Table dumps as plain lists; any
+    other value json cannot serialise fails loudly instead of being
+    archived as its ``repr`` string."""
+    if isinstance(value, (Series, Table)):
+        return value.to_json()
+    raise TypeError("%s is not JSON serialisable" % type(value).__name__)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
@@ -266,7 +276,7 @@ def main(argv=None):
     if args.json is not None:
         with open(args.json, "w") as fileobj:
             json.dump({"scale": scale.name, "experiments": collected},
-                      fileobj, indent=1, sort_keys=True, default=repr)
+                      fileobj, indent=1, sort_keys=True, default=_to_json)
         print("wrote %s" % args.json)
     return 1 if failures else 0
 

@@ -302,10 +302,6 @@ class HiNFS(PMFS):
 
     # -- write-path helpers -------------------------------------------------
 
-    def _ensure_mapped(self, ctx, tx, blockmap, file_block):
-        """Map ``file_block`` in NVMM (journaled); returns (block, fresh)."""
-        return self._ensure_mapped_for_mmap(ctx, tx, blockmap, file_block)
-
     def _buffer_insert(self, ctx, ino, file_block, nvmm_block, fresh):
         """Get a free DRAM block (stalling on the flusher if dry)."""
         if self.buffer.free_blocks == 0:
@@ -423,54 +419,39 @@ class HiNFS(PMFS):
     # synchronization
     # ------------------------------------------------------------------
 
-    def fsync(self, ctx, ino):
-        """Flush the file's buffered blocks; re-evaluate the Benefit Model."""
-        inode = self._inode(ino)
-        # Evaluate Inequality (1) for every block written since the last
-        # sync (the ghost buffer tracked them whether buffered or not).
-        for file_block in self.benefit.pending_blocks(ino):
-            self.benefit.on_sync(ino, file_block, ctx.now)
-        self.flush_blocks(ctx, self.buffer.file_blocks(ino))
-        # last_sync only feeds the 5-second eager-reset heuristic; the
-        # paper notes recording it is lightweight, so it stays DRAM-only.
-        inode.last_sync = ctx.now
-        self.device.fence(ctx)
-        self.env.stats.bump("hinfs_fsyncs")
-
-    def fdatasync(self, ctx, ino):
-        """fdatasync(2): flush the file's buffered data and fence.
-
-        Skips the Benefit Model's per-block sync pass and the
-        ``last_sync`` bookkeeping -- those drive the eager-persistence
-        heuristics, i.e. metadata a data-only sync need not touch."""
-        self._inode(ino)
-        self.flush_blocks(ctx, self.buffer.file_blocks(ino))
-        self.device.fence(ctx)
-        self.env.stats.bump("hinfs_fdatasyncs")
-
     def sync_iter(self, ctx, req):
-        """OP_SYNC: foreground (eager) syncs keep the paper's serial
+        """Flush the file's buffered blocks and fence.
+
+        fsync also re-evaluates the Buffer Benefit Model and records
+        ``last_sync``; fdatasync skips both -- they drive the
+        eager-persistence heuristics, i.e. metadata a data-only sync need
+        not touch.  Foreground (eager) syncs keep the paper's serial
         Section 3.3.2 flush; ring-async syncs overlap the dirty runs
-        across the NVMM writer slots and return a pending completion
-        that resolves at the slowest run's device-side end."""
-        if req.eager:
-            return super().sync_iter(ctx, req)
+        across the NVMM writer slots and return a pending completion that
+        resolves at the slowest run's device-side end."""
         ino = req.ino
         inode = self._inode(ino)
         if not req.datasync:
+            # Evaluate Inequality (1) for every block written since the
+            # last sync (the ghost buffer tracked them whether buffered
+            # or not).
             for file_block in self.benefit.pending_blocks(ino):
                 self.benefit.on_sync(ino, file_block, ctx.now)
         end = self.flush_blocks(ctx, self.buffer.file_blocks(ino),
-                                parallel=True, wait=False)
+                                parallel=not req.eager, wait=req.eager)
         if not req.datasync:
+            # last_sync only feeds the 5-second eager-reset heuristic; the
+            # paper notes recording it is lightweight, so it stays
+            # DRAM-only.
             inode.last_sync = ctx.now
         self.device.fence(ctx)
         self.env.stats.bump(
             "hinfs_fdatasyncs" if req.datasync else "hinfs_fsyncs"
         )
-        comp = VCompletion(self.env, name="hinfs.sync:%d" % ino)
-        comp.resolve(max(end or 0, ctx.now), 0)
-        return comp
+        if req.eager:
+            return 0
+        return VCompletion(self.env, name="hinfs.sync:%d" % ino).resolve(
+            max(end or 0, ctx.now), 0)
 
     # ------------------------------------------------------------------
     # flush / discard machinery

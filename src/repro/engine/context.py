@@ -103,6 +103,10 @@ class ExecContext:
     __slots__ = ("env", "name", "clock", "waiting_on", "trace_span",
                  "held_locks")
 
+    #: True on a :class:`FreeContext`: devices then skip the shared
+    #: writer-slot timeline and the bytes-written ledger as well.
+    free = False
+
     def __init__(self, env, name="ctx", start_ns=0):
         self.env = env
         self.name = name
@@ -205,3 +209,23 @@ class ExecContext:
 
     def __repr__(self):
         return "ExecContext(name=%r, now=%d)" % (self.name, self.clock.now)
+
+
+class FreeContext(ExecContext):
+    """A context whose time/resource charges are discarded.
+
+    Used for work that happens before the measured run begins: mkfs,
+    mount-time recovery, and pre-allocating filesets (the paper, like
+    filebench, pre-allocates 5 GB filesets and clears caches before
+    measuring).
+    """
+
+    __slots__ = ()
+
+    free = True
+
+    def charge(self, ns, category=None):
+        return self.clock.now
+
+    def sync_to(self, target_ns, category=None):
+        return self.clock.now

@@ -23,7 +23,7 @@ class ThreadDiagnostic:
     @classmethod
     def of(cls, ctx):
         """Diagnostic for an :class:`~repro.engine.context.ExecContext`."""
-        return cls(ctx.name, ctx.now, getattr(ctx, "waiting_on", None) or "nothing")
+        return cls(ctx.name, ctx.now, ctx.waiting_on or "nothing")
 
     def __str__(self):
         return "thread %r at t=%dns waiting on %s" % (

@@ -264,7 +264,7 @@ class InodeLockTable:
     # -- lockdep ---------------------------------------------------------
 
     def _check_order(self, ctx, ino, mode):
-        held = getattr(ctx, "held_locks", None)
+        held = ctx.held_locks
         if not held:
             return
         for held_ino, held_mode in held:

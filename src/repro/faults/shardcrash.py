@@ -26,7 +26,6 @@ and mirror reconciliation -- and checks the recovery contract:
 
 from repro.engine.env import SimEnv
 from repro.fs.base import ROOT_INO
-from repro.fs.pmfs.pmfs import _FreeContext
 from repro.fs.shard import (
     _CrashRequested,
     build_sharded,
@@ -152,20 +151,19 @@ def explore_cross_shard_rename(base="hinfs", nshards=2, with_victim=False):
         env, fs = _build(base, nshards)
         ctx = prepare_context(env)
         src_name, dst_name = _pick_names(nshards)
-        free = _FreeContext(env)
-        src_g = fs.create_file(free, ROOT_INO, src_name)
+        src_g = fs.create_file(ctx, ROOT_INO, src_name)
         s, local = fs._dec(src_g)
-        fs.shards[s].write(free, local, 0, src_data, eager=True)
+        fs.shards[s].write(ctx, local, 0, src_data, eager=True)
         if with_victim:
             if with_victim == "misplaced":
                 # Park the victim on the source shard (shard 0), where a
                 # previous in-place rename would have left it.
-                vlocal = fs.shards[0].create_file(free, ROOT_INO, dst_name)
+                vlocal = fs.shards[0].create_file(ctx, ROOT_INO, dst_name)
                 vic_g = fs._enc(vlocal, 0)
             else:
-                vic_g = fs.create_file(free, ROOT_INO, dst_name)
+                vic_g = fs.create_file(ctx, ROOT_INO, dst_name)
             vs, vlocal = fs._dec(vic_g)
-            fs.shards[vs].write(free, vlocal, 0, victim_data, eager=True)
+            fs.shards[vs].write(ctx, vlocal, 0, victim_data, eager=True)
         fired = []
 
         def hook(point, _want=boundary, _fired=fired):
@@ -185,7 +183,7 @@ def explore_cross_shard_rename(base="hinfs", nshards=2, with_victim=False):
                 boundary, "crash hook never fired (protocol path changed?)"))
             continue
         _env2, fs2 = _remount(fs, base)
-        free2 = _FreeContext(_env2)
+        free2 = prepare_context(_env2)
         _old_g, old_data = _resolve(fs2, free2, src_name)
         _new_g, new_data = _resolve(fs2, free2, dst_name)
         holders = [nm for nm, data in ((src_name, old_data),

@@ -7,9 +7,11 @@ directory.
 
 Data-path operations travel as :class:`repro.io.IORequest` objects
 through :meth:`FileSystem.submit`, the one entry point callers above a
-file system use: it dispatches to the per-fs ``write_iter``/
-``read_iter``/``sync_iter`` hooks, and the positional ``read``/``write``
-conveniences build a single-iovec request and submit it too.
+file system use: it dispatches to the three per-fs hooks ``read_iter``/
+``write_iter``/``sync_iter`` -- one per behaviour, not one per caller;
+``sync_iter`` alone decides all four ``(req.eager, req.datasync)`` cases.
+The positional ``read``/``write``/``fsync``/``fdatasync`` conveniences are
+defined once, here: each builds a request and submits it too.
 """
 
 from repro.fs.errors import InvalidArgument
@@ -134,10 +136,25 @@ class FileSystem:
         (short at EOF) as one flat buffer."""
         raise NotImplementedError
 
+    def sync_iter(self, ctx, req):
+        """Execute one OP_SYNC request: the file system's ONE sync hook.
+
+        ``req.datasync`` selects fdatasync(2) -- the inode's *data* (and
+        any metadata needed to retrieve it, e.g. its size) must be
+        durable; other metadata, and on the journaling stacks the
+        metadata commit for pure overwrites, may persist lazily.
+        ``req.eager`` means the work happens in the foreground and 0 is
+        returned.  Without it a file system whose persist point genuinely
+        lands later (HiNFS async flushes, jbd2 commits) may return a
+        pending :class:`~repro.engine.locks.VCompletion` instead, letting
+        the ring complete the CQE at the persist's virtual time.
+        """
+        raise NotImplementedError
+
     # Positional conveniences for callers below the VFS (recovery, crash
-    # checking, tests): each builds a single-iovec request and submits
-    # it, so whatever ``submit`` routes (a live MAP_ATOMIC mapping, a
-    # shard) routes here too.
+    # checking, tests): each builds one request and submits it, so
+    # whatever ``submit`` routes (a live MAP_ATOMIC mapping, a shard)
+    # routes here too.
 
     def read(self, ctx, ino, offset, count):
         """Return up to ``count`` bytes from ``offset`` (short at EOF)."""
@@ -155,33 +172,15 @@ class FileSystem:
                         eager=eager)
         return self.submit(ctx, req)
 
-    def sync_iter(self, ctx, req):
-        """Execute one OP_SYNC request.
-
-        The base behaviour is fully synchronous: the fsync (or, with
-        ``req.datasync``, the fdatasync) work happens in the foreground
-        and 0 is returned.  File systems whose persist point genuinely
-        lands later (HiNFS async flushes, jbd2 commits) may -- when
-        ``req.eager`` is False -- return a pending
-        :class:`~repro.engine.locks.VCompletion` instead, letting the
-        ring complete the CQE at the persist's virtual time.
-        """
-        if req.datasync:
-            self.fdatasync(ctx, req.ino)
-        else:
-            self.fsync(ctx, req.ino)
-        return 0
-
     def fsync(self, ctx, ino):
-        """Make all of the inode's data and metadata durable."""
-        raise NotImplementedError
+        """Make all of the inode's data and metadata durable on return."""
+        self.submit(ctx, IORequest(self.env.next_req_id(), OP_SYNC, ino, (),
+                                   0, eager=True))
 
     def fdatasync(self, ctx, ino):
-        """fdatasync(2): make the inode's *data* (and any metadata needed
-        to retrieve it, e.g. its size) durable; other metadata -- and on
-        the journaling stacks the metadata commit for pure overwrites --
-        may persist lazily.  The default is a full fsync."""
-        self.fsync(ctx, ino)
+        """fdatasync(2): :meth:`fsync`, data only (``req.datasync``)."""
+        self.submit(ctx, IORequest(self.env.next_req_id(), OP_SYNC, ino, (),
+                                   0, eager=True, datasync=True))
 
     def truncate(self, ctx, ino, new_size):
         """Grow or shrink the file to ``new_size`` bytes."""
@@ -193,8 +192,8 @@ class FileSystem:
         """Map a file for direct access (direct-access stacks only)."""
         raise InvalidArgument("%s does not support mmap" % self.name)
 
-    def mmap_atomic(self, ctx, ino, length=None, policy="auto",
-                    log_blocks=4, log_checksums=True):
+    def mmap_atomic(self, ctx, ino, policy="auto", log_blocks=4,
+                    log_checksums=True):
         """Map a file in library mode (:mod:`repro.io.mmio`)."""
         raise InvalidArgument(
             "%s does not support library-mode mmap" % self.name)

@@ -11,7 +11,6 @@ metadata-heavy Varmail workload (Figure 7).
 """
 
 from repro.engine.clock import NS_PER_SEC
-from repro.engine.locks import VCompletion
 from repro.engine.stats import CAT_OTHERS
 from repro.fs.extfs.jbd2 import JBD2CommitTask, JBD2Journal
 from repro.fs.pmfs.pmfs import PMFS
@@ -117,34 +116,15 @@ class Ext4Dax(PMFS):
         super().truncate(ctx, ino, new_size)
         self._size_dirty.add(ino)
 
-    def fsync(self, ctx, ino):
-        super().fsync(ctx, ino)
-        self.jbd2.commit(ctx)
-        self._size_dirty.discard(ino)
-
-    def fdatasync(self, ctx, ino):
-        """fdatasync(2): data is already durable (direct access), so the
-        fence is all that's needed -- plus the jbd2 commit when the size
-        grew since the last sync."""
-        super().fdatasync(ctx, ino)
-        if ino in self._size_dirty:
-            self._size_dirty.discard(ino)
-            self.jbd2.commit(ctx)
-
     def sync_iter(self, ctx, req):
-        """OP_SYNC: ring-async syncs fence in the foreground (data is
-        already in NVMM) and ride the jbd2 commit timeline for the
-        metadata; eager syncs commit inline as before."""
-        if req.eager:
-            return super().sync_iter(ctx, req)
+        """Data is already durable (direct access), so the PMFS fence is
+        all a sync needs -- plus the jbd2 metadata commit, which an
+        fdatasync skips unless the size grew since the last sync.  Eager
+        syncs commit inline; ring-async syncs ride the jbd2 commit
+        timeline."""
+        super().sync_iter(ctx, req)
         ino = req.ino
-        self._inode(ino)
-        self.device.fence(ctx)
-        if req.datasync and ino not in self._size_dirty:
-            return VCompletion(
-                self.env, name="%s.fdatasync:%d" % (self.name, ino)
-            ).resolve(ctx.now, 0)
+        metadata = not req.datasync or ino in self._size_dirty
+        done = self.jbd2.sync_commit(ctx, req, metadata)
         self._size_dirty.discard(ino)
-        return self.jbd2.commit_completion(
-            name="%s.fsync:%d" % (self.name, ino)
-        )
+        return done

@@ -11,7 +11,6 @@ import itertools
 
 from repro.blockdev.nvmmbd import NVMMBlockDevice
 from repro.engine.clock import NS_PER_SEC
-from repro.engine.locks import VCompletion
 from repro.engine.stats import CAT_OTHERS
 from repro.fs.base import FileStat, FileSystem, ROOT_INO, S_IFDIR, S_IFREG
 from repro.fs.errors import (
@@ -357,28 +356,26 @@ class Ext2(FileSystem):
                 self.cache.mark_clean(page)
                 self.env.stats.bump("balance_dirty_flushes")
 
-    def fsync(self, ctx, ino):
-        self._inode(ino)
-        self._flush_file_pages(ctx, ino)
-        # fsync also writes the inode's metadata block (ext2 semantics).
-        self._flush_metadata(ctx, [self._itable_block(ino)])
-        self._journal_commit(ctx)
-        self._size_dirty.discard(ino)
-        self.env.stats.bump("%s_fsyncs" % self.name)
+    def sync_iter(self, ctx, req):
+        """Flush the file's data pages, then its metadata.
 
-    def fdatasync(self, ctx, ino):
-        """fdatasync(2): flush the file's data pages; the inode block
-        (and on EXT4 the journal commit) is written only when the size
+        fsync also writes the inode's metadata block (ext2 semantics)
+        and commits the journal.  fdatasync does so only when the size
         changed since the last sync -- a pure overwrite skips the
-        metadata traffic entirely, which is the whole point of the
-        call."""
+        metadata traffic entirely, which is the whole point of the call.
+        Eager syncs commit in the foreground; how a ring-async one
+        completes is the journal's business (:meth:`_sync_commit`)."""
+        ino = req.ino
         self._inode(ino)
         self._flush_file_pages(ctx, ino)
-        if ino in self._size_dirty:
-            self._size_dirty.discard(ino)
+        metadata = not req.datasync or ino in self._size_dirty
+        if metadata:
             self._flush_metadata(ctx, [self._itable_block(ino)])
-            self._journal_commit(ctx)
-        self.env.stats.bump("%s_fdatasyncs" % self.name)
+        done = self._sync_commit(ctx, req, metadata)
+        self._size_dirty.discard(ino)
+        self.env.stats.bump("%s_%s" % (
+            self.name, "fdatasyncs" if req.datasync else "fsyncs"))
+        return done
 
     def _flush_file_pages(self, ctx, ino):
         for page in self.cache.dirty_pages_of(ino):
@@ -421,6 +418,10 @@ class Ext2(FileSystem):
 
     def _journal_commit(self, ctx):
         """EXT2 does not journal."""
+
+    def _sync_commit(self, ctx, req, metadata):
+        """EXT2 does not journal: every sync is complete on return."""
+        return 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -473,26 +474,5 @@ class Ext4(Ext2):
     def _journal_commit(self, ctx):
         self.jbd2.commit(ctx)
 
-    def sync_iter(self, ctx, req):
-        """OP_SYNC: eager (sync-wrapper) syncs commit jbd2 in the
-        foreground as before; ring-async syncs flush the data pages and
-        return a completion the next jbd2 commit resolves -- normally
-        the periodic 5 s commit timeline, or the reaper forcing the
-        commit itself when it blocks first."""
-        if req.eager:
-            return super().sync_iter(ctx, req)
-        ino = req.ino
-        self._inode(ino)
-        self._flush_file_pages(ctx, ino)
-        which = "fdatasyncs" if req.datasync else "fsyncs"
-        self.env.stats.bump("%s_%s" % (self.name, which))
-        if req.datasync and ino not in self._size_dirty:
-            # Data durable, size clean: nothing left to wait for.
-            return VCompletion(
-                self.env, name="%s.fdatasync:%d" % (self.name, ino)
-            ).resolve(ctx.now, 0)
-        self._size_dirty.discard(ino)
-        self._flush_metadata(ctx, [self._itable_block(ino)])
-        return self.jbd2.commit_completion(
-            name="%s.fsync:%d" % (self.name, ino)
-        )
+    def _sync_commit(self, ctx, req, metadata):
+        return self.jbd2.sync_commit(ctx, req, metadata)

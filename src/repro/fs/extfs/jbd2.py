@@ -59,6 +59,25 @@ class JBD2Journal:
         self._waiters.append(comp)
         return comp
 
+    def sync_commit(self, ctx, req, metadata):
+        """The journal's half of an OP_SYNC request; ``metadata`` says
+        whether the sync has a metadata commit to make durable at all.
+
+        Eager syncs commit in the foreground and return 0.  Ring-async
+        syncs return a completion the next commit resolves (see
+        :meth:`commit_completion`) -- already resolved when there is
+        nothing to commit: data durable, size clean, nothing left to
+        wait for.
+        """
+        if req.eager:
+            if metadata:
+                self.commit(ctx)
+            return 0
+        name = "jbd2.sync:%d" % req.ino
+        if metadata:
+            return self.commit_completion(name=name)
+        return VCompletion(self.env, name=name).resolve(ctx.now, 0)
+
     def commit(self, ctx):
         """Write the running transaction's journal blocks."""
         if not self._blocks:

@@ -37,8 +37,8 @@ class MappedRegion:
                 return None
             # Page fault on a hole: allocate and map the block.
             tx = self.fs.journal.begin(ctx)
-            nvmm_block, _ = self.fs._ensure_mapped_for_mmap(ctx, tx, blockmap,
-                                                            file_block)
+            nvmm_block, _ = self.fs._ensure_mapped(ctx, tx, blockmap,
+                                                   file_block)
             self.fs.journal.commit(ctx, tx)
         return block_addr(nvmm_block)
 

@@ -7,6 +7,7 @@ journal.  This is the behaviour the paper's Figure 1 profiles and
 Figures 7-13 use as the baseline.
 """
 
+from repro.engine.context import FreeContext
 from repro.engine.stats import CAT_OTHERS
 from repro.fs.base import FileStat, FileSystem, ROOT_INO, S_IFDIR, S_IFREG
 from repro.fs.errors import (
@@ -65,7 +66,7 @@ class PMFS(FileSystem):
         """Write the superblock and the root directory (data plane only --
         formatting happens before the measured run)."""
         self.device.mem.write_nocache(0, self.sb.pack())
-        mkfs_ctx = _FreeContext(self.env)
+        mkfs_ctx = FreeContext(self.env)
         tx = self.journal.begin(mkfs_ctx)
         root = self.itable.alloc(mkfs_ctx, tx, KIND_DIR, 0)
         assert root.ino == ROOT_INO
@@ -94,7 +95,7 @@ class PMFS(FileSystem):
             finally:
                 device.fault_model = model
             degraded = "journal region unreadable: %s" % exc
-        ctx = _FreeContext(env)
+        ctx = FreeContext(env)
         if degraded is None:
             try:
                 fs.journal.recover(ctx)
@@ -356,25 +357,12 @@ class PMFS(FileSystem):
             self.journal.commit(ctx, tx)
         return len(data)
 
-    def fsync(self, ctx, ino):
-        """PMFS data is always durable; fsync is just an ordering point."""
-        self._ordering_point(ctx, ino)
-
-    def fdatasync(self, ctx, ino):
-        """Identical ordering point -- spelled out (rather than the base
-        fsync fallback) so subclasses layering metadata journaling on
-        ``fsync`` don't drag the journal into a data-only sync."""
-        self._ordering_point(ctx, ino)
-
-    def _ordering_point(self, ctx, ino):
-        """Fence -- after committing the epoch of a live MAP_ATOMIC
-        mapping, which a sync called below the VFS (no request for
-        :meth:`submit` to route) must make durable all the same."""
-        self._inode(ino)
-        mapping = self.atomic_mapping(ino)
-        if mapping is not None:
-            mapping.msync(ctx)
+    def sync_iter(self, ctx, req):
+        """PMFS data is always durable: fsync and fdatasync, eager or
+        not, are the same ordering point."""
+        self._inode(req.ino)
         self.device.fence(ctx)
+        return 0
 
     def truncate(self, ctx, ino, new_size):
         inode = self._inode(ino)
@@ -415,8 +403,9 @@ class PMFS(FileSystem):
 
     # -- memory-mapped I/O --------------------------------------------------
 
-    def _ensure_mapped_for_mmap(self, ctx, tx, blockmap, file_block):
-        """Allocate-and-map a (zeroed) NVMM block for a faulting page."""
+    def _ensure_mapped(self, ctx, tx, blockmap, file_block):
+        """Map ``file_block`` to a (zeroed) NVMM block if it has none
+        (journaled); returns ``(block, fresh)``."""
         nvmm_block = blockmap.get(file_block)
         if nvmm_block is not None:
             return nvmm_block, False
@@ -441,8 +430,8 @@ class PMFS(FileSystem):
         self._regions.setdefault(ino, []).append(region)
         return region
 
-    def mmap_atomic(self, ctx, ino, length=None, policy="auto",
-                    log_blocks=4, log_checksums=True):
+    def mmap_atomic(self, ctx, ino, policy="auto", log_blocks=4,
+                    log_checksums=True):
         """Map a file in library mode: an epoch-logged
         :class:`~repro.io.mmio.MmioMapping` whose loads/stores/msyncs
         run with zero syscall charges.  While it is live, conventional
@@ -457,8 +446,7 @@ class PMFS(FileSystem):
         if live is not None and not live.closed:
             raise InvalidArgument("inode %d already atomically mapped" % ino)
         self.on_mmap(ctx, ino)
-        mapping = MmioMapping(self, ino, length=length, policy=policy,
-                              log_blocks=log_blocks,
+        mapping = MmioMapping(self, ino, policy=policy, log_blocks=log_blocks,
                               log_checksums=log_checksums)
         mapping.setup(ctx)
         self._atomic_mappings[ino] = mapping
@@ -526,19 +514,3 @@ class PMFS(FileSystem):
 
     def free_data_bytes(self, ctx):
         return self.balloc.free_count * BLOCK_SIZE
-
-
-class _FreeContext:
-    """A context whose charges are discarded (mkfs / recovery setup)."""
-
-    free = True
-
-    def __init__(self, env):
-        self.env = env
-        self.now = 0
-
-    def charge(self, ns, category=None):
-        return 0
-
-    def sync_to(self, target_ns, category=None):
-        return 0

@@ -115,11 +115,11 @@ class _ScrubberBase:
 
     def run(self, ctx):
         device = self._device()
-        report = ScrubReport(self.fs.name, getattr(ctx, "now", 0))
+        report = ScrubReport(self.fs.name, ctx.now)
         model = getattr(device, "fault_model", None)
         with self._span(ctx, model):
             self._walk(ctx, device, model, report)
-        report.finished_ns = getattr(ctx, "now", report.started_ns)
+        report.finished_ns = ctx.now
         self.env.stats.bump("scrub_passes")
         self.env.stats.bump("scrub_repaired_lines", report.repaired_lines)
         self.env.stats.bump("scrub_isolated_lines", report.isolated_lines)
@@ -130,14 +130,13 @@ class _ScrubberBase:
 
     @contextmanager
     def _span(self, ctx, model):
-        span = getattr(ctx, "span", None)
-        if span is None or getattr(ctx, "free", False):
+        if ctx.free:
             yield None
             return
         meta = None
         if self.env.trace is not None:
             meta = {"bad_lines": len(model.bad_lines) if model else 0}
-        with span("scrub", layer=LAYER_SCRUB, meta=meta) as sp:
+        with ctx.span("scrub", layer=LAYER_SCRUB, meta=meta) as sp:
             yield sp
 
     def _trace_badblocks(self, ctx, report):
@@ -145,9 +144,9 @@ class _ScrubberBase:
         ring = self.env.trace
         if ring is None or not report.quarantined_blocks:
             return
-        now = getattr(ctx, "now", 0)
-        sp = ring.begin("scrub:badblocks", getattr(ctx, "name", "scrub"),
-                        now, req_id=0, layer=LAYER_SCRUB,
+        now = ctx.now
+        sp = ring.begin("scrub:badblocks", ctx.name, now, req_id=0,
+                        layer=LAYER_SCRUB,
                         meta={"blocks": list(report.quarantined_blocks)})
         sp.close(now)
         ring.record(sp)
@@ -191,7 +190,7 @@ class NullScrubber(_ScrubberBase):
     """For file systems with no scrubbable substrate: trivially clean."""
 
     def run(self, ctx):
-        report = ScrubReport(self.fs.name, getattr(ctx, "now", 0))
+        report = ScrubReport(self.fs.name, ctx.now)
         self.env.stats.bump("scrub_passes")
         return report
 

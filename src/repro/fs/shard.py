@@ -61,10 +61,10 @@ import json
 import struct
 import zlib
 
+from repro.engine.context import FreeContext
 from repro.fs.base import FileStat, FileSystem, ROOT_INO
 from repro.fs.errors import NotADirectory, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY, ISOLATED, MountHealth, OVERLOADED
-from repro.fs.pmfs.pmfs import _FreeContext
 from repro.io import OP_WRITE
 
 #: Namespace entries the shard layer keeps for itself (never listed).
@@ -147,7 +147,7 @@ class ShardedFS(FileSystem):
         #: Crash-point hook for the explorer: called with a boundary name
         #: at each step of the cross-shard protocol.
         self._xmv_hook = None
-        free = _FreeContext(env)
+        free = FreeContext(env)
         if mounted:
             self._mount(free)
         else:
@@ -599,14 +599,6 @@ class ShardedFS(FileSystem):
         finally:
             req.ino = gino
 
-    def fsync(self, ctx, ino):
-        s, local = self._dec(ino)
-        self.shards[s].fsync(ctx, local)
-
-    def fdatasync(self, ctx, ino):
-        s, local = self._dec(ino)
-        self.shards[s].fdatasync(ctx, local)
-
     def truncate(self, ctx, ino, new_size):
         s, local = self._dec(ino)
         self._check_shard_writable(s, "truncate of inode %d" % ino)
@@ -618,12 +610,12 @@ class ShardedFS(FileSystem):
         s, local = self._dec(ino)
         return self.shards[s].mmap(ctx, local)
 
-    def mmap_atomic(self, ctx, ino, length=None, policy="auto",
-                    log_blocks=4, log_checksums=True):
+    def mmap_atomic(self, ctx, ino, policy="auto", log_blocks=4,
+                    log_checksums=True):
         s, local = self._dec(ino)
         self._check_shard_writable(s, "atomic mmap of inode %d" % ino)
         return self.shards[s].mmap_atomic(
-            ctx, local, length=length, policy=policy, log_blocks=log_blocks,
+            ctx, local, policy=policy, log_blocks=log_blocks,
             log_checksums=log_checksums)
 
     # -- health / errors -----------------------------------------------------

@@ -599,8 +599,8 @@ class VFS:
 
     # -- memory-mapped I/O ----------------------------------------------------
 
-    def mmap(self, ctx, fd, length=None, flags=0, policy="auto",
-             log_blocks=4, log_checksums=True):
+    def mmap(self, ctx, fd, flags=0, policy="auto", log_blocks=4,
+             log_checksums=True):
         """mmap(2): map an open descriptor for direct access.
 
         This is the *last* syscall of the library-mode path: with
@@ -622,9 +622,8 @@ class VFS:
                     "MAP_ATOMIC needs a writable descriptor")
             with ctx.layer("fs"):
                 return self._guarded(
-                    ctx, self.fs.mmap_atomic, file.ino, length=length,
-                    policy=policy, log_blocks=log_blocks,
-                    log_checksums=log_checksums)
+                    ctx, self.fs.mmap_atomic, file.ino, policy=policy,
+                    log_blocks=log_blocks, log_checksums=log_checksums)
 
     def msync(self, ctx, region):
         with _Syscall(self, ctx, "msync"):

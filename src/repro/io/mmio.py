@@ -342,12 +342,11 @@ class MmioMapping(MappedRegion):
     POSIX-coherent and share one epoch timeline.
     """
 
-    def __init__(self, fs, ino, length=None, policy="auto", log_blocks=4,
+    def __init__(self, fs, ino, policy="auto", log_blocks=4,
                  log_checksums=True):
         super().__init__(fs, ino)
         if policy not in _POLICY_CODES:
             raise InvalidArgument("unknown mmio policy %r" % (policy,))
-        self.length = length
         self.policy = policy
         self.log = MmioLog(fs, ino, checksums=log_checksums)
         self.log_blocks = log_blocks

@@ -113,11 +113,14 @@ class NVMMDevice:
         ring = self.env.trace
         if ring is None or not ring.wants(LAYER_NVMM):
             return
-        now = ctx.now if ctx is not None else 0
-        req = getattr(ctx, "trace_span", None)
+        if ctx is None:
+            # read_media / flush_all(ctx=None): nobody to attribute to.
+            name, now, req = "device", 0, None
+        else:
+            name, now, req = ctx.name, ctx.now, ctx.trace_span
         sp = ring.begin(
             "media_error:%s" % kind,
-            getattr(ctx, "name", "device"), now,
+            name, now,
             req_id=req.req_id if req is not None else 0,
             layer=LAYER_NVMM,
             meta={"lines": sorted(lines)},
@@ -184,8 +187,7 @@ class NVMMDevice:
 
     def read(self, ctx, addr, length, category=CAT_READ_ACCESS):
         """Load bytes; NVMM reads cost the same as DRAM reads."""
-        # getattr: recovery/mkfs contexts (_FreeContext) carry no span.
-        span = getattr(ctx, "trace_span", None)
+        span = ctx.trace_span
         start = ctx.now if span is not None else 0
         ctx.charge(self.config.load_cost_ns(length), category)
         self._guard_read(addr, length, ctx)
@@ -209,7 +211,7 @@ class NVMMDevice:
         Contexts marked ``free`` (mkfs, recovery setup) neither pay nor
         pollute the shared slot timeline.
         """
-        if nlines <= 0 or getattr(ctx, "free", False):
+        if nlines <= 0 or ctx.free:
             return
         duration = self.config.nvmm_persist_cost_ns(nlines)
         grant = self.write_slots.reserve(ctx.now, duration)
@@ -232,13 +234,13 @@ class NVMMDevice:
         ``data`` may be any bytes-like object; the slab consumes it via
         the buffer protocol without an intermediate copy."""
         length = len(data)
-        span = getattr(ctx, "trace_span", None)
+        span = ctx.trace_span
         start = ctx.now if span is not None else 0
         self._guard_persist(ctx, addr, length)
         self.mem.write_nocache(addr, data)
         nlines = lines_spanned(length, addr % CACHELINE_SIZE)
         self._persist_lines(ctx, nlines, category)
-        if not getattr(ctx, "free", False):
+        if not ctx.free:
             self.env.stats.bytes_written_nvmm += length
         if span is not None:
             span.add_phase(LAYER_NVMM, start, ctx.now)
@@ -256,7 +258,7 @@ class NVMMDevice:
         length = len(data)
         self._guard_persist(ctx, addr, length)
         self.mem.write_nocache(addr, data)
-        if getattr(ctx, "free", False):
+        if ctx.free:
             return ctx.now
         nlines = lines_spanned(length, addr % CACHELINE_SIZE)
         if nlines <= 0:
@@ -274,12 +276,12 @@ class NVMMDevice:
 
     def clflush(self, ctx, addr, length, category=CAT_WRITE_ACCESS):
         """Flush the lines covering the range; pays NVMM cost per dirty line."""
-        span = getattr(ctx, "trace_span", None)
+        span = ctx.trace_span
         start = ctx.now if span is not None else 0
         self._guard_persist(ctx, addr, length)
         flushed = self.mem.clflush(addr, length)
         self._persist_lines(ctx, flushed, category)
-        if not getattr(ctx, "free", False):
+        if not ctx.free:
             self.env.stats.bytes_written_nvmm += flushed * CACHELINE_SIZE
         if span is not None:
             span.add_phase(LAYER_NVMM, start, ctx.now)

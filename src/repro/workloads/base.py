@@ -2,24 +2,7 @@
 
 import random
 
-from repro.engine.context import ExecContext
-
-
-class FreeContext(ExecContext):
-    """A context whose time/resource charges are discarded.
-
-    Used to pre-allocate filesets before the measured run begins (the
-    paper, like filebench, pre-allocates 5 GB filesets and clears caches
-    before measuring).
-    """
-
-    free = True
-
-    def charge(self, ns, category=None):
-        return self.clock.now
-
-    def sync_to(self, target_ns, category=None):
-        return self.clock.now
+from repro.engine.context import FreeContext
 
 
 def prepare_context(env):

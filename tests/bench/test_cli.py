@@ -42,6 +42,39 @@ def test_cli_runs_smallest_experiment():
     assert "tpcc" in out
 
 
+def test_cli_json_dumps_series_as_point_lists(tmp_path):
+    """``--json`` must archive numbers a tool can diff, not repr strings
+    (``"Series('hinfs', [(1, 218591.7..."`` is what it used to write)."""
+    import json
+
+    out_file = str(tmp_path / "ring.json")
+    code, _ = run_cli(["ring", "--json", out_file])
+    assert code == 0
+    with open(out_file) as fileobj:
+        doc = json.load(fileobj)
+
+    def strings(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            for item in value:
+                yield from strings(item)
+        elif isinstance(value, str):
+            yield value
+
+    assert not [s for s in strings(doc) if s.startswith("Series(")]
+    series = doc["experiments"]["ring"]["throughput"]["hinfs"]
+    assert series["name"] == "hinfs"
+    assert series["points"] and all(
+        isinstance(x, int) and isinstance(y, float)
+        for x, y in series["points"])
+
+
+def test_cli_json_refuses_what_it_cannot_serialise():
+    with pytest.raises(TypeError):
+        cli._to_json(object())
+
+
 def test_cli_trace_exports_chrome_json(tmp_path):
     import json
 

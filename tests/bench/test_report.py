@@ -58,3 +58,13 @@ def test_str_is_format():
     table = Table("t", ["a"])
     table.add_row("x")
     assert str(table) == table.format()
+
+
+def test_series_and_table_serialise_as_plain_lists():
+    series = Series("s")
+    series.add(1, 10.0)
+    assert series.to_json() == {"name": "s", "points": [[1, 10.0]]}
+    table = Table("t", ["a", "b"])
+    table.add_row(1, 2.5)
+    assert table.to_json() == {"title": "t", "columns": ["a", "b"],
+                               "rows": [["1", "2.50"]]}

@@ -11,13 +11,12 @@ with per-shard MTTR measurable after scrub recovery.
 
 import pytest
 
-from repro.engine.context import ExecContext
+from repro.engine.context import ExecContext, FreeContext
 from repro.engine.env import SimEnv
 from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
 from repro.fs.errors import MediaError, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY
-from repro.fs.pmfs.pmfs import _FreeContext
 from repro.fs.shard import (
     INTENT_LOG_NAME,
     build_sharded,
@@ -118,7 +117,7 @@ def test_create_write_read_across_shards():
 
 def test_mkdir_mirrors_and_rmdir_drops_all_mirrors():
     rig = ShardRig(nshards=2)
-    free = _FreeContext(rig.env)
+    free = FreeContext(rig.env)
     rig.vfs.mkdir(rig.ctx, "/sub")
     gino = rig.fs.lookup(rig.ctx, ROOT_INO, "sub")
     locals_ = rig.fs._dir_locals[gino]
@@ -140,7 +139,7 @@ def test_misplaced_file_found_by_probe_fallback():
     # A file parked on a non-owner shard (the residue of an in-place
     # rename under live mappings) must still resolve globally.
     rig = ShardRig(nshards=2)
-    free = _FreeContext(rig.env)
+    free = FreeContext(rig.env)
     name = name_on(1, 2)  # hash owner is shard 1 ...
     local = rig.fs.shards[0].create_file(free, ROOT_INO, name)  # ... on 0
     gino = rig.fs.lookup(rig.ctx, ROOT_INO, name)
@@ -205,7 +204,7 @@ def test_remount_preserves_namespace_and_content():
 
 def test_reconcile_repairs_missing_mirror_and_drops_orphan():
     rig = ShardRig(nshards=2)
-    free = _FreeContext(rig.env)
+    free = FreeContext(rig.env)
     rig.vfs.mkdir(rig.ctx, "/kept")
     gino = rig.fs.lookup(rig.ctx, ROOT_INO, "kept")
     locals_ = rig.fs._dir_locals[gino]
@@ -216,7 +215,7 @@ def test_reconcile_repairs_missing_mirror_and_drops_orphan():
     rig.fs.shards[1].mkdir(free, ROOT_INO, "ghost")
     rig.fs.unmount(rig.ctx)
     fs = rig.remount()
-    free = _FreeContext(rig.env)
+    free = FreeContext(rig.env)
     assert rig.env.stats.count("shard_mirrors_repaired") >= 1
     assert rig.env.stats.count("shard_orphans_dropped") >= 1
     listing = [name for name, _ino in rig.vfs.readdir(rig.ctx, "/")]

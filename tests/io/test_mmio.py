@@ -15,11 +15,13 @@ import random
 
 import pytest
 
+from repro.core.hinfs import HiNFS
 from repro.engine.stats import CAT_WRITE_ACCESS
 from repro.faults.mmiofault import MmioFaultInjector
 from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
 from repro.fs.errors import InvalidArgument, MediaError
+from repro.fs.pmfs import PMFS
 from repro.io import mmio
 from repro.nvmm.config import CACHELINE_SIZE
 
@@ -253,13 +255,15 @@ def test_pwrite_on_mapped_file_routes_through_mapping(rig):
     assert rig.vfs.read_file(rig.ctx, "/m") == b"f" * 4096
 
 
-@pytest.mark.parametrize("kind", ["pmfs", "pmfs@2"])
+@pytest.mark.parametrize("kind", ["pmfs", "hinfs", "pmfs@2"])
 def test_below_vfs_read_write_fsync_go_through_the_mapping(kind):
     """``fs.read``/``fs.write``/``fs.fsync`` enter through ``submit``
     like the VFS does, so they are as coherent with a live mapping as
-    descriptor I/O -- on one device and on shard 1 of a sharded mount."""
-    if kind == "pmfs":
-        rig, name = PmfsRig(), "m"
+    descriptor I/O -- on one device (PMFS, and HiNFS whose own sync body
+    must not shadow the routing) and on shard 1 of a sharded mount."""
+    if kind != "pmfs@2":
+        rig = PmfsRig(fs_cls=HiNFS if kind == "hinfs" else PMFS)
+        name = "m"
         crash = rig.crash_and_remount
     else:
         rig, name = ShardRig("pmfs", nshards=2), name_on(1, 2)
