@@ -1,28 +1,16 @@
 """Builds file-system stacks and runs workloads on simulated threads."""
 
-from repro.core.config import HiNFSConfig
-from repro.core.hinfs import HiNFS, make_hinfs_nclfw, make_hinfs_wb
 from repro.engine.env import SimEnv
 from repro.engine.scheduler import Scheduler
 from repro.engine.stats import SimStats
-from repro.fs.ext4dax import Ext4Dax
-from repro.fs.extfs import Ext2, Ext4
-from repro.fs.pmfs import PMFS
+from repro.fs import STACKS, fs_class, make_fs
 from repro.fs.vfs import VFS
 from repro.nvmm.config import NVMMConfig
 from repro.nvmm.device import NVMMDevice
 from repro.workloads.base import prepare_context
 
 #: The paper's comparison set (Table 3) plus HiNFS and its ablations.
-FS_NAMES = (
-    "hinfs",
-    "hinfs-nclfw",
-    "hinfs-wb",
-    "pmfs",
-    "ext4-dax",
-    "ext2-nvmmbd",
-    "ext4-nvmmbd",
-)
+FS_NAMES = tuple(STACKS)
 
 
 class RunResult:
@@ -85,37 +73,23 @@ def build_stack(env, fs_name, config, device_size, hinfs_config=None,
     one :class:`~repro.fs.shard.ShardedFS` and the unchanged VFS.
     ``device_size`` is then per device.
     """
-    hinfs_config = hinfs_config or HiNFSConfig()
-    if cache_pages is None:
-        # The paper gives the block-based stacks 3 GB of page cache next
-        # to a 5 GB dataset; scale the same ratio to the device size.
-        cache_pages = max(64, int(device_size * 0.6) // 4096)
     base, sep, nshards = fs_name.partition("@")
     if sep:
         from repro.fs.shard import build_sharded
 
         fs = build_sharded(env, base, config, device_size,
                            hinfs_config=hinfs_config, nshards=int(nshards))
-    elif fs_name in ("hinfs", "hinfs-nclfw", "hinfs-wb"):
-        device = NVMMDevice(env, config, device_size)
-        factory = {
-            "hinfs": HiNFS,
-            "hinfs-nclfw": make_hinfs_nclfw,
-            "hinfs-wb": make_hinfs_wb,
-        }[fs_name]
-        fs = factory(env, device, config, hconfig=hinfs_config)
-    elif fs_name == "pmfs":
-        device = NVMMDevice(env, config, device_size)
-        fs = PMFS(env, device, config)
-    elif fs_name == "ext4-dax":
-        device = NVMMDevice(env, config, device_size)
-        fs = Ext4Dax(env, device, config)
-    elif fs_name == "ext2-nvmmbd":
-        fs = Ext2(env, config, device_size, cache_pages=cache_pages)
-    elif fs_name == "ext4-nvmmbd":
-        fs = Ext4(env, config, device_size, cache_pages=cache_pages)
+    elif fs_name in ("ext2-nvmmbd", "ext4-nvmmbd"):
+        # The block stacks own their NVMMBD device and a page cache.
+        if cache_pages is None:
+            # The paper gives them 3 GB of page cache next to a 5 GB
+            # dataset; scale the same ratio to the device size.
+            cache_pages = max(64, int(device_size * 0.6) // 4096)
+        fs = fs_class(fs_name)(env, config, device_size,
+                               cache_pages=cache_pages)
     else:
-        raise ValueError("unknown file system %r" % fs_name)
+        fs = make_fs(env, fs_name, NVMMDevice(env, config, device_size),
+                     config, hinfs_config)
     vfs = VFS(env, fs, config, sync_mount=sync_mount)
     return fs, vfs
 

@@ -17,13 +17,14 @@ direct single-copy path to avoid double-copy overheads:
 - :mod:`repro.core.writeback` -- the background writeback timeline
   (5-second periodic wakeups, Low_f pressure flushes, 30-second age
   flushes).
-- :mod:`repro.core.hinfs` -- the file system itself, plus the paper's
+- :mod:`repro.core.hinfs` -- the file system itself; the paper's
   ablation variants HiNFS-NCLFW (no cacheline-level fetch/writeback) and
-  HiNFS-WB (no eager-persistent write checker).
+  HiNFS-WB (no eager-persistent write checker) are
+  :class:`~repro.core.config.HiNFSConfig` switches.
 """
 
 from repro.core.btree import BTree
 from repro.core.config import HiNFSConfig
-from repro.core.hinfs import HiNFS, make_hinfs_nclfw, make_hinfs_wb
+from repro.core.hinfs import HiNFS
 
-__all__ = ["BTree", "HiNFS", "HiNFSConfig", "make_hinfs_nclfw", "make_hinfs_wb"]
+__all__ = ["BTree", "HiNFS", "HiNFSConfig"]

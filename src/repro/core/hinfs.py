@@ -14,12 +14,13 @@ paths", Section 4):
 - **Reads** copy directly from DRAM and/or NVMM into the user buffer;
   the Cacheline Bitmap decides, run by run, where the newest bytes live.
 
-Ablation variants used by the paper's evaluation:
+Ablation variants used by the paper's evaluation are ``HiNFSConfig``
+switches, named in the stack table (``repro.fs.STACKS``):
 
-- ``make_hinfs_nclfw`` -- CLFW disabled (block-granular fetch/writeback;
-  Figure 9).
-- ``make_hinfs_wb`` -- Eager-Persistent Write Checker disabled: every
-  write is buffered (Figures 12/13's HiNFS-WB).
+- ``hinfs-nclfw`` -- ``enable_clfw=False``: block-granular
+  fetch/writeback (Figure 9).
+- ``hinfs-wb`` -- ``enable_eager_checker=False``: every write is
+  buffered (Figures 12/13's HiNFS-WB).
 """
 
 from repro.core.benefit import BufferBenefitModel
@@ -101,7 +102,6 @@ class HiNFS(PMFS):
         self.writeback = WritebackPool(env, self)
         env.background.register(self.writeback)
         self.journal.wrap_barrier = self._wrap_barrier
-        self._mmapped = set()
         # ino -> newest PendingTx of that file (commit-ordering chains).
         self._file_tx_tail = {}
         # Transient: id(tx) -> PendingTx while a write is in flight.
@@ -151,7 +151,7 @@ class HiNFS(PMFS):
     def _write_async_body(self, ctx, inode, offset, tx, view, req=None):
         ino = inode.ino
         blockmap = self._map(ino)
-        mmapped = ino in self._mmapped
+        mmapped = ino in self._mappings
         pending = None
         pos = offset
         # ONE Buffer Benefit Model evaluation per request: the first
@@ -593,16 +593,11 @@ class HiNFS(PMFS):
     # ------------------------------------------------------------------
 
     def on_mmap(self, ctx, ino):
-        """Map-time hook: flush the file's buffered DRAM blocks first
-        and pin its blocks Eager-Persistent until munmap (mapped stores
-        bypass the file-I/O path, so nothing may be staged in DRAM)."""
+        """Map-time hook: flush the file's buffered DRAM blocks first.
+        While the mapping registry holds the inode its blocks are
+        pinned Eager-Persistent (mapped stores bypass the file-I/O
+        path, so nothing may be staged in DRAM)."""
         self.flush_blocks(ctx, self.buffer.file_blocks(ino))
-        self._mmapped.add(ino)
-
-    def on_munmap(self, ino, region=None):
-        super().on_munmap(ino, region)
-        if not self._live_mappings(ino):
-            self._mmapped.discard(ino)
 
     # ------------------------------------------------------------------
     # namespace hooks
@@ -612,7 +607,6 @@ class HiNFS(PMFS):
         for block in self.buffer.file_blocks(ino):
             self.discard_block(ctx, block)
         self.benefit.drop_file(ino)
-        self._mmapped.discard(ino)
 
     def truncate(self, ctx, ino, new_size):
         first_dead = -(-new_size // BLOCK_SIZE)
@@ -651,17 +645,3 @@ class HiNFS(PMFS):
 
     def free_data_bytes(self, ctx):
         return self.balloc.free_count * BLOCK_SIZE
-
-
-def make_hinfs_nclfw(env, device, config, hconfig=None, **kwargs):
-    """HiNFS-NCLFW: block-granular fetch/writeback (Figure 9 ablation)."""
-    hconfig = (hconfig or HiNFSConfig()).replace(enable_clfw=False)
-    return HiNFS(env, device, config, hconfig=hconfig, **kwargs)
-
-
-def make_hinfs_wb(env, device, config, hconfig=None, **kwargs):
-    """HiNFS-WB: plain DRAM write buffer, no eager checker (Fig 12/13)."""
-    hconfig = (hconfig or HiNFSConfig()).replace(enable_eager_checker=False)
-    fs = HiNFS(env, device, config, hconfig=hconfig, **kwargs)
-    fs.name = "hinfs-wb"
-    return fs

@@ -85,7 +85,7 @@ class WritebackPool(BackgroundTask):
 
     def quiesce(self):
         for worker in self.workers:
-            worker.ctx.clock.reset()
+            worker.ctx.now = 0
         self._next_periodic_ns = self.config.periodic_interval_ns
         self._pressure_ns = NEVER
 
@@ -98,7 +98,7 @@ class WritebackPool(BackgroundTask):
         while self.next_due_ns() <= horizon_ns:
             due = self.next_due_ns()
             for worker in self.workers:
-                worker.ctx.clock.advance_to(due)
+                worker.ctx.now = max(worker.ctx.now, due)
             if self._pressure_ns <= due:
                 self._pressure_ns = NEVER
                 if self.hinfs.buffer.free_blocks < self.config.high_blocks:
@@ -136,7 +136,7 @@ class WritebackPool(BackgroundTask):
         parallelism.
         """
         for worker in self.workers:
-            worker.ctx.clock.advance_to(fg_ctx.now)
+            worker.ctx.now = max(worker.ctx.now, fg_ctx.now)
         buffer = self.hinfs.buffer
         victims = []
         for block in buffer.all_blocks_lrw_order():

@@ -4,7 +4,7 @@ The paper evaluates HiNFS on real hardware with a software NVMM emulator
 (DRAM plus an injected per-``clflush`` delay, and a writer-concurrency cap
 for bandwidth).  This package provides the virtual-time equivalent:
 
-- :mod:`repro.engine.clock` -- virtual nanosecond clocks.
+- :mod:`repro.engine.clock` -- virtual-time units (``format_ns``, ``NS_PER_*``).
 - :mod:`repro.engine.context` -- execution contexts that charge simulated
   time to the simulated thread performing an operation.
 - :mod:`repro.engine.resources` -- FCFS multi-server timed resources used
@@ -21,7 +21,7 @@ for bandwidth).  This package provides the virtual-time equivalent:
 """
 
 from repro.engine.background import BackgroundRegistry, BackgroundTask
-from repro.engine.clock import NS_PER_SEC, VirtualClock, format_ns
+from repro.engine.clock import NS_PER_SEC, format_ns
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.engine.errors import DeadlockError, SimulationError, ThreadDiagnostic
@@ -48,6 +48,5 @@ __all__ = [
     "TimeBreakdown",
     "VMutex",
     "VRWLock",
-    "VirtualClock",
     "format_ns",
 ]

@@ -47,7 +47,7 @@ class BackgroundTask:
         pending work).  Subclasses with their own wakeup state must
         override and also reset that.
         """
-        self.ctx.clock.reset()
+        self.ctx.now = 0
 
 
 class BackgroundRegistry:

@@ -1,12 +1,11 @@
-"""Virtual nanosecond clocks.
+"""Virtual-time units.
 
 All simulated time in the reproduction is integer nanoseconds.  The paper's
-emulator injects delays measured with ``RDTSCP``; our equivalent is a
-monotonic virtual clock that each simulated thread advances as it pays for
-memory traffic, syscall overhead, and resource waits.
+emulator injects delays measured with ``RDTSCP``; our equivalent is the
+``now`` of each simulated thread's
+:class:`~repro.engine.context.ExecContext`, which the thread advances as
+it pays for memory traffic, syscall overhead, and resource waits.
 """
-
-from repro.engine.errors import ClockError
 
 NS_PER_USEC = 1_000
 NS_PER_MSEC = 1_000_000
@@ -28,48 +27,3 @@ def format_ns(ns):
     if ns >= NS_PER_USEC:
         return "%.3fus" % (ns / NS_PER_USEC)
     return "%dns" % ns
-
-
-class VirtualClock:
-    """A monotonic virtual clock measured in integer nanoseconds."""
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start_ns=0):
-        self._now = int(start_ns)
-
-    @property
-    def now(self):
-        """Current virtual time in nanoseconds."""
-        return self._now
-
-    def advance(self, delta_ns):
-        """Move the clock forward by ``delta_ns`` and return the new time."""
-        if delta_ns < 0:
-            raise ClockError("cannot advance clock by negative %d ns" % delta_ns)
-        self._now += int(delta_ns)
-        return self._now
-
-    def advance_to(self, target_ns):
-        """Move the clock forward to ``target_ns`` if it is in the future.
-
-        Moving to a time at or before ``now`` is a no-op; this makes the
-        clock safe to synchronise against resource-grant timestamps that
-        may already have passed.
-        """
-        if target_ns > self._now:
-            self._now = int(target_ns)
-        return self._now
-
-    def reset(self, start_ns=0):
-        """Rewind to ``start_ns``.
-
-        The one sanctioned break in monotonicity: benchmark runners call
-        it (via :meth:`repro.engine.env.SimEnv.quiesce`) to restart
-        background timelines at t=0 after a free pre-allocation phase,
-        so the measured run starts on an idle system.
-        """
-        self._now = int(start_ns)
-
-    def __repr__(self):
-        return "VirtualClock(%s)" % format_ns(self._now)

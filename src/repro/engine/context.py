@@ -1,7 +1,7 @@
 """Execution contexts: where simulated time is charged.
 
 Every syscall issued by a simulated thread runs under an
-:class:`ExecContext`.  The context owns the thread's virtual clock;
+:class:`ExecContext`.  The context holds the thread's virtual time;
 devices charge data-copy time to it (tagged with a breakdown category so
 Figure 1 can be regenerated), the VFS records per-syscall durations on it
 (for Figure 12), and timed resources synchronise it forward when the
@@ -14,7 +14,6 @@ generator-based manager costs a generator frame plus two ``next`` calls,
 which at millions of spans per run is real wall-clock time.
 """
 
-from repro.engine.clock import VirtualClock
 from repro.engine.stats import CAT_OTHERS
 from repro.obs.trace import LAYER_VFS
 
@@ -60,7 +59,7 @@ class _SpanCM:
     def __exit__(self, exc_type, exc, tb):
         ctx = self.ctx
         ctx.trace_span = self.previous
-        end_ns = ctx.clock.now
+        end_ns = ctx.now
         if self.layer == LAYER_VFS:
             ctx.env.stats.add_syscall_time(self.name, end_ns - self.start_ns)
         sp = self.sp
@@ -87,20 +86,20 @@ class _PhaseCM:
         sp = ctx.trace_span
         self.sp = sp
         if sp is not None:
-            self.enter_ns = ctx.clock.now
+            self.enter_ns = ctx.now
         return ctx
 
     def __exit__(self, exc_type, exc, tb):
         sp = self.sp
         if sp is not None:
-            sp.add_phase(self.name, self.enter_ns, self.ctx.clock.now)
+            sp.add_phase(self.name, self.enter_ns, self.ctx.now)
         return False
 
 
 class ExecContext:
     """The simulated-time identity of one simulated thread."""
 
-    __slots__ = ("env", "name", "clock", "waiting_on", "trace_span",
+    __slots__ = ("env", "name", "now", "waiting_on", "trace_span",
                  "held_locks")
 
     #: True on a :class:`FreeContext`: devices then skip the shared
@@ -110,7 +109,10 @@ class ExecContext:
     def __init__(self, env, name="ctx", start_ns=0):
         self.env = env
         self.name = name
-        self.clock = VirtualClock(start_ns)
+        #: This thread's virtual time, integer nanoseconds.  ``charge``
+        #: and ``sync_to`` only move it forward; background timelines
+        #: assign it (catch-up to a due time, rewind to 0 on quiesce).
+        self.now = int(start_ns)
         #: Human-readable description of what this thread is currently
         #: blocked on (set around waits; read by deadlock diagnostics).
         self.waiting_on = None
@@ -122,27 +124,21 @@ class ExecContext:
         #: lockdep checks new acquisitions against this list.
         self.held_locks = []
 
-    @property
-    def now(self):
-        return self.clock.now
-
     # -- time charging --------------------------------------------------
 
     def charge(self, ns, category=CAT_OTHERS):
         """Spend ``ns`` of this thread's virtual time under ``category``.
 
-        Inlines the clock bump and the breakdown-bucket add (every device
-        access lands here, several times per op): ``ns`` is known
-        non-negative past the guard, so the clock's monotonicity check is
-        redundant, and the breakdown is a plain int bucket.
+        Every device access lands here, several times per op, so the
+        breakdown-bucket add is inlined; non-positive amounts are
+        dropped, which is what keeps ``now`` monotonic.
         """
-        clock = self.clock
         if ns <= 0:
-            return clock._now
+            return self.now
         ns = int(ns)
-        clock._now += ns
+        self.now += ns
         self.env.stats.breakdown._ns[category] += ns
-        return clock._now
+        return self.now
 
     def sync_to(self, target_ns, category=CAT_OTHERS):
         """Wait (advance the clock) until ``target_ns`` if it is ahead.
@@ -151,14 +147,13 @@ class ExecContext:
         lands in this thread's future.  The waited time is charged to
         ``category`` so queueing shows up in the breakdown figures.
         """
-        clock = self.clock
-        wait = target_ns - clock._now
+        wait = target_ns - self.now
         if wait <= 0:
-            return clock._now
+            return self.now
         wait = int(wait)
-        clock._now += wait
+        self.now += wait
         self.env.stats.breakdown._ns[category] += wait
-        return clock._now
+        return self.now
 
     def waiting(self, what):
         """Label this thread as blocked on ``what`` for the duration.
@@ -191,11 +186,11 @@ class ExecContext:
         sp = None
         if ring is not None and ring.wants(layer):
             req_id = req.req_id if req is not None else self.env.next_req_id()
-            sp = ring.begin(name, self.name, self.clock.now, req_id,
+            sp = ring.begin(name, self.name, self.now, req_id,
                             layer=layer, meta=meta)
             if req is not None:
                 req.span = sp
-        return _SpanCM(self, name, layer, sp, self.clock.now)
+        return _SpanCM(self, name, layer, sp, self.now)
 
     def syscall(self, name, req=None):
         """Record the duration of one syscall for per-syscall breakdowns
@@ -208,7 +203,7 @@ class ExecContext:
         return _PhaseCM(self, name)
 
     def __repr__(self):
-        return "ExecContext(name=%r, now=%d)" % (self.name, self.clock.now)
+        return "ExecContext(name=%r, now=%d)" % (self.name, self.now)
 
 
 class FreeContext(ExecContext):
@@ -225,7 +220,7 @@ class FreeContext(ExecContext):
     free = True
 
     def charge(self, ns, category=None):
-        return self.clock.now
+        return self.now
 
     def sync_to(self, target_ns, category=None):
-        return self.clock.now
+        return self.now

@@ -72,7 +72,3 @@ class DeadlockError(SimulationError):
         self.notes.extend(notes)
         self.args = (self._render(),)
         return self
-
-
-class ClockError(SimulationError):
-    """Raised when a virtual clock would be moved backwards."""

@@ -43,13 +43,13 @@ class SimThread:
             return False
         samples = self.op_latencies_ns
         if samples is not None:
-            start_ns = self.ctx.clock.now
+            start_ns = self.ctx.now
             try:
                 next(self._gen)
             except StopIteration:
                 self.finished = True
                 return False
-            samples.append(self.ctx.clock.now - start_ns)
+            samples.append(self.ctx.now - start_ns)
             self.ops += 1
             return True
         try:

@@ -34,6 +34,7 @@ from repro.faults.media import MediaFaultModel
 from repro.faults.policy import RetryPolicy
 from repro.faults.ringfault import RingFaultInjector
 from repro.fs import flags as f
+from repro.fs import make_fs
 from repro.fs.errors import FSError, MediaError, ReadOnly
 from repro.fs.health import HEALTHY
 from repro.fs.vfs import VFS
@@ -393,8 +394,8 @@ class ChaosCampaign:
             device.crash(())
         # Remount: fresh background timelines, journal recovery runs.
         self.env.background = BackgroundRegistry()
-        fs_cls = type(self.fs)
-        self.fs = fs_cls.mount(self.env, device, self.config)
+        self.fs = make_fs(self.env, self.fs_name, device, self.config,
+                          mount=True)
         self.model = self.fs.device.fault_model
         self.vfs = VFS(self.env, self.fs, self.config,
                        media_error_threshold=self.media_error_threshold)

@@ -40,12 +40,12 @@ import hashlib
 import random
 from bisect import bisect_right
 
-from repro.core import HiNFS, HiNFSConfig
+from repro.core import HiNFSConfig
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.fs import flags as f
+from repro.fs import make_fs
 from repro.fs.errors import FSError
-from repro.fs.pmfs.pmfs import PMFS
 from repro.fs.vfs import VFS
 from repro.mem.cpucache import CachedPersistentRegion
 from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
@@ -461,13 +461,8 @@ class CrashPointExplorer:
         device = NVMMDevice(env, config, self.device_bytes)
         # Small journal and inode table: every crash-state mount scans
         # the whole ring, so the defaults would dominate the run time.
-        if self.fs_kind == "hinfs":
-            fs = HiNFS(env, device, config, journal_blocks=8, inode_count=64,
-                       journal_checksums=self.journal_checksums,
-                       hconfig=HiNFSConfig(buffer_bytes=256 << 10))
-        else:
-            fs = PMFS(env, device, config, journal_blocks=8, inode_count=64,
-                      journal_checksums=self.journal_checksums)
+        fs = self._make_fs(env, device, config, journal_blocks=8,
+                           inode_count=64)
         vfs = VFS(env, fs, config)
         return env, config, device, fs, vfs, ExecContext(env, "crashpoints")
 
@@ -477,14 +472,13 @@ class CrashPointExplorer:
         env = SimEnv()
         config = NVMMConfig()
         device = NVMMDevice.on_region(env, config, self._arena.mem)
-        if self.fs_kind == "hinfs":
-            fs = HiNFS.mount(env, device, config,
-                             journal_checksums=self.journal_checksums,
-                             hconfig=HiNFSConfig(buffer_bytes=256 << 10))
-        else:
-            fs = PMFS.mount(env, device, config,
-                            journal_checksums=self.journal_checksums)
+        fs = self._make_fs(env, device, config, mount=True)
         return device, fs, VFS(env, fs, config), ExecContext(env, "recovery")
+
+    def _make_fs(self, env, device, config, **kwargs):
+        return make_fs(env, self.fs_kind, device, config,
+                       HiNFSConfig(buffer_bytes=256 << 10),
+                       journal_checksums=self.journal_checksums, **kwargs)
 
     # -- the recorded run ---------------------------------------------
 

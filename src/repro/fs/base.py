@@ -12,6 +12,11 @@ file system use: it dispatches to the three per-fs hooks ``read_iter``/
 ``sync_iter`` alone decides all four ``(req.eager, req.datasync)`` cases.
 The positional ``read``/``write``/``fsync``/``fdatasync`` conveniences are
 defined once, here: each builds a request and submits it too.
+
+Mapped I/O has one hook as well: :meth:`FileSystem.mmap` returns the one
+mapping type (:class:`repro.io.mmio.MmioMapping`), and its ``policy``
+keyword -- ``None``, ``"undo"``, ``"redo"`` or ``"auto"`` -- says
+whether it is a plain mapping or a crash-atomic ``MAP_ATOMIC`` one.
 """
 
 from repro.fs.errors import InvalidArgument
@@ -188,15 +193,20 @@ class FileSystem:
 
     # -- memory-mapped I/O --------------------------------------------------
 
-    def mmap(self, ctx, ino):
-        """Map a file for direct access (direct-access stacks only)."""
-        raise InvalidArgument("%s does not support mmap" % self.name)
+    def mmap(self, ctx, ino, policy=None, log_blocks=4, log_checksums=True):
+        """Map a file for direct access (direct-access stacks only);
+        returns a :class:`~repro.io.mmio.MmioMapping`.
 
-    def mmap_atomic(self, ctx, ino, policy="auto", log_blocks=4,
-                    log_checksums=True):
-        """Map a file in library mode (:mod:`repro.io.mmio`)."""
-        raise InvalidArgument(
-            "%s does not support library-mode mmap" % self.name)
+        ``policy`` is the crash contract of the stores made through it:
+        ``None`` is a plain mapping (volatile until ``msync``, no
+        atomicity); ``"undo"``, ``"redo"`` or ``"auto"`` is
+        ``MAP_ATOMIC`` -- an epoch log of ``log_blocks`` blocks
+        (``log_checksums`` guards its entries) makes every ``msync``'d
+        epoch all-or-nothing.  An atomic mapping is exclusive: mapping
+        an inode that has one, or atomically mapping an inode that has
+        any live mapping, raises ``InvalidArgument``.
+        """
+        raise InvalidArgument("%s does not support mmap" % self.name)
 
     # -- deferred writeback errors ----------------------------------------
 

@@ -119,7 +119,7 @@ class JBD2CommitTask(BackgroundTask):
 
     def run_due(self, horizon_ns):
         while self._next_ns <= horizon_ns:
-            self.ctx.clock.advance_to(self._next_ns)
+            self.ctx.now = max(self.ctx.now, self._next_ns)
             self._next_ns += self.journal.commit_interval_ns
             self.journal.commit(self.ctx)
 

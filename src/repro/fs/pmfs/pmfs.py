@@ -11,6 +11,7 @@ from repro.engine.context import FreeContext
 from repro.engine.stats import CAT_OTHERS
 from repro.fs.base import FileStat, FileSystem, ROOT_INO, S_IFDIR, S_IFREG
 from repro.fs.errors import (
+    InvalidArgument,
     IsADirectory,
     MediaError,
     NoSpace,
@@ -50,10 +51,10 @@ class PMFS(FileSystem):
         )
         self._maps = {}
         self._dirs = {}
-        # Live mappings: ino -> [MappedRegion] (plain), and ino -> the
-        # one MmioMapping (MAP_ATOMIC) that intercepts syscall I/O.
-        self._regions = {}
-        self._atomic_mappings = {}
+        #: The one mapping registry: ino -> [live MmioMapping], never an
+        #: empty list.  A MAP_ATOMIC mapping (the one that intercepts
+        #: syscall I/O) is always alone in its list.
+        self._mappings = {}
         #: Mapping-targeted fault injector
         #: (:class:`repro.faults.mmiofault.MmioFaultInjector`) or None.
         self.mmio_faults = None
@@ -244,6 +245,7 @@ class PMFS(FileSystem):
             replaced = self._inode(replaced_ino)
             if replaced.is_dir:
                 raise IsADirectory(new_name)
+            self._invalidate_mappings(ctx, replaced_ino)
             self.on_release(ctx, replaced_ino)
         tx = self.journal.begin(ctx)
         old_dir.remove(ctx, tx, old_name)
@@ -414,49 +416,37 @@ class PMFS(FileSystem):
         blockmap.set(ctx, tx, file_block, nvmm_block)
         return nvmm_block, True
 
-    def _mmap_inode(self, ctx, ino):
-        inode = self._inode(ino)
-        if inode.is_dir:
-            raise IsADirectory("inode %d" % ino)
-        return inode
-
-    def mmap(self, ctx, ino):
-        """Map a file for direct access (paper Section 4.2)."""
-        from repro.fs.pmfs.mmap import MappedRegion
-
-        self._mmap_inode(ctx, ino)
-        self.on_mmap(ctx, ino)
-        region = MappedRegion(self, ino)
-        self._regions.setdefault(ino, []).append(region)
-        return region
-
-    def mmap_atomic(self, ctx, ino, policy="auto", log_blocks=4,
-                    log_checksums=True):
-        """Map a file in library mode: an epoch-logged
+    def mmap(self, ctx, ino, policy=None, log_blocks=4, log_checksums=True):
+        """Map a file for direct access (paper Section 4.2): a
         :class:`~repro.io.mmio.MmioMapping` whose loads/stores/msyncs
-        run with zero syscall charges.  While it is live, conventional
-        read/write/fsync requests on the inode route through it
-        (:meth:`submit`), keeping descriptor I/O coherent with mapped
-        stores.  One atomic mapping per inode."""
-        from repro.fs.errors import InvalidArgument
+        run with zero syscall charges.  ``policy=None`` is a plain
+        mapping; ``"undo"``/``"redo"``/``"auto"`` is ``MAP_ATOMIC``: an
+        epoch log makes each msync'd epoch crash-atomic, and while the
+        mapping is live conventional read/write/fsync requests on the
+        inode route through it (:meth:`submit`), keeping descriptor I/O
+        coherent with mapped stores.  An atomic mapping is exclusive:
+        no other mapping of the inode, plain or atomic, may be live
+        beside it (a plain one would bypass the epoch's staging)."""
         from repro.io.mmio import MmioMapping
 
-        self._mmap_inode(ctx, ino)
-        live = self._atomic_mappings.get(ino)
-        if live is not None and not live.closed:
-            raise InvalidArgument("inode %d already atomically mapped" % ino)
+        if self._inode(ino).is_dir:
+            raise IsADirectory("inode %d" % ino)
+        live = self._mappings.get(ino)
+        if live and (policy is not None or live[0].log is not None):
+            raise InvalidArgument(
+                "inode %d is mapped, and a MAP_ATOMIC mapping is exclusive"
+                % ino)
+        mapping = MmioMapping(self, ino, policy, log_blocks, log_checksums)
         self.on_mmap(ctx, ino)
-        mapping = MmioMapping(self, ino, policy=policy, log_blocks=log_blocks,
-                              log_checksums=log_checksums)
         mapping.setup(ctx)
-        self._atomic_mappings[ino] = mapping
+        self._mappings.setdefault(ino, []).append(mapping)
         return mapping
 
     def atomic_mapping(self, ino):
         """The inode's live MAP_ATOMIC mapping, or None."""
-        mapping = self._atomic_mappings.get(ino)
-        if mapping is not None and not mapping.closed:
-            return mapping
+        live = self._mappings.get(ino)
+        if live and live[0].log is not None:
+            return live[0]
         return None
 
     def submit(self, ctx, req):
@@ -469,42 +459,23 @@ class PMFS(FileSystem):
         return super().submit(ctx, req)
 
     def on_mmap(self, ctx, ino):
-        """Hook: HiNFS flushes the file's buffered DRAM blocks and pins
-        it Eager-Persistent here (mapped stores bypass the buffer)."""
+        """Hook: HiNFS flushes the file's buffered DRAM blocks here
+        (mapped stores bypass the buffer)."""
 
-    def on_munmap(self, ino, region=None):
-        """Hook called as a mapping closes; drops it from the registry
-        (HiNFS additionally unpins the file's Eager-Persistent state)."""
-        if region is None:
-            self._regions.pop(ino, None)
-            self._atomic_mappings.pop(ino, None)
-            return
-        regions = self._regions.get(ino)
-        if regions is not None:
-            try:
-                regions.remove(region)
-            except ValueError:
-                pass
-            if not regions:
-                del self._regions[ino]
-        if self._atomic_mappings.get(ino) is region:
-            del self._atomic_mappings[ino]
+    def on_munmap(self, ino, mapping):
+        """Called as a mapping closes: drops it from the registry."""
+        live = self._mappings[ino]
+        live.remove(mapping)
+        if not live:
+            del self._mappings[ino]
 
     def _live_mappings(self, ino):
         """Every live mapping of ``ino`` (plain and atomic)."""
-        out = [r for r in self._regions.get(ino, []) if not r.closed]
-        atomic = self.atomic_mapping(ino)
-        if atomic is not None:
-            out.append(atomic)
-        return out
+        return self._mappings.get(ino, ())
 
     def _invalidate_mappings(self, ctx, ino):
         """Forcibly detach every mapping of ``ino`` (unlink/rmdir)."""
-        for region in self._regions.pop(ino, []):
-            region.closed = True
-            region._dirty_ranges = []
-        mapping = self._atomic_mappings.pop(ino, None)
-        if mapping is not None:
+        for mapping in self._mappings.pop(ino, ()):
             mapping.invalidate(ctx)
 
     # -- lifecycle ---------------------------------------------------------

@@ -541,7 +541,7 @@ class ScrubTask(BackgroundTask):
         while self._next_due_ns <= horizon_ns:
             due = self._next_due_ns
             self._next_due_ns += self.interval_ns
-            self.ctx.clock.advance_to(due)
+            self.ctx.now = max(self.ctx.now, due)
             self.vfs.scrub(self.ctx)
 
 

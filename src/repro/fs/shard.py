@@ -62,6 +62,7 @@ import struct
 import zlib
 
 from repro.engine.context import FreeContext
+from repro.fs import STACKS, make_fs
 from repro.fs.base import FileStat, FileSystem, ROOT_INO
 from repro.fs.errors import NotADirectory, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY, ISOLATED, MountHealth, OVERLOADED
@@ -480,7 +481,7 @@ class ShardedFS(FileSystem):
         self._check_shard_writable(s2, "rename to %r" % new_name)
         if sr is not None:
             self._check_shard_writable(sr, "replace of %r" % new_name)
-        if s1 == s2 or self._has_live_mappings(s1, l1):
+        if s1 == s2 or l1 in self.shards[s1]._mappings:
             # Stays on its shard -- possibly *misplaced* relative to the
             # new name's hash owner (live mappings must keep addressing
             # the same local inode); lookup's probe fallback finds it.
@@ -493,10 +494,6 @@ class ShardedFS(FileSystem):
             return None
         return self._rename_migrate(ctx, s1, l1, p1, old_name, s2, p2,
                                     new_name, sr, lr)
-
-    def _has_live_mappings(self, s, local):
-        live = getattr(self.shards[s], "_live_mappings", None)
-        return bool(live is not None and live(local))
 
     def _next_intent_seq(self):
         self._intent_seq += 1
@@ -606,17 +603,12 @@ class ShardedFS(FileSystem):
 
     # -- memory-mapped I/O ---------------------------------------------------
 
-    def mmap(self, ctx, ino):
+    def mmap(self, ctx, ino, policy=None, log_blocks=4, log_checksums=True):
         s, local = self._dec(ino)
-        return self.shards[s].mmap(ctx, local)
-
-    def mmap_atomic(self, ctx, ino, policy="auto", log_blocks=4,
-                    log_checksums=True):
-        s, local = self._dec(ino)
-        self._check_shard_writable(s, "atomic mmap of inode %d" % ino)
-        return self.shards[s].mmap_atomic(
-            ctx, local, policy=policy, log_blocks=log_blocks,
-            log_checksums=log_checksums)
+        if policy is not None:
+            self._check_shard_writable(s, "atomic mmap of inode %d" % ino)
+        return self.shards[s].mmap(ctx, local, policy, log_blocks,
+                                   log_checksums)
 
     # -- health / errors -----------------------------------------------------
 
@@ -691,43 +683,23 @@ def build_sharded(env, base_name, config, device_size, hinfs_config=None,
     """
     from repro.nvmm.device import NVMMDevice
 
-    factory = _shard_factory(base_name)
-    shards = []
-    for s in range(nshards):
-        device = NVMMDevice(env, config, device_size, domain="dev%d" % s)
-        shards.append(factory(env, device, config, hinfs_config))
-    return ShardedFS(env, shards)
+    return ShardedFS(env, [
+        _make_shard(env, base_name,
+                    NVMMDevice(env, config, device_size, domain="dev%d" % s),
+                    config, hinfs_config)
+        for s in range(nshards)])
 
 
 def mount_sharded(env, devices, base_name, config, hinfs_config=None):
     """Remount a sharded stack from M existing (crashed) devices."""
-    from repro.core.hinfs import HiNFS
-    from repro.fs.pmfs import PMFS
-
-    shards = []
-    for device in devices:
-        if base_name.startswith("hinfs"):
-            shards.append(HiNFS.mount(env, device, config,
-                                      hconfig=hinfs_config))
-        else:
-            shards.append(PMFS.mount(env, device, config))
-    return ShardedFS.mount(env, shards)
+    return ShardedFS.mount(env, [
+        _make_shard(env, base_name, device, config, hinfs_config, mount=True)
+        for device in devices])
 
 
-def _shard_factory(base_name):
-    from repro.core.hinfs import HiNFS, make_hinfs_nclfw, make_hinfs_wb
-    from repro.fs.pmfs import PMFS
-
-    if base_name in ("hinfs", "hinfs-nclfw", "hinfs-wb"):
-        hfactory = {"hinfs": HiNFS, "hinfs-nclfw": make_hinfs_nclfw,
-                    "hinfs-wb": make_hinfs_wb}[base_name]
-
-        def make(env, device, config, hconfig):
-            return hfactory(env, device, config, hconfig=hconfig)
-    elif base_name == "pmfs":
-        def make(env, device, config, _hconfig):
-            return PMFS(env, device, config)
-    else:
+def _make_shard(env, base_name, device, config, hinfs_config, mount=False):
+    """One inner file system from the stack table (``make_fs``)."""
+    if STACKS.get(base_name, ("", ""))[1] not in ("HiNFS", "PMFS"):
         raise ValueError("cannot shard %r (direct-access stacks only)"
                          % base_name)
-    return make
+    return make_fs(env, base_name, device, config, hinfs_config, mount=mount)

@@ -609,21 +609,21 @@ class VFS:
         ``msync`` run entirely in the process -- zero syscall charges
         after this call -- with a per-file epoch log (``policy`` picks
         undo/redo/auto, Libnvmmio-style) keeping stores crash-atomic.
-        Without it, a plain volatile-until-msync ``MappedRegion``.
+        Without it the same mapping type with no log (``policy`` is
+        ignored): stores are volatile until ``msync`` and not atomic.
         """
         with _Syscall(self, ctx, "mmap"):
             file = self._file(fd)
             if not flags & f.MAP_ATOMIC:
-                with ctx.layer("fs"):
-                    return self._guarded(ctx, self.fs.mmap, file.ino)
-            self._check_writable("atomic mmap of %r" % file.path)
-            if not f.writable(file.flags):
-                raise InvalidArgument(
-                    "MAP_ATOMIC needs a writable descriptor")
+                policy = None
+            else:
+                self._check_writable("atomic mmap of %r" % file.path)
+                if not f.writable(file.flags):
+                    raise InvalidArgument(
+                        "MAP_ATOMIC needs a writable descriptor")
             with ctx.layer("fs"):
-                return self._guarded(
-                    ctx, self.fs.mmap_atomic, file.ino, policy=policy,
-                    log_blocks=log_blocks, log_checksums=log_checksums)
+                return self._guarded(ctx, self.fs.mmap, file.ino, policy,
+                                     log_blocks, log_checksums)
 
     def msync(self, ctx, region):
         with _Syscall(self, ctx, "msync"):

@@ -1,11 +1,14 @@
 """Library-mode mmap data plane with per-file epoch logging (mmio).
 
 The ring (PR 4) amortises ``T_syscall``; this module eliminates it.  A
-file mapped with ``MAP_ATOMIC`` returns an :class:`MmioMapping` whose
-``load``/``store``/``msync`` run entirely in the process -- no VFS
-syscall entry, no dispatch, zero ``syscall_time_ns`` charges after the
-one ``mmap`` setup call -- while a per-file epoch log (Libnvmmio-style)
-keeps stores crash-atomic:
+mapped file is an :class:`MmioMapping` -- the one mapping type of the
+PMFS family (paper Section 4.2) -- whose ``load``/``store``/``msync``
+run entirely in the process: no VFS syscall entry, no dispatch, zero
+``syscall_time_ns`` charges after the one ``mmap`` setup call.  Stores
+hit NVMM through the CPU cache and are *volatile* until an ``msync``.
+A plain mapping (``policy=None``) stops there; mapped with
+``MAP_ATOMIC``, a per-file epoch log (Libnvmmio-style) additionally
+keeps every msync'd epoch crash-atomic, under one of three policies:
 
 - **undo** policy: each store first persists the *old* bytes to the log,
   then updates NVMM in place through the CPU cache.  ``msync`` flushes
@@ -27,17 +30,18 @@ and the epoch commit word lives alone in its cacheline so the 8-byte
 store is atomic.  The log's head block is discoverable from the owning
 inode: byte offset :data:`MMIO_PTR_OFFSET` of the 256-byte inode slot
 (a free, cacheline-aligned u64 the inode writer never touches) holds
-the head block number while -- and only while -- a mapping is live.
+the head block number while -- and only while -- an atomic mapping is
+live.
 """
 
 import struct
 import zlib
 
 from repro.engine.locks import VMutex
-from repro.engine.stats import CAT_WRITE_ACCESS
+from repro.engine.stats import CAT_READ_ACCESS, CAT_WRITE_ACCESS
 from repro.fs.errors import InvalidArgument, MediaError
 from repro.fs.pmfs.layout import block_addr, inode_addr
-from repro.fs.pmfs.mmap import MappedRegion
+from repro.io.request import OP_SYNC, OP_WRITE
 from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
 from repro.obs.trace import LAYER_MMIO
 
@@ -272,13 +276,6 @@ class MmioLog:
         self._tail_block = 0
         self._tail_line = 0
 
-    def clear_pointer(self, ctx):
-        """Detach the log from its inode (munmap, unlink, recovery)."""
-        ptr = inode_addr(self.fs.sb, self.ino) + MMIO_PTR_OFFSET
-        self.device.write_persistent(ctx, ptr, struct.pack("<Q", 0),
-                                     CAT_WRITE_ACCESS)
-        self.device.fence(ctx)
-
     def all_blocks(self):
         return [self.head_block] + list(self.payload_blocks)
 
@@ -331,29 +328,49 @@ class MmioLog:
         return entries
 
 
-class MmioMapping(MappedRegion):
-    """A ``MAP_ATOMIC`` mapping: direct loads/stores with epoch logging.
+class MmioMapping:
+    """One live mapping of a file's blocks into user space.
 
     ``load``/``store``/``msync`` are the library-mode entry points --
     they open :data:`LAYER_MMIO` spans and charge *no* syscall time.
-    While the mapping is live the owning file system also routes
-    conventional read/write/fsync requests through
-    :meth:`handle_request`, so descriptor I/O and mapped stores stay
-    POSIX-coherent and share one epoch timeline.
+    Stores are volatile until ``msync`` commits the epoch they belong
+    to.  ``policy`` says what a crash inside an epoch leaves behind:
+
+    - ``None``: a plain mapping (paper Section 4.2).  Stores land in
+      place through the CPU cache and ``msync`` flushes their lines; a
+      crash keeps whatever subset the cache happened to evict.
+    - ``"undo"`` / ``"redo"`` / ``"auto"``: ``MAP_ATOMIC``.  The same
+      store and commit path plus a per-file epoch log, so a crash
+      recovers all of an epoch or none of it.  Undo is exactly the
+      plain path with a pre-image append before each in-place store
+      and a commit word after the flush; redo appends the new bytes,
+      stages them in a DRAM overlay and applies them after the commit
+      word.  While such a mapping is live the owning file system also
+      routes conventional read/write/fsync requests through
+      :meth:`handle_request`, so descriptor I/O and mapped stores stay
+      POSIX-coherent and share one epoch timeline.
     """
 
-    def __init__(self, fs, ino, policy="auto", log_blocks=4,
+    def __init__(self, fs, ino, policy=None, log_blocks=4,
                  log_checksums=True):
-        super().__init__(fs, ino)
-        if policy not in _POLICY_CODES:
+        if policy is not None and policy not in _POLICY_CODES:
             raise InvalidArgument("unknown mmio policy %r" % (policy,))
+        self.fs = fs
+        self.ino = ino
+        self.closed = False
         self.policy = policy
-        self.log = MmioLog(fs, ino, checksums=log_checksums)
+        #: The epoch log, or None on a plain mapping.
+        self.log = None if policy is None else \
+            MmioLog(fs, ino, checksums=log_checksums)
         self.log_blocks = log_blocks
         self._mu = VMutex(fs.env, "mmio:%d" % ino)
         #: Resolved policy for the current epoch (auto re-resolves at the
         #: first store of every epoch from the previous epoch's op mix).
         self._epoch_policy = None
+        #: In-place stores since the last commit: (file_offset,
+        #: nvmm_addr, length) -- file offsets so a truncate can
+        #: invalidate the tail.
+        self._dirty_ranges = []
         #: Redo staging: (file_offset, bytes) in store order.
         self._overlay = []
         self._epoch_loads = 0
@@ -366,8 +383,14 @@ class MmioMapping(MappedRegion):
     def setup(self, ctx):
         """Format the log and publish the inode pointer (charged to the
         ``mmap`` syscall that created the mapping)."""
-        self.log.setup(ctx, self.log_blocks, _POLICY_CODES[self.policy])
+        if self.log is not None:
+            self.log.setup(ctx, self.log_blocks, _POLICY_CODES[self.policy])
         self.fs.env.stats.bump("mmio_maps")
+
+    def _detach_log(self, ctx):
+        if self.log is not None:
+            _clear_pointer(self.fs, ctx, self.ino)
+            self.fs.balloc.free_many(self.log.all_blocks())
 
     def invalidate(self, ctx):
         """Forcibly detach (unlink of a mapped file): nothing persists."""
@@ -376,19 +399,18 @@ class MmioMapping(MappedRegion):
         self.closed = True
         self._overlay = []
         self._dirty_ranges = []
-        self.log.clear_pointer(ctx)
-        self.fs.balloc.free_many(self.log.all_blocks())
+        self._detach_log(ctx)
 
     def munmap(self, ctx):
-        """Commit the open epoch, detach the log, release its blocks."""
+        """Commit the open epoch (an implicit msync, as on a clean
+        munmap), detach the log, release its blocks."""
         if self.closed:
             return
         with ctx.span("mmio.munmap", layer=LAYER_MMIO):
             with self._mu.held(ctx):
                 self._msync_locked(ctx)
-                self.log.clear_pointer(ctx)
+                self._detach_log(ctx)
         self.closed = True
-        self.fs.balloc.free_many(self.log.all_blocks())
         self.fs.env.stats.ops_completed += 1
         self.fs.on_munmap(self.ino, self)
 
@@ -413,33 +435,25 @@ class MmioMapping(MappedRegion):
 
     def msync(self, ctx):
         """Commit the epoch: everything stored so far becomes durable
-        and atomic -- a crash now recovers all of it or none of it."""
+        (and, with a log, atomic -- a crash now recovers all of it or
+        none of it).  Returns the number of staged ranges committed."""
         with ctx.span("mmio.msync", layer=LAYER_MMIO):
             with self._mu.held(ctx):
-                flushed = self._msync_locked(ctx)
+                committed = self._msync_locked(ctx)
         self.fs.env.stats.ops_completed += 1
-        return flushed
-
-    # Compatibility: the plain MappedRegion API maps onto the logged ops
-    # so existing mmap callers get atomicity transparently.
-    def read(self, ctx, offset, length):
-        return self.load(ctx, offset, length)
-
-    def write(self, ctx, offset, data):
-        return self.store(ctx, offset, data)
+        return committed
 
     # -- syscall routing --------------------------------------------------
 
     def handle_request(self, ctx, req):
         """Serve a conventional IORequest against the mapped file.
 
-        Called from the file system's ``submit`` while the mapping is
-        live: reads see staged stores, writes join the mapping's epoch
-        (durable at the next fsync/msync), fsync commits the epoch.
-        The work lands as an ``mmio`` phase on the syscall's span.
+        Called from the file system's ``submit`` while a ``MAP_ATOMIC``
+        mapping is live: reads see staged stores, writes join the
+        mapping's epoch (durable at the next fsync/msync), fsync commits
+        the epoch.  The work lands as an ``mmio`` phase on the
+        syscall's span.
         """
-        from repro.io import OP_SYNC, OP_WRITE
-
         self.fs.env.stats.bump("mmio_routed")
         with ctx.layer(LAYER_MMIO):
             with self._mu.held(ctx):
@@ -462,168 +476,178 @@ class MmioMapping(MappedRegion):
 
     # -- internals --------------------------------------------------------
 
-    def _faults(self, ctx, op):
-        injector = getattr(self.fs, "mmio_faults", None)
+    def _enter(self, op):
+        """Every op's first step: refuse a dead mapping, fire an armed
+        fault (:class:`repro.faults.mmiofault.MmioFaultInjector`)."""
+        if self.closed:
+            raise InvalidArgument("mapping already unmapped")
+        injector = self.fs.mmio_faults
         if injector is not None:
             injector.check(op, self.ino)
 
     def _resolve_policy(self):
-        if self.policy == "undo":
-            return POLICY_UNDO
         if self.policy == "redo":
             return POLICY_REDO
         # auto: a read-heavy previous epoch wants current in-place bytes
         # (undo); a store-heavy one wants the cheaper redo staging.
-        if self._prev_stores > self._prev_loads:
+        if self.policy == "auto" and self._prev_stores > self._prev_loads:
             return POLICY_REDO
         return POLICY_UNDO
 
     def _load_locked(self, ctx, offset, length):
-        self._require_open()
-        self._faults(ctx, "load")
+        self._enter("load")
         self._epoch_loads += 1
-        self.fs.env.stats.bump("mmio_loads")
-        data = super().read(ctx, offset, length)
-        if self._overlay:
-            buf = bytearray(data)
-            for over_off, over in self._overlay:
-                lo = max(offset, over_off)
-                hi = min(offset + length, over_off + len(over))
-                if lo < hi:
-                    buf[lo - offset:hi - offset] = \
-                        over[lo - over_off:hi - over_off]
-            data = bytes(buf)
-        return data
+        fs = self.fs
+        fs.env.stats.bump("mmio_loads")
+        blockmap = fs._map(self.ino)
+        out = bytearray()
+        pos, remaining = offset, length
+        while remaining > 0:
+            file_block, in_off = divmod(pos, BLOCK_SIZE)
+            take = min(BLOCK_SIZE - in_off, remaining)
+            nvmm_block = blockmap.get(file_block)
+            if nvmm_block is None:
+                out.extend(b"\0" * take)
+                ctx.charge(fs.config.load_cost_ns(take), CAT_READ_ACCESS)
+            else:
+                out.extend(fs.device.read(
+                    ctx, block_addr(nvmm_block) + in_off, take))
+            pos += take
+            remaining -= take
+        for over_off, over in self._overlay:
+            lo = max(offset, over_off)
+            hi = min(offset + length, over_off + len(over))
+            if lo < hi:
+                out[lo - offset:hi - offset] = \
+                    over[lo - over_off:hi - over_off]
+        return bytes(out)
 
     def _store_locked(self, ctx, offset, data):
-        self._require_open()
-        self._faults(ctx, "store")
+        self._enter("store")
         if not data:
             return
         if self._epoch_policy is None:
             self._epoch_policy = self._resolve_policy()
         self._epoch_stores += 1
-        self.fs.env.stats.bump("mmio_stores")
+        fs = self.fs
+        fs.env.stats.bump("mmio_stores")
+        blockmap = fs._map(self.ino)
         pos = 0
         while pos < len(data):
-            file_offset = offset + pos
-            in_block = file_offset % BLOCK_SIZE
-            take = min(BLOCK_SIZE - in_block, len(data) - pos,
+            file_block, in_off = divmod(offset + pos, BLOCK_SIZE)
+            # An entry never spans a log block, so a block-sized store
+            # is two chunks (on a plain mapping too: one algorithm).
+            take = min(BLOCK_SIZE - in_off, len(data) - pos,
                        MAX_ENTRY_PAYLOAD)
-            self._store_chunk(ctx, file_offset, data[pos:pos + take])
+            # Every policy maps the block now (a page fault on a hole,
+            # journaled), so recovery and apply always find a home for
+            # the entry's bytes.
+            nvmm_block = blockmap.get(file_block)
+            if nvmm_block is None:
+                tx = fs.journal.begin(ctx)
+                nvmm_block, _ = fs._ensure_mapped(ctx, tx, blockmap,
+                                                  file_block)
+                fs.journal.commit(ctx, tx)
+            self._store_chunk(ctx, offset + pos,
+                              block_addr(nvmm_block) + in_off,
+                              data[pos:pos + take])
             pos += take
-        inode = self.fs._inode(self.ino)
+        inode = fs._inode(self.ino)
         if offset + len(data) > inode.size:
-            tx = self.fs.journal.begin(ctx)
+            # Grow the file (the kernel updates i_size on extending maps).
+            tx = fs.journal.begin(ctx)
             inode.size = offset + len(data)
             inode.mtime = ctx.now
-            self.fs.itable.write_core(ctx, tx, inode)
-            self.fs.journal.commit(ctx, tx)
+            fs.itable.write_core(ctx, tx, inode)
+            fs.journal.commit(ctx, tx)
 
-    def _store_chunk(self, ctx, file_offset, chunk):
-        epoch = self.log.committed + 1
-        file_block = file_offset // BLOCK_SIZE
-        in_off = file_offset % BLOCK_SIZE
-        # Both policies map the block now (journaled), so recovery and
-        # apply always find a home for the entry's bytes.
-        base = self._block_addr(ctx, file_block, allocate=True)
-        if self._epoch_policy == POLICY_UNDO:
-            old = self.fs.device.read(ctx, base + in_off, len(chunk))
-            self._append(ctx, KIND_UNDO, epoch, file_offset, old)
+    def _store_chunk(self, ctx, file_offset, addr, chunk):
+        if self._epoch_policy == POLICY_REDO:
+            self._append(ctx, KIND_REDO, file_offset, chunk)
+            self._overlay.append((file_offset, chunk))
+            return
+        device = self.fs.device
+        if self.log is not None:
             # The undo image is durable (persist-event order) before the
             # in-place store can land, so every crash state rolls back.
-            self.fs.device.write_cached(ctx, base + in_off, chunk,
-                                        CAT_WRITE_ACCESS)
-            self._dirty_ranges.append((file_offset, base + in_off,
-                                       len(chunk)))
-        else:
-            self._append(ctx, KIND_REDO, epoch, file_offset, chunk)
-            self._overlay.append((file_offset, chunk))
+            self._append(ctx, KIND_UNDO, file_offset,
+                         device.read(ctx, addr, len(chunk)))
+        device.write_cached(ctx, addr, chunk, CAT_WRITE_ACCESS)
+        self._dirty_ranges.append((file_offset, addr, len(chunk)))
 
-    def _append(self, ctx, kind, epoch, file_offset, payload):
-        self._faults(ctx, "append")
+    def _append(self, ctx, kind, file_offset, payload):
+        injector = self.fs.mmio_faults
+        if injector is not None:
+            injector.check("append", self.ino)
+        log = self.log
         try:
-            self.log.append(ctx, kind, epoch, file_offset, payload)
+            log.append(ctx, kind, log.committed + 1, file_offset, payload)
         except LogFull:
+            # The interrupted store belongs to the epoch the autocommit
+            # opens, and one epoch runs one policy: re-resolving
+            # mid-store would mix undo dirty ranges with a redo overlay
+            # that its commit path never flushes or applies.
+            policy = self._epoch_policy
             self._commit_epoch(ctx)
-            # The interrupted store belongs to the epoch this opens, and
-            # one epoch runs one policy: re-resolving mid-store would mix
-            # undo dirty ranges with a redo overlay that its commit path
-            # never flushes or applies.
-            self._epoch_policy = \
-                POLICY_UNDO if kind == KIND_UNDO else POLICY_REDO
+            self._epoch_policy = policy
             self.fs.env.stats.bump("mmio_autocommits")
-            self.log.append(ctx, kind, self.log.committed + 1, file_offset,
-                            payload)
+            log.append(ctx, kind, log.committed + 1, file_offset, payload)
 
     def _msync_locked(self, ctx):
-        self._require_open()
-        self._faults(ctx, "msync")
-        if self.log.tail_empty and not self._dirty_ranges \
-                and not self._overlay:
+        self._enter("msync")
+        if (self.log is None or self.log.tail_empty) \
+                and not self._dirty_ranges and not self._overlay:
             self.fs.device.fence(ctx)
             return 0
-        flushed = self._commit_epoch(ctx)
+        committed = self._commit_epoch(ctx)
         self.fs.env.stats.bump("msync_calls")
-        return flushed
+        return committed
 
     def _commit_epoch(self, ctx):
-        epoch = self.log.committed + 1
+        fs, log = self.fs, self.log
+        epoch = 0 if log is None else log.committed + 1
+        committed = len(self._dirty_ranges) + len(self._overlay)
         if self._epoch_policy == POLICY_REDO:
             # Entries are already persistent; the commit word makes the
             # epoch recoverable, then the apply moves it in place.
-            self.log.commit(ctx, epoch)
+            log.commit(ctx, epoch)
+            blockmap, inode = fs._map(self.ino), fs._inode(self.ino)
             for over_off, over in self._overlay:
-                self._apply_range(ctx, over_off, over)
-            self.fs.device.fence(ctx)
+                _write_back(fs, ctx, blockmap, inode, over_off, over)
+            fs.device.fence(ctx)
             self._overlay = []
         else:
             for _foff, addr, length in self._dirty_ranges:
-                self.fs.device.clflush(ctx, addr, length, CAT_WRITE_ACCESS)
-            self.fs.device.fence(ctx)
-            self.log.commit(ctx, epoch)
+                fs.device.clflush(ctx, addr, length, CAT_WRITE_ACCESS)
+            fs.device.fence(ctx)
+            if log is not None:
+                log.commit(ctx, epoch)
             self._dirty_ranges = []
-        self.log.mark_applied(ctx, epoch)
-        flushed = self._epoch_stores
+        if log is not None:
+            log.mark_applied(ctx, epoch)
         self._prev_loads = self._epoch_loads
         self._prev_stores = self._epoch_stores
         self._epoch_loads = 0
         self._epoch_stores = 0
         self._epoch_policy = None
-        self.fs.env.stats.bump("mmio_epochs_committed")
-        return flushed
-
-    def _apply_range(self, ctx, file_offset, data):
-        """Move staged redo bytes in place, clamped to the current size
-        (a truncate may have shrunk the file under the epoch)."""
-        size = self.fs._inode(self.ino).size
-        end = min(file_offset + len(data), size)
-        pos = file_offset
-        blockmap = self.fs._map(self.ino)
-        while pos < end:
-            file_block, in_off = divmod(pos, BLOCK_SIZE)
-            take = min(BLOCK_SIZE - in_off, end - pos)
-            nvmm_block = blockmap.get(file_block)
-            if nvmm_block is not None:
-                start = pos - file_offset
-                self.fs.device.write_persistent(
-                    ctx, block_addr(nvmm_block) + in_off,
-                    data[start:start + take], CAT_WRITE_ACCESS)
-            pos += take
+        fs.env.stats.bump("mmio_epochs_committed")
+        return committed
 
     # -- truncate coherence ----------------------------------------------
 
     def invalidate_past(self, new_size):
-        """Drop staged state past the new EOF (called under truncate)."""
-        super().invalidate_past(new_size)
-        kept = []
-        for over_off, over in self._overlay:
-            if over_off >= new_size:
-                continue
-            if over_off + len(over) > new_size:
-                over = over[:new_size - over_off]
-            kept.append((over_off, over))
-        self._overlay = kept
+        """Drop staged state past a new (smaller) EOF.
+
+        Called by the file system under ``truncate``: the blocks past
+        EOF are freed (and may be reallocated to another file), so a
+        later ``msync`` must not flush, apply -- or keep addresses into
+        -- blocks this mapping no longer owns.
+        """
+        self._dirty_ranges = [
+            (off, addr, min(length, new_size - off))
+            for off, addr, length in self._dirty_ranges if off < new_size]
+        self._overlay = [(off, over[:new_size - off])
+                         for off, over in self._overlay if off < new_size]
 
 
 # -- mount-time recovery ---------------------------------------------------
@@ -660,6 +684,7 @@ def recover(fs, ctx):
 
 
 def _clear_pointer(fs, ctx, ino):
+    """Detach a log from its inode (munmap, unlink, recovery)."""
     fs.device.write_persistent(ctx, inode_addr(fs.sb, ino) + MMIO_PTR_OFFSET,
                                struct.pack("<Q", 0), CAT_WRITE_ACCESS)
     fs.device.fence(ctx)
@@ -690,9 +715,10 @@ def _recover_log(fs, ctx, inode, log):
 
 
 def _write_back(fs, ctx, blockmap, inode, file_offset, data):
-    """Write recovery bytes at a file range through the blockmap,
-    skipping holes (the journal rolled their allocation back) and
-    clamping to the recovered size."""
+    """Write logged bytes in place at a file range through the blockmap
+    (a redo epoch's apply, and both recovery directions), skipping
+    holes (the journal rolled their allocation back) and clamping to
+    the file's size (a truncate may have shrunk it under the epoch)."""
     end = min(file_offset + len(data), inode.size)
     pos = file_offset
     while pos < end:

@@ -22,7 +22,7 @@ class PdflushTask(BackgroundTask):
 
     def run_due(self, horizon_ns):
         while self._next_ns <= horizon_ns:
-            self.ctx.clock.advance_to(self._next_ns)
+            self.ctx.now = max(self.ctx.now, self._next_ns)
             self._next_ns += self.interval_ns
             self._flush_round()
 

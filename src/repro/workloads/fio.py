@@ -3,9 +3,14 @@
 Random reads and writes at a fixed I/O size against one pre-allocated
 file, with a configurable read:write ratio (the paper uses 1:2).
 
-:class:`RingFioWorkload` drives the same op stream through the
-submission/completion ring at a configurable batch depth instead of one
-syscall per op -- the amortization experiment (``hinfs-bench ring``).
+One seeded op stream, three ways into the file system:
+:meth:`FioWorkload.ops` is the only place an op is drawn -- offset,
+then read-or-write, then whether an fsync is due -- and the three
+classes differ only in how one op is issued: :class:`FioWorkload` as
+one syscall, :class:`RingFioWorkload` as an SQE in a batch through the
+submission/completion ring (``hinfs-bench ring``), and
+:class:`~repro.workloads.mmio.MmapFioWorkload` as a load/store through
+a ``MAP_ATOMIC`` mapping (``hinfs-bench mmap``).
 """
 
 from repro.fs import flags as f
@@ -36,20 +41,27 @@ class FioWorkload(Workload):
         for tid in range(self.threads):
             vfs.write_file(ctx, self.path(tid), data, chunk=1 << 20)
 
-    def make_thread_body(self, vfs, thread_id):
+    def ops(self, thread_id):
+        """One thread's op stream: ``(offset, is_read, sync_due)`` per op,
+        drawn lazily from :meth:`rng` as offset, then read-or-write."""
         rng = self.rng(thread_id)
         max_offset = max(1, self.file_size - self.io_size)
+        for op in range(1, self.ops_per_thread + 1):
+            offset = rng.randrange(max_offset)
+            yield (offset, rng.random() < self.read_fraction,
+                   self.fsync_every and op % self.fsync_every == 0)
+
+    def make_thread_body(self, vfs, thread_id):
         chunk = payload(self.io_size, tag=thread_id + 1)
 
         def body(ctx):
             fd = vfs.open(ctx, self.path(thread_id), f.O_RDWR)
-            for op in range(self.ops_per_thread):
-                offset = rng.randrange(max_offset)
-                if rng.random() < self.read_fraction:
+            for offset, is_read, sync_due in self.ops(thread_id):
+                if is_read:
                     vfs.pread(ctx, fd, offset, self.io_size)
                 else:
                     vfs.pwrite(ctx, fd, offset, chunk)
-                if self.fsync_every and (op + 1) % self.fsync_every == 0:
+                if sync_due:
                     vfs.fsync(ctx, fd)
                 yield
             vfs.close(ctx, fd)
@@ -58,16 +70,15 @@ class FioWorkload(Workload):
 
 
 class RingFioWorkload(FioWorkload):
-    """The fio op stream driven through the submission ring in batches.
+    """The fio op stream issued as SQE batches through the ring.
 
-    Offsets, read/write mix, and fsync pacing are drawn exactly as
-    :class:`FioWorkload` draws them, but not the same values at the same
-    seed: :meth:`Workload.rng` keys the stream on ``self.name``, and
-    ``"fio-ring"`` is not ``"fio"``.  Runs of *this* class at different
-    ``batch_depth`` do execute the same ops, and differ purely in how
-    often the ``T_syscall`` entry is paid (once per batch) and in
-    whether fsync completions may defer to their persist point
-    (``IOSQE_ASYNC``).
+    Ops are drawn by the same :meth:`FioWorkload.ops`, but not the same
+    values at the same seed: :meth:`Workload.rng` keys the stream on
+    ``self.name``, and ``"fio-ring"`` is not ``"fio"``.  Runs of *this*
+    class at different ``batch_depth`` do execute the same ops, and
+    differ purely in how often the ``T_syscall`` entry is paid (once
+    per batch) and in whether fsync completions may defer to their
+    persist point (``IOSQE_ASYNC``).
     """
 
     name = "fio-ring"
@@ -82,8 +93,6 @@ class RingFioWorkload(FioWorkload):
         self.async_fsync = bool(async_fsync)
 
     def make_thread_body(self, vfs, thread_id):
-        rng = self.rng(thread_id)
-        max_offset = max(1, self.file_size - self.io_size)
         chunk = payload(self.io_size, tag=thread_id + 1)
         fsync_flags = uring.IOSQE_ASYNC if self.async_fsync else 0
 
@@ -100,13 +109,12 @@ class RingFioWorkload(FioWorkload):
                         raise cqe.error
                 del batch[:]
 
-            for op in range(self.ops_per_thread):
-                offset = rng.randrange(max_offset)
-                if rng.random() < self.read_fraction:
+            for offset, is_read, sync_due in self.ops(thread_id):
+                if is_read:
                     batch.append(uring.prep_read(fd, self.io_size, offset))
                 else:
                     batch.append(uring.prep_write(fd, chunk, offset))
-                if self.fsync_every and (op + 1) % self.fsync_every == 0:
+                if sync_due:
                     batch.append(uring.prep_fsync(fd, flags=fsync_flags))
                 if len(batch) >= self.batch_depth:
                     flush_batch()

@@ -1,13 +1,13 @@
-"""fio op stream driven through library-mode MAP_ATOMIC mappings.
+"""fio op stream issued through library-mode MAP_ATOMIC mappings.
 
-:class:`MmapFioWorkload` replays the :class:`~repro.workloads.fio.
-FioWorkload` operation stream (same seed, same offsets, same read:write
-mix, same sync pacing) through an :class:`~repro.io.mmio.MmioMapping`
-instead of syscalls: reads become ``load``, writes become ``store``,
-and the fsync pacing becomes ``msync`` epoch commits.  Once the
-mappings exist, the measured phase performs **zero syscalls** -- the
-three-way bench (``hinfs-bench mmap``) charges its steady state not a
-single ``T_syscall``.
+:class:`MmapFioWorkload` issues the :class:`~repro.workloads.fio.
+FioWorkload` op stream (same seed, same RNG key, hence the same
+offsets, read:write mix and sync pacing) through an
+:class:`~repro.io.mmio.MmioMapping` instead of syscalls: reads become
+``load``, writes become ``store``, and the fsync pacing becomes
+``msync`` epoch commits.  Once the mappings exist, the measured phase
+performs **zero syscalls** -- the three-way bench (``hinfs-bench
+mmap``) charges its steady state not a single ``T_syscall``.
 
 The mappings are created by :meth:`MmapFioWorkload.attach`, designed to
 be passed as ``run_workload(..., setup=workload.attach)``: it runs
@@ -15,8 +15,10 @@ after the stats reset under a free context and resolves inodes below
 the VFS, so the measured ledger starts -- and stays -- empty.
 """
 
+import random
+
 from repro.fs.base import ROOT_INO
-from repro.workloads.base import Workload, payload, prepare_context
+from repro.workloads.base import payload, prepare_context
 from repro.workloads.fio import FioWorkload
 
 
@@ -36,8 +38,6 @@ class MmapFioWorkload(FioWorkload):
         """Mirror FioWorkload's stream exactly: same seed, same name
         key, so the sync and mmap legs execute identical op sequences
         and differ only in how each op enters the file system."""
-        import random
-
         return random.Random("%s:%s:%s" % (FioWorkload.name, self.seed,
                                            stream))
 
@@ -52,25 +52,22 @@ class MmapFioWorkload(FioWorkload):
         maps = env.stats.count("mmio_maps")
         for tid in range(self.threads):
             ino = fs.lookup(ctx, ROOT_INO, self.path(tid).lstrip("/"))
-            self.mappings[tid] = fs.mmap_atomic(
-                ctx, ino, policy=self.policy, log_blocks=self.log_blocks)
+            self.mappings[tid] = fs.mmap(ctx, ino, self.policy,
+                                         self.log_blocks)
         # Setup must not pollute the measured counters either.
         env.stats.counters["mmio_maps"] = maps
 
     def make_thread_body(self, vfs, thread_id):
-        rng = self.rng(thread_id)
-        max_offset = max(1, self.file_size - self.io_size)
         chunk = payload(self.io_size, tag=thread_id + 1)
         mapping = self.mappings[thread_id]
 
         def body(ctx):
-            for op in range(self.ops_per_thread):
-                offset = rng.randrange(max_offset)
-                if rng.random() < self.read_fraction:
+            for offset, is_read, sync_due in self.ops(thread_id):
+                if is_read:
                     mapping.load(ctx, offset, self.io_size)
                 else:
                     mapping.store(ctx, offset, chunk)
-                if self.fsync_every and (op + 1) % self.fsync_every == 0:
+                if sync_due:
                     mapping.msync(ctx)
                 yield
             # Leave the mapping live: teardown is not part of the

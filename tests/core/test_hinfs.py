@@ -2,16 +2,18 @@
 
 import pytest
 
-from repro.core import HiNFS, HiNFSConfig, make_hinfs_nclfw, make_hinfs_wb
+from repro.core import HiNFS, HiNFSConfig
 from repro.fs import flags as f
 from repro.nvmm.config import NVMMConfig
 
 from tests.fs.conftest import PmfsRig
 
 
-def make_rig(hconfig=None, factory=HiNFS, size=32 << 20, config=None):
-    hconfig = hconfig or HiNFSConfig(buffer_bytes=2 << 20)
-    return PmfsRig(size=size, config=config, fs_cls=factory, hconfig=hconfig)
+def make_rig(hconfig=None, size=32 << 20, config=None, **switches):
+    """``switches`` are HiNFSConfig overrides (the paper's ablations)."""
+    hconfig = (hconfig or HiNFSConfig(buffer_bytes=2 << 20)).replace(
+        **switches)
+    return PmfsRig(size=size, config=config, fs_cls=HiNFS, hconfig=hconfig)
 
 
 @pytest.fixture()
@@ -76,12 +78,11 @@ def test_unaligned_write_fetches_only_edge_lines(rig):
 
 
 def test_nclfw_fetches_whole_block():
-    rig = make_rig(factory=make_hinfs_nclfw)
+    rig = make_rig(enable_clfw=False)
     rig.vfs.write_file(rig.ctx, "/c", b"base" * 1024)
     rig.vfs.unmount(rig.ctx)
     rig.remount()
-    # NCLFW mounts back as plain HiNFS here, so force the ablation flag.
-    rig.fs.hconfig = rig.fs.hconfig.replace(enable_clfw=False)
+    assert not rig.fs.hconfig.enable_clfw     # the remount keeps the switch
     fetched_before = rig.env.stats.count("hinfs_fetched_lines")
     fd = rig.vfs.open(rig.ctx, "/c", f.O_RDWR)
     rig.vfs.pwrite(rig.ctx, fd, 0, b"y" * 112)
@@ -96,8 +97,8 @@ def test_clfw_writes_back_fewer_bytes_than_nclfw():
     """Figure 9(b): small unaligned writes -> CLFW's NVMM write size is
     far smaller."""
     results = {}
-    for name, factory in [("clfw", HiNFS), ("nclfw", make_hinfs_nclfw)]:
-        rig = make_rig(factory=factory)
+    for name, clfw in [("clfw", True), ("nclfw", False)]:
+        rig = make_rig(enable_clfw=clfw)
         fd = rig.vfs.open(rig.ctx, "/f", f.O_CREAT | f.O_RDWR)
         for i in range(64):
             rig.vfs.pwrite(rig.ctx, fd, i * 4096, b"tiny")
@@ -169,7 +170,7 @@ def test_frequent_fsync_drives_blocks_eager(rig):
 
 
 def test_hinfs_wb_never_writes_eagerly():
-    rig = make_rig(factory=make_hinfs_wb)
+    rig = make_rig(enable_eager_checker=False)
     fd = rig.vfs.open(rig.ctx, "/db", f.O_CREAT | f.O_RDWR)
     for i in range(4):
         rig.vfs.pwrite(rig.ctx, fd, i * 64, b"x" * 64)

@@ -50,7 +50,7 @@ def test_periodic_flush_only_cold_blocks():
     rig.vfs.write_file(rig.ctx, "/cold", b"c" * 8192)
     # A hot block written just before the second tick must be skipped
     # (its age is far below the 5 s interval); the cold one is flushed.
-    rig.ctx.clock.advance_to(10 * SEC - 1000)
+    rig.ctx.now = 10 * SEC - 1000
     rig.vfs.write_file(rig.ctx, "/hot", b"h" * 4096)
     rig.env.background.advance_to(10 * SEC + 1)
     flushed = rig.env.stats.count("writeback_periodic_blocks")
@@ -62,7 +62,7 @@ def test_periodic_flush_only_cold_blocks():
 def test_aged_flush_after_pressure():
     rig = make_rig(buffer_bytes=256 * 4096, dirty_age_ns=1 * SEC)
     rig.vfs.write_file(rig.ctx, "/old", b"o" * 4096)
-    rig.ctx.clock.advance_to(2 * SEC)
+    rig.ctx.now = 2 * SEC
     rig.vfs.write_file(rig.ctx, "/new", b"n" * 4096)
     rig.fs.writeback.signal_pressure(rig.ctx.now)
     rig.env.background.advance_to(rig.ctx.now + 1)

@@ -1,43 +1,6 @@
-"""Unit tests for the virtual clock."""
+"""Unit tests for the virtual-time units."""
 
-import pytest
-
-from repro.engine.clock import NS_PER_SEC, VirtualClock, format_ns
-from repro.engine.errors import ClockError
-
-
-def test_clock_starts_at_zero():
-    assert VirtualClock().now == 0
-
-
-def test_clock_starts_at_given_time():
-    assert VirtualClock(42).now == 42
-
-
-def test_advance_moves_forward():
-    clock = VirtualClock()
-    assert clock.advance(100) == 100
-    assert clock.advance(50) == 150
-
-
-def test_advance_rejects_negative():
-    with pytest.raises(ClockError):
-        VirtualClock().advance(-1)
-
-
-def test_advance_to_future():
-    clock = VirtualClock(10)
-    assert clock.advance_to(25) == 25
-
-
-def test_advance_to_past_is_noop():
-    clock = VirtualClock(100)
-    assert clock.advance_to(50) == 100
-
-
-def test_advance_zero_is_noop():
-    clock = VirtualClock(7)
-    assert clock.advance(0) == 7
+from repro.engine.clock import NS_PER_SEC, format_ns
 
 
 def test_format_ns_units():
@@ -45,7 +8,3 @@ def test_format_ns_units():
     assert format_ns(1_500) == "1.500us"
     assert format_ns(2_000_000) == "2.000ms"
     assert format_ns(3 * NS_PER_SEC) == "3.000s"
-
-
-def test_repr_mentions_time():
-    assert "us" in repr(VirtualClock(1500))

@@ -51,7 +51,7 @@ def test_reads_overlap_on_one_file(rig):
     start = rig.ctx.now  # readers begin after the prep writes' release
 
     def read_body(ctx):
-        ctx.clock.advance_to(start)
+        ctx.now = start
         fd = rig.vfs.open(ctx, "/hot", f.O_RDONLY)
         for i in range(10):
             rig.vfs.pread(ctx, fd, 0, 4096)

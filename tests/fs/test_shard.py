@@ -181,6 +181,62 @@ def test_same_shard_rename_does_not_migrate():
     assert rig.env.stats.count("shard_cross_renames") == 0
 
 
+# -- mappings: one FileSystem.mmap hook, one registry per shard ---------------
+
+
+@pytest.mark.parametrize("base", ["pmfs", "hinfs"])
+@pytest.mark.parametrize("policy", [None, "undo", "redo"])
+def test_mmap_of_a_file_on_a_later_shard(base, policy):
+    """``ShardedFS.mmap`` decodes the global ino and maps on the owning
+    device: stores are coherent with descriptor I/O through the global
+    namespace and durable after msync across a power cut of all M."""
+    rig = ShardRig(base=base, nshards=2)
+    name = name_on(1, 2, prefix="m")
+    rig.vfs.write_file(rig.ctx, "/" + name, b"x" * 8192)
+    fd = rig.vfs.open(rig.ctx, "/" + name, f.O_RDWR)
+    flags = 0 if policy is None else f.MAP_ATOMIC
+    region = rig.vfs.mmap(rig.ctx, fd, flags=flags, policy=policy)
+    shard, local = rig.fs._dec(rig.vfs.fstat(rig.ctx, fd).ino)
+    assert shard == 1 and region.ino == local
+    assert rig.fs.shards[1]._live_mappings(local) == [region]
+    assert local not in rig.fs.shards[0]._mappings
+    assert (region.log is None) == (policy is None)
+    region.store(rig.ctx, 4000, b"ACROSS-A-BLOCK-BOUNDARY" * 8)
+    assert rig.vfs.pread(rig.ctx, fd, 4000, 6) == b"ACROSS"
+    region.msync(rig.ctx)
+    rig.remount()
+    data = rig.vfs.read_file(rig.ctx, "/" + name)
+    assert data[4000:4000 + 184] == b"ACROSS-A-BLOCK-BOUNDARY" * 8
+    assert data[:4000] == b"x" * 4000 and len(data) == 8192
+
+
+@pytest.mark.parametrize("policy", [None, "undo"])
+def test_rename_of_a_mapped_file_stays_on_its_shard(policy):
+    """A live mapping addresses one local inode on one device, so a
+    rename whose new name hashes elsewhere must not migrate the file
+    (it becomes *misplaced*; lookup's probe finds it).  The rule reads
+    the shard's mapping registry: unmapped, the same rename migrates."""
+    rig = ShardRig(nshards=2)
+    src = name_on(0, 2, prefix="src")
+    dst = name_on(1, 2, prefix="dst")
+    rig.vfs.write_file(rig.ctx, "/" + src, b"m" * 5000)
+    fd = rig.vfs.open(rig.ctx, "/" + src, f.O_RDWR)
+    gino = rig.vfs.fstat(rig.ctx, fd).ino
+    flags = 0 if policy is None else f.MAP_ATOMIC
+    region = rig.vfs.mmap(rig.ctx, fd, flags=flags, policy=policy)
+    rig.vfs.rename(rig.ctx, "/" + src, "/" + dst)
+    assert rig.env.stats.count("shard_cross_renames") == 0
+    assert rig.fs.lookup(rig.ctx, ROOT_INO, dst) == gino
+    region.store(rig.ctx, 0, b"STILL-MAPPED")
+    region.munmap(rig.ctx)
+    assert rig.vfs.read_file(rig.ctx, "/" + dst)[:12] == b"STILL-MAPPED"
+    # Registry empty again: now the rename back is free to migrate.
+    back = name_on(1, 2, prefix="back")
+    rig.vfs.rename(rig.ctx, "/" + dst, "/" + back)
+    assert rig.env.stats.count("shard_cross_renames") == 1
+    assert rig.fs._dec(rig.fs.lookup(rig.ctx, ROOT_INO, back))[0] == 1
+
+
 # -- remount / reconciliation ----------------------------------------------
 
 
@@ -200,6 +256,23 @@ def test_remount_preserves_namespace_and_content():
     for i, name in enumerate(names):
         assert rig.vfs.read_file(rig.ctx, "/" + name) \
             == bytes([0x40 + i]) * 2048
+
+
+@pytest.mark.parametrize("base, switch", [
+    ("hinfs-wb", "enable_eager_checker"), ("hinfs-nclfw", "enable_clfw")])
+def test_remount_keeps_the_ablation_switched_off(base, switch):
+    """Format and mount resolve the base name through one table.  (At
+    the parent ``mount_sharded`` turned every ``hinfs-*`` base into
+    plain HiNFS, so a crashed ablation stack came back without it.)"""
+    rig = ShardRig(base=base, nshards=2)
+    rig.vfs.write_file(rig.ctx, "/f", b"w" * 4096)
+    rig.vfs.unmount(rig.ctx)
+    for fs in (rig.fs, rig.remount()):
+        assert fs.name == base + "@2"
+        for inner in fs.shards:
+            assert inner.name == base
+            assert getattr(inner.hconfig, switch) is False
+    assert rig.vfs.read_file(rig.ctx, "/f") == b"w" * 4096
 
 
 def test_reconcile_repairs_missing_mirror_and_drops_orphan():

@@ -318,7 +318,7 @@ class DifferentialOracle(RuleBasedStateMachine):
         per_stack = []
         for stack in self.stacks:
             fd = stack.vfs.open(stack.ctx, path, f.O_RDWR)
-            if type(stack.fs).mmap_atomic is not FileSystem.mmap_atomic:
+            if type(stack.fs).mmap is not FileSystem.mmap:
                 region = stack.vfs.mmap(stack.ctx, fd, flags=f.MAP_ATOMIC,
                                         policy=policy)
                 per_stack.append(("real", fd, region))

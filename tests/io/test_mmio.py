@@ -344,6 +344,38 @@ def test_double_atomic_map_rejected(rig):
         rig.vfs.mmap(rig.ctx, fd, flags=f.MAP_ATOMIC)
 
 
+@pytest.mark.parametrize("fs_cls", [PMFS, HiNFS], ids=["pmfs", "hinfs"])
+@pytest.mark.parametrize("first", ["atomic", "plain"])
+def test_atomic_mapping_is_exclusive(fs_cls, first):
+    """One registry, one rule: a MAP_ATOMIC mapping tolerates no other
+    mapping of its inode, in either order.  (At the parent a plain
+    mapping beside an atomic one was accepted and incoherent: under redo
+    its loads missed the staged stores, and its msync'd bytes were
+    overwritten by the next epoch commit.)"""
+    rig = PmfsRig(fs_cls=fs_cls)
+    rig.vfs.write_file(rig.ctx, "/m", b"x" * 8192)
+    fd = rig.vfs.open(rig.ctx, "/m", f.O_RDWR)
+    ino = rig.vfs.fstat(rig.ctx, fd).ino
+    flags = (f.MAP_ATOMIC, 0) if first == "atomic" else (0, f.MAP_ATOMIC)
+    kept = rig.vfs.mmap(rig.ctx, fd, flags=flags[0], policy="redo")
+    maps = rig.env.stats.count("mmio_maps")
+    free = rig.fs.balloc.free_count
+    with pytest.raises(InvalidArgument):
+        rig.vfs.mmap(rig.ctx, fd, flags=flags[1], policy="redo")
+    # The refusal left nothing behind: no registry entry, no log blocks.
+    assert rig.fs._live_mappings(ino) == [kept]
+    assert rig.env.stats.count("mmio_maps") == maps
+    assert rig.fs.balloc.free_count == free
+    # The surviving mapping is untouched and still coherent with pread.
+    kept.store(rig.ctx, 0, b"KEPT")
+    assert kept.load(rig.ctx, 0, 4) == b"KEPT"
+    assert rig.vfs.pread(rig.ctx, fd, 0, 4) == b"KEPT"
+    # Once it is gone the other kind maps fine.
+    kept.munmap(rig.ctx)
+    other = rig.vfs.mmap(rig.ctx, fd, flags=flags[1], policy="redo")
+    assert other.load(rig.ctx, 0, 4) == b"KEPT"
+
+
 def test_atomic_map_needs_writable_fd(rig):
     rig.vfs.write_file(rig.ctx, "/m", b"j" * 64)
     fd = rig.vfs.open(rig.ctx, "/m", f.O_RDONLY)
