@@ -182,9 +182,10 @@ class WriteBuffer:
             return []
         return [block for _, block in tree.items()]
 
-    def all_blocks_lrw_order(self):
-        """Every buffered block, best-victim first (policy order)."""
-        return self.policy.iter_order()
+    def all_blocks_lrw_order(self, limit=None):
+        """Every buffered block, best-victim first (policy order); only
+        the first ``limit`` of them when one is given."""
+        return self.policy.iter_order(limit)
 
     def shard_dirty_blocks(self, shard_id):
         """One shard's dirty blocks, first-dirtied first."""

@@ -620,6 +620,11 @@ class HiNFS(PMFS):
         if in_off:
             buffered = self.buffer.lookup(ino, new_size // BLOCK_SIZE)
             if buffered is not None:
+                # The cut rarely falls on a line edge: the line it splits
+                # must be valid in DRAM before its tail is zeroed, or the
+                # bytes below new_size in it read back as zeroes.
+                self._fetch_before_write(ctx, buffered, in_off,
+                                         BLOCK_SIZE - in_off)
                 self.buffer.write_into(ctx, buffered, in_off,
                                        b"\0" * (BLOCK_SIZE - in_off), ctx.now)
         # The truncate transaction commits synchronously; surviving

@@ -66,11 +66,13 @@ class LRWList:
         node = self._head.lrw_next
         return None if node is self._tail else node
 
-    def iter_lrw_order(self):
-        """Iterate from LRW to MRW (snapshot-safe: collects first)."""
+    def iter_lrw_order(self, limit=None):
+        """Iterate from LRW to MRW (snapshot-safe: collects first); the
+        walk stops after ``limit`` nodes when one is given."""
+        count = self._size if limit is None else min(limit, self._size)
         nodes = []
         node = self._head.lrw_next
-        while node is not self._tail:
+        for _ in range(count):
             nodes.append(node)
             node = node.lrw_next
         return nodes

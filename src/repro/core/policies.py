@@ -27,6 +27,15 @@ from collections import OrderedDict
 from repro.core.lrw import LRWList
 
 
+def _chain(lists, limit):
+    """The LRW orders of ``lists`` end to end, cut at ``limit`` blocks."""
+    out = []
+    for lrw in lists:
+        out.extend(lrw.iter_lrw_order(
+            None if limit is None else limit - len(out)))
+    return out
+
+
 class ReplacementPolicy:
     """Victim-ordering interface used by the write buffer."""
 
@@ -48,8 +57,9 @@ class ReplacementPolicy:
         """The next block to evict, or None if the buffer is empty."""
         raise NotImplementedError
 
-    def iter_order(self):
-        """All buffered blocks, best-victim first (snapshot)."""
+    def iter_order(self, limit=None):
+        """Buffered blocks, best-victim first (snapshot): all of them,
+        or the first ``limit`` without walking the rest."""
         raise NotImplementedError
 
     def __len__(self):
@@ -76,8 +86,8 @@ class LRWPolicy(ReplacementPolicy):
     def victim(self):
         return self._list.lrw_victim()
 
-    def iter_order(self):
-        return self._list.iter_lrw_order()
+    def iter_order(self, limit=None):
+        return self._list.iter_lrw_order(limit)
 
     def __len__(self):
         return len(self._list)
@@ -136,11 +146,9 @@ class LFUPolicy(ReplacementPolicy):
                 return victim
         return None
 
-    def iter_order(self):
-        out = []
-        for freq in sorted(self._buckets):
-            out.extend(self._buckets[freq].iter_lrw_order())
-        return out
+    def iter_order(self, limit=None):
+        return _chain([self._buckets[freq] for freq in sorted(self._buckets)],
+                      limit)
 
     def __len__(self):
         return self._size
@@ -214,8 +222,8 @@ class TwoQPolicy(ReplacementPolicy):
             return victim
         return self._a1in.lrw_victim()
 
-    def iter_order(self):
-        return self._a1in.iter_lrw_order() + self._am.iter_lrw_order()
+    def iter_order(self, limit=None):
+        return _chain((self._a1in, self._am), limit)
 
     def __len__(self):
         return len(self._a1in) + len(self._am)
@@ -301,8 +309,8 @@ class ARCPolicy(ReplacementPolicy):
             return victim
         return self._t1.lrw_victim()
 
-    def iter_order(self):
-        return self._t1.iter_lrw_order() + self._t2.iter_lrw_order()
+    def iter_order(self, limit=None):
+        return _chain((self._t1, self._t2), limit)
 
     def __len__(self):
         return len(self._t1) + len(self._t2)

@@ -138,11 +138,7 @@ class WritebackPool(BackgroundTask):
         for worker in self.workers:
             worker.ctx.now = max(worker.ctx.now, fg_ctx.now)
         buffer = self.hinfs.buffer
-        victims = []
-        for block in buffer.all_blocks_lrw_order():
-            if len(victims) >= self.config.reclaim_batch:
-                break
-            victims.append(block)
+        victims = buffer.all_blocks_lrw_order(self.config.reclaim_batch)
         with fg_ctx.waiting("hinfs-writeback demand reclaim "
                             "(%d victim blocks)" % len(victims)):
             ends = []
@@ -232,11 +228,7 @@ class WritebackPool(BackgroundTask):
     def _reclaim_to_high(self):
         buffer = self.hinfs.buffer
         while not buffer.at_high_watermark:
-            victims = []
-            for block in buffer.all_blocks_lrw_order():
-                if len(victims) >= self.config.reclaim_batch:
-                    break
-                victims.append(block)
+            victims = buffer.all_blocks_lrw_order(self.config.reclaim_batch)
             if not victims:
                 return
             self._flush_distributed("pressure", victims)

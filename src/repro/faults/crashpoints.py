@@ -253,8 +253,8 @@ class ShadowImage:
 class CrashArena:
     """The one device image every crash state of a run is mounted on.
 
-    ``load`` restores the baseline into the region (both slabs, dirty
-    flags cleared -- whatever the previous state's recovery wrote is
+    ``load`` restores the baseline into the region (one copy; volatile
+    lines dropped -- whatever the previous state's recovery wrote is
     gone) and writes a state's compact bytes back at their extents; the
     region then holds exactly that state's durable image.
     """

@@ -14,6 +14,7 @@ most recent synchronization operation (paper, footnote 4); PMFS itself
 never reads it.
 """
 
+import heapq
 import struct
 
 from repro.fs.pmfs.layout import (
@@ -108,7 +109,9 @@ class InodeTable:
         self.journal = journal
         self.sb = sb
         self._mirror = {}
-        self._free = set(range(1, sb.inode_count + 1))
+        #: Min-heap of free inode numbers (an ascending list is one):
+        #: ``alloc`` hands out the lowest free inode in O(log n).
+        self._free = list(range(1, sb.inode_count + 1))
 
     # -- mirror access ----------------------------------------------------
 
@@ -151,8 +154,7 @@ class InodeTable:
             from repro.fs.errors import NoSpace
 
             raise NoSpace("inode table full")
-        ino = min(self._free)
-        self._free.remove(ino)
+        ino = heapq.heappop(self._free)
         inode = PmfsInode(ino)
         inode.kind = kind
         inode.nlink = 2 if kind == KIND_DIR else 1
@@ -168,20 +170,21 @@ class InodeTable:
         inode.size = 0
         self.write_core(ctx, tx, inode)
         self._mirror.pop(inode.ino, None)
-        self._free.add(inode.ino)
+        heapq.heappush(self._free, inode.ino)
 
     # -- recovery -----------------------------------------------------------
 
     def load_from_nvmm(self):
-        """Rebuild the mirror and free set by scanning the NVMM table."""
+        """Rebuild the mirror and free heap by scanning the NVMM table."""
         self._mirror.clear()
-        self._free = set(range(1, self.sb.inode_count + 1))
+        self._free = []
         for ino in range(1, self.sb.inode_count + 1):
             raw = self.device.mem.read(inode_addr(self.sb, ino), 152)
             inode = PmfsInode.unpack(ino, raw)
             if inode.kind != KIND_FREE:
                 self._mirror[ino] = inode
-                self._free.discard(ino)
+            else:
+                self._free.append(ino)
 
 
 __all__ = ["InodeTable", "PmfsInode", "KIND_DIR", "KIND_FILE", "KIND_FREE"]

@@ -9,45 +9,42 @@ hazard is why NVMM file systems must order metadata updates with
 ``clflush``/``mfence``; this module models all three paths so the
 journal-recovery tests can exercise real crash states.
 
-Hot-path layout (PR 7): instead of a dict of per-line ``bytearray``
-copies, the volatile state is **flat-array** -- one contiguous
-*current* slab holding the newest data (what loads observe), one
-*persistent* slab holding the durable image, and one dirty-line bitmap
-(a ``bytearray`` of 0/1 flags) between them.  A store is a single slice
-assignment plus a bitmap run; a load is a single slice copy with no
-per-line merge; a flush copies ``current -> persistent`` for exactly
-the dirty lines.  Nothing on the write/flush/crash paths allocates per
-line.
+Layout: **one** slab holds the newest bytes (what loads observe), and
+persistence is a property of a line, not a second array.  A one-byte-
+per-line bitmap marks the volatile lines, and a small ``line -> bytes``
+table keeps the *durable* image of exactly those lines, saved the
+moment a clean line is first dirtied.  So a cached store saves the old
+line(s) once and stores once; a non-temporal store is a single copy;
+a flush moves no bytes at all -- the line's newest content simply *is*
+the durable content now, so the saved image is dropped and the flag
+cleared; and only a crash copies, putting the surviving saved images
+back.  The device costs one device-sized mapping, not two.
 """
 
 from repro.mem.region import CACHELINE_SIZE, MemoryRegion
-
-#: Flag-run template for marking many lines dirty in one slice assign.
-_ONES = b"\x01" * 4096
 
 
 class CachedPersistentRegion:
     """Persistent bytes fronted by a volatile write-back line cache.
 
-    Reads always observe the newest data (the current slab).  ``crash()``
-    discards unflushed lines, optionally persisting an arbitrary subset
-    first to model uncontrolled evictions.  Within one cacheline, a crash
-    is all-or-nothing -- the architectural guarantee ("writes to the same
+    Reads always observe the newest data.  ``crash()`` discards unflushed
+    lines, optionally persisting an arbitrary subset first to model
+    uncontrolled evictions.  Within one cacheline, a crash is
+    all-or-nothing -- the architectural guarantee ("writes to the same
     cacheline are never reordered") that both PMFS's and HiNFS's
     valid-flag log entries rely on.
     """
 
     def __init__(self, size):
         self.size = int(size)
-        #: Durable image: what survives a crash.
-        self._persistent = MemoryRegion(size)
-        #: Newest data: durable image overlaid with volatile stores.
-        self._current = MemoryRegion(size)
-        #: One flag byte per cacheline: 1 = line differs from the
-        #: durable image (volatile).  ``_dirty_count`` caches the number
-        #: of set flags so clean-path checks are O(1).
+        #: The one slab: durable image overlaid with volatile stores.
+        self._mv = MemoryRegion(size).view(0, self.size)
+        #: One flag byte per cacheline: 1 = line is volatile (differs, or
+        #: may differ, from what a crash would leave behind).
         self._flags = bytearray(self.num_lines)
-        self._dirty_count = 0
+        #: ``line -> durable bytes`` for exactly the flagged lines (the
+        #: tail line of an unaligned region is clamped, not padded).
+        self._saved = {}
         #: Optional persistence observer (crash-point exploration).  When
         #: set, it receives ``on_cached_write(addr, data)`` for volatile
         #: stores, ``on_persist(addr, data)`` for every byte range that
@@ -58,17 +55,6 @@ class CachedPersistentRegion:
     @property
     def num_lines(self):
         return -(-self.size // CACHELINE_SIZE)
-
-    # -- helpers ----------------------------------------------------------
-
-    @staticmethod
-    def _line_range(addr, length):
-        """Indices of every cacheline overlapping [addr, addr+length)."""
-        if length <= 0:
-            return range(0, 0)
-        first = addr // CACHELINE_SIZE
-        last = (addr + length - 1) // CACHELINE_SIZE
-        return range(first, last + 1)
 
     # -- store paths ------------------------------------------------------
 
@@ -81,22 +67,30 @@ class CachedPersistentRegion:
             return
         if self.observer is not None:
             self.observer.on_cached_write(addr, bytes(data))
-        self._current.write(addr, data)
+        mv = self._mv
+        flags = self._flags
         first = addr // CACHELINE_SIZE
         last = (addr + length - 1) // CACHELINE_SIZE
-        nlines = last - first + 1
-        flags = self._flags
-        if self._dirty_count:
-            already = sum(flags[first : last + 1])
-            if already == nlines:
-                return
-            self._dirty_count += nlines - already
+        if first == last:
+            if not flags[first]:
+                base = first * CACHELINE_SIZE
+                self._saved[first] = bytes(mv[base : base + CACHELINE_SIZE])
+                flags[first] = 1
         else:
-            self._dirty_count = nlines
-        if nlines <= len(_ONES):
-            flags[first : last + 1] = _ONES[:nlines]
-        else:
-            flags[first : last + 1] = b"\x01" * nlines
+            run = flags[first : last + 1]
+            if 0 in run:
+                # Save the durable image of every clean line from ONE
+                # copy of the run, not one slab read per line.
+                saved = self._saved
+                old = bytes(mv[first * CACHELINE_SIZE
+                               : (last + 1) * CACHELINE_SIZE])
+                off = 0
+                for line, flag in enumerate(run, first):
+                    if not flag:
+                        saved[line] = old[off : off + CACHELINE_SIZE]
+                    off += CACHELINE_SIZE
+                flags[first : last + 1] = b"\x01" * len(run)
+        mv[addr : addr + length] = data
 
     def write_nocache(self, addr, data):
         """A non-temporal store: bypasses the cache, immediately durable.
@@ -108,18 +102,40 @@ class CachedPersistentRegion:
         length = len(data)
         if addr < 0 or addr + length > self.size:
             raise IndexError("store outside region")
-        if self._dirty_count and length:
-            first = addr // CACHELINE_SIZE
-            last = (addr + length - 1) // CACHELINE_SIZE
-            if any(self._flags[first : last + 1]):
-                for line in range(first, last + 1):
-                    self._flush_line(line)
-        self._persistent.write(addr, data)
-        self._current.write(addr, data)
+        if self._saved and length:
+            self._flush_lines(addr // CACHELINE_SIZE,
+                              (addr + length - 1) // CACHELINE_SIZE + 1)
+        self._mv[addr : addr + length] = data
         if self.observer is not None:
             self.observer.on_persist(addr, bytes(data))
 
     # -- flush / ordering ---------------------------------------------------
+
+    def _flush_lines(self, first, stop):
+        """Make every volatile line in ``[first, stop)`` durable as it
+        stands and return how many there were.  No bytes move: the slab
+        already holds the line, so its saved image is simply dropped."""
+        flags = self._flags
+        saved = self._saved
+        observer = self.observer
+        line = flags.find(1, first, stop)
+        flushed = 0
+        while line != -1:
+            flags[line] = 0
+            del saved[line]
+            if observer is not None:
+                base = line * CACHELINE_SIZE
+                observer.on_persist(
+                    base, bytes(self._mv[base : base + CACHELINE_SIZE]))
+            flushed += 1
+            # Step through a dense run by index; ``find`` only to jump
+            # a gap (flush_all crosses millions of clean lines).
+            line += 1
+            if line >= stop:
+                break
+            if not flags[line]:
+                line = flags.find(1, line, stop)
+        return flushed
 
     def clflush(self, addr, length):
         """Flush every cacheline overlapping the range to persistence.
@@ -128,13 +144,10 @@ class CachedPersistentRegion:
         which the timing layer converts into emulated NVMM write delay.
         """
         flushed = 0
-        if self._dirty_count and length > 0:
-            first = addr // CACHELINE_SIZE
-            last = (addr + length - 1) // CACHELINE_SIZE
-            if any(self._flags[first : last + 1]):
-                for line in range(first, last + 1):
-                    if self._flush_line(line):
-                        flushed += 1
+        if self._saved and length > 0:
+            flushed = self._flush_lines(
+                addr // CACHELINE_SIZE,
+                (addr + length - 1) // CACHELINE_SIZE + 1)
         if self.observer is not None:
             self.observer.on_flush_boundary(self)
         return flushed
@@ -145,27 +158,9 @@ class CachedPersistentRegion:
         if self.observer is not None:
             self.observer.on_fence(self)
 
-    def _flush_line(self, line):
-        if not self._flags[line]:
-            return False
-        self._flags[line] = 0
-        self._dirty_count -= 1
-        base = line * CACHELINE_SIZE
-        end = min(base + CACHELINE_SIZE, self.size)
-        self._persistent.write(base, self._current.view(base, end - base))
-        if self.observer is not None:
-            self.observer.on_persist(base, self._current.read(base, end - base))
-        return True
-
     def flush_all(self):
         """Flush every dirty line (wbinvd-style; used at unmount)."""
-        flushed = 0
-        find = self._flags.find
-        line = find(1)
-        while line != -1:
-            if self._flush_line(line):
-                flushed += 1
-            line = find(1, line + 1)
+        flushed = self._flush_lines(0, self.num_lines) if self._saved else 0
         if self.observer is not None:
             self.observer.on_flush_boundary(self)
         return flushed
@@ -176,7 +171,7 @@ class CachedPersistentRegion:
         """Load ``length`` bytes, observing volatile lines first."""
         if addr < 0 or length < 0 or addr + length > self.size:
             raise IndexError("load outside region")
-        return self._current.read(addr, length)
+        return bytes(self._mv[addr : addr + length])
 
     # -- crash modelling --------------------------------------------------
 
@@ -198,14 +193,10 @@ class CachedPersistentRegion:
         full-line granularity.
         """
         out = {}
-        size = self.size
         for line in self.dirty_line_indices():
             base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, size)
-            buf = self._current.read(base, end - base)
-            if len(buf) < CACHELINE_SIZE:
-                buf += b"\0" * (CACHELINE_SIZE - len(buf))
-            out[line] = buf
+            out[line] = bytes(self._mv[base : base + CACHELINE_SIZE]).ljust(
+                CACHELINE_SIZE, b"\0")
         return out
 
     def crash(self, evict_lines=()):
@@ -232,43 +223,53 @@ class CachedPersistentRegion:
                     "be written back at crash time" % (line,)
                 )
         for line in evict_lines:
-            self._flush_line(line)
-        # Roll the current slab back to the durable image for every line
-        # still volatile, then clear the bitmap.
-        size = self.size
-        find = self._flags.find
-        line = find(1)
-        while line != -1:
+            self._flush_lines(line, line + 1)
+        # Every line still volatile rolls back to its saved durable image.
+        mv = self._mv
+        for line, image in self._saved.items():
             base = line * CACHELINE_SIZE
-            end = min(base + CACHELINE_SIZE, size)
-            self._current.write(base, self._persistent.view(base, end - base))
-            line = find(1, line + 1)
-        if self._dirty_count:
+            mv[base : base + len(image)] = image
+        self._discard_volatile()
+
+    def _discard_volatile(self):
+        if self._saved:
+            self._saved.clear()
             self._flags[:] = bytes(len(self._flags))
-            self._dirty_count = 0
 
     def persistent_snapshot(self):
         """Contents as they would be read after an immediate crash."""
-        return self._persistent.snapshot()
+        return self.persistent_read(0, self.size)
 
     def persistent_read(self, addr, length):
         """``length`` durable bytes at ``addr``: the same range of
         :meth:`persistent_snapshot` without copying the whole image."""
         if addr < 0 or length < 0 or addr + length > self.size:
             raise IndexError("load outside region")
-        return self._persistent.read(addr, length)
+        end = addr + length
+        newest = self._mv[addr:end]
+        stop = (end - 1) // CACHELINE_SIZE + 1
+        find = self._flags.find
+        line = find(1, addr // CACHELINE_SIZE, stop) if self._saved else -1
+        if line == -1:
+            return bytes(newest)
+        # Newest bytes, with the saved image laid over each volatile line.
+        out = bytearray(newest)
+        while line != -1:
+            image = self._saved[line]
+            base = line * CACHELINE_SIZE
+            lo = max(base, addr)
+            hi = min(base + len(image), end)
+            out[lo - addr : hi - addr] = image[lo - base : hi - base]
+            line = find(1, line + 1, stop)
+        return bytes(out)
 
     def load_snapshot(self, image):
         """Replace the persistent contents with ``image`` (crash-state
         replay); all volatile lines are discarded."""
-        image = bytes(image)
         if len(image) != self.size:
             raise ValueError(
                 "snapshot of %d bytes does not match region of %d bytes"
                 % (len(image), self.size)
             )
-        if self._dirty_count:
-            self._flags[:] = bytes(len(self._flags))
-            self._dirty_count = 0
-        self._persistent.write(0, image)
-        self._current.write(0, image)
+        self._discard_volatile()
+        self._mv[:] = image

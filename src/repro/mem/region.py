@@ -63,8 +63,9 @@ class MemoryRegion:
 
         The window aliases the slab: it is only valid until the region
         is resized/closed, and writing through it bypasses any caller's
-        bookkeeping -- internal consumers (the cacheline overlay, block
-        copies) use it to avoid ``read``'s allocation.
+        bookkeeping -- the cacheline store takes its whole slab as one
+        such window, so a store or a load there is one slice operation
+        with no second bounds check and no call into this class.
         """
         self._check(addr, length)
         return self._mv[addr : addr + length]

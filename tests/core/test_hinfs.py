@@ -245,6 +245,20 @@ def test_truncate_discards_dropped_range(rig):
     rig.vfs.write_file(rig.ctx, "/t2", b"")  # buffer still consistent
 
 
+def test_truncate_mid_line_keeps_bytes_below_the_cut(rig):
+    # The first truncate writes the block back and drops it from the
+    # buffer, so the one-byte write buffers line 0 alone; cutting inside
+    # line 1 must then fetch that line before zeroing its tail.
+    fd = rig.vfs.open(rig.ctx, "/cut", f.O_CREAT | f.O_RDWR)
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"N" * 65)
+    rig.vfs.truncate(rig.ctx, "/cut", 65)
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"D")
+    assert rig.fs.buffer.lookup(rig.vfs.stat(rig.ctx, "/cut").ino,
+                                0).bitmap.valid == 1
+    rig.vfs.truncate(rig.ctx, "/cut", 65)
+    assert rig.vfs.read_file(rig.ctx, "/cut") == b"D" + b"N" * 64
+
+
 def test_sparse_lazy_write_reads_zeroes(rig):
     fd = rig.vfs.open(rig.ctx, "/sp", f.O_CREAT | f.O_RDWR)
     rig.vfs.pwrite(rig.ctx, fd, 100_000, b"tail")

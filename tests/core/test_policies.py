@@ -174,4 +174,8 @@ def test_policy_never_loses_or_duplicates_blocks(name, ops):
             if victim is not None:
                 assert victim in live.values()
         assert len(policy) == len(live)
-        assert sorted(b.file_block for b in policy.iter_order()) == sorted(live)
+        order = policy.iter_order()
+        assert sorted(b.file_block for b in order) == sorted(live)
+        # A limited walk is a prefix of the full one (0 .. past the end).
+        cut = fb % (len(order) + 2)
+        assert policy.iter_order(limit=cut) == order[:cut]

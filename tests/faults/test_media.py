@@ -117,7 +117,7 @@ class TestTransientRetry:
             device.write_persistent(ctx, 0, b"z" * 64)
         assert 0 in model.bad_lines
         # Nothing became durable: the guard runs before the data plane.
-        assert device.mem.persistent_snapshot()[:64] == b"\0" * 64
+        assert device.mem.persistent_read(0, 64) == b"\0" * 64
 
 
 class TestRemountReadOnly:

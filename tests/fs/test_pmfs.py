@@ -226,6 +226,27 @@ def test_remount_preserves_free_space_accounting(rig):
     assert rig.fs.balloc.used_count == used_before
 
 
+def test_inode_numbers_are_lowest_free_first(rig):
+    def create(names):
+        for name in names:
+            rig.vfs.write_file(rig.ctx, "/" + name, b"")
+        return [rig.vfs.stat(rig.ctx, "/" + name).ino for name in names]
+
+    first = create("abcde")[0]
+    assert create("abcde") == list(range(first, first + 5))
+    # Freed out of order, reused in ascending order, then fresh ones.
+    rig.vfs.unlink(rig.ctx, "/d")
+    rig.vfs.unlink(rig.ctx, "/b")
+    assert create("xyz") == [first + 1, first + 3, first + 5]
+    # The same after the free list is rebuilt from the NVMM table.
+    rig.vfs.unlink(rig.ctx, "/c")
+    rig.vfs.unlink(rig.ctx, "/a")
+    rig.vfs.unmount(rig.ctx)
+    rig.remount()
+    rig.vfs.unlink(rig.ctx, "/e")
+    assert create("pqrs") == [first, first + 2, first + 4, first + 6]
+
+
 def test_many_files_in_one_directory(rig):
     for i in range(200):
         rig.vfs.write_file(rig.ctx, "/file%03d" % i, b"#%d" % i)
