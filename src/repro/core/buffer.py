@@ -106,6 +106,8 @@ class WriteBuffer:
                                   capacity_hint=self.blocks_total)
         self.nr_shards = max(1, hinfs_config.buffer_shards)
         self._shards = [BufferShard() for _ in range(self.nr_shards)]
+        #: ``L_dram``: what a buffered write pays per touched cacheline.
+        self._line_store_ns = nvmm_config.dram_store_cost_ns(CACHELINE_SIZE)
 
     # -- capacity ---------------------------------------------------------
 
@@ -131,7 +133,7 @@ class WriteBuffer:
         return ino % self.nr_shards
 
     def shard(self, ino):
-        return self._shards[self.shard_of(ino)]
+        return self._shards[ino % self.nr_shards]
 
     def lookup(self, ino, file_block):
         tree = self.shard(ino).index.get(ino)
@@ -213,10 +215,7 @@ class WriteBuffer:
         """
         self.dram.mem.write(block.dram_addr + offset_in_block, data)
         nlines = lines_spanned(len(data), offset_in_block % CACHELINE_SIZE)
-        ctx.charge(
-            nlines * self.dram.config.dram_store_cost_ns(CACHELINE_SIZE),
-            CAT_WRITE_ACCESS,
-        )
+        ctx.charge(nlines * self._line_store_ns, CAT_WRITE_ACCESS)
         self.env.stats.bytes_written_dram += len(data)
         block.bitmap.mark_written(offset_in_block, len(data))
         block.last_written_ns = now_ns

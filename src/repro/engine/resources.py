@@ -106,53 +106,62 @@ class FCFSServers:
         self.total_wait_ns = 0
         self.total_grants = 0
 
-    def reserve(self, request_ns, duration_ns):
-        """Grant ``duration_ns`` of exclusive server time at/after
-        ``request_ns`` on the server that can start earliest."""
+    def grant(self, request_ns, duration_ns):
+        """Book ``duration_ns`` of exclusive server time at/after
+        ``request_ns`` on the server that can start earliest, and return
+        the start (integer ns in, integer ns out: the hot-path form of
+        :meth:`reserve`).
+
+        Servers are probed in order and the first one with the earliest
+        start wins -- which server holds an interval shapes later gaps,
+        so the order is part of the model.  A server idle at its tail
+        (nothing booked past the request) can start *at* the request,
+        which nothing beats: the scan stops there, and the booking is an
+        append-or-coalesce with no bisect.  That covers a foreground
+        persist on any server, not just server 0 -- the others matter
+        whenever background writeback has booked server 0 ahead.
+        """
         if duration_ns < 0:
             raise SimulationError("negative reservation on %r" % self.name)
+        end_ns = request_ns + duration_ns
+        best_server = None
+        best_start = None
+        for server in self._servers:
+            ends = server.ends
+            if not ends or ends[-1] <= request_ns:
+                if duration_ns > 0:
+                    if ends and ends[-1] == request_ns:
+                        ends[-1] = end_ns
+                    else:
+                        server.starts.append(request_ns)
+                        ends.append(end_ns)
+                        if len(ends) > _MAX_INTERVALS:
+                            # As in book(); a steady-state timeline is
+                            # always full, so this runs on most grants.
+                            ends[0] = ends[1]
+                            del server.starts[1], ends[1]
+                self.total_busy_ns += duration_ns
+                self.total_grants += 1
+                return request_ns
+            start = server.earliest_start(request_ns, duration_ns)
+            if best_start is None or start < best_start:
+                best_start = start
+                best_server = server
+                if start == request_ns:
+                    break  # a gap right at the request: cannot do better
+        if duration_ns > 0:
+            best_server.book(best_start, best_start + duration_ns)
+        self.total_busy_ns += duration_ns
+        self.total_wait_ns += best_start - request_ns
+        self.total_grants += 1
+        return best_start
+
+    def reserve(self, request_ns, duration_ns):
+        """:meth:`grant` as a :class:`Reservation` (start, end, wait)."""
         request_ns = int(request_ns)
         duration_ns = int(duration_ns)
-        server0 = self._servers[0]
-        ends0 = server0.ends
-        if not ends0 or ends0[-1] <= request_ns:
-            # Uncontended fast path: server 0 is idle at the request time,
-            # so its earliest start *is* the request time -- and the scan
-            # below always stops at the first server that achieves that,
-            # which it visits first.  Same grant, no per-server probing;
-            # the booking lands at the tail of the timeline, so the
-            # general insert's bisect reduces to append-or-coalesce.
-            end = request_ns + duration_ns
-            if duration_ns > 0:
-                if ends0 and ends0[-1] == request_ns:
-                    ends0[-1] = end
-                else:
-                    server0.starts.append(request_ns)
-                    ends0.append(end)
-                    if len(ends0) > _MAX_INTERVALS:
-                        server0.ends[0] = server0.ends[1]
-                        del server0.starts[1], server0.ends[1]
-            self.total_busy_ns += duration_ns
-            self.total_grants += 1
-            return Reservation(request_ns, end, 0)
-        else:
-            best_server = None
-            best_start = None
-            for server in self._servers:
-                start = server.earliest_start(request_ns, duration_ns)
-                if best_start is None or start < best_start:
-                    best_start = start
-                    best_server = server
-                    if start == request_ns:
-                        break  # cannot do better
-        end = best_start + duration_ns
-        if duration_ns > 0:
-            best_server.book(best_start, end)
-        wait = best_start - request_ns
-        self.total_busy_ns += duration_ns
-        self.total_wait_ns += wait
-        self.total_grants += 1
-        return Reservation(best_start, end, wait)
+        start = self.grant(request_ns, duration_ns)
+        return Reservation(start, start + duration_ns, start - request_ns)
 
     def earliest_free_ns(self):
         """Earliest end-of-timeline across servers (legacy metric)."""

@@ -14,6 +14,7 @@ from repro.fs.pmfs.layout import (
     MAX_FILE_BLOCKS,
     N_DIRECT,
     PTRS_PER_BLOCK,
+    ZERO_BLOCK,
     block_addr,
 )
 
@@ -69,7 +70,7 @@ class BlockMap:
     def _zero_fresh_block(self, block):
         """New pointer blocks must read as holes (data plane; charged to
         the allocation's journaled pointer write)."""
-        self.device.mem.write_nocache(block_addr(block), b"\0" * 4096)
+        self.device.mem.write_nocache(block_addr(block), ZERO_BLOCK)
 
     def _ensure_indirect(self, ctx, tx):
         if self.inode.indirect == 0:

@@ -10,12 +10,12 @@ from repro.fs.errors import ExistsError, NotFound
 from repro.fs.pmfs.layout import (
     DIRENT_SIZE,
     DIRENTS_PER_BLOCK,
+    ZERO_BLOCK,
     block_addr,
     pack_dirent,
     pack_empty_dirent,
     unpack_dirent,
 )
-from repro.nvmm.config import BLOCK_SIZE
 
 
 class Directory:
@@ -49,7 +49,7 @@ class Directory:
         nvmm_block = self.blockmap.get(dir_block)
         if nvmm_block is None:
             nvmm_block = self.blockmap.balloc.alloc()
-            self.device.mem.write_nocache(block_addr(nvmm_block), b"\0" * BLOCK_SIZE)
+            self.device.mem.write_nocache(block_addr(nvmm_block), ZERO_BLOCK)
             self.blockmap.set(ctx, tx, dir_block, nvmm_block)
         return block_addr(nvmm_block) + (slot % DIRENTS_PER_BLOCK) * DIRENT_SIZE
 

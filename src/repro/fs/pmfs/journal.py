@@ -53,7 +53,8 @@ ENTRY_PAYLOAD_MAX = 40
 #: Byte offset/size of the csum field inside a packed entry.
 _CSUM_OFFSET = struct.calcsize("<4sIBBHQ")
 _CSUM_SIZE = 4
-_ENTRY_PACK = struct.Struct(ENTRY_FMT).pack
+_ENTRY_PACK_INTO = struct.Struct(ENTRY_FMT).pack_into
+_CSUM_PACK_INTO = struct.Struct("<I").pack_into
 assert struct.calcsize(ENTRY_FMT) == ENTRY_SIZE
 
 
@@ -119,6 +120,9 @@ class Journal:
         self._head = 0
         self._next_tx_id = 1
         self._open_txs = {}
+        #: The entry being appended is packed here, then checksummed and
+        #: patched in place (the store copies it out before the next).
+        self._entry = bytearray(ENTRY_SIZE)
         self.gen = self._read_header_gen()
         if self.gen == 0:
             self.gen = 1
@@ -146,10 +150,8 @@ class Journal:
         self.device.mem.write_nocache(self.base_addr, self._header_bytes())
 
     def _write_header(self, ctx):
-        self.device.write_cached(ctx, self.base_addr, self._header_bytes(),
-                                 CAT_OTHERS)
-        self.device.clflush(ctx, self.base_addr, ENTRY_SIZE, CAT_OTHERS)
-        self.device.fence(ctx)
+        self.device.persist_cached(ctx, self.base_addr, self._header_bytes(),
+                                   CAT_OTHERS, fence=True)
 
     def _slot_addr(self, slot):
         return self.base_addr + (slot + 1) * ENTRY_SIZE
@@ -179,8 +181,7 @@ class Journal:
         """Undo-log then mutate a metadata range in place (flushed)."""
         new_bytes = bytes(new_bytes)
         self.log_undo(ctx, tx, addr, len(new_bytes))
-        self.device.write_cached(ctx, addr, new_bytes, CAT_OTHERS)
-        self.device.clflush(ctx, addr, len(new_bytes), CAT_OTHERS)
+        self.device.persist_cached(ctx, addr, new_bytes, CAT_OTHERS)
 
     def commit(self, ctx, tx):
         """Append the COMMIT entry; the transaction becomes durable."""
@@ -206,25 +207,24 @@ class Journal:
             raise JournalFullError(
                 "transaction %d overran the journal reserve" % tx.tx_id
             )
-        padded = payload.ljust(ENTRY_PAYLOAD_MAX, b"\0")
-        entry = _ENTRY_PACK(
-            ENTRY_MAGIC, tx.tx_id, kind, self.gen, len(payload), addr,
-            0, padded,
+        if len(payload) > ENTRY_PAYLOAD_MAX:
+            # "40s" would truncate silently under the recorded length.
+            raise ValueError(
+                "journal payload of %d bytes exceeds the %d-byte entry field"
+                % (len(payload), ENTRY_PAYLOAD_MAX))
+        entry = self._entry
+        _ENTRY_PACK_INTO(
+            entry, 0, ENTRY_MAGIC, tx.tx_id, kind, self.gen, len(payload),
+            addr, 0, payload,
         )
         if self.checksums:
             # The csum field above is zero, so the CRC of the packed
-            # entry *is* entry_checksum(entry); repack with it filled in.
-            csum = zlib.crc32(entry) & 0xFFFFFFFF
-            entry = _ENTRY_PACK(
-                ENTRY_MAGIC, tx.tx_id, kind, self.gen, len(payload), addr,
-                csum, padded,
-            )
+            # entry *is* entry_checksum(entry); patch it in.
+            _CSUM_PACK_INTO(entry, _CSUM_OFFSET, zlib.crc32(entry))
         # One cacheline: write, flush, fence -- the entry (including its
         # generation stamp) becomes persistent atomically.
-        slot_addr = self._slot_addr(self._head)
-        self.device.write_cached(ctx, slot_addr, entry, CAT_OTHERS)
-        self.device.clflush(ctx, slot_addr, ENTRY_SIZE, CAT_OTHERS)
-        self.device.fence(ctx)
+        self.device.persist_cached(ctx, self._slot_addr(self._head), entry,
+                                   CAT_OTHERS, fence=True)
         self._head += 1
         tx.entries += 1
 
@@ -285,8 +285,7 @@ class Journal:
             if record["committed"]:
                 continue
             for addr, old in reversed(record["undo"]):
-                self.device.write_cached(ctx, addr, old, CAT_OTHERS)
-                self.device.clflush(ctx, addr, len(old), CAT_OTHERS)
+                self.device.persist_cached(ctx, addr, old, CAT_OTHERS)
             self.device.fence(ctx)
             rolled_back += 1
         # Invalidate the whole ring by starting a fresh generation.

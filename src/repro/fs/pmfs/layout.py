@@ -121,6 +121,10 @@ def block_addr(block):
     return block * BLOCK_SIZE
 
 
+#: What a freshly allocated block is stamped with (holes read as zeros).
+ZERO_BLOCK = bytes(BLOCK_SIZE)
+
+
 def inode_addr(sb, ino):
     """Byte address of inode ``ino`` (1-based; slot 0 is reserved)."""
     if not 1 <= ino <= sb.inode_count:

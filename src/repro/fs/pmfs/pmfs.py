@@ -23,7 +23,7 @@ from repro.fs.pmfs.blockmap import BlockMap
 from repro.fs.pmfs.dirents import Directory
 from repro.fs.pmfs.inodes import InodeTable, KIND_DIR, KIND_FILE
 from repro.fs.pmfs.journal import Journal
-from repro.fs.pmfs.layout import Superblock, block_addr
+from repro.fs.pmfs.layout import ZERO_BLOCK, Superblock, block_addr
 from repro.nvmm.allocator import BlockAllocator, OutOfSpaceError
 from repro.nvmm.config import BLOCK_SIZE
 
@@ -341,8 +341,7 @@ class PMFS(FileSystem):
                 if nvmm_block is None:
                     nvmm_block = self._alloc_data_block()
                     self.device.mem.write_nocache(
-                        block_addr(nvmm_block), b"\0" * BLOCK_SIZE
-                    )
+                        block_addr(nvmm_block), ZERO_BLOCK)
                     blockmap.set(ctx, tx, file_block, nvmm_block)
                 self.device.write_persistent(
                     ctx, block_addr(nvmm_block) + in_off, bytes(view[:take])
@@ -412,7 +411,7 @@ class PMFS(FileSystem):
         if nvmm_block is not None:
             return nvmm_block, False
         nvmm_block = self._alloc_data_block()
-        self.device.mem.write_nocache(block_addr(nvmm_block), b"\0" * BLOCK_SIZE)
+        self.device.mem.write_nocache(block_addr(nvmm_block), ZERO_BLOCK)
         blockmap.set(ctx, tx, file_block, nvmm_block)
         return nvmm_block, True
 

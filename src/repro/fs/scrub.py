@@ -313,10 +313,11 @@ class PmfsScrubber(_ScrubberBase):
         if data_owner is None:
             # Free block: nothing references it; heal the lines so raw
             # tools can touch it, but never trust it again.
+            from repro.fs.pmfs.layout import ZERO_BLOCK
             for line in lines:
                 model.heal_line(line)
             device.write_persistent(ctx, block * BLOCK_SIZE,
-                                    b"\0" * BLOCK_SIZE, CAT_OTHERS)
+                                    ZERO_BLOCK, CAT_OTHERS)
             fs.balloc.quarantine(block)
             report.quarantined_blocks.append(block)
             report.isolated_lines += len(lines)

@@ -17,8 +17,9 @@ moment a clean line is first dirtied.  So a cached store saves the old
 line(s) once and stores once; a non-temporal store is a single copy;
 a flush moves no bytes at all -- the line's newest content simply *is*
 the durable content now, so the saved image is dropped and the flag
-cleared; and only a crash copies, putting the surviving saved images
-back.  The device costs one device-sized mapping, not two.
+cleared; a store flushed in the same call (``write_flush``) saves no
+image to begin with; and only a crash copies, putting the surviving
+saved images back.  The device costs one device-sized mapping, not two.
 """
 
 from repro.mem.region import CACHELINE_SIZE, MemoryRegion
@@ -151,6 +152,31 @@ class CachedPersistentRegion:
         if self.observer is not None:
             self.observer.on_flush_boundary(self)
         return flushed
+
+    def write_flush(self, addr, data):
+        """:meth:`write` then :meth:`clflush` of the same range, as one
+        step; returns the lines flushed, which is every line in range.
+
+        A line flushed in the same breath it is stored needs no durable
+        image saved: clean lines just take the bytes, and lines that were
+        already volatile become durable as they now stand.  An observer
+        must see the store before the mutation and each line persist, so
+        with one attached the two calls run as they are.
+        """
+        if self.observer is not None:
+            self.write(addr, data)
+            return self.clflush(addr, len(data))
+        length = len(data)
+        if addr < 0 or addr + length > self.size:
+            raise IndexError("store outside region")
+        if length == 0:
+            return 0
+        self._mv[addr : addr + length] = data
+        first = addr // CACHELINE_SIZE
+        stop = (addr + length - 1) // CACHELINE_SIZE + 1
+        if self._saved:
+            self._flush_lines(first, stop)
+        return stop - first
 
     def fence(self):
         """mfence ordering point (a no-op for the data plane; crash-point

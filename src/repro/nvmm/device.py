@@ -21,15 +21,22 @@ NVMM_WRITE_RESOURCE = "nvmm_write_slots"
 class NVMMDevice:
     """Byte-addressable NVMM with slow, bandwidth-capped writes.
 
-    Three store paths mirror the hardware:
+    Four store paths mirror the hardware:
 
     - :meth:`write_persistent` -- non-temporal store; pays the NVMM write
       latency per cacheline while holding a writer slot (PMFS data path,
-      HiNFS writeback path).
-    - :meth:`write_cached` -- ordinary store into the CPU cache; cheap and
-      volatile until :meth:`clflush` (journal entries before their flush).
-    - :meth:`clflush` + :meth:`fence` -- flush dirty lines, paying NVMM
-      write cost for each, then order.
+      HiNFS eager writes, mmio epoch-log appends, scrub repairs).
+    - :meth:`write_persistent_async` -- the same store booked on a writer
+      slot without waiting for it (HiNFS writeback, which overlaps many
+      blocks across the ``N_w`` slots and syncs to the last end).
+    - :meth:`persist_cached` -- a cached store flushed in the same breath
+      (``pmem_memcpy_persist``): every journal entry, journaled metadata
+      range, journal header and recovery rollback, i.e. all metadata of
+      every PMFS-family stack.
+    - :meth:`write_cached`, later :meth:`clflush` + :meth:`fence` -- a
+      store that stays volatile until a flush an epoch away; only mapped
+      files (:mod:`repro.io.mmio`: store now, ``msync`` later) need the
+      two apart.
     """
 
     def __init__(self, env, config, size, domain=None):
@@ -87,6 +94,15 @@ class NVMMDevice:
             self.write_slots = env.add_resource(
                 slot_name, config.nvmm_writer_slots
             )
+        #: Slot occupancy per persisted cacheline; the config method is
+        #: the one formula (linear in lines), evaluated once.
+        self._line_persist_ns = int(config.nvmm_persist_cost_ns(1))
+        #: Per-domain slot-grant counter for sharded stacks.  Single-
+        #: device stacks (domain None) have none, so their counter dicts
+        #: -- and the golden-seed fingerprints pinned on them -- stay
+        #: byte-identical.
+        self._grant_counter = (
+            None if domain is None else "nvmm_slot_grants@%s" % domain)
 
     @property
     def size(self):
@@ -140,7 +156,8 @@ class NVMMDevice:
             )
 
     def _guard_persist(self, ctx, addr, length):
-        """Fail, or retry-with-backoff, persists touching faulty lines.
+        """Fail, or retry-with-backoff, persists touching faulty lines
+        (call only with a fault model attached).
 
         Transient faults are retried under :class:`RetryPolicy` (budget
         ``media_retry_limit``, exponential backoff charged in virtual
@@ -150,8 +167,6 @@ class NVMMDevice:
         failed persist leaves nothing durable.
         """
         model = self.fault_model
-        if model is None:
-            return
         policy = self.retry_policy
         attempt = 0
         while True:
@@ -205,28 +220,24 @@ class NVMMDevice:
 
     # -- stores -----------------------------------------------------------
 
+    def _grant_slot(self, request_ns, nlines):
+        """Book a writer slot for ``nlines`` cacheline persists from
+        ``request_ns``; returns when they complete."""
+        duration = nlines * self._line_persist_ns
+        end = self.write_slots.grant(request_ns, duration) + duration
+        if self._grant_counter is not None:
+            self.env.stats.bump(self._grant_counter)
+            self.env.stats.bump("nvmm_slot_grants_total")
+        return end
+
     def _persist_lines(self, ctx, nlines, category):
         """Occupy a writer slot for ``nlines`` cacheline persists.
 
         Contexts marked ``free`` (mkfs, recovery setup) neither pay nor
         pollute the shared slot timeline.
         """
-        if nlines <= 0 or ctx.free:
-            return
-        duration = self.config.nvmm_persist_cost_ns(nlines)
-        grant = self.write_slots.reserve(ctx.now, duration)
-        self._note_slot_grant()
-        ctx.sync_to(grant.end_ns, category)
-
-    def _note_slot_grant(self):
-        """Per-domain slot-grant ledger for sharded stacks.
-
-        Single-device stacks (domain None) skip it entirely so their
-        counter dicts -- and the golden-seed fingerprints pinned on them
-        -- stay byte-identical."""
-        if self.domain is not None:
-            self.env.stats.bump("nvmm_slot_grants@%s" % self.domain)
-            self.env.stats.bump("nvmm_slot_grants_total")
+        if nlines > 0 and not ctx.free:
+            ctx.sync_to(self._grant_slot(ctx.now, nlines), category)
 
     def write_persistent(self, ctx, addr, data, category=CAT_WRITE_ACCESS):
         """Non-temporal store: durable on return, pays full NVMM cost.
@@ -236,7 +247,8 @@ class NVMMDevice:
         length = len(data)
         span = ctx.trace_span
         start = ctx.now if span is not None else 0
-        self._guard_persist(ctx, addr, length)
+        if self.fault_model is not None:
+            self._guard_persist(ctx, addr, length)
         self.mem.write_nocache(addr, data)
         nlines = lines_spanned(length, addr % CACHELINE_SIZE)
         self._persist_lines(ctx, nlines, category)
@@ -256,18 +268,54 @@ class NVMMDevice:
         ``ctx.sync_to(max(end))`` before acting on the data's durability.
         """
         length = len(data)
-        self._guard_persist(ctx, addr, length)
+        if self.fault_model is not None:
+            self._guard_persist(ctx, addr, length)
         self.mem.write_nocache(addr, data)
         if ctx.free:
             return ctx.now
         nlines = lines_spanned(length, addr % CACHELINE_SIZE)
         if nlines <= 0:
             return ctx.now
-        duration = self.config.nvmm_persist_cost_ns(nlines)
-        grant = self.write_slots.reserve(ctx.now, duration)
-        self._note_slot_grant()
         self.env.stats.bytes_written_nvmm += length
-        return grant.end_ns
+        return self._grant_slot(ctx.now, nlines)
+
+    def persist_cached(self, ctx, addr, data, category=CAT_OTHERS,
+                       fence=False):
+        """Store through the cache and flush the same range at once
+        (``pmem_memcpy_persist``); with ``fence``, order it as well.
+
+        Charges what :meth:`write_cached` then :meth:`clflush` (then
+        :meth:`fence`) charge, in their order: the store lands in the
+        cache and pays its DRAM cost first, so the writer slot is
+        requested at the time the flush would start; only the flush is
+        an ``nvmm`` phase; the fence is charged last (as ``CAT_OTHERS``).
+        The fault guard sits between store and flush: a
+        :class:`MediaError` leaves the bytes visible but volatile and
+        nothing durable.  Returns the lines flushed.
+        """
+        mem = self.mem
+        length = len(data)
+        span = ctx.trace_span
+        if self.fault_model is None:
+            flushed = mem.write_flush(addr, data)
+            ctx.charge(self.config.dram_store_cost_ns(length), category)
+            start = ctx.now
+        else:
+            mem.write(addr, data)
+            ctx.charge(self.config.dram_store_cost_ns(length), category)
+            start = ctx.now
+            self._guard_persist(ctx, addr, length)
+            flushed = mem.clflush(addr, length)
+        if not ctx.free:
+            if flushed:
+                ctx.sync_to(self._grant_slot(ctx.now, flushed), category)
+            self.env.stats.bytes_written_nvmm += flushed * CACHELINE_SIZE
+        if span is not None:
+            span.add_phase(LAYER_NVMM, start, ctx.now)
+        if fence:
+            ctx.charge(self.config.fence_ns, CAT_OTHERS)
+            mem.fence()
+        return flushed
 
     def write_cached(self, ctx, addr, data, category=CAT_OTHERS):
         """Ordinary store: lands in the CPU cache, volatile until flushed."""
@@ -278,7 +326,8 @@ class NVMMDevice:
         """Flush the lines covering the range; pays NVMM cost per dirty line."""
         span = ctx.trace_span
         start = ctx.now if span is not None else 0
-        self._guard_persist(ctx, addr, length)
+        if self.fault_model is not None:
+            self._guard_persist(ctx, addr, length)
         flushed = self.mem.clflush(addr, length)
         self._persist_lines(ctx, flushed, category)
         if not ctx.free:

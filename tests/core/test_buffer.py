@@ -70,6 +70,16 @@ def test_write_into_charges_per_cacheline(rig):
     assert rig.ctx.now - before == 2 * per_line
 
 
+def test_shard_lookup_agrees_with_shard_of(rig):
+    buffer = rig.buffer
+    assert buffer.nr_shards == 8
+    for ino in range(1, 20):
+        assert buffer.shard(ino) is buffer._shards[buffer.shard_of(ino)]
+    block = buffer.insert(11, 0, nvmm_block=1)
+    buffer.write_into(rig.ctx, block, 0, b"x", now_ns=0)
+    assert list(buffer._shards[11 % 8].dirty) == [(11, 0)]
+
+
 def test_watermarks(rig):
     config = rig.buffer.config
     assert not rig.buffer.below_low_watermark

@@ -1,9 +1,14 @@
 """Property tests for the gap-aware FCFS servers."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.resources import FCFSServers
+from repro.engine.resources import (
+    _MAX_INTERVALS, FCFSServers, _ServerTimeline,
+)
 
 
 @settings(max_examples=80, deadline=None)
@@ -72,3 +77,112 @@ def test_interval_history_is_bounded():
         servers.reserve(i * 10, 5)
     timeline = servers._servers[0]
     assert len(timeline.starts) <= 128
+
+
+# -- the grant body against the algorithm it replaced -------------------------
+
+
+class _ReserveReference:
+    """The previous ``reserve``: only server 0 has the idle-at-tail
+    shortcut; otherwise every server is probed with ``earliest_start``
+    and the first earliest one is booked through the bisecting ``book``."""
+
+    def __init__(self, capacity):
+        self.servers = [_ServerTimeline() for _ in range(capacity)]
+        self.total_busy_ns = self.total_wait_ns = self.total_grants = 0
+
+    def reserve(self, request_ns, duration_ns):
+        server0 = self.servers[0]
+        ends0 = server0.ends
+        if not ends0 or ends0[-1] <= request_ns:
+            end = request_ns + duration_ns
+            if duration_ns > 0:
+                if ends0 and ends0[-1] == request_ns:
+                    ends0[-1] = end
+                else:
+                    server0.starts.append(request_ns)
+                    ends0.append(end)
+                    if len(ends0) > _MAX_INTERVALS:
+                        server0.ends[0] = server0.ends[1]
+                        del server0.starts[1], server0.ends[1]
+            self.total_busy_ns += duration_ns
+            self.total_grants += 1
+            return request_ns, end, 0
+        best_server = best_start = None
+        for server in self.servers:
+            start = server.earliest_start(request_ns, duration_ns)
+            if best_start is None or start < best_start:
+                best_start = start
+                best_server = server
+                if start == request_ns:
+                    break
+        end = best_start + duration_ns
+        if duration_ns > 0:
+            best_server.book(best_start, end)
+        wait = best_start - request_ns
+        self.total_busy_ns += duration_ns
+        self.total_wait_ns += wait
+        self.total_grants += 1
+        return best_start, end, wait
+
+
+#: Foreground clocks creep forward by small steps; writeback books far
+#: ahead of them, which is what leaves gaps behind on a server.
+_REQUEST = st.tuples(
+    st.integers(min_value=0, max_value=400),      # clock advance
+    st.sampled_from([0, 0, 0, 5_000, 60_000]),    # booked this far ahead
+    st.integers(min_value=0, max_value=900),      # duration
+)
+
+
+def _assert_same_pool(servers, ref):
+    assert [(s.starts, s.ends) for s in servers._servers] \
+        == [(s.starts, s.ends) for s in ref.servers]
+    assert (servers.total_busy_ns, servers.total_wait_ns,
+            servers.total_grants) \
+        == (ref.total_busy_ns, ref.total_wait_ns, ref.total_grants)
+
+
+@settings(max_examples=120, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=4),
+       requests=st.lists(_REQUEST, min_size=1, max_size=120),
+       use_grant=st.booleans())
+def test_grant_books_what_the_previous_reserve_booked(capacity, requests,
+                                                      use_grant):
+    servers = FCFSServers(capacity)
+    ref = _ReserveReference(capacity)
+    clock = 0
+    for advance, ahead, duration in requests:
+        clock += advance
+        start, end, wait = ref.reserve(clock + ahead, duration)
+        if use_grant:
+            assert servers.grant(clock + ahead, duration) == start
+        else:
+            grant = servers.reserve(clock + ahead, duration)
+            assert (grant.start_ns, grant.end_ns, grant.wait_ns) \
+                == (start, end, wait)
+        _assert_same_pool(servers, ref)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+def test_grant_matches_reference_past_the_interval_bound(capacity):
+    """A stream sparse enough that intervals rarely coalesce: every
+    server's history reaches ``_MAX_INTERVALS`` and forgets its oldest
+    gaps, on the tail path and the gap path alike."""
+    servers = FCFSServers(capacity)
+    ref = _ReserveReference(capacity)
+    rng = random.Random(capacity)
+    clock = 0
+    at_bound = [False] * capacity
+    for _ in range(6 * capacity * _MAX_INTERVALS):
+        clock += rng.choice((5, 30, 90)) * (3 if capacity == 1 else 1)
+        ahead = rng.choice((0, 0, 0, 0, 0, 2_000, 90_000))
+        duration = rng.choice((0, 1, 20, 60, 200))
+        assert servers.grant(clock + ahead, duration) \
+            == ref.reserve(clock + ahead, duration)[0]
+        _assert_same_pool(servers, ref)
+        for k, server in enumerate(servers._servers):
+            assert len(server.starts) <= _MAX_INTERVALS
+            at_bound[k] |= len(server.starts) == _MAX_INTERVALS
+    assert all(at_bound)
+    assert servers.total_wait_ns > 0

@@ -1,13 +1,23 @@
 """Journal unit tests and crash-recovery tests."""
 
+import struct
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.fs.pmfs.journal import (
+    ENTRY_FMT,
+    ENTRY_MAGIC,
     ENTRY_PAYLOAD_MAX,
+    ENTRY_SIZE,
     Journal,
     JournalFullError,
+    Transaction,
+    entry_checksum,
 )
 from repro.fs.pmfs.layout import Superblock, block_addr
 from repro.nvmm.config import NVMMConfig
@@ -209,3 +219,56 @@ def test_scan_drops_corrupt_entries_and_keeps_append_order(setup):
                                                               False]
     offsets = [a - addr for a, _old in scanned[txs[0].tx_id]["undo"]]
     assert offsets == [0, ENTRY_PAYLOAD_MAX, 2 * ENTRY_PAYLOAD_MAX]
+
+
+# -- the entry image ------------------------------------------------------------
+
+
+def _double_packed(tx_id, kind, gen, addr, payload, checksums):
+    """The previous ``_append`` image: pad, pack with csum 0, CRC, repack."""
+    padded = payload.ljust(ENTRY_PAYLOAD_MAX, b"\0")
+    entry = struct.pack(ENTRY_FMT, ENTRY_MAGIC, tx_id, kind, gen,
+                        len(payload), addr, 0, padded)
+    if checksums:
+        csum = zlib.crc32(entry) & 0xFFFFFFFF
+        entry = struct.pack(ENTRY_FMT, ENTRY_MAGIC, tx_id, kind, gen,
+                            len(payload), addr, csum, padded)
+    return entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.tuples(
+        st.integers(0, 2**32 - 1), st.integers(0, 255), st.integers(1, 255),
+        st.integers(0, 2**64 - 1), st.binary(max_size=ENTRY_PAYLOAD_MAX)),
+        min_size=1, max_size=4),
+    checksums=st.booleans(),
+)
+def test_entry_packed_once_equals_the_double_pack(entries, checksums):
+    """Several appends through the one scratch buffer: each slot holds
+    exactly what packing twice produced, and the scan-side checksum of
+    the stored entry is its csum field."""
+    env = SimEnv()
+    cfg = NVMMConfig()
+    device = NVMMDevice(env, cfg, 1 << 20)
+    sb = Superblock.compute(device.size // 4096, journal_blocks=4)
+    journal = Journal(env, device, sb, cfg, checksums=checksums)
+    ctx = ExecContext(env, "t")
+    for slot, (tx_id, kind, gen, addr, payload) in enumerate(entries):
+        journal.gen = gen
+        journal._append(ctx, Transaction(tx_id), kind, addr, payload)
+        stored = device.mem.persistent_read(journal._slot_addr(slot),
+                                            ENTRY_SIZE)
+        assert stored == _double_packed(tx_id, kind, gen, addr, payload,
+                                        checksums)
+        csum = struct.unpack(ENTRY_FMT, stored)[6]
+        assert csum == (entry_checksum(stored) if checksums else 0)
+
+
+def test_oversized_payload_is_refused_not_truncated(setup):
+    env, device, journal, ctx, addr = setup
+    tx = journal.begin(ctx)
+    with pytest.raises(ValueError):
+        journal._append(ctx, tx, 1, addr, b"x" * (ENTRY_PAYLOAD_MAX + 1))
+    assert journal.used_slots == 0 and tx.entries == 0
+    assert device.mem.dirty_line_indices() == []

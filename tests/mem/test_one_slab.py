@@ -141,6 +141,24 @@ class Differential(RuleBasedStateMachine):
         assert (self.region.clflush(addr, length)
                 == self.ref.clflush(addr, length))
 
+    @rule(addr=st.integers(0, 1 << 16), data=st.binary(max_size=200),
+          observed=st.booleans())
+    def write_flush(self, addr, data, observed):
+        """Reference = ``write`` then ``clflush``.  Unobserved, the region
+        saves no image for a line it flushes at once: same bytes, same
+        lines, and with nobody listening no events on either side."""
+        addr, data = self._clamp(addr, data)
+        before = len(self.ref.events)
+        self.ref.write(addr, data)
+        flushed = self.ref.clflush(addr, len(data))
+        if not observed:
+            del self.ref.events[before:]
+            self.region.observer = None
+        try:
+            assert self.region.write_flush(addr, data) == flushed
+        finally:
+            self.region.observer = self.recorder
+
     @rule()
     def fence(self):
         self.region.fence()
@@ -213,6 +231,9 @@ TestUnaligned = _machine(1000)
     lambda r: r.write(1020, b"12345"),
     lambda r: r.write_nocache(-1, b"x"),
     lambda r: r.write_nocache(1020, b"12345"),
+    lambda r: r.write_flush(-1, b"x"),
+    lambda r: r.write_flush(1020, b"12345"),
+    lambda r: r.write_flush(1025, b""),
     lambda r: r.read(1020, 5),
     lambda r: r.read(0, -1),
     lambda r: r.persistent_read(1020, 5),

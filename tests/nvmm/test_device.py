@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.context import ExecContext
+from repro.engine.context import ExecContext, FreeContext
 from repro.engine.env import SimEnv
 from repro.nvmm.config import NVMMConfig
 from repro.nvmm.device import DRAMDevice, NVMMDevice
@@ -85,6 +85,48 @@ def test_concurrent_writers_queue_for_slots(env, cfg):
     # The first `slots` writers finish together; the extra one queues.
     assert times[:slots] == [200] * slots
     assert times[-1] == 400
+
+
+def test_async_persist_returns_the_end_without_waiting(env, cfg):
+    dev = make_nvmm(env, cfg)
+    ctx = ExecContext(env, "wb", start_ns=1_000)
+    end = dev.write_persistent_async(ctx, 60, b"ab cd efg")  # 2 lines
+    assert end == 1_000 + 2 * 200
+    assert ctx.now == 1_000
+    assert env.stats.bytes_written_nvmm == 9
+    assert dev.mem.persistent_read(60, 9) == b"ab cd efg"
+    assert dev.write_persistent_async(ctx, 0, b"") == ctx.now
+    assert dev.write_slots.total_grants == 1
+
+
+def test_async_persists_overlap_across_the_writer_slots(env, cfg):
+    dev = make_nvmm(env, cfg)
+    slots = cfg.nvmm_writer_slots
+    ctx = ExecContext(env, "wb")
+    block = b"z" * 4096
+    ends = [dev.write_persistent_async(ctx, i * 4096, block)
+            for i in range(slots + 1)]
+    # One block per slot in parallel; the extra one queues behind the first.
+    assert ends == [64 * 200] * slots + [2 * 64 * 200]
+    assert ctx.now == 0
+    assert dev.write_slots.total_wait_ns == 64 * 200
+    assert env.stats.bytes_written_nvmm == (slots + 1) * 4096
+    ctx.sync_to(max(ends))
+    assert ctx.now == 2 * 64 * 200
+
+
+def test_async_persist_on_a_free_context_books_nothing(env, cfg):
+    dev = NVMMDevice(env, cfg, 1 << 16, domain="dev1")
+    ctx = FreeContext(env, "mkfs", start_ns=500)
+    assert dev.write_persistent_async(ctx, 0, b"q" * 4096) == 500
+    assert dev.mem.persistent_read(0, 4096) == b"q" * 4096
+    assert dev.write_slots.total_grants == 0
+    assert env.stats.bytes_written_nvmm == 0
+    assert env.stats.counters == {}
+    # A paying context on the same device is counted per domain.
+    dev.write_persistent_async(ExecContext(env, "wb"), 0, b"q" * 64)
+    assert env.stats.count("nvmm_slot_grants@dev1") == 1
+    assert env.stats.count("nvmm_slot_grants_total") == 1
 
 
 def test_fence_charges_fixed_cost(env, cfg):
