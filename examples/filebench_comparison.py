@@ -12,14 +12,7 @@ import sys
 from repro.bench.report import Table
 from repro.bench.runner import run_workload
 from repro.core.config import HiNFSConfig
-from repro.workloads.filebench import Fileserver, Varmail, Webproxy, Webserver
-
-PERSONALITIES = {
-    "fileserver": Fileserver,
-    "webserver": Webserver,
-    "webproxy": Webproxy,
-    "varmail": Varmail,
-}
+from repro.workloads.filebench import PERSONALITIES
 
 FILE_SYSTEMS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd")
 

@@ -10,11 +10,9 @@ frequency-aware policies doing no worse on the zipf-skewed webproxy.
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.fs import flags as f
 from repro.workloads.base import Workload, payload, zipf_index
-from repro.workloads.filebench import Fileserver
 
 POLICIES = ("lrw", "lfu", "2q", "arc")
 
@@ -77,18 +75,17 @@ def run(scale=SMALL, policies=POLICIES):
     hit_ratios = {}
     cases = (
         ("zipf-overwrite", lambda: ZipfOverwrite(ops=3000)),
-        ("fileserver", lambda: Fileserver(
-            threads=scale.threads, duration_ops=100_000,
-            files_per_thread=16, mean_file_size=32 << 10, io_size=32 << 10)),
+        ("fileserver", lambda: scale.personality(
+            "fileserver", files_per_thread=16, mean_file_size=32 << 10,
+            io_size=32 << 10)),
     )
     for name, factory in cases:
         results[name] = {}
         hit_ratios[name] = {}
         for policy in policies:
             workload = factory()
-            result = run_workload(
+            result = scale.run(
                 "hinfs", workload,
-                device_size=scale.device_size,
                 duration_ns=scale.duration_ns,
                 hinfs_config=scale.hinfs_config(
                     replacement_policy=policy,
@@ -102,7 +99,7 @@ def run(scale=SMALL, policies=POLICIES):
             hit_ratios[name][policy] = hit_pct
             table.add_row(name, policy, result.throughput, hit_pct,
                           result.nvmm_bytes_written / 1e6)
-    return table, (results, hit_ratios)
+    return [table], (results, hit_ratios)
 
 
 def check_shape(data):
@@ -119,9 +116,3 @@ def check_shape(data):
     # scan-resistance result the paper's future work would look for).
     zipf = hit_ratios["zipf-overwrite"]
     assert max(zipf["lfu"], zipf["arc"], zipf["2q"]) >= zipf["lrw"], zipf
-
-
-if __name__ == "__main__":
-    table, results = run()
-    print(table)
-    check_shape(results)

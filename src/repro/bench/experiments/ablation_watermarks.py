@@ -10,9 +10,7 @@ sits in the stable middle.
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
-from repro.workloads.filebench import Fileserver
 
 SETTINGS = (
     ("lazy", 0.02, 0.05),
@@ -29,12 +27,11 @@ def run(scale=SMALL, settings=SETTINGS):
     )
     results = {}
     for name, low, high in settings:
-        workload = Fileserver(threads=scale.threads, duration_ops=100_000,
-                              files_per_thread=40,
-                              mean_file_size=32 << 10, io_size=32 << 10)
-        result = run_workload(
+        workload = scale.personality(
+            "fileserver", files_per_thread=40, mean_file_size=32 << 10,
+            io_size=32 << 10)
+        result = scale.run(
             "hinfs", workload,
-            device_size=scale.device_size,
             duration_ns=scale.duration_ns,
             hinfs_config=scale.hinfs_config(
                 buffer_bytes=1 << 20,
@@ -47,7 +44,7 @@ def run(scale=SMALL, settings=SETTINGS):
         results[name] = {"throughput": result.throughput, "stalls": stalls,
                          "bg_blocks": bg}
         table.add_row(name, low, high, result.throughput, stalls, bg)
-    return table, results
+    return [table], results
 
 
 def check_shape(results):
@@ -56,9 +53,3 @@ def check_shape(results):
     assert results["paper"]["throughput"] >= 0.85 * best, results
     # Lazier watermarks reclaim less in the background.
     assert results["lazy"]["bg_blocks"] <= results["eager"]["bg_blocks"], results
-
-
-if __name__ == "__main__":
-    table, results = run()
-    print(table)
-    check_shape(results)

@@ -98,11 +98,3 @@ def check_shape(data):
         if fs_name in results:
             torn = results[fs_name]["torn"]
             assert torn is not None and torn["words"], (fs_name, torn)
-
-
-if __name__ == "__main__":
-    tables, data = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(data)

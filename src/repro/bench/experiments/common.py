@@ -9,8 +9,10 @@ down, and let the benchmark suite pick how long to run.
 
 import dataclasses
 
+from repro.bench.runner import run_workload
 from repro.core.config import HiNFSConfig
 from repro.nvmm.config import NVMMConfig
+from repro.workloads.filebench import PERSONALITIES
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,6 +39,25 @@ class Scale:
 
     def nvmm_config(self, **overrides):
         return NVMMConfig().replace(**overrides) if overrides else NVMMConfig()
+
+    def run(self, fs_name, workload, **overrides):
+        """:func:`run_workload` with the device, page cache and HiNFS
+        buffer sized by this scale; ``overrides`` win."""
+        kwargs = dict(device_size=self.device_size,
+                      cache_pages=self.cache_pages,
+                      hinfs_config=self.hinfs_config())
+        kwargs.update(overrides)
+        return run_workload(fs_name, workload, **kwargs)
+
+    def personality(self, name, threads=None, **fileset_overrides):
+        """The filebench personality ``name`` at this scale, bounded by
+        the run's deadline rather than its op count; ``threads`` and the
+        fileset knobs default to the scale's."""
+        kwargs = personality_kwargs(self, name)
+        kwargs.update(fileset_overrides)
+        return PERSONALITIES[name](
+            threads=self.threads if threads is None else threads,
+            duration_ops=100_000, **kwargs)
 
 
 #: Fast preset used by the test suite and default benchmarks.

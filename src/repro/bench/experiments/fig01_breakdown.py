@@ -8,7 +8,6 @@ noticeable share (>= ~16 %) at 64 B.
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.engine.stats import CAT_OTHERS, CAT_READ_ACCESS, CAT_WRITE_ACCESS
 from repro.workloads.fio import FioWorkload
@@ -30,15 +29,14 @@ def run(scale=SMALL, io_sizes=IO_SIZES, fs_name="pmfs"):
             ops_per_thread=max(200, 2000 // max(1, io_size // 4096)),
             threads=1,
         )
-        result = run_workload(fs_name, workload, device_size=scale.device_size,
-                              duration_ns=scale.duration_ns)
+        result = scale.run(fs_name, workload, duration_ns=scale.duration_ns)
         fr = result.stats.breakdown.fractions()
         read = fr.get(CAT_READ_ACCESS, 0.0)
         write = fr.get(CAT_WRITE_ACCESS, 0.0)
         others = fr.get(CAT_OTHERS, 0.0)
         fractions[io_size] = {"read": read, "write": write, "others": others}
         table.add_row(io_size, 100 * read, 100 * write, 100 * others)
-    return table, fractions
+    return [table], fractions
 
 
 def check_shape(fractions):
@@ -50,9 +48,3 @@ def check_shape(fractions):
             )
     assert fractions[64]["write"] >= 0.10
     assert fractions[64]["others"] >= fractions[1 << 20]["others"]
-
-
-if __name__ == "__main__":
-    table, fractions = run()
-    print(table)
-    check_shape(fractions)

@@ -7,7 +7,6 @@ workload on PMFS with the VFS's fsync-byte accounting enabled.
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.workloads.filebench import Varmail
 from repro.workloads.macro import TPCC
@@ -31,13 +30,12 @@ def run(scale=SMALL):
     )
     fractions = {}
     for name, workload in _workloads(scale):
-        result = run_workload("pmfs", workload,
-                              device_size=scale.device_size)
+        result = scale.run("pmfs", workload)
         fractions[name] = result.fsync_byte_fraction
         table.add_row(name,
                       result.stats.count("app_bytes_written") / 1e6,
                       100 * result.fsync_byte_fraction)
-    return table, fractions
+    return [table], fractions
 
 
 def check_shape(fractions):
@@ -48,9 +46,3 @@ def check_shape(fractions):
     assert 0.2 < fractions["usr0"] < 0.8, fractions
     assert 0.2 < fractions["usr1"] < 0.8, fractions
     assert fractions["varmail"] > 0.3, fractions
-
-
-if __name__ == "__main__":
-    table, fractions = run()
-    print(table)
-    check_shape(fractions)

@@ -8,7 +8,6 @@ recent synchronization information.
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.workloads.filebench import Varmail
 from repro.workloads.macro import TPCC
@@ -29,14 +28,12 @@ def run(scale=SMALL):
     )
     accuracy = {}
     for name, workload in _sync_workloads(scale):
-        result = run_workload("hinfs", workload,
-                              device_size=scale.device_size,
-                              hinfs_config=scale.hinfs_config())
+        result = scale.run("hinfs", workload)
         model = result.fs.benefit
         accuracy[name] = model.accuracy
         table.add_row(name, model.predictions,
                       100 * (model.accuracy or 0.0))
-    return table, accuracy
+    return [table], accuracy
 
 
 def check_shape(accuracy):
@@ -54,9 +51,3 @@ def check_shape(accuracy):
         assert value >= 0.65, "accuracy for %s too low: %.2f" % (name, value)
     assert max(accuracy.values()) >= 0.95
     assert accuracy["tpcc"] >= 0.80
-
-
-if __name__ == "__main__":
-    table, accuracy = run()
-    print(table)
-    check_shape(accuracy)

@@ -12,16 +12,8 @@ Expected shape (paper Section 5.2.1):
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
-from repro.bench.experiments.common import SMALL, personality_kwargs
-from repro.workloads.filebench import Fileserver, Varmail, Webproxy, Webserver
-
-PERSONALITIES = {
-    "fileserver": Fileserver,
-    "webserver": Webserver,
-    "webproxy": Webproxy,
-    "varmail": Varmail,
-}
+from repro.bench.experiments.common import SMALL
+from repro.workloads.filebench import PERSONALITIES
 
 FILE_SYSTEMS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd")
 
@@ -32,23 +24,16 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS):
         ["workload"] + list(file_systems),
     )
     normalised = {}
-    for name, cls in PERSONALITIES.items():
+    for name in PERSONALITIES:
         raw = {}
         for fs_name in file_systems:
-            workload = cls(threads=scale.threads, duration_ops=100_000,
-                           **personality_kwargs(scale, name))
-            result = run_workload(
-                fs_name, workload,
-                device_size=scale.device_size,
-                duration_ns=scale.duration_ns,
-                hinfs_config=scale.hinfs_config(),
-                cache_pages=scale.cache_pages,
-            )
+            result = scale.run(fs_name, scale.personality(name),
+                               duration_ns=scale.duration_ns)
             raw[fs_name] = result.throughput
         base = raw["pmfs"]
         normalised[name] = {fs: v / base for fs, v in raw.items()}
         table.add_row(name, *[normalised[name][fs] for fs in file_systems])
-    return table, normalised
+    return [table], normalised
 
 
 def check_shape(normalised):
@@ -64,9 +49,3 @@ def check_shape(normalised):
     assert normalised["varmail"]["ext4-dax"] <= 0.85
     assert normalised["webserver"]["ext2-nvmmbd"] <= 0.6
     assert normalised["webproxy"]["ext2-nvmmbd"] >= 0.75
-
-
-if __name__ == "__main__":
-    table, normalised = run()
-    print(table)
-    check_shape(normalised)

@@ -7,32 +7,20 @@ HiNFS tracks PMFS closely and both beat the NVMMBD stacks.
 """
 
 from repro.bench.report import Series, Table
-from repro.bench.runner import run_workload
-from repro.bench.experiments.common import SMALL, personality_kwargs
-from repro.workloads.filebench import Fileserver, Varmail, Webproxy, Webserver
-
-PERSONALITIES = {
-    "fileserver": Fileserver,
-    "webserver": Webserver,
-    "webproxy": Webproxy,
-    "varmail": Varmail,
-}
+from repro.bench.experiments.common import SMALL
 
 FILE_SYSTEMS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd")
 THREAD_COUNTS = (1, 2, 4, 8, 10)
 
 
-def _fig8_kwargs(scale, name):
-    """Scale the fileset so file lifetimes stay shorter than the buffer's
-    drain horizon (the paper's 5 GB fileset vs 2 GB buffer ratio) -- the
-    delete-absorption and coalescing effects need live buffered blocks."""
-    kwargs = personality_kwargs(scale, name)
-    if name == "fileserver":
-        kwargs.update(files_per_thread=16, mean_file_size=32 << 10,
-                      io_size=32 << 10)
-    elif name == "webproxy":
-        kwargs.update(files_per_thread=30)
-    return kwargs
+#: Filesets sized so file lifetimes stay shorter than the buffer's drain
+#: horizon (the paper's 5 GB fileset vs 2 GB buffer ratio) -- the
+#: delete-absorption and coalescing effects need live buffered blocks.
+FILESETS = {
+    "fileserver": dict(files_per_thread=16, mean_file_size=32 << 10,
+                       io_size=32 << 10),
+    "webproxy": dict(files_per_thread=30),
+}
 
 
 def run(scale=SMALL, personalities=("fileserver", "webproxy"),
@@ -40,7 +28,6 @@ def run(scale=SMALL, personalities=("fileserver", "webproxy"),
     tables = []
     series = {}
     for name in personalities:
-        cls = PERSONALITIES[name]
         table = Table(
             "Figure 8 (%s): ops/s for 1-10 threads" % name,
             ["threads"] + list(file_systems),
@@ -49,15 +36,13 @@ def run(scale=SMALL, personalities=("fileserver", "webproxy"),
         for threads in thread_counts:
             row = [threads]
             for fs_name in file_systems:
-                workload = cls(threads=threads, duration_ops=100_000,
-                               **_fig8_kwargs(scale, name))
-                result = run_workload(
+                workload = scale.personality(name, threads=threads,
+                                             **FILESETS.get(name, {}))
+                result = scale.run(
                     fs_name, workload,
-                    device_size=scale.device_size,
                     duration_ns=scale.duration_ns,
-                    hinfs_config=scale.hinfs_config().replace(
+                    hinfs_config=scale.hinfs_config(
                         buffer_bytes=scale.buffer_bytes * 2),
-                    cache_pages=scale.cache_pages,
                 )
                 per_fs[fs_name].add(threads, result.throughput)
                 row.append(result.throughput)
@@ -87,11 +72,3 @@ def check_shape(series):
         # HiNFS is never (meaningfully) below PMFS.
         for h, p in zip(hinfs, pmfs):
             assert h >= 0.85 * p, (name, hinfs, pmfs)
-
-
-if __name__ == "__main__":
-    tables, series = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(series)

@@ -11,9 +11,7 @@ Two panels:
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
-from repro.workloads.filebench import Fileserver
 
 IO_SIZES = (64, 512, 2048, 4096, 16 << 10, 64 << 10, 256 << 10)
 FILE_SYSTEMS = ("hinfs", "hinfs-nclfw", "pmfs")
@@ -36,10 +34,8 @@ def run(scale=SMALL, io_sizes=IO_SIZES):
             # filebench knob scales both), which is exactly the
             # "small block-unaligned lazy-persistent writes" regime CLFW
             # targets: a block is flushed with only a few dirty lines.
-            workload = Fileserver(
-                threads=scale.threads,
-                duration_ops=100_000,
-                files_per_thread=scale.files_per_thread,
+            workload = scale.personality(
+                "fileserver",
                 mean_file_size=max(1024, min(64 << 10, io_size * 4)),
                 io_size=io_size,
             )
@@ -47,13 +43,11 @@ def run(scale=SMALL, io_sizes=IO_SIZES):
             # (the paper's 2 GB buffer against a 5 GB fileset does the
             # same), and unmounting drains the tail so panel (b) counts
             # every write the workload caused.
-            result = run_workload(
+            result = scale.run(
                 fs_name, workload,
-                device_size=scale.device_size,
                 duration_ns=scale.duration_ns,
-                hinfs_config=scale.hinfs_config().replace(
-                    buffer_bytes=min(2 << 20, scale.buffer_bytes)
-                ),
+                hinfs_config=scale.hinfs_config(
+                    buffer_bytes=min(2 << 20, scale.buffer_bytes)),
                 unmount=True,
             )
             throughput[fs_name][io_size] = result.throughput
@@ -74,7 +68,7 @@ def run(scale=SMALL, io_sizes=IO_SIZES):
             nvmm_bytes["hinfs"][io_size] / 1e3,
             nvmm_bytes["hinfs-nclfw"][io_size] / 1e3,
         )
-    return (throughput_table, writesize_table), (throughput, nvmm_bytes)
+    return [throughput_table, writesize_table], (throughput, nvmm_bytes)
 
 
 def check_shape(results):
@@ -102,11 +96,3 @@ def check_shape(results):
     # (b) the gap closes at/above the block size.
     big = large_sizes[-1]
     assert nvmm_bytes["hinfs"][big] >= 0.7 * nvmm_bytes["hinfs-nclfw"][big]
-
-
-if __name__ == "__main__":
-    tables, results = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(results)

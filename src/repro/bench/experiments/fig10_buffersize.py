@@ -8,30 +8,18 @@ absorbs almost everything).
 """
 
 from repro.bench.report import Series, Table
-from repro.bench.runner import run_workload
-from repro.bench.experiments.common import SMALL, personality_kwargs
-from repro.workloads.filebench import Fileserver, Webproxy
+from repro.bench.experiments.common import SMALL
 
 RATIOS = (0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def _fig10_kwargs(scale, name):
-    """Tight filesets so the 0.1x-1.0x buffer sweep spans the regime
-    where absorption actually turns on (mirrors the fig8 sizing)."""
-    kwargs = personality_kwargs(scale, name)
-    if name == "fileserver":
-        kwargs.update(files_per_thread=24, mean_file_size=32 << 10,
-                      io_size=32 << 10)
-    elif name == "webproxy":
-        kwargs.update(files_per_thread=30)
-    return kwargs
-
-
-def _workload_bytes(scale, name):
-    kwargs = _fig10_kwargs(scale, name)
-    return scale.threads * kwargs["files_per_thread"] * (
-        kwargs.get("mean_file_size", 16 << 10)
-    )
+#: Tight filesets so the 0.1x-1.0x buffer sweep spans the regime where
+#: absorption actually turns on (mirrors the fig8 sizing).
+FILESETS = {
+    "fileserver": dict(files_per_thread=24, mean_file_size=32 << 10,
+                       io_size=32 << 10),
+    "webproxy": dict(files_per_thread=30),
+}
 
 
 def run(scale=SMALL, ratios=RATIOS):
@@ -39,25 +27,23 @@ def run(scale=SMALL, ratios=RATIOS):
         "Figure 10: HiNFS throughput vs DRAM buffer size (fraction of fileset)",
         ["buffer_ratio", "fileserver", "webproxy"],
     )
-    series = {"fileserver": Series("fileserver"), "webproxy": Series("webproxy")}
-    classes = {"fileserver": Fileserver, "webproxy": Webproxy}
+    series = {name: Series(name) for name in FILESETS}
     for ratio in ratios:
         row = [ratio]
-        for name, cls in classes.items():
-            buffer_bytes = max(32 * 4096, int(ratio * _workload_bytes(scale, name)))
-            workload = cls(threads=scale.threads, duration_ops=100_000,
-                           **_fig10_kwargs(scale, name))
-            result = run_workload(
+        for name, fileset in FILESETS.items():
+            workload = scale.personality(name, **fileset)
+            fileset_bytes = (workload.threads * workload.files_per_thread
+                             * workload.mean_file_size)
+            result = scale.run(
                 "hinfs", workload,
-                device_size=scale.device_size,
                 duration_ns=scale.duration_ns,
-                hinfs_config=scale.hinfs_config().replace(
-                    buffer_bytes=buffer_bytes),
+                hinfs_config=scale.hinfs_config(
+                    buffer_bytes=max(32 * 4096, int(ratio * fileset_bytes))),
             )
             series[name].add(ratio, result.throughput)
             row.append(result.throughput)
         table.add_row(*row)
-    return table, series
+    return [table], series
 
 
 def check_shape(series):
@@ -67,9 +53,3 @@ def check_shape(series):
     assert fileserver[-1] >= 1.2 * fileserver[0], fileserver
     # Webproxy is insensitive (within noise).
     assert max(webproxy) <= 1.25 * min(webproxy), webproxy
-
-
-if __name__ == "__main__":
-    table, series = run()
-    print(table)
-    check_shape(series)

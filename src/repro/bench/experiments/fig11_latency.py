@@ -7,10 +7,8 @@ PMFS (the Benefit Model keeps the double copy off the path).
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
-from repro.bench.experiments.common import SMALL, personality_kwargs
+from repro.bench.experiments.common import SMALL
 from repro.engine.stats import percentiles
-from repro.workloads.filebench import Fileserver, Webproxy
 
 LATENCIES_NS = (50, 100, 200, 400, 800)
 
@@ -30,22 +28,17 @@ def run(scale=SMALL, latencies=LATENCIES_NS):
     )
     ratios = {"fileserver": {}, "webproxy": {}}
     tails = {"fileserver": {}, "webproxy": {}}
-    classes = {"fileserver": Fileserver, "webproxy": Webproxy}
     for latency in latencies:
         config = scale.nvmm_config(nvmm_write_latency_ns=latency)
         row = [latency]
         tail_row = [latency]
-        for name, cls in classes.items():
+        for name in ("fileserver", "webproxy"):
             per_fs = {}
             for fs_name in ("hinfs", "pmfs"):
-                workload = cls(threads=1, duration_ops=100_000,
-                               **personality_kwargs(scale, name))
-                result = run_workload(
-                    fs_name, workload,
+                result = scale.run(
+                    fs_name, scale.personality(name, threads=1),
                     config=config,
-                    device_size=scale.device_size,
                     duration_ns=scale.duration_ns,
-                    hinfs_config=scale.hinfs_config(),
                     record_latencies=True,
                 )
                 per_fs[fs_name] = result.throughput
@@ -77,11 +70,3 @@ def check_shape(data):
         )
         gaps = [by_latency[lat] for lat in latencies]
         assert gaps[-1] == max(gaps), (name, by_latency)
-
-
-if __name__ == "__main__":
-    tables, data = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(data)

@@ -9,7 +9,6 @@ traces with many syncs (buffering eager-persistent writes hurts).
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.workloads.traces import SYNTHESIZERS, TraceReplayWorkload
 
@@ -32,13 +31,11 @@ def run(scale=SMALL, traces=("usr0", "usr1", "lasr", "facebook"),
         raw = {}
         for fs_name in file_systems:
             workload = TraceReplayWorkload(trace)
-            result = run_workload(
+            result = scale.run(
                 fs_name, workload,
-                device_size=scale.device_size,
                 # The paper sets the buffer to 1/10 of the workload size
                 # for the trace and macro runs (Section 5.3).
-                hinfs_config=scale.hinfs_config().replace(
-                    buffer_bytes=2 << 20),
+                hinfs_config=scale.hinfs_config(buffer_bytes=2 << 20),
                 cache_pages=512,
             )
             per_syscall = {
@@ -73,11 +70,3 @@ def check_shape(totals):
         assert totals[trace]["hinfs-wb"] >= 0.9 * totals[trace]["hinfs"], (
             trace, totals[trace]
         )
-
-
-if __name__ == "__main__":
-    tables, totals = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(totals)

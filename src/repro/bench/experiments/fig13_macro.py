@@ -8,7 +8,6 @@ NVMMBD stacks are far slower everywhere, with EXT2 faster than EXT4
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.workloads.macro import KernelGrep, KernelMake, Postmark, TPCC
 
@@ -33,21 +32,19 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS):
     for name, workload in _workloads(scale):
         raw = {}
         for fs_name in file_systems:
-            result = run_workload(
+            result = scale.run(
                 fs_name, workload,
-                device_size=scale.device_size,
                 # Buffer = ~1/10 of workload size (Section 5.3); the
                 # page-cache budget of the block-based stacks is matched
                 # so neither side gets free staging memory.
-                hinfs_config=scale.hinfs_config().replace(
-                    buffer_bytes=2 << 20),
+                hinfs_config=scale.hinfs_config(buffer_bytes=2 << 20),
                 cache_pages=512,
             )
             raw[fs_name] = result.elapsed_ns
         base = raw["pmfs"]
         normalised[name] = {fs: v / base for fs, v in raw.items()}
         table.add_row(name, *[normalised[name][fs] for fs in file_systems])
-    return table, normalised
+    return [table], normalised
 
 
 def check_shape(normalised):
@@ -65,9 +62,3 @@ def check_shape(normalised):
     assert normalised["kernel-grep"]["ext2-nvmmbd"] >= 1.5
     # HiNFS-WB pays for buffering eager-persistent writes on TPC-C.
     assert normalised["tpcc"]["hinfs-wb"] >= normalised["tpcc"]["hinfs"]
-
-
-if __name__ == "__main__":
-    table, normalised = run()
-    print(table)
-    check_shape(normalised)

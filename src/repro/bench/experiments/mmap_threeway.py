@@ -21,7 +21,6 @@ every op of the stream, each op logged and crash-atomic.
 """
 
 from repro.bench.report import Series, Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.workloads.fio import FioWorkload, RingFioWorkload
 from repro.workloads.mmio import MmapFioWorkload
@@ -43,7 +42,6 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, threads=2,
         ops_per_thread=1500, io_size=64, file_size=1 << 20,
         fsync_every=16, policy="auto"):
     config = scale.nvmm_config()
-    hinfs_config = scale.hinfs_config()
 
     def one_run(fs_name, leg, nthreads, ops, pacing):
         workload, setup = _make(
@@ -51,14 +49,7 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, threads=2,
             threads=nthreads, ops_per_thread=ops, io_size=io_size,
             file_size=file_size, fsync_every=pacing,
         )
-        return run_workload(
-            fs_name, workload,
-            config=config,
-            device_size=scale.device_size,
-            hinfs_config=hinfs_config,
-            cache_pages=scale.cache_pages,
-            setup=setup,
-        )
+        return scale.run(fs_name, workload, config=config, setup=setup)
 
     table = Table(
         "Data-plane comparison (fio mixed, %d B ops, sync=%d, %d threads): "
@@ -163,11 +154,3 @@ def check_shape(data):
     assert acct["ring"]["syscall_entries"] > 0
     assert acct["sync"]["syscall_time_ns"] > \
         acct["ring"]["syscall_time_ns"] > 0, acct
-
-
-if __name__ == "__main__":
-    tables, data = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(data)

@@ -24,7 +24,6 @@ Expected shape:
 """
 
 from repro.bench.report import Series, Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.workloads.fio import RingFioWorkload
 
@@ -36,7 +35,6 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, batch_depths=BATCH_DEPTHS,
         threads=2, ops_per_thread=900, io_size=4096, file_size=1 << 20,
         fsync_every=16):
     config = scale.nvmm_config()
-    hinfs_config = scale.hinfs_config()
 
     def one_run(fs_name, depth, fsync_pacing, nthreads, ops):
         workload = RingFioWorkload(
@@ -47,13 +45,7 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, batch_depths=BATCH_DEPTHS,
             file_size=file_size,
             fsync_every=fsync_pacing,
         )
-        return run_workload(
-            fs_name, workload,
-            config=config,
-            device_size=scale.device_size,
-            hinfs_config=hinfs_config,
-            cache_pages=scale.cache_pages,
-        )
+        return scale.run(fs_name, workload, config=config)
 
     table = Table(
         "Batched submission (fio mixed, %d B ops, fsync=%d, %d threads): "
@@ -146,11 +138,3 @@ def check_shape(data):
         saved_batches = base["ring_batches"] - row["ring_batches"]
         saved_ns = base["syscall_time_ns"] - row["syscall_time_ns"]
         assert saved_ns == saved_batches * syscall_ns, (base, row, syscall_ns)
-
-
-if __name__ == "__main__":
-    tables, data = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(data)

@@ -26,7 +26,6 @@ scale linearly forever and say nothing about the shared bottlenecks).
 """
 
 from repro.bench.report import Series, Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.engine.stats import percentiles
 from repro.workloads.fio import FioWorkload
@@ -68,12 +67,10 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, thread_counts=THREAD_COUNTS,
                     read_fraction=read_fraction,
                     fsync_every=fsync_every,
                 )
-                result = run_workload(
+                result = scale.run(
                     fs_name, workload,
                     config=config,
-                    device_size=scale.device_size,
                     hinfs_config=hinfs_config,
-                    cache_pages=scale.cache_pages,
                     record_latencies=True,
                 )
                 per_fs[fs_name].add(threads, result.throughput)
@@ -119,11 +116,3 @@ def check_shape(data):
             assert hinfs[-1] >= margin * per_fs[blockfs].ys()[-1], (
                 mix_name, hinfs, per_fs[blockfs].ys(),
             )
-
-
-if __name__ == "__main__":
-    tables, data = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(data)

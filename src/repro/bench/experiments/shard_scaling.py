@@ -29,17 +29,9 @@ checks three contracts:
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.faults.shardcrash import explore_all
-from repro.fs.qos import PRIO_BRONZE, PRIO_GOLD, PRIO_SILVER
-from repro.workloads.tenants import (
-    MODE_BURST,
-    MODE_CLOSED,
-    MODE_OPEN,
-    TenantFleet,
-    TenantSpec,
-)
+from repro.workloads.tenants import TenantFleet
 
 #: Shard counts swept; "hinfs@1" runs the same ShardedFS routing layer
 #: over a single device, so the sweep isolates device count, not stack.
@@ -49,33 +41,6 @@ DEVICE_COUNTS = (1, 2, 4, 8)
 #: one device.  The recorded run scales ~6x; 2x is the red line under
 #: which "sharding" would just be routing overhead.
 MIN_SPEEDUP_8DEV = 2.0
-
-
-def _sync_fleet(n_tenants, ops, seed):
-    """The mixed serving fleet, durable-write edition.
-
-    Same deterministic blend as :meth:`TenantFleet.mixed` -- per ten
-    tenants: 5 bronze (weight 1), 3 silver (weight 2), 2 gold (weight
-    4); arrival modes cycling closed/open/burst -- but every tenant
-    opens O_SYNC with 32 KB writes, so the fleet is bounded by NVMM
-    writer-slot bandwidth rather than by its own think time.
-    """
-    specs = []
-    for tid in range(n_tenants):
-        slot = tid % 10
-        if slot < 5:
-            priority, weight = PRIO_BRONZE, 1
-        elif slot < 8:
-            priority, weight = PRIO_SILVER, 2
-        else:
-            priority, weight = PRIO_GOLD, 4
-        mode = (MODE_CLOSED, MODE_OPEN, MODE_BURST)[tid % 3]
-        specs.append(TenantSpec(
-            tid, weight=weight, priority=priority, mode=mode, ops=ops,
-            io_size=32 << 10, read_fraction=0.25, think_ns=10_000,
-            interval_ns=100_000, sync=True,
-        ))
-    return TenantFleet(specs, file_size=64 << 10, seed=seed)
 
 
 def _ledgers(run, ndevices):
@@ -106,12 +71,16 @@ def _ledgers(run, ndevices):
 def run(scale=SMALL, seed=42, n_tenants=500, ops_per_tenant=6):
     scaling = []
     for ndevices in DEVICE_COUNTS:
-        fleet = _sync_fleet(n_tenants, ops_per_tenant, seed)
-        result = run_workload(
-            "hinfs@%d" % ndevices, fleet,
-            device_size=scale.device_size,  # per device: scaling adds media
-            hinfs_config=scale.hinfs_config(),
+        # The mixed serving fleet, durable-write edition: every tenant
+        # opens O_SYNC with 32 KB writes, so the fleet is bounded by NVMM
+        # writer-slot bandwidth rather than by its own think time.
+        fleet = TenantFleet.mixed(
+            n_tenants, ops=ops_per_tenant, io_size=32 << 10,
+            read_fraction=0.25, think_ns=10_000, interval_ns=100_000,
+            seed=seed, sync=True, file_size=64 << 10,
         )
+        # device_size is per device: scaling adds media.
+        result = scale.run("hinfs@%d" % ndevices, fleet)
         entry = {
             "devices": ndevices,
             "ops": result.ops,
@@ -200,11 +169,3 @@ def check_shape(data):
     for report in data["crashcheck"]:
         assert report["passed"], report
         assert not report["violations"], report
-
-
-if __name__ == "__main__":
-    tables, data = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(data)

@@ -27,7 +27,6 @@ JSON.
 """
 
 from repro.bench.report import Table
-from repro.bench.runner import run_workload
 from repro.bench.experiments.common import SMALL
 from repro.fs.qos import QosController
 from repro.workloads.tenants import (
@@ -87,11 +86,9 @@ def _fleet_leg(scale, file_systems, seed, n_tenants):
         # A provisioned system: generous bucket capacity and a DRAM
         # buffer sized for the fleet's write footprint -- this leg
         # measures serving under QoS, not shedding.
-        run = run_workload(
+        run = scale.run(
             fs_name, fleet,
-            device_size=scale.device_size,
             hinfs_config=scale.hinfs_config(buffer_bytes=32 << 20),
-            cache_pages=scale.cache_pages,
             # The slot ceiling is sized to the slowest comparison stack:
             # the block-based file systems legitimately run a deeper
             # device backlog without being overloaded.
@@ -175,9 +172,8 @@ def _overload_leg(scale, seed, n_tenants):
     for qos_on in (True, False):
         fleet = _overload_fleet(n_bronze, n_silver, n_gold, seed, ops=120)
         holder = []
-        run = run_workload(
+        run = scale.run(
             "hinfs", fleet,
-            device_size=scale.device_size,
             hinfs_config=hconfig,
             # Tight slot ceiling: shed while the backlog is still well
             # below the paying classes' arrival intervals, so protected
@@ -322,11 +318,3 @@ def check_shape(data):
     # And the collapse is not an artifact of shedding work: QoS-off
     # completed everything, it just took unboundedly long.
     assert off["dropped"] == 0, off["dropped"]
-
-
-if __name__ == "__main__":
-    tables, data = run()
-    for table in tables:
-        print(table)
-        print()
-    check_shape(data)

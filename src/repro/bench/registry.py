@@ -1,4 +1,5 @@
-"""Experiment registry: figure id -> (run, check_shape)."""
+"""Experiment registry: figure id -> module with ``run(scale)`` returning
+``(list_of_tables, data)`` and ``check_shape(data)``."""
 
 from repro.bench.experiments import (
     ablation_policies,
@@ -18,7 +19,6 @@ from repro.bench.experiments import (
     ring_batch,
     scale_threads,
     shard_scaling,
-    simspeed,
     tenants_overload,
 )
 
@@ -41,22 +41,7 @@ EXPERIMENTS = {
     "ring": ring_batch,
     "mmap": mmap_threeway,
     "chaos": chaos_campaign,
-    "simspeed": simspeed,
     "tenants": tenants_overload,
     "shard": shard_scaling,
 }
 
-
-def run_experiment(name, scale=None, check=True):
-    """Run one experiment; returns (tables, data).  Raises AssertionError
-    if ``check`` and the paper's shape does not hold."""
-    module = EXPERIMENTS[name]
-    if scale is None:
-        tables, data = module.run()
-    else:
-        tables, data = module.run(scale=scale)
-    if not isinstance(tables, (list, tuple)):
-        tables = [tables]
-    if check:
-        module.check_shape(data)
-    return tables, data

@@ -75,11 +75,3 @@ def _fmt(value):
             return "%.2f" % value
         return "%.3f" % value
     return str(value)
-
-
-def normalise(values, baseline):
-    """Divide every value by ``baseline`` (paper figures normalise to
-    PMFS)."""
-    if baseline == 0:
-        return [0.0 for _ in values]
-    return [v / baseline for v in values]

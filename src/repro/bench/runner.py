@@ -52,9 +52,6 @@ class RunResult:
     def nvmm_bytes_written(self):
         return self.stats.bytes_written_nvmm
 
-    def syscall_seconds(self, syscall):
-        return self.stats.syscall_time_ns.get(syscall, 0) / 1e9
-
     def __repr__(self):
         return "RunResult(%s/%s: %.0f ops/s, %.3f ms)" % (
             self.fs_name,
@@ -132,7 +129,7 @@ def run_workload(fs_name, workload, config=None, device_size=96 << 20,
     scheduler = Scheduler(env)
     for tid in range(workload.threads):
         scheduler.spawn("%s-%d" % (workload.name, tid),
-                        _bind(workload, vfs, tid),
+                        workload.make_thread_body(vfs, tid),
                         record_latencies=record_latencies)
     elapsed = scheduler.run(until_ns=duration_ns)
     if duration_ns is not None:
@@ -147,12 +144,3 @@ def run_workload(fs_name, workload, config=None, device_size=96 << 20,
                      elapsed, env.stats, fs=fs, trace=env.trace,
                      op_latencies_ns=(scheduler.op_latencies_ns()
                                       if record_latencies else None))
-
-
-def _bind(workload, vfs, thread_id):
-    body_factory = workload.make_thread_body(vfs, thread_id)
-
-    def body(ctx):
-        return body_factory(ctx)
-
-    return body

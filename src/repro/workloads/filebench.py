@@ -269,3 +269,12 @@ class Varmail(FilebenchPersonality):
                 yield
 
         return body
+
+
+#: Name -> class, in the paper's Figure 7 order.
+PERSONALITIES = {
+    "fileserver": Fileserver,
+    "webserver": Webserver,
+    "webproxy": Webproxy,
+    "varmail": Varmail,
+}

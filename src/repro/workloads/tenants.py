@@ -124,12 +124,14 @@ class TenantFleet(Workload):
 
     @classmethod
     def mixed(cls, n_tenants, ops=40, io_size=4096, read_fraction=0.5,
-              think_ns=200_000, interval_ns=250_000, seed=42, **kwargs):
+              think_ns=200_000, interval_ns=250_000, seed=42, sync=False,
+              **kwargs):
         """The standard mixed fleet: a deterministic blend of priority
         classes and arrival modes by tenant index.
 
         Per 10 tenants: 5 bronze (weight 1), 3 silver (weight 2), 2 gold
-        (weight 4); modes cycle closed/open/burst.
+        (weight 4); modes cycle closed/open/burst.  ``sync`` opens every
+        tenant's file O_SYNC (see :class:`TenantSpec`).
         """
         specs = []
         for tid in range(n_tenants):
@@ -144,7 +146,7 @@ class TenantFleet(Workload):
             specs.append(TenantSpec(
                 tid, weight=weight, priority=priority, mode=mode, ops=ops,
                 io_size=io_size, read_fraction=read_fraction,
-                think_ns=think_ns, interval_ns=interval_ns,
+                think_ns=think_ns, interval_ns=interval_ns, sync=sync,
             ))
         return cls(specs, seed=seed, **kwargs)
 

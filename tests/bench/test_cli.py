@@ -1,13 +1,21 @@
 """Tests for the command-line entry points."""
 
+import glob
 import io
+import json
 import os
-import tempfile
+import pathlib
+import re
+import types
 from contextlib import redirect_stdout
 
 import pytest
 
 from repro import cli, tracetool
+from repro.bench.registry import EXPERIMENTS
+from repro.bench.report import Table
+
+REPO = str(pathlib.Path(__file__).resolve().parents[2])
 
 
 def run_cli(argv):
@@ -30,9 +38,15 @@ def test_cli_no_args_lists():
     assert "fig1" in out
 
 
-def test_cli_unknown_experiment():
-    code, _ = run_cli(["fig99"])
-    assert code == 2
+def test_cli_unknown_experiment(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["fig99"], ["simspeed"], ["fig2", "nope"],
+                 ["fig2", "nope", "--json", "unwritten"]):
+        code, out = run_cli(argv)
+        assert code == 2
+        # Rejected before anything ran, not after fig2 did.
+        assert out == ""
+        assert os.listdir(str(tmp_path)) == []
 
 
 def test_cli_runs_smallest_experiment():
@@ -45,13 +59,16 @@ def test_cli_runs_smallest_experiment():
 def test_cli_json_dumps_series_as_point_lists(tmp_path):
     """``--json`` must archive numbers a tool can diff, not repr strings
     (``"Series('hinfs', [(1, 218591.7..."`` is what it used to write)."""
-    import json
-
     out_file = str(tmp_path / "ring.json")
     code, _ = run_cli(["ring", "--json", out_file])
     assert code == 0
     with open(out_file) as fileobj:
-        doc = json.load(fileobj)
+        text = fileobj.read()
+    # Virtual time is deterministic: the checked-in artifact reproduces
+    # byte for byte (the same comparison CI's bench matrix makes).
+    with open(os.path.join(REPO, "BENCH_ring.json")) as fileobj:
+        assert text == fileobj.read()
+    doc = json.loads(text)
 
     def strings(value):
         if isinstance(value, dict):
@@ -73,11 +90,82 @@ def test_cli_json_dumps_series_as_point_lists(tmp_path):
 def test_cli_json_refuses_what_it_cannot_serialise():
     with pytest.raises(TypeError):
         cli._to_json(object())
+    with pytest.raises(TypeError):
+        cli._to_json({"nested": [object()]})
+
+
+def _strict_loads(text):
+    def refuse(token):
+        raise ValueError("%s is not JSON" % token)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_checked_in_artifacts_are_strict_json():
+    paths = sorted(glob.glob(os.path.join(REPO, "BENCH_*.json")))
+    assert len(paths) >= 7
+    for path in paths:
+        with open(path) as fileobj:
+            doc = _strict_loads(fileobj.read())
+        (name,) = doc["experiments"]
+        assert os.path.basename(path) == "BENCH_%s.json" % name
+
+
+def _fake_experiment(monkeypatch, run, check_shape=lambda data: None):
+    monkeypatch.setitem(
+        EXPERIMENTS, "fake",
+        types.SimpleNamespace(run=run, check_shape=check_shape))
+
+
+def test_cli_json_writes_non_finite_floats_as_null(tmp_path, monkeypatch):
+    data = {"spread": float("inf"), "rows": [float("nan"), 1.5, 2]}
+    _fake_experiment(monkeypatch, lambda scale: ([], data))
+    out_file = str(tmp_path / "fake.json")
+    assert run_cli(["fake", "--json", out_file])[0] == 0
+    with open(out_file) as fileobj:
+        doc = _strict_loads(fileobj.read())
+    assert doc["experiments"]["fake"] == {"spread": None,
+                                          "rows": [None, 1.5, 2]}
+    assert data["spread"] == float("inf")  # the in-memory value is untouched
+
+
+def test_cli_failed_shape_check_still_prints_and_archives(
+        tmp_path, monkeypatch, capsys):
+    table = Table("the run that most needs reading", ["x"])
+    table.add_row(1)
+
+    def check_shape(data):
+        raise AssertionError("wrong shape")
+
+    _fake_experiment(monkeypatch, lambda scale: ([table], {"x": 1}),
+                     check_shape)
+    out_file = str(tmp_path / "fake.json")
+    code, out = run_cli(["fake", "--json", out_file])
+    assert code == 1
+    assert "the run that most needs reading" in out
+    assert "SHAPE CHECK FAILED: wrong shape" in capsys.readouterr().err
+    with open(out_file) as fileobj:
+        assert json.load(fileobj)["experiments"] == {"fake": {"x": 1}}
+    assert run_cli(["fake", "--no-check"])[0] == 0
+
+
+def test_cli_assertion_inside_run_is_not_a_shape_failure(monkeypatch):
+    def run(scale):
+        raise AssertionError("a bug, not a shape")
+
+    _fake_experiment(monkeypatch, run)
+    with pytest.raises(AssertionError, match="a bug, not a shape"):
+        run_cli(["fake"])
+
+
+def test_ci_bench_matrix_gates_every_registered_experiment():
+    with open(os.path.join(REPO, ".github", "workflows", "ci.yml")) as fileobj:
+        text = fileobj.read()
+    (matrix,) = re.findall(r"^\s*experiment: \[([^\]]*)\]", text, re.M)
+    assert [name.strip() for name in matrix.split(",")] == sorted(EXPERIMENTS)
 
 
 def test_cli_trace_exports_chrome_json(tmp_path):
-    import json
-
     out_file = str(tmp_path / "trace.json")
     code, out = run_cli(["trace", "--fs", "hinfs",
                          "--workload", "fileserver", "-o", out_file])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.report import Series, Table, normalise
+from repro.bench.report import Series, Table
 
 
 def test_table_formats_aligned():
@@ -47,11 +47,6 @@ def test_series():
     series.add(2, 20.0)
     assert series.xs() == [1, 2]
     assert series.ys() == [10.0, 20.0]
-
-
-def test_normalise():
-    assert normalise([2.0, 4.0], 2.0) == [1.0, 2.0]
-    assert normalise([1.0], 0) == [0.0]
 
 
 def test_str_is_format():

@@ -1,7 +1,7 @@
 """Fast smoke profile for the multi-tenant serving harness (tier-1).
 
-The full 500-tenant experiment lives in ``hinfs-bench tenants`` (CI's
-bench-tenants job); these tests run tens of tenants in a few seconds and
+The full 500-tenant experiment lives in ``hinfs-bench tenants`` (a leg of
+CI's bench matrix); these tests run tens of tenants in a few seconds and
 pin the harness's contracts: every arrival mode completes, summaries are
 deterministic, shed traffic is retried and only the shed class pays.
 """
@@ -9,7 +9,7 @@ deterministic, shed traffic is retried and only the shed class pays.
 from repro.bench.experiments import tenants_overload
 from repro.bench.experiments.common import SMALL
 from repro.bench.runner import run_workload
-from repro.fs.qos import PRIO_BRONZE, PRIO_GOLD, QosController
+from repro.fs.qos import PRIO_BRONZE, PRIO_GOLD, PRIO_SILVER, QosController
 from repro.workloads.tenants import (
     MODE_BURST,
     MODE_CLOSED,
@@ -35,6 +35,55 @@ def _run_mixed(n_tenants=30, seed=7, fs_name="hinfs", qos=True):
                  hinfs_config=SMALL.hinfs_config(),
                  setup=setup if qos else None)
     return fleet
+
+
+def _reference_mixed(n_tenants, ops, seed, sync, file_size=64 << 10, **shape):
+    """``shard_scaling._sync_fleet`` as it was before ``mixed`` took
+    ``sync`` (and, with ``sync=False``, ``mixed`` itself as it was): the
+    class/mode blend written out by hand."""
+    specs = []
+    for tid in range(n_tenants):
+        slot = tid % 10
+        if slot < 5:
+            priority, weight = PRIO_BRONZE, 1
+        elif slot < 8:
+            priority, weight = PRIO_SILVER, 2
+        else:
+            priority, weight = PRIO_GOLD, 4
+        mode = (MODE_CLOSED, MODE_OPEN, MODE_BURST)[tid % 3]
+        specs.append(TenantSpec(
+            tid, weight=weight, priority=priority, mode=mode, ops=ops,
+            sync=sync, **shape))
+    return TenantFleet(specs, file_size=file_size, seed=seed)
+
+
+def _same_fleet(got, want):
+    assert len(got.specs) == len(want.specs) == 500
+    for mine, theirs in zip(got.specs, want.specs):
+        for field in TenantSpec.__slots__:
+            assert getattr(mine, field) == getattr(theirs, field), (
+                mine, field)
+    assert (got.seed, got.file_size, got.threads) == (
+        want.seed, want.file_size, want.threads)
+
+
+def test_mixed_sync_fleet_equals_the_shard_bench_reference():
+    shape = dict(io_size=32 << 10, read_fraction=0.25, think_ns=10_000,
+                 interval_ns=100_000)
+    _same_fleet(
+        TenantFleet.mixed(500, ops=6, seed=42, sync=True,
+                          file_size=64 << 10, **shape),
+        _reference_mixed(500, 6, 42, sync=True, file_size=64 << 10,
+                         **shape))
+    assert all(spec.sync for spec in TenantFleet.mixed(10, sync=True).specs)
+
+
+def test_mixed_without_sync_is_unchanged():
+    shape = dict(io_size=4096, read_fraction=0.5, think_ns=150_000,
+                 interval_ns=400_000)
+    _same_fleet(TenantFleet.mixed(500, ops=12, seed=0, **shape),
+                _reference_mixed(500, 12, 0, sync=False, **shape))
+    assert not any(spec.sync for spec in TenantFleet.mixed(10).specs)
 
 
 def test_mixed_fleet_completes_every_mode():
