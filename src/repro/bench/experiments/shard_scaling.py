@@ -22,20 +22,29 @@ checks three contracts:
   totals, and every per-device grant count equals the grant counter of
   that device's own ``FCFSServers`` pool -- no request and no slot
   grant is lost or double-billed by the routing layer;
-- **crash safety rides along**: the cross-shard rename crash-point
-  explorer (:mod:`repro.faults.shardcrash`) must prove exactly-one-name
-  recovery at every protocol boundary, with and without a replacement
-  victim, on both journaling bases.
+- **crash safety rides along**: the crash-point explorer
+  (:mod:`repro.faults.crashpoints`) runs ``SHARD_OPS`` -- every
+  cross-shard rename protocol, with and without a replacement victim --
+  on both journaling bases at M=2 and M=4, and must find no violation
+  in any crash state while reaching all six migration steps.
 """
 
 from repro.bench.report import Table
 from repro.bench.experiments.common import SMALL
-from repro.faults.shardcrash import explore_all
+from repro.faults.crashpoints import SHARD_OPS, run_crashcheck
+from repro.fs.shard import XMV_STEPS
 from repro.workloads.tenants import TenantFleet
 
 #: Shard counts swept; "hinfs@1" runs the same ShardedFS routing layer
 #: over a single device, so the sweep isolates device count, not stack.
 DEVICE_COUNTS = (1, 2, 4, 8)
+
+#: The sharded stacks the crash explorer rides along on.
+CRASHCHECK_STACKS = ("hinfs@2", "hinfs@4", "pmfs@2", "pmfs@4")
+
+#: Fault-plan sites of ``ShardedFS._rename_migrate``: the explored
+#: sequence must reach every step of the protocol.
+XMV_SITES = tuple("xmv:" + step for step in XMV_STEPS)
 
 #: The scaling bar check_shape holds the 8-device mount to, relative to
 #: one device.  The recorded run scales ~6x; 2x is the red line under
@@ -90,11 +99,11 @@ def run(scale=SMALL, seed=42, n_tenants=500, ops_per_tenant=6):
         entry.update(_ledgers(result, ndevices))
         scaling.append(entry)
 
-    # The crash-safety gate rides with the bench: every cross-shard
-    # rename boundary, both bases, with/without replacement victims.
-    crash_reports = [r.as_dict()
-                     for r in explore_all(bases=("hinfs", "pmfs"),
-                                          shard_counts=(2, 4))]
+    # The crash-safety gate rides with the bench: every crash state of
+    # the three cross-shard rename protocols, both bases.
+    crash_reports = [r.as_dict() for r in run_crashcheck(
+        CRASHCHECK_STACKS, ops=SHARD_OPS, seed=seed,
+        eviction_samples_per_op=8, torn_samples_per_op=8)]
 
     base = scaling[0]["ops_per_s"]
     scaling_table = Table(
@@ -115,15 +124,17 @@ def run(scale=SMALL, seed=42, n_tenants=500, ops_per_tenant=6):
         )
 
     crash_table = Table(
-        "Cross-shard rename crash-point explorer (remount + recovery at "
-        "every protocol boundary)",
-        ["base", "shards", "victim", "boundaries", "result"],
+        "Crash-point explorer over the cross-shard rename protocols "
+        "(remount + recovery of every crash state)",
+        ["stack", "tape_events", "states", "duplicates", "xmv_sites",
+         "result"],
     )
     for report in crash_reports:
         crash_table.add_row(
-            report["base"], report["nshards"], str(report["with_victim"]),
-            len(report["cases"]),
-            "PASS" if report["passed"] else "FAIL",
+            report["fs_kind"], report["events"], report["states_checked"],
+            report["states_deduped"],
+            sum(site in report["sites"] for site in XMV_SITES),
+            "FAIL" if report["violations"] else "PASS",
         )
 
     data = {
@@ -164,8 +175,11 @@ def check_shape(data):
         assert entry["slot_grants"] == entry["pool_grants"], entry
         assert entry["sharded_reqs_total"] > 0, entry
         assert entry["slot_grants_total"] > 0, entry
-    # Crash-point explorer: exactly-one-name at every boundary.
-    assert data["crashcheck"], "crash explorer produced no reports"
+    # Crash-point explorer: no violation in any crash state, and the
+    # sequence drove the migration protocol through every step.
+    assert [r["fs_kind"] for r in data["crashcheck"]] \
+        == list(CRASHCHECK_STACKS), data["crashcheck"]
     for report in data["crashcheck"]:
-        assert report["passed"], report
         assert not report["violations"], report
+        assert report["states_checked"] > 0, report
+        assert set(XMV_SITES) <= set(report["sites"]), report

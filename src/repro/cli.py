@@ -10,6 +10,7 @@ Examples::
     hinfs-bench tenants --json BENCH_tenants.json
     hinfs-bench shard --json BENCH_shard.json
     hinfs-bench crashcheck --fs all --seed 7 --samples 64
+    hinfs-bench crashcheck --fs pmfs@2
     hinfs-bench trace --fs hinfs --workload fileserver -o trace.json
 """
 
@@ -25,16 +26,22 @@ from repro.bench.report import Series, Table
 
 def crashcheck_main(argv):
     """``crashcheck``: enumerate crash states and verify the invariants."""
-    from repro.faults.crashpoints import run_crashcheck
+    from repro.faults.crashpoints import (
+        DEFAULT_OPS,
+        SHARD_OPS,
+        CrashPointExplorer,
+    )
 
     parser = argparse.ArgumentParser(
         prog="hinfs-bench crashcheck",
         description="Explore every flush/fence crash state of a mixed "
         "operation sequence (plus sampled uncontrolled-eviction states) "
-        "and verify recovery invariants.",
+        "and verify recovery invariants.  A sharded stack (base@M) "
+        "explores the cross-shard rename protocols instead.",
     )
-    parser.add_argument("--fs", choices=["pmfs", "hinfs", "all"],
-                        default="all", help="file system(s) to explore")
+    parser.add_argument("--fs", default="all",
+                        help="PMFS-layout stack to explore, e.g. hinfs, "
+                        "hinfs-wb, pmfs@2 (default: all = pmfs + hinfs)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for eviction-subset sampling")
     parser.add_argument("--samples", type=int, default=64,
@@ -42,9 +49,16 @@ def crashcheck_main(argv):
     args = parser.parse_args(argv)
 
     kinds = ["pmfs", "hinfs"] if args.fs == "all" else [args.fs]
+    try:
+        explorers = [CrashPointExplorer(kind, seed=args.seed,
+                                        eviction_samples_per_op=args.samples)
+                     for kind in kinds]
+    except ValueError as exc:
+        parser.error(str(exc))
     failures = 0
-    for report in run_crashcheck(kinds, seed=args.seed,
-                                 eviction_samples_per_op=args.samples):
+    for explorer in explorers:
+        report = explorer.explore(
+            SHARD_OPS if "@" in explorer.fs_kind else DEFAULT_OPS)
         print(report.summary())
         for violation in report.failures:
             print("  %s" % violation, file=sys.stderr)

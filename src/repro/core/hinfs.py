@@ -497,7 +497,7 @@ class HiNFS(PMFS):
         """
         ends = []
         failed = set()
-        injector = self.request_faults
+        plan = self.env.faults
         for block in blocks:
             if self.hconfig.enable_clfw:
                 mask = block.bitmap.dirty
@@ -509,10 +509,10 @@ class HiNFS(PMFS):
             attempt = 0
             while True:
                 try:
-                    if injector is not None:
-                        # Request-targeted fault injection: fail the persist
-                        # of blocks last written by an armed request id.
-                        injector.check(block.last_req_id)
+                    if plan is not None:
+                        # The ``writeback`` fault site: fail the persist of
+                        # blocks last written by an armed request id.
+                        plan.check("writeback", block.last_req_id)
                     for start, nlines in iter_runs(mask):
                         data = self.buffer.read_from(
                             ctx, block, start * CACHELINE_SIZE,

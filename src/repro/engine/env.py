@@ -8,15 +8,25 @@ isolated, reproducible run.
 """
 
 import itertools
+from typing import TYPE_CHECKING, Optional
 
 from repro.engine.background import BackgroundRegistry
 from repro.engine.errors import SimulationError
 from repro.engine.resources import FCFSServers
 from repro.engine.stats import SimStats
 
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+
 
 class SimEnv:
     """Shared state for one simulation run."""
+
+    #: The run's :class:`repro.faults.plan.FaultPlan` once one is
+    #: attached (its constructor assigns this), else None: every
+    #: injection site tests it first, so a run without a plan pays one
+    #: attribute read per site.
+    faults: Optional["FaultPlan"]
 
     def __init__(self):
         self.stats = SimStats()
@@ -28,6 +38,7 @@ class SimEnv:
         #: is enabled, else None -- the data path checks this once per
         #: request, so the default costs nothing.
         self.trace = None
+        self.faults = None
 
     def next_req_id(self):
         """Allocate the next request id (unique within this run)."""

@@ -13,18 +13,19 @@ Cooperating pieces:
 - :mod:`repro.faults.errseq` -- Linux ``errseq_t``-style tracking so an
   asynchronous writeback failure is reported by the *next* fsync/close of
   the file, exactly once per file descriptor.
-- :mod:`repro.faults.crashpoints` -- a CrashMonkey-style crash-state
-  explorer: it records every persist event and flush/fence boundary of an
-  operation sequence, reconstructs the NVMM image a power failure would
-  leave at each point (plus sampled uncontrolled-eviction subsets and
-  torn lines where only some 8-byte words of a dirty cacheline persist),
-  then replays recovery and checks file-system invariants.
-- :mod:`repro.faults.reqfault` -- request-targeted injection: fail the
-  writeback of blocks last written by a specific
-  :class:`repro.io.IORequest` id.
-- :mod:`repro.faults.ringfault` -- ring-targeted injection: fail the Nth
-  SQE a submission ring executes, or crash between the ops of a linked
-  chain.
+- :mod:`repro.faults.crashpoints` -- the one CrashMonkey-style
+  crash-state explorer: it records every persist event and flush/fence
+  boundary of an operation sequence on any PMFS-layout stack, sharded
+  (``"pmfs@2"``) or not, reconstructs the NVMM image a power failure
+  would leave at each point (plus sampled uncontrolled-eviction subsets
+  and torn lines where only some 8-byte words of a dirty cacheline
+  persist), then replays recovery and checks file-system invariants.
+- :mod:`repro.faults.plan` -- the one :class:`FaultPlan` of named
+  injection sites an environment carries (``env.faults``): fail the
+  writeback of the blocks one :class:`repro.io.IORequest` wrote, the Nth
+  SQE a ring executes, a mapping's load/store/msync/log append, or cut
+  power (:class:`PowerCut`) after an SQE or at a step of the cross-shard
+  rename protocol.
 - :mod:`repro.faults.chaos` -- seeded chaos campaigns that combine all of
   the above against a live stack and prove recovery: scrub repairs or
   isolates every fault, the mount-health FSM returns to HEALTHY, and a
@@ -34,10 +35,8 @@ Cooperating pieces:
 from repro.faults.chaos import ChaosCampaign, run_all, run_campaign
 from repro.faults.errseq import ErrseqMap
 from repro.faults.media import MediaFaultModel
+from repro.faults.plan import FaultPlan, PowerCut
 from repro.faults.policy import RetryPolicy
-from repro.faults.reqfault import RequestFaultInjector
-from repro.faults.ringfault import RingCrash, RingFaultInjector
 
-__all__ = ["ChaosCampaign", "ErrseqMap", "MediaFaultModel",
-           "RequestFaultInjector", "RetryPolicy", "RingCrash",
-           "RingFaultInjector", "run_all", "run_campaign"]
+__all__ = ["ChaosCampaign", "ErrseqMap", "FaultPlan", "MediaFaultModel",
+           "PowerCut", "RetryPolicy", "run_all", "run_campaign"]

@@ -31,8 +31,8 @@ from repro.engine.background import BackgroundRegistry
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.faults.media import MediaFaultModel
+from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
-from repro.faults.ringfault import RingFaultInjector
 from repro.fs import flags as f
 from repro.fs import make_fs
 from repro.fs.errors import FSError, MediaError, ReadOnly
@@ -51,8 +51,6 @@ CHAOS_STACKS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd")
 TORN_CRASH_STACKS = ("hinfs", "pmfs")
 
 LINES_PER_BLOCK = BLOCK_SIZE // CACHELINE_SIZE
-WORD_SIZE = 8
-WORDS_PER_LINE = CACHELINE_SIZE // WORD_SIZE
 
 
 class ChaosCampaign:
@@ -234,11 +232,8 @@ class ChaosCampaign:
                 base_backoff_ns=self.config.media_retry_backoff_ns,
                 multiplier=2.0, jitter_frac=0.0, breaker_threshold=32,
             )
-        if ring.faults is None:
-            ring.faults = RingFaultInjector(max_hits=0)
         seq = ring._seq + self._rng.randrange(1, self.writes_per_round)
-        ring.faults.arm_fail(seq)
-        ring.faults.max_hits += 1
+        (self.env.faults or FaultPlan(self.env)).arm("ring", seq)
         self.ring_fault_seqs.append(seq)
 
     # -- oracle -----------------------------------------------------------
@@ -344,6 +339,11 @@ class ChaosCampaign:
         """Power-fail with a torn line: volatile lines are lost, a seeded
         proper subset of one dirty line's 8-byte words persists, and
         journal recovery must produce a consistent image."""
+        # Imported here like ``build_stack`` in ``run``: the explorer
+        # imports ``repro.core``, which imports the device this package's
+        # ``__init__`` is loaded from.
+        from repro.faults.crashpoints import WORD_SIZE, WORDS_PER_LINE
+
         device = self._device()
         mem = device.mem
         # Leave some writes unsynced so the crash has volatile state.

@@ -22,15 +22,27 @@ power-cycled -- a fresh env, device and file system on the surviving
 media -- and the recovered file system is checked against invariants
 derived from the operations that had completed before the crash point:
 
-1. recovery succeeds (journal replay / rollback is correct);
+1. recovery succeeds (journal replay / rollback is correct) and no
+   device comes up degraded;
 2. durably-acknowledged namespace operations survive (created files
    exist, unlinked files are gone, a rename shows exactly one name --
-   and *during* a rename, at least one of the two names);
-3. fsynced (or O_SYNC-written) bytes are never lost;
+   and *during* a rename, at least one of the two names; a durable name
+   being renamed *over* resolves at every point, to the victim or to
+   the moved file);
+3. fsynced (or O_SYNC-written) bytes are never lost, and they follow a
+   rename: during it exactly one of the two names reads them back,
+   after it the new one does -- for a directory, every fsynced file
+   below it;
 4. every file's size matches its readable contents;
-5. the rebuilt allocator agrees exactly with the union of all block
-   maps: no block referenced twice, none out of range, no orphans;
+5. each device's rebuilt allocator agrees exactly with the union of its
+   block maps: no block referenced twice, none out of range, no orphans;
 6. a second crash immediately after recovery mounts cleanly too.
+
+The explored stack is any PMFS-layout name of :data:`repro.fs.STACKS`,
+optionally sharded (``"pmfs@2"``): the M devices of a sharded mount
+record onto one tape, device ``s`` at ``s * device_bytes + addr``, so a
+crash state is one cut through all M persistence domains, and the same
+op vocabulary and invariants run through the unchanged VFS on either.
 
 Everything is deterministic: the only randomness is a seeded
 ``random.Random`` used for eviction-subset sampling.
@@ -43,9 +55,11 @@ from bisect import bisect_right
 from repro.core import HiNFSConfig
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
+from repro.faults.plan import FaultPlan
 from repro.fs import flags as f
 from repro.fs import make_fs
 from repro.fs.errors import FSError
+from repro.fs.shard import ShardedFS, check_pmfs_layout
 from repro.fs.vfs import VFS
 from repro.mem.cpucache import CachedPersistentRegion
 from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
@@ -65,22 +79,28 @@ WORDS_PER_LINE = CACHELINE_SIZE // WORD_SIZE
 
 
 class TapeRecorder:
-    """Observer that records the persistence tape of a region."""
+    """Observer that records the persistence tape of a region.
 
-    def __init__(self):
-        self.events = []       # (kind, addr, bytes)
-        self.boundaries = []   # event indices of clflush/fence points
+    ``TapeRecorder(base, tape)`` is a second device's view of ``tape``:
+    it appends to the same lists, its addresses shifted by ``base``.
+    """
+
+    def __init__(self, base=0, tape=None):
+        self.base = base
+        # (kind, addr, bytes), and event indices of clflush/fence points
+        self.events = [] if tape is None else tape.events
+        self.boundaries = [] if tape is None else tape.boundaries
         self.enabled = True
 
     # -- CachedPersistentRegion observer protocol ----------------------
 
     def on_cached_write(self, addr, data):
         if self.enabled:
-            self.events.append((EV_STORE, addr, bytes(data)))
+            self.events.append((EV_STORE, self.base + addr, bytes(data)))
 
     def on_persist(self, addr, data):
         if self.enabled:
-            self.events.append((EV_PERSIST, addr, bytes(data)))
+            self.events.append((EV_PERSIST, self.base + addr, bytes(data)))
 
     def on_flush_boundary(self, region):
         if self.enabled:
@@ -91,10 +111,11 @@ class TapeRecorder:
             self.boundaries.append(len(self.events))
 
 
-def touched_extents(events, size):
+def touched_extents(events, size, device_bytes=None):
     """Sorted, coalesced, line-aligned ``(start, end)`` byte extents
     covering every cacheline a tape event touches, in a region of
-    ``size`` bytes (the tail line is clamped to the region).
+    ``size`` bytes (the tail line is clamped to the region).  No extent
+    crosses a multiple of ``device_bytes``: each lies on one device.
 
     Stores and persists both count: evicted and torn lines come from
     stores.  Every crash image of the run equals the baseline outside
@@ -109,7 +130,8 @@ def touched_extents(events, size):
     for line in sorted(lines):
         base = line * CACHELINE_SIZE
         end = min(base + CACHELINE_SIZE, size)
-        if extents and extents[-1][1] == base:
+        if extents and extents[-1][1] == base \
+                and not (device_bytes and base % device_bytes == 0):
             extents[-1] = (extents[-1][0], end)
         else:
             extents.append((base, end))
@@ -251,25 +273,33 @@ class ShadowImage:
 
 
 class CrashArena:
-    """The one device image every crash state of a run is mounted on.
+    """The device images every crash state of a run is mounted on.
 
-    ``load`` restores the baseline into the region (one copy; volatile
-    lines dropped -- whatever the previous state's recovery wrote is
-    gone) and writes a state's compact bytes back at their extents; the
-    region then holds exactly that state's durable image.
+    ``baseline`` is the ``devices`` equal-sized device images end to
+    end, as the tape addresses them.  ``load`` restores it into the
+    regions (one copy; volatile lines dropped -- whatever the previous
+    state's recovery wrote is gone) and writes a state's compact bytes
+    back at their extents, each on the device it lies on; the regions
+    then hold exactly that state's durable image.
     """
 
-    def __init__(self, baseline, extents):
-        self.baseline = baseline
+    def __init__(self, baseline, extents, devices=1):
         self.extents = extents
-        self.mem = CachedPersistentRegion(len(baseline))
+        size = len(baseline) // devices
+        view = memoryview(baseline)
+        self._baselines = [view[s * size:(s + 1) * size]
+                           for s in range(devices)]
+        self.mems = [CachedPersistentRegion(size) for _ in range(devices)]
 
     def load(self, compact):
-        self.mem.load_snapshot(self.baseline)
+        for mem, baseline in zip(self.mems, self._baselines):
+            mem.load_snapshot(baseline)
+        size = self.mems[0].size
         view = memoryview(compact)
         off = 0
         for start, end in self.extents:
-            self.mem.write_nocache(start, view[off:off + end - start])
+            self.mems[start // size].write_nocache(
+                start % size, view[off:off + end - start])
             off += end - start
 
 
@@ -277,7 +307,7 @@ class Expectations:
     """What must hold in any crash state taken at or after a checkpoint."""
 
     __slots__ = ("present", "absent", "fsynced", "either_present",
-                 "epoch_window")
+                 "moving", "epoch_window")
 
     def __init__(self):
         self.present = set()   # paths that must exist
@@ -288,8 +318,13 @@ class Expectations:
         #: holds (fsynced bytes may be legally overwritten, never lost).
         self.fsynced = {}
         #: (old, new) pairs inside a rename window: at least one of the
-        #: two names must resolve (rename atomicity).
+        #: two names must resolve (rename atomicity).  One pair per
+        #: durable path at or below the renamed one.
         self.either_present = []
+        #: (old, new, bytes, clean) inside a rename window, one per
+        #: ``fsynced`` path at or below the renamed one: the content
+        #: must read back under exactly one of the two names.
+        self.moving = []
         #: path -> (pre, post) inside an mmio msync/munmap window: the
         #: epoch commit is atomic, so recovery must yield exactly the
         #: pre-epoch or the post-epoch image -- never a blend.
@@ -301,6 +336,7 @@ class Expectations:
         out.absent = set(self.absent)
         out.fsynced = dict(self.fsynced)
         out.either_present = list(self.either_present)
+        out.moving = list(self.moving)
         out.epoch_window = dict(self.epoch_window)
         return out
 
@@ -346,9 +382,14 @@ class ExplorationReport:
         self.eviction_draws = {}  # op index -> sampled eviction subsets
         self.torn_draws = {}      # op index -> sampled torn-write states
         #: op index -> (first_req_id, last_req_id) allocated while that
-        #: op ran, so a crash point (or a RequestFaultInjector arm) can
-        #: be mapped back to the specific in-flight request.
+        #: op ran, so a crash point (or a ``writeback`` arm of a
+        #: :class:`~repro.faults.plan.FaultPlan`) can be mapped back to
+        #: the specific in-flight request.
         self.op_request_ids = {}
+        #: Sorted names of the fault-plan sites the recorded run
+        #: consulted: proof of which protocol steps (``xmv:*``, ...) the
+        #: op sequence reached.
+        self.sites = []
         self.failures = []
 
     @property
@@ -366,6 +407,21 @@ class ExplorationReport:
                 "%d crash-state invariant violation(s):\n%s"
                 % (len(self.failures), text)
             )
+
+    def as_dict(self):
+        """The run as plain JSON-able data (same seed, same dict)."""
+        return {
+            "fs_kind": self.fs_kind,
+            "ops": len(self.ops),
+            "events": self.events,
+            "boundaries": self.boundaries,
+            "states_checked": self.states_checked,
+            "states_deduped": self.states_deduped,
+            "eviction_draws": sum(self.eviction_draws.values()),
+            "torn_draws": sum(self.torn_draws.values()),
+            "sites": list(self.sites),
+            "violations": [str(v) for v in self.failures],
+        }
 
     def summary(self):
         return (
@@ -423,6 +479,37 @@ MMIO_OPS = (
     ("munmap", "/m"),
 )
 
+#: The shard layer's three intent-logged rename protocols, for a
+#: ``base@M`` mount.  The root names are picked so that those ending in
+#: an even digit hash to shard 0 and those in an odd one to shard 1, at
+#: M=2 and M=4 alike; ``/d/f`` lands on shard 1 at both (its placement
+#: hangs on the inode number ``/d`` gets, so the directory ops go first).
+#: ``[:3]`` drives ``dirmv`` alone, ``[3:5]`` ``xmv`` and ``[3:7]``
+#: ``swap``, each from a blank mount.
+SHARD_OPS = (
+    ("mkdir", "/d"),
+    ("sync_write", "/d/f", 0, 3000),
+    ("rename", "/d", "/e"),              # dirmv: mirrors follow shard 0
+    ("sync_write", "/b2", 0, 5000),
+    ("rename", "/b2", "/a1"),            # xmv: plain migration, 0 -> 1
+    ("sync_write", "/c6", 0, 1000),
+    ("rename_mapped", "/c6", "/a1"),     # swap: stays on 0, victim on 1
+    ("sync_write", "/f2", 0, 2500),
+    ("rename", "/f2", "/a1"),            # xmv over the misplaced victim
+    ("append", "/c4", 2000),             # lazy: in HiNFS's DRAM buffer
+    ("rename", "/c4", "/a1"),            # xmv over a victim on shard 1
+    ("rename", "/e/f", "/b0"),           # xmv out of a directory, 1 -> 0
+    ("mkdir", "/e/g"),                   # mirrored below the moved mirrors
+    ("unlink", "/a1"),
+)
+
+
+def _moved(paths, old, new):
+    """``(path, its path after the move)`` for each of ``paths`` at or
+    below ``old`` when ``old`` is renamed to ``new``, sorted."""
+    return [(path, new + path[len(old):]) for path in sorted(paths)
+            if path == old or path.startswith(old + "/")]
+
 
 class CrashPointExplorer:
     """Run an op sequence, then test every crash state it could leave."""
@@ -430,9 +517,11 @@ class CrashPointExplorer:
     def __init__(self, fs_kind, seed=0, eviction_samples_per_op=64,
                  torn_samples_per_op=16, journal_checksums=True,
                  mmio_log_checksums=True, device_bytes=4 << 20):
-        if fs_kind not in ("pmfs", "hinfs"):
-            raise ValueError("fs_kind must be 'pmfs' or 'hinfs'")
         self.fs_kind = fs_kind
+        #: ``base@M``: M devices behind one ShardedFS; else one device.
+        self._base, self._sharded, count = fs_kind.partition("@")
+        check_pmfs_layout(self._base)
+        self.devices = int(count) if self._sharded else 1
         self.seed = seed
         self.eviction_samples_per_op = eviction_samples_per_op
         #: Sub-cacheline crash states sampled per op: torn persist events
@@ -455,30 +544,34 @@ class CrashPointExplorer:
 
     # -- stack construction -------------------------------------------
 
-    def _fresh_stack(self):
+    def _stack(self, mems, name, **fs_kwargs):
+        """A fresh env with the explored stack on it -- formatted on
+        blank devices when ``mems`` is None, else recovered from those
+        surviving regions (the caller dropped their volatile lines).
+        Returns ``(per-device file systems, vfs, ctx)``."""
         env = SimEnv()
         config = NVMMConfig()
-        device = NVMMDevice(env, config, self.device_bytes)
-        # Small journal and inode table: every crash-state mount scans
-        # the whole ring, so the defaults would dominate the run time.
-        fs = self._make_fs(env, device, config, journal_blocks=8,
-                           inode_count=64)
-        vfs = VFS(env, fs, config)
-        return env, config, device, fs, vfs, ExecContext(env, "crashpoints")
+        shards = []
+        for s in range(self.devices):
+            domain = "dev%d" % s if self._sharded else None
+            if mems is None:
+                device = NVMMDevice(env, config, self.device_bytes,
+                                    domain=domain)
+            else:
+                device = NVMMDevice.on_region(env, config, mems[s],
+                                              domain=domain)
+            shards.append(make_fs(
+                env, self._base, device, config,
+                HiNFSConfig(buffer_bytes=256 << 10), mount=mems is not None,
+                journal_checksums=self.journal_checksums, **fs_kwargs))
+        fs = ShardedFS(env, shards, mounted=mems is not None) \
+            if self._sharded else shards[0]
+        return shards, VFS(env, fs, config), ExecContext(env, name)
 
     def _mount(self):
-        """Power-cycle the arena: a fresh env, device and file system on
-        the media as it stands (the caller dropped any volatile lines)."""
-        env = SimEnv()
-        config = NVMMConfig()
-        device = NVMMDevice.on_region(env, config, self._arena.mem)
-        fs = self._make_fs(env, device, config, mount=True)
-        return device, fs, VFS(env, fs, config), ExecContext(env, "recovery")
-
-    def _make_fs(self, env, device, config, **kwargs):
-        return make_fs(env, self.fs_kind, device, config,
-                       HiNFSConfig(buffer_bytes=256 << 10),
-                       journal_checksums=self.journal_checksums, **kwargs)
+        """Power-cycle the arena: the stack recovered on the media as it
+        stands."""
+        return self._stack(self._arena.mems, "recovery")
 
     # -- the recorded run ---------------------------------------------
 
@@ -491,10 +584,18 @@ class CrashPointExplorer:
         (the op may touch its paths at any intermediate state), the ones
         at its *end* carry the op's durable guarantees.
         """
-        env, config, device, fs, vfs, ctx = self._fresh_stack()
+        # Small journal and inode table: every crash-state mount scans
+        # the whole ring, so the defaults would dominate the run time.
+        shards, vfs, ctx = self._stack(None, "crashpoints", journal_blocks=8,
+                                       inode_count=64)
+        env = vfs.env
+        # Unarmed: only records which fault sites the sequence reached.
+        plan = FaultPlan(env)
         tape = TapeRecorder()
-        baseline = device.mem.persistent_snapshot()
-        device.mem.observer = tape
+        baseline = b"".join(fs.device.mem.persistent_snapshot()
+                            for fs in shards)
+        for s, fs in enumerate(shards):
+            fs.device.mem.observer = TapeRecorder(s * self.device_bytes, tape)
         #: path -> (fd, MmioMapping) for the mmap op family, plus the
         #: staged-content model backing the epoch-window expectations.
         self._mmaps = {}
@@ -515,8 +616,10 @@ class CrashPointExplorer:
                 op_request_ids[op_index] = (first_req + 1, last_req - 1)
             expect = self._strengthen(weakened, vfs, ctx, op)
             checkpoints.append((len(tape.events), op_index, expect.copy()))
-        device.mem.observer = None
+        for fs in shards:
+            fs.device.mem.observer = None
         self._op_request_ids = op_request_ids
+        self._sites = sorted({site for site, _key in plan.observed})
         return tape, baseline, checkpoints
 
     def _execute(self, vfs, ctx, op, op_index):
@@ -544,6 +647,16 @@ class CrashPointExplorer:
             vfs.close(ctx, fd)
         elif kind == "rename":
             vfs.rename(ctx, op[1], op[2])
+        elif kind == "rename_mapped":
+            # Renamed under a live (plain) mapping, a file must keep its
+            # inode: on a sharded mount it stays on its device even when
+            # the new name hashes elsewhere -- the one way a file
+            # becomes *misplaced*.
+            fd = vfs.open(ctx, op[1], f.O_RDWR)
+            region = vfs.mmap(ctx, fd)
+            vfs.rename(ctx, op[1], op[2])
+            vfs.munmap(ctx, region)
+            vfs.close(ctx, fd)
         elif kind == "unlink":
             vfs.unlink(ctx, op[1])
         elif kind == "truncate":
@@ -590,14 +703,18 @@ class CrashPointExplorer:
         elif kind == "unlink":
             expect.present.discard(op[1])
             expect.fsynced.pop(op[1], None)
-        elif kind == "rename":
+        elif kind in ("rename", "rename_mapped"):
             old, new = op[1], op[2]
-            expect.present.discard(old)
-            expect.present.discard(new)
-            expect.absent.discard(new)
-            expect.fsynced.pop(old, None)
+            # A durable ``new`` stays in ``present``: rename-over swaps
+            # what the name resolves to, it never lets the name vanish.
+            # Only its fsynced content stops being promised.
             expect.fsynced.pop(new, None)
-            expect.either_present.append((old, new))
+            expect.either_present = _moved(expect.present, old, new)
+            for path, dest in expect.either_present:
+                expect.present.discard(path)
+                expect.absent.discard(dest)
+            for path, dest in _moved(expect.fsynced, old, new):
+                expect.moving.append((path, dest) + expect.fsynced.pop(path))
         elif kind == "truncate":
             expect.fsynced.pop(op[1], None)
         elif kind == "mstore":
@@ -626,13 +743,15 @@ class CrashPointExplorer:
             expect.fsynced[op[1]] = (vfs.read_file(ctx, op[1]), True)
         elif kind == "unlink":
             expect.absent.add(op[1])
-        elif kind == "rename":
-            old, new = op[1], op[2]
-            expect.either_present = [
-                pair for pair in expect.either_present if pair != (old, new)
-            ]
-            expect.present.add(new)
-            expect.absent.add(old)
+        elif kind in ("rename", "rename_mapped"):
+            # One op is in flight at a time: both windows are this op's.
+            for path, dest in expect.either_present:
+                expect.present.add(dest)
+                expect.absent.add(path)
+            for _path, dest, data, clean in expect.moving:
+                expect.fsynced[dest] = (data, clean)
+            expect.either_present = []
+            expect.moving = []
         elif kind == "mmap":
             # The op fsynced before mapping: the mapped baseline is
             # durable, and every later crash state inside the epoch must
@@ -653,11 +772,13 @@ class CrashPointExplorer:
         ops = list(ops)
         report = ExplorationReport(self.fs_kind, ops)
         tape, baseline, checkpoints = self._run_ops(ops)
-        extents = touched_extents(tape.events, len(baseline))
-        self._arena = CrashArena(baseline, extents)
+        extents = touched_extents(tape.events, len(baseline),
+                                  self.device_bytes)
+        self._arena = CrashArena(baseline, extents, self.devices)
         report.events = len(tape.events)
         report.boundaries = len(set(tape.boundaries))
         report.op_request_ids = dict(self._op_request_ids)
+        report.sites = self._sites
 
         # Checkpoint lookup: for event prefix k, the newest checkpoint at
         # position <= k governs.
@@ -677,18 +798,12 @@ class CrashPointExplorer:
             end = starts[i + 1][0] if i + 1 < len(starts) else len(tape.events)
             op_windows.append((op_index, pos, end))
 
+        # Every event prefix (0 = crash before anything ran), and sampled
+        # uncontrolled-eviction subsets, per op: rebuild the shadow
+        # incrementally along the tape and, at randomly chosen points
+        # inside each op's window, persist a random subset of the dirty
+        # lines on top of the prefix image.
         seen = {}
-        shadow = ShadowImage(baseline, extents)
-        # Prefix 0 (crash before anything ran) through every event.
-        self._check_dedup(report, seen, shadow, 0, expect_at, ())
-        for k, event in enumerate(tape.events):
-            shadow.apply(event)
-            self._check_dedup(report, seen, shadow, k + 1, expect_at, ())
-
-        # Sampled uncontrolled-eviction subsets, per op: rebuild the
-        # shadow incrementally along the tape and, at randomly chosen
-        # points inside each op's window, persist a random subset of the
-        # dirty lines on top of the prefix image.
         draw_points = {}  # event index -> list of draw ids
         for op_index, start, end in op_windows:
             report.eviction_draws[op_index] = 0
@@ -698,15 +813,13 @@ class CrashPointExplorer:
                 k = self._rng.randint(start, end)
                 draw_points.setdefault(k, []).append(op_index)
         shadow = ShadowImage(baseline, extents)
-        for op_index in draw_points.get(0, ()):
-            report.eviction_draws[op_index] += 1
-            self._check_eviction_draw(report, seen, shadow, 0, expect_at)
-        for k, event in enumerate(tape.events):
-            shadow.apply(event)
-            for op_index in draw_points.get(k + 1, ()):
+        for k in range(len(tape.events) + 1):
+            if k:
+                shadow.apply(tape.events[k - 1])
+            self._check_dedup(report, seen, shadow, k, expect_at, ())
+            for op_index in draw_points.get(k, ()):
                 report.eviction_draws[op_index] += 1
-                self._check_eviction_draw(report, seen, shadow, k + 1,
-                                          expect_at)
+                self._check_eviction_draw(report, seen, shadow, k, expect_at)
 
         # Sub-cacheline (torn-write) states, per op: at seeded points
         # inside each op's window, tear the next persist event mid-flight
@@ -795,66 +908,98 @@ class CrashPointExplorer:
         problems = []
         self._arena.load(image)
         try:
-            device, fs, vfs, ctx = self._mount()
+            shards, vfs, ctx = self._mount()
         except Exception as exc:  # noqa: BLE001 - any crash is a finding
             return ["mount failed: %r" % (exc,)]
-        if fs.degraded_reason is not None:
-            problems.append("mount degraded: %s" % fs.degraded_reason)
-            return problems
+        degraded = {fs.degraded_reason for fs in [vfs.fs] + shards}
+        degraded.discard(None)
+        if degraded:
+            return ["mount degraded: %s" % "; ".join(sorted(degraded))]
         problems.extend(self._check_namespace(vfs, ctx, expect))
         problems.extend(self._check_files(vfs, ctx))
-        problems.extend(self._check_allocator(fs))
+        for fs in shards:
+            problems.extend(self._check_allocator(fs))
         if problems:
             return problems
         # Crash again right after recovery: remount must also be clean
         # (recovery itself only persists ordered, flushed state).  The
         # media is not restored in between -- the second mount sees
         # exactly what the first one's recovery left durable.
-        device.crash()
+        for fs in shards:
+            fs.device.crash()
         try:
-            _, fs2, vfs2, ctx2 = self._mount()
+            shards2, vfs2, ctx2 = self._mount()
         except Exception as exc:  # noqa: BLE001
             return ["remount after recovery failed: %r" % (exc,)]
         problems.extend(self._check_namespace(vfs2, ctx2, expect))
-        problems.extend(self._check_allocator(fs2))
+        for fs in shards2:
+            problems.extend(self._check_allocator(fs))
         return problems
+
+    @staticmethod
+    def _lost(vfs, ctx, path, data, clean):
+        """Why fsynced ``data`` does not read back at ``path``, or None
+        when it does.  Not ``clean`` (written since): only the length is
+        promised -- fsynced bytes may be overwritten, never lost."""
+        if not vfs.exists(ctx, path):
+            return "fsynced file %s missing" % path
+        recovered = vfs.read_file(ctx, path)
+        if len(recovered) < len(data):
+            return ("fsynced bytes lost on %s: %d < %d"
+                    % (path, len(recovered), len(data)))
+        if clean and recovered[: len(data)] != data:
+            return "fsynced content of %s corrupted" % path
+        return None
 
     def _check_namespace(self, vfs, ctx, expect):
         problems = []
-        for path in sorted(expect.present):
-            if not vfs.exists(ctx, path):
-                problems.append("durable path %s missing" % path)
-        for path in sorted(expect.absent):
-            if vfs.exists(ctx, path):
-                problems.append("unlinked/renamed-away path %s present" % path)
-        for old, new in expect.either_present:
-            if not vfs.exists(ctx, old) and not vfs.exists(ctx, new):
-                problems.append(
-                    "rename atomicity broken: neither %s nor %s exists"
-                    % (old, new)
-                )
-        for path, (data, clean) in sorted(expect.fsynced.items()):
-            if not vfs.exists(ctx, path):
-                problems.append("fsynced file %s missing" % path)
-                continue
-            recovered = vfs.read_file(ctx, path)
-            if len(recovered) < len(data):
-                problems.append(
-                    "fsynced bytes lost on %s: %d < %d"
-                    % (path, len(recovered), len(data))
-                )
-            elif clean and recovered[: len(data)] != data:
-                problems.append("fsynced content of %s corrupted" % path)
-        for path, (pre, post) in sorted(expect.epoch_window.items()):
-            if not vfs.exists(ctx, path):
-                problems.append("mmio-mapped file %s missing" % path)
-                continue
-            recovered = vfs.read_file(ctx, path)
-            if recovered != pre and recovered != post:
-                problems.append(
-                    "mmio epoch atomicity broken on %s: recovered image is "
-                    "neither the pre- nor the post-epoch content" % path
-                )
+        try:
+            for path in sorted(expect.present):
+                if not vfs.exists(ctx, path):
+                    problems.append("durable path %s missing" % path)
+            for path in sorted(expect.absent):
+                if vfs.exists(ctx, path):
+                    problems.append(
+                        "unlinked/renamed-away path %s present" % path)
+            for old, new in expect.either_present:
+                if not vfs.exists(ctx, old) and not vfs.exists(ctx, new):
+                    problems.append(
+                        "rename atomicity broken: neither %s nor %s exists"
+                        % (old, new)
+                    )
+            for old, new, data, clean in expect.moving:
+                holders = [path for path in (old, new)
+                           if self._lost(vfs, ctx, path, data, clean) is None]
+                if not holders:
+                    problems.append(
+                        "fsynced content of %s lost in its rename to %s"
+                        % (old, new))
+                elif len(holders) == 2 and clean and data:
+                    # Content tells the moved file from a victim at
+                    # ``new`` only when it is exact and non-empty.
+                    problems.append(
+                        "fsynced content of %s readable under both it and "
+                        "%s" % (old, new))
+            for path, (data, clean) in sorted(expect.fsynced.items()):
+                why = self._lost(vfs, ctx, path, data, clean)
+                if why is not None:
+                    problems.append(why)
+            for path, (pre, post) in sorted(expect.epoch_window.items()):
+                if not vfs.exists(ctx, path):
+                    problems.append("mmio-mapped file %s missing" % path)
+                    continue
+                recovered = vfs.read_file(ctx, path)
+                if recovered != pre and recovered != post:
+                    problems.append(
+                        "mmio epoch atomicity broken on %s: recovered image "
+                        "is neither the pre- nor the post-epoch content"
+                        % path
+                    )
+        except FSError as exc:
+            # A probe that cannot even walk the tree (a half-moved
+            # directory mirror reads as ENOTDIR) is this state's finding,
+            # not the exploration's abort.
+            problems.append("namespace walk failed: %r" % (exc,))
         return problems
 
     def _check_files(self, vfs, ctx, root="/"):
@@ -922,18 +1067,8 @@ class CrashPointExplorer:
         return problems
 
 
-def run_crashcheck(fs_kinds=("pmfs", "hinfs"), seed=0,
-                   eviction_samples_per_op=64, torn_samples_per_op=16,
-                   journal_checksums=True, mmio_log_checksums=True,
-                   ops=DEFAULT_OPS):
+def run_crashcheck(fs_kinds=("pmfs", "hinfs"), ops=DEFAULT_OPS,
+                   **explorer_kwargs):
     """Explore every crash state of ``ops`` on each fs; returns reports."""
-    return [
-        CrashPointExplorer(
-            kind, seed=seed,
-            eviction_samples_per_op=eviction_samples_per_op,
-            torn_samples_per_op=torn_samples_per_op,
-            journal_checksums=journal_checksums,
-            mmio_log_checksums=mmio_log_checksums,
-        ).explore(ops)
-        for kind in fs_kinds
-    ]
+    return [CrashPointExplorer(kind, **explorer_kwargs).explore(ops)
+            for kind in fs_kinds]

@@ -106,10 +106,6 @@ class FileSystem:
 
     # -- file I/O ---------------------------------------------------------
 
-    #: Request-targeted fault injector
-    #: (:class:`repro.faults.reqfault.RequestFaultInjector`) or None.
-    request_faults = None
-
     def submit(self, ctx, req):
         """Execute one :class:`~repro.io.IORequest` against this fs.
 

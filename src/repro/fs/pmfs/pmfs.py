@@ -55,9 +55,6 @@ class PMFS(FileSystem):
         #: empty list.  A MAP_ATOMIC mapping (the one that intercepts
         #: syscall I/O) is always alone in its list.
         self._mappings = {}
-        #: Mapping-targeted fault injector
-        #: (:class:`repro.faults.mmiofault.MmioFaultInjector`) or None.
-        self.mmio_faults = None
         if not _skip_format:
             self._mkfs()
 

@@ -68,6 +68,12 @@ from repro.fs.errors import NotADirectory, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY, ISOLATED, MountHealth, OVERLOADED
 from repro.io import OP_WRITE
 
+#: Steps of :meth:`ShardedFS._rename_migrate`, in protocol order: after
+#: each, the fault site ``xmv:<step>`` (``victim-unlinked`` only when
+#: the victim lives on another shard than the target).
+XMV_STEPS = ("intent", "copy", "copied", "victim-unlinked", "linked",
+             "unlinked")
+
 #: Namespace entries the shard layer keeps for itself (never listed).
 HIDDEN_PREFIX = ".__"
 INTENT_LOG_NAME = ".__shard_intents__"
@@ -116,12 +122,6 @@ class _ShardedErrseq:
         return errs.drop(local)
 
 
-class _CrashRequested(BaseException):
-    """Raised by a crash-point hook to stop a rename mid-protocol.
-
-    BaseException so no fs/VFS handler swallows it on the way out."""
-
-
 class ShardedFS(FileSystem):
     """M per-device file systems behind one FileSystem interface."""
 
@@ -145,9 +145,6 @@ class ShardedFS(FileSystem):
         #: (shard, local ino) -> global dir ino, for every mirror.
         self._dir_gino = {}
         self._intent_seq = 0
-        #: Crash-point hook for the explorer: called with a boundary name
-        #: at each step of the cross-shard protocol.
-        self._xmv_hook = None
         free = FreeContext(env)
         if mounted:
             self._mount(free)
@@ -394,10 +391,11 @@ class ShardedFS(FileSystem):
             offset += _FRAME_HDR.size + length
         return records
 
-    def _crash_point(self, point):
-        hook = self._xmv_hook
-        if hook is not None:
-            hook(point)
+    def _crash_point(self, step):
+        """The ``xmv:<step>`` fault site (:mod:`repro.faults.plan`)."""
+        plan = self.env.faults
+        if plan is not None:
+            plan.check("xmv:" + step)
 
     # -- namespace ----------------------------------------------------------
 
@@ -697,9 +695,16 @@ def mount_sharded(env, devices, base_name, config, hinfs_config=None):
         for device in devices])
 
 
+def check_pmfs_layout(base_name):
+    """Raise ValueError unless ``base_name`` is a stack of the one table
+    on the PMFS on-media layout (PMFS, HiNFS and its ablations): what a
+    shard can be, and what the crash explorer can recover and audit."""
+    if STACKS.get(base_name, ("", ""))[1] not in ("HiNFS", "PMFS"):
+        raise ValueError("%r is not a PMFS-layout stack of repro.fs.STACKS"
+                         % base_name)
+
+
 def _make_shard(env, base_name, device, config, hinfs_config, mount=False):
     """One inner file system from the stack table (``make_fs``)."""
-    if STACKS.get(base_name, ("", ""))[1] not in ("HiNFS", "PMFS"):
-        raise ValueError("cannot shard %r (direct-access stacks only)"
-                         % base_name)
+    check_pmfs_layout(base_name)
     return make_fs(env, base_name, device, config, hinfs_config, mount=mount)

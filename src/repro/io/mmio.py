@@ -477,13 +477,13 @@ class MmioMapping:
     # -- internals --------------------------------------------------------
 
     def _enter(self, op):
-        """Every op's first step: refuse a dead mapping, fire an armed
-        fault (:class:`repro.faults.mmiofault.MmioFaultInjector`)."""
+        """Every op's first step: refuse a dead mapping, consult the
+        ``mmio:<op>`` fault site (:mod:`repro.faults.plan`)."""
         if self.closed:
             raise InvalidArgument("mapping already unmapped")
-        injector = self.fs.mmio_faults
-        if injector is not None:
-            injector.check(op, self.ino)
+        plan = self.fs.env.faults
+        if plan is not None:
+            plan.check("mmio:" + op, self.ino)
 
     def _resolve_policy(self):
         if self.policy == "redo":
@@ -576,9 +576,9 @@ class MmioMapping:
         self._dirty_ranges.append((file_offset, addr, len(chunk)))
 
     def _append(self, ctx, kind, file_offset, payload):
-        injector = self.fs.mmio_faults
-        if injector is not None:
-            injector.check("append", self.ino)
+        plan = self.fs.env.faults
+        if plan is not None:
+            plan.check("mmio:append", self.ino)
         log = self.log
         try:
             log.append(ctx, kind, log.committed + 1, file_offset, payload)

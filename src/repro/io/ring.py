@@ -187,8 +187,6 @@ class IORing:
         self._seq = 0
         #: True once the current batch has paid the T_syscall entry.
         self._entry_done = False
-        #: Optional :class:`repro.faults.ringfault.RingFaultInjector`.
-        self.faults = None
         #: Optional :class:`repro.faults.policy.RetryPolicy`: EIO from an
         #: SQE's handler is retried by resubmitting the SQE with charged
         #: backoff before the CQE carries ``-EIO``.  None (the default)
@@ -260,6 +258,7 @@ class IORing:
         seq = self._seq
         self._seq += 1
         self._entry_done = False
+        plan = self.env.faults
         if sqe.flags & IOSQE_IO_DRAIN:
             self._drain(ctx)
         try:
@@ -267,15 +266,16 @@ class IORing:
             if isinstance(value, VCompletion):
                 value = value.wait(ctx, layer=RING_CQ_WAIT)
         except FSError:
-            if self.faults is not None:
-                self.faults.after_op(ctx, seq, sqe)
+            if plan is not None:
+                plan.check("ring:after", seq)
             raise
-        if self.faults is not None:
-            self.faults.after_op(ctx, seq, sqe)
+        if plan is not None:
+            plan.check("ring:after", seq)
         return value
 
     def _execute(self, ctx, sqes, sp):
         batch_start = ctx.now
+        plan = self.env.faults
         cancelling = False
         linked_prev = False
         for sqe in sqes:
@@ -315,8 +315,10 @@ class IORing:
                     else sum(map(len, result))
                 self._push(CQE(sqe.user_data, res, result, None, seq,
                                ctx.now))
-            if self.faults is not None:
-                self.faults.after_op(ctx, seq, sqe)
+            # The ``ring:after`` fault site: armed to crash, power fails
+            # between this SQE and whatever is linked behind it.
+            if plan is not None:
+                plan.check("ring:after", seq)
             linked_prev = bool(sqe.flags & IOSQE_IO_LINK)
 
     def _dispatch(self, ctx, seq, sqe):
@@ -324,15 +326,16 @@ class IORing:
         :meth:`VFS.execute`, resubmitting on EIO under the ring's retry
         policy.  Safe to re-run: a failed execution never advances the
         descriptor's position, so the resubmission repeats the same
-        operation.  Injected ring faults (:attr:`faults`) fire inside the
-        retry loop, so an armed fault with ``max_hits`` set models a
-        transient EIO the resubmission recovers from."""
+        operation.  The ``ring`` fault site (:mod:`repro.faults.plan`) is
+        consulted inside the retry loop, so an arm with a finite budget
+        models a transient EIO the resubmission recovers from."""
         policy = self.retry_policy
+        plan = self.env.faults
         attempt = 0
         while True:
             try:
-                if self.faults is not None:
-                    self.faults.before_op(ctx, seq, sqe)
+                if plan is not None:
+                    plan.check("ring", seq)
                 result = self.vfs.execute(ctx, sqe, self)
             except MediaError:
                 if policy is None:

@@ -1,9 +1,11 @@
-"""Request-targeted fault injection through the unified I/O pipeline."""
+"""Request-targeted fault injection through the unified I/O pipeline:
+the ``writeback`` site of the one :class:`repro.faults.FaultPlan`."""
 
 import pytest
 
 from repro.core import HiNFS, HiNFSConfig
-from repro.faults import RequestFaultInjector
+from repro.engine.env import SimEnv
+from repro.faults import FaultPlan, PowerCut
 from repro.fs import flags as f
 from repro.fs.errors import MediaError
 
@@ -13,7 +15,7 @@ from tests.fs.conftest import PmfsRig
 def make_rig():
     rig = PmfsRig(size=32 << 20, fs_cls=HiNFS,
                   hconfig=HiNFSConfig(buffer_bytes=2 << 20))
-    rig.fs.request_faults = RequestFaultInjector()
+    rig.plan = FaultPlan(rig.env)
     return rig
 
 
@@ -23,17 +25,38 @@ def rig():
 
 
 def test_injector_arm_disarm_and_max_hits():
-    injector = RequestFaultInjector(max_hits=1)
-    injector.check(None)  # untagged blocks are never hit
-    injector.check(7)  # unarmed
-    injector.arm(7)
-    assert injector.armed == frozenset({7})
+    env = SimEnv()
+    plan = FaultPlan(env)
+    assert env.faults is plan
+    plan.check("writeback", None)  # untagged blocks are never hit
+    plan.check("writeback", 7)  # unarmed
+    plan.arm("writeback", 7)
     with pytest.raises(MediaError):
-        injector.check(7)
-    injector.check(7)  # max_hits exhausted
-    assert injector.hits == 1
-    injector.disarm(7)
-    assert injector.armed == frozenset()
+        plan.check("writeback", 7)
+    plan.check("writeback", 7)  # budget of one hit exhausted
+    assert plan.hits == 1
+    assert env.stats.count("writeback_fault_injections") == 1
+    plan.arm("writeback", 7, hits=None)  # keeps firing until disarmed
+    for _ in range(3):
+        with pytest.raises(MediaError):
+            plan.check("writeback", 7)
+    plan.disarm("writeback", 7)
+    plan.check("writeback", 7)
+    assert plan.hits == 4
+    # Armed with no key, a site fires whatever the key; armed to crash,
+    # it cuts power instead of failing with EIO.
+    plan.arm("xmv:copy", crash=True)
+    with pytest.raises(PowerCut) as cut:
+        plan.check("xmv:copy")
+    assert (cut.value.site, cut.value.key) == ("xmv:copy", None)
+    assert not isinstance(cut.value, Exception)  # no handler swallows it
+    assert env.stats.count("xmv_fault_injections") == 0
+    # Every consult is on the record, armed or not, in order.
+    assert plan.observed[:3] == [("writeback", None), ("writeback", 7),
+                                 ("writeback", 7)]
+    assert plan.observed[-1] == ("xmv:copy", None)
+    with pytest.raises(ValueError):
+        plan.arm("bogus:site")
 
 
 def test_buffered_blocks_carry_the_last_request_id(rig):
@@ -52,13 +75,13 @@ def test_armed_request_fails_foreground_fsync(rig):
     rig.vfs.pwrite(rig.ctx, fd, 0, b"x" * 4096)
     ino = rig.vfs.fstat(rig.ctx, fd).ino
     (block,) = rig.fs.buffer.file_blocks(ino)
-    rig.fs.request_faults.arm(block.last_req_id)
+    rig.plan.arm("writeback", block.last_req_id, hits=None)
     with pytest.raises(MediaError):
         rig.vfs.fsync(rig.ctx, fd)
     # Foreground EIO: the data stays buffered for a retry, and once the
     # fault is disarmed the retry succeeds.
     assert rig.fs.buffer.file_blocks(ino)
-    rig.fs.request_faults.disarm(block.last_req_id)
+    rig.plan.disarm("writeback", block.last_req_id)
     rig.vfs.fsync(rig.ctx, fd)
     assert not rig.fs.buffer.file_blocks(ino)
     assert rig.vfs.pread(rig.ctx, fd, 0, 4096) == b"x" * 4096
@@ -69,7 +92,7 @@ def test_armed_request_writeback_records_deferred_error(rig):
     rig.vfs.pwrite(rig.ctx, fd, 0, b"y" * 4096)
     ino = rig.vfs.fstat(rig.ctx, fd).ino
     (block,) = rig.fs.buffer.file_blocks(ino)
-    rig.fs.request_faults.arm(block.last_req_id)
+    rig.plan.arm("writeback", block.last_req_id, hits=None)
     # Background-style flush: nobody to raise at, so the error lands in
     # the inode's errseq and the block's unpersistable data is dropped.
     rig.fs.flush_blocks(rig.ctx, [block], record_errors=True)
@@ -81,11 +104,11 @@ def test_armed_request_writeback_records_deferred_error(rig):
 
 
 def test_unarmed_requests_are_untouched(rig):
-    rig.fs.request_faults.arm(999_999)
+    rig.plan.arm("writeback", 999_999, hits=None)
     fd = rig.vfs.open(rig.ctx, "/ok", f.O_CREAT | f.O_RDWR)
     rig.vfs.pwrite(rig.ctx, fd, 0, b"fine")
     rig.vfs.fsync(rig.ctx, fd)
-    assert rig.fs.request_faults.hits == 0
+    assert rig.plan.hits == 0
 
 
 def test_writeback_spans_tag_flushed_request_ids(rig):

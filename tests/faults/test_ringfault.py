@@ -1,11 +1,13 @@
-"""Ring-targeted fault injection: failed SQEs and mid-chain crashes."""
+"""Ring-targeted fault injection: failed SQEs and mid-chain crashes --
+the ``ring`` / ``ring:after`` sites of the one
+:class:`repro.faults.FaultPlan`, keyed by SQE sequence number."""
 
 import pytest
 
 from repro.bench.runner import build_stack
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
-from repro.faults import RingCrash, RingFaultInjector
+from repro.faults import FaultPlan, PowerCut
 from repro.fs import flags as f
 from repro.fs.errors import MediaError
 from repro.io import ring as uring
@@ -23,7 +25,7 @@ def test_failing_the_nth_sqe_turns_it_into_eio():
     env, fs, vfs, ctx = make_rig()
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector().arm_fail(1)
+    FaultPlan(env).arm("ring", 1, hits=None)
     cqes = ring.submit_and_wait([
         uring.prep_write(fd, b"ok", 0),
         uring.prep_write(fd, b"doomed", 64),
@@ -39,7 +41,7 @@ def test_injected_failure_cancels_the_linked_chain():
     env, fs, vfs, ctx = make_rig()
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector().arm_fail(0)
+    FaultPlan(env).arm("ring", 0, hits=None)
     cqes = ring.submit_and_wait([
         uring.prep_write(fd, b"doomed", 0, flags=uring.IOSQE_IO_LINK),
         uring.prep_fsync(fd),
@@ -53,11 +55,12 @@ def test_max_hits_limits_the_injection():
     env, fs, vfs, ctx = make_rig()
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector(fail_seqs=(0, 1), max_hits=1)
+    # One hit's budget on "any sequence number": the first SQE spends it.
+    plan = FaultPlan(env).arm("ring", hits=1)
     cqes = ring.submit_and_wait([uring.prep_write(fd, b"a", 0),
                                  uring.prep_write(fd, b"b", 16)])
     assert [c.ok for c in cqes] == [False, True]
-    assert ring.faults.hits == 1
+    assert plan.hits == 1
 
 
 def test_crash_between_linked_write_and_fsync():
@@ -67,14 +70,14 @@ def test_crash_between_linked_write_and_fsync():
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ino = vfs.fstat(ctx, fd).ino
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector(crash_after_seq=0)
-    with pytest.raises(RingCrash) as exc:
+    plan = FaultPlan(env).arm("ring:after", 0, crash=True)
+    with pytest.raises(PowerCut) as exc:
         ring.submit([uring.prep_write(fd, b"x" * 4096, 0,
                                       flags=uring.IOSQE_IO_LINK),
                      uring.prep_fsync(fd)])
-    assert exc.value.seq == 0
+    assert (exc.value.site, exc.value.key) == ("ring:after", 0)
     # Only the write executed; the linked fsync never ran.
-    assert ring.faults.observed == [(0, "write")]
+    assert plan.observed == [("ring", 0), ("ring:after", 0)]
     assert env.stats.count("hinfs_fsyncs") == 0
     # The acknowledged write's CQE is reapable, and -- fsync having never
     # run -- the data still sits in the DRAM buffer, i.e. it would be
@@ -89,12 +92,15 @@ def test_crash_after_full_chain_sees_durable_data():
     fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
     ino = vfs.fstat(ctx, fd).ino
     ring = vfs.ring(ctx)
-    ring.faults = RingFaultInjector(crash_after_seq=1)
-    with pytest.raises(RingCrash):
+    plan = FaultPlan(env).arm("ring:after", 1, crash=True)
+    with pytest.raises(PowerCut):
         ring.submit([uring.prep_write(fd, b"x" * 4096, 0,
                                       flags=uring.IOSQE_IO_LINK),
                      uring.prep_fsync(fd)])
-    # Both ops ran before the cut; the buffer is clean.
-    assert ring.faults.observed == [(0, "write"), (1, "fsync")]
+    # Both ops ran before the cut -- the fsync's writeback of the block
+    # the write (request #1) left in the buffer sits between the fsync's
+    # two ring sites -- and the buffer is clean.
+    assert plan.observed == [("ring", 0), ("ring:after", 0), ("ring", 1),
+                             ("writeback", 1), ("ring:after", 1)]
     assert not list(fs.buffer.file_blocks(ino))
     assert env.stats.count("hinfs_fsyncs") == 1

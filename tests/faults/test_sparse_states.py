@@ -17,6 +17,7 @@ from repro.faults.crashpoints import (
     EV_PERSIST,
     EV_STORE,
     MMIO_OPS,
+    SHARD_OPS,
     WORDS_PER_LINE,
     CrashArena,
     CrashPointExplorer,
@@ -31,7 +32,7 @@ DEVICE_BYTES = 1 << 20
 
 
 def durable(arena):
-    return arena.mem.persistent_read(0, arena.mem.size)
+    return b"".join(mem.persistent_read(0, mem.size) for mem in arena.mems)
 
 
 class CheckedExplorer(CrashPointExplorer):
@@ -78,9 +79,14 @@ class CheckedExplorer(CrashPointExplorer):
         return super()._mount()
 
 
-@pytest.mark.parametrize("ops", [DEFAULT_OPS[:7], MMIO_OPS[:7]],
-                         ids=["default", "mmio"])
-@pytest.mark.parametrize("fs_kind", ["pmfs", "hinfs"])
+@pytest.mark.parametrize("fs_kind,ops", [
+    ("pmfs", DEFAULT_OPS[:7]), ("pmfs", MMIO_OPS[:7]),
+    ("hinfs", DEFAULT_OPS[:7]), ("hinfs", MMIO_OPS[:7]),
+    # Two devices on one tape (mirrored mkdir, a file on shard 1): every
+    # extent lands on the right region.
+    ("pmfs@2", SHARD_OPS[:2]),
+], ids=["pmfs-default", "pmfs-mmio", "hinfs-default", "hinfs-mmio",
+        "pmfs@2-shard"])
 def test_mounted_media_equals_reference_image(fs_kind, ops):
     explorer = CheckedExplorer(fs_kind)
     report = explorer.explore(ops)
@@ -91,6 +97,9 @@ def test_mounted_media_equals_reference_image(fs_kind, ops):
     # The states really are sparse: far smaller than the device.
     covered = sum(end - start for start, end in explorer._arena.extents)
     assert 0 < covered < DEVICE_BYTES // 8
+    # ... and every device of the mount has some.
+    assert {start // DEVICE_BYTES for start, _end in explorer._arena.extents} \
+        == set(range(explorer.devices))
     # Same dedup key iff same full image: the digests pair off one to one.
     assert len(explorer.digests) == (report.states_checked
                                      + report.states_deduped)

@@ -13,12 +13,14 @@ import pytest
 
 from repro.engine.context import ExecContext, FreeContext
 from repro.engine.env import SimEnv
+from repro.faults import FaultPlan, PowerCut
 from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
 from repro.fs.errors import MediaError, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY
 from repro.fs.shard import (
     INTENT_LOG_NAME,
+    XMV_STEPS,
     build_sharded,
     mount_sharded,
     shard_of,
@@ -26,6 +28,7 @@ from repro.fs.shard import (
 from repro.fs.vfs import VFS
 from repro.nvmm.config import NVMMConfig
 from repro.nvmm.device import NVMMDevice
+from repro.workloads.base import payload
 
 
 class ShardRig:
@@ -179,6 +182,69 @@ def test_same_shard_rename_does_not_migrate():
     rig.vfs.rename(rig.ctx, "/" + a, "/" + b)
     assert rig.fs.lookup(rig.ctx, ROOT_INO, b) == gino
     assert rig.env.stats.count("shard_cross_renames") == 0
+
+
+# -- power cut at each step of the cross-shard migration ----------------------
+
+#: Before the target-shard link commits, recovery rolls the migration
+#: back; from the point of no return on -- a cross-shard victim's dirent
+#: gone, or the link landed -- it rolls forward.
+ROLLS_BACK = ("intent", "copy", "copied")
+
+
+@pytest.mark.parametrize("step", XMV_STEPS)
+@pytest.mark.parametrize("victim", [None, "same", "misplaced"])
+@pytest.mark.parametrize("base", ["pmfs", "hinfs"])
+def test_power_cut_at_a_migration_step_recovers_to_exactly_one_name(
+        base, victim, step):
+    rig = ShardRig(base=base)
+    src = "/" + name_on(0, 2, prefix="src")
+    dst = "/" + name_on(1, 2, prefix="dst")
+    moved, replaced = payload(24 << 10, tag=7), payload(12 << 10, tag=13)
+    rig.vfs.write_file(rig.ctx, src, moved, sync=True)
+    if victim == "same":
+        # Hash-placed on the target shard: the inner journal replaces it
+        # atomically at the link step.
+        rig.vfs.write_file(rig.ctx, dst, replaced, sync=True)
+    elif victim == "misplaced":
+        # Renamed under a live mapping it stayed on the *source* shard,
+        # so the protocol must unlink it cross-shard.
+        parked = "/" + name_on(0, 2, prefix="parked")
+        rig.vfs.write_file(rig.ctx, parked, replaced, sync=True)
+        fd = rig.vfs.open(rig.ctx, parked, f.O_RDWR)
+        region = rig.vfs.mmap(rig.ctx, fd)
+        rig.vfs.rename(rig.ctx, parked, dst)
+        rig.vfs.munmap(rig.ctx, region)
+        rig.vfs.close(rig.ctx, fd)
+        assert rig.fs._dec(rig.fs.lookup(rig.ctx, ROOT_INO, dst[1:]))[0] == 0
+    plan = FaultPlan(rig.env).arm("xmv:" + step, crash=True)
+    if step != "victim-unlinked" or victim == "misplaced":
+        with pytest.raises(PowerCut) as cut:
+            rig.vfs.rename(rig.ctx, src, dst)
+        assert cut.value.site == "xmv:" + step
+        holder = src if step in ROLLS_BACK else dst
+    else:
+        # Only a victim on another shard than the target is unlinked as
+        # a step of its own: the armed site is never reached and the
+        # rename completes.
+        rig.vfs.rename(rig.ctx, src, dst)
+        assert ("xmv:victim-unlinked", None) not in plan.observed
+        assert ("xmv:unlinked", None) in plan.observed
+        holder = dst
+    rig.remount()
+    # Exactly one name reads the moved file back: never both, never
+    # neither.
+    assert rig.vfs.read_file(rig.ctx, holder) == moved
+    if holder == dst:
+        assert not rig.vfs.exists(rig.ctx, src)
+    elif victim:
+        # Rename-over never loses the name: rolled back, the destination
+        # still resolves to the file it held.
+        assert rig.vfs.read_file(rig.ctx, dst) == replaced
+    else:
+        assert not rig.vfs.exists(rig.ctx, dst)
+    # A cut leaves one intent for the remount to resolve.
+    assert rig.env.stats.count("shard_intents_recovered") == plan.hits
 
 
 # -- mappings: one FileSystem.mmap hook, one registry per shard ---------------

@@ -16,8 +16,7 @@ import random
 import pytest
 
 from repro.core.hinfs import HiNFS
-from repro.engine.stats import CAT_WRITE_ACCESS
-from repro.faults.mmiofault import MmioFaultInjector
+from repro.faults import FaultPlan
 from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
 from repro.fs.errors import InvalidArgument, MediaError
@@ -417,17 +416,18 @@ def test_truncate_trims_redo_overlay(rig):
 
 def test_fault_injector_arms_per_op(rig):
     _fd, region = amap(rig, "/m")
-    rig.fs.mmio_faults = MmioFaultInjector()
-    rig.fs.mmio_faults.arm("store", max_hits=1)
+    plan = FaultPlan(rig.env)
+    plan.arm("mmio:store", hits=1)
     with pytest.raises(MediaError):
         region.store(rig.ctx, 0, b"boom")
     # Budget exhausted: the next store goes through.
     region.store(rig.ctx, 0, b"fine")
-    rig.fs.mmio_faults.arm("msync", ino=region.ino)
+    plan.arm("mmio:msync", region.ino)
     with pytest.raises(MediaError):
         region.msync(rig.ctx)
-    rig.fs.mmio_faults.disarm("msync", ino=region.ino)
+    plan.disarm("mmio:msync", region.ino)
     region.msync(rig.ctx)
+    assert rig.env.stats.count("mmio_fault_injections") == 2
 
 
 def test_checksums_off_still_works_without_crashes(rig):

@@ -6,7 +6,7 @@ from repro.bench.runner import build_stack
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.fs import flags as f
-from repro.faults import RetryPolicy, RingFaultInjector
+from repro.faults import FaultPlan, RetryPolicy
 from repro.fs.errors import (
     BadFileDescriptor,
     InvalidArgument,
@@ -251,11 +251,11 @@ def _ready_rig(fs_name):
 
 
 def _observe(rig):
-    ring = rig.vfs.ring(rig.ctx)
+    plan = rig.env.faults
     spans = [(sp.req_id, sp.name, sp.layer, sp.thread, sp.start_ns,
               sp.end_ns, sp.phases, sp.meta) for sp in rig.env.trace.spans()]
     return (rig.ctx.now, dict(rig.env.stats.counters), spans,
-            ring.faults.observed if ring.faults is not None else None)
+            plan.observed if plan is not None else None)
 
 
 _OPS = {
@@ -279,7 +279,7 @@ def _both_entrances(fs_name, op, arm=None):
     for entrance in ("sync", "batch"):
         rig, fd = _ready_rig(fs_name)
         if arm is not None:
-            arm(rig.vfs.ring(rig.ctx))
+            arm(rig)
         if entrance == "sync":
             try:
                 outcome = wrapper(rig.vfs, rig.ctx, fd)
@@ -308,8 +308,8 @@ def test_sync_wrapper_and_batch_of_one_are_indistinguishable(fs_name, op):
 
 @pytest.mark.parametrize("op", sorted(_OPS))
 def test_injected_eio_is_the_same_failure_through_both_entrances(op):
-    def arm(ring):
-        ring.faults = RingFaultInjector().arm_fail(1)
+    def arm(rig):
+        FaultPlan(rig.env).arm("ring", 1, hits=None)
 
     (sync_exc, sync_seen), (batch_exc, batch_seen) = \
         _both_entrances("hinfs", op, arm)
@@ -318,15 +318,15 @@ def test_injected_eio_is_the_same_failure_through_both_entrances(op):
     assert str(sync_exc) == str(batch_exc)
     assert sync_seen == batch_seen
     assert sync_seen[1]["ring_fault_injections"] == 1
-    assert sync_seen[3][-1][0] == 1  # armed by sequence number
+    assert sync_seen[3][-1] == ("ring:after", 1)  # armed by sequence number
 
 
 @pytest.mark.parametrize("op", sorted(_OPS))
 def test_retry_policy_recovers_the_same_way_through_both_entrances(op):
-    def arm(ring):
-        ring.faults = RingFaultInjector(max_hits=1).arm_fail(1)
-        ring.retry_policy = RetryPolicy(max_retries=2, base_backoff_ns=700,
-                                        jitter_frac=0.5, seed=9)
+    def arm(rig):
+        FaultPlan(rig.env).arm("ring", 1, hits=1)
+        rig.vfs.ring(rig.ctx).retry_policy = RetryPolicy(
+            max_retries=2, base_backoff_ns=700, jitter_frac=0.5, seed=9)
 
     (sync_value, sync_seen), (batch_value, batch_seen) = \
         _both_entrances("hinfs", op, arm)
@@ -338,7 +338,7 @@ def test_retry_policy_recovers_the_same_way_through_both_entrances(op):
     assert counters["ring_sqe_retry_successes"] == 1
     # Seen twice under the same sequence number: the failed attempt and
     # its resubmission.
-    assert [seq for seq, _name in sync_seen[3]].count(1) == 2
+    assert sync_seen[3].count(("ring", 1)) == 2
 
 
 @pytest.mark.parametrize("call", [
