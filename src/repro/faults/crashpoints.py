@@ -110,6 +110,10 @@ class TapeRecorder:
         if self.enabled:
             self.boundaries.append(len(self.events))
 
+    def clear(self):
+        del self.events[:]
+        del self.boundaries[:]
+
 
 def touched_extents(events, size, device_bytes=None):
     """Sorted, coalesced, line-aligned ``(start, end)`` byte extents
@@ -276,11 +280,16 @@ class CrashArena:
     """The device images every crash state of a run is mounted on.
 
     ``baseline`` is the ``devices`` equal-sized device images end to
-    end, as the tape addresses them.  ``load`` restores it into the
-    regions (one copy; volatile lines dropped -- whatever the previous
-    state's recovery wrote is gone) and writes a state's compact bytes
-    back at their extents, each on the device it lies on; the regions
-    then hold exactly that state's durable image.
+    end, as the tape addresses them; the regions are loaded with it
+    once.  Between two ``load`` calls a :class:`TapeRecorder` per region
+    notes what the mounts of that state store -- through the observer
+    protocol the run's own tape was recorded with, so a store it missed
+    would already corrupt the crash states themselves.  ``load`` puts
+    the baseline back over exactly those lines (volatile lines dropped:
+    whatever the previous state's recovery wrote is gone) and writes a
+    state's compact bytes at their extents, each on the device it lies
+    on; the regions then hold exactly that state's durable image, at a
+    cost that does not depend on the device size.
     """
 
     def __init__(self, baseline, extents, devices=1):
@@ -290,17 +299,36 @@ class CrashArena:
         self._baselines = [view[s * size:(s + 1) * size]
                            for s in range(devices)]
         self.mems = [CachedPersistentRegion(size) for _ in range(devices)]
+        self.recorders = [TapeRecorder() for _ in range(devices)]
+        for mem, image in zip(self.mems, self._baselines):
+            mem.load_snapshot(image)
 
     def load(self, compact):
-        for mem, baseline in zip(self.mems, self._baselines):
-            mem.load_snapshot(baseline)
         size = self.mems[0].size
+        for mem, image, recorder in zip(self.mems, self._baselines,
+                                        self.recorders):
+            mem.observer = None
+            mem.load_extents(image, touched_extents(recorder.events, size))
+            recorder.clear()
         view = memoryview(compact)
         off = 0
         for start, end in self.extents:
             self.mems[start // size].write_nocache(
                 start % size, view[off:off + end - start])
             off += end - start
+        for mem, recorder in zip(self.mems, self.recorders):
+            mem.observer = recorder
+
+    def close(self):
+        """Release the device-sized slabs now: the stacks mounted on
+        them are cyclic garbage that would pin them until some later
+        collection.  ``extents`` stays readable."""
+        for mem in self.mems:
+            mem.observer = None
+            mem.close()
+        for image in self._baselines:
+            image.release()
+        self._baselines = []
 
 
 class Expectations:
@@ -618,6 +646,9 @@ class CrashPointExplorer:
             checkpoints.append((len(tape.events), op_index, expect.copy()))
         for fs in shards:
             fs.device.mem.observer = None
+            # The run's stack is cyclic garbage from here on; its
+            # device must not wait for a collection.
+            fs.device.mem.close()
         self._op_request_ids = op_request_ids
         self._sites = sorted({site for site, _key in plan.observed})
         return tape, baseline, checkpoints
@@ -774,11 +805,19 @@ class CrashPointExplorer:
         tape, baseline, checkpoints = self._run_ops(ops)
         extents = touched_extents(tape.events, len(baseline),
                                   self.device_bytes)
-        self._arena = CrashArena(baseline, extents, self.devices)
         report.events = len(tape.events)
         report.boundaries = len(set(tape.boundaries))
         report.op_request_ids = dict(self._op_request_ids)
         report.sites = self._sites
+        self._arena = CrashArena(baseline, extents, self.devices)
+        try:
+            self._enumerate(report, tape, baseline, extents, checkpoints)
+        finally:
+            self._arena.close()
+        return report
+
+    def _enumerate(self, report, tape, baseline, extents, checkpoints):
+        """Check every crash state of the recorded run on the arena."""
 
         # Checkpoint lookup: for event prefix k, the newest checkpoint at
         # position <= k governs.
@@ -843,7 +882,6 @@ class CrashPointExplorer:
                                       expect_at)
             if k < len(tape.events):
                 shadow.apply(tape.events[k])
-        return report
 
     def _word_mask(self, nwords):
         """A seeded proper, nonempty word subset as a bitmask (full and

@@ -19,6 +19,7 @@ from repro.fs.pmfs.layout import (
 )
 
 _PTR = struct.Struct("<Q")
+_PTR_BLOCK = struct.Struct("<%dQ" % PTRS_PER_BLOCK)
 
 
 class BlockMap:
@@ -155,32 +156,30 @@ class BlockMap:
 
     # -- recovery -----------------------------------------------------------
 
+    def _pointers(self, block):
+        """``(index, pointer)`` for each non-zero slot of a pointer
+        block, ascending: one load and one unpack of the whole block."""
+        raw = self.device.mem.read(block_addr(block), 4096)
+        return [(i, ptr) for i, ptr in enumerate(_PTR_BLOCK.unpack(raw))
+                if ptr]
+
     def load_from_nvmm(self):
         """Rebuild the mirror by walking the persistent pointers."""
-        self._mirror.clear()
+        mirror = self._mirror
+        mirror.clear()
         self._l2_blocks.clear()
         for i, ptr in enumerate(self.inode.direct):
             if ptr:
-                self._mirror[i] = ptr
+                mirror[i] = ptr
         if self.inode.indirect:
-            raw = self.device.mem.read(block_addr(self.inode.indirect), 4096)
-            for i in range(PTRS_PER_BLOCK):
-                (ptr,) = _PTR.unpack_from(raw, i * 8)
-                if ptr:
-                    self._mirror[N_DIRECT + i] = ptr
+            for i, ptr in self._pointers(self.inode.indirect):
+                mirror[N_DIRECT + i] = ptr
         if self.inode.dindirect:
-            l1 = self.device.mem.read(block_addr(self.inode.dindirect), 4096)
-            for i in range(PTRS_PER_BLOCK):
-                (l2,) = _PTR.unpack_from(l1, i * 8)
-                if not l2:
-                    continue
+            for i, l2 in self._pointers(self.inode.dindirect):
                 self._l2_blocks[i] = l2
-                raw = self.device.mem.read(block_addr(l2), 4096)
                 base = N_DIRECT + PTRS_PER_BLOCK + i * PTRS_PER_BLOCK
-                for j in range(PTRS_PER_BLOCK):
-                    (ptr,) = _PTR.unpack_from(raw, j * 8)
-                    if ptr:
-                        self._mirror[base + j] = ptr
+                for j, ptr in self._pointers(l2):
+                    mirror[base + j] = ptr
 
     def all_physical_blocks(self):
         """Every NVMM block this map pins (data + pointer blocks)."""

@@ -91,16 +91,19 @@ class Directory:
         self._entries.clear()
         self._free_slots = []
         total_slots = self.inode.size // DIRENT_SIZE
-        for slot in range(total_slots):
-            dir_block = slot // DIRENTS_PER_BLOCK
-            nvmm_block = self.blockmap.get(dir_block)
+        for first in range(0, total_slots, DIRENTS_PER_BLOCK):
+            slots = range(first, min(first + DIRENTS_PER_BLOCK, total_slots))
+            nvmm_block = self.blockmap.get(first // DIRENTS_PER_BLOCK)
             if nvmm_block is None:
-                self._free_slots.append(slot)
+                self._free_slots.extend(slots)
                 continue
-            addr = block_addr(nvmm_block) + (slot % DIRENTS_PER_BLOCK) * DIRENT_SIZE
-            parsed = unpack_dirent(self.device.mem.read(addr, DIRENT_SIZE))
-            if parsed is None:
-                self._free_slots.append(slot)
-            else:
-                ino, name = parsed
-                self._entries[name] = (ino, slot)
+            # One load per directory block; its dirents parse in place.
+            raw = self.device.mem.read(block_addr(nvmm_block),
+                                       len(slots) * DIRENT_SIZE)
+            for slot in slots:
+                parsed = unpack_dirent(raw, (slot - first) * DIRENT_SIZE)
+                if parsed is None:
+                    self._free_slots.append(slot)
+                else:
+                    ino, name = parsed
+                    self._entries[name] = (ino, slot)

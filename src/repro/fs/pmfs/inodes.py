@@ -19,6 +19,7 @@ import struct
 
 from repro.fs.pmfs.layout import (
     INODE_FMT,
+    INODE_SIZE,
     KIND_DIR,
     KIND_FILE,
     KIND_FREE,
@@ -79,8 +80,8 @@ class PmfsInode:
         return struct.pack(POINTER_FMT, *self.direct, self.indirect, self.dindirect)
 
     @classmethod
-    def unpack(cls, ino, raw):
-        fields = struct.unpack_from(INODE_FMT, raw)
+    def unpack(cls, ino, raw, offset=0):
+        fields = struct.unpack_from(INODE_FMT, raw, offset)
         inode = cls(ino)
         (inode.kind, _, inode.nlink, _, inode.size, inode.mtime, inode.ctime,
          inode.last_sync) = fields[:8]
@@ -175,16 +176,19 @@ class InodeTable:
     # -- recovery -----------------------------------------------------------
 
     def load_from_nvmm(self):
-        """Rebuild the mirror and free heap by scanning the NVMM table."""
+        """Rebuild the mirror and free heap by scanning the NVMM table:
+        one read, the kind bytes taken by stride, and only the live
+        slots unpacked (in place)."""
         self._mirror.clear()
         self._free = []
-        for ino in range(1, self.sb.inode_count + 1):
-            raw = self.device.mem.read(inode_addr(self.sb, ino), 152)
-            inode = PmfsInode.unpack(ino, raw)
-            if inode.kind != KIND_FREE:
-                self._mirror[ino] = inode
-            else:
+        raw = self.device.mem.read(inode_addr(self.sb, 1),
+                                   self.sb.inode_count * INODE_SIZE)
+        for ino, kind in enumerate(raw[::INODE_SIZE], 1):
+            if kind == KIND_FREE:
                 self._free.append(ino)
+            else:
+                self._mirror[ino] = PmfsInode.unpack(
+                    ino, raw, (ino - 1) * INODE_SIZE)
 
 
 __all__ = ["InodeTable", "PmfsInode", "KIND_DIR", "KIND_FILE", "KIND_FREE"]

@@ -53,7 +53,10 @@ ENTRY_PAYLOAD_MAX = 40
 #: Byte offset/size of the csum field inside a packed entry.
 _CSUM_OFFSET = struct.calcsize("<4sIBBHQ")
 _CSUM_SIZE = 4
+#: Byte offset of the one-byte generation stamp inside a packed entry.
+_GEN_OFFSET = struct.calcsize("<4sIB")
 _ENTRY_PACK_INTO = struct.Struct(ENTRY_FMT).pack_into
+_ENTRY_UNPACK_FROM = struct.Struct(ENTRY_FMT).unpack_from
 _CSUM_PACK_INTO = struct.Struct("<I").pack_into
 assert struct.calcsize(ENTRY_FMT) == ENTRY_SIZE
 
@@ -258,12 +261,23 @@ class Journal:
         # it): a bad line anywhere in it fails the scan with MediaError.
         ring = self.device.read_media(self._slot_addr(0),
                                       self.capacity * ENTRY_SIZE)
-        for slot, (magic, tx_id, kind, gen, length, addr, csum, payload) \
-                in enumerate(struct.iter_unpack(ENTRY_FMT, ring)):
-            if magic != ENTRY_MAGIC or gen != current_gen:
+        if current_gen > 0xFF:
+            return transactions  # an entry's stamp is one byte: no match
+        # Filter in C: the generation bytes by stride, then only the
+        # slots stamped with the current one are unpacked, in slot order.
+        # A mount right after a recovery finds none -- recovery's last
+        # act is the generation bump that invalidates the whole ring.
+        gens = ring[_GEN_OFFSET::ENTRY_SIZE]
+        slot = gens.find(current_gen)
+        while slot != -1:
+            start = slot * ENTRY_SIZE
+            slot = gens.find(current_gen, slot + 1)  # next hit, if any
+            magic, tx_id, kind, _gen, length, addr, csum, payload = \
+                _ENTRY_UNPACK_FROM(ring, start)
+            if magic != ENTRY_MAGIC:
                 continue
             if self.checksums and csum != entry_checksum(
-                    ring[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE]):
+                    ring[start:start + ENTRY_SIZE]):
                 # Torn or corrupt entry: never replay it.  Safe to drop --
                 # an undo entry is durable *before* its metadata mutation,
                 # so a torn entry's transaction changed nothing yet.

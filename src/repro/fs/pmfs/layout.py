@@ -156,9 +156,9 @@ def pack_empty_dirent():
     return b"\0" * DIRENT_SIZE
 
 
-def unpack_dirent(raw):
+def unpack_dirent(raw, offset=0):
     """Return ``(ino, name)`` or ``None`` for an empty/invalid slot."""
-    ino, valid, name_len, _, name = struct.unpack_from(DIRENT_FMT, raw)
+    ino, valid, name_len, _, name = struct.unpack_from(DIRENT_FMT, raw, offset)
     if not valid or ino == 0:
         return None
     return ino, name[:name_len].decode("utf-8")

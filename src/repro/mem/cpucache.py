@@ -39,7 +39,8 @@ class CachedPersistentRegion:
     def __init__(self, size):
         self.size = int(size)
         #: The one slab: durable image overlaid with volatile stores.
-        self._mv = MemoryRegion(size).view(0, self.size)
+        self._slab = MemoryRegion(size)
+        self._mv = self._slab.view(0, self.size)
         #: One flag byte per cacheline: 1 = line is volatile (differs, or
         #: may differ, from what a crash would leave behind).
         self._flags = bytearray(self.num_lines)
@@ -292,10 +293,27 @@ class CachedPersistentRegion:
     def load_snapshot(self, image):
         """Replace the persistent contents with ``image`` (crash-state
         replay); all volatile lines are discarded."""
+        self.load_extents(image, ((0, self.size),))
+
+    def load_extents(self, image, extents):
+        """:meth:`load_snapshot` for a region that already reads as
+        ``image`` outside the ``(start, end)`` byte ranges ``extents``:
+        only those are copied, so the cost is what was stored since the
+        region last equalled ``image``, not the region's size."""
         if len(image) != self.size:
             raise ValueError(
                 "snapshot of %d bytes does not match region of %d bytes"
                 % (len(image), self.size)
             )
         self._discard_volatile()
-        self._mv[:] = image
+        mv = self._mv
+        image = memoryview(image)
+        for start, end in extents:
+            mv[start:end] = image[start:end]
+
+    def close(self):
+        """Release the slab (see :meth:`MemoryRegion.close`): every
+        later load or store raises ``ValueError``."""
+        self._discard_volatile()
+        self._mv.release()
+        self._slab.close()

@@ -97,5 +97,18 @@ class MemoryRegion:
         """An independent copy of the full contents."""
         return bytes(self._data)
 
+    def close(self):
+        """Give the slab back now, not whenever a collection finds it.
+
+        Every later access raises ``ValueError``: it goes through the
+        released view.  Release what :meth:`view` handed out first -- an
+        mmap backing refuses to close under a live window
+        (``BufferError``).
+        """
+        self._mv.release()
+        if isinstance(self._data, mmap.mmap):
+            self._data.close()
+        self._data = self._mv
+
     def __len__(self):
         return self.size

@@ -14,6 +14,10 @@ from repro.fs.pmfs.journal import (
     ENTRY_MAGIC,
     ENTRY_PAYLOAD_MAX,
     ENTRY_SIZE,
+    HEADER_FMT,
+    HEADER_MAGIC,
+    KIND_COMMIT,
+    KIND_UNDO,
     Journal,
     JournalFullError,
     Transaction,
@@ -219,6 +223,114 @@ def test_scan_drops_corrupt_entries_and_keeps_append_order(setup):
                                                               False]
     offsets = [a - addr for a, _old in scanned[txs[0].tx_id]["undo"]]
     assert offsets == [0, ENTRY_PAYLOAD_MAX, 2 * ENTRY_PAYLOAD_MAX]
+
+
+# -- scan: the stride filter equals the per-slot loop it replaced ---------------
+
+
+def _reference_scan(journal):
+    """``Journal.scan`` as it was: every slot unpacked and tested in
+    Python.  Returns ``(transactions, csum drops)``."""
+    current_gen = journal._read_header_gen()
+    transactions, drops = {}, 0
+    ring = journal.device.read_media(journal._slot_addr(0),
+                                     journal.capacity * ENTRY_SIZE)
+    for slot, (magic, tx_id, kind, gen, length, addr, csum, payload) \
+            in enumerate(struct.iter_unpack(ENTRY_FMT, ring)):
+        if magic != ENTRY_MAGIC or gen != current_gen:
+            continue
+        if journal.checksums and csum != entry_checksum(
+                ring[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE]):
+            drops += 1
+            continue
+        record = transactions.setdefault(
+            tx_id, {"undo": [], "committed": False})
+        if kind == KIND_COMMIT:
+            record["committed"] = True
+        elif kind == KIND_UNDO:
+            record["undo"].append((addr, payload[:length]))
+    return transactions, drops
+
+
+def _one_block_journal(checksums):
+    """``(env, device, journal)`` with a 63-slot ring."""
+    env = SimEnv()
+    cfg = NVMMConfig()
+    device = NVMMDevice(env, cfg, 1 << 20)
+    sb = Superblock.compute(device.size // 4096, journal_blocks=1)
+    return env, device, Journal(env, device, sb, cfg, checksums=checksums)
+
+
+#: Byte offsets of the csum field and the payload inside a packed entry.
+_CSUM_AT = struct.calcsize("<4sIBBHQ")
+_PAYLOAD_AT = _CSUM_AT + 4
+
+#: What a ring slot can hold, relative to the header's generation byte:
+#: a valid entry, one of another generation, the right generation byte
+#: under a wrong magic, a valid entry with one payload word flipped
+#: after its CRC was taken, or nothing (never written).
+_SLOT_SHAPES = ("valid", "stale", "bad-magic", "flipped", "blank")
+
+_slots = st.lists(st.tuples(
+    st.sampled_from(_SLOT_SHAPES),
+    st.integers(1, 4),                                  # tx_id: they interleave
+    st.sampled_from((KIND_UNDO, KIND_UNDO, KIND_COMMIT, 3)),
+    st.integers(0, 2**64 - 1),                          # addr
+    st.binary(max_size=ENTRY_PAYLOAD_MAX),
+    st.integers(0, ENTRY_PAYLOAD_MAX // 8 - 1),         # word to flip
+), max_size=63)
+
+
+@settings(max_examples=150, deadline=None)
+@given(slots=_slots, checksums=st.booleans(),
+       header_gen=st.sampled_from((0, 1, 7, 255, 256, 2**40)))
+def test_scan_equals_the_per_slot_reference(slots, checksums, header_gen):
+    env, device, journal = _one_block_journal(checksums)
+    assert journal.capacity == 63
+    device.mem.write_nocache(
+        journal.base_addr,
+        struct.pack(HEADER_FMT, HEADER_MAGIC, header_gen).ljust(ENTRY_SIZE,
+                                                                b"\0"))
+    # The byte an entry of "this" generation carries: for a header value
+    # past one byte, its low byte -- which must still match nothing.
+    gen_byte = header_gen & 0xFF
+    for slot, (shape, tx_id, kind, addr, payload, word) in enumerate(slots):
+        if shape == "blank":
+            continue
+        magic = b"JNL?" if shape == "bad-magic" else ENTRY_MAGIC
+        gen = (gen_byte + 1) % 256 if shape == "stale" else gen_byte
+        entry = bytearray(struct.pack(ENTRY_FMT, magic, tx_id, kind, gen,
+                                      len(payload), addr, 0, payload))
+        struct.pack_into("<I", entry, _CSUM_AT, zlib.crc32(entry))
+        if shape == "flipped":
+            entry[_PAYLOAD_AT + word * 8] ^= 0x40
+        device.mem.write_nocache(journal._slot_addr(slot), entry)
+
+    expected, drops = _reference_scan(journal)
+    scanned = journal.scan()
+    assert scanned == expected
+    assert list(scanned) == list(expected)  # transactions in ring order
+    assert env.stats.count("journal_csum_drops") == drops
+    if header_gen > 255:
+        assert scanned == {}
+
+
+def test_scan_reference_sees_every_slot_shape():
+    """The property above is not vacuous: on a ring with one slot of
+    each shape the reference keeps, drops and skips as labelled."""
+    shapes = {}
+    for checksums in (True, False):
+        env, device, journal = _one_block_journal(checksums)
+        ctx = ExecContext(env, "t")
+        for tx_id in (1, 2):
+            journal._append(ctx, Transaction(tx_id), KIND_UNDO, 64, b"u" * 8)
+        device.mem.write_nocache(journal._slot_addr(1) + _PAYLOAD_AT, b"X")
+        shapes[checksums] = (_reference_scan(journal), journal.scan())
+    (kept, drops), scanned = shapes[True]
+    assert list(kept) == list(scanned) == [1] and drops == 1
+    (kept, drops), scanned = shapes[False]
+    assert list(kept) == list(scanned) == [1, 2] and drops == 0
+    assert scanned[2]["undo"] == [(64, b"Xuuuuuuu")]
 
 
 # -- the entry image ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Functional tests for PMFS through the VFS syscall surface."""
 
+import struct
+
 import pytest
 
 from repro.fs import flags as f
@@ -12,6 +14,18 @@ from repro.fs.errors import (
     NotFound,
     ReadOnly,
 )
+from repro.fs.pmfs.inodes import KIND_FREE, InodeTable, PmfsInode
+from repro.fs.pmfs.layout import (
+    DIRENT_SIZE,
+    DIRENTS_PER_BLOCK,
+    N_DIRECT,
+    PTRS_PER_BLOCK,
+    block_addr,
+    inode_addr,
+    unpack_dirent,
+)
+
+from tests.fs.conftest import PmfsRig
 
 
 def test_create_write_read_roundtrip(rig):
@@ -259,3 +273,147 @@ def test_pmfs_writes_are_durable_without_fsync(rig):
     rig.vfs.write_file(rig.ctx, "/d", b"durable" * 10)
     rig.crash_and_remount()
     assert rig.vfs.read_file(rig.ctx, "/d") == b"durable" * 10
+
+
+# -- mount scans: the bulk parses equal the per-slot loops they replaced -----
+#
+# The three ``load_from_nvmm`` loops below are the previous
+# implementations, kept as the reference: one load and one unpack per
+# inode slot, per block pointer and per dirent.
+
+
+def _reference_inode_scan(device, sb):
+    mirror, free = {}, []
+    for ino in range(1, sb.inode_count + 1):
+        inode = PmfsInode.unpack(ino, device.mem.read(inode_addr(sb, ino), 152))
+        if inode.kind != KIND_FREE:
+            mirror[ino] = inode
+        else:
+            free.append(ino)
+    return mirror, free
+
+
+def _reference_blockmap_scan(device, inode):
+    mirror, l2_blocks = {}, {}
+    for i, ptr in enumerate(inode.direct):
+        if ptr:
+            mirror[i] = ptr
+    if inode.indirect:
+        raw = device.mem.read(block_addr(inode.indirect), 4096)
+        for i in range(PTRS_PER_BLOCK):
+            (ptr,) = struct.unpack_from("<Q", raw, i * 8)
+            if ptr:
+                mirror[N_DIRECT + i] = ptr
+    if inode.dindirect:
+        l1 = device.mem.read(block_addr(inode.dindirect), 4096)
+        for i in range(PTRS_PER_BLOCK):
+            (l2,) = struct.unpack_from("<Q", l1, i * 8)
+            if not l2:
+                continue
+            l2_blocks[i] = l2
+            raw = device.mem.read(block_addr(l2), 4096)
+            base = N_DIRECT + PTRS_PER_BLOCK + i * PTRS_PER_BLOCK
+            for j in range(PTRS_PER_BLOCK):
+                (ptr,) = struct.unpack_from("<Q", raw, j * 8)
+                if ptr:
+                    mirror[base + j] = ptr
+    return mirror, l2_blocks
+
+
+def _reference_directory_scan(device, blockmap, inode):
+    entries, free_slots = {}, []
+    for slot in range(inode.size // DIRENT_SIZE):
+        nvmm_block = blockmap.get(slot // DIRENTS_PER_BLOCK)
+        if nvmm_block is None:
+            free_slots.append(slot)
+            continue
+        addr = block_addr(nvmm_block) + (slot % DIRENTS_PER_BLOCK) * DIRENT_SIZE
+        parsed = unpack_dirent(device.mem.read(addr, DIRENT_SIZE))
+        if parsed is None:
+            free_slots.append(slot)
+        else:
+            entries[parsed[1]] = (parsed[0], slot)
+    return entries, free_slots
+
+
+def _fields(inode):
+    return tuple(getattr(inode, name) for name in PmfsInode.__slots__)
+
+
+def test_inode_table_rebuild_equals_the_per_slot_reference():
+    # 50 inodes: the table ends mid-block, 14 slots short of it.
+    rig = PmfsRig(inode_count=50)
+    for i in range(12):
+        rig.vfs.write_file(rig.ctx, "/f%d" % i, b"x" * (i * 3000))
+    rig.vfs.mkdir(rig.ctx, "/d")
+    rig.vfs.mkdir(rig.ctx, "/d/e")
+    rig.vfs.write_file(rig.ctx, "/d/e/g", b"nested")
+    for i in (1, 4, 5, 9):
+        rig.vfs.unlink(rig.ctx, "/f%d" % i)
+    # A never-used slot whose kind byte is garbage: live to both scans.
+    rig.device.mem.write_nocache(inode_addr(rig.fs.sb, 40), b"\xa7")
+    rig.device.crash()
+
+    table = InodeTable(rig.device, rig.fs.journal, rig.fs.sb)
+    table.load_from_nvmm()
+    mirror, free = _reference_inode_scan(rig.device, rig.fs.sb)
+    assert list(table._mirror) == list(mirror)
+    assert 40 in mirror and 50 in free
+    assert [_fields(table._mirror[ino]) for ino in mirror] \
+        == [_fields(inode) for inode in mirror.values()]
+    assert table._free == free == sorted(free)
+    assert len(mirror) + len(free) == 50 and len(mirror) == 13
+    # A second load rebuilds, it does not accumulate.
+    table.load_from_nvmm()
+    assert list(table._mirror) == list(mirror) and table._free == free
+
+
+def test_indirect_maps_and_a_directory_hole_survive_crash_and_remount(rig):
+    vfs, ctx = rig.vfs, rig.ctx
+    # Direct, single-indirect and two L2 blocks of the double-indirect
+    # range, sparse: everything between them is a hole.
+    blocks = [3, N_DIRECT + 7, N_DIRECT + PTRS_PER_BLOCK - 1,
+              N_DIRECT + PTRS_PER_BLOCK + 5,
+              N_DIRECT + PTRS_PER_BLOCK + 3 * PTRS_PER_BLOCK + 511]
+    fd = vfs.open(ctx, "/sparse", f.O_CREAT | f.O_RDWR)
+    for n, block in enumerate(blocks):
+        vfs.pwrite(ctx, fd, block * 4096 + n, b"block-%d" % n)
+    vfs.close(ctx, fd)
+    # A directory of three dirent blocks with removed names in each...
+    vfs.mkdir(ctx, "/d")
+    for i in range(150):
+        vfs.write_file(ctx, "/d/n%03d" % i, b"")
+    for i in (0, 17, 63, 64, 100, 149):
+        vfs.unlink(ctx, "/d/n%03d" % i)
+    # ... whose middle block then goes missing from its block map.
+    dir_ino = vfs.stat(ctx, "/d").ino
+    dir_map = rig.fs._map(dir_ino)
+    tx = rig.fs.journal.begin(ctx)
+    assert dir_map.clear(ctx, tx, 1) is not None
+    rig.fs.journal.commit(ctx, tx)
+    file_ino = vfs.stat(ctx, "/sparse").ino
+    file_map = dict(rig.fs._map(file_ino).mapped_blocks())
+    assert sorted(file_map) == blocks
+
+    rig.crash_and_remount()
+    vfs = rig.vfs
+    blockmap = rig.fs._map(file_ino)
+    mirror, l2_blocks = _reference_blockmap_scan(rig.device, blockmap.inode)
+    assert blockmap._mirror == mirror == file_map
+    assert list(blockmap._mirror) == list(mirror)
+    assert blockmap._l2_blocks == l2_blocks and sorted(l2_blocks) == [0, 3]
+    fd = vfs.open(ctx, "/sparse")
+    for n, block in enumerate(blocks):
+        assert vfs.pread(ctx, fd, block * 4096 + n, 7) == b"block-%d" % n
+
+    directory = rig.fs._dir(dir_ino)
+    entries, free_slots = _reference_directory_scan(
+        rig.device, rig.fs._map(dir_ino), directory.inode)
+    assert directory._entries == entries
+    assert list(directory._entries) == list(entries)
+    assert directory._free_slots == free_slots
+    # Slots 64..127 sat on the hole: free, and their names are gone.
+    assert set(range(64, 128)) <= set(free_slots)
+    listed = sorted(name for name, _ino in vfs.readdir(ctx, "/d"))
+    assert listed == ["n%03d" % i for i in range(150)
+                      if not 64 <= i < 128 and i not in (0, 17, 63, 149)]

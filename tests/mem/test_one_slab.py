@@ -18,6 +18,7 @@ from hypothesis.stateful import (
 
 from repro.mem.cpucache import CachedPersistentRegion
 from repro.mem.region import CACHELINE_SIZE as LINE
+from repro.mem.region import MemoryRegion
 
 
 class TwoSlabReference:
@@ -115,10 +116,16 @@ class Differential(RuleBasedStateMachine):
         self.region = CachedPersistentRegion(self.SIZE)
         self.ref = TwoSlabReference(self.SIZE)
         self.recorder = self.region.observer = Recorder(self.region)
+        #: What the last load left in both, and the byte ranges stored
+        #: since: all ``load_extents`` may assume and all it needs.
+        self.image = bytes(self.SIZE)
+        self.stored = []
 
     def _clamp(self, addr, data):
         addr %= self.SIZE
-        return addr, data[:self.SIZE - addr]
+        data = data[:self.SIZE - addr]
+        self.stored.append((addr, addr + len(data)))
+        return addr, data
 
     # 200 bytes is up to five lines: the multi-line save path, and with
     # an address near the end, the clamped tail line.
@@ -189,6 +196,23 @@ class Differential(RuleBasedStateMachine):
         image = (seed * (self.SIZE // len(seed) + 1))[:self.SIZE]
         self.region.load_snapshot(image)
         self.ref.load_snapshot(image)
+        self.image = image
+        self.stored = []
+
+    @rule(extra=st.lists(st.tuples(st.integers(0, 1 << 16),
+                                   st.integers(0, 300)), max_size=3),
+          as_view=st.booleans())
+    def load_extents(self, extra, as_view):
+        """Reference = a full ``load_snapshot`` of the last loaded image.
+        The extents cover every range stored since (unsorted, possibly
+        overlapping or empty), plus a few that nothing touched."""
+        extents = self.stored + [
+            (addr % self.SIZE, min(addr % self.SIZE + length, self.SIZE))
+            for addr, length in extra]
+        image = memoryview(self.image) if as_view else self.image
+        self.region.load_extents(image, extents)
+        self.ref.load_snapshot(self.image)
+        self.stored = []
 
     @rule(addr=st.integers(0, 1 << 16), length=st.integers(0, 300))
     def read_ranges(self, addr, length):
@@ -246,6 +270,61 @@ def test_out_of_bounds_access_raises_and_changes_nothing(call):
     assert region.dirty_line_indices() == [15]
     assert region.read(960, 8) == b"volatile"
     assert region.persistent_snapshot() == bytes(1024)
+
+
+def test_load_extents_refuses_an_image_of_another_size():
+    region = CachedPersistentRegion(1024)
+    region.write(960, b"volatile")
+    for image in (bytes(1023), bytes(1025), b""):
+        with pytest.raises(ValueError):
+            region.load_extents(image, [(0, 64)])
+        with pytest.raises(ValueError):
+            region.load_snapshot(image)
+    assert region.dirty_line_indices() == [15]
+    assert region.read(960, 8) == b"volatile"
+
+
+# Below and above the mmap threshold: a bytearray and an mmap backing.
+@pytest.mark.parametrize("size", [1024, 2 << 20])
+def test_use_after_close_raises(size):
+    slab = MemoryRegion(size)
+    slab.write(10, b"abc")
+    slab.close()
+    slab.close()  # idempotent
+    for call in (lambda: slab.read(10, 3), lambda: slab.view(0, 8),
+                 lambda: slab.write(10, b"x"), lambda: slab.fill(0, 8),
+                 lambda: slab.fill(0, 8, 0xFF), slab.snapshot):
+        with pytest.raises(ValueError):
+            call()
+
+    region = CachedPersistentRegion(size)
+    region.write(100, b"volatile")
+    region.write_nocache(4096 % size, b"durable")
+    region.close()
+    region.close()
+    for call in (lambda: region.read(100, 8),
+                 lambda: region.write(100, b"x"),
+                 lambda: region.write_nocache(100, b"x"),
+                 lambda: region.write_flush(100, b"x"),
+                 lambda: region.persistent_read(100, 8),
+                 region.persistent_snapshot,
+                 lambda: region.load_snapshot(bytes(size)),
+                 lambda: region.load_extents(bytes(size), [(0, 64)])):
+        with pytest.raises(ValueError):
+            call()
+    # Nothing volatile is left to flush or to lose.
+    assert region.dirty_line_indices() == []
+    assert region.flush_all() == 0
+    region.crash()
+
+
+def test_an_mmap_slab_refuses_to_close_under_a_live_view():
+    slab = MemoryRegion(2 << 20)
+    window = slab.view(0, 64)
+    with pytest.raises(BufferError):
+        slab.close()
+    window.release()
+    slab.close()
 
 
 def _resident_bytes():
