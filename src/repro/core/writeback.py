@@ -237,8 +237,7 @@ class WritebackPool(BackgroundTask):
     def _journal_relief(self):
         """Close deferred-commit transactions before the journal ring has
         to wrap, so the wrap barrier rarely stalls the foreground."""
-        journal = self.hinfs.journal
-        if journal.used_slots <= int(0.35 * journal.capacity):
+        if not self.hinfs._journal_pressure():
             return
         victims = [block for block in self.hinfs.buffer.all_blocks_lrw_order()
                    if block.pending_txs]

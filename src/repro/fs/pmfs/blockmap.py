@@ -19,6 +19,7 @@ from repro.fs.pmfs.layout import (
 )
 
 _PTR = struct.Struct("<Q")
+_NULL_PTR = _PTR.pack(0)
 _PTR_BLOCK = struct.Struct("<%dQ" % PTRS_PER_BLOCK)
 
 
@@ -68,47 +69,43 @@ class BlockMap:
         l2 = self._ensure_l2(ctx, tx, l1_index)
         return block_addr(l2) + l2_index * 8
 
-    def _zero_fresh_block(self, block):
-        """New pointer blocks must read as holes (data plane; charged to
-        the allocation's journaled pointer write)."""
+    def _fresh_block(self, ctx, tx, slot_addr):
+        """A new block, zeroed so it reads as holes (data plane; charged
+        to the journaled write of its address into the empty pointer
+        slot at ``slot_addr``).  If that write raises, the block goes
+        back to the allocator -- after the slot is put back to zero in
+        the CPU cache: a failed persist leaves the new pointer visible
+        and volatile, and the flush of any neighbour in its cacheline
+        would make it durable once the block has another owner."""
+        block = self.balloc.alloc()
         self.device.mem.write_nocache(block_addr(block), ZERO_BLOCK)
+        try:
+            self.journal.journaled_write(ctx, tx, slot_addr, _PTR.pack(block))
+        except Exception:
+            self.device.mem.write(slot_addr, _NULL_PTR)
+            self.balloc.free(block)
+            raise
+        return block
 
     def _ensure_indirect(self, ctx, tx):
-        if self.inode.indirect == 0:
-            block = self.balloc.alloc()
-            self._zero_fresh_block(block)
-            self.inode.indirect = block
-            self.journal.journaled_write(
-                ctx,
-                tx,
-                self.itable.core_addr(self.inode.ino) + CORE_SIZE + N_DIRECT * 8,
-                _PTR.pack(block),
-            )
-        return self.inode.indirect
+        inode = self.inode
+        if inode.indirect == 0:
+            inode.indirect = self._fresh_block(
+                ctx, tx,
+                self.itable.core_addr(inode.ino) + CORE_SIZE + N_DIRECT * 8)
+        return inode.indirect
 
     def _ensure_l2(self, ctx, tx, l1_index):
-        if self.inode.dindirect == 0:
-            block = self.balloc.alloc()
-            self._zero_fresh_block(block)
-            self.inode.dindirect = block
-            self.journal.journaled_write(
-                ctx,
-                tx,
-                self.itable.core_addr(self.inode.ino) + CORE_SIZE + (N_DIRECT + 1) * 8,
-                _PTR.pack(block),
-            )
+        inode = self.inode
+        if inode.dindirect == 0:
+            inode.dindirect = self._fresh_block(
+                ctx, tx,
+                self.itable.core_addr(inode.ino) + CORE_SIZE
+                + (N_DIRECT + 1) * 8)
         l2 = self._l2_blocks.get(l1_index)
         if l2 is None:
-            block = self.balloc.alloc()
-            self._zero_fresh_block(block)
-            self._l2_blocks[l1_index] = block
-            self.journal.journaled_write(
-                ctx,
-                tx,
-                block_addr(self.inode.dindirect) + l1_index * 8,
-                _PTR.pack(block),
-            )
-            l2 = block
+            l2 = self._l2_blocks[l1_index] = self._fresh_block(
+                ctx, tx, block_addr(inode.dindirect) + l1_index * 8)
         return l2
 
     # -- mutation -----------------------------------------------------------
@@ -122,6 +119,15 @@ class BlockMap:
             # Keep the DRAM inode's direct[] mirror coherent, so a later
             # write_pointers (e.g. drop_all) never resurrects stale slots.
             self.inode.direct[file_block] = nvmm_block
+
+    def map_fresh(self, ctx, tx, file_block):
+        """Map the hole at ``file_block`` to a newly allocated, zeroed
+        block (journaled; see :meth:`_fresh_block`) and return it."""
+        slot = self._pointer_addr(ctx, tx, file_block)
+        block = self._mirror[file_block] = self._fresh_block(ctx, tx, slot)
+        if file_block < N_DIRECT:
+            self.inode.direct[file_block] = block
+        return block
 
     def clear(self, ctx, tx, file_block):
         """Unmap ``file_block`` (journaled); returns the freed NVMM block."""

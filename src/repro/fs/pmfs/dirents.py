@@ -10,7 +10,6 @@ from repro.fs.errors import ExistsError, NotFound
 from repro.fs.pmfs.layout import (
     DIRENT_SIZE,
     DIRENTS_PER_BLOCK,
-    ZERO_BLOCK,
     block_addr,
     pack_dirent,
     pack_empty_dirent,
@@ -48,9 +47,7 @@ class Directory:
         dir_block = slot // DIRENTS_PER_BLOCK
         nvmm_block = self.blockmap.get(dir_block)
         if nvmm_block is None:
-            nvmm_block = self.blockmap.balloc.alloc()
-            self.device.mem.write_nocache(block_addr(nvmm_block), ZERO_BLOCK)
-            self.blockmap.set(ctx, tx, dir_block, nvmm_block)
+            nvmm_block = self.blockmap.map_fresh(ctx, tx, dir_block)
         return block_addr(nvmm_block) + (slot % DIRENTS_PER_BLOCK) * DIRENT_SIZE
 
     def _pick_slot(self):

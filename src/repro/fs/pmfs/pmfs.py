@@ -23,7 +23,7 @@ from repro.fs.pmfs.blockmap import BlockMap
 from repro.fs.pmfs.dirents import Directory
 from repro.fs.pmfs.inodes import InodeTable, KIND_DIR, KIND_FILE
 from repro.fs.pmfs.journal import Journal
-from repro.fs.pmfs.layout import ZERO_BLOCK, Superblock, block_addr
+from repro.fs.pmfs.layout import Superblock, block_addr
 from repro.nvmm.allocator import BlockAllocator, OutOfSpaceError
 from repro.nvmm.config import BLOCK_SIZE
 
@@ -336,10 +336,8 @@ class PMFS(FileSystem):
                 take = min(BLOCK_SIZE - in_off, len(view))
                 nvmm_block = blockmap.get(file_block)
                 if nvmm_block is None:
-                    nvmm_block = self._alloc_data_block()
-                    self.device.mem.write_nocache(
-                        block_addr(nvmm_block), ZERO_BLOCK)
-                    blockmap.set(ctx, tx, file_block, nvmm_block)
+                    nvmm_block, _ = self._ensure_mapped(ctx, tx, blockmap,
+                                                        file_block)
                 self.device.write_persistent(
                     ctx, block_addr(nvmm_block) + in_off, bytes(view[:take])
                 )
@@ -403,14 +401,15 @@ class PMFS(FileSystem):
 
     def _ensure_mapped(self, ctx, tx, blockmap, file_block):
         """Map ``file_block`` to a (zeroed) NVMM block if it has none
-        (journaled); returns ``(block, fresh)``."""
+        (journaled; see :meth:`BlockMap.map_fresh`); returns
+        ``(block, fresh)``."""
         nvmm_block = blockmap.get(file_block)
         if nvmm_block is not None:
             return nvmm_block, False
-        nvmm_block = self._alloc_data_block()
-        self.device.mem.write_nocache(block_addr(nvmm_block), ZERO_BLOCK)
-        blockmap.set(ctx, tx, file_block, nvmm_block)
-        return nvmm_block, True
+        try:
+            return blockmap.map_fresh(ctx, tx, file_block), True
+        except OutOfSpaceError:
+            raise NoSpace("NVMM device full") from None
 
     def mmap(self, ctx, ino, policy=None, log_blocks=4, log_checksums=True):
         """Map a file for direct access (paper Section 4.2): a

@@ -6,12 +6,13 @@ class OutOfSpaceError(Exception):
 
 
 class BlockAllocator:
-    """First-fit bitmap allocator over a fixed population of blocks.
+    """Address-ordered bitmap allocator over a fixed population of blocks.
 
     Used for NVMM data blocks (PMFS/HiNFS), DRAM buffer blocks (HiNFS),
-    and extfs block groups.  Keeps a rotating cursor so sequential
-    allocations tend to be contiguous, which matters for the extent-ish
-    behaviour of the block-based file systems.
+    and extfs block groups.  :meth:`alloc` hands out the lowest free
+    block, as PMFS does from the head of its address-ordered free list:
+    a fresh device allocates contiguously, and a freed block is the next
+    one reused, so the blocks ever touched track the live set.
     """
 
     def __init__(self, num_blocks, first_block=0):
@@ -19,64 +20,57 @@ class BlockAllocator:
             raise ValueError("allocator needs at least one block")
         self.num_blocks = int(num_blocks)
         self.first_block = int(first_block)
-        self._free = set(range(first_block, first_block + num_blocks))
-        self._cursor = first_block
+        #: One byte per block, 1 = free, indexed from ``first_block``.
+        self._map = bytearray(b"\x01") * self.num_blocks
+        self.free_count = self.num_blocks
+        #: Nothing below this index is free; the scan starts here.
+        self._low = 0
         #: Blocks pulled from circulation because their media went bad
         #: (the scrubber's badblocks list).  Quarantined blocks count as
         #: allocated and are never handed out again.
         self.quarantined = set()
 
     @property
-    def free_count(self):
-        return len(self._free)
-
-    @property
     def used_count(self):
-        return self.num_blocks - len(self._free)
+        return self.num_blocks - self.free_count
 
     def is_allocated(self, block):
-        self._check(block)
-        return block not in self._free
+        return not self._map[self._index(block)]
 
-    def _check(self, block):
-        if not self.first_block <= block < self.first_block + self.num_blocks:
+    def _index(self, block):
+        index = block - self.first_block
+        if not 0 <= index < self.num_blocks:
             raise ValueError("block %d outside allocator range" % block)
+        return index
 
     def alloc(self):
-        """Allocate one block, scanning forward from the rotating cursor."""
-        if not self._free:
+        """Allocate the lowest free block."""
+        index = self._map.find(1, self._low)
+        if index < 0:
             raise OutOfSpaceError("no free blocks")
-        limit = self.first_block + self.num_blocks
-        for candidate in range(self._cursor, limit):
-            if candidate in self._free:
-                return self._take(candidate)
-        for candidate in range(self.first_block, self._cursor):
-            if candidate in self._free:
-                return self._take(candidate)
-        raise OutOfSpaceError("no free blocks")  # pragma: no cover
-
-    def _take(self, block):
-        self._free.remove(block)
-        self._cursor = block + 1
-        if self._cursor >= self.first_block + self.num_blocks:
-            self._cursor = self.first_block
-        return block
+        self._map[index] = 0
+        self.free_count -= 1
+        self._low = index + 1
+        return self.first_block + index
 
     def alloc_many(self, count):
         """Allocate ``count`` blocks (not necessarily contiguous)."""
-        if count > len(self._free):
+        if count > self.free_count:
             raise OutOfSpaceError(
-                "asked for %d blocks, only %d free" % (count, len(self._free))
+                "asked for %d blocks, only %d free" % (count, self.free_count)
             )
         return [self.alloc() for _ in range(count)]
 
     def free(self, block):
-        self._check(block)
-        if block in self._free:
+        index = self._index(block)
+        if self._map[index]:
             raise ValueError("double free of block %d" % block)
         if block in self.quarantined:
             return
-        self._free.add(block)
+        self._map[index] = 1
+        self.free_count += 1
+        if index < self._low:
+            self._low = index
 
     def free_many(self, blocks):
         for block in blocks:
@@ -84,8 +78,9 @@ class BlockAllocator:
 
     def mark_allocated(self, block):
         """Claim a specific block (used when rebuilding state at recovery)."""
-        self._check(block)
-        self._free.discard(block)
+        index = self._index(block)
+        self.free_count -= self._map[index]
+        self._map[index] = 0
 
     def quarantine(self, block):
         """Pull ``block`` out of circulation permanently (bad media).
@@ -94,6 +89,5 @@ class BlockAllocator:
         a quarantined block is a silent no-op instead of returning it to
         the pool.
         """
-        self._check(block)
-        self._free.discard(block)
+        self.mark_allocated(block)
         self.quarantined.add(block)

@@ -111,6 +111,36 @@ def test_checked_in_artifacts_are_strict_json():
         assert os.path.basename(path) == "BENCH_%s.json" % name
 
 
+def test_artifacts_that_record_placement_keep_what_placement_cannot_move():
+    """``BENCH_shard.json``'s ``crashcheck`` block and the line / block
+    numbers of ``BENCH_chaos.json`` follow the block allocator's
+    placement (they were regenerated when it became address-ordered).
+    The explored and injected work does not: these literals predate
+    that change."""
+    def load(name):
+        with open(os.path.join(REPO, "BENCH_%s.json" % name)) as fileobj:
+            return json.load(fileobj)["experiments"][name]
+
+    explored = [(r["fs_kind"], r["events"], r["boundaries"],
+                 r["states_checked"] + r["states_deduped"],
+                 r["eviction_draws"], r["torn_draws"], r["violations"])
+                for r in load("shard")["crashcheck"]]
+    assert explored == [("hinfs@2", 917, 417, 1150, 112, 112, []),
+                        ("hinfs@4", 1085, 495, 1306, 112, 112, []),
+                        ("pmfs@2", 918, 417, 1145, 112, 112, []),
+                        ("pmfs@4", 1086, 495, 1307, 112, 112, [])]
+    injected = {
+        fs: (len(r["fault_lines"]), r["repaired_lines"], r["isolated_lines"],
+             len(r["quarantined_blocks"]), r["acknowledged_losses"],
+             r["mttr_ns"], r["violations"])
+        for fs, r in load("chaos")["results"].items()}
+    assert injected == {"ext2-nvmmbd": (6, 4, 2, 1, 1, 85922, []),
+                        "ext4-dax": (6, 0, 6, 5, 4, 220593, []),
+                        "ext4-nvmmbd": (6, 4, 2, 1, 1, 86946, []),
+                        "hinfs": (6, 0, 6, 4, 4, 347057, []),
+                        "pmfs": (6, 0, 6, 5, 5, 215985, [])}
+
+
 def _fake_experiment(monkeypatch, run, check_shape=lambda data: None):
     monkeypatch.setitem(
         EXPERIMENTS, "fake",

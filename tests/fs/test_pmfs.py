@@ -4,17 +4,19 @@ import struct
 
 import pytest
 
+from repro.faults.media import MediaFaultModel
 from repro.fs import flags as f
 from repro.fs.errors import (
     BadFileDescriptor,
     ExistsError,
     IsADirectory,
+    MediaError,
     NotADirectory,
     NotEmpty,
     NotFound,
     ReadOnly,
 )
-from repro.fs.pmfs.inodes import KIND_FREE, InodeTable, PmfsInode
+from repro.fs.pmfs.inodes import CORE_SIZE, KIND_FREE, InodeTable, PmfsInode
 from repro.fs.pmfs.layout import (
     DIRENT_SIZE,
     DIRENTS_PER_BLOCK,
@@ -417,3 +419,109 @@ def test_indirect_maps_and_a_directory_hole_survive_crash_and_remount(rig):
     listed = sorted(name for name, _ino in vfs.readdir(ctx, "/d"))
     assert listed == ["n%03d" % i for i in range(150)
                       if not 64 <= i < 128 and i not in (0, 17, 63, 149)]
+
+
+def _pinned_blocks(fs):
+    return sum(len(fs._map(inode.ino).all_physical_blocks())
+               for inode in fs.itable.live_inodes())
+
+
+def _pointer_slot_line(fs, ino, slot):
+    """Cacheline of the inode's ``slot``-th 8-byte pointer (direct 0..11,
+    then the indirect and double-indirect roots)."""
+    return (fs.itable.core_addr(ino) + CORE_SIZE + slot * 8) // 64
+
+
+@pytest.mark.parametrize("slot,file_block", [
+    (5, 5),                                        # a direct pointer
+    (N_DIRECT, N_DIRECT + 3),                      # the indirect root
+    (N_DIRECT + 1, N_DIRECT + PTRS_PER_BLOCK + 1),  # the dindirect root
+], ids=["direct", "indirect-root", "dindirect-root"])
+def test_a_fresh_block_whose_pointer_write_fails_is_given_back(
+        rig, slot, file_block):
+    model = rig.device.attach_faults(MediaFaultModel(seed=0))
+    fd = rig.vfs.open(rig.ctx, "/a", f.O_CREAT | f.O_RDWR)
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"x" * 4096)
+    ino = rig.vfs.stat(rig.ctx, "/a").ino
+    used = rig.fs.balloc.used_count
+    assert used == _pinned_blocks(rig.fs) == 2  # root dirents + block 0
+    line = _pointer_slot_line(rig.fs, ino, slot)
+    model.poison_line(line)
+    with pytest.raises(MediaError):
+        rig.vfs.pwrite(rig.ctx, fd, file_block * 4096, b"y" * 4096)
+    assert rig.fs.balloc.used_count == _pinned_blocks(rig.fs) == used
+    inode = rig.fs.itable.get(ino)
+    assert (inode.indirect, inode.dindirect) == (0, 0)
+    # Once the line is replaced the same write goes through, onto the
+    # blocks the failed attempt gave back.
+    model.heal_line(line)
+    rig.vfs.pwrite(rig.ctx, fd, file_block * 4096, b"y" * 4096)
+    assert rig.vfs.pread(rig.ctx, fd, file_block * 4096, 4096) == b"y" * 4096
+    assert rig.fs.balloc.used_count == _pinned_blocks(rig.fs) > used
+    rig.remount()
+    assert rig.fs.balloc.used_count == _pinned_blocks(rig.fs)
+
+
+@pytest.mark.parametrize("slot,file_block,neighbour", [
+    (5, 5, 6),                                         # slots 3..10: one line
+    (N_DIRECT, N_DIRECT + 3, N_DIRECT - 1),            # slot 11 + both roots
+    (N_DIRECT + 1, N_DIRECT + PTRS_PER_BLOCK + 1, N_DIRECT - 1),
+], ids=["direct", "indirect-root", "dindirect-root"])
+def test_a_given_back_block_is_not_named_by_a_late_flush_of_its_slot(
+        rig, slot, file_block, neighbour):
+    """The failed persist left the new pointer in the CPU cache; the
+    block it names is the next one handed out, and the neighbour's
+    journaled write flushes the whole 64-byte line."""
+    model = rig.device.attach_faults(MediaFaultModel(seed=0))
+    fd = rig.vfs.open(rig.ctx, "/a", f.O_CREAT | f.O_RDWR)
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"x" * 4096)
+    ino = rig.vfs.stat(rig.ctx, "/a").ino
+    line = _pointer_slot_line(rig.fs, ino, slot)
+    assert line == _pointer_slot_line(rig.fs, ino, neighbour)
+    model.poison_line(line)
+    with pytest.raises(MediaError):
+        rig.vfs.pwrite(rig.ctx, fd, file_block * 4096, b"y" * 4096)
+    model.heal_line(line)
+    rig.vfs.pwrite(rig.ctx, fd, neighbour * 4096, b"z" * 4096)
+    rig.vfs.write_file(rig.ctx, "/b", b"w" * 8192)
+    rig.crash_and_remount()
+    pinned = [block for inode in rig.fs.itable.live_inodes()
+              for block in rig.fs._map(inode.ino).all_physical_blocks()]
+    assert len(pinned) == len(set(pinned)) == rig.fs.balloc.used_count
+    inode = rig.fs.itable.get(ino)
+    assert (inode.indirect, inode.dindirect) == (0, 0)
+    assert rig.fs._map(ino).get(file_block) is None
+    fd = rig.vfs.open(rig.ctx, "/a")
+    assert rig.vfs.pread(rig.ctx, fd, neighbour * 4096, 4096) == b"z" * 4096
+    # The block that failed is a hole (or past the end), not an alias.
+    assert not rig.vfs.pread(rig.ctx, fd, file_block * 4096, 4096).strip(b"\0")
+    assert rig.vfs.read_file(rig.ctx, "/b") == b"w" * 8192
+
+
+def test_a_fresh_l2_pointer_block_whose_write_fails_is_given_back(rig):
+    model = rig.device.attach_faults(MediaFaultModel(seed=0))
+    fd = rig.vfs.open(rig.ctx, "/a", f.O_CREAT | f.O_RDWR)
+    first = N_DIRECT + PTRS_PER_BLOCK
+    rig.vfs.pwrite(rig.ctx, fd, first * 4096, b"x")
+    blockmap = rig.fs._map(rig.vfs.stat(rig.ctx, "/a").ino)
+    used = rig.fs.balloc.used_count
+    # L1 slot 8 of the double-indirect block is on its second cacheline.
+    model.poison_line(block_addr(blockmap.inode.dindirect) // 64 + 1)
+    with pytest.raises(MediaError):
+        rig.vfs.pwrite(rig.ctx, fd, (first + 8 * PTRS_PER_BLOCK) * 4096, b"y")
+    assert sorted(blockmap._l2_blocks) == [0]
+    assert rig.fs.balloc.used_count == _pinned_blocks(rig.fs) == used
+
+
+def test_a_fresh_dirent_block_whose_pointer_write_fails_is_given_back(rig):
+    model = rig.device.attach_faults(MediaFaultModel(seed=0))
+    rig.vfs.mkdir(rig.ctx, "/d")
+    for i in range(DIRENTS_PER_BLOCK):
+        rig.vfs.write_file(rig.ctx, "/d/n%d" % i, b"")
+    used = rig.fs.balloc.used_count
+    model.poison_line(
+        _pointer_slot_line(rig.fs, rig.vfs.stat(rig.ctx, "/d").ino, 3))
+    with pytest.raises(MediaError):
+        for i in range(3 * DIRENTS_PER_BLOCK):
+            rig.vfs.write_file(rig.ctx, "/d/more%d" % i, b"")
+    assert rig.fs.balloc.used_count == _pinned_blocks(rig.fs) == used + 2

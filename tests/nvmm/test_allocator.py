@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.nvmm.allocator import BlockAllocator, OutOfSpaceError
 
@@ -101,3 +102,70 @@ def test_allocator_never_hands_out_duplicates(ops):
             alloc.free(held.pop())
         assert alloc.used_count == len(held)
         assert alloc.free_count + alloc.used_count == 16
+
+
+class _LowestFreeFirst(RuleBasedStateMachine):
+    """The allocator against its specification: the free blocks are a
+    set, ``alloc()`` returns its minimum, a quarantined block never
+    returns to it."""
+
+    FIRST, COUNT = 7, 24
+    blocks = st.integers(FIRST, FIRST + COUNT - 1)
+
+    def __init__(self):
+        super().__init__()
+        self.alloc = BlockAllocator(self.COUNT, first_block=self.FIRST)
+        self.free = set(range(self.FIRST, self.FIRST + self.COUNT))
+        self.quarantined = set()
+
+    @rule()
+    def alloc_one(self):
+        if not self.free:
+            with pytest.raises(OutOfSpaceError):
+                self.alloc.alloc()
+            return
+        block = self.alloc.alloc()
+        assert block == min(self.free)
+        self.free.remove(block)
+
+    @rule(block=blocks)
+    def free_one(self, block):
+        if block in self.free:
+            with pytest.raises(ValueError):
+                self.alloc.free(block)
+            return
+        self.alloc.free(block)
+        if block not in self.quarantined:
+            self.free.add(block)
+
+    @rule(block=blocks)
+    def mark_allocated(self, block):
+        self.alloc.mark_allocated(block)
+        self.free.discard(block)
+
+    @rule(block=blocks)
+    def quarantine(self, block):
+        self.alloc.quarantine(block)
+        self.free.discard(block)
+        self.quarantined.add(block)
+
+    @rule(block=st.sampled_from([FIRST - 1, FIRST + COUNT, 0, -1]))
+    def out_of_range(self, block):
+        for call in (self.alloc.free, self.alloc.mark_allocated,
+                     self.alloc.quarantine, self.alloc.is_allocated):
+            with pytest.raises(ValueError):
+                call(block)
+
+    @invariant()
+    def agrees_with_the_reference(self):
+        alloc = self.alloc
+        assert alloc.free_count == len(self.free)
+        assert alloc.free_count + alloc.used_count == alloc.num_blocks
+        assert alloc.quarantined == self.quarantined
+        for block in range(self.FIRST, self.FIRST + self.COUNT):
+            assert alloc.is_allocated(block) == (block not in self.free)
+
+
+_LowestFreeFirst.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=60, deadline=None)
+TestLowestFreeFirst = _LowestFreeFirst.TestCase
