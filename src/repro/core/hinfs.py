@@ -159,6 +159,7 @@ class HiNFS(PMFS):
         # (Inequality (1) is a per-write-pattern judgement, and a
         # coalesced gather write is one pattern, not N).
         decided = None
+        fresh = ()  # file blocks this request mapped (at its first hole)
         while view:
             file_block, in_off = divmod(pos, BLOCK_SIZE)
             take = min(BLOCK_SIZE - in_off, len(view))
@@ -170,21 +171,22 @@ class HiNFS(PMFS):
                     ino, file_block, ctx.now, inode.last_sync
                 )
                 self.env.stats.bump("hinfs_benefit_decisions")
+            nvmm_block = blockmap.get(file_block)
+            if nvmm_block is None:
+                fresh = self._ensure_mapped(ctx, tx, blockmap, pos, len(view))
+                nvmm_block = fresh[file_block]
             if decided and buffered is None:
                 # Direct single-copy write to NVMM; safe because the
                 # block's newest data is already persistent (Sec 3.3.2).
-                nvmm_block, fresh = self._ensure_mapped(ctx, tx, blockmap,
-                                                        file_block)
                 self.device.write_persistent(
                     ctx, block_addr(nvmm_block) + in_off, chunk
                 )
                 self.env.stats.bump("hinfs_eager_writes")
             else:
-                nvmm_block, fresh = self._ensure_mapped(ctx, tx, blockmap,
-                                                        file_block)
                 if buffered is None:
                     buffered = self._buffer_insert(
-                        ctx, ino, file_block, nvmm_block, fresh
+                        ctx, ino, file_block, nvmm_block,
+                        file_block in fresh
                     )
                     self.env.stats.bump("hinfs_buffer_misses")
                 else:
@@ -279,7 +281,10 @@ class HiNFS(PMFS):
             take = min(BLOCK_SIZE - in_off, len(view))
             chunk = bytes(view[:take])
             self.benefit.record_write(ino, file_block, in_off, take, ctx.now)
-            nvmm_block, fresh = self._ensure_mapped(ctx, tx, blockmap, file_block)
+            nvmm_block = blockmap.get(file_block)
+            if nvmm_block is None:
+                fresh = self._ensure_mapped(ctx, tx, blockmap, pos, len(view))
+                nvmm_block = fresh[file_block]
             buffered = self.buffer.lookup(ino, file_block)
             if buffered is not None:
                 # Paper 3.3.2: write into the DRAM copy, then explicitly

@@ -2,13 +2,22 @@
 
 The NVMM pointer blocks are the source of truth; a DRAM mirror
 (``file_block -> nvmm_block``) keeps lookups O(1), exactly as the kernel
-caches mapping state.  Every pointer mutation is an 8-byte journaled
-write, so a torn operation rolls back cleanly.
+caches mapping state.  Every pointer mutation is a journaled write, so a
+torn operation rolls back cleanly.  A write maps its holes as extents:
+the new pointers of a run of adjacent slots (to the end of the direct
+area or of the pointer block) go to the journal as ONE range -- undo
+entries of up to ``ENTRY_PAYLOAD_MAX`` bytes, one flush of the
+cachelines the slots span -- the way PMFS logs metadata ranges in
+cacheline-sized entries and flushes a leaf's new pointers together.
+With a flush + fence pair charged per log entry, an entry per 8-byte
+pointer would put 32 foreground persists in front of a 64 KB
+lazy-persistent write.  Single-pointer :meth:`BlockMap.set` and
+:meth:`BlockMap.clear` remain for the scrubber's remap and truncate.
 """
 
 import struct
 
-from repro.fs.errors import InvalidArgument
+from repro.fs.errors import InvalidArgument, NoSpace
 from repro.fs.pmfs.inodes import CORE_SIZE
 from repro.fs.pmfs.layout import (
     MAX_FILE_BLOCKS,
@@ -19,7 +28,6 @@ from repro.fs.pmfs.layout import (
 )
 
 _PTR = struct.Struct("<Q")
-_NULL_PTR = _PTR.pack(0)
 _PTR_BLOCK = struct.Struct("<%dQ" % PTRS_PER_BLOCK)
 
 
@@ -52,67 +60,82 @@ class BlockMap:
 
     # -- pointer slot resolution ----------------------------------------------
 
-    def _pointer_addr(self, ctx, tx, file_block):
-        """NVMM address of the 8-byte pointer slot for ``file_block``,
-        allocating intermediate pointer blocks as needed."""
+    def _pointer_slot(self, ctx, tx, file_block):
+        """``(addr, room)``: the NVMM address of the 8-byte pointer slot
+        for ``file_block`` and the slots from it to the end of its
+        container (the direct area or the pointer block), which is how
+        far a run of adjacent pointers can reach.  Allocates
+        intermediate pointer blocks as needed."""
         if file_block < 0 or file_block >= MAX_FILE_BLOCKS:
             raise InvalidArgument("file block %d beyond max map" % file_block)
         core = self.itable.core_addr(self.inode.ino)
         if file_block < N_DIRECT:
-            return core + CORE_SIZE + file_block * 8
+            return core + CORE_SIZE + file_block * 8, N_DIRECT - file_block
         file_block -= N_DIRECT
         if file_block < PTRS_PER_BLOCK:
             ind = self._ensure_indirect(ctx, tx)
-            return block_addr(ind) + file_block * 8
+            return block_addr(ind) + file_block * 8, PTRS_PER_BLOCK - file_block
         file_block -= PTRS_PER_BLOCK
         l1_index, l2_index = divmod(file_block, PTRS_PER_BLOCK)
         l2 = self._ensure_l2(ctx, tx, l1_index)
-        return block_addr(l2) + l2_index * 8
+        return block_addr(l2) + l2_index * 8, PTRS_PER_BLOCK - l2_index
 
-    def _fresh_block(self, ctx, tx, slot_addr):
-        """A new block, zeroed so it reads as holes (data plane; charged
-        to the journaled write of its address into the empty pointer
-        slot at ``slot_addr``).  If that write raises, the block goes
-        back to the allocator -- after the slot is put back to zero in
-        the CPU cache: a failed persist leaves the new pointer visible
-        and volatile, and the flush of any neighbour in its cacheline
-        would make it durable once the block has another owner."""
-        block = self.balloc.alloc()
-        self.device.mem.write_nocache(block_addr(block), ZERO_BLOCK)
+    def _fresh_run(self, ctx, tx, slot_addr, count):
+        """New blocks for the ``count`` adjacent empty pointer slots at
+        ``slot_addr`` -- as many as the allocator still has, ``NoSpace``
+        if it has none -- zeroed so they read as holes (data plane;
+        charged to the journaled write), their addresses journaled as
+        ONE range: undo entries of ``ENTRY_PAYLOAD_MAX`` bytes and one
+        flush of the lines the slots span, not an entry and a flush per
+        pointer.  If that write raises, the blocks go back to the
+        allocator -- after the slots are put back to zero in the CPU
+        cache: a failed persist leaves the new pointers visible and
+        volatile, and the flush of any neighbour in their cachelines
+        would make them durable once the blocks have other owners."""
+        balloc = self.balloc
+        count = min(count, balloc.free_count)
+        if not count:
+            raise NoSpace("NVMM device full")
+        blocks = balloc.alloc_many(count)
+        mem = self.device.mem
+        for block in blocks:
+            mem.write_nocache(block_addr(block), ZERO_BLOCK)
         try:
-            self.journal.journaled_write(ctx, tx, slot_addr, _PTR.pack(block))
+            self.journal.journaled_write(
+                ctx, tx, slot_addr, struct.pack("<%dQ" % count, *blocks))
         except Exception:
-            self.device.mem.write(slot_addr, _NULL_PTR)
-            self.balloc.free(block)
+            mem.write(slot_addr, bytes(8 * count))
+            balloc.free_many(blocks)
             raise
-        return block
+        return blocks
 
     def _ensure_indirect(self, ctx, tx):
         inode = self.inode
         if inode.indirect == 0:
-            inode.indirect = self._fresh_block(
+            [inode.indirect] = self._fresh_run(
                 ctx, tx,
-                self.itable.core_addr(inode.ino) + CORE_SIZE + N_DIRECT * 8)
+                self.itable.core_addr(inode.ino) + CORE_SIZE + N_DIRECT * 8, 1)
         return inode.indirect
 
     def _ensure_l2(self, ctx, tx, l1_index):
         inode = self.inode
         if inode.dindirect == 0:
-            inode.dindirect = self._fresh_block(
+            [inode.dindirect] = self._fresh_run(
                 ctx, tx,
                 self.itable.core_addr(inode.ino) + CORE_SIZE
-                + (N_DIRECT + 1) * 8)
+                + (N_DIRECT + 1) * 8, 1)
         l2 = self._l2_blocks.get(l1_index)
         if l2 is None:
-            l2 = self._l2_blocks[l1_index] = self._fresh_block(
-                ctx, tx, block_addr(inode.dindirect) + l1_index * 8)
+            [l2] = self._fresh_run(
+                ctx, tx, block_addr(inode.dindirect) + l1_index * 8, 1)
+            self._l2_blocks[l1_index] = l2
         return l2
 
     # -- mutation -----------------------------------------------------------
 
     def set(self, ctx, tx, file_block, nvmm_block):
         """Map ``file_block`` to ``nvmm_block`` (journaled)."""
-        slot = self._pointer_addr(ctx, tx, file_block)
+        slot, _ = self._pointer_slot(ctx, tx, file_block)
         self.journal.journaled_write(ctx, tx, slot, _PTR.pack(nvmm_block))
         self._mirror[file_block] = nvmm_block
         if file_block < N_DIRECT:
@@ -120,21 +143,49 @@ class BlockMap:
             # write_pointers (e.g. drop_all) never resurrects stale slots.
             self.inode.direct[file_block] = nvmm_block
 
-    def map_fresh(self, ctx, tx, file_block):
-        """Map the hole at ``file_block`` to a newly allocated, zeroed
-        block (journaled; see :meth:`_fresh_block`) and return it."""
-        slot = self._pointer_addr(ctx, tx, file_block)
-        block = self._mirror[file_block] = self._fresh_block(ctx, tx, slot)
-        if file_block < N_DIRECT:
-            self.inode.direct[file_block] = block
-        return block
+    def map_holes(self, ctx, tx, first, count):
+        """Map the hole at file block ``first`` and every other hole
+        among ``[first, first + count)`` to newly allocated, zeroed
+        blocks, one journaled range per run of adjacent holes in one
+        pointer container (see :meth:`_fresh_run`); returns the fresh
+        ``{file_block: nvmm_block}``.  A writer calls this at the first
+        hole of its request with the blocks it has left, so a request
+        maps once.  When the allocator runs dry it maps what fits: the
+        writer persists those blocks, arrives at the first one left
+        unmapped, calls again and gets the ``NoSpace`` raised for a
+        ``first`` that cannot be mapped."""
+        mirror = self._mirror
+        fresh = {}
+        file_block, end = first, first + count
+        try:
+            while file_block < end:
+                if file_block in mirror:
+                    file_block += 1
+                    continue
+                slot, room = self._pointer_slot(ctx, tx, file_block)
+                stop = min(file_block + room, end)
+                run_end = file_block + 1
+                while run_end < stop and run_end not in mirror:
+                    run_end += 1
+                blocks = self._fresh_run(ctx, tx, slot, run_end - file_block)
+                if file_block < N_DIRECT:
+                    self.inode.direct[file_block:file_block + len(blocks)] = \
+                        blocks
+                run = dict(zip(range(file_block, run_end), blocks))
+                mirror.update(run)
+                fresh.update(run)
+                file_block += len(blocks)
+        except NoSpace:
+            if first not in mirror:
+                raise
+        return fresh
 
     def clear(self, ctx, tx, file_block):
         """Unmap ``file_block`` (journaled); returns the freed NVMM block."""
         nvmm_block = self._mirror.pop(file_block, None)
         if nvmm_block is None:
             return None
-        slot = self._pointer_addr(ctx, tx, file_block)
+        slot, _ = self._pointer_slot(ctx, tx, file_block)
         self.journal.journaled_write(ctx, tx, slot, _PTR.pack(0))
         if file_block < N_DIRECT:
             self.inode.direct[file_block] = 0

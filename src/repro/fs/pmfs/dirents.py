@@ -47,7 +47,8 @@ class Directory:
         dir_block = slot // DIRENTS_PER_BLOCK
         nvmm_block = self.blockmap.get(dir_block)
         if nvmm_block is None:
-            nvmm_block = self.blockmap.map_fresh(ctx, tx, dir_block)
+            fresh = self.blockmap.map_holes(ctx, tx, dir_block, 1)
+            nvmm_block = fresh[dir_block]
         return block_addr(nvmm_block) + (slot % DIRENTS_PER_BLOCK) * DIRENT_SIZE
 
     def _pick_slot(self):

@@ -174,10 +174,19 @@ class PMFS(FileSystem):
     def _create(self, ctx, parent_ino, name, kind):
         directory = self._dir(parent_ino)
         tx = self.journal.begin(ctx)
-        inode = self.itable.alloc(ctx, tx, kind, ctx.now)
-        directory.add(ctx, tx, name, inode.ino)
-        self.itable.write_core(ctx, tx, directory.inode)
-        self.journal.commit(ctx, tx)
+        try:
+            inode = self.itable.alloc(ctx, tx, kind, ctx.now)
+            try:
+                directory.add(ctx, tx, name, inode.ino)
+            except Exception:
+                # E.g. no block for a new dirent block: the inode goes
+                # back to the table in the transaction that took it.
+                self.itable.free(ctx, tx, inode)
+                raise
+            self.itable.write_core(ctx, tx, directory.inode)
+        finally:
+            # As in write_iter: no transaction is ever leaked open.
+            self.journal.commit(ctx, tx)
         return inode.ino
 
     def create_file(self, ctx, parent_ino, name):
@@ -336,8 +345,9 @@ class PMFS(FileSystem):
                 take = min(BLOCK_SIZE - in_off, len(view))
                 nvmm_block = blockmap.get(file_block)
                 if nvmm_block is None:
-                    nvmm_block, _ = self._ensure_mapped(ctx, tx, blockmap,
-                                                        file_block)
+                    fresh = self._ensure_mapped(ctx, tx, blockmap, pos,
+                                                len(view))
+                    nvmm_block = fresh[file_block]
                 self.device.write_persistent(
                     ctx, block_addr(nvmm_block) + in_off, bytes(view[:take])
                 )
@@ -399,17 +409,15 @@ class PMFS(FileSystem):
 
     # -- memory-mapped I/O --------------------------------------------------
 
-    def _ensure_mapped(self, ctx, tx, blockmap, file_block):
-        """Map ``file_block`` to a (zeroed) NVMM block if it has none
-        (journaled; see :meth:`BlockMap.map_fresh`); returns
-        ``(block, fresh)``."""
-        nvmm_block = blockmap.get(file_block)
-        if nvmm_block is not None:
-            return nvmm_block, False
-        try:
-            return blockmap.map_fresh(ctx, tx, file_block), True
-        except OutOfSpaceError:
-            raise NoSpace("NVMM device full") from None
+    def _ensure_mapped(self, ctx, tx, blockmap, offset, length):
+        """Called at a write's first hole, at file byte ``offset``, with
+        the ``length`` bytes the request has left: maps that hole and
+        every other one under them to zeroed NVMM blocks, so a request
+        maps once (journaled as runs).  Returns the fresh
+        ``{file_block: nvmm_block}`` of :meth:`BlockMap.map_holes`."""
+        first = offset // BLOCK_SIZE
+        return blockmap.map_holes(
+            ctx, tx, first, -(-(offset + length) // BLOCK_SIZE) - first)
 
     def mmap(self, ctx, ino, policy=None, log_blocks=4, log_checksums=True):
         """Map a file for direct access (paper Section 4.2): a

@@ -540,14 +540,18 @@ class MmioMapping:
             take = min(BLOCK_SIZE - in_off, len(data) - pos,
                        MAX_ENTRY_PAYLOAD)
             # Every policy maps the block now (a page fault on a hole,
-            # journaled), so recovery and apply always find a home for
-            # the entry's bytes.
+            # which maps the store's other holes with it: one journaled
+            # transaction), so recovery and apply always find a home
+            # for the entries' bytes.
             nvmm_block = blockmap.get(file_block)
             if nvmm_block is None:
                 tx = fs.journal.begin(ctx)
-                nvmm_block, _ = fs._ensure_mapped(ctx, tx, blockmap,
-                                                  file_block)
-                fs.journal.commit(ctx, tx)
+                try:
+                    fresh = fs._ensure_mapped(ctx, tx, blockmap,
+                                              offset + pos, len(data) - pos)
+                finally:
+                    fs.journal.commit(ctx, tx)
+                nvmm_block = fresh[file_block]
             self._store_chunk(ctx, offset + pos,
                               block_addr(nvmm_block) + in_off,
                               data[pos:pos + take])

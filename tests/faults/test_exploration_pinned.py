@@ -2,24 +2,27 @@
 
 How a crash state is stored, hashed and mounted is an implementation
 detail; *which* states are checked, how many collapse as duplicates and
-what the checkers find is not.  These values were recorded before crash
-states became sparse deltas on one reusable image and must survive any
-later change to that machinery.  (The ``@2`` rows were recorded when the
-explorer learnt sharded mounts; the two ``journal_checksums=False`` rows
-went 4 -> 5 violations with the stronger rename invariants, states and
-duplicates unchanged.)  Public API only.
+what the checkers find is not.  Every row's summary is a literal and
+must survive any change to that machinery.  Public API only.
 
-What a row may follow is *placement*.  A crash image is deduplicated by
-its bytes, and the block numbers in its pointers and the blocks its data
-sits on are part of them.  When the block allocator became
-address-ordered (a recreated file lands on the blocks its predecessor
-freed, not on the next never-used ones), 11 rows moved by 1..8 states
-between "checked" and "duplicate", and the torn samples of the
-``mmio_log_checksums=False`` control on pmfs tear one more record that
-matters (1 -> 2 violations).  The explored work did not move: ``BEFORE``
-keeps each row's counts from before that change and every row asserts
-that ops, tape events, boundaries, both sample counts and
-checked + duplicates are still those.
+What a row may follow is what the file system *persists*.  The tape is
+the run's persist events, a boundary is a fence between them, and a
+crash image is deduplicated by its bytes -- block numbers included (the
+address-ordered allocator moved 11 rows by 1..8 states between
+"checked" and "duplicate" for that reason alone).  These rows were
+re-recorded when a write began to map its holes as one extent: the new
+pointers of a run of adjacent slots are one journaled range (undo
+entries of up to 40 bytes, one flush) instead of a fenced undo entry
+and a flush per 8-byte pointer, so every sequence here -- each has a
+write that lands on two fresh blocks -- issues 4..8 fewer persist
+events and crosses 2..4 fewer boundaries, and the states between them
+are gone with them.  ``BEFORE`` keeps each row's (tape events,
+boundaries, eviction samples, torn samples, violations) from before
+that change, and every row asserts that the samples drawn are still
+those, that events and boundaries only fell, that the positive rows
+still find nothing and that each checksums-off control finds at least
+what it found (three of the four find one more: the same seeded draws
+index a shorter tape, so they tear different records).
 """
 
 import pytest
@@ -38,89 +41,90 @@ XMV_SITES = {"xmv:intent", "xmv:copy", "xmv:copied", "xmv:victim-unlinked",
 
 OPS_IDS = {DEFAULT_OPS: "default", MMIO_OPS: "mmio", SHARD_OPS: "shard"}
 
-#: (fs kind, ops, explorer kwargs, BEFORE, NOW, summary).  BEFORE and NOW
-#: are (states checked, duplicates skipped, violations) under the
-#: rotating-cursor allocator and under the address-ordered one; every
-#: other number of the summary is the literal recorded with BEFORE.  The
+#: (fs kind, ops, explorer kwargs, BEFORE, summary).  BEFORE is (tape
+#: events, boundaries, eviction samples, torn samples, violations) with
+#: one journaled write per pointer; the summary is the literal now.  The
 #: kwargs rows are the checksums-off negative controls.
 PINNED = [
-    ("pmfs", DEFAULT_OPS, {}, (196, 324, 0), (198, 322, 0),
-     "pmfs: 15 ops, 302 tape events, 137 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "104 eviction subsets sampled, 104 torn states sampled, %d violations"),
-    ("pmfs", MMIO_OPS, {}, (167, 141, 0), (167, 141, 0),
-     "pmfs: 15 ops, 98 tape events, 42 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "112 eviction subsets sampled, 112 torn states sampled, %d violations"),
+    ("pmfs", DEFAULT_OPS, {}, (302, 137, 104, 104, 0),
+     "pmfs: 15 ops, 298 tape events, 135 boundaries, "
+     "185 states checked (325 duplicates skipped), "
+     "104 eviction subsets sampled, 104 torn states sampled, 0 violations"),
+    ("pmfs", MMIO_OPS, {}, (98, 42, 112, 112, 0),
+     "pmfs: 15 ops, 94 tape events, 40 boundaries, "
+     "176 states checked (144 duplicates skipped), "
+     "112 eviction subsets sampled, 112 torn states sampled, 0 violations"),
     ("pmfs", DEFAULT_OPS, {"journal_checksums": False},
-     (185, 335, 5), (187, 333, 5),
-     "pmfs: 15 ops, 302 tape events, 137 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "104 eviction subsets sampled, 104 torn states sampled, %d violations"),
+     (302, 137, 104, 104, 5),
+     "pmfs: 15 ops, 298 tape events, 135 boundaries, "
+     "179 states checked (331 duplicates skipped), "
+     "104 eviction subsets sampled, 104 torn states sampled, 6 violations"),
     ("pmfs", MMIO_OPS, {"mmio_log_checksums": False},
-     (167, 141, 1), (167, 141, 2),
-     "pmfs: 15 ops, 98 tape events, 42 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "112 eviction subsets sampled, 112 torn states sampled, %d violations"),
-    ("hinfs", DEFAULT_OPS, {}, (212, 342, 0), (213, 341, 0),
-     "hinfs: 15 ops, 301 tape events, 137 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "120 eviction subsets sampled, 120 torn states sampled, %d violations"),
-    ("hinfs", MMIO_OPS, {}, (178, 143, 0), (176, 145, 0),
-     "hinfs: 15 ops, 98 tape events, 42 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "120 eviction subsets sampled, 120 torn states sampled, %d violations"),
+     (98, 42, 112, 112, 2),
+     "pmfs: 15 ops, 94 tape events, 40 boundaries, "
+     "175 states checked (145 duplicates skipped), "
+     "112 eviction subsets sampled, 112 torn states sampled, 3 violations"),
+    ("hinfs", DEFAULT_OPS, {}, (301, 137, 120, 120, 0),
+     "hinfs: 15 ops, 297 tape events, 135 boundaries, "
+     "212 states checked (327 duplicates skipped), "
+     "120 eviction subsets sampled, 120 torn states sampled, 0 violations"),
+    ("hinfs", MMIO_OPS, {}, (98, 42, 120, 120, 0),
+     "hinfs: 15 ops, 94 tape events, 40 boundaries, "
+     "188 states checked (141 duplicates skipped), "
+     "120 eviction subsets sampled, 120 torn states sampled, 0 violations"),
     ("hinfs", DEFAULT_OPS, {"journal_checksums": False},
-     (201, 353, 5), (202, 352, 5),
-     "hinfs: 15 ops, 301 tape events, 137 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "120 eviction subsets sampled, 120 torn states sampled, %d violations"),
+     (301, 137, 120, 120, 5),
+     "hinfs: 15 ops, 297 tape events, 135 boundaries, "
+     "200 states checked (339 duplicates skipped), "
+     "120 eviction subsets sampled, 120 torn states sampled, 5 violations"),
     ("hinfs", MMIO_OPS, {"mmio_log_checksums": False},
-     (178, 143, 1), (176, 145, 1),
-     "hinfs: 15 ops, 98 tape events, 42 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "120 eviction subsets sampled, 120 torn states sampled, %d violations"),
+     (98, 42, 120, 120, 1),
+     "hinfs: 15 ops, 94 tape events, 40 boundaries, "
+     "188 states checked (141 duplicates skipped), "
+     "120 eviction subsets sampled, 120 torn states sampled, 2 violations"),
     # The same explorer, op vocabulary and invariants through the same
     # VFS on two devices: the three cross-shard rename protocols, the
     # mixed sequence, and MAP_ATOMIC epochs on a file living on shard 1.
-    ("pmfs@2", SHARD_OPS, {}, (493, 664, 0), (501, 656, 0),
-     "pmfs@2: 14 ops, 918 tape events, 417 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "112 eviction subsets sampled, 112 torn states sampled, %d violations"),
-    ("hinfs@2", SHARD_OPS, {}, (482, 662, 0), (489, 655, 0),
-     "hinfs@2: 14 ops, 917 tape events, 417 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "112 eviction subsets sampled, 112 torn states sampled, %d violations"),
-    ("pmfs@2", DEFAULT_OPS, {}, (210, 334, 0), (213, 331, 0),
-     "pmfs@2: 15 ops, 333 tape events, 151 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "104 eviction subsets sampled, 104 torn states sampled, %d violations"),
-    ("pmfs@2", MMIO_OPS, {}, (167, 141, 0), (167, 141, 0),
-     "pmfs@2: 15 ops, 98 tape events, 42 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "112 eviction subsets sampled, 112 torn states sampled, %d violations"),
-    ("hinfs@2", MMIO_OPS, {}, (178, 143, 0), (176, 145, 0),
-     "hinfs@2: 15 ops, 98 tape events, 42 boundaries, "
-     "%d states checked (%d duplicates skipped), "
-     "120 eviction subsets sampled, 120 torn states sampled, %d violations"),
+    ("pmfs@2", SHARD_OPS, {}, (918, 417, 112, 112, 0),
+     "pmfs@2: 14 ops, 910 tape events, 413 boundaries, "
+     "476 states checked (649 duplicates skipped), "
+     "112 eviction subsets sampled, 112 torn states sampled, 0 violations"),
+    ("hinfs@2", SHARD_OPS, {}, (917, 417, 112, 112, 0),
+     "hinfs@2: 14 ops, 909 tape events, 413 boundaries, "
+     "496 states checked (655 duplicates skipped), "
+     "112 eviction subsets sampled, 112 torn states sampled, 0 violations"),
+    ("pmfs@2", DEFAULT_OPS, {}, (333, 151, 104, 104, 0),
+     "pmfs@2: 15 ops, 329 tape events, 149 boundaries, "
+     "218 states checked (325 duplicates skipped), "
+     "104 eviction subsets sampled, 104 torn states sampled, 0 violations"),
+    ("pmfs@2", MMIO_OPS, {}, (98, 42, 112, 112, 0),
+     "pmfs@2: 15 ops, 94 tape events, 40 boundaries, "
+     "176 states checked (144 duplicates skipped), "
+     "112 eviction subsets sampled, 112 torn states sampled, 0 violations"),
+    ("hinfs@2", MMIO_OPS, {}, (98, 42, 120, 120, 0),
+     "hinfs@2: 15 ops, 94 tape events, 40 boundaries, "
+     "188 states checked (141 duplicates skipped), "
+     "120 eviction subsets sampled, 120 torn states sampled, 0 violations"),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind,ops,kwargs,before,now,summary", PINNED,
+    "kind,ops,kwargs,before,summary", PINNED,
     ids=["%s-%s%s" % (kind, OPS_IDS[ops], "-csum-off" if kwargs else "")
-         for kind, ops, kwargs, _b, _n, _s in PINNED])
-def test_exploration_is_pinned(kind, ops, kwargs, before, now, summary):
+         for kind, ops, kwargs, _b, _s in PINNED])
+def test_exploration_is_pinned(kind, ops, kwargs, before, summary):
     report = CrashPointExplorer(kind, seed=3, eviction_samples_per_op=8,
                                 torn_samples_per_op=8, **kwargs).explore(ops)
-    assert report.summary() == summary % now
-    assert len(report.failures) == now[2]
-    # Placement moves states between "checked" and "duplicate", never
-    # in or out of the exploration, and costs no finding.
-    assert (report.states_checked + report.states_deduped
-            == before[0] + before[1])
-    assert now[2] >= before[2]
-    # Only the negative controls find anything.
-    assert bool(now[2]) == bool(before[2]) == bool(kwargs)
+    assert report.summary() == summary
+    events, boundaries, evictions, torn, violations = before
+    # Range-logged pointer runs remove persist events, and only that:
+    # the sampling budget per op is drawn in full, as before.
+    assert report.events < events
+    assert report.boundaries < boundaries
+    assert sum(report.eviction_draws.values()) == evictions
+    assert sum(report.torn_draws.values()) == torn
+    # Only the negative controls find anything, and none finds less.
+    assert len(report.failures) >= violations
+    assert bool(report.failures) == bool(violations) == bool(kwargs)
     if ops is SHARD_OPS:
         assert XMV_SITES <= set(report.sites)

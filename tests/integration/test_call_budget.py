@@ -80,3 +80,25 @@ def test_recovered_mount_cost_does_not_follow_the_table_sizes(fs_name,
 
     recovered_mount()()  # warm: the second mount's ring is all stale
     assert _python_calls(recovered_mount()) <= ceiling
+
+
+@pytest.mark.parametrize("fs_name,entries,grants",
+                         [("pmfs", 7, 27), ("hinfs", 6, 10)])
+def test_fresh_64k_write_journals_its_pointer_runs_as_ranges(
+        fs_name, entries, grants):
+    """Foreground persists, counted: the 16 fresh blocks are the run of
+    12 direct slots (96 bytes: 3 undo entries, 1 flush), the indirect
+    root (1 + 1) and the run of 4 indirect slots (1 + 1), then the
+    inode core (1 + 1).  pmfs adds its commit entry and a grant per
+    data block (7 entries, 27 grants); hinfs defers the commit and
+    buffers the data (6 and 10).  An entry and a flush per pointer made
+    it 19 / 53 and 18 / 36."""
+    env = SimEnv()
+    fs, vfs = build_stack(env, fs_name, NVMMConfig(), 16 << 20)
+    ctx = ExecContext(env, "app")
+    fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
+    head = fs.journal.used_slots
+    granted = fs.device.write_slots.total_grants
+    vfs.pwrite(ctx, fd, 0, b"a" * 65536)
+    assert fs.journal.used_slots - head <= entries
+    assert fs.device.write_slots.total_grants - granted <= grants
