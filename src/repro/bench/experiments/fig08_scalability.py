@@ -38,9 +38,13 @@ def run(scale=SMALL, personalities=("fileserver", "webproxy"),
             for fs_name in file_systems:
                 workload = scale.personality(name, threads=threads,
                                              **FILESETS.get(name, {}))
+                # Webproxy's per-thread log grows 16 KB an iteration for
+                # the whole run, so how much device a run needs follows
+                # its throughput: 233 MB on HiNFS at 10 threads.
                 result = scale.run(
                     fs_name, workload,
                     duration_ns=scale.duration_ns,
+                    device_size=scale.device_size * 2,
                     hinfs_config=scale.hinfs_config(
                         buffer_bytes=scale.buffer_bytes * 2),
                 )

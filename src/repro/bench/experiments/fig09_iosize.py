@@ -12,6 +12,7 @@ Two panels:
 
 from repro.bench.report import Table
 from repro.bench.experiments.common import SMALL
+from repro.nvmm.config import BLOCK_SIZE
 
 IO_SIZES = (64, 512, 2048, 4096, 16 << 10, 64 << 10, 256 << 10)
 FILE_SYSTEMS = ("hinfs", "hinfs-nclfw", "pmfs")
@@ -34,20 +35,22 @@ def run(scale=SMALL, io_sizes=IO_SIZES):
             # filebench knob scales both), which is exactly the
             # "small block-unaligned lazy-persistent writes" regime CLFW
             # targets: a block is flushed with only a few dirty lines.
+            mean_file_size = max(1024, min(64 << 10, io_size * 4))
             workload = scale.personality(
-                "fileserver",
-                mean_file_size=max(1024, min(64 << 10, io_size * 4)),
-                io_size=io_size,
-            )
-            # A small buffer keeps the writeback path continuously active
-            # (the paper's 2 GB buffer against a 5 GB fileset does the
-            # same), and unmounting drains the tail so panel (b) counts
+                "fileserver", mean_file_size=mean_file_size, io_size=io_size)
+            # A buffer of 0.4x the fileset -- the paper's 2 GB against
+            # 5 GB -- keeps the writeback path continuously active at
+            # every I/O size (a 1 KB file still takes a 4 KB block of
+            # it), and unmounting drains the tail so panel (b) counts
             # every write the workload caused.
+            fileset_blocks = (scale.threads * scale.files_per_thread
+                              * -(-mean_file_size // BLOCK_SIZE))
             result = scale.run(
                 fs_name, workload,
                 duration_ns=scale.duration_ns,
-                hinfs_config=scale.hinfs_config(
-                    buffer_bytes=min(2 << 20, scale.buffer_bytes)),
+                hinfs_config=scale.hinfs_config(buffer_bytes=min(
+                    2 << 20, scale.buffer_bytes,
+                    fileset_blocks * 2 // 5 * BLOCK_SIZE)),
                 unmount=True,
             )
             throughput[fs_name][io_size] = result.throughput

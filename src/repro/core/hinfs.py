@@ -52,7 +52,10 @@ class PendingTx:
 
     def __init__(self, tx, prev=None):
         self.tx = tx
-        self.blocks = set()
+        tx.owner = self
+        # Insertion-ordered dict-as-set, like BufferBlock.pending_txs:
+        # make_room flushes these in the order they were written.
+        self.blocks = {}
         self.prev = prev
         self.next = None
         self.ready = False
@@ -60,13 +63,12 @@ class PendingTx:
             prev.next = self
 
     def attach(self, block):
-        self.blocks.add(block)
-        # pending_txs is an insertion-ordered dict-as-set (determinism).
+        self.blocks[block] = None
         block.pending_txs[self] = None
 
     def complete_block(self, ctx, journal, block):
         """Called when ``block`` has been persisted (or discarded)."""
-        self.blocks.discard(block)
+        self.blocks.pop(block, None)
         self.maybe_commit(ctx, journal)
 
     def maybe_commit(self, ctx, journal):
@@ -101,7 +103,7 @@ class HiNFS(PMFS):
         self.benefit = BufferBenefitModel(env, config, self.hconfig)
         self.writeback = WritebackPool(env, self)
         env.background.register(self.writeback)
-        self.journal.wrap_barrier = self._wrap_barrier
+        self.journal.make_room = self.make_room
         # ino -> newest PendingTx of that file (commit-ordering chains).
         self._file_tx_tail = {}
         # Transient: id(tx) -> PendingTx while a write is in flight.
@@ -227,13 +229,9 @@ class HiNFS(PMFS):
                     tail.next = pending
             self._file_tx_tail[ino] = pending
             pending.maybe_commit(ctx, self.journal)
-        if self.buffer.below_low_watermark or self._journal_pressure():
+        if self.buffer.below_low_watermark \
+                or self.journal.used_slots > self.journal.relief_limit:
             self.writeback.signal_pressure(ctx.now)
-
-    def _journal_pressure(self):
-        """Ask for background flushing well before the ring must wrap, so
-        the wrap barrier rarely lands on the foreground."""
-        return self.journal.used_slots > int(0.35 * self.journal.capacity)
 
     def _barrier_file(self, ctx, ino):
         """Close every open deferred transaction of a file, in order.
@@ -584,14 +582,26 @@ class HiNFS(PMFS):
             pending.complete_block(ctx, self.journal, block)
         block.pending_txs.clear()
 
-    def _wrap_barrier(self, ctx):
-        """Journal recycling: force every deferred commit closed.
+    def make_room(self, ctx, limit, retry_policy=None):
+        """Log space comes back oldest first: flush the blocks the oldest
+        deferred commits wait on until the journal holds at most
+        ``limit`` slots; returns how many blocks that took.
 
-        Must not abort half-way (the wrap needs every transaction
-        closed), so media errors are recorded, not raised.
+        Called by ``Journal.begin`` when its reserve is short and by the
+        background relief before it is.  Must not abort half-way, so
+        media errors are recorded, not raised.
         """
-        self.flush_blocks(ctx, self.buffer.all_blocks_lrw_order(),
-                          parallel=True, record_errors=True)
+        journal = self.journal
+        flushed = 0
+        while journal.used_slots > limit:
+            tx = journal.oldest_open
+            blocks = list(tx.owner.blocks) if tx.owner is not None else ()
+            self.flush_blocks(ctx, blocks, parallel=True, record_errors=True,
+                              retry_policy=retry_policy)
+            flushed += len(blocks)
+            if tx.open:
+                break  # not a deferred commit: its own caller closes it
+        return flushed
 
     # ------------------------------------------------------------------
     # memory-mapped I/O (paper Section 4.2)

@@ -235,14 +235,15 @@ class WritebackPool(BackgroundTask):
             self.env.stats.bump("writeback_pressure_blocks", len(victims))
 
     def _journal_relief(self):
-        """Close deferred-commit transactions before the journal ring has
-        to wrap, so the wrap barrier rarely stalls the foreground."""
-        if not self.hinfs._journal_pressure():
-            return
-        victims = [block for block in self.hinfs.buffer.all_blocks_lrw_order()
-                   if block.pending_txs]
-        self._flush_distributed("journal-relief", victims)
-        self.env.stats.bump("writeback_journal_relief_blocks", len(victims))
+        """Close the oldest deferred-commit transactions once the ring is
+        past its relief line, so ``Journal.begin`` rarely has to make
+        room on the foreground."""
+        journal = self.hinfs.journal
+        if journal.used_slots > journal.relief_limit:
+            self.env.stats.bump(
+                "writeback_journal_relief_blocks",
+                self.hinfs.make_room(self.ctx, journal.relief_limit,
+                                     self.retry_policy))
 
     def _flush_aged(self):
         """After reclaiming, flush any dirty block older than 30 s.
@@ -271,6 +272,3 @@ class WritebackPool(BackgroundTask):
         self._flush_distributed("periodic", victims)
         self.env.stats.bump("writeback_periodic_blocks", len(victims))
 
-
-#: Historical name, kept for callers predating the worker pool.
-WritebackTask = WritebackPool

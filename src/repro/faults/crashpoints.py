@@ -531,6 +531,41 @@ SHARD_OPS = (
     ("unlink", "/a1"),
 )
 
+#: The journal ring across a wrap, on the explorer's 511-slot ring.
+#: ``WRAP_WARMUP`` runs unrecorded (``CrashPointExplorer(warmup=...)``):
+#: a first session fills every slot and wraps -- its last transaction
+#: straddles the ring's end -- then a clean remount, whose recovery must
+#: leave none of that replayable; the second session pins the tail with
+#: one lazy append (a deferred commit on HiNFS) and churns the head up
+#: to slot 463.  ``WRAP_OPS`` is the recorded window: on HiNFS the
+#: ``mkdir`` finds the reserve short and makes room by closing the
+#: pinned transaction on the foreground, ``/lazy2`` is a deferred
+#: transaction open across the wrap, and the second rename straddles it
+#: (its dirent removal is logged in the last slots of one pass, the
+#: insertion in the first of the next), so recovery needs both live
+#: generations to put the name back.
+_CHURN = (("create", "/w"), ("unlink", "/w"))
+WRAP_WARMUP = (
+    ("sync_write", "/big", 0, 100),
+    ("truncate", "/big", 50),
+) + _CHURN * 34 + (
+    ("remount",),
+) + _CHURN * 5 + (
+    ("append", "/lazy", 3000),
+) + _CHURN * 25 + (
+    ("truncate", "/big", 20),
+)
+WRAP_OPS = (
+    ("create", "/k"),
+    ("mkdir", "/d"),                     # HiNFS: make room, oldest first
+    ("sync_write", "/s", 0, 3000),
+    ("rename", "/s", "/d/s"),
+    ("append", "/lazy2", 2500),          # lazy: open across the wrap
+    ("rename", "/d/s", "/s2"),           # straddles the wrap
+    ("fsync", "/lazy2"),
+    ("unlink", "/k"),
+)
+
 
 def _moved(paths, old, new):
     """``(path, its path after the move)`` for each of ``paths`` at or
@@ -544,7 +579,7 @@ class CrashPointExplorer:
 
     def __init__(self, fs_kind, seed=0, eviction_samples_per_op=64,
                  torn_samples_per_op=16, journal_checksums=True,
-                 mmio_log_checksums=True, device_bytes=4 << 20):
+                 mmio_log_checksums=True, device_bytes=4 << 20, warmup=()):
         self.fs_kind = fs_kind
         #: ``base@M``: M devices behind one ShardedFS; else one device.
         self._base, self._sharded, count = fs_kind.partition("@")
@@ -566,6 +601,11 @@ class CrashPointExplorer:
         #: bytes, and recovery corrupts the mapped file.
         self.mmio_log_checksums = mmio_log_checksums
         self.device_bytes = device_bytes
+        #: Ops run before the recording starts (``("remount",)`` among
+        #: them power-cycles cleanly): they put the file system -- its
+        #: journal ring above all -- where the explored ops should find
+        #: it, without their own crash states being paid for.
+        self.warmup = tuple(warmup)
         self._rng = random.Random(seed)
         #: The :class:`CrashArena` of the exploration in progress.
         self._arena = None
@@ -604,18 +644,36 @@ class CrashPointExplorer:
     # -- the recorded run ---------------------------------------------
 
     def _run_ops(self, ops):
-        """Execute ``ops``, recording the tape and expectation checkpoints.
+        """Execute ``self.warmup`` unrecorded, then ``ops``, recording the
+        tape and expectation checkpoints.
 
         Returns ``(tape, baseline, checkpoints)`` where checkpoints is a
         list of ``(event_position, op_index, Expectations)`` in tape
         order; the expectations entered at an op's *start* are weakened
         (the op may touch its paths at any intermediate state), the ones
-        at its *end* carry the op's durable guarantees.
+        at its *end* carry the op's durable guarantees.  The first
+        checkpoint carries what the warmup acknowledged, and the
+        baseline is the media as it left them.
         """
         # Small journal and inode table: every crash-state mount scans
         # the whole ring, so the defaults would dominate the run time.
         shards, vfs, ctx = self._stack(None, "crashpoints", journal_blocks=8,
                                        inode_count=64)
+        #: path -> (fd, MmioMapping) for the mmap op family, plus the
+        #: staged-content model backing the epoch-window expectations.
+        self._mmaps = {}
+        self._mmio_staged = {}
+        expect = Expectations()
+        for op_index, op in enumerate(self.warmup, -len(self.warmup)):
+            if op == ("remount",):
+                # Clean unmount, then the stack recovered on its media.
+                vfs.fs.unmount(ctx)
+                shards, vfs, ctx = self._stack(
+                    [fs.device.mem for fs in shards], "crashpoints")
+                continue
+            expect = self._weaken(expect, op)
+            self._execute(vfs, ctx, op, op_index)
+            expect = self._strengthen(expect, vfs, ctx, op)
         env = vfs.env
         # Unarmed: only records which fault sites the sequence reached.
         plan = FaultPlan(env)
@@ -624,12 +682,6 @@ class CrashPointExplorer:
                             for fs in shards)
         for s, fs in enumerate(shards):
             fs.device.mem.observer = TapeRecorder(s * self.device_bytes, tape)
-        #: path -> (fd, MmioMapping) for the mmap op family, plus the
-        #: staged-content model backing the epoch-window expectations.
-        self._mmaps = {}
-        self._mmio_staged = {}
-
-        expect = Expectations()
         checkpoints = [(0, -1, expect.copy())]
         op_request_ids = {}
         for op_index, op in enumerate(ops):

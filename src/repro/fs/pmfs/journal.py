@@ -13,18 +13,30 @@ Protocol (undo logging):
    then mutates the metadata in place (cached store + clflush).
 3. ``commit`` appends a COMMIT entry, flushes, and fences.
 
-Recovery scans the ring; transactions of the current generation without
-a COMMIT entry are rolled back by re-applying their undo images in
-reverse order.
+Recovery scans the ring; transactions without a COMMIT entry are rolled
+back, newest first, by re-applying their undo images in reverse order.
 
-Ring recycling is epoch-based: a 64-byte header cacheline at the start
-of the journal region holds the current generation; wrapping the ring
-bumps the generation (one journaled header write), which atomically
-invalidates every stale entry -- no bulk zeroing, matching PMFS's cheap
-log-space reclamation.  Before a wrap every still-open transaction must
-be closed, because its old-generation entries are about to be
-invalidated; HiNFS's wrap barrier forces writeback of the buffered data
-blocks those deferred commits are waiting on.
+The log is a ring with a tail.  Entries are numbered by a log sequence
+that only grows (``head``; the slot is ``head % capacity``); the tail is
+the first entry of the oldest open transaction, or the head when none
+is open, and the space behind it is free the moment that transaction
+commits -- nothing has to be closed for the head to pass the last slot.
+A 64-byte header cacheline at the start of the region holds the
+generation of the pass being written; passing the last slot bumps it
+(one header persist) and carries on at slot 0.  A complete pass
+overwrites every slot, so the ring only ever holds two generations: the
+current one in ``[0, head % capacity)`` and the previous one after it.
+Recovery replays exactly those two, previous first, each in slot order
+-- which is append order -- then steps the generation by two, so neither
+live stamp matches any more, and zeroes every slot that carries a
+stamp: transaction ids restart at 1 with every mount and a one-byte
+stamp comes round again after 255 steps, so nothing scanned once may
+ever match a later scan.
+
+Space is kept, not found: ``begin`` leaves one slot per open transaction
+for its COMMIT plus ``1 / HEADROOM_DIV`` of the ring for the transaction
+it opens, and asks ``make_room`` -- HiNFS flushes the buffered blocks
+the *oldest* deferred commits wait on -- when that reserve is short.
 
 HiNFS difference (Section 4.1): for lazy-persistent writes the COMMIT
 entry is *deferred* until the buffered DRAM data blocks of the
@@ -32,8 +44,10 @@ transaction have been written back to NVMM, preserving the ordered-mode
 invariant (data persists before the metadata that references it).
 """
 
+import re
 import struct
 import zlib
+from collections import deque
 
 from repro.engine.stats import CAT_OTHERS
 from repro.fs.pmfs.layout import block_addr
@@ -58,6 +72,8 @@ _GEN_OFFSET = struct.calcsize("<4sIB")
 _ENTRY_PACK_INTO = struct.Struct(ENTRY_FMT).pack_into
 _ENTRY_UNPACK_FROM = struct.Struct(ENTRY_FMT).unpack_from
 _CSUM_PACK_INTO = struct.Struct("<I").pack_into
+#: Runs of slots carrying a generation stamp, over the ring's stamp bytes.
+_STAMPED_RUNS = re.compile(rb"[^\0]+").finditer
 assert struct.calcsize(ENTRY_FMT) == ENTRY_SIZE
 
 
@@ -73,25 +89,43 @@ HEADER_FMT = "<4sQ"
 KIND_UNDO = 1
 KIND_COMMIT = 2
 
-#: Generations cycle in [1, 255]; 0 marks a never-written slot.  A stale
-#: entry could only alias after 255 consecutive wraps without being
-#: overwritten, which the reserve headroom makes impossible.
+#: Generations cycle in [1, 255]; 0 marks a never-written (or
+#: recovery-zeroed) slot.
 GEN_MODULUS = 255
+
+#: The ring's two fill lines, as divisors of ``capacity``.  ``begin``
+#: keeps ``capacity // HEADROOM_DIV`` slots free for the transaction it
+#: opens (on top of a COMMIT slot per open transaction) and makes room
+#: on the foreground when they are not; the background starts closing
+#: the oldest deferred transactions once ``capacity // RELIEF_DIV``
+#: slots are in use, so the foreground rarely has to.
+HEADROOM_DIV = 4
+RELIEF_DIV = 2
+
+
+def _step_gen(gen, steps):
+    """``gen`` moved ``steps`` generations round the [1, 255] cycle."""
+    return (gen + steps - 1) % GEN_MODULUS + 1
 
 
 class JournalFullError(Exception):
-    """A single transaction exceeded the journal ring capacity."""
+    """The open transactions (or a single one) need more slots than the
+    ring has."""
 
 
 class Transaction:
     """An open journal transaction."""
 
-    __slots__ = ("tx_id", "open", "entries")
+    __slots__ = ("tx_id", "open", "entries", "first", "owner")
 
     def __init__(self, tx_id):
         self.tx_id = tx_id
         self.open = True
         self.entries = 0
+        #: Log sequence of its first entry; None until it has one.
+        self.first = None
+        #: Whoever defers this transaction's commit (HiNFS's PendingTx).
+        self.owner = None
 
     def __repr__(self):
         return "Transaction(id=%d, open=%s, entries=%d)" % (
@@ -115,14 +149,20 @@ class Journal:
         self.base_addr = block_addr(sb.journal_start)
         # Slot 0 of the region is the generation header.
         self.capacity = sb.journal_blocks * (4096 // ENTRY_SIZE) - 1
-        #: Headroom kept free so a transaction never has to recycle the
-        #: ring mid-append (which would invalidate its own undo entries).
-        #: Every transaction writes at least one entry before its commit,
-        #: so half the ring is always enough for the deferred commits.
-        self.reserve_slots = max(64, self.capacity // 2)
-        self._head = 0
+        #: Past this many slots in use the oldest transactions should be
+        #: closed in the background (``make_room`` down to it).
+        self.relief_limit = self.capacity // RELIEF_DIV
+        #: Log sequence of the next entry; it lands in slot
+        #: ``head % capacity``.
+        self.head = 0
+        #: Log sequence of the oldest open transaction's first entry;
+        #: the head's, when no open transaction holds log space.
+        self._tail = 0
         self._next_tx_id = 1
         self._open_txs = {}
+        #: The open transactions that hold log space, oldest first entry
+        #: first (``_tail`` is ``_logged[0].first``).
+        self._logged = deque()
         #: The entry being appended is packed here, then checksummed and
         #: patched in place (the store copies it out before the next).
         self._entry = bytearray(ENTRY_SIZE)
@@ -130,9 +170,6 @@ class Journal:
         if self.gen == 0:
             self.gen = 1
             self._write_header_raw()
-        #: Called before the ring is recycled; must close every open
-        #: transaction (HiNFS forces writeback of pending data blocks).
-        self.wrap_barrier = None
 
     # -- header -----------------------------------------------------------
 
@@ -161,9 +198,24 @@ class Journal:
 
     # -- transactions -----------------------------------------------------
 
+    def make_room(self, ctx, limit):
+        """Close the oldest open transactions until ``used_slots <=
+        limit``.  A hook: the journal itself knows nobody to ask; HiNFS
+        installs the routine that forces writeback of the data blocks
+        its deferred commits wait on."""
+
     def begin(self, ctx):
-        if self._head > self.capacity - self.reserve_slots:
-            self._wrap(ctx)
+        open_txs = self._open_txs
+        if open_txs:
+            # The reserve invariant: a COMMIT slot per open transaction,
+            # this one included, and the headroom on top.
+            limit = self.capacity - self.capacity // HEADROOM_DIV - 1 \
+                - len(open_txs)
+            if self.head - self._tail > limit:
+                self.make_room(ctx, limit)
+                if self.used_slots + len(open_txs) >= self.capacity:
+                    raise JournalFullError("%d open transactions hold every "
+                                           "slot" % len(open_txs))
         tx = Transaction(self._next_tx_id)
         self._next_tx_id += 1
         self._open_txs[tx.tx_id] = tx
@@ -187,34 +239,53 @@ class Journal:
         self.device.persist_cached(ctx, addr, new_bytes, CAT_OTHERS)
 
     def commit(self, ctx, tx):
-        """Append the COMMIT entry; the transaction becomes durable."""
+        """Append the COMMIT entry; the transaction becomes durable and
+        the tail moves up to the oldest transaction still open."""
         if not tx.open:
             raise ValueError("transaction %d already closed" % tx.tx_id)
         self._append(ctx, tx, KIND_COMMIT, 0, b"")
         self.device.fence(ctx)
         tx.open = False
         self._open_txs.pop(tx.tx_id, None)
+        logged = self._logged
+        while logged and not logged[0].open:
+            logged.popleft()
+        self._tail = logged[0].first if logged else self.head
 
     @property
     def open_transactions(self):
         return len(self._open_txs)
 
     @property
+    def oldest_open(self):
+        """The open transaction the tail waits on, or None."""
+        return self._logged[0] if self._logged else None
+
+    @property
     def used_slots(self):
-        return self._head
+        """Slots from the tail to the head."""
+        return self.head - self._tail
 
     # -- ring management --------------------------------------------------
 
     def _append(self, ctx, tx, kind, addr, payload):
-        if self._head >= self.capacity:
-            raise JournalFullError(
-                "transaction %d overran the journal reserve" % tx.tx_id
-            )
+        head = self.head
+        # Only a COMMIT may take a slot held back for the COMMITs.
+        held = len(self._open_txs) if kind != KIND_COMMIT else 0
+        if head - self._tail + held >= self.capacity:
+            raise JournalFullError("transaction %d overran the ring" % tx.tx_id)
         if len(payload) > ENTRY_PAYLOAD_MAX:
             # "40s" would truncate silently under the recorded length.
             raise ValueError(
                 "journal payload of %d bytes exceeds the %d-byte entry field"
                 % (len(payload), ENTRY_PAYLOAD_MAX))
+        slot = head % self.capacity
+        if slot == 0 and head:
+            # Past the last slot: the next pass gets its own generation,
+            # durable in the header before any entry carries it.
+            self.gen = _step_gen(self.gen, 1)
+            self._write_header(ctx)
+            self.env.stats.bump("journal_wraps")
         entry = self._entry
         _ENTRY_PACK_INTO(
             entry, 0, ENTRY_MAGIC, tx.tx_id, kind, self.gen, len(payload),
@@ -226,85 +297,91 @@ class Journal:
             _CSUM_PACK_INTO(entry, _CSUM_OFFSET, zlib.crc32(entry))
         # One cacheline: write, flush, fence -- the entry (including its
         # generation stamp) becomes persistent atomically.
-        self.device.persist_cached(ctx, self._slot_addr(self._head), entry,
+        self.device.persist_cached(ctx, self._slot_addr(slot), entry,
                                    CAT_OTHERS, fence=True)
-        self._head += 1
+        if tx.first is None:
+            # With nothing logged the tail sat at the head: this is it.
+            tx.first = head
+            self._logged.append(tx)
+        self.head = head + 1
         tx.entries += 1
-
-    def _wrap(self, ctx):
-        """Recycle the ring: close stragglers, bump the generation."""
-        if self._open_txs:
-            if self.wrap_barrier is None:
-                raise JournalFullError(
-                    "journal wrapped with %d open transactions"
-                    % len(self._open_txs)
-                )
-            self.wrap_barrier(ctx)
-            if self._open_txs:
-                raise JournalFullError("wrap barrier left transactions open")
-        self.gen = self.gen % GEN_MODULUS + 1
-        self._write_header(ctx)
-        self._head = 0
-        self.env.stats.bump("journal_wraps")
 
     # -- recovery -----------------------------------------------------------
 
-    def scan(self):
-        """Parse every current-generation entry (data-plane only).
-
-        Returns ``{tx_id: {"undo": [(addr, bytes), ...], "committed": bool}}``
-        in append order.
-        """
+    def _scan(self):
+        """``(transactions, generation byte of every slot)``."""
         current_gen = self._read_header_gen()
         transactions = {}
         # One fault-checked read of the whole ring (every mount scans
         # it): a bad line anywhere in it fails the scan with MediaError.
         ring = self.device.read_media(self._slot_addr(0),
                                       self.capacity * ENTRY_SIZE)
-        if current_gen > 0xFF:
-            return transactions  # an entry's stamp is one byte: no match
         # Filter in C: the generation bytes by stride, then only the
-        # slots stamped with the current one are unpacked, in slot order.
-        # A mount right after a recovery finds none -- recovery's last
-        # act is the generation bump that invalidates the whole ring.
+        # slots stamped with a live generation are unpacked -- the
+        # previous pass, then the current one, each in slot order.  A
+        # mount right after a recovery finds none: recovery zeroes every
+        # stamp.  A header value past one byte matches no entry.
         gens = ring[_GEN_OFFSET::ENTRY_SIZE]
-        slot = gens.find(current_gen)
-        while slot != -1:
-            start = slot * ENTRY_SIZE
-            slot = gens.find(current_gen, slot + 1)  # next hit, if any
-            magic, tx_id, kind, _gen, length, addr, csum, payload = \
-                _ENTRY_UNPACK_FROM(ring, start)
-            if magic != ENTRY_MAGIC:
-                continue
-            if self.checksums and csum != entry_checksum(
-                    ring[start:start + ENTRY_SIZE]):
-                # Torn or corrupt entry: never replay it.  Safe to drop --
-                # an undo entry is durable *before* its metadata mutation,
-                # so a torn entry's transaction changed nothing yet.
-                self.env.stats.bump("journal_csum_drops")
-                continue
-            record = transactions.setdefault(
-                tx_id, {"undo": [], "committed": False}
-            )
-            if kind == KIND_COMMIT:
-                record["committed"] = True
-            elif kind == KIND_UNDO:
-                record["undo"].append((addr, payload[:length]))
-        return transactions
+        for gen in (_step_gen(current_gen, -1), current_gen) \
+                if current_gen <= 0xFF else ():
+            slot = gens.find(gen)
+            while slot != -1:
+                start = slot * ENTRY_SIZE
+                slot = gens.find(gen, slot + 1)  # next hit, if any
+                magic, tx_id, kind, _gen, length, addr, csum, payload = \
+                    _ENTRY_UNPACK_FROM(ring, start)
+                if magic != ENTRY_MAGIC:
+                    continue
+                if self.checksums and csum != entry_checksum(
+                        ring[start:start + ENTRY_SIZE]):
+                    # Torn or corrupt entry: never replay it.  Safe to
+                    # drop -- an undo entry is durable *before* its
+                    # metadata mutation, so a torn entry's transaction
+                    # changed nothing yet.
+                    self.env.stats.bump("journal_csum_drops")
+                    continue
+                record = transactions.setdefault(
+                    tx_id, {"undo": [], "committed": False}
+                )
+                if kind == KIND_COMMIT:
+                    record["committed"] = True
+                elif kind == KIND_UNDO:
+                    record["undo"].append((addr, payload[:length]))
+        return transactions, gens
+
+    def scan(self):
+        """Parse every live entry (data-plane only).
+
+        Returns ``{tx_id: {"undo": [(addr, bytes), ...], "committed": bool}}``
+        in append order.
+        """
+        return self._scan()[0]
 
     def recover(self, ctx):
         """Roll back uncommitted transactions; returns how many."""
+        transactions, gens = self._scan()
         rolled_back = 0
-        for tx_id, record in sorted(self.scan().items()):
+        for tx_id, record in sorted(transactions.items(), reverse=True):
             if record["committed"]:
                 continue
             for addr, old in reversed(record["undo"]):
                 self.device.persist_cached(ctx, addr, old, CAT_OTHERS)
             self.device.fence(ctx)
             rolled_back += 1
-        # Invalidate the whole ring by starting a fresh generation.
-        self.gen = self._read_header_gen() % GEN_MODULUS + 1
+        # Invalidate what was scanned, atomically: two generations on,
+        # neither live stamp matches.  Then zero every stamped slot, run
+        # by run -- transaction ids restart with this mount and a
+        # one-byte stamp comes round again, so an entry left in a slot
+        # later sessions never reach would one day be replayed over
+        # current metadata.  A power cut in between leaves dead entries
+        # for the next mount's recovery to zero.
+        self.gen = _step_gen(self._read_header_gen(), 2)
         self._write_header(ctx)
-        self._head = 0
+        for run in _STAMPED_RUNS(gens):
+            self.device.persist_cached(
+                ctx, self._slot_addr(run.start()),
+                bytes(len(run.group()) * ENTRY_SIZE), CAT_OTHERS)
+        self.head = self._tail = 0
         self._open_txs.clear()
+        self._logged.clear()
         return rolled_back

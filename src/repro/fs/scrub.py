@@ -13,8 +13,9 @@ MediaFaultModel` marks bad, and handles each one:
   the DRAM write buffer (HiNFS) or the OS page cache (the ext stacks).
   When a replica exists the line is healed and rewritten in place --
   writing PMEM clears the poison, exactly like a controller-level ECC
-  scrub.  Journal slots are regenerable by construction (stale
-  generations are ignored at scan time), so bad slots heal to zero.
+  scrub.  Journal slots behind the tail are regenerable by construction
+  (nothing replays them), so bad slots heal to zero once the open
+  transactions up to them are closed.
 - **Isolate**: file data with no DRAM copy is genuinely lost.  The
   readable lines of the block are salvaged into a freshly allocated
   block, the lost lines read back as zeros, the block map is remapped
@@ -245,19 +246,24 @@ class PmfsScrubber(_ScrubberBase):
         report.repaired_lines += len(lines)
 
     def _repair_journal(self, ctx, device, model, lines, report):
-        """Journal slots are regenerable: stale-generation entries are
-        ignored at scan time, so a bad slot heals to zero; the header
-        line rewrites from the in-DRAM generation."""
+        """A journal slot behind the tail is regenerable (nothing will
+        replay it), so it heals to zero; one between tail and head may
+        be the only undo image of a still-open deferred transaction, so
+        the transactions up to it are closed first.  The header line
+        rewrites from the in-DRAM generation."""
         journal = self.fs.journal
         for line in lines:
             model.heal_line(line)
             addr = line * CACHELINE_SIZE
-            if addr == journal.base_addr:
-                device.write_persistent(ctx, addr, journal._header_bytes(),
-                                        CAT_OTHERS)
-            else:
-                device.write_persistent(ctx, addr, b"\0" * CACHELINE_SIZE,
-                                        CAT_OTHERS)
+            data = journal._header_bytes()
+            if addr != journal.base_addr:
+                data = b"\0" * CACHELINE_SIZE
+                # Leave in use only the entries appended after this one
+                # (slot ``lines_in - 1`` of the ring).
+                lines_in = (addr - journal.base_addr) // CACHELINE_SIZE
+                journal.make_room(
+                    ctx, (journal.head - lines_in) % journal.capacity)
+            device.write_persistent(ctx, addr, data, CAT_OTHERS)
         report.repaired_lines += len(lines)
 
     def _repair_itable(self, ctx, device, model, lines, report):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import HiNFS, HiNFSConfig
 from repro.fs import flags as f
+from repro.fs.pmfs.journal import JournalFullError
 
 from tests.fs.conftest import PmfsRig
 
@@ -78,6 +79,34 @@ def test_truncate_barriers_open_transactions(rig):
     rig.crash_and_remount()
     assert rig.vfs.stat(rig.ctx, "/t").size == 4096
     assert rig.vfs.read_file(rig.ctx, "/t") == b"k" * 4096
+
+
+def test_a_hundred_chained_commits_cascade_at_once():
+    """One block rewritten a hundred times: a hundred deferred commits
+    chained on one file, all waiting on one buffered block.  Its flush
+    appends every COMMIT in one go -- each has had its slot held back
+    since ``begin``, however full the 511-slot ring is."""
+    rig = PmfsRig(fs_cls=HiNFS, hconfig=HiNFSConfig(buffer_bytes=2 << 20),
+                  journal_blocks=8)
+    journal = rig.fs.journal
+    fd = rig.vfs.open(rig.ctx, "/chain", f.O_CREAT | f.O_RDWR)
+    for i in range(100):
+        rig.vfs.pwrite(rig.ctx, fd, 10 * i, b"%010d" % i)
+    assert journal.open_transactions == 100
+    # A transaction as large as the ring can still take: the undo
+    # entries stop where the hundred COMMIT slots (and its own) begin.
+    hog = journal.begin(rig.ctx)
+    with pytest.raises(JournalFullError):
+        journal.log_undo(rig.ctx, hog, rig.fs.itable.core_addr(1), 1 << 20)
+    assert journal.used_slots + journal.open_transactions == journal.capacity
+    head = journal.head
+    rig.vfs.fsync(rig.ctx, fd)
+    assert journal.head == head + 100 and journal.open_transactions == 1
+    journal.commit(rig.ctx, hog)
+    assert journal.used_slots == 0
+    rig.crash_and_remount()
+    assert rig.vfs.read_file(rig.ctx, "/chain") == b"".join(
+        b"%010d" % i for i in range(100))
 
 
 def test_many_interleaved_files_chains_are_independent(rig):

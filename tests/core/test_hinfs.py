@@ -226,16 +226,35 @@ def test_periodic_writeback_flushes_cold_blocks(rig):
     assert rig.vfs.read_file(rig.ctx, "/cold") == b"c" * 8192
 
 
-def test_journal_wrap_barrier_flushes_open_txs():
-    rig = make_rig()
-    # A tiny journal forces wraps quickly.
-    rig.fs.journal.capacity = 256
-    rig.fs.journal.reserve_slots = 64
+def test_journal_makes_room_by_closing_the_oldest_deferred_commits():
+    """A 255-slot ring under 100 lazily written files: ``begin`` makes
+    room on the foreground, oldest transaction first, and only as far
+    as its reserve needs -- the ring wraps with commits still deferred
+    and the newest blocks still in DRAM."""
+    rig = PmfsRig(fs_cls=HiNFS, hconfig=HiNFSConfig(buffer_bytes=2 << 20),
+                  journal_blocks=4)
+    journal = rig.fs.journal
+    assert journal.capacity == 255
     for i in range(100):
         rig.vfs.write_file(rig.ctx, "/f%d" % i, b"spam" * 256)
+        assert journal.used_slots + journal.open_transactions \
+            <= journal.capacity
+    assert rig.env.stats.count("journal_wraps") >= 3
+    assert rig.env.stats.count("writeback_journal_relief_blocks") == 0
+    # Flushed oldest first, and no further than needed: the files whose
+    # block is still buffered are the youngest ones, without a gap.
+    buffered = [i for i in range(100) if rig.fs.buffer.file_blocks(
+        rig.vfs.stat(rig.ctx, "/f%d" % i).ino)]
+    assert buffered == list(range(100 - len(buffered), 100))
+    assert 10 < len(buffered) == journal.open_transactions < 60
+    assert journal.oldest_open.owner.blocks.keys() == set(
+        rig.fs.buffer.file_blocks(
+            rig.vfs.stat(rig.ctx, "/f%d" % buffered[0]).ino))
     for i in range(100):
         assert rig.vfs.read_file(rig.ctx, "/f%d" % i) == b"spam" * 256
-    assert rig.fs.journal.open_transactions <= 100
+    rig.crash_and_remount()
+    for i in range(100 - len(buffered)):
+        assert rig.vfs.read_file(rig.ctx, "/f%d" % i) == b"spam" * 256
 
 
 def test_truncate_discards_dropped_range(rig):

@@ -71,19 +71,27 @@ def test_aged_flush_after_pressure():
     assert rig.fs.buffer.file_blocks(ino_new)  # fresh block survives
 
 
-def test_journal_relief_closes_deferred_commits():
-    rig = make_rig(buffer_bytes=512 * 4096)
-    rig.fs.journal.capacity = 800
-    rig.fs.journal.reserve_slots = 200
-    i = 0
-    while rig.fs.journal.used_slots <= int(0.4 * rig.fs.journal.capacity):
-        rig.vfs.write_file(rig.ctx, "/j%d" % i, b"x" * 4096)
-        i += 1
-    assert rig.fs.journal.open_transactions > 0
-    rig.fs.writeback.signal_pressure(rig.ctx.now)
+def test_journal_relief_closes_the_oldest_deferred_commits_only():
+    """Past the relief line the background closes transactions from the
+    tail until the ring is back under it; younger blocks stay in DRAM."""
+    rig = PmfsRig(fs_cls=HiNFS, journal_blocks=8,
+                  hconfig=HiNFSConfig(buffer_bytes=512 * 4096))
+    journal = rig.fs.journal
+    files = 0
+    while journal.used_slots <= journal.relief_limit:
+        rig.vfs.write_file(rig.ctx, "/j%d" % files, b"x" * 4096)
+        files += 1
+    assert journal.open_transactions == files
+    # The write that crossed the line signalled the pool by itself.
     rig.env.background.advance_to(rig.ctx.now + 1)
-    assert rig.env.stats.count("writeback_journal_relief_blocks") > 0
-    assert rig.fs.journal.open_transactions == 0
+    relieved = rig.env.stats.count("writeback_journal_relief_blocks")
+    assert 0 < relieved < files // 4
+    assert journal.used_slots <= journal.relief_limit
+    assert journal.open_transactions == files - relieved
+    assert rig.fs.buffer.used_blocks == files - relieved
+    for i in range(files):
+        ino = rig.vfs.stat(rig.ctx, "/j%d" % i).ino
+        assert bool(rig.fs.buffer.file_blocks(ino)) == (i >= relieved)
 
 
 def test_flusher_charges_its_own_timeline():

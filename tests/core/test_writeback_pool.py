@@ -8,7 +8,6 @@ single-task behaviour exactly.
 """
 
 from repro.core import HiNFS, HiNFSConfig
-from repro.core.writeback import WritebackPool, WritebackTask
 from repro.engine.background import NEVER
 
 from tests.fs.conftest import PmfsRig
@@ -37,10 +36,6 @@ def test_shards_are_partitioned_round_robin():
     assert sorted(owned) == list(range(8))
     for worker in pool.workers:
         assert all(s % 3 == worker.worker_id for s in worker.shards)
-
-
-def test_writeback_task_alias_is_the_pool():
-    assert WritebackTask is WritebackPool
 
 
 def test_demand_reclaim_spreads_across_workers():

@@ -31,8 +31,11 @@ from repro.faults.crashpoints import (
     DEFAULT_OPS,
     MMIO_OPS,
     SHARD_OPS,
+    WRAP_OPS,
+    WRAP_WARMUP,
     CrashPointExplorer,
 )
+from repro.fs.pmfs import journal
 
 #: The fault-plan sites of the cross-shard migration: SHARD_OPS must
 #: drive the protocol through every step.
@@ -128,3 +131,95 @@ def test_exploration_is_pinned(kind, ops, kwargs, before, summary):
     assert bool(report.failures) == bool(violations) == bool(kwargs)
     if ops is SHARD_OPS:
         assert XMV_SITES <= set(report.sites)
+
+
+# -- the journal ring across a wrap -------------------------------------------
+
+#: ``WRAP_OPS`` behind ``WRAP_WARMUP`` (see their comment): the 511-slot
+#: ring wraps inside the recorded window with a deferred transaction
+#: open across it, after a remount whose recovery had a full ring to
+#: invalidate.  The rows above never reach the last slot.
+WRAP_PINNED = [
+    ("pmfs",
+     "pmfs: 8 ops, 209 tape events, 97 boundaries, "
+     "125 states checked (200 duplicates skipped), "
+     "56 eviction subsets sampled, 56 torn states sampled, 0 violations"),
+    ("hinfs",
+     "hinfs: 8 ops, 212 tape events, 98 boundaries, "
+     "122 states checked (205 duplicates skipped), "
+     "64 eviction subsets sampled, 64 torn states sampled, 0 violations"),
+]
+
+
+def _explore_wrap(kind, samples=8):
+    return CrashPointExplorer(kind, seed=3, eviction_samples_per_op=samples,
+                              torn_samples_per_op=samples,
+                              warmup=WRAP_WARMUP).explore(WRAP_OPS)
+
+
+@pytest.mark.parametrize("kind,summary", WRAP_PINNED,
+                         ids=[kind for kind, _s in WRAP_PINNED])
+def test_exploration_across_a_journal_wrap_is_pinned(kind, summary):
+    report = _explore_wrap(kind)
+    assert report.summary() == summary
+
+
+def test_a_scan_of_the_current_generation_alone_loses_a_rename(monkeypatch):
+    """Negative control: the rename that straddles the wrap logged its
+    dirent removal under the previous generation.  A recovery that
+    replays only the header's generation undoes half of it."""
+    step = journal._step_gen
+    monkeypatch.setattr(
+        journal, "_step_gen",
+        lambda gen, steps: gen if steps == -1 else step(gen, steps))
+    report = _explore_wrap("hinfs", samples=0)  # plain prefixes show it
+    assert any("neither /d/s nor /s2 exists" in str(violation)
+               for violation in report.failures)
+
+
+def test_a_recovery_that_invalidates_nothing_replays_the_last_session(
+        monkeypatch):
+    """Negative control: leave the generation and the scanned slots as
+    they were at the remount, and the first session's last transaction
+    -- straddling the ring's end, its COMMIT since overwritten -- is
+    rolled back over the second session's metadata at every mount."""
+    step = journal._step_gen
+    monkeypatch.setattr(
+        journal, "_step_gen",
+        lambda gen, steps: gen if steps == 2 else step(gen, steps))
+    monkeypatch.setattr(journal, "_STAMPED_RUNS", lambda gens: ())
+    report = _explore_wrap("pmfs", samples=0)
+    assert any("path /w present" in str(violation)
+               for violation in report.failures)
+
+
+@pytest.mark.parametrize("kind", ["pmfs", "hinfs"])
+def test_wrap_ops_do_what_their_comments_say(kind):
+    """The recorded window is only worth its rows while it still makes
+    room on HiNFS and wraps inside the second rename with ``/lazy2``'s
+    commit deferred: watch the ring around each op of the recorded run."""
+    seen = {}
+
+    class Watching(CrashPointExplorer):
+        def _execute(self, vfs, ctx, op, op_index):
+            ring = vfs.fs.journal
+            before = (ring.head // ring.capacity, ring.used_slots,
+                      ring.open_transactions)
+            super()._execute(vfs, ctx, op, op_index)
+            seen[op_index] = before + (ring.head // ring.capacity,
+                                       ring.used_slots)
+
+    Watching(kind, warmup=WRAP_WARMUP)._run_ops(WRAP_OPS)
+    capacity = 511
+    # The first session wrapped before the remount; the second has not
+    # when the recording starts.
+    remount = WRAP_WARMUP.index(("remount",)) - len(WRAP_WARMUP)
+    assert seen[remount - 1][3] == 1 and seen[-1][3] == 0
+    passes, used, open_txs, passes_after, used_after = seen[5]
+    assert (passes, passes_after) == (0, 1)  # the rename wraps the ring
+    if kind == "hinfs":
+        assert open_txs == 1 and used_after > 0  # /lazy2, still deferred
+        _p, used, open_txs, _pa, used_after = seen[1]
+        # The mkdir found the reserve short and closed the pinned tail.
+        assert used + open_txs + 1 > capacity - capacity // 4
+        assert used_after < 16

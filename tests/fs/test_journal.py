@@ -14,6 +14,7 @@ from repro.fs.pmfs.journal import (
     ENTRY_MAGIC,
     ENTRY_PAYLOAD_MAX,
     ENTRY_SIZE,
+    GEN_MODULUS,
     HEADER_FMT,
     HEADER_MAGIC,
     KIND_COMMIT,
@@ -155,10 +156,11 @@ def test_wrap_barrier_closes_open_txs(setup):
     hung = journal.begin(ctx)
     journal.log_undo(ctx, hung, addr, 8)
 
-    def barrier(bctx):
+    def barrier(bctx, limit):
+        assert journal.used_slots > limit
         journal.commit(bctx, hung)
 
-    journal.wrap_barrier = barrier
+    journal.make_room = barrier
     for i in range(400):
         tx = journal.begin(ctx)
         journal.journaled_write(ctx, tx, addr, b"%04d" % i)
@@ -174,6 +176,143 @@ def test_journal_costs_time(setup):
     journal.commit(ctx, tx)
     # 1 undo entry flush + metadata flush + commit entry flush: >= 3 lines.
     assert ctx.now - before >= 3 * 200
+
+
+# -- the ring: a tail, two live generations, a reserve ------------------------
+
+
+def _churn(journal, ctx, addr, count):
+    for i in range(count):
+        tx = journal.begin(ctx)
+        journal.journaled_write(ctx, tx, addr, b"%04d" % i)
+        journal.commit(ctx, tx)
+
+
+def test_used_slots_is_the_distance_from_the_oldest_open_tx(setup):
+    env, device, journal, ctx, addr = setup
+    _churn(journal, ctx, addr, 5)
+    assert journal.head == 10 and journal.used_slots == 0
+    older, newer = journal.begin(ctx), journal.begin(ctx)
+    assert journal.oldest_open is None  # neither holds log space yet
+    journal.log_undo(ctx, newer, addr, 8)      # first entry: slot 10
+    journal.log_undo(ctx, older, addr + 8, 8)  # first entry: slot 11
+    assert journal.oldest_open is newer and newer.first == 10
+    _churn(journal, ctx, addr + 64, 3)
+    assert journal.used_slots == journal.head - 10 == 8
+    journal.commit(ctx, newer)  # out of order: the tail moves to ``older``
+    assert journal.oldest_open is older
+    assert journal.used_slots == journal.head - 11 == 8
+    journal.commit(ctx, older)
+    assert journal.oldest_open is None and journal.used_slots == 0
+
+
+def test_the_head_passes_the_last_slot_with_a_transaction_open(setup):
+    """Nothing has to be closed to wrap: the generation steps in the
+    header, the head carries on at slot 0, and a crash on either side
+    rolls the open transaction back from the previous pass's entries."""
+    env, device, journal, ctx, addr = setup
+    device.mem.write_nocache(addr + 4096, b"keep")
+    _churn(journal, ctx, addr, 100)  # the tail at slot 200
+    hung = journal.begin(ctx)
+    journal.journaled_write(ctx, hung, addr + 4096, b"lost")
+    assert journal.gen == 1
+    _churn(journal, ctx, addr, 40)   # 80 more entries: past slot 254
+    assert journal.gen == 2 and env.stats.count("journal_wraps") == 1
+    assert hung.open and journal.used_slots == 81
+    assert journal.head == 281 and journal.head % journal.capacity == 26
+    scanned = journal.scan()
+    assert [tx_id for tx_id, record in scanned.items()
+            if not record["committed"]] == [hung.tx_id]
+    assert list(scanned) == sorted(scanned)  # previous pass first
+    device.crash()
+    assert journal.recover(ctx) == 1
+    assert device.mem.read(addr + 4096, 4) == b"keep"
+    assert device.mem.read(addr, 4) == b"0039"
+
+
+def test_recovery_zeroes_what_it_scanned_and_steps_two_generations(setup):
+    env, device, journal, ctx, addr = setup
+    _churn(journal, ctx, addr, 150)  # 300 entries: a pass and 45 slots
+    assert journal.gen == 2
+    journal.recover(ctx)
+    ring = device.mem.persistent_read(journal._slot_addr(0),
+                                      journal.capacity * ENTRY_SIZE)
+    assert ring == bytes(len(ring))
+    assert journal.gen == journal._read_header_gen() == 4
+    assert journal.head == 0 and journal.scan() == {}
+    # Generations cycle in [1, 255]: two steps from 254 land on 1.
+    journal.gen = 254
+    journal._write_header(ctx)
+    journal.recover(ctx)
+    assert journal.gen == 1
+
+
+def test_uncommitted_transactions_roll_back_newest_first(setup):
+    """Two open transactions over the same bytes (a HiNFS file's chained
+    deferred commits): the older one's image must win."""
+    env, device, journal, ctx, addr = setup
+    device.mem.write_nocache(addr, b"v0")
+    older, newer = journal.begin(ctx), journal.begin(ctx)
+    journal.journaled_write(ctx, older, addr, b"v1")
+    journal.journaled_write(ctx, newer, addr, b"v2")
+    device.crash()
+    assert journal.recover(ctx) == 2
+    assert device.mem.read(addr, 2) == b"v0"
+
+
+def test_one_transaction_larger_than_the_ring_is_refused(setup):
+    env, device, journal, ctx, addr = setup
+    tx = journal.begin(ctx)
+    with pytest.raises(JournalFullError):
+        journal.log_undo(ctx, tx, addr, ENTRY_PAYLOAD_MAX * journal.capacity)
+    # It stopped one slot short, and that slot takes its COMMIT.
+    assert tx.entries == journal.capacity - 1
+    journal.commit(ctx, tx)
+    assert journal.used_slots == 0
+
+
+def test_commit_slots_are_held_back_from_undo_entries(setup):
+    """The reserve invariant: every open transaction can always append
+    its COMMIT -- here a hundred of them, whatever else fills the ring."""
+    env, device, journal, ctx, addr = setup
+    waiting = [journal.begin(ctx) for _ in range(100)]
+    for tx in waiting:
+        journal.log_undo(ctx, tx, addr, 8)
+    hog = journal.begin(ctx)
+    with pytest.raises(JournalFullError):
+        journal.log_undo(ctx, hog, addr, ENTRY_PAYLOAD_MAX * journal.capacity)
+    assert journal.used_slots + journal.open_transactions == journal.capacity
+    with pytest.raises(JournalFullError):
+        journal.begin(ctx)  # its COMMIT would have no slot
+    for tx in reversed(waiting):
+        journal.commit(ctx, tx)
+    journal.commit(ctx, hog)
+    assert journal.used_slots == 0 and journal.open_transactions == 0
+
+
+def test_generation_stamps_do_not_alias_after_255_mounts():
+    """A stale undo entry in a slot later sessions never reach must not
+    come back to life when the one-byte generation comes round."""
+    from repro.fs import flags as f
+    from tests.fs.conftest import PmfsRig
+
+    rig = PmfsRig(size=4 << 20, journal_blocks=8, inode_count=64)
+    for name in ["/f%d" % i for i in range(13)] + ["/victim"]:
+        rig.vfs.write_file(rig.ctx, name, b"x" * 100)
+    assert rig.fs.journal.head > 150
+    inode = rig.fs._inode(rig.vfs.stat(rig.ctx, "/victim").ino)
+    tx = rig.fs.journal.begin(rig.ctx)
+    inode.size = 5
+    rig.fs.itable.write_core(rig.ctx, tx, inode)  # never committed
+    rig.crash_and_remount()
+    assert rig.vfs.stat(rig.ctx, "/victim").size == 100
+    fd = rig.vfs.open(rig.ctx, "/victim", f.O_RDWR)
+    rig.vfs.pwrite(rig.ctx, fd, 100, b"y" * 2900)
+    rig.vfs.close(rig.ctx, fd)
+    for _ in range(2 * GEN_MODULUS):
+        rig.fs.unmount(rig.ctx)
+        rig.remount()
+        assert rig.vfs.stat(rig.ctx, "/victim").size == 3000
 
 
 # -- scan: one guarded read of the whole ring --------------------------------
@@ -229,26 +368,30 @@ def test_scan_drops_corrupt_entries_and_keeps_append_order(setup):
 
 
 def _reference_scan(journal):
-    """``Journal.scan`` as it was: every slot unpacked and tested in
-    Python.  Returns ``(transactions, csum drops)``."""
+    """``Journal.scan`` one slot at a time: every slot unpacked and
+    tested in Python, once for the previous generation and once for the
+    current one.  Returns ``(transactions, csum drops)``."""
     current_gen = journal._read_header_gen()
     transactions, drops = {}, 0
     ring = journal.device.read_media(journal._slot_addr(0),
                                      journal.capacity * ENTRY_SIZE)
-    for slot, (magic, tx_id, kind, gen, length, addr, csum, payload) \
-            in enumerate(struct.iter_unpack(ENTRY_FMT, ring)):
-        if magic != ENTRY_MAGIC or gen != current_gen:
-            continue
-        if journal.checksums and csum != entry_checksum(
-                ring[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE]):
-            drops += 1
-            continue
-        record = transactions.setdefault(
-            tx_id, {"undo": [], "committed": False})
-        if kind == KIND_COMMIT:
-            record["committed"] = True
-        elif kind == KIND_UNDO:
-            record["undo"].append((addr, payload[:length]))
+    for live_gen in ((current_gen - 2) % GEN_MODULUS + 1, current_gen):
+        if current_gen > 0xFF:
+            break
+        for slot, (magic, tx_id, kind, gen, length, addr, csum, payload) \
+                in enumerate(struct.iter_unpack(ENTRY_FMT, ring)):
+            if magic != ENTRY_MAGIC or gen != live_gen:
+                continue
+            if journal.checksums and csum != entry_checksum(
+                    ring[slot * ENTRY_SIZE:(slot + 1) * ENTRY_SIZE]):
+                drops += 1
+                continue
+            record = transactions.setdefault(
+                tx_id, {"undo": [], "committed": False})
+            if kind == KIND_COMMIT:
+                record["committed"] = True
+            elif kind == KIND_UNDO:
+                record["undo"].append((addr, payload[:length]))
     return transactions, drops
 
 
@@ -266,10 +409,11 @@ _CSUM_AT = struct.calcsize("<4sIBBHQ")
 _PAYLOAD_AT = _CSUM_AT + 4
 
 #: What a ring slot can hold, relative to the header's generation byte:
-#: a valid entry, one of another generation, the right generation byte
-#: under a wrong magic, a valid entry with one payload word flipped
-#: after its CRC was taken, or nothing (never written).
-_SLOT_SHAPES = ("valid", "stale", "bad-magic", "flipped", "blank")
+#: a valid entry, a valid one of the pass before, one of a generation
+#: that is not live, the right generation byte under a wrong magic, a
+#: valid entry with one payload word flipped after its CRC was taken,
+#: or nothing (never written).
+_SLOT_SHAPES = ("valid", "previous", "stale", "bad-magic", "flipped", "blank")
 
 _slots = st.lists(st.tuples(
     st.sampled_from(_SLOT_SHAPES),
@@ -298,7 +442,9 @@ def test_scan_equals_the_per_slot_reference(slots, checksums, header_gen):
         if shape == "blank":
             continue
         magic = b"JNL?" if shape == "bad-magic" else ENTRY_MAGIC
-        gen = (gen_byte + 1) % 256 if shape == "stale" else gen_byte
+        gen = {"stale": (gen_byte + 1) % 256,
+               "previous": (gen_byte - 2) % GEN_MODULUS + 1}.get(shape,
+                                                                  gen_byte)
         entry = bytearray(struct.pack(ENTRY_FMT, magic, tx_id, kind, gen,
                                       len(payload), addr, 0, payload))
         struct.pack_into("<I", entry, _CSUM_AT, zlib.crc32(entry))

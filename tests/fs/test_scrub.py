@@ -62,6 +62,33 @@ class TestPmfsScrubber:
         rig.remount()  # journal scan must not trip on the healed slot
         assert rig.vfs.read_file(rig.ctx, "/a") == b"x" * 4096
 
+    def test_live_journal_line_closes_its_transaction_first(self):
+        """A slot between tail and head may be the only undo image of an
+        open deferred transaction: zeroing it and then losing power
+        would roll that transaction back by halves.  The scrubber
+        closes the transactions up to the slot (and no younger one)."""
+        from repro.core import HiNFS, HiNFSConfig
+
+        rig = PmfsRig(fs_cls=HiNFS,
+                      hconfig=HiNFSConfig(buffer_bytes=2 << 20))
+        model = attach(rig)
+        journal = rig.fs.journal
+        fd = rig.vfs.open(rig.ctx, "/v", f.O_CREAT | f.O_RDWR)
+        rig.vfs.pwrite(rig.ctx, fd, 0, b"v" * 5000)
+        tx = journal.oldest_open  # its first entry: the pointer run's undo
+        rig.vfs.write_file(rig.ctx, "/young", b"y" * 100)
+        assert journal.open_transactions == 2
+        model.poison_line(journal._slot_addr(tx.first) // CACHELINE_SIZE)
+        report = rig.fs.scrub(rig.ctx)
+        assert report.clean and report.repaired_lines == 1
+        assert not tx.open and journal.open_transactions == 1
+        rig.crash_and_remount()
+        ino = rig.vfs.stat(rig.ctx, "/v").ino
+        assert rig.vfs.stat(rig.ctx, "/v").size == 5000
+        assert len(data_blocks(rig.fs, ino)) == 2
+        assert rig.vfs.read_file(rig.ctx, "/v") == b"v" * 5000
+        assert rig.vfs.stat(rig.ctx, "/young").size == 0  # rolled back
+
     def test_inode_table_line_repairs_from_mirror(self, rig):
         model = attach(rig)
         rig.vfs.write_file(rig.ctx, "/a", b"y" * 5000, sync=True)

@@ -100,3 +100,61 @@ def test_ring_depths_produce_the_same_data_plane():
     assert a["bytes_nvmm_w"] == b["bytes_nvmm_w"]
     assert a["counters"]["ring_sqes"] == b["counters"]["ring_sqes"]
     assert a["counters"]["ring_batches"] > b["counters"]["ring_batches"]
+
+
+def make_room_run(seed=11):
+    """Multi-block lazy writes over a 255-slot journal until ``begin``
+    has made room on the foreground many times: the first code to walk
+    ``PendingTx.blocks``, whose order decides which writer slot each
+    block of the oldest transaction gets.  Returns a digest of
+    everything observable."""
+    import hashlib
+    import random
+
+    from repro.core import HiNFS
+    from repro.fs import flags as f
+    from tests.fs.conftest import PmfsRig
+
+    rig = PmfsRig(fs_cls=HiNFS, journal_blocks=4,
+                  hconfig=HiNFSConfig(buffer_bytes=4 << 20))
+    journal = rig.fs.journal
+    hook, flushed = journal.make_room, []
+    journal.make_room = lambda ctx, limit: flushed.append(hook(ctx, limit))
+    rng = random.Random(seed)
+    for i in range(120):
+        fd = rig.vfs.open(rig.ctx, "/f%d" % rng.randrange(24),
+                          f.O_CREAT | f.O_RDWR)
+        rig.vfs.pwrite(rig.ctx, fd, rng.randrange(8) * 4096,
+                       bytes([i]) * rng.randrange(4096, 40_000))
+        rig.vfs.close(rig.ctx, fd)
+    assert sum(flushed) > 100 and max(flushed) > 1
+    assert rig.env.stats.count("journal_wraps") >= 1
+    digest = hashlib.sha256(repr((
+        rig.ctx.now, flushed, sorted(rig.env.stats.counters.items()),
+        rig.env.stats.bytes_written_nvmm)).encode())
+    digest.update(rig.device.mem.persistent_snapshot())
+    return digest.hexdigest()
+
+
+def test_make_room_is_identical_across_hash_seeds():
+    """Same seed, same run -- in this process twice, and in a fresh
+    interpreter whose ``PYTHONHASHSEED`` (and heap layout, which is what
+    a set of buffer blocks iterates by) differs."""
+    import os
+    import subprocess
+    import sys
+
+    here = make_room_run()
+    assert make_room_run() == here
+    assert make_room_run(seed=12) != here
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONHASHSEED="0",  # this process: randomised
+               PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from tests.integration.test_determinism import make_room_run;"
+         " print(make_room_run())"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        check=True)
+    assert out.stdout.strip() == here
