@@ -4,21 +4,20 @@ Holds lazy-persistent writes in DRAM blocks until the background
 writeback threads (or an fsync) persist them to NVMM.  Three structures
 from the paper live here:
 
-- the **DRAM Block Index**: a per-file B-tree keyed by the block-aligned
-  file offset whose index nodes carry the DRAM block number and the
-  corresponding NVMM block number (Figure 5);
+- the **DRAM Block Index**: per file, a map from the block-aligned file
+  offset to the index node carrying the DRAM block number and the
+  corresponding NVMM block number.  The paper uses a B-tree (Figure 5);
+  here it is a dict, because a lookup costs the flat ``index_lookup_ns``
+  either way and callers only need ascending offsets, which
+  :meth:`WriteBuffer.file_blocks` gets from ``sorted()``;
 - the **Cacheline Bitmap** on every buffered block (Section 3.2.1);
 - the global **LRW list** ordering blocks by last written time.
 
-The index is sharded by ``ino % buffer_shards``: each shard owns the
-B-trees of its inodes plus an insertion-ordered dirty list, so parallel
-writeback workers scan and flush their shards without touching a global
-structure.  Victim *ordering* stays global (one policy instance) --
-sharding distributes the work, not the replacement decision.
+Beside them one dirty list holds every written block in first-dirtied
+order, for the aged and periodic writeback scans.
 """
 
 from repro.core.bitmap import CachelineBitmap
-from repro.core.btree import BTree
 from repro.core.lrw import LRWNode
 from repro.core.policies import make_policy
 from repro.engine.stats import CAT_WRITE_ACCESS
@@ -77,20 +76,6 @@ class BufferBlock(LRWNode):
         )
 
 
-class BufferShard:
-    """One slice of the DRAM Block Index plus its dirty list."""
-
-    __slots__ = ("index", "dirty")
-
-    def __init__(self):
-        # ino -> BTree(file_block -> BufferBlock): this shard's slice of
-        # the DRAM Block Index.
-        self.index = {}
-        # (ino, file_block) -> BufferBlock, in first-dirtied order; the
-        # shard-local dirty list writeback workers scan.
-        self.dirty = {}
-
-
 class WriteBuffer:
     """The DRAM buffer pool and its index/LRW bookkeeping."""
 
@@ -104,8 +89,11 @@ class WriteBuffer:
         #: with LFU/ARC/2Q available as the paper's deferred future work.
         self.policy = make_policy(hinfs_config.replacement_policy,
                                   capacity_hint=self.blocks_total)
-        self.nr_shards = max(1, hinfs_config.buffer_shards)
-        self._shards = [BufferShard() for _ in range(self.nr_shards)]
+        #: The DRAM Block Index: ino -> {file_block: BufferBlock}.
+        self._index = {}
+        #: Every written block, first-dirtied first (a dict used as an
+        #: insertion-ordered set); a block leaves it only on eviction.
+        self._dirty = {}
         #: ``L_dram``: what a buffered write pays per touched cacheline.
         self._line_store_ns = nvmm_config.dram_store_cost_ns(CACHELINE_SIZE)
 
@@ -129,17 +117,11 @@ class WriteBuffer:
 
     # -- index -----------------------------------------------------------
 
-    def shard_of(self, ino):
-        return ino % self.nr_shards
-
-    def shard(self, ino):
-        return self._shards[ino % self.nr_shards]
-
     def lookup(self, ino, file_block):
-        tree = self.shard(ino).index.get(ino)
-        if tree is None:
+        blocks = self._index.get(ino)
+        if blocks is None:
             return None
-        return tree.get(file_block)
+        return blocks.get(file_block)
 
     def insert(self, ino, file_block, nvmm_block):
         """Allocate a DRAM block and index it; caller guarantees space."""
@@ -150,12 +132,13 @@ class WriteBuffer:
                 "buffer insert without a free block; caller must reclaim first"
             ) from None
         block = BufferBlock(ino, file_block, dram_block, nvmm_block)
-        index = self.shard(ino).index
-        tree = index.get(ino)
-        if tree is None:
-            tree = BTree()
-            index[ino] = tree
-        tree.insert(file_block, block)
+        blocks = self._index.get(ino)
+        if blocks is None:
+            blocks = self._index[ino] = {}
+        blocks[file_block] = block
+        # Admission counts as the block's first write: write_into() does
+        # not tell the policy about it again.  Admitting here, not there,
+        # keeps a block whose edge-line fetch raised in the victim order.
         self.policy.on_buffered(block)
         self.env.stats.bump("buffer_inserts")
         return block
@@ -166,42 +149,29 @@ class WriteBuffer:
         The caller is responsible for having flushed or discarded the
         dirty lines first.
         """
-        shard = self.shard(block.ino)
-        tree = shard.index.get(block.ino)
-        if tree is not None:
-            tree.remove(block.file_block)
-            if len(tree) == 0:
-                del shard.index[block.ino]
-        shard.dirty.pop((block.ino, block.file_block), None)
+        blocks = self._index.get(block.ino)
+        if blocks is not None:
+            blocks.pop(block.file_block, None)
+            if not blocks:
+                del self._index[block.ino]
+        self._dirty.pop(block, None)
         self.policy.on_evict(block)
         self._alloc.free(block.dram_block)
         self.env.stats.bump("buffer_evictions")
 
     def file_blocks(self, ino):
         """All buffered blocks of a file, in file-offset order."""
-        tree = self.shard(ino).index.get(ino)
-        if tree is None:
-            return []
-        return [block for _, block in tree.items()]
+        blocks = self._index.get(ino, {})
+        return [blocks[fb] for fb in sorted(blocks)]
 
     def all_blocks_lrw_order(self, limit=None):
         """Every buffered block, best-victim first (policy order); only
         the first ``limit`` of them when one is given."""
         return self.policy.iter_order(limit)
 
-    def shard_dirty_blocks(self, shard_id):
-        """One shard's dirty blocks, first-dirtied first."""
-        return list(self._shards[shard_id].dirty.values())
-
     def dirty_blocks(self):
-        """Every dirty block, shard by shard (deterministic order)."""
-        out = []
-        for shard in self._shards:
-            out.extend(shard.dirty.values())
-        return out
-
-    def dirty_block_count(self):
-        return sum(len(shard.dirty) for shard in self._shards)
+        """Every dirty block, first-dirtied first."""
+        return list(self._dirty)
 
     # -- data plane ---------------------------------------------------------
 
@@ -219,14 +189,10 @@ class WriteBuffer:
         self.env.stats.bytes_written_dram += len(data)
         block.bitmap.mark_written(offset_in_block, len(data))
         block.last_written_ns = now_ns
-        self.shard(block.ino).dirty.setdefault(
-            (block.ino, block.file_block), block
-        )
-        self.policy.on_write(block)
-
-    def mark_clean(self, block):
-        """Drop a block from its shard's dirty list (lines persisted)."""
-        self.shard(block.ino).dirty.pop((block.ino, block.file_block), None)
+        if block in self._dirty:
+            self.policy.on_write(block)
+        else:
+            self._dirty[block] = None
 
     def read_from(self, ctx, block, offset_in_block, length):
         return self.dram.read(ctx, block.dram_addr + offset_in_block, length)

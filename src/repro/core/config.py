@@ -37,12 +37,9 @@ class HiNFSConfig:
     #: alternatives the paper defers to future work: "lfu", "arc", "2q".
     replacement_policy: str = "lrw"
     #: Parallel background writeback workers (the paper runs multiple
-    #: writeback threads, Section 3.2); each owns a subset of the buffer
-    #: shards and flushes on its own virtual timeline.
+    #: writeback threads, Section 3.2); worker ``ino % N`` owns a file's
+    #: blocks and flushes them on its own virtual timeline.
     nr_writeback_workers: int = 1
-    #: DRAM Block Index shards (by ``ino % buffer_shards``); each shard
-    #: keeps its own dirty list so writeback workers scan independently.
-    buffer_shards: int = 8
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)

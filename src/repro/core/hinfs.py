@@ -46,12 +46,16 @@ class PendingTx:
     bytes.  Pending transactions therefore form a per-file chain; a
     transaction whose data is durable but whose predecessor is still
     open waits (``ready``) and is committed by the predecessor's cascade.
+    Nor does a transaction commit while its own request is still
+    ``writing`` it: a demand reclaim mid-request may flush every block
+    attached so far.
     """
 
-    __slots__ = ("tx", "blocks", "prev", "next", "ready")
+    __slots__ = ("tx", "blocks", "prev", "next", "ready", "writing")
 
-    def __init__(self, tx, prev=None):
+    def __init__(self, tx, prev=None, writing=False):
         self.tx = tx
+        self.writing = writing
         tx.owner = self
         # Insertion-ordered dict-as-set, like BufferBlock.pending_txs:
         # make_room flushes these in the order they were written.
@@ -74,7 +78,7 @@ class PendingTx:
     def maybe_commit(self, ctx, journal):
         node = self
         while node is not None:
-            if node.blocks or not node.tx.open:
+            if node.blocks or node.writing or not node.tx.open:
                 return
             if node.prev is not None and node.prev.tx.open:
                 # Data durable, but an older same-file tx is still open.
@@ -200,7 +204,7 @@ class HiNFS(PMFS):
                     # injection can target this request's writeback.
                     buffered.last_req_id = req.req_id
                 if pending is None:
-                    pending = PendingTx(tx)
+                    pending = PendingTx(tx, writing=True)
                     self._async_pending[id(tx)] = pending
                 pending.attach(buffered)
                 self.env.stats.bump("hinfs_lazy_writes")
@@ -224,6 +228,7 @@ class HiNFS(PMFS):
             if pending is None:
                 pending = PendingTx(tx, prev=tail)
             else:
+                pending.writing = False
                 pending.prev = tail
                 if tail is not None:
                     tail.next = pending
@@ -662,6 +667,3 @@ class HiNFS(PMFS):
         """Reset the Benefit Model's history (fresh measured run); the
         buffer itself was emptied by the preceding unmount flush."""
         self.benefit = BufferBenefitModel(self.env, self.config, self.hconfig)
-
-    def free_data_bytes(self, ctx):
-        return self.balloc.free_count * BLOCK_SIZE

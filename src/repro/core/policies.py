@@ -42,7 +42,7 @@ class ReplacementPolicy:
     name = "abstract"
 
     def on_buffered(self, block):
-        """A block entered the buffer (first write after insert follows)."""
+        """A block entered the buffer; this counts as its first write."""
         raise NotImplementedError
 
     def on_write(self, block):
@@ -53,13 +53,10 @@ class ReplacementPolicy:
         """The block left the buffer (flushed or discarded)."""
         raise NotImplementedError
 
-    def victim(self):
-        """The next block to evict, or None if the buffer is empty."""
-        raise NotImplementedError
-
     def iter_order(self, limit=None):
         """Buffered blocks, best-victim first (snapshot): all of them,
-        or the first ``limit`` without walking the rest."""
+        or the first ``limit`` without walking the rest.  The buffer
+        evicts only through this, so a policy's victim rule lives here."""
         raise NotImplementedError
 
     def __len__(self):
@@ -82,9 +79,6 @@ class LRWPolicy(ReplacementPolicy):
 
     def on_evict(self, block):
         self._list.remove(block)
-
-    def victim(self):
-        return self._list.lrw_victim()
 
     def iter_order(self, limit=None):
         return self._list.iter_lrw_order(limit)
@@ -121,30 +115,16 @@ class LFUPolicy(ReplacementPolicy):
         self._size += 1
 
     def on_write(self, block):
-        freq = self._freq.get(id(block))
-        if freq is None:
-            self.on_buffered(block)
-            return
-        new_freq = min(self.max_frequency, freq + 1)
-        if new_freq != freq:
-            self._buckets[freq].remove(block)
-            self._freq[id(block)] = new_freq
-        else:
-            self._buckets[freq].remove(block)
-        self._bucket(new_freq).touch(block)
+        freq = self._freq[id(block)]
+        self._buckets[freq].remove(block)
+        freq = self._freq[id(block)] = min(self.max_frequency, freq + 1)
+        self._bucket(freq).touch(block)
 
     def on_evict(self, block):
         freq = self._freq.pop(id(block), None)
         if freq is not None:
             self._buckets[freq].remove(block)
             self._size -= 1
-
-    def victim(self):
-        for freq in sorted(self._buckets):
-            victim = self._buckets[freq].lrw_victim()
-            if victim is not None:
-                return victim
-        return None
 
     def iter_order(self, limit=None):
         return _chain([self._buckets[freq] for freq in sorted(self._buckets)],
@@ -159,9 +139,10 @@ class TwoQPolicy(ReplacementPolicy):
 
     New blocks enter the FIFO probation queue ``A1in``.  A block written
     again while in probation is promoted to the main queue ``Am`` (an
-    LRW list).  Eviction prefers the front of ``A1in`` (once it exceeds
-    ``kin`` of the population) and remembers evicted ids in the ghost
-    ``A1out``; a re-inserted ghost id goes straight to ``Am``.
+    LRW list).  Eviction takes ``A1in`` first while it holds more than
+    ``kin`` of the population, else ``Am`` first, and remembers evicted
+    probation ids in the ghost ``A1out``; a re-inserted ghost id goes
+    straight to ``Am``.
     """
 
     name = "2q"
@@ -188,10 +169,7 @@ class TwoQPolicy(ReplacementPolicy):
             self._where[id(block)] = "a1in"
 
     def on_write(self, block):
-        where = self._where.get(id(block))
-        if where is None:
-            self.on_buffered(block)
-        elif where == "a1in":
+        if self._where[id(block)] == "a1in":
             # Second write while on probation: promote.
             self._a1in.remove(block)
             self._am.touch(block)
@@ -209,21 +187,10 @@ class TwoQPolicy(ReplacementPolicy):
         elif where == "am":
             self._am.remove(block)
 
-    def victim(self):
-        total = len(self)
-        if total == 0:
-            return None
-        if len(self._a1in) > self.kin * total:
-            victim = self._a1in.lrw_victim()
-            if victim is not None:
-                return victim
-        victim = self._am.lrw_victim()
-        if victim is not None:
-            return victim
-        return self._a1in.lrw_victim()
-
     def iter_order(self, limit=None):
-        return _chain((self._a1in, self._am), limit)
+        if len(self._a1in) > self.kin * len(self):
+            return _chain((self._a1in, self._am), limit)
+        return _chain((self._am, self._a1in), limit)
 
     def __len__(self):
         return len(self._a1in) + len(self._am)
@@ -237,6 +204,8 @@ class ARCPolicy(ReplacementPolicy):
     ids; a re-insertion that hits a ghost list adapts the target size
     ``p`` of ``t1`` (hit in b1 -> favour recency, grow p; hit in b2 ->
     favour frequency, shrink p) exactly as in the original algorithm.
+    Eviction takes ``t1`` first once it holds at least ``p`` blocks,
+    else ``t2`` first.
     """
 
     name = "arc"
@@ -277,10 +246,7 @@ class ARCPolicy(ReplacementPolicy):
             self._where[id(block)] = "t1"
 
     def on_write(self, block):
-        where = self._where.get(id(block))
-        if where is None:
-            self.on_buffered(block)
-        elif where == "t1":
+        if self._where[id(block)] == "t1":
             self._t1.remove(block)
             self._t2.touch(block)
             self._where[id(block)] = "t2"
@@ -299,18 +265,10 @@ class ARCPolicy(ReplacementPolicy):
             self._b2[key] = None
             self._trim_ghost(self._b2)
 
-    def victim(self):
-        if len(self._t1) >= max(1, int(self.p)):
-            victim = self._t1.lrw_victim()
-            if victim is not None:
-                return victim
-        victim = self._t2.lrw_victim()
-        if victim is not None:
-            return victim
-        return self._t1.lrw_victim()
-
     def iter_order(self, limit=None):
-        return _chain((self._t1, self._t2), limit)
+        if len(self._t1) >= max(1, int(self.p)):
+            return _chain((self._t1, self._t2), limit)
+        return _chain((self._t2, self._t1), limit)
 
     def __len__(self):
         return len(self._t1) + len(self._t2)

@@ -8,13 +8,13 @@ Two wakeup causes, exactly as the paper specifies:
 2. Periodic: every 5 seconds it writes cold updated data back to NVMM.
 
 The paper runs *multiple* writeback threads; here that is a
-:class:`WritebackPool` of ``nr_writeback_workers`` timelines.  Each
-worker owns a round-robin subset of the buffer's shards and flushes its
+:class:`WritebackPool` of ``nr_writeback_workers`` timelines.  Worker
+``ino % nr_writeback_workers`` owns a file's blocks and flushes its
 victims on its own virtual clock, so a batch spanning many files drains
 in parallel (bounded below by the shared ``N_w`` NVMM writer slots).
-When victims cluster in one worker's shards, idle workers *steal* the
-tail of the longest queue (``writeback_steals``), so a single hot file
-still spreads across the pool.
+When victims cluster on one worker, idle workers *steal* the tail of
+the longest queue (``writeback_steals``), so a single hot file still
+spreads across the pool.
 
 All worker flushes occupy NVMM writer slots, contending with foreground
 eager writes -- the effect Figure 9 attributes background traffic to.
@@ -32,19 +32,16 @@ from repro.obs.trace import LAYER_WRITEBACK
 
 
 class WritebackWorker:
-    """One parallel writeback timeline and the shards it owns."""
+    """One parallel writeback timeline."""
 
-    __slots__ = ("worker_id", "ctx", "shards")
+    __slots__ = ("worker_id", "ctx")
 
-    def __init__(self, worker_id, ctx, shards):
+    def __init__(self, worker_id, ctx):
         self.worker_id = worker_id
         self.ctx = ctx
-        self.shards = shards
 
     def __repr__(self):
-        return "WritebackWorker(%d, now=%d, shards=%r)" % (
-            self.worker_id, self.ctx.now, self.shards,
-        )
+        return "WritebackWorker(%d, now=%d)" % (self.worker_id, self.ctx.now)
 
 
 class WritebackPool(BackgroundTask):
@@ -55,7 +52,6 @@ class WritebackPool(BackgroundTask):
         self.hinfs = hinfs
         self.config = hinfs.hconfig
         nr = max(1, self.config.nr_writeback_workers)
-        nr_shards = hinfs.buffer.nr_shards
         #: Worker 0 reuses the pool's registered context (and its name,
         #: which diagnostics and tests key on); the rest get their own.
         self.workers = []
@@ -63,8 +59,7 @@ class WritebackPool(BackgroundTask):
             ctx = self.ctx if wid == 0 else ExecContext(
                 env, "hinfs-writeback-%d" % wid
             )
-            shards = tuple(s for s in range(nr_shards) if s % nr == wid)
-            self.workers.append(WritebackWorker(wid, ctx, shards))
+            self.workers.append(WritebackWorker(wid, ctx))
         self._next_periodic_ns = self.config.periodic_interval_ns
         self._pressure_ns = NEVER
         #: The pool's unified retry policy for writeback EIO: transient
@@ -169,15 +164,14 @@ class WritebackPool(BackgroundTask):
     def _partition(self, victims):
         """Split a victim batch across the workers.
 
-        Blocks go to the owner of their buffer shard first; then idle
-        workers steal the tail half of the longest queue until nobody
+        Blocks go to their file's owner, worker ``ino % N``, first; then
+        idle workers steal the tail half of the longest queue until nobody
         sits idle while another worker holds more than one block.
         """
         nr = self.nr_workers
         parts = [[] for _ in range(nr)]
-        shard_of = self.hinfs.buffer.shard_of
         for block in victims:
-            parts[shard_of(block.ino) % nr].append(block)
+            parts[block.ino % nr].append(block)
         if nr == 1:
             return parts
         while True:
@@ -248,9 +242,8 @@ class WritebackPool(BackgroundTask):
     def _flush_aged(self):
         """After reclaiming, flush any dirty block older than 30 s.
 
-        Scans the per-shard dirty lists (not the whole LRW list): each
-        worker's shards are checked in shard order, so the scan cost and
-        the resulting flush work stay partitioned.
+        Scans the dirty list (first-dirtied order), not the whole LRW
+        list; the victims are then partitioned across the workers.
         """
         now = max(worker.ctx.now for worker in self.workers)
         victims = [

@@ -60,7 +60,8 @@ class NVMMConfig:
     syscall_ns: int = 350
     #: File abstraction work per syscall (fd lookup, inode locking, ...).
     vfs_op_ns: int = 250
-    #: Per-index-lookup cost (B-tree/radix descent) per touched block.
+    #: Flat per-index-lookup cost per touched block (stands in for a
+    #: B-tree/radix descent; the simulator's indexes are dicts).
     index_lookup_ns: int = 60
     #: Generic block layer + driver cost per block I/O request.
     block_layer_ns: int = 2_000

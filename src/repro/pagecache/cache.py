@@ -2,7 +2,6 @@
 
 from repro.core.lrw import LRWList, LRWNode
 from repro.engine.stats import CAT_OTHERS, CAT_READ_ACCESS, CAT_WRITE_ACCESS
-from repro.pagecache.radix import RadixTree
 from repro.nvmm.config import BLOCK_SIZE
 
 
@@ -21,7 +20,7 @@ class Page(LRWNode):
 
 
 class PageCache:
-    """Global LRU page cache with per-file radix-tree indexes.
+    """Global LRU page cache with a per-file page index.
 
     ``flush_fn(ctx, page)`` is supplied by the owning file system: it
     writes the page to the block device (through the generic block
@@ -35,7 +34,7 @@ class PageCache:
         self.config = config
         self.capacity = max(8, int(capacity_pages))
         self.flush_fn = flush_fn
-        self._files = {}  # ino -> RadixTree(file_block -> Page)
+        self._files = {}  # ino -> {file_block: Page}
         self.lru = LRWList()
         #: Incrementally-maintained count of dirty pages (used by the
         #: balance_dirty_pages-style foreground throttle).
@@ -48,11 +47,8 @@ class PageCache:
 
     def lookup(self, ctx, ino, file_block):
         ctx.charge(self.config.page_cache_op_ns, CAT_OTHERS)
-        tree = self._files.get(ino)
-        if tree is None:
-            self.env.stats.bump("pagecache_misses")
-            return None
-        page = tree.get(file_block)
+        pages = self._files.get(ino)
+        page = None if pages is None else pages.get(file_block)
         if page is None:
             self.env.stats.bump("pagecache_misses")
             return None
@@ -66,11 +62,10 @@ class PageCache:
         while len(self.lru) >= self.capacity:
             self._evict_one(ctx)
         page = Page(ino, file_block)
-        tree = self._files.get(ino)
-        if tree is None:
-            tree = RadixTree()
-            self._files[ino] = tree
-        tree.insert(file_block, page)
+        pages = self._files.get(ino)
+        if pages is None:
+            pages = self._files[ino] = {}
+        pages[file_block] = page
         self.lru.touch(page)
         self.env.stats.bump("pagecache_inserts")
         return page
@@ -97,20 +92,17 @@ class PageCache:
         if page.dirty:
             page.dirty = False
             self.dirty_total -= 1
-        tree = self._files.get(page.ino)
-        if tree is not None:
-            tree.delete(page.file_block)
-            if len(tree) == 0:
+        pages = self._files.get(page.ino)
+        if pages is not None:
+            pages.pop(page.file_block, None)
+            if not pages:
                 del self._files[page.ino]
         self.lru.remove(page)
 
     def drop_file(self, ino):
         """Invalidate every page of a file (unlink/truncate)."""
-        tree = self._files.pop(ino, None)
-        if tree is None:
-            return 0
-        pages = [page for _, page in tree.items()]
-        for page in pages:
+        pages = self._files.pop(ino, {})
+        for page in pages.values():
             if page.dirty:
                 page.dirty = False
                 self.dirty_total -= 1
@@ -143,22 +135,15 @@ class PageCache:
 
     def pages_of(self, ino):
         """Every cached page of a file, clean or dirty, in block order."""
-        tree = self._files.get(ino)
-        if tree is None:
-            return []
-        return [page for _, page in tree.items()]
+        pages = self._files.get(ino, {})
+        return [pages[fb] for fb in sorted(pages)]
 
     def dirty_pages_of(self, ino):
-        tree = self._files.get(ino)
-        if tree is None:
-            return []
-        return [page for _, page in tree.items() if page.dirty]
+        """The file's dirty pages, in block order."""
+        return [page for page in self.pages_of(ino) if page.dirty]
 
     def dirty_pages_lru_order(self):
         return [page for page in self.lru.iter_lrw_order() if page.dirty]
-
-    def dirty_count(self):
-        return sum(1 for page in self.lru.iter_lrw_order() if page.dirty)
 
     def clear(self):
         """Drop every page (echo 3 > drop_caches).  Callers must have

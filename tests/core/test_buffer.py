@@ -4,16 +4,18 @@ import pytest
 
 from repro.core.buffer import WriteBuffer
 from repro.core.config import HiNFSConfig
+from repro.core.policies import LFUPolicy
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.nvmm.config import NVMMConfig
 
 
 class Rig:
-    def __init__(self, blocks=16):
+    def __init__(self, blocks=16, **hconf):
         self.env = SimEnv()
-        self.buffer = WriteBuffer(self.env, NVMMConfig(),
-                                  HiNFSConfig(buffer_bytes=blocks * 4096))
+        self.buffer = WriteBuffer(
+            self.env, NVMMConfig(),
+            HiNFSConfig(buffer_bytes=blocks * 4096, **hconf))
         self.ctx = ExecContext(self.env, "t")
 
 
@@ -50,6 +52,12 @@ def test_file_blocks_sorted_by_offset(rig):
         rig.buffer.insert(3, fb, nvmm_block=fb)
     assert [b.file_block for b in rig.buffer.file_blocks(3)] == [2, 5, 9]
     assert rig.buffer.file_blocks(99) == []
+    rig.buffer.evict(rig.buffer.lookup(3, 5))
+    rig.buffer.insert(3, 0, nvmm_block=0)
+    assert [b.file_block for b in rig.buffer.file_blocks(3)] == [0, 2, 9]
+    for block in rig.buffer.file_blocks(3):
+        rig.buffer.evict(block)
+    assert rig.buffer.file_blocks(3) == []
 
 
 def test_write_into_roundtrip_and_state(rig):
@@ -70,14 +78,20 @@ def test_write_into_charges_per_cacheline(rig):
     assert rig.ctx.now - before == 2 * per_line
 
 
-def test_shard_lookup_agrees_with_shard_of(rig):
+def test_dirty_blocks_are_first_dirtied_across_inodes(rig):
     buffer = rig.buffer
-    assert buffer.nr_shards == 8
-    for ino in range(1, 20):
-        assert buffer.shard(ino) is buffer._shards[buffer.shard_of(ino)]
-    block = buffer.insert(11, 0, nvmm_block=1)
-    buffer.write_into(rig.ctx, block, 0, b"x", now_ns=0)
-    assert list(buffer._shards[11 % 8].dirty) == [(11, 0)]
+    # 3 and 11 are congruent mod 8 and 9 sorts between them: neither a
+    # per-residue nor an inode-sorted order is first-dirtied.
+    a = buffer.insert(11, 0, nvmm_block=1)
+    b = buffer.insert(3, 4, nvmm_block=2)
+    c = buffer.insert(9, 0, nvmm_block=3)
+    d = buffer.insert(3, 1, nvmm_block=4)
+    for block in (b, c, a, d):
+        buffer.write_into(rig.ctx, block, 0, b"x", now_ns=0)
+    buffer.write_into(rig.ctx, b, 64, b"y", now_ns=1)  # not re-ordered
+    assert buffer.dirty_blocks() == [b, c, a, d]
+    buffer.evict(c)
+    assert buffer.dirty_blocks() == [b, a, d]
 
 
 def test_watermarks(rig):
@@ -93,7 +107,7 @@ def test_dirty_block_count(rig):
     a = rig.buffer.insert(1, 0, nvmm_block=1)
     rig.buffer.insert(1, 1, nvmm_block=2)
     rig.buffer.write_into(rig.ctx, a, 0, b"x", now_ns=0)
-    assert rig.buffer.dirty_block_count() == 1
+    assert rig.buffer.dirty_blocks() == [a]
 
 
 def test_victim_order_follows_writes(rig):
@@ -111,3 +125,23 @@ def test_index_is_per_file(rig):
     rig.buffer.insert(2, 0, nvmm_block=2)
     assert rig.buffer.lookup(1, 0).nvmm_block == 1
     assert rig.buffer.lookup(2, 0).nvmm_block == 2
+
+
+def policy_state(policy, block):
+    if isinstance(policy, LFUPolicy):
+        return policy._freq[id(block)]
+    return policy._where[id(block)]
+
+
+@pytest.mark.parametrize("name, once, twice", [
+    ("lfu", 1, 2), ("2q", "a1in", "am"), ("arc", "t1", "t2"),
+])
+def test_first_write_counts_once(name, once, twice):
+    """Admission is the first write: the write_into() that follows an
+    insert must not count as a second one."""
+    rig = Rig(replacement_policy=name)
+    block = rig.buffer.insert(1, 0, nvmm_block=1)
+    rig.buffer.write_into(rig.ctx, block, 0, b"x", now_ns=1)
+    assert policy_state(rig.buffer.policy, block) == once
+    rig.buffer.write_into(rig.ctx, block, 64, b"y", now_ns=2)
+    assert policy_state(rig.buffer.policy, block) == twice

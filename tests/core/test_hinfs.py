@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core import HiNFS, HiNFSConfig
+from repro.faults.media import MediaFaultModel
 from repro.fs import flags as f
-from repro.nvmm.config import NVMMConfig
+from repro.fs.errors import MediaError
+from repro.fs.pmfs.layout import block_addr
+from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
 
 from tests.fs.conftest import PmfsRig
 
@@ -75,6 +78,40 @@ def test_unaligned_write_fetches_only_edge_lines(rig):
     data = rig.vfs.pread(rig.ctx, fd, 0, 4096)
     assert data[:112] == b"y" * 112
     assert data[112:] == (b"base" * 1024)[112:]
+
+
+@pytest.mark.parametrize("policy", ["lrw", "lfu", "2q", "arc"])
+def test_block_whose_fetch_raised_is_still_evictable(policy):
+    rig = make_rig(replacement_policy=policy)
+    rig.vfs.write_file(rig.ctx, "/e", b"e" * 4096)
+    rig.vfs.unmount(rig.ctx)
+    rig.remount()
+    ino = rig.vfs.stat(rig.ctx, "/e").ino
+    model = rig.device.attach_faults(MediaFaultModel(seed=0))
+    model.poison_line(block_addr(rig.fs._map(ino).get(0)) // CACHELINE_SIZE + 1)
+    fd = rig.vfs.open(rig.ctx, "/e", f.O_RDWR)
+    with pytest.raises(MediaError):
+        rig.vfs.pwrite(rig.ctx, fd, 0, b"y" * 112)  # fetches line 1
+    (block,) = rig.fs.buffer.file_blocks(ino)
+    assert not block.is_dirty
+    assert rig.fs.buffer.all_blocks_lrw_order() == [block]
+    rig.fs.writeback.demand_reclaim(rig.ctx)
+    assert rig.fs.buffer.file_blocks(ino) == []
+
+
+def test_one_write_larger_than_the_buffer():
+    """Demand reclaim mid-request flushes blocks the request already
+    attached to its transaction; the transaction must stay open until
+    the request is done writing it."""
+    rig = make_rig(buffer_bytes=8 * 4096)
+    data = bytes(range(256)) * (12 * 16)  # 12 blocks into an 8-block buffer
+    rig.vfs.write_file(rig.ctx, "/big", data, chunk=len(data))
+    assert rig.env.stats.count("writeback_demand_stalls") > 0
+    assert rig.vfs.read_file(rig.ctx, "/big") == data
+    fd = rig.vfs.open(rig.ctx, "/big", f.O_RDWR)
+    rig.vfs.fsync(rig.ctx, fd)
+    rig.crash_and_remount()
+    assert rig.vfs.read_file(rig.ctx, "/big") == data
 
 
 def test_nclfw_fetches_whole_block():

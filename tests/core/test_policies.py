@@ -30,7 +30,7 @@ def test_basic_lifecycle(name):
     for item in (a, b, c):
         policy.on_buffered(item)
     assert len(policy) == 3
-    assert policy.victim() is not None
+    assert len(policy.iter_order(1)) == 1
     policy.on_evict(b)
     assert len(policy) == 2
     remaining = set(policy.iter_order())
@@ -46,15 +46,15 @@ def test_victim_is_member(name):
         policy.on_buffered(item)
     for _ in range(30):
         policy.on_write(rng.choice(blocks))
-    victim = policy.victim()
+    (victim,) = policy.iter_order(1)
     assert victim in blocks
-    assert victim in policy.iter_order()
+    assert victim is policy.iter_order()[0]
 
 
 @pytest.mark.parametrize("name", ALL)
 def test_empty_policy(name):
     policy = make_policy(name, capacity_hint=32)
-    assert policy.victim() is None
+    assert policy.iter_order(1) == []
     assert policy.iter_order() == []
     assert len(policy) == 0
 
@@ -65,7 +65,7 @@ def test_lrw_victim_is_least_recently_written():
     policy.on_buffered(a)
     policy.on_buffered(b)
     policy.on_write(a)
-    assert policy.victim() is b
+    assert policy.iter_order(1) == [b]
 
 
 def test_lfu_prefers_low_frequency():
@@ -75,7 +75,7 @@ def test_lfu_prefers_low_frequency():
     policy.on_buffered(hot)
     for _ in range(5):
         policy.on_write(hot)
-    assert policy.victim() is cold
+    assert policy.iter_order(1) == [cold]
 
 
 def test_lfu_ties_break_by_recency():
@@ -83,7 +83,7 @@ def test_lfu_ties_break_by_recency():
     first, second = block(1, 0), block(1, 1)
     policy.on_buffered(first)
     policy.on_buffered(second)
-    assert policy.victim() is first
+    assert policy.iter_order(1) == [first]
 
 
 def test_2q_promotion_on_rewrite():
@@ -93,7 +93,22 @@ def test_2q_promotion_on_rewrite():
     policy.on_buffered(promoted)
     policy.on_write(promoted)  # promoted to Am
     # With A1in over-quota, the probation block goes first.
-    assert policy.victim() is probation
+    assert policy.iter_order(1) == [probation]
+
+
+def test_2q_under_quota_evicts_main_queue_first():
+    policy = TwoQPolicy(capacity_hint=16)  # kin = 0.25
+    main = [block(1, fb) for fb in range(3)]
+    probation = block(1, 9)
+    for item in main + [probation]:
+        policy.on_buffered(item)
+    for item in main:
+        policy.on_write(item)  # promoted to Am
+    # A1in holds 1 of 4 blocks, not more than kin: Am goes first.
+    assert policy.iter_order() == main + [probation]
+    policy.on_buffered(block(1, 10))
+    # 2 of 5 is over the quota: probation first, in FIFO order.
+    assert policy.iter_order(1) == [probation]
 
 
 def test_2q_ghost_readmission():
@@ -106,7 +121,7 @@ def test_2q_ghost_readmission():
     # Straight to Am: a fresh probation block should be victimised first.
     probation = block(1, 5)
     policy.on_buffered(probation)
-    assert policy.victim() in (probation, reborn)
+    assert policy.iter_order(1)[0] in (probation, reborn)
     # Am member survives while probation exceeds its quota.
     policy2 = TwoQPolicy(kin=0.01, capacity_hint=16)
     policy2.on_buffered(item)
@@ -115,7 +130,7 @@ def test_2q_ghost_readmission():
     policy2.on_buffered(reborn)
     probation = block(1, 5)
     policy2.on_buffered(probation)
-    assert policy2.victim() is probation
+    assert policy2.iter_order(1) == [probation]
 
 
 def test_arc_ghost_hit_adapts_target():
@@ -135,7 +150,26 @@ def test_arc_rewrite_moves_to_t2():
     policy.on_buffered(twice)
     policy.on_write(twice)
     # t1 preferred while >= p: the once-written block goes first.
-    assert policy.victim() is once
+    assert policy.iter_order(1) == [once]
+
+
+def test_arc_target_above_t1_evicts_t2_first():
+    policy = ARCPolicy(capacity_hint=16)
+    reborn = []
+    for fb in (0, 1):  # two B1 ghost hits grow p to 2
+        item = block(1, fb)
+        policy.on_buffered(item)
+        policy.on_evict(item)
+        reborn.append(block(1, fb))
+        policy.on_buffered(reborn[-1])  # straight to t2
+    assert policy.p == 2
+    once = block(1, 5)
+    policy.on_buffered(once)
+    # len(t1) = 1 < p: t2 goes first.
+    assert policy.iter_order() == reborn + [once]
+    policy.on_buffered(block(1, 6))
+    # len(t1) = 2 >= p: t1 goes first.
+    assert policy.iter_order(1) == [once]
 
 
 def test_make_policy_unknown_name():
@@ -150,7 +184,7 @@ def test_registry_complete():
 @pytest.mark.parametrize("name", ALL)
 @settings(max_examples=40, deadline=None)
 @given(ops=st.lists(
-    st.tuples(st.sampled_from(["insert", "write", "evict", "victim"]),
+    st.tuples(st.sampled_from(["insert", "write", "evict"]),
               st.integers(min_value=0, max_value=15)),
     max_size=120,
 ))
@@ -168,11 +202,6 @@ def test_policy_never_loses_or_duplicates_blocks(name, ops):
         elif op == "evict" and live:
             key = sorted(live)[fb % len(live)]
             policy.on_evict(live.pop(key))
-        elif op == "victim":
-            victim = policy.victim()
-            assert (victim is None) == (not live)
-            if victim is not None:
-                assert victim in live.values()
         assert len(policy) == len(live)
         order = policy.iter_order()
         assert sorted(b.file_block for b in order) == sorted(live)

@@ -1,11 +1,14 @@
-"""Parallel writeback workers: shard ownership, stealing, determinism.
+"""Parallel writeback workers: file ownership, stealing, determinism.
 
 The pool replaces the single writeback timeline with
 ``nr_writeback_workers`` worker clocks; these tests pin down the
-partitioning rules (shard owner first, tail-stealing for hot shards),
+partitioning rules (owner ``ino % N`` first, tail-stealing for hot
+files),
 the per-worker accounting, and that one worker reproduces the old
 single-task behaviour exactly.
 """
+
+import pytest
 
 from repro.core import HiNFS, HiNFSConfig
 from repro.engine.background import NEVER
@@ -29,13 +32,30 @@ def test_worker_zero_keeps_the_registered_timeline_name():
     ]
 
 
-def test_shards_are_partitioned_round_robin():
-    rig = make_rig(nr_writeback_workers=3, buffer_shards=8)
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_demand_victims_land_on_worker_ino_mod_n(workers):
+    rig = make_rig(nr_writeback_workers=workers, reclaim_batch=64)
+    inos = []
+    for i in range(12):  # one block per file, every worker gets some
+        rig.vfs.write_file(rig.ctx, "/f%d" % i, b"w" * 4096)
+        inos.append(rig.vfs.stat(rig.ctx, "/f%d" % i).ino)
+    if workers == 3:
+        # With N = 3, ino % N and (ino % 8) % N disagree for some inode
+        # here, so this case tells the two rules apart.
+        assert any(ino % 8 % 3 != ino % 3 for ino in inos)
     pool = rig.fs.writeback
-    owned = [s for w in pool.workers for s in w.shards]
-    assert sorted(owned) == list(range(8))
-    for worker in pool.workers:
-        assert all(s % 3 == worker.worker_id for s in worker.shards)
+    owner = {w.ctx: w.worker_id for w in pool.workers}
+    landed = {}
+    flush = pool._flush_batch
+
+    def spy(ctx, cause, part):
+        landed.update((block.ino, owner[ctx]) for block in part)
+        flush(ctx, cause, part)
+
+    pool._flush_batch = spy
+    assert pool.demand_reclaim(rig.ctx) == len(inos)
+    assert rig.env.stats.count("writeback_steals") == 0
+    assert landed == {ino: ino % workers for ino in inos}
 
 
 def test_demand_reclaim_spreads_across_workers():
@@ -51,10 +71,9 @@ def test_demand_reclaim_spreads_across_workers():
     assert sum(1 for n in per_worker if n > 0) >= 2
 
 
-def test_single_hot_shard_is_stolen_from():
-    rig = make_rig(nr_writeback_workers=4, buffer_shards=4,
-                   reclaim_batch=32)
-    # One big file: every block shares an inode, hence one shard/owner.
+def test_single_hot_file_is_stolen_from():
+    rig = make_rig(nr_writeback_workers=4, reclaim_batch=32)
+    # One big file: every block shares an inode, hence one owner.
     rig.vfs.write_file(rig.ctx, "/hot", b"h" * (64 * 4096))
     assert rig.fs.buffer.free_blocks == 0
     freed = rig.fs.writeback.demand_reclaim(rig.ctx)

@@ -84,8 +84,24 @@ def test_dirty_queries(rig):
     rig.cache.insert(rig.ctx, 2, 0)
     rig.cache.copy_in(rig.ctx, a, 0, b"x", now_ns=1)
     rig.cache.copy_in(rig.ctx, b, 0, b"y", now_ns=2)
-    assert len(rig.cache.dirty_pages_of(1)) == 2
-    assert rig.cache.dirty_count() == 2
+    assert rig.cache.dirty_pages_of(1) == [a, b]
+    assert rig.cache.dirty_total == 2
+
+
+def test_pages_come_back_in_block_order(rig):
+    pages = {fb: rig.cache.insert(rig.ctx, 4, fb) for fb in (9, 2, 5)}
+    assert rig.cache.pages_of(4) == [pages[2], pages[5], pages[9]]
+    for fb in (9, 5):
+        rig.cache.copy_in(rig.ctx, pages[fb], 0, b"d", now_ns=1)
+    assert rig.cache.dirty_pages_of(4) == [pages[5], pages[9]]
+    rig.cache.drop(pages[5])
+    pages[7] = rig.cache.insert(rig.ctx, 4, 7)
+    assert rig.cache.pages_of(4) == [pages[2], pages[7], pages[9]]
+    assert rig.cache.dirty_pages_of(4) == [pages[9]]
+    assert rig.cache.dirty_total == 1
+    rig.cache.drop_file(4)
+    assert rig.cache.pages_of(4) == rig.cache.dirty_pages_of(4) == []
+    assert rig.cache.dirty_total == 0
 
 
 def test_pdflush_flushes_aged_pages(rig):
