@@ -2,9 +2,14 @@
 
 Two wakeup causes, exactly as the paper specifies:
 
-1. Pressure: fewer than ``Low_f`` free DRAM blocks.  The pool reclaims
-   LRW victims until ``High_f`` blocks are free, then keeps scanning the
-   dirty lists for blocks last updated more than 30 s ago.
+1. Pressure: fewer than ``Low_f`` free DRAM blocks.  Each wake flushes
+   one ``reclaim_batch`` of LRW victims and, while fewer than ``High_f``
+   blocks are free, re-arms itself at the batch's end on the device, so
+   the climb to ``High_f`` runs beside the foreground instead of being
+   booked on every writer slot at one instant.  The wake that reaches
+   ``High_f`` (or finds nothing left to reclaim) then relieves the
+   journal and scans the dirty list for blocks last updated more than
+   30 s ago.
 2. Periodic: every 5 seconds it writes cold updated data back to NVMM.
 
 The paper runs *multiple* writeback threads; here that is a
@@ -45,7 +50,12 @@ class WritebackWorker:
 
 
 class WritebackPool(BackgroundTask):
-    """The lazily-advanced writeback worker pool of one HiNFS instance."""
+    """The lazily-advanced writeback worker pool of one HiNFS instance.
+
+    Two due times drive it: the periodic wakeup, and a pressure wakeup
+    that :meth:`signal_pressure` pulls in and each paced reclaim batch
+    re-arms until ``High_f`` is reached (:meth:`_reclaim_step`).
+    """
 
     def __init__(self, env, hinfs):
         super().__init__(env, "hinfs-writeback")
@@ -96,10 +106,9 @@ class WritebackPool(BackgroundTask):
                 worker.ctx.now = max(worker.ctx.now, due)
             if self._pressure_ns <= due:
                 self._pressure_ns = NEVER
-                if self.hinfs.buffer.free_blocks < self.config.high_blocks:
-                    self._reclaim_to_high()
-                self._journal_relief()
-                self._flush_aged()
+                if not self._reclaim_step(due):
+                    self._journal_relief()
+                    self._flush_aged()
             if self._next_periodic_ns <= due:
                 self._next_periodic_ns += self.config.periodic_interval_ns
                 self._periodic_flush()
@@ -219,14 +228,28 @@ class WritebackPool(BackgroundTask):
                                     record_errors=True,
                                     retry_policy=self.retry_policy)
 
-    def _reclaim_to_high(self):
+    def _reclaim_step(self, due):
+        """One pressure wake: flush one ``reclaim_batch`` of LRW victims.
+
+        While the buffer is still short of ``High_f`` the next wake is
+        armed at the batch's device-side end (the latest worker clock,
+        held strictly after ``due`` so the registry sees progress) and
+        True is returned.  False means the climb is over: ``High_f``
+        was reached, or nothing was left to reclaim.
+        """
         buffer = self.hinfs.buffer
-        while not buffer.at_high_watermark:
-            victims = buffer.all_blocks_lrw_order(self.config.reclaim_batch)
-            if not victims:
-                return
-            self._flush_distributed("pressure", victims)
-            self.env.stats.bump("writeback_pressure_blocks", len(victims))
+        if buffer.at_high_watermark:
+            return False
+        victims = buffer.all_blocks_lrw_order(self.config.reclaim_batch)
+        if not victims:
+            return False
+        self._flush_distributed("pressure", victims)
+        self.env.stats.bump("writeback_pressure_blocks", len(victims))
+        if buffer.at_high_watermark:
+            return False
+        self._pressure_ns = max(due + 1,
+                                max(worker.ctx.now for worker in self.workers))
+        return True
 
     def _journal_relief(self):
         """Close the oldest deferred-commit transactions once the ring is

@@ -33,7 +33,10 @@ derived from the operations that had completed before the crash point:
    rename: during it exactly one of the two names reads them back,
    after it the new one does -- for a directory, every fsynced file
    below it;
-4. every file's size matches its readable contents;
+4. every file's size matches its readable contents, and a file the ops
+   only ever create, append to and fsync reads back a prefix of its
+   final content: its size never covers a block whose data did not
+   persist (the ordering promise of HiNFS's deferred commits);
 5. each device's rebuilt allocator agrees exactly with the union of its
    block maps: no block referenced twice, none out of range, no orphans;
 6. a second crash immediately after recovery mounts cleanly too.
@@ -566,6 +569,48 @@ WRAP_OPS = (
     ("unlink", "/k"),
 )
 
+#: HiNFS's paced pressure writeback, on the explorer's 64-block buffer
+#: (``Low_f`` = 3 free, ``High_f`` = 12).  ``PRESSURE_WARMUP`` runs
+#: unrecorded and leaves 3 blocks free: fifteen 4-block lazy appends,
+#: one deferred commit each, chained per file, plus one more block.
+#: ``("tick", ns)`` moves the foreground clock on by ``ns`` and lets the
+#: background timelines catch up through the registry the scheduler
+#: drives.  In the recorded window the first append takes the buffer
+#: below ``Low_f``; each tick then runs one pressure wake, a batch of
+#: four LRW victims -- one warmup append, whose commit follows its data
+#: -- re-armed at the batch's end until the third reaches ``High_f``.
+#: An append lands between two wakes and an fsync before the last.
+PRESSURE_WARMUP = tuple(
+    ("append", "/p%d" % (i % 3), 4 * 4096) for i in range(15)
+) + (("append", "/q", 4096),)
+PRESSURE_OPS = (
+    ("append", "/a", 2000),              # 2 free: below Low_f, signals
+    ("tick", 1),                         # wake 1: 6 free, re-armed
+    ("append", "/p1", 3000),             # lazy, between two wakes
+    ("tick", 30_000),                    # wake 2: 9 free, re-armed
+    ("fsync", "/a"),
+    ("tick", 30_000),                    # wake 3: High_f, relief, aged scan
+)
+
+
+#: HiNFS on the explorer's stacks: a 64-block buffer, and a reclaim batch
+#: cut down with it (four blocks; the default 16 goes with a 16 384-block
+#: buffer), so a climb from ``Low_f`` to ``High_f`` takes more than one
+#: wake.
+_EXPLORED_HINFS = HiNFSConfig(buffer_bytes=256 << 10, reclaim_batch=4)
+
+
+def _append_only(ops):
+    """Paths ``ops`` only ever create, append to, fsync or tick past,
+    sorted: each one's content at any point is a prefix of its last."""
+    appended = {op[1] for op in ops if op[0] == "append"}
+    touched = {arg for op in ops
+               if op[0] not in ("create", "append", "fsync")
+               for arg in op[1:] if isinstance(arg, str)}
+    return sorted(path for path in appended
+                  if not any(path == other or path.startswith(other + "/")
+                             for other in touched))
+
 
 def _moved(paths, old, new):
     """``(path, its path after the move)`` for each of ``paths`` at or
@@ -629,8 +674,8 @@ class CrashPointExplorer:
                 device = NVMMDevice.on_region(env, config, mems[s],
                                               domain=domain)
             shards.append(make_fs(
-                env, self._base, device, config,
-                HiNFSConfig(buffer_bytes=256 << 10), mount=mems is not None,
+                env, self._base, device, config, _EXPLORED_HINFS,
+                mount=mems is not None,
                 journal_checksums=self.journal_checksums, **fs_kwargs))
         fs = ShardedFS(env, shards, mounted=mems is not None) \
             if self._sharded else shards[0]
@@ -698,6 +743,12 @@ class CrashPointExplorer:
             checkpoints.append((len(tape.events), op_index, expect.copy()))
         for fs in shards:
             fs.device.mem.observer = None
+        #: path -> final content of every append-only file: any crash
+        #: state must read back a prefix of it.
+        self._grown = {path: vfs.read_file(ctx, path)
+                       for path in _append_only(self.warmup + tuple(ops))
+                       if vfs.exists(ctx, path)}
+        for fs in shards:
             # The run's stack is cyclic garbage from here on; its
             # device must not wait for a collection.
             fs.device.mem.close()
@@ -770,6 +821,9 @@ class CrashPointExplorer:
             fd, region = self._mmaps.pop(op[1])
             region.munmap(ctx)
             vfs.close(ctx, fd)
+        elif kind == "tick":
+            ctx.now += op[1]
+            vfs.env.background.advance_to(ctx.now)
         else:
             raise ValueError("unknown op kind %r" % (kind,))
 
@@ -1119,6 +1173,11 @@ class CrashPointExplorer:
                     "%s: size %d but %d readable bytes"
                     % (path, stat.size, len(contents))
                 )
+            final = self._grown.get(path)
+            if final is not None and final[:len(contents)] != contents:
+                problems.append(
+                    "%s: size %d covers bytes that never persisted"
+                    % (path, stat.size))
         return problems
 
     @staticmethod

@@ -531,6 +531,16 @@ class MmioMapping:
         self._epoch_stores += 1
         fs = self.fs
         fs.env.stats.bump("mmio_stores")
+        inode = fs._inode(self.ino)
+        if offset + len(data) > inode.size:
+            # Grow the file (the kernel updates i_size on extending maps)
+            # before the first chunk: an autocommit mid-store applies the
+            # chunks staged so far, clamped to the size.
+            tx = fs.journal.begin(ctx)
+            inode.size = offset + len(data)
+            inode.mtime = ctx.now
+            fs.itable.write_core(ctx, tx, inode)
+            fs.journal.commit(ctx, tx)
         blockmap = fs._map(self.ino)
         pos = 0
         while pos < len(data):
@@ -556,14 +566,6 @@ class MmioMapping:
                               block_addr(nvmm_block) + in_off,
                               data[pos:pos + take])
             pos += take
-        inode = fs._inode(self.ino)
-        if offset + len(data) > inode.size:
-            # Grow the file (the kernel updates i_size on extending maps).
-            tx = fs.journal.begin(ctx)
-            inode.size = offset + len(data)
-            inode.mtime = ctx.now
-            fs.itable.write_core(ctx, tx, inode)
-            fs.journal.commit(ctx, tx)
 
     def _store_chunk(self, ctx, file_offset, addr, chunk):
         if self._epoch_policy == POLICY_REDO:

@@ -26,6 +26,97 @@ def test_pressure_signal_reclaims_to_high_watermark():
     assert rig.env.stats.count("writeback_pressure_blocks") > 0
 
 
+def fill_to_two_free(rig):
+    """Dirty 62 blocks of the 64-block buffer in one lazy write; the
+    write itself signals pressure (2 free is below ``Low_f`` = 3)."""
+    rig.vfs.write_file(rig.ctx, "/p", b"d" * (62 * 4096))
+    assert rig.fs.buffer.free_blocks == 2
+
+
+def pressure_armed(pool):
+    return pool.next_due_ns() < pool.config.periodic_interval_ns
+
+
+def test_a_pressure_wake_flushes_one_batch_and_rearms_at_its_end():
+    rig = make_rig(reclaim_batch=4)
+    fill_to_two_free(rig)
+    buffer, pool = rig.fs.buffer, rig.fs.writeback
+    rig.env.background.advance_to(rig.ctx.now)
+    assert buffer.free_blocks == 6
+    batch_end = pool.ctx.now
+    assert batch_end > rig.ctx.now
+    assert pool.next_due_ns() == batch_end
+    rig.env.background.advance_to(batch_end)
+    assert buffer.free_blocks == 10
+    assert rig.env.stats.count("writeback_pressure_blocks") == 8
+
+
+def test_the_aged_scan_and_relief_run_once_high_f_is_reached(monkeypatch):
+    rig = make_rig(reclaim_batch=4)
+    buffer, pool = rig.fs.buffer, rig.fs.writeback
+    calls = []
+    for name in ("_journal_relief", "_flush_aged"):
+        def counted(real=getattr(pool, name), name=name):
+            calls.append((name, buffer.free_blocks))
+            real()
+        monkeypatch.setattr(pool, name, counted)
+    fill_to_two_free(rig)
+    wakes = 0
+    while pressure_armed(pool):
+        assert calls == []
+        rig.env.background.advance_to(pool.next_due_ns())
+        wakes += 1
+    assert wakes == 3  # 2 -> 6 -> 10 -> 14 free
+    assert [name for name, _free in calls] == ["_journal_relief",
+                                               "_flush_aged"]
+    assert all(free >= pool.config.high_blocks for _name, free in calls)
+
+
+def test_a_batch_of_clean_victims_still_rearms_strictly_later():
+    rig = make_rig(reclaim_batch=4)
+    fill_to_two_free(rig)
+    for block in rig.fs.buffer.all_blocks_lrw_order():
+        block.bitmap.clean()
+    pool = rig.fs.writeback
+    due = pool.next_due_ns()
+    rig.env.background.advance_to(due)
+    assert rig.fs.buffer.free_blocks == 6
+    assert pool.ctx.now == due  # nothing to persist, no time passed
+    assert pool.next_due_ns() == due + 1
+    rig.env.background.advance_to(due + 10)  # no DeadlockError
+    assert rig.fs.buffer.at_high_watermark
+    assert not pressure_armed(pool)
+
+
+def test_foreground_persists_between_wakes_wait_one_batch_at_most():
+    """A batch of ``N_w`` blocks holds every writer slot for one block's
+    persist time, each slot taken as the worker has read its block out
+    of DRAM.  A fenced one-block persist issued right after a wake waits
+    for that batch only, not for the whole climb to ``High_f``: the
+    writer slots' gaps between back-to-back batches are too short for
+    it to slip into."""
+    config = PmfsRig().config
+    batch = config.nvmm_writer_slots
+    rig = make_rig(reclaim_batch=batch)
+    block_ns = config.nvmm_persist_cost_ns(4096 // 64)
+    batch_ns = block_ns + batch * config.load_cost_ns(4096)
+    own_ns = config.dram_store_cost_ns(4096) + block_ns + config.fence_ns
+    fill_to_two_free(rig)
+    pool = rig.fs.writeback
+    spare_block = rig.device.size - 4096
+    wakes = 0
+    while pressure_armed(pool):
+        rig.ctx.now = max(rig.ctx.now, pool.next_due_ns())
+        rig.env.background.advance_to(rig.ctx.now)
+        start = rig.ctx.now
+        rig.device.persist_cached(rig.ctx, spare_block, b"j" * 4096,
+                                  fence=True)
+        assert rig.ctx.now - start - own_ns <= batch_ns
+        wakes += 1
+    assert wakes == 4  # 2 -> 5 -> 8 -> 11 -> 14 free
+    assert rig.fs.buffer.at_high_watermark
+
+
 def test_pressure_when_above_high_is_noop():
     rig = make_rig()
     rig.vfs.write_file(rig.ctx, "/p", b"d" * 4096)

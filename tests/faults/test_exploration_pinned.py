@@ -27,9 +27,12 @@ index a shorter tape, so they tear different records).
 
 import pytest
 
+from repro.core import HiNFS
 from repro.faults.crashpoints import (
     DEFAULT_OPS,
     MMIO_OPS,
+    PRESSURE_OPS,
+    PRESSURE_WARMUP,
     SHARD_OPS,
     WRAP_OPS,
     WRAP_WARMUP,
@@ -223,3 +226,71 @@ def test_wrap_ops_do_what_their_comments_say(kind):
         # The mkdir found the reserve short and closed the pinned tail.
         assert used + open_txs + 1 > capacity - capacity // 4
         assert used_after < 16
+
+
+# -- paced pressure writeback -------------------------------------------------
+
+#: ``PRESSURE_OPS`` behind ``PRESSURE_WARMUP`` (see their comment): three
+#: paced pressure wakes of HiNFS's writeback pool, each flushing one
+#: warmup append and then appending its deferred commit, with a lazy
+#: append between two wakes and an fsync before the last.  No row above
+#: runs the background timelines at all.
+PRESSURE_PINNED = (
+    "hinfs: 6 ops, 65 tape events, 24 boundaries, "
+    "78 states checked (86 duplicates skipped), "
+    "48 eviction subsets sampled, 48 torn states sampled, 0 violations")
+
+
+def _explore_pressure(samples=8):
+    return CrashPointExplorer("hinfs", seed=3,
+                              eviction_samples_per_op=samples,
+                              torn_samples_per_op=samples,
+                              warmup=PRESSURE_WARMUP).explore(PRESSURE_OPS)
+
+
+def test_exploration_of_paced_pressure_writeback_is_pinned():
+    assert _explore_pressure().summary() == PRESSURE_PINNED
+
+
+def test_a_commit_ahead_of_its_data_is_caught(monkeypatch):
+    """Negative control: a flush that appends the deferred commit before
+    it persists the data leaves states whose size covers bytes that
+    never reached NVMM -- zeroes where the append's payload should be."""
+    flush = HiNFS.flush_blocks
+
+    def commit_first(self, ctx, blocks, *args, **kwargs):
+        for block in blocks:
+            for pending in list(block.pending_txs):
+                pending.complete_block(ctx, self.journal, block)
+        return flush(self, ctx, blocks, *args, **kwargs)
+
+    monkeypatch.setattr(HiNFS, "flush_blocks", commit_first)
+    report = _explore_pressure(samples=0)  # plain prefixes show it
+    assert any("/p0: size 16384 covers bytes that never persisted"
+               in str(violation) for violation in report.failures)
+
+
+def test_pressure_ops_do_what_their_comments_say():
+    """Watch the buffer around each recorded op: one batch of four per
+    tick, re-armed until the third reaches ``High_f``, and each batch
+    closes one deferred commit."""
+    seen = []
+
+    class Watching(CrashPointExplorer):
+        def _execute(self, vfs, ctx, op, op_index):
+            super()._execute(vfs, ctx, op, op_index)
+            fs, pool = vfs.fs, vfs.fs.writeback
+            seen.append((fs.buffer.free_blocks,
+                         fs.env.stats.count("writeback_pressure_blocks"),
+                         pool.next_due_ns() < pool.config.periodic_interval_ns,
+                         fs.journal.open_transactions))
+
+    Watching("hinfs", warmup=PRESSURE_WARMUP)._run_ops(PRESSURE_OPS)
+    recorded = seen[len(PRESSURE_WARMUP):]
+    assert seen[len(PRESSURE_WARMUP) - 1][:3] == (3, 0, False)
+    assert [free for free, _b, _a, _o in recorded] == [2, 6, 5, 9, 10, 14]
+    assert [b for _f, b, _a, _o in recorded] == [0, 4, 4, 8, 8, 12]
+    assert [armed for _f, _b, armed, _o in recorded] == [
+        True, True, True, True, True, False]
+    opened = [o for _f, _b, _a, o in recorded]
+    assert [opened[i] - opened[i + 1] for i in (0, 2, 4)] == [1, 1, 1]

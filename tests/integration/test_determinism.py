@@ -136,25 +136,64 @@ def make_room_run(seed=11):
     return digest.hexdigest()
 
 
-def test_make_room_is_identical_across_hash_seeds():
-    """Same seed, same run -- in this process twice, and in a fresh
-    interpreter whose ``PYTHONHASHSEED`` (and heap layout, which is what
-    a set of buffer blocks iterates by) differs."""
+def in_fresh_interpreter(function):
+    """``function()``'s printed result, run in a fresh interpreter whose
+    ``PYTHONHASHSEED`` (and heap layout, which is what a set of buffer
+    blocks iterates by) differs from this process's randomised one."""
     import os
     import subprocess
     import sys
 
-    here = make_room_run()
-    assert make_room_run() == here
-    assert make_room_run(seed=12) != here
     root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
-    env = dict(os.environ, PYTHONHASHSEED="0",  # this process: randomised
+    env = dict(os.environ, PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "from tests.integration.test_determinism import make_room_run;"
-         " print(make_room_run())"],
+         "from tests.integration.test_determinism import %s;"
+         " print(%s())" % (function.__name__, function.__name__)],
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
         check=True)
-    assert out.stdout.strip() == here
+    return out.stdout.strip()
+
+
+def test_make_room_is_identical_across_hash_seeds():
+    """Same seed, same run -- in this process twice, and in a fresh
+    interpreter."""
+    here = make_room_run()
+    assert make_room_run() == here
+    assert make_room_run(seed=12) != here
+    assert in_fresh_interpreter(make_room_run) == here
+
+
+def paced_reclaim_run(seed=5):
+    """A fileserver loop over a 1 MB buffer (256 blocks) with two
+    writeback workers: ~100 paced pressure wakes, each re-armed at its
+    batch's end, with demand reclaims and steals between them.  Returns
+    a digest of the counters and the writer slots' final bookings --
+    where each batch landed on which server."""
+    import hashlib
+
+    from repro.workloads.filebench import Fileserver
+
+    workload = Fileserver(seed=seed, threads=2, files_per_thread=16,
+                          duration_ops=60)
+    hc = HiNFSConfig(buffer_bytes=1 << 20, nr_writeback_workers=2)
+    result = run_workload("hinfs", workload, device_size=32 << 20,
+                          hinfs_config=hc)
+    counters = result.stats.counters
+    assert counters["writeback_pressure_blocks"] > 50 * hc.reclaim_batch
+    assert counters["writeback_demand_stalls"] > 0
+    assert counters["writeback_steals"] > 0
+    slots = result.fs.device.write_slots
+    return hashlib.sha256(repr((
+        result.elapsed_ns, sorted(counters.items()), slots.total_grants,
+        [(server.starts, server.ends) for server in slots._servers],
+    )).encode()).hexdigest()
+
+
+def test_paced_reclaim_is_identical_across_hash_seeds():
+    here = paced_reclaim_run()
+    assert paced_reclaim_run() == here
+    assert paced_reclaim_run(seed=6) != here
+    assert in_fresh_interpreter(paced_reclaim_run) == here

@@ -13,6 +13,13 @@ locking and parallel writeback must never change what a syscall
 returns -- and the shard layer must be invisible at the syscall
 surface.
 
+A ``tick`` rule lets virtual time pass on every stack: the background
+timelines (HiNFS's writeback pool, the page cache's flusher, jbd2)
+catch up through the registry the scheduler drives.  The HiNFS stacks
+run an 8-block buffer with a one-block reclaim batch, so buffer
+pressure, demand reclaim and paced pressure wakes all happen between
+the syscalls -- and must not change what any of them returns.
+
 The machine also drives the library-mode mmap plane: on stacks that
 support ``MAP_ATOMIC`` (the PMFS family) it creates real mappings and
 interleaves ``store``/``load``/``msync`` with descriptor reads, writes
@@ -38,6 +45,7 @@ from hypothesis.stateful import (
 )
 
 from repro.bench.runner import build_stack
+from repro.core import HiNFSConfig
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.engine.scheduler import Scheduler
@@ -49,6 +57,9 @@ from repro.nvmm.config import NVMMConfig
 ORACLE_FS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd",
              "hinfs@2")
 PATHS = ["/f0", "/f1", "/f2", "/f3"]
+#: Small enough that a few KB of writes fill it: ``Low_f`` is 1 free
+#: block, ``High_f`` 2, and each pressure wake reclaims one.
+ORACLE_HINFS = HiNFSConfig(buffer_bytes=8 * 4096, reclaim_batch=1)
 
 
 class RefFile:
@@ -158,7 +169,7 @@ class OracleStack:
     def __init__(self, fs_name):
         self.env = SimEnv()
         self.fs, self.vfs = build_stack(self.env, fs_name, NVMMConfig(),
-                                        48 << 20)
+                                        48 << 20, hinfs_config=ORACLE_HINFS)
         self.ctx = ExecContext(self.env, "oracle")
         self.fds = {}
 
@@ -265,6 +276,11 @@ class DifferentialOracle(RuleBasedStateMachine):
             for stack in self.stacks
         ])
 
+    @rule(handle=handles, blocks=st.integers(1, 6), tag=st.integers(0, 255))
+    def write_blocks(self, handle, blocks, tag):
+        """Whole blocks at a time: what fills the HiNFS buffers."""
+        self.write(handle, bytes([tag]) * (blocks * 4096))
+
     @rule(handle=handles,
           iovecs=st.lists(st.binary(min_size=1, max_size=512),
                           min_size=1, max_size=4))
@@ -302,6 +318,15 @@ class DifferentialOracle(RuleBasedStateMachine):
     def fdatasync(self, handle):
         for stack in self.stacks:
             stack.vfs.fdatasync(stack.ctx, stack.fds[handle])
+
+    @rule(ns=st.one_of(st.integers(0, 40_000),
+                       st.sampled_from([5_000_000_000, 30_000_000_000])))
+    def tick(self, ns):
+        """Virtual time passes: a batch or two of paced reclaim, or the
+        periodic (5 s) and aged (30 s) flushes."""
+        for stack in self.stacks:
+            stack.ctx.now += ns
+            stack.env.background.advance_to(stack.ctx.now)
 
     # -- library-mode mmap rules -----------------------------------------
     # Mapped stores interleave with the descriptor rules above on the
@@ -473,6 +498,46 @@ def test_mmio_rules_deterministic_smoke():
             machine.munmap_mapping("/f0")
             machine.namespaces_agree()
         machine.close(handle)
+    finally:
+        machine.teardown()
+
+
+def test_tick_rule_deterministic_smoke():
+    """Overfill the HiNFS stacks' 8-block buffers across four files, then
+    let time pass: on ``hinfs`` and ``hinfs@2`` alike the first tick
+    runs one paced pressure wake (one block), a later one the wake that
+    reaches ``High_f``, and a 30 s tick the periodic flush -- while every
+    stack keeps agreeing with the model."""
+    machine = DifferentialOracle()
+    machine.build_stacks()
+    hinfs = [stack for stack, name in zip(machine.stacks, ORACLE_FS)
+             if name.startswith("hinfs")]
+
+    def counts(name):
+        return [stack.env.stats.count(name) for stack in hinfs]
+
+    try:
+        handles = []
+        for i, path in enumerate(PATHS):
+            handle = machine.open(path, create=True, trunc=False,
+                                  append=True)
+            machine.write(handle, bytes([i + 1]) * 9000)  # 3 blocks each
+            handles.append(handle)
+        assert counts("writeback_demand_stalls") == [4, 4]
+        assert counts("writeback_pressure_blocks") == [0, 0]
+        machine.tick(1)
+        assert counts("writeback_pressure_blocks") == [1, 1]
+        for _ in range(2):
+            machine.read(handles[0], 4096)
+            machine.tick(10_000)
+        assert counts("writeback_pressure_blocks") == [2, 2]
+        machine.tick(30_000_000_000)
+        assert min(counts("writeback_periodic_blocks")) > 0
+        for handle in handles:
+            machine.lseek(handle, 0, f.SEEK_SET)
+            machine.read(handle, 9000)
+            machine.close(handle)
+        machine.namespaces_agree()
     finally:
         machine.teardown()
 

@@ -206,6 +206,22 @@ def test_log_full_autocommits_and_retries():
             b"F" * 8192 + b"G" * 8192, policy
 
 
+@pytest.mark.parametrize("fs_cls", [PMFS, HiNFS])
+def test_an_extending_store_survives_an_autocommit_mid_store(fs_cls):
+    """A redo store that grows an empty file fills a 1-block log on its
+    third chunk.  The autocommit applies the chunks staged so far,
+    clamped to the file's size: grown only after the last chunk, that
+    size dropped them from the live file and from the media."""
+    rig = PmfsRig(fs_cls=fs_cls)
+    fd, region = amap(rig, "/m", data=b"", policy="redo", log_blocks=1)
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"\x01" * 12288)  # routed: a store
+    assert rig.env.stats.count("mmio_autocommits") >= 1
+    assert rig.vfs.read_file(rig.ctx, "/m") == b"\x01" * 12288
+    region.msync(rig.ctx)
+    rig.crash_and_remount()
+    assert rig.vfs.read_file(rig.ctx, "/m") == b"\x01" * 12288
+
+
 def test_stores_survive_autocommits_under_log_pressure():
     """A 2-block log under 4 KB stores autocommits ~170 times per run;
     every load and the final image must match a shadow buffer (an
