@@ -7,12 +7,12 @@ direct single-copy path to avoid double-copy overheads:
 - :mod:`repro.core.bitmap` -- the Cacheline Bitmap tracking which lines
   of a buffered block are valid in DRAM and which are dirty (Section
   3.2.1, CLFW).
-- :mod:`repro.core.lrw` -- the global Least-Recently-Written list.
 - :mod:`repro.core.buffer` -- the DRAM write buffer (allocation,
   Low_f/High_f watermarks) and its per-file DRAM Block Index: Figure 5's
   B-tree, kept as a dict, since a lookup costs a flat charge and callers
   need only ascending offsets.
-- :mod:`repro.core.policies` -- the victim order: LRW, or LFU/2Q/ARC.
+- :mod:`repro.core.policies` -- the victim order: the global
+  Least-Recently-Written list, or LFU/2Q/ARC.
 - :mod:`repro.core.benefit` -- the Buffer Benefit Model with its ghost
   buffer (Section 3.3.2) deciding eager- vs lazy-persistent block states.
 - :mod:`repro.core.writeback` -- the background writeback workers

@@ -18,7 +18,6 @@ order, for the aged and periodic writeback scans.
 """
 
 from repro.core.bitmap import CachelineBitmap
-from repro.core.lrw import LRWNode
 from repro.core.policies import make_policy
 from repro.engine.stats import CAT_WRITE_ACCESS
 from repro.nvmm.allocator import BlockAllocator, OutOfSpaceError
@@ -26,7 +25,7 @@ from repro.nvmm.device import DRAMDevice
 from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE, lines_spanned
 
 
-class BufferBlock(LRWNode):
+class BufferBlock:
     """One buffered DRAM block: the paper's Index Node plus line state."""
 
     __slots__ = (
@@ -41,7 +40,6 @@ class BufferBlock(LRWNode):
     )
 
     def __init__(self, ino, file_block, dram_block, nvmm_block):
-        super().__init__()
         self.ino = ino
         self.file_block = file_block
         self.dram_block = dram_block

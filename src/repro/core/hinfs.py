@@ -551,20 +551,21 @@ class HiNFS(PMFS):
                     if retry_policy is not None:
                         retry_policy.record_failure(ctx.now)
                     self.note_wb_error(block.ino)
-                    failed.add(id(block))
+                    failed.add(block)
                     self.env.stats.bump("hinfs_wb_media_errors")
                     break
                 else:
-                    if attempt:
+                    if retry_policy is not None:
                         retry_policy.record_success()
-                        self.env.stats.bump("wb_retry_successes")
+                        if attempt:
+                            self.env.stats.bump("wb_retry_successes")
                     self.env.stats.bump("hinfs_flushed_lines", popcount(mask))
                     break
         end = max(ends) if ends else None
         if ends and wait:
             ctx.sync_to(end, CAT_WRITE_ACCESS)
         for block in blocks:
-            if id(block) in failed:
+            if block in failed:
                 # Data lost: complete the deferred commits (the metadata
                 # is already acknowledged) and free the DRAM block so the
                 # buffer cannot wedge on unpersistable lines.

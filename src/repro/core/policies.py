@@ -23,17 +23,12 @@ exactly what the ablation benchmark measures.
 """
 
 from collections import OrderedDict
-
-from repro.core.lrw import LRWList
+from itertools import chain, islice
 
 
 def _chain(lists, limit):
-    """The LRW orders of ``lists`` end to end, cut at ``limit`` blocks."""
-    out = []
-    for lrw in lists:
-        out.extend(lrw.iter_lrw_order(
-            None if limit is None else limit - len(out)))
-    return out
+    """The orders of ``lists`` end to end, cut at ``limit`` blocks."""
+    return list(islice(chain(*lists), limit))
 
 
 class ReplacementPolicy:
@@ -69,19 +64,19 @@ class LRWPolicy(ReplacementPolicy):
     name = "lrw"
 
     def __init__(self):
-        self._list = LRWList()
+        self._list = OrderedDict()  # block -> None, least recent first
 
     def on_buffered(self, block):
-        self._list.touch(block)
+        self._list[block] = None
 
     def on_write(self, block):
-        self._list.touch(block)
+        self._list.move_to_end(block)
 
     def on_evict(self, block):
-        self._list.remove(block)
+        self._list.pop(block, None)
 
     def iter_order(self, limit=None):
-        return self._list.iter_lrw_order(limit)
+        return _chain((self._list,), limit)
 
     def __len__(self):
         return len(self._list)
@@ -90,7 +85,7 @@ class LRWPolicy(ReplacementPolicy):
 class LFUPolicy(ReplacementPolicy):
     """Least-Frequently-Written with O(1) frequency buckets.
 
-    Each bucket is an LRW list; eviction takes the LRW end of the lowest
+    Each bucket is a recency list; eviction takes the LRW end of the lowest
     non-empty bucket, so ties break by recency (LFU-aging without decay).
     """
 
@@ -98,40 +93,36 @@ class LFUPolicy(ReplacementPolicy):
 
     def __init__(self, max_frequency=64):
         self.max_frequency = max_frequency
-        self._buckets = {}
-        self._freq = {}  # id(block) -> frequency
-        self._size = 0
+        self._buckets = {}  # frequency -> OrderedDict of its blocks
+        self._freq = {}  # block -> frequency
 
     def _bucket(self, freq):
         bucket = self._buckets.get(freq)
         if bucket is None:
-            bucket = LRWList()
-            self._buckets[freq] = bucket
+            bucket = self._buckets[freq] = OrderedDict()
         return bucket
 
     def on_buffered(self, block):
-        self._freq[id(block)] = 1
-        self._bucket(1).touch(block)
-        self._size += 1
+        self._freq[block] = 1
+        self._bucket(1)[block] = None
 
     def on_write(self, block):
-        freq = self._freq[id(block)]
-        self._buckets[freq].remove(block)
-        freq = self._freq[id(block)] = min(self.max_frequency, freq + 1)
-        self._bucket(freq).touch(block)
+        freq = self._freq[block]
+        del self._buckets[freq][block]
+        freq = self._freq[block] = min(self.max_frequency, freq + 1)
+        self._bucket(freq)[block] = None
 
     def on_evict(self, block):
-        freq = self._freq.pop(id(block), None)
+        freq = self._freq.pop(block, None)
         if freq is not None:
-            self._buckets[freq].remove(block)
-            self._size -= 1
+            del self._buckets[freq][block]
 
     def iter_order(self, limit=None):
         return _chain([self._buckets[freq] for freq in sorted(self._buckets)],
                       limit)
 
     def __len__(self):
-        return self._size
+        return len(self._freq)
 
 
 class TwoQPolicy(ReplacementPolicy):
@@ -150,10 +141,9 @@ class TwoQPolicy(ReplacementPolicy):
     def __init__(self, kin=0.25, kout=0.5, capacity_hint=1024):
         self.kin = kin
         self.kout_entries = max(16, int(kout * capacity_hint))
-        self._a1in = LRWList()
-        self._am = LRWList()
+        self._a1in = OrderedDict()
+        self._am = OrderedDict()
         self._a1out = OrderedDict()  # ghost: (ino, file_block) -> None
-        self._where = {}  # id(block) -> "a1in" | "am"
 
     @staticmethod
     def _key(block):
@@ -162,30 +152,26 @@ class TwoQPolicy(ReplacementPolicy):
     def on_buffered(self, block):
         if self._key(block) in self._a1out:
             del self._a1out[self._key(block)]
-            self._am.touch(block)
-            self._where[id(block)] = "am"
+            self._am[block] = None
         else:
-            self._a1in.touch(block)
-            self._where[id(block)] = "a1in"
+            self._a1in[block] = None
 
     def on_write(self, block):
-        if self._where[id(block)] == "a1in":
+        if block in self._a1in:
             # Second write while on probation: promote.
-            self._a1in.remove(block)
-            self._am.touch(block)
-            self._where[id(block)] = "am"
+            del self._a1in[block]
+            self._am[block] = None
         else:
-            self._am.touch(block)
+            self._am.move_to_end(block)
 
     def on_evict(self, block):
-        where = self._where.pop(id(block), None)
-        if where == "a1in":
-            self._a1in.remove(block)
+        if block in self._a1in:
+            del self._a1in[block]
             self._a1out[self._key(block)] = None
             while len(self._a1out) > self.kout_entries:
                 self._a1out.popitem(last=False)
-        elif where == "am":
-            self._am.remove(block)
+        else:
+            self._am.pop(block, None)
 
     def iter_order(self, limit=None):
         if len(self._a1in) > self.kin * len(self):
@@ -213,11 +199,10 @@ class ARCPolicy(ReplacementPolicy):
     def __init__(self, capacity_hint=1024):
         self.capacity = max(8, capacity_hint)
         self.p = 0.0
-        self._t1 = LRWList()
-        self._t2 = LRWList()
+        self._t1 = OrderedDict()
+        self._t2 = OrderedDict()
         self._b1 = OrderedDict()
         self._b2 = OrderedDict()
-        self._where = {}
 
     @staticmethod
     def _key(block):
@@ -233,35 +218,30 @@ class ARCPolicy(ReplacementPolicy):
             delta = max(1.0, len(self._b2) / max(1, len(self._b1)))
             self.p = min(float(self.capacity), self.p + delta)
             del self._b1[key]
-            self._t2.touch(block)
-            self._where[id(block)] = "t2"
+            self._t2[block] = None
         elif key in self._b2:
             delta = max(1.0, len(self._b1) / max(1, len(self._b2)))
             self.p = max(0.0, self.p - delta)
             del self._b2[key]
-            self._t2.touch(block)
-            self._where[id(block)] = "t2"
+            self._t2[block] = None
         else:
-            self._t1.touch(block)
-            self._where[id(block)] = "t1"
+            self._t1[block] = None
 
     def on_write(self, block):
-        if self._where[id(block)] == "t1":
-            self._t1.remove(block)
-            self._t2.touch(block)
-            self._where[id(block)] = "t2"
+        if block in self._t1:
+            del self._t1[block]
+            self._t2[block] = None
         else:
-            self._t2.touch(block)
+            self._t2.move_to_end(block)
 
     def on_evict(self, block):
-        where = self._where.pop(id(block), None)
         key = self._key(block)
-        if where == "t1":
-            self._t1.remove(block)
+        if block in self._t1:
+            del self._t1[block]
             self._b1[key] = None
             self._trim_ghost(self._b1)
-        elif where == "t2":
-            self._t2.remove(block)
+        elif block in self._t2:
+            del self._t2[block]
             self._b2[key] = None
             self._trim_ghost(self._b2)
 

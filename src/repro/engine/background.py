@@ -75,9 +75,6 @@ class BackgroundRegistry:
         self._min_due_stale = True
         return task
 
-    def tasks(self):
-        return list(self._tasks)
-
     def invalidate(self):
         """A task's due time changed outside ``run_due`` (it may now be
         *earlier* than the cached minimum); recompute on next use."""

@@ -30,12 +30,10 @@ from repro.obs.trace import LAYER_LOCK
 
 
 class _HeldCM:
-    """Release-on-exit guard returned by the lock ``held`` helpers.
+    """Release-on-exit guard returned by :meth:`VMutex.held`.
 
-    ``acquire``/``release`` are bound methods, so one small class covers
-    the mutex, both rwlock modes, and the inode-table variants without a
-    ``contextlib`` generator per acquisition (these guards are entered
-    once per simulated operation).
+    A small class rather than a ``contextlib`` generator per acquisition
+    (these guards are entered once per simulated operation).
     """
 
     __slots__ = ("lock", "ctx", "_acquire", "_release")
@@ -106,7 +104,7 @@ class VCompletion:
     forever.
     """
 
-    __slots__ = ("env", "name", "done_at", "value", "error", "force_fn")
+    __slots__ = ("env", "name", "done_at", "value", "force_fn")
 
     def __init__(self, env, name="vcompletion", force_fn=None):
         self.env = env
@@ -114,7 +112,6 @@ class VCompletion:
         #: Virtual time the completion resolved, or None while pending.
         self.done_at = None
         self.value = None
-        self.error = None
         self.force_fn = force_fn
 
     @property
@@ -128,15 +125,9 @@ class VCompletion:
         self.value = value
         return self
 
-    def fail(self, at_ns, error):
-        """Complete with ``error`` at virtual time ``at_ns``."""
-        self.resolve(at_ns)
-        self.error = error
-        return self
-
     def wait(self, ctx, layer=LAYER_LOCK):
         """Block ``ctx`` (in virtual time) until resolved; returns the
-        value or raises the recorded error."""
+        value."""
         if self.done_at is None and self.force_fn is not None:
             fn, self.force_fn = self.force_fn, None
             fn(ctx)
@@ -151,8 +142,6 @@ class VCompletion:
             with ctx.waiting("completion of %r" % self.name):
                 with ctx.layer(layer):
                     ctx.sync_to(self.done_at, CAT_OTHERS)
-        if self.error is not None:
-            raise self.error
         return self.value
 
 
@@ -219,12 +208,6 @@ class VRWLock(_VLockBase):
         if ctx.now > self._write_free_at:
             self._write_free_at = ctx.now
         self.writer = None
-
-    def read_held(self, ctx):
-        return _HeldCM(self, ctx, self.acquire_read, self.release_read)
-
-    def write_held(self, ctx):
-        return _HeldCM(self, ctx, self.acquire_write, self.release_write)
 
     def __repr__(self):
         return "VRWLock(%r, wfree=%d, rfree=%d, writer=%r)" % (

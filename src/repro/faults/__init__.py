@@ -32,11 +32,11 @@ Cooperating pieces:
   differential oracle shows zero silent divergence.
 """
 
-from repro.faults.chaos import ChaosCampaign, run_all, run_campaign
+from repro.faults.chaos import ChaosCampaign, run_campaign
 from repro.faults.errseq import ErrseqMap
 from repro.faults.media import MediaFaultModel
 from repro.faults.plan import FaultPlan, PowerCut
 from repro.faults.policy import RetryPolicy
 
 __all__ = ["ChaosCampaign", "ErrseqMap", "FaultPlan", "MediaFaultModel",
-           "PowerCut", "RetryPolicy", "run_all", "run_campaign"]
+           "PowerCut", "RetryPolicy", "run_campaign"]

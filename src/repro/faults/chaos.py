@@ -499,9 +499,3 @@ class ChaosCampaign:
 def run_campaign(fs_name, seed=0, **kwargs):
     """Run one campaign; returns its result dict."""
     return ChaosCampaign(fs_name, seed=seed, **kwargs).run()
-
-
-def run_all(seed=0, stacks=CHAOS_STACKS, **kwargs):
-    """Run the campaign on every stack; returns ``{fs_name: result}``."""
-    return {name: run_campaign(name, seed=seed, **kwargs)
-            for name in stacks}

@@ -106,39 +106,6 @@ class RetryPolicy:
             self._open_until_ns = now_ns + self.breaker_cooldown_ns
             self.breaker_trips += 1
 
-    # -- generic driver ----------------------------------------------------
-
-    def run(self, ctx, fn, retryable=Exception, category=None,
-            on_retry=None):
-        """Drive ``fn()`` under this policy, charging backoff to ``ctx``.
-
-        ``fn`` is called up to ``1 + max_retries`` times; ``retryable``
-        exceptions trigger a charged backoff and a retry, anything else
-        propagates immediately.  With the circuit open, the first failure
-        (or, when ``fn`` is never attempted-safe, the breaker check by
-        the caller) propagates without consuming backoff time.  Returns
-        ``fn()``'s value on success.
-        """
-        if self.circuit_open(ctx.now):
-            self.gave_up += 1
-            return fn()  # one bare attempt, no budget: fail fast
-        attempt = 0
-        while True:
-            try:
-                result = fn()
-            except retryable:
-                attempt += 1
-                if not self.allows(attempt):
-                    self.record_failure(ctx.now)
-                    raise
-                self.note_retry()
-                if on_retry is not None:
-                    on_retry(attempt)
-                ctx.charge(self.backoff_ns(attempt), category)
-                continue
-            self.record_success()
-            return result
-
     def __repr__(self):
         return ("RetryPolicy(max_retries=%d, base=%dns, x%.1f, jitter=%.2f, "
                 "retries=%d, gave_up=%d, trips=%d)") % (

@@ -268,7 +268,3 @@ class FileSystem:
     def drop_caches(self):
         """Discard clean cached state (the paper clears the OS page cache
         before every measured run).  Flush first via :meth:`unmount`."""
-
-    def free_data_bytes(self, ctx):
-        """Remaining data capacity, for workload sizing (optional)."""
-        return None

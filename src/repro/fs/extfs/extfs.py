@@ -348,7 +348,7 @@ class Ext2(FileSystem):
         if self.cache.dirty_total <= ceiling:
             return
         floor = int(self.DIRTY_FLOOR * self.cache.capacity)
-        for page in self.cache.lru.iter_lrw_order():
+        for page in list(self.cache.lru):
             if self.cache.dirty_total <= floor:
                 break
             if page.dirty:
@@ -434,9 +434,6 @@ class Ext2(FileSystem):
 
     def drop_caches(self):
         self.cache.clear()
-
-    def free_data_bytes(self, ctx):
-        return self.balloc.free_count * BLOCK_SIZE
 
 
 class Ext4(Ext2):

@@ -94,10 +94,6 @@ class PmfsInode:
     def is_dir(self):
         return self.kind == KIND_DIR
 
-    @property
-    def is_file(self):
-        return self.kind == KIND_FILE
-
     def __repr__(self):
         return "PmfsInode(ino=%d, kind=%d, size=%d)" % (self.ino, self.kind, self.size)
 
@@ -120,12 +116,6 @@ class InodeTable:
         inode = self._mirror.get(ino)
         if inode is None or inode.kind == KIND_FREE:
             return None
-        return inode
-
-    def require(self, ino):
-        inode = self.get(ino)
-        if inode is None:
-            raise KeyError("inode %d is free" % ino)
         return inode
 
     def live_inodes(self):

@@ -485,6 +485,3 @@ class PMFS(FileSystem):
 
     def unmount(self, ctx):
         self.device.flush_all(ctx)
-
-    def free_data_bytes(self, ctx):
-        return self.balloc.free_count * BLOCK_SIZE

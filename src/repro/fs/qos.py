@@ -206,10 +206,6 @@ class QosController:
     def tenant(self, tenant):
         return self._tenants[tenant]
 
-    def tenants(self):
-        """All registered tenant states, in registration order."""
-        return list(self._tenants.values())
-
     # -- pressure / overload ----------------------------------------------
 
     def pressure(self, now_ns):
@@ -285,12 +281,6 @@ class QosController:
         stats = self.env.stats
         stats.bump("qos_admitted_ops")
         stats.bump("qos_admitted_bytes", req.total_bytes)
-
-    # -- reporting --------------------------------------------------------
-
-    def fairness_snapshot(self):
-        """``{tenant: admitted_bytes}`` for fairness-spread computation."""
-        return {t: s.admitted_bytes for t, s in self._tenants.items()}
 
     def __repr__(self):
         return "QosController(%d tenants, cap=%dB/s, overloaded=%s)" % (

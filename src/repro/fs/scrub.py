@@ -157,11 +157,6 @@ class _ScrubberBase:
 
     # -- shared helpers -------------------------------------------------
 
-    @staticmethod
-    def _lines_of_block(block):
-        first = block * LINES_PER_BLOCK
-        return range(first, first + LINES_PER_BLOCK)
-
     def _charge_scan(self, ctx, report, nlines):
         report.scanned_lines += nlines
         ctx.charge(self.fs.config.load_cost_ns(nlines * CACHELINE_SIZE),

@@ -662,15 +662,6 @@ class ShardedFS(FileSystem):
         for inner in self.shards:
             inner.drop_caches()
 
-    def free_data_bytes(self, ctx):
-        total = 0
-        for inner in self.shards:
-            free = inner.free_data_bytes(ctx)
-            if free is None:
-                return None
-            total += free
-        return total
-
 
 def build_sharded(env, base_name, config, device_size, hinfs_config=None,
                   nshards=2):

@@ -209,9 +209,6 @@ class MmioLog:
 
     # -- appending --------------------------------------------------------
 
-    def entry_lines(self, length):
-        return 1 + (length + CACHELINE_SIZE - 1) // CACHELINE_SIZE
-
     def append(self, ctx, kind, epoch, file_offset, payload):
         """Persist one entry (header + payload, one contiguous persist).
 

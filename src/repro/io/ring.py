@@ -348,9 +348,10 @@ class IORing:
                 self.env.stats.bump("ring_sqe_retries")
                 ctx.charge(policy.backoff_ns(attempt))
             else:
-                if attempt:
+                if policy is not None:
                     policy.record_success()
-                    self.env.stats.bump("ring_sqe_retry_successes")
+                    if attempt:
+                        self.env.stats.bump("ring_sqe_retry_successes")
                 return result
 
     def _complete(self, sqe, seq, error, at_ns):

@@ -131,9 +131,6 @@ class TraceRing:
         """Completed spans, oldest first."""
         return list(self._spans)
 
-    def clear(self):
-        self._spans.clear()
-
 
 # -- Chrome trace-event export ------------------------------------------------
 

@@ -1,17 +1,17 @@
 """Pages, dirty tracking, and LRU eviction for the OS page cache."""
 
-from repro.core.lrw import LRWList, LRWNode
+from collections import OrderedDict
+
 from repro.engine.stats import CAT_OTHERS, CAT_READ_ACCESS, CAT_WRITE_ACCESS
 from repro.nvmm.config import BLOCK_SIZE
 
 
-class Page(LRWNode):
+class Page:
     """One cached 4 KiB file page."""
 
     __slots__ = ("ino", "file_block", "data", "dirty", "dirtied_ns")
 
     def __init__(self, ino, file_block):
-        super().__init__()
         self.ino = ino
         self.file_block = file_block
         self.data = bytearray(BLOCK_SIZE)
@@ -35,7 +35,8 @@ class PageCache:
         self.capacity = max(8, int(capacity_pages))
         self.flush_fn = flush_fn
         self._files = {}  # ino -> {file_block: Page}
-        self.lru = LRWList()
+        #: Every cached page, least recently used first (page -> None).
+        self.lru = OrderedDict()
         #: Incrementally-maintained count of dirty pages (used by the
         #: balance_dirty_pages-style foreground throttle).
         self.dirty_total = 0
@@ -52,7 +53,7 @@ class PageCache:
         if page is None:
             self.env.stats.bump("pagecache_misses")
             return None
-        self.lru.touch(page)
+        self.lru.move_to_end(page)
         self.env.stats.bump("pagecache_hits")
         return page
 
@@ -66,12 +67,12 @@ class PageCache:
         if pages is None:
             pages = self._files[ino] = {}
         pages[file_block] = page
-        self.lru.touch(page)
+        self.lru[page] = None
         self.env.stats.bump("pagecache_inserts")
         return page
 
     def _evict_one(self, ctx):
-        victim = self.lru.lrw_victim()
+        victim = next(iter(self.lru), None)
         if victim is None:
             raise RuntimeError("page cache capacity 0")
         if victim.dirty:
@@ -97,7 +98,7 @@ class PageCache:
             pages.pop(page.file_block, None)
             if not pages:
                 del self._files[page.ino]
-        self.lru.remove(page)
+        self.lru.pop(page, None)
 
     def drop_file(self, ino):
         """Invalidate every page of a file (unlink/truncate)."""
@@ -106,7 +107,7 @@ class PageCache:
             if page.dirty:
                 page.dirty = False
                 self.dirty_total -= 1
-            self.lru.remove(page)
+            self.lru.pop(page, None)
         return len(pages)
 
     # -- data movement ----------------------------------------------------
@@ -119,12 +120,12 @@ class PageCache:
             page.dirty = True
             page.dirtied_ns = now_ns
             self.dirty_total += 1
-        self.lru.touch(page)
+        self.lru.move_to_end(page)
 
     def copy_out(self, ctx, page, offset, length):
         """Page -> user buffer (second copy of the read path)."""
         ctx.charge(self.config.load_cost_ns(length), CAT_READ_ACCESS)
-        self.lru.touch(page)
+        self.lru.move_to_end(page)
         return bytes(page.data[offset : offset + length])
 
     def fill_from_device(self, page, data):
@@ -143,11 +144,11 @@ class PageCache:
         return [page for page in self.pages_of(ino) if page.dirty]
 
     def dirty_pages_lru_order(self):
-        return [page for page in self.lru.iter_lrw_order() if page.dirty]
+        return [page for page in self.lru if page.dirty]
 
     def clear(self):
         """Drop every page (echo 3 > drop_caches).  Callers must have
         flushed dirty pages first."""
         self._files.clear()
-        self.lru = LRWList()
+        self.lru.clear()
         self.dirty_total = 0

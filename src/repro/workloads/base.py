@@ -49,13 +49,6 @@ class Workload:
         """Return ``body(ctx)``: a generator yielding once per operation."""
         raise NotImplementedError
 
-    # -- convenience for single-context (replay-style) execution ---------
-
-    def run_inline(self, vfs, ctx, thread_id=0):
-        """Drive one thread body to completion on ``ctx`` (no scheduler)."""
-        for _ in self.make_thread_body(vfs, thread_id)(ctx):
-            pass
-
 
 def zipf_index(rng, n, skew=1.1):
     """A Zipf-ish index in [0, n): heavily favours low indexes.

@@ -129,8 +129,9 @@ def test_index_is_per_file(rig):
 
 def policy_state(policy, block):
     if isinstance(policy, LFUPolicy):
-        return policy._freq[id(block)]
-    return policy._where[id(block)]
+        return policy._freq[block]
+    return next(name for name in ("a1in", "am", "t1", "t2")
+                if block in getattr(policy, "_" + name, ()))
 
 
 @pytest.mark.parametrize("name, once, twice", [

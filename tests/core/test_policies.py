@@ -208,3 +208,34 @@ def test_policy_never_loses_or_duplicates_blocks(name, ops):
         # A limited walk is a prefix of the full one (0 .. past the end).
         cut = fb % (len(order) + 2)
         assert policy.iter_order(limit=cut) == order[:cut]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(["insert", "write", "evict", "reclaim"]),
+              st.integers(min_value=0, max_value=15)),
+    max_size=120,
+))
+def test_lrw_order_matches_a_reference_list(ops):
+    """Victim order, not just membership: LRW is a list ordered by last
+    write, oldest first, and reclaim takes its head."""
+    policy = LRWPolicy()
+    ref = [block(1, fb) for fb in range(8)]  # least recently written first
+    for item in ref:
+        policy.on_buffered(item)
+    for op, fb in ops:
+        if op == "insert":
+            if all(item.file_block != fb for item in ref):
+                ref.append(block(1, fb))
+                policy.on_buffered(ref[-1])
+        elif op == "write" and ref:
+            item = ref.pop(fb % len(ref))
+            policy.on_write(item)
+            ref.append(item)
+        elif op == "evict" and ref:
+            policy.on_evict(ref.pop(fb % len(ref)))
+        elif op == "reclaim" and ref:
+            (victim,) = policy.iter_order(1)
+            assert victim is ref.pop(0)
+            policy.on_evict(victim)
+        assert policy.iter_order() == ref

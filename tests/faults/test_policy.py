@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.engine.context import ExecContext
-from repro.engine.env import SimEnv
 from repro.faults.policy import RetryPolicy
-
-
-def _ctx():
-    return ExecContext(SimEnv(), "t")
 
 
 def test_budget_is_one_based_and_bounded():
@@ -94,60 +88,3 @@ def test_success_closes_the_circuit():
     policy.record_success()
     assert not policy.circuit_open(0)
 
-
-def test_run_retries_then_succeeds_charging_backoff():
-    policy = RetryPolicy(max_retries=3, base_backoff_ns=1_000,
-                         multiplier=2.0, jitter_frac=0.0)
-    ctx = _ctx()
-    calls = []
-
-    def flaky():
-        calls.append(None)
-        if len(calls) < 3:
-            raise OSError("transient")
-        return "ok"
-
-    assert policy.run(ctx, flaky, retryable=OSError) == "ok"
-    assert len(calls) == 3
-    assert policy.retries == 2
-    assert ctx.now == 1_000 + 2_000  # two charged backoffs
-
-
-def test_run_exhausts_budget_and_raises():
-    policy = RetryPolicy(max_retries=1, base_backoff_ns=500,
-                         jitter_frac=0.0)
-    ctx = _ctx()
-
-    def always():
-        raise OSError("dead")
-
-    with pytest.raises(OSError):
-        policy.run(ctx, always, retryable=OSError)
-    assert policy.gave_up == 1
-    assert ctx.now == 500  # only the allowed retry's backoff was charged
-
-
-def test_run_does_not_swallow_unrelated_exceptions():
-    policy = RetryPolicy(max_retries=5)
-    with pytest.raises(KeyError):
-        policy.run(_ctx(), lambda: (_ for _ in ()).throw(KeyError("x")),
-                   retryable=OSError)
-    assert policy.retries == 0
-
-
-def test_run_fails_fast_while_circuit_open():
-    policy = RetryPolicy(max_retries=2, base_backoff_ns=1_000,
-                         jitter_frac=0.0, breaker_threshold=1)
-    ctx = _ctx()
-
-    def always():
-        raise OSError("dead")
-
-    with pytest.raises(OSError):
-        policy.run(ctx, always, retryable=OSError)
-    spent = ctx.now
-    assert policy.circuit_open(ctx.now)
-    # Open circuit: one bare attempt, no backoff time consumed.
-    with pytest.raises(OSError):
-        policy.run(ctx, always, retryable=OSError)
-    assert ctx.now == spent

@@ -59,7 +59,7 @@ def test_dirty_total_is_consistent():
     rig.vfs.write_file(rig.ctx, "/a", b"a" * (16 * 4096))
     rig.vfs.write_file(rig.ctx, "/b", b"b" * (16 * 4096))
     rig.vfs.unlink(rig.ctx, "/a")
-    counted = sum(1 for p in rig.fs.cache.lru.iter_lrw_order() if p.dirty)
+    counted = sum(1 for p in rig.fs.cache.lru if p.dirty)
     assert rig.fs.cache.dirty_total == counted
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the page cache and pdflush."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
@@ -67,6 +69,57 @@ def test_dirty_eviction_flushes_first(rig):
         rig.cache.insert(rig.ctx, 1, i)
     assert rig.flushed and rig.flushed[0][:2] == (1, 0)
     assert rig.flushed[0][2][:10] == b"must flush"
+
+
+def test_lookup_keeps_a_page_past_an_older_untouched_one(rig):
+    pages = [rig.cache.insert(rig.ctx, 1, i) for i in range(8)]
+    rig.cache.lookup(rig.ctx, 1, 0)  # the oldest page is used again
+    rig.cache.insert(rig.ctx, 1, 8)
+    survivors = rig.cache.pages_of(1)
+    assert pages[0] in survivors  # touched: no longer the victim
+    assert pages[1] not in survivors  # the oldest untouched page went
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(["insert", "lookup", "write", "read", "drop"]),
+              st.integers(min_value=0, max_value=11)),
+    max_size=120,
+))
+def test_eviction_order_matches_a_reference_list(ops):
+    """Victim order, not just membership: every hit or copy moves a page
+    to the young end, and a full cache evicts (flushing first if dirty)
+    the page a reference recency list holds at its old end."""
+    rig = Rig(capacity=8)
+    ref = [rig.cache.insert(rig.ctx, 1, fb) for fb in range(6)]  # LRU first
+    for op, fb in ops:
+        live = {page.file_block: page for page in ref}
+        page = live.get(fb)
+        if op in ("write", "read", "drop") and ref:
+            page = ref[fb % len(ref)]  # any cached page, hit or not
+        if op == "insert" and page is None:
+            flushed = len(rig.flushed)
+            if len(ref) == 8:
+                victim = ref.pop(0)
+                expect = [(1, victim.file_block)] if victim.dirty else []
+            else:
+                expect = []
+            ref.append(rig.cache.insert(rig.ctx, 1, fb))
+            assert [f[:2] for f in rig.flushed[flushed:]] == expect
+        elif op == "lookup":
+            assert rig.cache.lookup(rig.ctx, 1, fb) is page
+        elif op == "write" and page is not None:
+            rig.cache.copy_in(rig.ctx, page, 0, b"w", now_ns=0)
+        elif op == "read" and page is not None:
+            rig.cache.copy_out(rig.ctx, page, 0, 1)
+        elif op == "drop" and page is not None:
+            rig.cache.drop(page)
+            ref.remove(page)
+        if op in ("lookup", "write", "read") and page is not None:
+            ref.remove(page)
+            ref.append(page)
+        assert list(rig.cache.lru) == ref
+        assert rig.cache.dirty_pages_lru_order() == [p for p in ref if p.dirty]
 
 
 def test_drop_file(rig):
