@@ -43,7 +43,7 @@ from repro.fs.errors import InvalidArgument, MediaError
 from repro.fs.pmfs.layout import block_addr, inode_addr
 from repro.io.request import OP_SYNC, OP_WRITE
 from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
-from repro.obs.trace import LAYER_MMIO
+from repro.obs.trace import LAYER_MMIO, LAYER_NVMM
 
 #: Byte offset of the mmio log head pointer inside the 256-byte on-NVMM
 #: inode slot.  The inode writer uses bytes [0, 152); offset 192 is the
@@ -614,9 +614,8 @@ class MmioMapping:
             # Entries are already persistent; the commit word makes the
             # epoch recoverable, then the apply moves it in place.
             log.commit(ctx, epoch)
-            blockmap, inode = fs._map(self.ino), fs._inode(self.ino)
-            for over_off, over in self._overlay:
-                _write_back(fs, ctx, blockmap, inode, over_off, over)
+            _write_back(fs, ctx, fs._map(self.ino), fs._inode(self.ino),
+                        self._overlay)
             fs.device.fence(ctx)
             self._overlay = []
         else:
@@ -699,38 +698,47 @@ def _recover_log(fs, ctx, inode, log):
     if log.applied < log.committed:
         # A redo epoch committed but its apply was cut short: re-apply
         # the whole epoch (idempotent full-image writes).
-        for entry in entries:
-            if entry.kind == KIND_REDO and entry.epoch == log.committed:
-                _write_back(fs, ctx, blockmap, inode, entry.file_offset,
-                            entry.payload)
+        _write_back(fs, ctx, blockmap, inode, [
+            (e.file_offset, e.payload) for e in entries
+            if e.kind == KIND_REDO and e.epoch == log.committed])
         fs.env.stats.bump("mmio_recovered_applies")
     # Uncommitted undo entries: the in-place bytes may hold any subset
     # of the torn epoch's stores; restore the pre-images in reverse.
     active = log.committed + 1
-    undo = [e for e in entries
+    undo = [(e.file_offset, e.payload) for e in entries
             if e.kind == KIND_UNDO and e.epoch == active]
-    for entry in reversed(undo):
-        _write_back(fs, ctx, blockmap, inode, entry.file_offset,
-                    entry.payload)
+    _write_back(fs, ctx, blockmap, inode, reversed(undo))
     if undo:
         fs.env.stats.bump("mmio_recovered_rollbacks")
     fs.device.fence(ctx)
 
 
-def _write_back(fs, ctx, blockmap, inode, file_offset, data):
-    """Write logged bytes in place at a file range through the blockmap
-    (a redo epoch's apply, and both recovery directions), skipping
-    holes (the journal rolled their allocation back) and clamping to
-    the file's size (a truncate may have shrunk it under the epoch)."""
-    end = min(file_offset + len(data), inode.size)
-    pos = file_offset
-    while pos < end:
-        file_block, in_off = divmod(pos, BLOCK_SIZE)
-        take = min(BLOCK_SIZE - in_off, end - pos)
-        nvmm_block = blockmap.get(file_block)
-        if nvmm_block is not None:
-            start = pos - file_offset
-            fs.device.write_persistent(ctx, block_addr(nvmm_block) + in_off,
-                                       data[start:start + take],
-                                       CAT_WRITE_ACCESS)
-        pos += take
+def _write_back(fs, ctx, blockmap, inode, ranges):
+    """Write logged ``(file_offset, bytes)`` ranges in place through the
+    blockmap (a redo epoch's apply, and both recovery directions),
+    skipping holes (the journal rolled their allocation back) and
+    clamping to the file's size (a truncate may have shrunk it under
+    the epoch).
+
+    The persists are booked across the writer slots, as HiNFS's
+    parallel flush books them, and waited for once: the caller resumes
+    when the slowest is durable.  Bytes land in range order, so a later
+    overlapping range still wins."""
+    end = ctx.now
+    try:
+        for file_offset, data in ranges:
+            stop = min(file_offset + len(data), inode.size)
+            pos = file_offset
+            while pos < stop:
+                file_block, in_off = divmod(pos, BLOCK_SIZE)
+                take = min(BLOCK_SIZE - in_off, stop - pos)
+                nvmm_block = blockmap.get(file_block)
+                if nvmm_block is not None:
+                    start = pos - file_offset
+                    end = max(end, fs.device.write_persistent_async(
+                        ctx, block_addr(nvmm_block) + in_off,
+                        data[start:start + take]))
+                pos += take
+    finally:
+        with ctx.layer(LAYER_NVMM):
+            ctx.sync_to(end, CAT_WRITE_ACCESS)

@@ -21,6 +21,7 @@ from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
 from repro.fs.errors import InvalidArgument, MediaError
 from repro.fs.pmfs import PMFS
+from repro.fs.pmfs.layout import block_addr
 from repro.io import mmio
 from repro.nvmm.config import CACHELINE_SIZE
 
@@ -160,6 +161,64 @@ def test_redo_committed_epoch_reapplies_after_crash_mid_apply(rig):
     assert data[:300] == b"NEW" * 100
     assert data[5000:5004] == b"TAIL"
     assert data[300:5000] == b"d" * 4700
+
+
+# -- msync timing ---------------------------------------------------------
+
+
+#: An 8 KB undo epoch's msync on the default config, recorded before the
+#: redo apply was spread across the writer slots.
+UNDO_MSYNC_NS = 26080
+
+
+def msync_ns(rig, region):
+    t0 = rig.ctx.now
+    region.msync(rig.ctx)
+    return rig.ctx.now - t0
+
+
+def test_redo_apply_spreads_across_the_writer_slots(rig):
+    """A redo msync books its in-place chunks on the writer slots at
+    once and waits for the slowest: ``N_w``-wide rounds, not one chunk
+    after another (the serial apply took ``chunks * chunk_ns``)."""
+    stores = 3
+    _fd, region = amap(rig, "/m", data=b"o" * (stores * 4096),
+                       policy="redo", log_blocks=2 * stores)
+    for i in range(stores):
+        region.store(rig.ctx, i * 4096, b"P" * 4096)
+    assert rig.env.stats.count("mmio_autocommits") == 0
+    chunks = 2 * stores  # a 4 KB store is two log entries, a block each
+    chunk_ns = rig.config.nvmm_persist_cost_ns(
+        mmio.MAX_ENTRY_PAYLOAD // CACHELINE_SIZE)
+    rounds = -(-chunks // rig.config.nvmm_writer_slots)
+    assert rounds < chunks
+    assert rounds * chunk_ns <= msync_ns(rig, region) < chunks * chunk_ns
+
+
+def test_redo_msync_returns_with_the_apply_durable(rig):
+    """Nothing the apply booked is still in flight when msync returns:
+    the in-place bytes are on media, the overlay is gone, so the next
+    load, store or truncate acts on finished writes."""
+    _fd, region = amap(rig, "/m", data=b"q" * 8192, policy="redo")
+    region.store(rig.ctx, 0, b"R" * 8192)
+    region.msync(rig.ctx)
+    assert region._overlay == [] and region.log.applied == 1
+    assert all(server.next_free() <= rig.ctx.now
+               for server in rig.device.write_slots._servers)
+    blockmap = rig.fs._map(region.ino)
+    for file_block in (0, 1):
+        addr = block_addr(blockmap.get(file_block))
+        assert rig.device.read_media(addr, 4096) == b"R" * 4096
+    rig.vfs.truncate(rig.ctx, "/m", 4096)
+    assert region.load(rig.ctx, 0, 4096) == b"R" * 4096
+
+
+def test_undo_msync_timing_is_unchanged(rig):
+    """Undo epochs flush in place and never apply: their msync costs
+    what it did before the redo apply went parallel."""
+    _fd, region = amap(rig, "/m", data=b"s" * 8192, policy="undo")
+    region.store(rig.ctx, 0, b"U" * 8192)
+    assert msync_ns(rig, region) == UNDO_MSYNC_NS
 
 
 # -- auto policy and log pressure -----------------------------------------

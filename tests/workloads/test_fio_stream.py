@@ -157,13 +157,32 @@ def test_shadow_replay_of_rng_reproduces_the_files(leg):
     in the draw order into a bytearray and compare with what a real
     pmfs stack holds after the run."""
     cls, extra, _ = CLASSES[leg]
-    workload = cls(threads=2, ops_per_thread=300, io_size=4096,
-                   file_size=1 << 20, fsync_every=32, seed=7, **extra)
+    run_and_check(cls(threads=2, ops_per_thread=300, io_size=4096,
+                      file_size=1 << 20, fsync_every=32, seed=7, **extra))
+
+
+@pytest.mark.parametrize("log_blocks", [2, 8])
+def test_mapped_stream_survives_autocommits(log_blocks):
+    """A 4 KB store takes two log blocks, so neither log holds a 32-op
+    epoch: the stream autocommits inside stores on every seed and must
+    still read back the shadow bytes.  (With the default 8 blocks this
+    once failed on 6 of 10 seeds: an autocommit reset the epoch's
+    policy mid-store.)"""
+    for seed in range(10):
+        env = run_and_check(MmapFioWorkload(
+            threads=2, ops_per_thread=150, io_size=4096, file_size=1 << 20,
+            fsync_every=32, seed=seed, log_blocks=log_blocks))
+        assert env.stats.count("mmio_autocommits") > 0, seed
+
+
+def run_and_check(workload):
+    """Run ``workload`` on pmfs, then compare every file with a replay of
+    ``workload.rng`` in the draw order; returns the run's env."""
     stack = {}
 
     def setup(env, fs, vfs):
         stack.update(env=env, vfs=vfs)
-        if leg == "mmap":
+        if isinstance(workload, MmapFioWorkload):
             workload.attach(env, fs, vfs)
 
     run_workload("pmfs", workload, device_size=16 << 20, setup=setup)
@@ -179,4 +198,6 @@ def test_shadow_replay_of_rng_reproduces_the_files(leg):
             offset = rng.randrange(max_offset)
             if rng.random() >= workload.read_fraction:
                 model[offset:offset + workload.io_size] = chunk
-        assert stack["vfs"].read_file(ctx, workload.path(tid)) == model
+        assert stack["vfs"].read_file(ctx, workload.path(tid)) == model, \
+            (workload.seed, tid)
+    return stack["env"]
