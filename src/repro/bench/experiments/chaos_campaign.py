@@ -2,8 +2,9 @@
 
 Every comparison stack runs the same seeded :class:`ChaosCampaign`
 (:mod:`repro.faults.chaos`): rounds of writes with permanent media
-faults, transient persist failures, and ring-level EIO injected between
-oracle checkpoints; a torn-write power failure for the NVMM-native
+faults, transient persist failures (the device retries them), and
+ring-level EIO (each armed SQE fails once, and is reported) injected
+between oracle checkpoints; a torn-write power failure for the NVMM-native
 stacks; then a forced degradation into ``degraded_ro`` that a scrub
 pass must repair back to ``healthy``.
 
@@ -36,7 +37,7 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, seed=0, rounds=2):
     table = Table(
         "Chaos campaign (seed %d, %d rounds): faults injected, recovery "
         "outcome, and MTTR per stack" % (seed, rounds),
-        ["fs", "bad_lines", "repaired", "isolated", "ring_retries",
+        ["fs", "bad_lines", "repaired", "isolated", "ring_faults",
          "mttr_ns", "final_state", "violations"],
     )
     results = {}
@@ -50,7 +51,7 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, seed=0, rounds=2):
             result["bad_lines_found"],
             result["repaired_lines"],
             result["isolated_lines"],
-            stats["ring_sqe_retries"],
+            stats["ring_fault_injections"],
             result["mttr_ns"],
             result["final_state"],
             len(result["violations"]),
@@ -86,13 +87,15 @@ def check_shape(data):
         assert found >= len(result["fault_lines"]), (fs_name, result)
         if result["isolated_lines"]:
             assert result["quarantined_blocks"], (fs_name, result)
-        # Faults were actually injected on every leg, and the retry
-        # policies absorbed the transient ones.
+        # Faults were actually injected on every leg: the device's retry
+        # policy absorbed the transient ones, and every armed SQE fired
+        # exactly once (``violations == []`` shows its EIO was reported).
         assert result["fault_lines"], fs_name
         assert result["transient_lines"], fs_name
         assert stats["media_retries"] > 0, (fs_name, stats)
         assert stats["ring_fault_injections"] > 0, (fs_name, stats)
-        assert stats["ring_sqe_retry_successes"] > 0, (fs_name, stats)
+        assert stats["ring_fault_injections"] == \
+            len(result["ring_fault_seqs"]), (fs_name, stats)
     # The torn-write leg ran (and recovered) on the NVMM-native stacks.
     for fs_name in TORN_CRASH_STACKS:
         if fs_name in results:

@@ -470,7 +470,7 @@ class HiNFS(PMFS):
         self.flush_blocks(ctx, [block])
 
     def flush_blocks(self, ctx, blocks, parallel=False, record_errors=False,
-                     wait=True, retry_policy=None):
+                     wait=True):
         """Persist a batch of buffered blocks to NVMM, then release them.
 
         ``parallel=True`` overlaps the dirty runs across the NVMM writer
@@ -490,18 +490,14 @@ class HiNFS(PMFS):
 
         Media errors: with ``record_errors=False`` (foreground fsync /
         O_SYNC) a failed persist raises EIO to the caller and the
-        affected blocks stay buffered for a later retry.  Background
+        affected blocks stay buffered for a later fsync.  Background
         writeback passes ``record_errors=True``: nobody is there to
         raise at, so the block's acknowledged-but-unpersistable data is
         dropped and the failure is recorded against the inode's errseq --
         the next fsync/close of the file reports it (Linux writeback
-        semantics: the data is lost, the error is not).
-
-        ``retry_policy`` (a :class:`repro.faults.policy.RetryPolicy`)
-        makes background writeback re-attempt a failed block with charged
-        backoff before declaring the acknowledged data lost -- only
-        meaningful with ``record_errors=True``; foreground callers raise
-        immediately so the syscall can report EIO.
+        semantics: the data is lost, the error is not).  Neither path
+        retries: the device already retried a transient persist before
+        it raised.
         """
         ends = []
         failed = set()
@@ -514,53 +510,33 @@ class HiNFS(PMFS):
             if not mask:
                 continue
             dst_base = block_addr(block.nvmm_block)
-            attempt = 0
-            while True:
-                try:
-                    if plan is not None:
-                        # The ``writeback`` fault site: fail the persist of
-                        # blocks last written by an armed request id.
-                        plan.check("writeback", block.last_req_id)
-                    for start, nlines in iter_runs(mask):
-                        data = self.buffer.read_from(
-                            ctx, block, start * CACHELINE_SIZE,
-                            nlines * CACHELINE_SIZE
+            try:
+                if plan is not None:
+                    # The ``writeback`` fault site: fail the persist of
+                    # blocks last written by an armed request id.
+                    plan.check("writeback", block.last_req_id)
+                for start, nlines in iter_runs(mask):
+                    data = self.buffer.read_from(
+                        ctx, block, start * CACHELINE_SIZE,
+                        nlines * CACHELINE_SIZE
+                    )
+                    dst = dst_base + start * CACHELINE_SIZE
+                    if parallel:
+                        ends.append(
+                            self.device.write_persistent_async(ctx, dst, data)
                         )
-                        dst = dst_base + start * CACHELINE_SIZE
-                        if parallel:
-                            ends.append(
-                                self.device.write_persistent_async(ctx, dst,
-                                                                   data)
-                            )
-                        else:
-                            self.device.write_persistent(ctx, dst, data)
-                except MediaError:
-                    if not record_errors:
-                        if ends:
-                            ctx.sync_to(max(ends), CAT_WRITE_ACCESS)
-                        raise
-                    attempt += 1
-                    if retry_policy is not None and \
-                            retry_policy.allows(attempt) and \
-                            not retry_policy.circuit_open(ctx.now):
-                        retry_policy.note_retry()
-                        self.env.stats.bump("wb_retries")
-                        ctx.charge(retry_policy.backoff_ns(attempt),
-                                   CAT_WRITE_ACCESS)
-                        continue
-                    if retry_policy is not None:
-                        retry_policy.record_failure(ctx.now)
-                    self.note_wb_error(block.ino)
-                    failed.add(block)
-                    self.env.stats.bump("hinfs_wb_media_errors")
-                    break
-                else:
-                    if retry_policy is not None:
-                        retry_policy.record_success()
-                        if attempt:
-                            self.env.stats.bump("wb_retry_successes")
-                    self.env.stats.bump("hinfs_flushed_lines", popcount(mask))
-                    break
+                    else:
+                        self.device.write_persistent(ctx, dst, data)
+            except MediaError:
+                if not record_errors:
+                    if ends:
+                        ctx.sync_to(max(ends), CAT_WRITE_ACCESS)
+                    raise
+                self.note_wb_error(block.ino)
+                failed.add(block)
+                self.env.stats.bump("hinfs_wb_media_errors")
+            else:
+                self.env.stats.bump("hinfs_flushed_lines", popcount(mask))
         end = max(ends) if ends else None
         if ends and wait:
             ctx.sync_to(end, CAT_WRITE_ACCESS)
@@ -588,7 +564,7 @@ class HiNFS(PMFS):
             pending.complete_block(ctx, self.journal, block)
         block.pending_txs.clear()
 
-    def make_room(self, ctx, limit, retry_policy=None):
+    def make_room(self, ctx, limit):
         """Log space comes back oldest first: flush the blocks the oldest
         deferred commits wait on until the journal holds at most
         ``limit`` slots; returns how many blocks that took.
@@ -602,8 +578,7 @@ class HiNFS(PMFS):
         while journal.used_slots > limit:
             tx = journal.oldest_open
             blocks = list(tx.owner.blocks) if tx.owner is not None else ()
-            self.flush_blocks(ctx, blocks, parallel=True, record_errors=True,
-                              retry_policy=retry_policy)
+            self.flush_blocks(ctx, blocks, parallel=True, record_errors=True)
             flushed += len(blocks)
             if tx.open:
                 break  # not a deferred commit: its own caller closes it

@@ -32,7 +32,6 @@ path.  Worker 0 runs on the pool's registered timeline (named
 
 from repro.engine.background import NEVER, BackgroundTask
 from repro.engine.context import ExecContext
-from repro.faults.policy import RetryPolicy
 from repro.obs.trace import LAYER_WRITEBACK
 
 
@@ -72,17 +71,6 @@ class WritebackPool(BackgroundTask):
             self.workers.append(WritebackWorker(wid, ctx))
         self._next_periodic_ns = self.config.periodic_interval_ns
         self._pressure_ns = NEVER
-        #: The pool's unified retry policy for writeback EIO: transient
-        #: persist failures are re-attempted with charged backoff before
-        #: the acknowledged data is declared lost (errseq).  Shared across
-        #: workers so the circuit breaker sees the whole pool's failures.
-        self.retry_policy = RetryPolicy(
-            max_retries=2,
-            base_backoff_ns=hinfs.config.media_retry_backoff_ns,
-            multiplier=2.0,
-            jitter_frac=0.0,
-            breaker_threshold=8,
-        )
 
     @property
     def nr_workers(self):
@@ -225,8 +213,7 @@ class WritebackPool(BackgroundTask):
             }
         with ctx.span("wb:%s" % cause, layer=LAYER_WRITEBACK, meta=meta):
             self.hinfs.flush_blocks(ctx, victims, parallel=True,
-                                    record_errors=True,
-                                    retry_policy=self.retry_policy)
+                                    record_errors=True)
 
     def _reclaim_step(self, due):
         """One pressure wake: flush one ``reclaim_batch`` of LRW victims.
@@ -259,8 +246,7 @@ class WritebackPool(BackgroundTask):
         if journal.used_slots > journal.relief_limit:
             self.env.stats.bump(
                 "writeback_journal_relief_blocks",
-                self.hinfs.make_room(self.ctx, journal.relief_limit,
-                                     self.retry_policy))
+                self.hinfs.make_room(self.ctx, journal.relief_limit))
 
     def _flush_aged(self):
         """After reclaiming, flush any dirty block older than 30 s.

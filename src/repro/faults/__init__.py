@@ -6,10 +6,11 @@ Cooperating pieces:
   failing NVMM cachelines, attached to :class:`repro.nvmm.device.NVMMDevice`;
   poisoned lines fail reads and persists with EIO
   (:class:`repro.fs.errors.MediaError`).
-- :mod:`repro.faults.policy` -- the unified :class:`RetryPolicy` every
-  retry loop in the stack shares: seeded exponential backoff with jitter,
-  a bounded attempt budget, and a circuit breaker that fails fast while a
-  component is saturated with errors.
+- :mod:`repro.faults.policy` -- :class:`RetryPolicy`, seeded
+  exponential backoff with jitter, a bounded attempt budget, and a
+  circuit breaker; the device's transient-persist loop and the tenant
+  client's shed retries use it.  A media error is retried once, at the
+  device: above it, an EIO is reported, never retried.
 - :mod:`repro.faults.errseq` -- Linux ``errseq_t``-style tracking so an
   asynchronous writeback failure is reported by the *next* fsync/close of
   the file, exactly once per file descriptor.

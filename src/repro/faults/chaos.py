@@ -5,7 +5,7 @@ injecting every fault class the harness models --
 
 - permanent media faults (poisoned cachelines) in allocated data blocks,
 - transient persist failures (the device's retry policy absorbs them),
-- ring-level EIO on specific SQEs (the ring's retry policy resubmits),
+- ring-level EIO on specific SQEs (each fails once, and is reported),
 - for the NVMM-native stacks, a torn-write power failure: volatile lines
   are lost, a seeded subset of one dirty line's 8-byte words persists,
   and the journal must recover the image --
@@ -32,7 +32,6 @@ from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.faults.media import MediaFaultModel
 from repro.faults.plan import FaultPlan
-from repro.faults.policy import RetryPolicy
 from repro.fs import flags as f
 from repro.fs import make_fs
 from repro.fs.errors import FSError, MediaError, ReadOnly
@@ -223,15 +222,9 @@ class ChaosCampaign:
         self.transient_lines.extend(sorted(injected))
 
     def _arm_ring_faults(self):
-        """Arm a transient EIO on an upcoming SQE; the ring's retry
-        policy resubmits it and the operation must succeed."""
+        """Arm an EIO on an upcoming SQE of the next workload round: the
+        SQE fails once, and the round marks its file reported."""
         ring = self.vfs.ring(self.ctx)
-        if ring.retry_policy is None:
-            ring.retry_policy = RetryPolicy(
-                max_retries=2,
-                base_backoff_ns=self.config.media_retry_backoff_ns,
-                multiplier=2.0, jitter_frac=0.0, breaker_threshold=32,
-            )
         seq = ring._seq + self._rng.randrange(1, self.writes_per_round)
         (self.env.faults or FaultPlan(self.env)).arm("ring", seq)
         self.ring_fault_seqs.append(seq)
@@ -342,7 +335,8 @@ class ChaosCampaign:
         # Imported here like ``build_stack`` in ``run``: the explorer
         # imports ``repro.core``, which imports the device this package's
         # ``__init__`` is loaded from.
-        from repro.faults.crashpoints import WORD_SIZE, WORDS_PER_LINE
+        from repro.faults.crashpoints import WORDS_PER_LINE, merge_words, \
+            word_mask
 
         device = self._device()
         mem = device.mem
@@ -375,20 +369,18 @@ class ChaosCampaign:
             new = mem.dirty_lines_snapshot()[line]
             old = mem.persistent_read(line * CACHELINE_SIZE, CACHELINE_SIZE)
             # A proper nonempty word subset: genuinely torn, not a plain
-            # lost-or-persisted line.
-            count = self._rng.randint(1, WORDS_PER_LINE - 1)
-            words = self._rng.sample(range(WORDS_PER_LINE), count)
-            image = bytearray(old)
-            for w in words:
-                image[w * WORD_SIZE:(w + 1) * WORD_SIZE] = \
-                    new[w * WORD_SIZE:(w + 1) * WORD_SIZE]
+            # lost-or-persisted line (the crash explorer's torn model).
+            mask = word_mask(self._rng, WORDS_PER_LINE)
             evictable = [ln for ln in dirty if ln != line]
             nevict = self._rng.randint(0, len(evictable)) \
                 if evictable else 0
             evicted = sorted(self._rng.sample(evictable, nevict))
             device.crash(evicted)
-            mem.write_nocache(line * CACHELINE_SIZE, bytes(image))
-            torn = {"line": line, "words": sorted(words),
+            mem.write_nocache(line * CACHELINE_SIZE,
+                              merge_words(old, new, mask))
+            torn = {"line": line,
+                    "words": [w for w in range(WORDS_PER_LINE)
+                              if mask >> w & 1],
                     "evicted": evicted}
         else:
             device.crash(())
@@ -485,9 +477,7 @@ class ChaosCampaign:
                 name: stats.count(name)
                 for name in ("media_read_errors", "media_persist_errors",
                              "media_retries", "media_lines_marked_bad",
-                             "ring_fault_injections", "ring_sqe_retries",
-                             "ring_sqe_retry_successes", "wb_retries",
-                             "vfs_media_errors", "vfs_remount_ro",
+                             "ring_fault_injections", "vfs_media_errors", "vfs_remount_ro",
                              "health_transitions", "health_recoveries",
                              "scrub_passes", "scrub_repaired_lines",
                              "scrub_isolated_lines",

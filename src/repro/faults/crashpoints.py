@@ -81,6 +81,29 @@ WORD_SIZE = 8
 WORDS_PER_LINE = CACHELINE_SIZE // WORD_SIZE
 
 
+def word_mask(rng, nwords):
+    """A seeded proper, nonempty word subset as a bitmask (full and
+    empty subsets are plain prefix states, already enumerated)."""
+    count = rng.randint(1, nwords - 1)
+    mask = 0
+    for word in rng.sample(range(nwords), count):
+        mask |= 1 << word
+    return mask
+
+
+def merge_words(old, new, mask):
+    """A torn line: ``old`` with the aligned 8-byte words ``mask``
+    selects (bit ``i`` = word ``i``) taken from ``new``.  Each word
+    persists atomically; ``old`` may be a line clamped at the region's
+    end."""
+    out = bytearray(old)
+    for word in range(WORDS_PER_LINE):
+        if mask >> word & 1:
+            lo = word * WORD_SIZE
+            out[lo:lo + WORD_SIZE] = new[lo:min(lo + WORD_SIZE, len(old))]
+    return bytes(out)
+
+
 class TapeRecorder:
     """Observer that records the persistence tape of a region.
 
@@ -236,18 +259,10 @@ class ShadowImage:
         for line in evict_lines:
             off, length = self._line_span(line)
             image[off:off + length] = self.dirty[line][:length]
-        if torn:
-            for line in sorted(torn):
-                buf = self.dirty[line]
-                mask = torn[line]
-                off, length = self._line_span(line)
-                for word in range(WORDS_PER_LINE):
-                    if not mask >> word & 1:
-                        continue
-                    lo = word * WORD_SIZE
-                    hi = min(lo + WORD_SIZE, length)
-                    if lo < hi:
-                        image[off + lo:off + hi] = buf[lo:hi]
+        for line in sorted(torn or ()):
+            off, length = self._line_span(line)
+            image[off:off + length] = merge_words(
+                image[off:off + length], self.dirty[line], torn[line])
         return bytes(image)
 
     def torn_persist_image(self, event, word_mask, evict_lines=()):
@@ -989,28 +1004,19 @@ class CrashPointExplorer:
             if k < len(tape.events):
                 shadow.apply(tape.events[k])
 
-    def _word_mask(self, nwords):
-        """A seeded proper, nonempty word subset as a bitmask (full and
-        empty subsets are plain prefix states, already enumerated)."""
-        count = self._rng.randint(1, nwords - 1)
-        mask = 0
-        for word in self._rng.sample(range(nwords), count):
-            mask |= 1 << word
-        return mask
-
     def _check_torn_draw(self, report, seen, shadow, tape, k, expect_at):
         event = tape.events[k] if k < len(tape.events) else None
         if event is not None:
             nwords = ShadowImage.persist_word_count(event)
             if nwords >= 2:
-                mask = self._word_mask(nwords)
+                mask = word_mask(self._rng, nwords)
                 image = shadow.torn_persist_image(event, mask)
                 self._check_image(report, seen, image, k, expect_at, (),
                                   torn=("persist", mask))
         dirty = sorted(shadow.dirty)
         if dirty:
             line = self._rng.choice(dirty)
-            mask = self._word_mask(WORDS_PER_LINE)
+            mask = word_mask(self._rng, WORDS_PER_LINE)
             image = shadow.crash_image(torn={line: mask})
             self._check_image(report, seen, image, k, expect_at, (),
                               torn=("line", line, mask))

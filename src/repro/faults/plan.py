@@ -14,9 +14,8 @@ site                    key                    consulted by
 ======================  =====================  ==========================
 ``writeback``           request id that last   ``HiNFS.flush_blocks``,
                         wrote the block        once per block persisted
-``ring``                SQE sequence number    ``IORing._dispatch``, in
-                                               the retry loop, before the
-                                               SQE runs
+``ring``                SQE sequence number    ``IORing._dispatch``,
+                                               before the SQE runs
 ``ring:after``          SQE sequence number    ``IORing``, after the SQE
                                                completed -- between it
                                                and what is linked behind

@@ -1,10 +1,7 @@
-"""The unified retry policy: one seeded backoff/budget/breaker primitive.
+"""The retry policy: one seeded backoff/budget/breaker primitive.
 
-Before this module, every layer that met a transient EIO rolled its own
-loop: ``nvmm/device.py`` retried persists inline, HiNFS's writeback
-dropped failed blocks on the floor, and a failed ring SQE simply
-completed with ``-EIO``.  A :class:`RetryPolicy` centralises the three
-decisions every such loop makes:
+A :class:`RetryPolicy` centralises the three decisions a retry loop
+makes:
 
 - **Budget** -- how many retries before giving up (``max_retries``).
 - **Backoff** -- how long to wait (in *virtual* time) before attempt
@@ -14,9 +11,15 @@ decisions every such loop makes:
 - **Circuit breaker** -- after ``breaker_threshold`` *consecutive*
   exhausted budgets, the circuit opens for ``breaker_cooldown_ns`` of
   virtual time and every attempt fails fast; a success (or the cooldown
-  expiring) closes it again.  This is what keeps a writeback worker from
-  grinding its full backoff schedule against a permanently-dead line on
-  every batch.
+  expiring) closes it again.
+
+It has two users.  The device (:meth:`repro.nvmm.device.NVMMDevice.
+_guard_persist`) retries a transient persist failure and marks the
+lines bad once the budget runs out, so a :class:`~repro.fs.errors.
+MediaError` that leaves the device is permanent: the ring, the VFS and
+the writeback pool report it (``-EIO`` CQE, raised EIO, errseq) and
+never retry it.  The tenant client (:mod:`repro.workloads.tenants`)
+backs off and resubmits requests the QoS layer sheds.
 
 The policy only *decides*; the caller charges the returned backoff to
 its own :class:`~repro.engine.context.ExecContext` so the cost lands on

@@ -21,7 +21,9 @@ MediaFaultModel` marks bad, and handles each one:
   block, the lost lines read back as zeros, the block map is remapped
   (journaled), the failing block is quarantined in the allocator's
   badblocks list, and the loss is recorded against the inode's errseq
-  so the next fsync/close reports EIO -- data lost, error not.
+  so the next fsync/close reports EIO -- data lost, error not.  On a
+  full device there is no block to remap into: the block heals in
+  place with the lost lines zeroed, and the loss is recorded the same.
 
 A pass that accounts for every bad line returns a *clean*
 :class:`ScrubReport`; the VFS feeds it to the mount-health FSM, whose
@@ -35,6 +37,7 @@ from contextlib import contextmanager
 from repro.engine.clock import NS_PER_SEC
 from repro.engine.background import BackgroundTask
 from repro.engine.stats import CAT_OTHERS, CAT_READ_ACCESS
+from repro.nvmm.allocator import OutOfSpaceError
 from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
 from repro.obs.trace import LAYER_SCRUB
 
@@ -180,6 +183,30 @@ class _ScrubberBase:
                 out[lo:lo + CACHELINE_SIZE] = b"\0" * CACHELINE_SIZE
                 lost.append(r)
         return bytes(out), lost
+
+    def _isolate(self, ctx, device, model, block, lines, content, lost, ino,
+                 report):
+        """Data lost: write the salvaged ``content`` to a fresh block,
+        quarantine the failing one and record the loss against the
+        inode's errseq; returns the new block for the caller to remap.
+        With no block free to remap into, heal in place with the lost
+        lines zeroed and return None."""
+        fs = self.fs
+        try:
+            new_block = fs.balloc.alloc()
+        except OutOfSpaceError:
+            new_block = None
+        for line in lines:
+            model.heal_line(line)
+        target = block if new_block is None else new_block
+        device.write_persistent(ctx, target * BLOCK_SIZE, content, CAT_OTHERS)
+        if new_block is not None:
+            fs.balloc.quarantine(block)
+            report.quarantined_blocks.append(block)
+        report.repaired_lines += len(lines) - len(lost)
+        report.isolated_lines += len(lost)
+        fs.note_wb_error(ino)
+        return new_block
 
 
 class NullScrubber(_ScrubberBase):
@@ -410,24 +437,16 @@ class PmfsScrubber(_ScrubberBase):
                                     CAT_OTHERS)
             report.repaired_lines += repaired
             return
-        # Data lost: move the salvageable bytes to a fresh block, remap
-        # (journaled), quarantine the failing block, record the loss.
-        new_block = fs._alloc_data_block()
-        device.write_persistent(ctx, new_block * BLOCK_SIZE, content,
-                                CAT_OTHERS)
-        blockmap = fs._map(ino)
-        tx = fs.journal.begin(ctx)
-        blockmap.set(ctx, tx, file_block, new_block)
-        fs.journal.commit(ctx, tx)
-        if buffered is not None:
-            buffered.nvmm_block = new_block
-        for line in lines:
-            model.heal_line(line)
-        fs.balloc.quarantine(block)
-        report.quarantined_blocks.append(block)
-        report.repaired_lines += repaired
-        report.isolated_lines += len(lost)
-        fs.note_wb_error(ino)
+        # Data lost: move the salvageable bytes to a fresh block and
+        # remap it (journaled).
+        new_block = self._isolate(ctx, device, model, block, lines, content,
+                                  lost, ino, report)
+        if new_block is not None:
+            tx = fs.journal.begin(ctx)
+            fs._map(ino).set(ctx, tx, file_block, new_block)
+            fs.journal.commit(ctx, tx)
+            if buffered is not None:
+                buffered.nvmm_block = new_block
 
 
 class ExtScrubber(_ScrubberBase):
@@ -497,25 +516,10 @@ class ExtScrubber(_ScrubberBase):
             report.repaired_lines += len(lines)
             return
         content, lost = self._salvage_block(device, model, block)
-        try:
-            new_block = fs.balloc.alloc()
-        except Exception:
-            # No room to remap: heal in place with the lost lines zeroed.
-            new_block = None
-        for line in lines:
-            model.heal_line(line)
-        if new_block is None:
-            device.write_persistent(ctx, block * BLOCK_SIZE, content,
-                                    CAT_OTHERS)
-        else:
-            device.write_persistent(ctx, new_block * BLOCK_SIZE, content,
-                                    CAT_OTHERS)
+        new_block = self._isolate(ctx, device, model, block, lines, content,
+                                  lost, ino, report)
+        if new_block is not None:
             fs._inodes[ino].blocks[file_block] = new_block
-            fs.balloc.quarantine(block)
-            report.quarantined_blocks.append(block)
-        report.repaired_lines += len(lines) - len(lost)
-        report.isolated_lines += len(lost)
-        fs.note_wb_error(ino)
 
 
 class ScrubTask(BackgroundTask):

@@ -1,7 +1,7 @@
 """io_uring-style submission/completion rings in virtual time.
 
 Every data operation of the stack is one :class:`SQE` run by one
-per-SQE core, :meth:`IORing._dispatch` (fault hooks, retry policy,
+per-SQE core, :meth:`IORing._dispatch` (the ``ring`` fault site, then
 :meth:`repro.fs.vfs.VFS.execute`), reached two ways.  The sync syscalls
 call :meth:`IORing.execute_one`: the value comes straight back (or the
 exception is raised), with no SQ/CQ traffic and no CQE.  Workloads that
@@ -33,7 +33,7 @@ syscall traces are unchanged.
 import errno as _errno
 
 from repro.engine.locks import VCompletion
-from repro.fs.errors import FSError, InvalidArgument, MediaError
+from repro.fs.errors import FSError, InvalidArgument
 from repro.obs.trace import LAYER_RING, RING_CQ_WAIT, RING_IN_FLIGHT, \
     RING_SQ_WAIT
 
@@ -187,11 +187,6 @@ class IORing:
         self._seq = 0
         #: True once the current batch has paid the T_syscall entry.
         self._entry_done = False
-        #: Optional :class:`repro.faults.policy.RetryPolicy`: EIO from an
-        #: SQE's handler is retried by resubmitting the SQE with charged
-        #: backoff before the CQE carries ``-EIO``.  None (the default)
-        #: fails fast, the pre-policy behaviour.
-        self.retry_policy = None
 
     # -- accounting shared with the VFS dispatch handlers -----------------
 
@@ -322,37 +317,16 @@ class IORing:
             linked_prev = bool(sqe.flags & IOSQE_IO_LINK)
 
     def _dispatch(self, ctx, seq, sqe):
-        """The per-SQE core both entrances share: run one SQE through
-        :meth:`VFS.execute`, resubmitting on EIO under the ring's retry
-        policy.  Safe to re-run: a failed execution never advances the
-        descriptor's position, so the resubmission repeats the same
-        operation.  The ``ring`` fault site (:mod:`repro.faults.plan`) is
-        consulted inside the retry loop, so an arm with a finite budget
-        models a transient EIO the resubmission recovers from."""
-        policy = self.retry_policy
+        """The per-SQE core both entrances share: consult the ``ring``
+        fault site (:mod:`repro.faults.plan`), then run the SQE through
+        :meth:`VFS.execute`.  A failure is final: the device has already
+        retried a transient persist, so an EIO here completes the SQE
+        (``-EIO`` CQE, or raised to a sync syscall) and resubmission is
+        the application's call, as with io_uring."""
         plan = self.env.faults
-        attempt = 0
-        while True:
-            try:
-                if plan is not None:
-                    plan.check("ring", seq)
-                result = self.vfs.execute(ctx, sqe, self)
-            except MediaError:
-                if policy is None:
-                    raise
-                attempt += 1
-                if not policy.allows(attempt) or policy.circuit_open(ctx.now):
-                    policy.record_failure(ctx.now)
-                    raise
-                policy.note_retry()
-                self.env.stats.bump("ring_sqe_retries")
-                ctx.charge(policy.backoff_ns(attempt))
-            else:
-                if policy is not None:
-                    policy.record_success()
-                    if attempt:
-                        self.env.stats.bump("ring_sqe_retry_successes")
-                return result
+        if plan is not None:
+            plan.check("ring", seq)
+        return self.vfs.execute(ctx, sqe, self)
 
     def _complete(self, sqe, seq, error, at_ns):
         res = -int(getattr(error, "errno", _errno.EIO) or _errno.EIO)

@@ -77,8 +77,9 @@ class NVMMDevice:
         self.fault_model = None
         #: Transient-persist retry schedule.  Jitter stays off here so the
         #: charged backoff is exactly ``media_retry_backoff_ns * 2**(n-1)``
-        #: and identical across devices; layers that want jitter or a
-        #: breaker (writeback, ring) construct their own policies.
+        #: and identical across devices.  This is the stack's one media
+        #: retry: a MediaError that leaves the device is permanent, and
+        #: the layers above report it instead of retrying.
         self.retry_policy = RetryPolicy(
             max_retries=config.media_retry_limit,
             base_backoff_ns=config.media_retry_backoff_ns,

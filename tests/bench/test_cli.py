@@ -120,7 +120,11 @@ def test_artifacts_that_record_placement_keep_what_placement_cannot_move():
     re-recorded 8 events and 4 boundaries shorter per stack (917 / 417,
     1085 / 495, 918 / 417, 1086 / 495 before) when a run of fresh
     pointers became one journaled range, and the states between the
-    persists that went away left the sums with them."""
+    persists that went away left the sums with them.  The chaos rows
+    were re-pinned once more when an armed ring SQE began to fail once
+    instead of being resubmitted: the campaign's later random draws
+    shift, and with them the ext stacks' MTTR and one more
+    acknowledged loss on ext4-dax; the counts injected stay."""
     def load(name):
         with open(os.path.join(REPO, "BENCH_%s.json" % name)) as fileobj:
             return json.load(fileobj)["experiments"][name]
@@ -138,9 +142,9 @@ def test_artifacts_that_record_placement_keep_what_placement_cannot_move():
              len(r["quarantined_blocks"]), r["acknowledged_losses"],
              r["mttr_ns"], r["violations"])
         for fs, r in load("chaos")["results"].items()}
-    assert injected == {"ext2-nvmmbd": (6, 4, 2, 1, 1, 85922, []),
-                        "ext4-dax": (6, 0, 6, 5, 4, 220593, []),
-                        "ext4-nvmmbd": (6, 4, 2, 1, 1, 86946, []),
+    assert injected == {"ext2-nvmmbd": (6, 4, 2, 1, 1, 85410, []),
+                        "ext4-dax": (6, 0, 6, 5, 5, 221105, []),
+                        "ext4-nvmmbd": (6, 4, 2, 1, 1, 85410, []),
                         "hinfs": (6, 0, 6, 4, 4, 347057, []),
                         "pmfs": (6, 0, 6, 5, 5, 215985, [])}
 

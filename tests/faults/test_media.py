@@ -8,6 +8,7 @@ from repro.engine.env import SimEnv
 from repro.engine.scheduler import Scheduler
 from repro.faults.errseq import ErrseqMap
 from repro.faults.media import MediaFaultModel
+from repro.faults.plan import FaultPlan
 from repro.fs import flags as f
 from repro.fs.errors import FSError, MediaError, ReadOnly
 from repro.fs.pmfs.layout import block_addr
@@ -78,6 +79,22 @@ class TestSynchronousEIO:
             vfs.fsync(ctx, fd)
         assert vfs.health.media_errors == 1
 
+    def test_failed_pread_runs_once_and_counts_one_error(self):
+        """A media error is retried once, at the device: the ring runs
+        the failed SQE one time and the VFS counts one error."""
+        env, config, device, fs, vfs, ctx, model = build_pmfs()
+        fd = vfs.open(ctx, "/x", f.O_CREAT | f.O_RDWR)
+        vfs.pwrite(ctx, fd, 0, b"a" * 4096)
+        model.poison_line(data_line(fs, vfs._files[fd].ino))
+        plan = FaultPlan(env)
+        with pytest.raises(MediaError):
+            vfs.pread(ctx, fd, 0, 100)
+        assert [site for site, _key in plan.observed] == ["ring",
+                                                          "ring:after"]
+        assert model.read_errors == 1
+        assert env.stats.count("vfs_media_errors") == 1
+        assert vfs.health.media_errors == 1
+
     def test_error_carries_faulting_lines(self):
         env, config, device, fs, vfs, ctx, model = build_pmfs()
         fd = vfs.open(ctx, "/x", f.O_CREAT | f.O_RDWR)
@@ -118,6 +135,38 @@ class TestTransientRetry:
         assert 0 in model.bad_lines
         # Nothing became durable: the guard runs before the data plane.
         assert device.mem.persistent_read(0, 64) == b"\0" * 64
+
+    def test_background_flush_charges_only_the_device_backoff(self):
+        """Transient faults that outlast the device's budget: the device
+        retries and marks the line bad, and the writeback pool records
+        the loss without retrying a line that is now permanent."""
+        def flush_with(fault):
+            env, config, device, fs, vfs, ctx, model = build_hinfs()
+            fd = vfs.open(ctx, "/x", f.O_CREAT | f.O_RDWR)
+            vfs.pwrite(ctx, fd, 0, b"a" * 4096)
+            ino = vfs._files[fd].ino
+            fault(model, data_line(fs, ino), config)
+            start = ctx.now
+            fs.writeback.demand_reclaim(ctx)
+            assert env.stats.count("hinfs_wb_media_errors") == 1
+            assert fs.wb_err.pending() == [ino]
+            with pytest.raises(MediaError):
+                vfs.fsync(ctx, fd)
+            vfs.fsync(ctx, fd)  # recorded once, reported once
+            return (ctx.now - start,
+                    env.stats.count("media_persist_errors"), config)
+
+        # A permanent fault: one persist attempt, no backoff.
+        permanent, attempts, _ = flush_with(
+            lambda model, line, config: model.poison_line(line))
+        assert attempts == 1
+        exhausted, attempts, config = flush_with(
+            lambda model, line, config: model.inject_transient(
+                line, failures=config.media_retry_limit + 1))
+        assert attempts == config.media_retry_limit + 1
+        device_backoff = sum(config.media_retry_backoff_ns * 2 ** n
+                             for n in range(config.media_retry_limit))
+        assert exhausted - permanent == device_backoff
 
 
 class TestRemountReadOnly:

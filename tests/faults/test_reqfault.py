@@ -103,29 +103,6 @@ def test_armed_request_writeback_records_deferred_error(rig):
     rig.vfs.fsync(rig.ctx, fd)
 
 
-def test_a_clean_flush_closes_the_writeback_breaker(rig):
-    """Any success closes the circuit: eight lost blocks, each followed
-    by a first-try flush, are not eight consecutive failures, so a
-    transient fault on the next block is still retried."""
-    fds, blocks = [], []
-    for i in range(17):
-        fd = rig.vfs.open(rig.ctx, "/f%d" % i, f.O_CREAT | f.O_RDWR)
-        rig.vfs.pwrite(rig.ctx, fd, 0, b"w" * 4096)
-        ino = rig.vfs.fstat(rig.ctx, fd).ino
-        fds.append(fd)
-        blocks.extend(rig.fs.buffer.file_blocks(ino))
-    for block in blocks[0:16:2]:
-        rig.plan.arm("writeback", block.last_req_id, hits=None)
-    rig.plan.arm("writeback", blocks[16].last_req_id, hits=1)
-    policy = rig.fs.writeback.retry_policy
-    rig.fs.flush_blocks(rig.ctx, blocks, record_errors=True,
-                        retry_policy=policy)
-    assert policy.breaker_trips == 0
-    assert rig.env.stats.count("hinfs_wb_media_errors") == 8
-    assert rig.env.stats.count("wb_retry_successes") == 1
-    rig.vfs.fsync(rig.ctx, fds[16])  # nothing lost: no deferred EIO
-
-
 def test_unarmed_requests_are_untouched(rig):
     rig.plan.arm("writeback", 999_999, hits=None)
     fd = rig.vfs.open(rig.ctx, "/ok", f.O_CREAT | f.O_RDWR)

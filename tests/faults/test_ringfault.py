@@ -7,7 +7,7 @@ import pytest
 from repro.bench.runner import build_stack
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
-from repro.faults import FaultPlan, PowerCut, RetryPolicy
+from repro.faults import FaultPlan, PowerCut
 from repro.fs import flags as f
 from repro.fs.errors import MediaError
 from repro.io import ring as uring
@@ -61,26 +61,6 @@ def test_max_hits_limits_the_injection():
                                  uring.prep_write(fd, b"b", 16)])
     assert [c.ok for c in cqes] == [False, True]
     assert plan.hits == 1
-
-
-def test_a_clean_sqe_closes_the_retry_breaker():
-    """Any success closes the circuit: two exhausted SQEs with a clean
-    one between them are not consecutive failures, so a later transient
-    EIO is still retried."""
-    env, fs, vfs, ctx = make_rig()
-    fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
-    ring = vfs.ring(ctx)
-    ring.retry_policy = policy = RetryPolicy(max_retries=1,
-                                             breaker_threshold=2)
-    plan = FaultPlan(env)
-    plan.arm("ring", 0, hits=None)
-    plan.arm("ring", 2, hits=None)
-    plan.arm("ring", 3, hits=1)
-    cqes = ring.submit_and_wait([uring.prep_write(fd, b"x", i * 64)
-                                 for i in range(4)])
-    assert [c.ok for c in cqes] == [False, True, False, True]
-    assert policy.breaker_trips == 0
-    assert env.stats.count("ring_sqe_retry_successes") == 1
 
 
 def test_crash_between_linked_write_and_fsync():

@@ -134,6 +134,35 @@ class TestPmfsScrubber:
         rig.remount()
         assert rig.vfs.read_file(rig.ctx, "/a") == got
 
+    def test_lost_data_on_a_full_device_heals_in_place(self):
+        """No free block to remap into: the block heals in place with
+        the lost line zeroed, and the loss is still reported."""
+        from repro.fs.errors import MediaError, NoSpace
+
+        rig = PmfsRig(size=2 << 20)
+        model = attach(rig)
+        rig.vfs.write_file(rig.ctx, "/a", b"z" * 4096, sync=True)
+        fd = rig.vfs.open(rig.ctx, "/a", f.O_RDWR)
+        fill = rig.vfs.open(rig.ctx, "/fill", f.O_CREAT | f.O_RDWR)
+        with pytest.raises(NoSpace):
+            for n in range(rig.fs.sb.total_blocks):
+                rig.vfs.pwrite(rig.ctx, fill, n * 4096, b"f" * 4096)
+        assert rig.fs.balloc.free_count == 0
+        ino = rig.fs.lookup(rig.ctx, 1, "a")
+        (block,) = data_blocks(rig.fs, ino)
+        model.poison_line(block * LINES_PER_BLOCK + 3)
+        report = rig.vfs.scrub(rig.ctx)
+        assert report.clean
+        assert report.isolated_lines == 1 and report.quarantined_blocks == []
+        assert data_blocks(rig.fs, ino) == [block]
+        assert not model.bad_lines
+        got = rig.vfs.pread(rig.ctx, fd, 0, 4096)
+        assert got[3 * CACHELINE_SIZE:4 * CACHELINE_SIZE] == b"\0" * 64
+        assert got[:3 * CACHELINE_SIZE] == b"z" * (3 * CACHELINE_SIZE)
+        with pytest.raises(MediaError):
+            rig.vfs.fsync(rig.ctx, fd)
+        rig.vfs.fsync(rig.ctx, fd)  # reported once
+
     def test_pointer_block_rebuilds_from_mirror(self, rig):
         model = attach(rig)
         data = bytes(range(256)) * 208  # 13 blocks: needs the indirect

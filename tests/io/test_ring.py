@@ -6,7 +6,7 @@ from repro.bench.runner import build_stack
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.fs import flags as f
-from repro.faults import FaultPlan, RetryPolicy
+from repro.faults import FaultPlan
 from repro.fs.errors import (
     BadFileDescriptor,
     InvalidArgument,
@@ -319,26 +319,6 @@ def test_injected_eio_is_the_same_failure_through_both_entrances(op):
     assert sync_seen == batch_seen
     assert sync_seen[1]["ring_fault_injections"] == 1
     assert sync_seen[3][-1] == ("ring:after", 1)  # armed by sequence number
-
-
-@pytest.mark.parametrize("op", sorted(_OPS))
-def test_retry_policy_recovers_the_same_way_through_both_entrances(op):
-    def arm(rig):
-        FaultPlan(rig.env).arm("ring", 1, hits=1)
-        rig.vfs.ring(rig.ctx).retry_policy = RetryPolicy(
-            max_retries=2, base_backoff_ns=700, jitter_frac=0.5, seed=9)
-
-    (sync_value, sync_seen), (batch_value, batch_seen) = \
-        _both_entrances("hinfs", op, arm)
-    assert not isinstance(sync_value, MediaError)
-    assert not isinstance(batch_value, MediaError)
-    assert sync_seen == batch_seen
-    counters = sync_seen[1]
-    assert counters["ring_sqe_retries"] == 1
-    assert counters["ring_sqe_retry_successes"] == 1
-    # Seen twice under the same sequence number: the failed attempt and
-    # its resubmission.
-    assert sync_seen[3].count(("ring", 1)) == 2
 
 
 @pytest.mark.parametrize("call", [
