@@ -23,6 +23,8 @@ switches, named in the stack table (``repro.fs.STACKS``):
   buffered (Figures 12/13's HiNFS-WB).
 """
 
+from collections import deque
+
 from repro.core.benefit import BufferBenefitModel
 from repro.core.bitmap import FULL_MASK, iter_runs, iter_valid_runs, popcount
 from repro.core.buffer import WriteBuffer
@@ -43,54 +45,26 @@ class PendingTx:
     Commits of one file's transactions must land in journal order: an
     undo rollback of an older-but-uncommitted transaction would otherwise
     clobber the effects of a newer committed one on the same inode
-    bytes.  Pending transactions therefore form a per-file chain; a
-    transaction whose data is durable but whose predecessor is still
-    open waits (``ready``) and is committed by the predecessor's cascade.
-    Nor does a transaction commit while its own request is still
-    ``writing`` it: a demand reclaim mid-request may flush every block
-    attached so far.
+    bytes.  Each file's pending transactions therefore wait in one FIFO
+    (``HiNFS._pending``), and only its head commits: once its blocks are
+    durable (or discarded) and its request is no longer ``writing`` it --
+    a demand reclaim mid-request may flush every block attached so far.
     """
 
-    __slots__ = ("tx", "blocks", "prev", "next", "ready", "writing")
+    __slots__ = ("tx", "ino", "blocks", "writing")
 
-    def __init__(self, tx, prev=None, writing=False):
+    def __init__(self, tx, ino, writing=False):
         self.tx = tx
+        self.ino = ino
         self.writing = writing
         tx.owner = self
         # Insertion-ordered dict-as-set, like BufferBlock.pending_txs:
         # make_room flushes these in the order they were written.
         self.blocks = {}
-        self.prev = prev
-        self.next = None
-        self.ready = False
-        if prev is not None:
-            prev.next = self
 
     def attach(self, block):
         self.blocks[block] = None
         block.pending_txs[self] = None
-
-    def complete_block(self, ctx, journal, block):
-        """Called when ``block`` has been persisted (or discarded)."""
-        self.blocks.pop(block, None)
-        self.maybe_commit(ctx, journal)
-
-    def maybe_commit(self, ctx, journal):
-        node = self
-        while node is not None:
-            if node.blocks or node.writing or not node.tx.open:
-                return
-            if node.prev is not None and node.prev.tx.open:
-                # Data durable, but an older same-file tx is still open.
-                node.ready = True
-                return
-            journal.commit(ctx, node.tx)
-            node.prev = None
-            successor = node.next
-            node.next = None
-            if successor is None or not successor.ready:
-                return
-            node = successor
 
 
 class HiNFS(PMFS):
@@ -108,10 +82,9 @@ class HiNFS(PMFS):
         self.writeback = WritebackPool(env, self)
         env.background.register(self.writeback)
         self.journal.make_room = self.make_room
-        # ino -> newest PendingTx of that file (commit-ordering chains).
-        self._file_tx_tail = {}
-        # Transient: id(tx) -> PendingTx while a write is in flight.
-        self._async_pending = {}
+        # ino -> deque of that file's open deferred commits, oldest first;
+        # a file has an entry only while its deque is non-empty.
+        self._pending = {}
 
     # ------------------------------------------------------------------
     # write path
@@ -130,18 +103,10 @@ class HiNFS(PMFS):
         ctx.charge(self.config.index_lookup_ns)
         if req.eager:
             # Case (1): synchronous write -- must be durable on return.
-            return self._write_sync(ctx, inode, req.offset, data, req=req)
-        return self._write_async(ctx, inode, req.offset, data, req=req)
+            return self._write_sync(ctx, inode, req.offset, data)
+        return self._write_async(ctx, inode, req.offset, data, req)
 
-    def _open_tail(self, ino):
-        """Newest still-relevant PendingTx of a file, or None."""
-        tail = self._file_tx_tail.get(ino)
-        if tail is not None and not tail.tx.open:
-            del self._file_tx_tail[ino]
-            return None
-        return tail
-
-    def _write_async(self, ctx, inode, offset, data, req=None):
+    def _write_async(self, ctx, inode, offset, data, req):
         """Asynchronous write: buffer unless the block is Eager-Persistent."""
         ino = inode.ino
         tx = self.journal.begin(ctx)
@@ -150,11 +115,10 @@ class HiNFS(PMFS):
                                           memoryview(data), req)
         finally:
             # Success or failure (e.g. ENOSPC mid-write), the transaction
-            # must end up committed or chained -- never leaked open.
-            self._finish_async_tx(ctx, ino, tx,
-                                  self._async_pending.pop(id(tx), None))
+            # must end up committed or queued -- never leaked open.
+            self._finish_async_tx(ctx, ino, tx)
 
-    def _write_async_body(self, ctx, inode, offset, tx, view, req=None):
+    def _write_async_body(self, ctx, inode, offset, tx, view, req):
         ino = inode.ino
         blockmap = self._map(ino)
         mmapped = ino in self._mappings
@@ -199,13 +163,11 @@ class HiNFS(PMFS):
                     self.env.stats.bump("hinfs_buffer_hits")
                 self._fetch_before_write(ctx, buffered, in_off, take)
                 self.buffer.write_into(ctx, buffered, in_off, chunk, ctx.now)
-                if req is not None:
-                    # Tag the block with its originating request so fault
-                    # injection can target this request's writeback.
-                    buffered.last_req_id = req.req_id
+                # Tag the block with its originating request so fault
+                # injection can target this request's writeback.
+                buffered.last_req_id = req.req_id
                 if pending is None:
-                    pending = PendingTx(tx, writing=True)
-                    self._async_pending[id(tx)] = pending
+                    pending = self._defer(tx, ino, writing=True)
                 pending.attach(buffered)
                 self.env.stats.bump("hinfs_lazy_writes")
             pos += take
@@ -216,56 +178,54 @@ class HiNFS(PMFS):
         self.itable.write_core(ctx, tx, inode)
         return written
 
-    def _finish_async_tx(self, ctx, ino, tx, pending):
-        """Commit now, or chain the deferred commit behind this file's
+    def _defer(self, tx, ino, writing=False):
+        """Queue ``tx``'s commit behind this file's open deferred ones."""
+        pending = PendingTx(tx, ino, writing)
+        self._pending.setdefault(ino, deque()).append(pending)
+        return pending
+
+    def _finish_async_tx(self, ctx, ino, tx):
+        """Commit now, or leave the commit queued behind this file's
         still-open transactions (see PendingTx)."""
-        if not tx.open:
-            return
-        tail = self._open_tail(ino)
-        if pending is None and tail is None:
-            self.journal.commit(ctx, tx)
+        pending = tx.owner
+        if pending is not None:
+            pending.writing = False
+            self._drain(ctx, ino)
+        elif ino in self._pending:
+            self._defer(tx, ino)
         else:
-            if pending is None:
-                pending = PendingTx(tx, prev=tail)
-            else:
-                pending.writing = False
-                pending.prev = tail
-                if tail is not None:
-                    tail.next = pending
-            self._file_tx_tail[ino] = pending
-            pending.maybe_commit(ctx, self.journal)
+            self.journal.commit(ctx, tx)
         if self.buffer.below_low_watermark \
                 or self.journal.used_slots > self.journal.relief_limit:
             self.writeback.signal_pressure(ctx.now)
 
+    def _drain(self, ctx, ino):
+        """Commit a file's deferred transactions from the head of its
+        queue while the head waits on nothing; drop the emptied queue."""
+        queue = self._pending.get(ino)
+        if queue is None:
+            return
+        while queue and not queue[0].blocks and not queue[0].writing:
+            self.journal.commit(ctx, queue[0].tx)
+            queue.popleft()
+        if not queue:
+            del self._pending[ino]
+
     def _barrier_file(self, ctx, ino):
-        """Close every open deferred transaction of a file, in order.
+        """Close every open deferred transaction of a file, in order, by
+        flushing the blocks they wait on.
 
         Required before any operation that commits a new transaction on
         the same file synchronously (O_SYNC writes, truncate): committing
         out of order would let a crash roll an older transaction back
         over the newer committed state.
         """
-        blocks = [b for b in self.buffer.file_blocks(ino) if b.pending_txs]
-        if blocks:
-            self.flush_blocks(ctx, blocks)
-        tail = self._open_tail(ino)
-        if tail is None:
-            return
-        chain = []
-        node = tail
-        while node is not None and node.tx.open:
-            chain.append(node)
-            node = node.prev
-        for node in reversed(chain):
-            if not node.blocks and node.tx.open:
-                self.journal.commit(ctx, node.tx)
+        self.flush_blocks(ctx, [b for b in self.buffer.file_blocks(ino)
+                                if b.pending_txs])
 
-    def _write_sync(self, ctx, inode, offset, data, req=None):
+    def _write_sync(self, ctx, inode, offset, data):
         """Case (1) eager write: durable (data + metadata) on return."""
-        ino = inode.ino
-        self._barrier_file(ctx, ino)
-        blockmap = self._map(ino)
+        self._barrier_file(ctx, inode.ino)
         tx = self.journal.begin(ctx)
         try:
             return self._write_sync_body(ctx, inode, offset, tx,
@@ -560,9 +520,12 @@ class HiNFS(PMFS):
         self.env.stats.bump("hinfs_discarded_blocks")
 
     def _complete_pending(self, ctx, block):
-        for pending in list(block.pending_txs):
-            pending.complete_block(ctx, self.journal, block)
+        """``block`` was persisted (or discarded): it no longer holds back
+        the deferred commits it carried."""
+        for pending in block.pending_txs:
+            del pending.blocks[block]
         block.pending_txs.clear()
+        self._drain(ctx, block.ino)
 
     def make_room(self, ctx, limit):
         """Log space comes back oldest first: flush the blocks the oldest

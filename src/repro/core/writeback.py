@@ -96,10 +96,11 @@ class WritebackPool(BackgroundTask):
                 self._pressure_ns = NEVER
                 if not self._reclaim_step(due):
                     self._journal_relief()
-                    self._flush_aged()
+                    self._flush_older_than("aged", self.config.dirty_age_ns)
             if self._next_periodic_ns <= due:
                 self._next_periodic_ns += self.config.periodic_interval_ns
-                self._periodic_flush()
+                self._flush_older_than("periodic",
+                                       self.config.periodic_interval_ns)
 
     # -- signals ------------------------------------------------------------
 
@@ -129,29 +130,18 @@ class WritebackPool(BackgroundTask):
         """
         for worker in self.workers:
             worker.ctx.now = max(worker.ctx.now, fg_ctx.now)
-        buffer = self.hinfs.buffer
-        victims = buffer.all_blocks_lrw_order(self.config.reclaim_batch)
+        victims = self.hinfs.buffer.all_blocks_lrw_order(
+            self.config.reclaim_batch)
         with fg_ctx.waiting("hinfs-writeback demand reclaim "
                             "(%d victim blocks)" % len(victims)):
-            ends = []
-            for worker, part in zip(self.workers, self._partition(victims)):
-                if not part:
-                    continue
-                with worker.ctx.waiting("flushing %d demand-reclaim victims"
-                                        % len(part)):
-                    self._flush_batch(worker.ctx, "demand", part)
-                self.env.stats.bump(
-                    "writeback_worker%d_blocks" % worker.worker_id, len(part)
-                )
-                ends.append(worker.ctx.now)
+            end = self._flush_distributed("demand", victims)
             self.env.stats.bump("writeback_demand_stalls")
-            self.env.stats.bump("writeback_demand_blocks", len(victims))
             # The only time writeback latency enters the critical path:
             # the foreground's wait shows up as a writeback phase on its
             # own in-flight request's span.
-            if ends:
+            if end is not None:
                 with fg_ctx.layer(LAYER_WRITEBACK):
-                    fg_ctx.sync_to(max(ends))
+                    fg_ctx.sync_to(end)
         # Let the background continue towards High_f off the critical path.
         self.signal_pressure(fg_ctx.now)
         return len(victims)
@@ -184,14 +174,22 @@ class WritebackPool(BackgroundTask):
         return parts
 
     def _flush_distributed(self, cause, victims):
-        """Partition a batch and flush each part on its worker's timeline."""
+        """Partition a batch and flush each part on its worker's timeline;
+        returns the latest clock among the workers that flushed, or None
+        if the batch was empty."""
+        ends = []
         for worker, part in zip(self.workers, self._partition(victims)):
             if not part:
                 continue
-            self._flush_batch(worker.ctx, cause, part)
+            with worker.ctx.waiting("flushing %d %s victims"
+                                    % (len(part), cause)):
+                self._flush_batch(worker.ctx, cause, part)
             self.env.stats.bump(
                 "writeback_worker%d_blocks" % worker.worker_id, len(part)
             )
+            ends.append(worker.ctx.now)
+        self.env.stats.bump("writeback_%s_blocks" % cause, len(victims))
+        return max(ends, default=None)
 
     # -- work items -----------------------------------------------------------
 
@@ -231,7 +229,6 @@ class WritebackPool(BackgroundTask):
         if not victims:
             return False
         self._flush_distributed("pressure", victims)
-        self.env.stats.bump("writeback_pressure_blocks", len(victims))
         if buffer.at_high_watermark:
             return False
         self._pressure_ns = max(due + 1,
@@ -248,29 +245,16 @@ class WritebackPool(BackgroundTask):
                 "writeback_journal_relief_blocks",
                 self.hinfs.make_room(self.ctx, journal.relief_limit))
 
-    def _flush_aged(self):
-        """After reclaiming, flush any dirty block older than 30 s.
+    def _flush_older_than(self, cause, age_ns):
+        """Flush every dirty block not written for ``age_ns``: the 30 s
+        scan after a reclaim (``aged``) and the 5-second wakeup's cold
+        data (``periodic``).
 
         Scans the dirty list (first-dirtied order), not the whole LRW
         list; the victims are then partitioned across the workers.
         """
         now = max(worker.ctx.now for worker in self.workers)
-        victims = [
+        self._flush_distributed(cause, [
             block for block in self.hinfs.buffer.dirty_blocks()
-            if now - block.last_written_ns >= self.config.dirty_age_ns
-        ]
-        self._flush_distributed("aged", victims)
-        self.env.stats.bump("writeback_aged_blocks", len(victims))
-
-    def _periodic_flush(self):
-        """The 5-second wakeup: persist blocks that have gone cold (not
-        written for at least one full interval)."""
-        now = max(worker.ctx.now for worker in self.workers)
-        interval = self.config.periodic_interval_ns
-        victims = [
-            block for block in self.hinfs.buffer.dirty_blocks()
-            if now - block.last_written_ns >= interval
-        ]
-        self._flush_distributed("periodic", victims)
-        self.env.stats.bump("writeback_periodic_blocks", len(victims))
-
+            if now - block.last_written_ns >= age_ns
+        ])

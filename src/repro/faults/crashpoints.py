@@ -587,7 +587,7 @@ WRAP_OPS = (
 #: HiNFS's paced pressure writeback, on the explorer's 64-block buffer
 #: (``Low_f`` = 3 free, ``High_f`` = 12).  ``PRESSURE_WARMUP`` runs
 #: unrecorded and leaves 3 blocks free: fifteen 4-block lazy appends,
-#: one deferred commit each, chained per file, plus one more block.
+#: one deferred commit each, queued per file, plus one more block.
 #: ``("tick", ns)`` moves the foreground clock on by ``ns`` and lets the
 #: background timelines catch up through the registry the scheduler
 #: drives.  In the recorded window the first append takes the buffer

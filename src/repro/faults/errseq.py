@@ -59,7 +59,7 @@ class ErrseqMap:
         return False, cursor
 
     def drop(self, ino):
-        """Forget an inode's history (unlink)."""
+        """Forget an inode's history: a new inode took its number."""
         self._seq.pop(ino, None)
         self._seen.discard(ino)
 

@@ -124,7 +124,8 @@ class Transaction:
         self.entries = 0
         #: Log sequence of its first entry; None until it has one.
         self.first = None
-        #: Whoever defers this transaction's commit (HiNFS's PendingTx).
+        #: The HiNFS PendingTx that defers this commit, or None: how
+        #: make_room finds the blocks the oldest open one waits on.
         self.owner = None
 
     def __repr__(self):

@@ -113,10 +113,6 @@ class _ShardedErrseq:
         errs, local = self._route(gino)
         return errs.check(local, cursor)
 
-    def record(self, gino):
-        errs, local = self._route(gino)
-        return errs.record(local)
-
     def drop(self, gino):
         errs, local = self._route(gino)
         return errs.drop(local)

@@ -250,6 +250,10 @@ class VFS:
                     raise NotFound(path)
                 self._check_writable("create of %r" % path)
                 ino = self._guarded(ctx, self.fs.create_file, parent, name)
+                # A new inode starts with a clean errseq, even where it
+                # reuses the number of an unlinked file with an error
+                # no descriptor reported.
+                self.fs.wb_err.drop(ino)
                 self._dcache[(parent, name)] = ino
             else:
                 if self.fs.getattr(ctx, ino).is_dir:

@@ -1,11 +1,13 @@
-"""Regression tests for deferred-commit ordering (per-file tx chains).
+"""Regression tests for deferred-commit ordering (per-file FIFOs).
 
 Found by the hypothesis crash-recovery suite: if a newer transaction on
 the same file commits while an older buffered transaction is still open,
 a crash would roll the older undo images back *over* the newer committed
-state.  HiNFS therefore chains deferred commits per file and barriers
+state.  HiNFS therefore queues deferred commits per file and barriers
 synchronous commits behind them.
 """
+
+import itertools
 
 import pytest
 
@@ -53,22 +55,40 @@ def test_eager_block_write_joins_file_chain(rig):
     assert st.size >= 64
 
 
-def test_chain_commits_in_order_as_blocks_flush(rig):
-    """Flushing a newer tx's block before an older tx's block must not
-    commit the newer tx first -- it waits (ready) for the cascade."""
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))),
+                         ids=lambda order: "".join(map(str, order)))
+def test_chain_commits_in_order_as_blocks_flush(rig, monkeypatch, order):
+    """Three lazy writes to one file, their blocks flushed in any order:
+    a transaction never commits before every older one has, and the
+    journal commits them in write order."""
     fs = rig.fs
     fd = rig.vfs.open(rig.ctx, "/c", f.O_CREAT | f.O_RDWR)
-    rig.vfs.pwrite(rig.ctx, fd, 0, b"a" * 4096)       # tx1 on block 0
-    rig.vfs.pwrite(rig.ctx, fd, 4096, b"b" * 4096)    # tx2 on block 1
+    for i in range(3):
+        rig.vfs.pwrite(rig.ctx, fd, i * 4096, b"abc"[i:i + 1] * 4096)
     ino = rig.vfs.stat(rig.ctx, "/c").ino
     blocks = {b.file_block: b for b in fs.buffer.file_blocks(ino)}
-    (tx2,) = [p.tx for p in blocks[1].pending_txs]
-    (tx1,) = [p.tx for p in blocks[0].pending_txs]
-    # Flush the NEWER block first.
-    fs.flush_and_evict(rig.ctx, blocks[1])
-    assert tx2.open, "newer tx must wait for the older one"
-    fs.flush_and_evict(rig.ctx, blocks[0])
-    assert not tx1.open and not tx2.open
+    txs = []
+    for i in range(3):
+        (pending,) = blocks[i].pending_txs
+        txs.append(pending.tx)
+    committed = []
+    commit = fs.journal.commit
+
+    def recording(ctx, tx):
+        committed.append(tx)
+        commit(ctx, tx)
+
+    monkeypatch.setattr(fs.journal, "commit", recording)
+    flushed = set()
+    for i in order:
+        fs.flush_and_evict(rig.ctx, blocks[i])
+        flushed.add(i)
+        durable = 0
+        while durable in flushed:
+            durable += 1
+        assert committed == txs[:durable]
+        assert [tx.open for tx in txs] == [k >= durable for k in range(3)]
+    assert committed == txs
 
 
 def test_truncate_barriers_open_transactions(rig):
@@ -122,4 +142,23 @@ def test_many_interleaved_files_chains_are_independent(rig):
     assert open_txs > 0  # other files' chains still deferred
     for i in (0, 1, 3):
         rig.vfs.fsync(rig.ctx, fds[i])
+    assert rig.fs.journal.open_transactions == 0
+
+
+def test_no_queue_outlives_its_files_deferred_commits(rig):
+    """Once every file's blocks are flushed or discarded, no per-file
+    queue is left behind (create/delete churn must not grow the map)."""
+    fds = {}
+    for i in range(6):
+        fds[i] = rig.vfs.open(rig.ctx, "/q%d" % i, f.O_CREAT | f.O_RDWR)
+        for round_no in range(3):
+            rig.vfs.pwrite(rig.ctx, fds[i], round_no * 4096, b"q" * 512)
+    assert len(rig.fs._pending) == 6
+    for i in range(6):
+        if i % 2:
+            rig.vfs.close(rig.ctx, fds[i])
+            rig.vfs.unlink(rig.ctx, "/q%d" % i)
+        else:
+            rig.vfs.fsync(rig.ctx, fds[i])
+    assert rig.fs._pending == {}
     assert rig.fs.journal.open_transactions == 0

@@ -55,10 +55,11 @@ def test_the_aged_scan_and_relief_run_once_high_f_is_reached(monkeypatch):
     rig = make_rig(reclaim_batch=4)
     buffer, pool = rig.fs.buffer, rig.fs.writeback
     calls = []
-    for name in ("_journal_relief", "_flush_aged"):
-        def counted(real=getattr(pool, name), name=name):
-            calls.append((name, buffer.free_blocks))
-            real()
+    for name in ("_journal_relief", "_flush_older_than"):
+        # Named by the flush's cause where it has one.
+        def counted(*args, real=getattr(pool, name), name=name):
+            calls.append((args[0] if args else name, buffer.free_blocks))
+            real(*args)
         monkeypatch.setattr(pool, name, counted)
     fill_to_two_free(rig)
     wakes = 0
@@ -67,8 +68,7 @@ def test_the_aged_scan_and_relief_run_once_high_f_is_reached(monkeypatch):
         rig.env.background.advance_to(pool.next_due_ns())
         wakes += 1
     assert wakes == 3  # 2 -> 6 -> 10 -> 14 free
-    assert [name for name, _free in calls] == ["_journal_relief",
-                                               "_flush_aged"]
+    assert [name for name, _free in calls] == ["_journal_relief", "aged"]
     assert all(free >= pool.config.high_blocks for _name, free in calls)
 
 

@@ -136,3 +136,39 @@ def test_reported_error_is_retired_across_remount():
     fd = rig.vfs.open(rig.ctx, "/a", f.O_RDWR)
     rig.vfs.fsync(rig.ctx, fd)  # seen before the remount: stays quiet
     rig.vfs.close(rig.ctx, fd)
+
+
+
+def _note_wb_error(fs, ino):
+    """Record a writeback loss where a flusher does: on a sharded mount,
+    against the owning shard's local inode."""
+    if hasattr(fs, "shards"):
+        shard, ino = fs._dec(ino)
+        fs = fs.shards[shard]
+    fs.note_wb_error(ino)
+
+
+@pytest.mark.parametrize("fs_name", ["pmfs", "hinfs", "pmfs@2"])
+def test_a_new_file_does_not_inherit_a_reused_inos_error(fs_name):
+    """An unlinked file's unreported loss stays with it: the file that
+    reuses its inode number opens with a clean errseq."""
+    rig = _Rig(fs_name)
+    rig.vfs.write_file(rig.ctx, "/a", b"x" * 4096)
+    ino = rig.vfs.stat(rig.ctx, "/a").ino
+    _note_wb_error(rig.fs, ino)
+    errors = rig.env.stats.count("vfs_media_errors")
+    rig.vfs.unlink(rig.ctx, "/a")
+    rig.vfs.write_file(rig.ctx, "/b", b"y" * 4096)  # closes without EIO
+    assert rig.vfs.stat(rig.ctx, "/b").ino == ino
+    assert rig.env.stats.count("vfs_media_errors") == errors
+
+
+@pytest.mark.parametrize("fs_name", ["pmfs", "hinfs", "pmfs@2"])
+def test_a_descriptor_held_across_unlink_still_reports(fs_name):
+    rig = _Rig(fs_name)
+    rig.vfs.write_file(rig.ctx, "/a", b"x" * 4096)
+    fd = rig.vfs.open(rig.ctx, "/a", f.O_RDWR)
+    _note_wb_error(rig.fs, rig.vfs.stat(rig.ctx, "/a").ino)
+    rig.vfs.unlink(rig.ctx, "/a")
+    with pytest.raises(MediaError):
+        rig.vfs.close(rig.ctx, fd)

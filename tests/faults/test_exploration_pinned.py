@@ -260,8 +260,7 @@ def test_a_commit_ahead_of_its_data_is_caught(monkeypatch):
 
     def commit_first(self, ctx, blocks, *args, **kwargs):
         for block in blocks:
-            for pending in list(block.pending_txs):
-                pending.complete_block(ctx, self.journal, block)
+            self._complete_pending(ctx, block)
         return flush(self, ctx, blocks, *args, **kwargs)
 
     monkeypatch.setattr(HiNFS, "flush_blocks", commit_first)
