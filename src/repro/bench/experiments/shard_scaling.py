@@ -23,10 +23,11 @@ checks three contracts:
   that device's own ``FCFSServers`` pool -- no request and no slot
   grant is lost or double-billed by the routing layer;
 - **crash safety rides along**: the crash-point explorer
-  (:mod:`repro.faults.crashpoints`) runs ``SHARD_OPS`` -- every
-  cross-shard rename protocol, with and without a replacement victim --
+  (:mod:`repro.faults.crashpoints`) runs ``SHARD_OPS`` -- both
+  cross-shard rename protocols (a directory move and a rename over a
+  victim on another shard) and the one-journal renames around them --
   on both journaling bases at M=2 and M=4, and must find no violation
-  in any crash state while reaching all six migration steps.
+  in any crash state while reaching every swap step.
 """
 
 from repro.bench.report import Table
@@ -42,7 +43,7 @@ DEVICE_COUNTS = (1, 2, 4, 8)
 #: The sharded stacks the crash explorer rides along on.
 CRASHCHECK_STACKS = ("hinfs@2", "hinfs@4", "pmfs@2", "pmfs@4")
 
-#: Fault-plan sites of ``ShardedFS._rename_migrate``: the explored
+#: Fault-plan sites of ``ShardedFS._rename_swap``: the explored
 #: sequence must reach every step of the protocol.
 XMV_SITES = tuple("xmv:" + step for step in XMV_STEPS)
 
@@ -100,7 +101,7 @@ def run(scale=SMALL, seed=42, n_tenants=500, ops_per_tenant=6):
         scaling.append(entry)
 
     # The crash-safety gate rides with the bench: every crash state of
-    # the three cross-shard rename protocols, both bases.
+    # the cross-shard rename protocols, both bases.
     crash_reports = [r.as_dict() for r in run_crashcheck(
         CRASHCHECK_STACKS, ops=SHARD_OPS, seed=seed,
         eviction_samples_per_op=8, torn_samples_per_op=8)]
@@ -176,7 +177,7 @@ def check_shape(data):
         assert entry["sharded_reqs_total"] > 0, entry
         assert entry["slot_grants_total"] > 0, entry
     # Crash-point explorer: no violation in any crash state, and the
-    # sequence drove the migration protocol through every step.
+    # sequence drove the swap protocol through every step.
     assert [r["fs_kind"] for r in data["crashcheck"]] \
         == list(CRASHCHECK_STACKS), data["crashcheck"]
     for report in data["crashcheck"]:

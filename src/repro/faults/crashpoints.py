@@ -525,26 +525,26 @@ MMIO_OPS = (
     ("munmap", "/m"),
 )
 
-#: The shard layer's three intent-logged rename protocols, for a
-#: ``base@M`` mount.  The root names are picked so that those ending in
-#: an even digit hash to shard 0 and those in an odd one to shard 1, at
-#: M=2 and M=4 alike; ``/d/f`` lands on shard 1 at both (its placement
-#: hangs on the inode number ``/d`` gets, so the directory ops go first).
-#: ``[:3]`` drives ``dirmv`` alone, ``[3:5]`` ``xmv`` and ``[3:7]``
-#: ``swap``, each from a blank mount.
+#: The shard layer's two intent-logged rename protocols and the plain
+#: renames around them, for a ``base@M`` mount.  The root names are
+#: picked so that those ending in an even digit hash to shard 0 and
+#: those in an odd one to shard 1, at M=2 and M=4 alike; ``/d/f`` lands
+#: on shard 1 at both (its placement hangs on the inode number ``/d``
+#: gets, so the directory ops go first).  A renamed file keeps its
+#: shard, so a name may end up on the other one.  ``[:3]`` drives
+#: ``dirmv`` alone and ``[3:6]`` ``swap``, each from a blank mount.
 SHARD_OPS = (
     ("mkdir", "/d"),
     ("sync_write", "/d/f", 0, 3000),
     ("rename", "/d", "/e"),              # dirmv: mirrors follow shard 0
     ("sync_write", "/b2", 0, 5000),
-    ("rename", "/b2", "/a1"),            # xmv: plain migration, 0 -> 1
-    ("sync_write", "/c6", 0, 1000),
-    ("rename_mapped", "/c6", "/a1"),     # swap: stays on 0, victim on 1
-    ("sync_write", "/f2", 0, 2500),
-    ("rename", "/f2", "/a1"),            # xmv over the misplaced victim
+    ("sync_write", "/a1", 0, 1000),
+    ("rename", "/b2", "/a1"),            # swap: stays on 0, victim on 1
+    ("rename", "/e/f", "/b0"),           # stays on 1 under a shard-0 name
+    ("sync_write", "/c6", 0, 2500),
+    ("rename", "/c6", "/b0"),            # swap over the misplaced victim
     ("append", "/c4", 2000),             # lazy: in HiNFS's DRAM buffer
-    ("rename", "/c4", "/a1"),            # xmv over a victim on shard 1
-    ("rename", "/e/f", "/b0"),           # xmv out of a directory, 1 -> 0
+    ("rename", "/c4", "/a1"),            # one journal: the victim is on 0 too
     ("mkdir", "/e/g"),                   # mirrored below the moved mirrors
     ("unlink", "/a1"),
 )
@@ -796,16 +796,6 @@ class CrashPointExplorer:
             vfs.close(ctx, fd)
         elif kind == "rename":
             vfs.rename(ctx, op[1], op[2])
-        elif kind == "rename_mapped":
-            # Renamed under a live (plain) mapping, a file must keep its
-            # inode: on a sharded mount it stays on its device even when
-            # the new name hashes elsewhere -- the one way a file
-            # becomes *misplaced*.
-            fd = vfs.open(ctx, op[1], f.O_RDWR)
-            region = vfs.mmap(ctx, fd)
-            vfs.rename(ctx, op[1], op[2])
-            vfs.munmap(ctx, region)
-            vfs.close(ctx, fd)
         elif kind == "unlink":
             vfs.unlink(ctx, op[1])
         elif kind == "truncate":
@@ -855,7 +845,7 @@ class CrashPointExplorer:
         elif kind == "unlink":
             expect.present.discard(op[1])
             expect.fsynced.pop(op[1], None)
-        elif kind in ("rename", "rename_mapped"):
+        elif kind == "rename":
             old, new = op[1], op[2]
             # A durable ``new`` stays in ``present``: rename-over swaps
             # what the name resolves to, it never lets the name vanish.
@@ -895,7 +885,7 @@ class CrashPointExplorer:
             expect.fsynced[op[1]] = (vfs.read_file(ctx, op[1]), True)
         elif kind == "unlink":
             expect.absent.add(op[1])
-        elif kind in ("rename", "rename_mapped"):
+        elif kind == "rename":
             # One op is in flight at a time: both windows are this op's.
             for path, dest in expect.either_present:
                 expect.present.add(dest)

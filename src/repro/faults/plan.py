@@ -21,10 +21,8 @@ site                    key                    consulted by
                                                and what is linked behind
 ``mmio:load|store|``    inode of the mapping   ``MmioMapping``, first
 ``msync|append``                               step of the operation
-``xmv:intent|copy|``    None                   ``ShardedFS.
-``copied|victim-``                             _rename_migrate``, after
-``unlinked|linked|``                           each protocol step
-``unlinked``
+``xmv:intent|victim-``  None                   ``ShardedFS._rename_swap``,
+``unlinked|linked``                            after each protocol step
 ======================  =====================  ==========================
 """
 

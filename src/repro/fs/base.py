@@ -10,8 +10,8 @@ through :meth:`FileSystem.submit`, the one entry point callers above a
 file system use: it dispatches to the three per-fs hooks ``read_iter``/
 ``write_iter``/``sync_iter`` -- one per behaviour, not one per caller;
 ``sync_iter`` alone decides all four ``(req.eager, req.datasync)`` cases.
-The positional ``read``/``write``/``fsync``/``fdatasync`` conveniences are
-defined once, here: each builds a request and submits it too.
+The positional ``read``/``write``/``fsync`` conveniences are defined
+once, here: each builds a request and submits it too.
 
 Mapped I/O has one hook as well: :meth:`FileSystem.mmap` returns the one
 mapping type (:class:`repro.io.mmio.MmioMapping`), and its ``policy``
@@ -89,7 +89,8 @@ class FileSystem:
 
     def rename(self, ctx, old_parent, old_name, new_parent, new_name, ino,
                replaced_ino=None):
-        """Move ``ino`` from one dirent to another, atomically.
+        """Move ``ino`` from one dirent to another, atomically; the file
+        keeps ``ino``, so nothing is returned.
 
         ``replaced_ino`` is the inode currently at the destination (to be
         released), or ``None`` when the destination is free.
@@ -177,11 +178,6 @@ class FileSystem:
         """Make all of the inode's data and metadata durable on return."""
         self.submit(ctx, IORequest(self.env.next_req_id(), OP_SYNC, ino, (),
                                    0, eager=True))
-
-    def fdatasync(self, ctx, ino):
-        """fdatasync(2): :meth:`fsync`, data only (``req.datasync``)."""
-        self.submit(ctx, IORequest(self.env.next_req_id(), OP_SYNC, ino, (),
-                                   0, eager=True, datasync=True))
 
     def truncate(self, ctx, ino, new_size):
         """Grow or shrink the file to ``new_size`` bytes."""

@@ -216,19 +216,23 @@ class PMFS(FileSystem):
         directory = self._dir(parent_ino)
         tx = self.journal.begin(ctx)
         directory.remove(ctx, tx, name)
-        blockmap = self._maps.pop(inode.ino, None)
-        if blockmap is not None:
-            freed = blockmap.drop_all(ctx, tx)
-        else:
-            scratch = BlockMap(
-                self.device, self.journal, self.itable, inode, self.balloc
-            )
-            scratch.load_from_nvmm()
-            freed = scratch.drop_all(ctx, tx)
-        self.itable.free(ctx, tx, inode)
+        freed = self._free_inode(ctx, tx, inode)
         self.journal.commit(ctx, tx)
         self.balloc.free_many(freed)
         self._dirs.pop(inode.ino, None)
+
+    def _free_inode(self, ctx, tx, inode):
+        """Drop every block of ``inode`` and free the inode, inside
+        ``tx``; returns the blocks to hand back after the commit."""
+        blockmap = self._maps.pop(inode.ino, None)
+        if blockmap is None:
+            blockmap = BlockMap(
+                self.device, self.journal, self.itable, inode, self.balloc
+            )
+            blockmap.load_from_nvmm()
+        freed = blockmap.drop_all(ctx, tx)
+        self.itable.free(ctx, tx, inode)
+        return freed
 
     def on_release(self, ctx, ino):
         """Hook called before an inode is freed (HiNFS discards its
@@ -258,14 +262,7 @@ class PMFS(FileSystem):
         freed = []
         if replaced is not None:
             new_dir.remove(ctx, tx, new_name)
-            blockmap = self._maps.pop(replaced_ino, None)
-            if blockmap is None:
-                blockmap = BlockMap(
-                    self.device, self.journal, self.itable, replaced, self.balloc
-                )
-                blockmap.load_from_nvmm()
-            freed = blockmap.drop_all(ctx, tx)
-            self.itable.free(ctx, tx, replaced)
+            freed = self._free_inode(ctx, tx, replaced)
         new_dir.add(ctx, tx, new_name, ino)
         self.itable.write_core(ctx, tx, old_dir.inode)
         if new_dir is not old_dir:

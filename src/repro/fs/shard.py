@@ -19,36 +19,33 @@ Layout
   directory *skeleton* plus the dirents of its own files); shard 0 is
   canonical.  A directory's global ino is its shard-0 mirror's encoding,
   and ``_dir_locals`` translates it to the per-shard local inos.
-- **Files live on exactly one shard**, chosen by hashing the file name
-  (``crc32(name) % M``).  Lookup probes the hash owner first and falls
-  back to the other shards -- a file renamed in place (because it had
-  live mappings) may be *misplaced* relative to its current name.
+- **Files live on exactly one shard**, chosen at create time by hashing
+  the file name (``crc32(name) % M``), and stay there for life: like
+  PMFS and HiNFS, a rename moves a dirent and never the inode.  Lookup
+  probes the hash owner first and falls back to the other shards -- a
+  renamed file may be *misplaced* relative to its current name.
 
-Cross-shard rename protocol
----------------------------
+Rename
+------
 
-``rename(2)`` whose source and destination hash to different shards
-cannot be one journal transaction -- the two shards have independent
-journals.  Instead it is journaled as an *intent* in a hidden shard-0
-file (``.__shard_intents__``), each record length+CRC framed so a torn
-tail parses as absent:
+A file rename is the inner rename on the file's own shard -- one
+journal transaction, which also replaces a victim living on that shard.
+Only a victim on *another* shard splits the rename across two journals
+(the *swap*).  It is journaled as an *intent* in a hidden shard-0 file
+(``.__shard_intents__``), each record length+CRC framed so a torn tail
+parses as absent:
 
 1. ``begin`` record (all locals + names), durable before anything moves;
-2. copy the source bytes into a hidden temp on the target shard, fsync;
-3. ``copied`` record naming the temp's local ino;
-4. target-shard inner rename temp -> new name (THE commit point; an
-   existing same-shard victim is replaced atomically by the inner
-   journal);
-5. source-shard unlink of the old name;
-6. ``done`` record.
+2. unlink of the victim on its shard;
+3. inner rename on the file's shard;
+4. ``done`` record.
 
-Recovery (at :meth:`ShardedFS.mount`) replays incomplete intents: before
-``copied`` it rolls back (drops the temp; the source never moved); after
-``copied`` it decides by looking at the target dirent -- if the commit
-rename landed (or a cross-shard victim's dirent is already gone) it
-rolls forward, else back.  Every crash point therefore recovers to
-*exactly one name* for the moved file.  Directory renames are journaled
-the same way (``dirmv``) with shard 0 as the commit shard.
+Recovery (a ``mounted=True`` construction, :func:`mount_sharded`)
+replays incomplete intents: if the rename landed it makes sure the
+victim is gone; if the victim is still there nothing moved; else it
+redoes the rename.  Every crash point therefore recovers to *exactly
+one name* for the moved file.  Directory renames are journaled the same
+way (``dirmv``) with shard 0 as the commit shard.
 
 Health is per shard: each shard owns a
 :class:`~repro.fs.health.MountHealth`; async writeback errors feed only
@@ -68,11 +65,9 @@ from repro.fs.errors import NotADirectory, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY, ISOLATED, MountHealth, OVERLOADED
 from repro.io import OP_WRITE
 
-#: Steps of :meth:`ShardedFS._rename_migrate`, in protocol order: after
-#: each, the fault site ``xmv:<step>`` (``victim-unlinked`` only when
-#: the victim lives on another shard than the target).
-XMV_STEPS = ("intent", "copy", "copied", "victim-unlinked", "linked",
-             "unlinked")
+#: Steps of :meth:`ShardedFS._rename_swap`, in protocol order: after
+#: each, the fault site ``xmv:<step>``.
+XMV_STEPS = ("intent", "victim-unlinked", "linked")
 
 #: Namespace entries the shard layer keeps for itself (never listed).
 HIDDEN_PREFIX = ".__"
@@ -217,13 +212,6 @@ class ShardedFS(FileSystem):
             if s and inner.degraded_reason:
                 self.shard_health[s].force_degraded(0, inner.degraded_reason)
 
-    @classmethod
-    def mount(cls, env, shards):
-        """Assemble a sharded mount from already-mounted shards: replay
-        incomplete cross-shard intents, then reconcile the mirrored
-        directory skeleton against canonical shard 0."""
-        return cls(env, shards, mounted=True)
-
     def _recover_intents(self, free):
         pending = {}
         for rec in self._read_intents(free):
@@ -231,64 +219,19 @@ class ShardedFS(FileSystem):
             seq = rec.get("seq")
             if kind == "begin":
                 pending[seq] = rec
-            elif kind == "copied" and seq in pending:
-                pending[seq]["tl"] = rec["tl"]
             elif kind == "done":
                 pending.pop(seq, None)
         for seq in sorted(pending):
             rec = pending[seq]
             if rec.get("op") == "dirmv":
                 self._recover_dirmv(free, rec)
-            elif rec.get("op") == "swap":
-                self._recover_swap(free, rec)
             else:
-                self._recover_xmv(free, rec)
+                self._recover_swap(free, rec)
             self.env.stats.bump("shard_intents_recovered")
 
-    def _recover_xmv(self, free, rec):
-        """Finish or undo one interrupted cross-shard file migration."""
-        s1fs = self.shards[rec["s1"]]
-        s2fs = self.shards[rec["s2"]]
-        p1l, p2l = rec["p1l"], rec["p2l"]
-        tmp, tl = rec["tmp"], rec.get("tl")
-        if tl is None:
-            # Crashed before the copy was recorded: the source never
-            # moved; drop the (possibly half-written) temp.
-            t = s2fs.lookup(free, p2l, tmp)
-            if t is not None:
-                s2fs.unlink(free, p2l, tmp, t)
-            return
-        lr, sr = rec.get("lr"), rec.get("sr")
-        forward = s2fs.lookup(free, p2l, rec["new"]) == tl
-        if not forward and lr is not None and sr != rec["s2"]:
-            # A cross-shard victim whose dirent is already gone means the
-            # protocol passed its point of no return before the crash.
-            if self.shards[sr].lookup(free, rec["rp2l"], rec["new"]) is None:
-                forward = True
-        if forward:
-            if lr is not None and sr != rec["s2"]:
-                victim = self.shards[sr].lookup(free, rec["rp2l"], rec["new"])
-                if victim == lr:
-                    self.shards[sr].unlink(free, rec["rp2l"], rec["new"], lr)
-            if s2fs.lookup(free, p2l, rec["new"]) != tl:
-                t = s2fs.lookup(free, p2l, tmp)
-                if t is not None:
-                    same_shard_victim = None
-                    if lr is not None and sr == rec["s2"]:
-                        if s2fs.lookup(free, p2l, rec["new"]) == lr:
-                            same_shard_victim = lr
-                    s2fs.rename(free, p2l, tmp, p2l, rec["new"], t,
-                                replaced_ino=same_shard_victim)
-            old = s1fs.lookup(free, p1l, rec["old"])
-            if old == rec["l1"]:
-                s1fs.unlink(free, p1l, rec["old"], old)
-        else:
-            t = s2fs.lookup(free, p2l, tmp)
-            if t is not None:
-                s2fs.unlink(free, p2l, tmp, t)
-
     def _recover_swap(self, free, rec):
-        """In-place rename whose cross-shard victim unlink got split off."""
+        """Finish or undo one interrupted rename over a victim on another
+        shard."""
         s1fs = self.shards[rec["s1"]]
         srfs = self.shards[rec["sr"]]
         if s1fs.lookup(free, rec["p2l"], rec["new"]) == rec["l1"]:
@@ -457,37 +400,23 @@ class ShardedFS(FileSystem):
 
     def rename(self, ctx, old_parent, old_name, new_parent, new_name, ino,
                replaced_ino=None):
-        """Returns the file's *new global ino* when the rename migrated
-        it to another shard, else None (the VFS remaps open descriptors
-        and its dcache from the return value)."""
+        """The file keeps its shard and its global ino, whatever shard
+        the new name hashes to."""
         p1 = self._plocals(old_parent)
         p2 = self._plocals(new_parent)
         if ino in self._dir_locals:
             self._rename_dir(ctx, p1, old_name, p2, new_name,
                              self._dir_locals[ino])
-            return None
+            return
         s1, l1 = self._dec(ino)
-        s2 = shard_of(new_name, self.nshards, parent=new_parent)
-        sr = lr = None
-        if replaced_ino is not None:
-            sr, lr = self._dec(replaced_ino)
         self._check_shard_writable(s1, "rename of %r" % old_name)
-        self._check_shard_writable(s2, "rename to %r" % new_name)
-        if sr is not None:
-            self._check_shard_writable(sr, "replace of %r" % new_name)
-        if s1 == s2 or l1 in self.shards[s1]._mappings:
-            # Stays on its shard -- possibly *misplaced* relative to the
-            # new name's hash owner (live mappings must keep addressing
-            # the same local inode); lookup's probe fallback finds it.
-            if lr is None or sr == s1:
-                self.shards[s1].rename(ctx, p1[s1], old_name, p2[s1],
-                                       new_name, l1, replaced_ino=lr)
-                return None
-            self._rename_swap(ctx, s1, l1, p1, old_name, p2, new_name,
-                              sr, lr)
-            return None
-        return self._rename_migrate(ctx, s1, l1, p1, old_name, s2, p2,
-                                    new_name, sr, lr)
+        sr, lr = (s1, None) if replaced_ino is None else self._dec(replaced_ino)
+        if sr == s1:
+            self.shards[s1].rename(ctx, p1[s1], old_name, p2[s1], new_name,
+                                   l1, replaced_ino=lr)
+            return
+        self._check_shard_writable(sr, "replace of %r" % new_name)
+        self._rename_swap(ctx, s1, l1, p1, old_name, p2, new_name, sr, lr)
 
     def _next_intent_seq(self):
         self._intent_seq += 1
@@ -508,51 +437,19 @@ class ShardedFS(FileSystem):
         self._append_intent(ctx, {"kind": "done", "seq": seq})
 
     def _rename_swap(self, ctx, s1, l1, p1, old_name, p2, new_name, sr, lr):
-        """In-place rename over a victim living on a different shard."""
+        """Rename over a victim living on a different shard."""
         seq = self._next_intent_seq()
         self._append_intent(ctx, {
             "kind": "begin", "op": "swap", "seq": seq, "s1": s1, "l1": l1,
             "p1l": p1[s1], "old": old_name, "p2l": p2[s1], "new": new_name,
             "sr": sr, "lr": lr, "rp2l": p2[sr],
         })
-        self.shards[sr].unlink(ctx, p2[sr], new_name, lr)
-        self.shards[s1].rename(ctx, p1[s1], old_name, p2[s1], new_name, l1)
-        self._append_intent(ctx, {"kind": "done", "seq": seq})
-
-    def _rename_migrate(self, ctx, s1, l1, p1, old_name, s2, p2, new_name,
-                        sr, lr):
-        """The journaled cross-shard migration; returns the new global ino."""
-        src, dst = self.shards[s1], self.shards[s2]
-        seq = self._next_intent_seq()
-        tmp = "%smig_%d" % (HIDDEN_PREFIX, seq)
-        rec = {
-            "kind": "begin", "op": "xmv", "seq": seq, "s1": s1, "l1": l1,
-            "p1l": p1[s1], "old": old_name, "s2": s2, "p2l": p2[s2],
-            "new": new_name, "tmp": tmp, "sr": sr, "lr": lr,
-            "rp2l": p2[sr] if sr is not None else None,
-        }
-        self._append_intent(ctx, rec)
         self._crash_point("intent")
-        size = src.getattr(ctx, l1).size
-        data = src.read(ctx, l1, 0, size) if size else b""
-        tl = dst.create_file(ctx, p2[s2], tmp)
-        if data:
-            dst.write(ctx, tl, 0, data, eager=True)
-        dst.fsync(ctx, tl)
-        self._crash_point("copy")
-        self._append_intent(ctx, {"kind": "copied", "seq": seq, "tl": tl})
-        self._crash_point("copied")
-        if lr is not None and sr != s2:
-            self.shards[sr].unlink(ctx, p2[sr], new_name, lr)
-            self._crash_point("victim-unlinked")
-        dst.rename(ctx, p2[s2], tmp, p2[s2], new_name, tl,
-                   replaced_ino=lr if (lr is not None and sr == s2) else None)
+        self.shards[sr].unlink(ctx, p2[sr], new_name, lr)
+        self._crash_point("victim-unlinked")
+        self.shards[s1].rename(ctx, p1[s1], old_name, p2[s1], new_name, l1)
         self._crash_point("linked")
-        src.unlink(ctx, p1[s1], old_name, l1)
-        self._crash_point("unlinked")
         self._append_intent(ctx, {"kind": "done", "seq": seq})
-        self.env.stats.bump("shard_cross_renames")
-        return self._enc(tl, s2)
 
     def readdir(self, ctx, ino):
         locals_ = self._plocals(ino)
@@ -676,10 +573,12 @@ def build_sharded(env, base_name, config, device_size, hinfs_config=None,
 
 
 def mount_sharded(env, devices, base_name, config, hinfs_config=None):
-    """Remount a sharded stack from M existing (crashed) devices."""
-    return ShardedFS.mount(env, [
+    """Remount a sharded stack from M existing (crashed) devices: replay
+    incomplete rename intents, then reconcile the mirrored directory
+    skeleton against canonical shard 0."""
+    return ShardedFS(env, [
         _make_shard(env, base_name, device, config, hinfs_config, mount=True)
-        for device in devices])
+        for device in devices], mounted=True)
 
 
 def check_pmfs_layout(base_name):

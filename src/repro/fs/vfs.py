@@ -348,30 +348,15 @@ class VFS:
             if replaced is not None:
                 lock_set.append(replaced)
             with self.ilocks.write_locked_many(ctx, lock_set):
-                moved = self._guarded(
+                self._guarded(
                     ctx, self.fs.rename, old_parent, old_name, new_parent,
                     new_name, ino, replaced_ino=replaced,
                 )
             if replaced is not None:
                 self.ilocks.drop(replaced)
-            self._dcache.pop((old_parent, old_name), None)
-            # A sharded fs migrating the file to another device returns
-            # its new (global) inode number; remap every open descriptor
-            # and the accounting keyed by the old one.
-            if moved is not None and moved != ino:
-                self._dcache[(new_parent, new_name)] = moved
-                for file in self._files.values():
-                    if file.ino == ino:
-                        file.ino = moved
-                        file.wb_cursor = self.fs.wb_err.sample(moved)
-                if ino in self._unsynced_bytes:
-                    self._unsynced_bytes[moved] = \
-                        self._unsynced_bytes.pop(ino)
-                self.ilocks.drop(ino)
-            else:
-                self._dcache[(new_parent, new_name)] = ino
-            if replaced is not None:
                 self._unsynced_bytes.pop(replaced, None)
+            self._dcache.pop((old_parent, old_name), None)
+            self._dcache[(new_parent, new_name)] = ino
 
     def readdir(self, ctx, path):
         with _Syscall(self, ctx, "readdir"):

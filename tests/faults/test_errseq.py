@@ -10,6 +10,7 @@ from repro.engine.env import SimEnv
 from repro.faults.errseq import ErrseqMap
 from repro.fs import flags as f
 from repro.fs.errors import MediaError
+from repro.fs.shard import shard_of
 from repro.fs.vfs import VFS
 from repro.nvmm.config import NVMMConfig
 
@@ -170,5 +171,33 @@ def test_a_descriptor_held_across_unlink_still_reports(fs_name):
     fd = rig.vfs.open(rig.ctx, "/a", f.O_RDWR)
     _note_wb_error(rig.fs, rig.vfs.stat(rig.ctx, "/a").ino)
     rig.vfs.unlink(rig.ctx, "/a")
+    with pytest.raises(MediaError):
+        rig.vfs.close(rig.ctx, fd)
+
+
+#: Two root names with different hash owners on a two-shard mount, so on
+#: ``pmfs@2`` a rename from one to the other crosses shards.
+SRC, DST = "/b2", "/a1"
+
+
+@pytest.mark.parametrize("fs_name", ["pmfs", "hinfs", "pmfs@2"])
+def test_a_rename_keeps_the_inode(fs_name):
+    assert shard_of(SRC[1:], 2) != shard_of(DST[1:], 2)
+    rig = _Rig(fs_name)
+    rig.vfs.write_file(rig.ctx, SRC, b"x" * 4096)
+    ino = rig.vfs.stat(rig.ctx, SRC).ino
+    rig.vfs.rename(rig.ctx, SRC, DST)
+    assert rig.vfs.stat(rig.ctx, DST).ino == ino
+
+
+@pytest.mark.parametrize("fs_name", ["pmfs", "hinfs", "pmfs@2"])
+def test_a_descriptor_held_across_a_rename_still_reports(fs_name):
+    """A loss recorded before the rename is the renamed file's: the
+    descriptor opened before it reports it on close."""
+    rig = _Rig(fs_name)
+    rig.vfs.write_file(rig.ctx, SRC, b"x" * 4096)
+    fd = rig.vfs.open(rig.ctx, SRC, f.O_RDWR)
+    _note_wb_error(rig.fs, rig.vfs.stat(rig.ctx, SRC).ino)
+    rig.vfs.rename(rig.ctx, SRC, DST)
     with pytest.raises(MediaError):
         rig.vfs.close(rig.ctx, fd)

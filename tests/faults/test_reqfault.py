@@ -45,16 +45,16 @@ def test_injector_arm_disarm_and_max_hits():
     assert plan.hits == 4
     # Armed with no key, a site fires whatever the key; armed to crash,
     # it cuts power instead of failing with EIO.
-    plan.arm("xmv:copy", crash=True)
+    plan.arm("xmv:linked", crash=True)
     with pytest.raises(PowerCut) as cut:
-        plan.check("xmv:copy")
-    assert (cut.value.site, cut.value.key) == ("xmv:copy", None)
+        plan.check("xmv:linked")
+    assert (cut.value.site, cut.value.key) == ("xmv:linked", None)
     assert not isinstance(cut.value, Exception)  # no handler swallows it
     assert env.stats.count("xmv_fault_injections") == 0
     # Every consult is on the record, armed or not, in order.
     assert plan.observed[:3] == [("writeback", None), ("writeback", 7),
                                  ("writeback", 7)]
-    assert plan.observed[-1] == ("xmv:copy", None)
+    assert plan.observed[-1] == ("xmv:linked", None)
     with pytest.raises(ValueError):
         plan.arm("bogus:site")
 

@@ -1,7 +1,7 @@
 """The one crash explorer on the stacks the old allow-list hid: sharded
 mounts (``base@M``) and the HiNFS ablations.
 
-``SHARD_OPS`` drives the shard layer's three intent-logged rename
+``SHARD_OPS`` drives the shard layer's two intent-logged rename
 protocols; every crash state -- not just the protocol boundaries -- is
 power-cycled across all M devices and held to the same invariants as a
 single-device stack.  Each protocol's recovery method gets a negative
@@ -25,8 +25,7 @@ SAMPLES = {"seed": 3, "eviction_samples_per_op": 4, "torn_samples_per_op": 4,
 #: recovery method -> the slice of SHARD_OPS that drives its protocol.
 PROTOCOLS = {
     "_recover_dirmv": SHARD_OPS[:3],
-    "_recover_xmv": SHARD_OPS[3:5],
-    "_recover_swap": SHARD_OPS[3:7],
+    "_recover_swap": SHARD_OPS[3:6],
 }
 
 
@@ -65,16 +64,15 @@ def test_negative_control_recovery_turned_off_is_caught(method, monkeypatch):
 
 
 def test_same_seed_same_report():
-    ops = SHARD_OPS[3:5]
+    ops = SHARD_OPS[3:6]
     a = CrashPointExplorer("hinfs@2", **SAMPLES).explore(ops)
     b = CrashPointExplorer("hinfs@2", **SAMPLES).explore(ops)
     assert a.as_dict() == b.as_dict()
     assert a.as_dict()["fs_kind"] == "hinfs@2"
     assert a.as_dict()["violations"] == []
-    # The plain migration reaches every step but the cross-shard
-    # victim's unlink.
+    # One rename over a victim on the other shard reaches every step.
     assert [site for site in a.sites if site.startswith("xmv:")] == [
-        "xmv:copied", "xmv:copy", "xmv:intent", "xmv:linked", "xmv:unlinked"]
+        "xmv:intent", "xmv:linked", "xmv:victim-unlinked"]
 
 
 @pytest.mark.parametrize("fs_kind", ["hinfs-wb", "hinfs-nclfw", "hinfs-wb@2"])

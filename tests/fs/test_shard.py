@@ -1,12 +1,14 @@
 """The shard layer: one VFS mount fanned out over M NVMM devices.
 
 Covers the global inode codec, parent-aware hash placement, namespace
-ops through the unchanged VFS (including cross-shard rename with open
-descriptors), remount reconciliation of the mirrored directory
-skeleton, the per-device request/slot ledgers, and -- the health
-satellite -- that one shard entering DEGRADED_RO refuses writes to its
-own files only while the mount and every other shard stay writable,
-with per-shard MTTR measurable after scrub recovery.
+ops through the unchanged VFS (including a rename to a name that hashes
+to another shard, with open descriptors, and a power cut at every step
+of a rename over a victim on another shard), remount reconciliation of
+the mirrored directory skeleton, the per-device request/slot ledgers,
+and -- the health satellite -- that one shard entering DEGRADED_RO
+refuses writes to its own files only while the mount and every other
+shard stay writable, with per-shard MTTR measurable after scrub
+recovery.
 """
 
 import pytest
@@ -139,8 +141,8 @@ def test_mkdir_mirrors_and_rmdir_drops_all_mirrors():
 
 
 def test_misplaced_file_found_by_probe_fallback():
-    # A file parked on a non-owner shard (the residue of an in-place
-    # rename under live mappings) must still resolve globally.
+    # A file parked on a non-owner shard (the residue of a rename to a
+    # name that hashes elsewhere) must still resolve globally.
     rig = ShardRig(nshards=2)
     free = FreeContext(rig.env)
     name = name_on(1, 2)  # hash owner is shard 1 ...
@@ -150,101 +152,65 @@ def test_misplaced_file_found_by_probe_fallback():
     assert rig.vfs.exists(rig.ctx, "/" + name)
 
 
-def test_cross_shard_rename_migrates_and_remaps_open_fd():
+def test_cross_hash_rename_keeps_the_inode_and_the_open_fd_serves_it():
     rig = ShardRig(nshards=2)
     src = name_on(0, 2, prefix="src")
     dst = name_on(1, 2, prefix="dst")
     fd = rig.vfs.open(rig.ctx, "/" + src, f.O_CREAT | f.O_RDWR)
     rig.vfs.pwrite(rig.ctx, fd, 0, b"m" * 5000)
     rig.vfs.fsync(rig.ctx, fd)
-    old_gino = rig.fs.lookup(rig.ctx, ROOT_INO, src)
-    assert rig.fs._dec(old_gino)[0] == 0
+    gino = rig.fs.lookup(rig.ctx, ROOT_INO, src)
+    assert rig.fs._dec(gino)[0] == 0
     rig.vfs.rename(rig.ctx, "/" + src, "/" + dst)
-    assert rig.env.stats.count("shard_cross_renames") == 1
-    new_gino = rig.fs.lookup(rig.ctx, ROOT_INO, dst)
-    assert rig.fs._dec(new_gino)[0] == 1
+    # The new name hashes to shard 1, but the file stays on shard 0 with
+    # its inode: lookup's probe fallback finds it there.
+    assert rig.fs.lookup(rig.ctx, ROOT_INO, dst) == gino
+    assert rig.vfs.stat(rig.ctx, "/" + dst).ino == gino
     assert not rig.vfs.exists(rig.ctx, "/" + src)
-    # The open descriptor followed the migration: reads and writes via
-    # the old fd hit the file's new device.
+    # The open descriptor still names the file: reads and writes via
+    # the old fd hit it, and the new name reads them back.
     assert rig.vfs.pread(rig.ctx, fd, 0, 5000) == b"m" * 5000
     rig.vfs.pwrite(rig.ctx, fd, 0, b"n" * 8)
     rig.vfs.close(rig.ctx, fd)
     assert rig.vfs.read_file(rig.ctx, "/" + dst)[:8] == b"n" * 8
 
 
-def test_same_shard_rename_does_not_migrate():
-    rig = ShardRig(nshards=2)
-    a = name_on(0, 2, prefix="a")
-    b = name_on(0, 2, prefix="b")
-    fd = rig.vfs.open(rig.ctx, "/" + a, f.O_CREAT | f.O_RDWR)
-    rig.vfs.close(rig.ctx, fd)
-    gino = rig.fs.lookup(rig.ctx, ROOT_INO, a)
-    rig.vfs.rename(rig.ctx, "/" + a, "/" + b)
-    assert rig.fs.lookup(rig.ctx, ROOT_INO, b) == gino
-    assert rig.env.stats.count("shard_cross_renames") == 0
+# -- power cut at each step of a rename over a victim on another shard -------
 
-
-# -- power cut at each step of the cross-shard migration ----------------------
-
-#: Before the target-shard link commits, recovery rolls the migration
-#: back; from the point of no return on -- a cross-shard victim's dirent
-#: gone, or the link landed -- it rolls forward.
-ROLLS_BACK = ("intent", "copy", "copied")
+#: Until the victim's unlink lands, recovery rolls the swap back; from
+#: there on it rolls forward.
+ROLLS_BACK = ("intent",)
 
 
 @pytest.mark.parametrize("step", XMV_STEPS)
-@pytest.mark.parametrize("victim", [None, "same", "misplaced"])
 @pytest.mark.parametrize("base", ["pmfs", "hinfs"])
-def test_power_cut_at_a_migration_step_recovers_to_exactly_one_name(
-        base, victim, step):
+def test_power_cut_at_a_swap_step_recovers_to_exactly_one_name(base, step):
     rig = ShardRig(base=base)
     src = "/" + name_on(0, 2, prefix="src")
     dst = "/" + name_on(1, 2, prefix="dst")
     moved, replaced = payload(24 << 10, tag=7), payload(12 << 10, tag=13)
     rig.vfs.write_file(rig.ctx, src, moved, sync=True)
-    if victim == "same":
-        # Hash-placed on the target shard: the inner journal replaces it
-        # atomically at the link step.
-        rig.vfs.write_file(rig.ctx, dst, replaced, sync=True)
-    elif victim == "misplaced":
-        # Renamed under a live mapping it stayed on the *source* shard,
-        # so the protocol must unlink it cross-shard.
-        parked = "/" + name_on(0, 2, prefix="parked")
-        rig.vfs.write_file(rig.ctx, parked, replaced, sync=True)
-        fd = rig.vfs.open(rig.ctx, parked, f.O_RDWR)
-        region = rig.vfs.mmap(rig.ctx, fd)
-        rig.vfs.rename(rig.ctx, parked, dst)
-        rig.vfs.munmap(rig.ctx, region)
-        rig.vfs.close(rig.ctx, fd)
-        assert rig.fs._dec(rig.fs.lookup(rig.ctx, ROOT_INO, dst[1:]))[0] == 0
+    rig.vfs.write_file(rig.ctx, dst, replaced, sync=True)
+    gino = rig.vfs.stat(rig.ctx, src).ino
+    assert rig.fs._dec(rig.vfs.stat(rig.ctx, dst).ino)[0] == 1
     plan = FaultPlan(rig.env).arm("xmv:" + step, crash=True)
-    if step != "victim-unlinked" or victim == "misplaced":
-        with pytest.raises(PowerCut) as cut:
-            rig.vfs.rename(rig.ctx, src, dst)
-        assert cut.value.site == "xmv:" + step
-        holder = src if step in ROLLS_BACK else dst
-    else:
-        # Only a victim on another shard than the target is unlinked as
-        # a step of its own: the armed site is never reached and the
-        # rename completes.
+    with pytest.raises(PowerCut) as cut:
         rig.vfs.rename(rig.ctx, src, dst)
-        assert ("xmv:victim-unlinked", None) not in plan.observed
-        assert ("xmv:unlinked", None) in plan.observed
-        holder = dst
+    assert cut.value.site == "xmv:" + step
+    holder = src if step in ROLLS_BACK else dst
     rig.remount()
-    # Exactly one name reads the moved file back: never both, never
-    # neither.
+    # Exactly one name reads the moved file back, under its own inode:
+    # never both, never neither.
     assert rig.vfs.read_file(rig.ctx, holder) == moved
+    assert rig.vfs.stat(rig.ctx, holder).ino == gino
     if holder == dst:
         assert not rig.vfs.exists(rig.ctx, src)
-    elif victim:
+    else:
         # Rename-over never loses the name: rolled back, the destination
         # still resolves to the file it held.
         assert rig.vfs.read_file(rig.ctx, dst) == replaced
-    else:
-        assert not rig.vfs.exists(rig.ctx, dst)
-    # A cut leaves one intent for the remount to resolve.
-    assert rig.env.stats.count("shard_intents_recovered") == plan.hits
+    # The cut leaves one intent for the remount to resolve.
+    assert rig.env.stats.count("shard_intents_recovered") == plan.hits == 1
 
 
 # -- mappings: one FileSystem.mmap hook, one registry per shard ---------------
@@ -278,10 +244,9 @@ def test_mmap_of_a_file_on_a_later_shard(base, policy):
 
 @pytest.mark.parametrize("policy", [None, "undo"])
 def test_rename_of_a_mapped_file_stays_on_its_shard(policy):
-    """A live mapping addresses one local inode on one device, so a
-    rename whose new name hashes elsewhere must not migrate the file
-    (it becomes *misplaced*; lookup's probe finds it).  The rule reads
-    the shard's mapping registry: unmapped, the same rename migrates."""
+    """A live mapping addresses one local inode on one device; a rename
+    whose new name hashes elsewhere leaves the file there (it becomes
+    *misplaced*; lookup's probe finds it) and the mapping serves on."""
     rig = ShardRig(nshards=2)
     src = name_on(0, 2, prefix="src")
     dst = name_on(1, 2, prefix="dst")
@@ -291,16 +256,10 @@ def test_rename_of_a_mapped_file_stays_on_its_shard(policy):
     flags = 0 if policy is None else f.MAP_ATOMIC
     region = rig.vfs.mmap(rig.ctx, fd, flags=flags, policy=policy)
     rig.vfs.rename(rig.ctx, "/" + src, "/" + dst)
-    assert rig.env.stats.count("shard_cross_renames") == 0
     assert rig.fs.lookup(rig.ctx, ROOT_INO, dst) == gino
     region.store(rig.ctx, 0, b"STILL-MAPPED")
     region.munmap(rig.ctx)
     assert rig.vfs.read_file(rig.ctx, "/" + dst)[:12] == b"STILL-MAPPED"
-    # Registry empty again: now the rename back is free to migrate.
-    back = name_on(1, 2, prefix="back")
-    rig.vfs.rename(rig.ctx, "/" + dst, "/" + back)
-    assert rig.env.stats.count("shard_cross_renames") == 1
-    assert rig.fs._dec(rig.fs.lookup(rig.ctx, ROOT_INO, back))[0] == 1
 
 
 # -- remount / reconciliation ----------------------------------------------

@@ -1,10 +1,11 @@
 """``sync_iter`` is the one sync hook: two entrances, one behaviour.
 
 ``vfs.fsync(fd)`` and the below-VFS convenience ``fs.fsync(ctx, ino)``
-(likewise ``fdatasync``) both build an OP_SYNC request and ``submit``
-it, so on every stack they must do the same file-system work -- equal
-counter deltas once the syscall layer's own counters are set aside --
-and leave the synced bytes on the media.
+both build an OP_SYNC request and ``submit`` it (``vfs.fdatasync(fd)``
+and a ``datasync`` request submitted below the VFS likewise), so on
+every stack they must do the same file-system work -- equal counter
+deltas once the syscall layer's own counters are set aside -- and leave
+the synced bytes on the media.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.fs.base import ROOT_INO
 from repro.fs.ext4dax import Ext4Dax
 from repro.fs.pmfs import PMFS
 from repro.fs.shard import mount_sharded
+from repro.io import OP_SYNC, IORequest
 from repro.nvmm.device import NVMMDevice
 
 from tests.fs import test_fdatasync
@@ -38,6 +40,15 @@ class Rig(test_fdatasync.Rig):
         self.fs_name = fs_name
         self.fd = self.settled_file()
         self.ino = self.fs.lookup(self.ctx, ROOT_INO, "f")
+
+    def sync_below(self, call):
+        """``call`` below the VFS: the request the syscall submits."""
+        if call == "fsync":
+            self.fs.fsync(self.ctx, self.ino)
+        else:
+            self.fs.submit(self.ctx, IORequest(
+                self.env.next_req_id(), OP_SYNC, self.ino, (), 0,
+                eager=True, datasync=True))
 
     def fs_deltas(self, sync):
         """Counter deltas of one ``sync()`` call, fs side only."""
@@ -86,7 +97,7 @@ def test_below_vfs_sync_does_what_the_syscall_does(fs_name, call):
         via_vfs = above.fs_deltas(
             lambda: getattr(above.vfs, call)(above.ctx, above.fd))
         via_fs = below.fs_deltas(
-            lambda: getattr(below.fs, call)(below.ctx, below.ino))
+            lambda: below.sync_below(call))
         assert via_fs == via_vfs
     for rig in (above, below):
         fs, ctx = rig.power_cycle()
