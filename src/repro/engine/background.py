@@ -75,6 +75,12 @@ class BackgroundRegistry:
         self._min_due_stale = True
         return task
 
+    def unregister(self, task):
+        """Drop a task whose owner is gone (a mapping's applier at
+        munmap or unlink)."""
+        self._tasks.remove(task)
+        self._min_due_stale = True
+
     def invalidate(self):
         """A task's due time changed outside ``run_due`` (it may now be
         *earlier* than the cached minimum); recompute on next use."""

@@ -504,9 +504,14 @@ DEFAULT_OPS = (
 
 #: Library-mode mmap sequence: map a stabilised file, store through the
 #: mapping under both log policies, commit epochs with msync, and tear
-#: the whole thing down -- every log-append, epoch-commit and checkpoint
-#: boundary becomes a crash point.  Stores stay inside the preallocated
-#: extent so the strict pre-image invariant holds between commits.
+#: the whole thing down -- every log-append, epoch-commit, apply and
+#: checkpoint boundary becomes a crash point.  Stores stay inside the
+#: preallocated extent so the strict pre-image invariant holds between
+#: commits.  The redo leg's applier runs only when the tick lets
+#: time pass or an op waits for it: the tick lands inside epoch 1's
+#: apply, after the first of its two chunks; epoch 2 commits in the
+#: other half of the log while the second is still queued; and epoch
+#: 3's first append reuses epoch 1's half, so it waits for that apply.
 MMIO_OPS = (
     ("create", "/m"),
     ("append", "/m", 8192),
@@ -518,10 +523,13 @@ MMIO_OPS = (
     ("mstore", "/m", 100, 700),
     ("munmap", "/m"),
     ("mmap", "/m", "redo"),
-    ("mstore", "/m", 64, 256),
+    ("mstore", "/m", 64, 2048),
     ("mstore", "/m", 5000, 1024),
-    ("msync_m", "/m"),
-    ("mstore", "/m", 0, 64),
+    ("msync_m", "/m"),                   # epoch 1: its apply is queued
+    ("tick", 1),                         # its first chunk lands
+    ("mstore", "/m", 0, 64),             # epoch 2: the other half
+    ("msync_m", "/m"),                   # commits over a half-done apply
+    ("mstore", "/m", 400, 64),           # epoch 3: waits for epoch 1
     ("munmap", "/m"),
 )
 

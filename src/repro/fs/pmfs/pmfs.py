@@ -160,9 +160,10 @@ class PMFS(FileSystem):
             self._dirs[ino] = directory
         return directory
 
-    def _alloc_data_block(self):
+    def _alloc_run(self, count):
+        """``count`` contiguous data blocks; returns the first."""
         try:
-            return self.balloc.alloc()
+            return self.balloc.alloc_run(count)
         except OutOfSpaceError:
             raise NoSpace("NVMM device full") from None
 
@@ -371,7 +372,12 @@ class PMFS(FileSystem):
         inode = self._inode(ino)
         if inode.is_dir:
             raise IsADirectory("inode %d" % ino)
-        old_size = inode.size
+        if new_size < inode.size:
+            # A live mapping's pending apply and staged state past the
+            # new EOF reference blocks about to be freed (and reusable by
+            # other files): settle both first.
+            for region in self._live_mappings(ino):
+                region.invalidate_past(ctx, new_size)
         tx = self.journal.begin(ctx)
         if new_size == 0:
             freed = self._map(ino).drop_all(ctx, tx)
@@ -398,11 +404,6 @@ class PMFS(FileSystem):
         inode.mtime = ctx.now
         self.itable.write_core(ctx, tx, inode)
         self.journal.commit(ctx, tx)
-        # A live mapping's staged state past the new EOF references
-        # blocks just freed (and reusable by other files): drop it.
-        if new_size < old_size:
-            for region in self._live_mappings(ino):
-                region.invalidate_past(new_size)
 
     # -- memory-mapped I/O --------------------------------------------------
 

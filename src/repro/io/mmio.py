@@ -16,27 +16,35 @@ keeps every msync'd epoch crash-atomic, under one of three policies:
   8-byte store.  Recovery rolls uncommitted entries back in reverse.
 - **redo** policy: each store persists the *new* bytes to the log and
   stages them in a DRAM overlay; in-place NVMM is untouched until
-  ``msync`` commits the epoch and applies the entries.  Recovery
-  re-applies a committed-but-unapplied epoch (idempotent) and discards
-  uncommitted entries.
+  ``msync`` commits the epoch.  The commit word is the durability
+  point: ``msync`` returns there, and the mapping's applier, a paced
+  background writer, moves the epoch in place while the next epoch
+  appends into the log's other half.  Recovery re-applies every
+  committed-but-unapplied epoch (idempotent) and discards uncommitted
+  entries.
 - **auto** policy: picked per epoch from the previous epoch's load/store
   mix (read-mostly epochs want in-place data -> undo; write-mostly
   epochs want cheap stores -> redo), as Libnvmmio does per file.
 
-Every log append is ONE ``write_persistent`` (one tearable persist
-event for the crash-point explorer), every entry carries a CRC and a
-per-incarnation token so recovery scans stop exactly at the torn tail,
-and the epoch commit word lives alone in its cacheline so the 8-byte
-store is atomic.  The log's head block is discoverable from the owning
-inode: byte offset :data:`MMIO_PTR_OFFSET` of the 256-byte inode slot
-(a free, cacheline-aligned u64 the inode writer never touches) holds
-the head block number while -- and only while -- an atomic mapping is
-live.
+The log is a head block and one contiguous run of ``2 * log_blocks``
+payload blocks, split into two halves: epoch ``e`` appends into half
+``e % 2``, so only reuse of a half waits for an apply.  Every store is
+one entry (split only where it outgrows a half), and every entry is ONE
+``write_persistent`` (one tearable persist event for the crash-point
+explorer) carrying a CRC and a per-incarnation token, so recovery scans
+stop exactly at the torn tail.  The epoch commit word lives alone in
+its cacheline so the 8-byte store is atomic.  The log's head block is
+discoverable from the owning inode: byte offset :data:`MMIO_PTR_OFFSET`
+of the 256-byte inode slot (a free, cacheline-aligned u64 the inode
+writer never touches) holds the head block number while -- and only
+while -- an atomic mapping is live.
 """
 
 import struct
 import zlib
+from collections import deque
 
+from repro.engine.background import NEVER, BackgroundTask
 from repro.engine.locks import VMutex
 from repro.engine.stats import CAT_READ_ACCESS, CAT_WRITE_ACCESS
 from repro.fs.errors import InvalidArgument, MediaError
@@ -52,27 +60,29 @@ from repro.obs.trace import LAYER_MMIO, LAYER_NVMM
 #: ``write_pointers``.
 MMIO_PTR_OFFSET = 192
 
-LOG_MAGIC = b"MMIOLOG1"
-#: Head-block header: magic, incarnation token, owning inode, payload
-#: block count, policy word (policy code | checksum flag), CRC.
-HEAD_FMT = "<8sQQIII28x"
+LOG_MAGIC = b"MMIOLOG2"
+#: Head-block header: magic, incarnation token, owning inode, first
+#: payload block, payload block count, policy word (policy code |
+#: checksum flag), CRC.
+_HEAD = struct.Struct("<8sQQQIII20x")
+_HEAD_CRC_OFF = 40
 #: Committed / applied epoch words: each alone in its own cacheline so
 #: the commit is a single atomic 8-byte persist.
 COMMITTED_OFF = 1 * CACHELINE_SIZE
 APPLIED_OFF = 2 * CACHELINE_SIZE
-#: Payload-block-number table starts at line 3 of the head block.
-TABLE_OFF = 3 * CACHELINE_SIZE
 
 ENTRY_MAGIC = b"MENT"
-#: Entry header (one cacheline): magic, kind, payload lines, epoch,
-#: file offset, payload length, payload CRC, incarnation token, CRC.
-ENTRY_FMT = "<4sHHQQIIQI20x"
+#: Entry header (one cacheline, the payload follows it): magic, kind,
+#: epoch, file offset, payload length, incarnation token, and the CRC of
+#: header and payload with this field zero.
+_ENTRY = struct.Struct("<4sHxxQQIQI24x")
+_ENTRY_CRC_OFF = 36
+ENTRY_SIZE = CACHELINE_SIZE
+_CRC = struct.Struct("<I")
+_WORD = struct.Struct("<Q")
 
 KIND_UNDO = 1
 KIND_REDO = 2
-#: Skip-to-next-block marker (an entry never spans payload blocks, so
-#: its header+payload stays one contiguous ``write_persistent``).
-KIND_PAD = 3
 
 POLICY_AUTO = 0
 POLICY_UNDO = 1
@@ -82,34 +92,14 @@ _POLICY_CODES = {"auto": POLICY_AUTO, "undo": POLICY_UNDO,
 _CHECKSUM_FLAG = 0x100
 
 LINES_PER_BLOCK = BLOCK_SIZE // CACHELINE_SIZE
-#: Largest single-entry payload: entries never span a payload block, so
-#: a block-sized store splits into two entries.
-MAX_ENTRY_PAYLOAD = BLOCK_SIZE // 2
 
 
-class LogFull(Exception):
-    """The epoch outgrew the log; the mapping auto-commits and retries."""
-
-
-def _crc_packed(blob):
-    return zlib.crc32(blob) & 0xFFFFFFFF
-
-
-def _pack_head(token, ino, nblocks, policy_word):
-    blob = struct.pack(HEAD_FMT, LOG_MAGIC, token, ino, nblocks,
-                       policy_word, 0)
-    crc = _crc_packed(blob)
-    return struct.pack(HEAD_FMT, LOG_MAGIC, token, ino, nblocks,
-                       policy_word, crc)
-
-
-def _pack_entry(kind, nlines, epoch, file_offset, length, payload_crc,
-                token, checksums):
-    blob = struct.pack(ENTRY_FMT, ENTRY_MAGIC, kind, nlines, epoch,
-                       file_offset, length, payload_crc, token, 0)
-    crc = _crc_packed(blob) if checksums else 0
-    return struct.pack(ENTRY_FMT, ENTRY_MAGIC, kind, nlines, epoch,
-                       file_offset, length, payload_crc, token, crc)
+def _crc_zeroed(raw, crc_off, payload=b""):
+    """CRC of a record read back with its CRC field taken as zero (the
+    value the writer patched in), continued over ``payload``."""
+    crc = zlib.crc32(raw[crc_off + 4:], zlib.crc32(
+        b"\0\0\0\0", zlib.crc32(raw[:crc_off])))
+    return zlib.crc32(payload, crc)
 
 
 class LogEntry:
@@ -125,7 +115,9 @@ class LogEntry:
 
 
 class MmioLog:
-    """The per-file epoch log: a head block plus N payload blocks."""
+    """The per-file epoch log: a head block, then one contiguous run of
+    payload blocks split into two halves.  Epoch ``e`` appends into half
+    ``e % 2``, so the next epoch appends while the last one applies."""
 
     def __init__(self, fs, ino, checksums=True):
         self.fs = fs
@@ -134,195 +126,233 @@ class MmioLog:
         self.checksums = checksums
         self.token = 0
         self.head_block = 0
-        self.payload_blocks = []
+        self.nblocks = 0
+        #: One epoch's capacity, in lines.
+        self.half_lines = 0
         self.committed = 0
         self.applied = 0
-        self._tail_block = 0
-        self._tail_line = 0
+        #: Lines the open epoch has filled in its half.
+        self.tail = 0
+        #: Header + payload of the entry being appended, reused.
+        self._buf = bytearray(ENTRY_SIZE)
 
     # -- setup ------------------------------------------------------------
 
     def setup(self, ctx, log_blocks, policy_code):
         """Allocate and format the log, then make it discoverable.
 
-        Ordering: header and table are fully persistent and fenced
-        *before* the inode pointer is set, so a crash mid-setup either
-        shows no log at all or a valid empty one.
+        Ordering: the header and both epoch words are persistent and
+        fenced *before* the inode pointer is set, so a crash mid-setup
+        either shows no log at all or a valid empty one.
         """
-        self.head_block = self.fs._alloc_data_block()
-        self.payload_blocks = [self.fs._alloc_data_block()
-                               for _ in range(log_blocks)]
+        self.nblocks = 2 * log_blocks
+        self.head_block = self.fs._alloc_run(1 + self.nblocks)
+        self.half_lines = log_blocks * LINES_PER_BLOCK
         # Per-incarnation token: stale entries from a previous life of
         # these blocks can never parse, so payload blocks need no
         # zeroing pass at setup.
         self.token = (self.fs.env.next_req_id() << 8) | 0x5A
         policy_word = policy_code | (_CHECKSUM_FLAG if self.checksums else 0)
+        head = bytearray(_HEAD.size)
+        _HEAD.pack_into(head, 0, LOG_MAGIC, self.token, self.ino,
+                        self.head_block + 1, self.nblocks, policy_word, 0)
+        _CRC.pack_into(head, _HEAD_CRC_OFF, zlib.crc32(head))
         base = block_addr(self.head_block)
-        head = _pack_head(self.token, self.ino, len(self.payload_blocks),
-                          policy_word)
-        table = b"".join(struct.pack("<Q", blk)
-                         for blk in self.payload_blocks)
         self.device.write_persistent(ctx, base, head, CAT_WRITE_ACCESS)
-        self.device.write_persistent(
-            ctx, base + COMMITTED_OFF, struct.pack("<Q", 0),
-            CAT_WRITE_ACCESS)
-        self.device.write_persistent(
-            ctx, base + APPLIED_OFF, struct.pack("<Q", 0), CAT_WRITE_ACCESS)
-        self.device.write_persistent(ctx, base + TABLE_OFF, table,
-                                     CAT_WRITE_ACCESS)
+        for off in (COMMITTED_OFF, APPLIED_OFF):
+            self.device.write_persistent(ctx, base + off, _WORD.pack(0),
+                                         CAT_WRITE_ACCESS)
         self.device.fence(ctx)
         ptr = inode_addr(self.fs.sb, self.ino) + MMIO_PTR_OFFSET
-        self.device.write_persistent(ctx, ptr,
-                                     struct.pack("<Q", self.head_block),
+        self.device.write_persistent(ctx, ptr, _WORD.pack(self.head_block),
                                      CAT_WRITE_ACCESS)
         self.device.fence(ctx)
 
     @classmethod
     def from_media(cls, fs, ino, head_block):
         """Rebuild a log from its head block at mount; None if invalid."""
-        base = block_addr(head_block)
         try:
-            raw = fs.device.read_media(base, struct.calcsize(HEAD_FMT))
+            raw = fs.device.read_media(block_addr(head_block),
+                                       APPLIED_OFF + 8)
         except MediaError:
             return None
-        magic, token, owner, nblocks, policy_word, crc = struct.unpack(
-            HEAD_FMT, raw)
-        if magic != LOG_MAGIC or owner != ino:
-            return None
-        expect = _crc_packed(struct.pack(HEAD_FMT, magic, token, owner,
-                                         nblocks, policy_word, 0))
-        if crc != expect:
+        magic, token, owner, first, nblocks, policy_word, crc = \
+            _HEAD.unpack_from(raw)
+        if magic != LOG_MAGIC or owner != ino or first != head_block + 1 \
+                or crc != _crc_zeroed(raw[:_HEAD.size], _HEAD_CRC_OFF):
             return None
         log = cls(fs, ino, checksums=bool(policy_word & _CHECKSUM_FLAG))
         log.token = token
         log.head_block = head_block
-        table = fs.device.read_media(base + TABLE_OFF, nblocks * 8)
-        log.payload_blocks = [
-            struct.unpack_from("<Q", table, i * 8)[0]
-            for i in range(nblocks)
-        ]
-        log.committed = struct.unpack(
-            "<Q", fs.device.read_media(base + COMMITTED_OFF, 8))[0]
-        log.applied = struct.unpack(
-            "<Q", fs.device.read_media(base + APPLIED_OFF, 8))[0]
+        log.nblocks = nblocks
+        log.half_lines = nblocks // 2 * LINES_PER_BLOCK
+        log.committed = _WORD.unpack_from(raw, COMMITTED_OFF)[0]
+        log.applied = _WORD.unpack_from(raw, APPLIED_OFF)[0]
         return log
+
+    def _half_addr(self, epoch):
+        return block_addr(self.head_block + 1) \
+            + (epoch % 2) * self.half_lines * CACHELINE_SIZE
 
     # -- appending --------------------------------------------------------
 
-    def append(self, ctx, kind, epoch, file_offset, payload):
-        """Persist one entry (header + payload, one contiguous persist).
-
-        Raises :class:`LogFull` when the epoch has outgrown the log; the
-        caller commits the epoch and retries.
-        """
-        length = len(payload)
-        nlines = (length + CACHELINE_SIZE - 1) // CACHELINE_SIZE
-        needed = 1 + nlines
-        if needed > LINES_PER_BLOCK:
-            raise InvalidArgument("mmio entry of %d bytes cannot fit one "
-                                  "log block" % length)
-        if self._tail_line + needed > LINES_PER_BLOCK:
-            if self._tail_block + 1 >= len(self.payload_blocks):
-                raise LogFull()
-            self._pad_to_next_block(ctx, epoch)
-        if self._tail_block >= len(self.payload_blocks):
-            raise LogFull()
-        payload_crc = _crc_packed(payload) if self.checksums else 0
-        header = _pack_entry(kind, nlines, epoch, file_offset, length,
-                             payload_crc, self.token, self.checksums)
-        padded = payload + b"\0" * (nlines * CACHELINE_SIZE - length)
-        addr = (block_addr(self.payload_blocks[self._tail_block])
-                + self._tail_line * CACHELINE_SIZE)
-        self.device.write_persistent(ctx, addr, header + padded,
-                                     CAT_WRITE_ACCESS)
-        self._tail_line += needed
-        self.fs.env.stats.bump("mmio_log_appends")
-
-    def _pad_to_next_block(self, ctx, epoch):
-        header = _pack_entry(KIND_PAD, 0, epoch, 0, 0, 0, self.token,
-                             self.checksums)
-        addr = (block_addr(self.payload_blocks[self._tail_block])
-                + self._tail_line * CACHELINE_SIZE)
-        self.device.write_persistent(ctx, addr, header, CAT_WRITE_ACCESS)
-        self._tail_block += 1
-        self._tail_line = 0
-
     @property
-    def tail_empty(self):
-        return self._tail_block == 0 and self._tail_line == 0
+    def max_payload(self):
+        """The largest payload one entry can carry: an empty half."""
+        return (self.half_lines - 1) * CACHELINE_SIZE
+
+    def fits(self, length):
+        """Whether a ``length``-byte entry fits the open epoch's half."""
+        return self.tail + 1 + -(-length // CACHELINE_SIZE) <= self.half_lines
+
+    def append(self, ctx, kind, epoch, file_offset, payload):
+        """Persist one entry (header + payload, one contiguous persist)
+        at the tail of ``epoch``'s half; the caller checked :meth:`fits`."""
+        length = len(payload)
+        if length > self.max_payload:
+            raise InvalidArgument("mmio entry of %d bytes cannot fit half "
+                                  "the log" % length)
+        end = ENTRY_SIZE + length
+        buf = self._buf
+        if len(buf) < end:
+            buf = self._buf = bytearray(end)
+        _ENTRY.pack_into(buf, 0, ENTRY_MAGIC, kind, epoch, file_offset,
+                         length, self.token, 0)
+        buf[ENTRY_SIZE:end] = payload
+        entry = memoryview(buf)[:end]
+        if self.checksums:
+            # The CRC field above is zero, so the CRC of the packed entry
+            # is its checksum: patch it in.
+            _CRC.pack_into(buf, _ENTRY_CRC_OFF, zlib.crc32(entry))
+        self.device.write_persistent(
+            ctx, self._half_addr(epoch) + self.tail * CACHELINE_SIZE, entry,
+            CAT_WRITE_ACCESS)
+        self.tail += 1 + -(-length // CACHELINE_SIZE)
+        self.fs.env.stats.bump("mmio_log_appends")
 
     # -- epoch state ------------------------------------------------------
 
     def commit(self, ctx, epoch):
-        """THE commit point: one atomic 8-byte persist of the epoch."""
+        """THE commit point: one atomic 8-byte persist of the epoch.  The
+        next epoch appends into the other half."""
         base = block_addr(self.head_block)
         self.device.fence(ctx)
         self.device.write_persistent(ctx, base + COMMITTED_OFF,
-                                     struct.pack("<Q", epoch),
-                                     CAT_WRITE_ACCESS)
+                                     _WORD.pack(epoch), CAT_WRITE_ACCESS)
         self.device.fence(ctx)
         self.committed = epoch
+        self.tail = 0
 
     def mark_applied(self, ctx, epoch):
         base = block_addr(self.head_block)
         self.device.write_persistent(ctx, base + APPLIED_OFF,
-                                     struct.pack("<Q", epoch),
-                                     CAT_WRITE_ACCESS)
+                                     _WORD.pack(epoch), CAT_WRITE_ACCESS)
         self.device.fence(ctx)
         self.applied = epoch
-        self._tail_block = 0
-        self._tail_line = 0
 
     def all_blocks(self):
-        return [self.head_block] + list(self.payload_blocks)
+        return range(self.head_block, self.head_block + 1 + self.nblocks)
 
     # -- scanning (recovery) ----------------------------------------------
 
     def scan_media(self):
-        """Decode the valid entry chain, stopping at the first invalid
-        line (a torn tail, or bytes from a previous incarnation)."""
+        """Decode each half's valid entry chain, stopping at its first
+        invalid line (a torn tail, or bytes from a previous incarnation).
+        Entries of an older epoch past a newer one's tail still parse;
+        callers select by epoch."""
         entries = []
-        hdr_size = struct.calcsize(ENTRY_FMT)
-        for blk in self.payload_blocks:
-            base = block_addr(blk)
+        read = self.device.read_media
+        for half in (0, 1):
+            base = self._half_addr(half)
             line = 0
-            next_block = False
-            while line < LINES_PER_BLOCK:
+            while line < self.half_lines:
+                addr = base + line * CACHELINE_SIZE
                 try:
-                    raw = self.fs.device.read_media(
-                        base + line * CACHELINE_SIZE, hdr_size)
+                    raw = read(addr, ENTRY_SIZE)
                 except MediaError:
-                    return entries
-                (magic, kind, nlines, epoch, file_offset, length,
-                 payload_crc, token, crc) = struct.unpack(ENTRY_FMT, raw)
-                if magic != ENTRY_MAGIC or token != self.token:
-                    return entries
-                if self.checksums:
-                    expect = _crc_packed(_pack_entry(
-                        kind, nlines, epoch, file_offset, length,
-                        payload_crc, token, False))
-                    if crc != expect:
-                        return entries
-                if kind == KIND_PAD:
-                    next_block = True
                     break
-                if kind not in (KIND_UNDO, KIND_REDO) or \
-                        line + 1 + nlines > LINES_PER_BLOCK or \
-                        length > nlines * CACHELINE_SIZE:
-                    return entries
+                magic, kind, epoch, file_offset, length, token, crc = \
+                    _ENTRY.unpack(raw)
+                nlines = -(-length // CACHELINE_SIZE)
+                if magic != ENTRY_MAGIC or token != self.token or \
+                        kind not in (KIND_UNDO, KIND_REDO) or \
+                        line + 1 + nlines > self.half_lines:
+                    break
                 try:
-                    payload = self.fs.device.read_media(
-                        base + (line + 1) * CACHELINE_SIZE,
-                        nlines * CACHELINE_SIZE)[:length]
+                    payload = read(addr + ENTRY_SIZE, length)
                 except MediaError:
-                    return entries
-                if self.checksums and _crc_packed(payload) != payload_crc:
-                    return entries
+                    break
+                if self.checksums and \
+                        crc != _crc_zeroed(raw, _ENTRY_CRC_OFF, payload):
+                    break
                 entries.append(LogEntry(kind, epoch, file_offset, payload))
                 line += 1 + nlines
-            if not next_block and line < LINES_PER_BLOCK:
-                return entries
         return entries
+
+
+class EpochApplier(BackgroundTask):
+    """A mapping's redo apply: one serial writer stream on its own clock.
+
+    Each wake writes one in-place chunk of the oldest committed epoch and
+    re-arms at that chunk's device end, as paced pressure writeback does,
+    so the apply lands on the media in virtual-time order beside the
+    foreground.  After an epoch's last chunk it fences and persists the
+    log's ``applied`` word.  :meth:`wait` runs the stream ahead for a
+    foreground that may not go on before an epoch is in place.
+    """
+
+    def __init__(self, mapping):
+        super().__init__(mapping.fs.env, "mmio-apply:%d" % mapping.ino)
+        self.device = mapping.fs.device
+        self.log = mapping.log
+        #: Committed epochs not yet in place, oldest first: ``(epoch,
+        #: iterator of in-place chunks, overlay)``.  Loads read through
+        #: the overlays until the epoch's ``applied`` word is durable.
+        self.pending = deque()
+        #: epoch -> when its ``applied`` word was durable (recent ones).
+        self._done_ns = {}
+        self._due = NEVER
+
+    def next_due_ns(self):
+        return self._due
+
+    def submit(self, ctx, epoch, chunks, overlay):
+        """Queue a just-committed epoch's apply, from ``ctx.now`` on."""
+        self.pending.append((epoch, chunks, overlay))
+        if self._due == NEVER:
+            self._due = max(self.ctx.now, ctx.now)
+            self.env.background.note_earlier(self._due)
+
+    def run_due(self, horizon_ns):
+        while self._due <= horizon_ns:
+            self._step()
+
+    def wait(self, ctx, epoch):
+        """Apply every epoch up to ``epoch``; ``ctx`` waits until the
+        ``applied`` word of ``epoch`` is durable."""
+        while self.pending and self.pending[0][0] <= epoch:
+            self._step()
+        done = self._done_ns.get(epoch, 0)
+        if done > ctx.now:
+            with ctx.layer(LAYER_NVMM):
+                ctx.sync_to(done, CAT_WRITE_ACCESS)
+
+    def _step(self):
+        """One wake: the next chunk, or the epoch's ``applied`` word."""
+        ctx = self.ctx
+        ctx.now = max(ctx.now, self._due)
+        epoch, chunks, _overlay = self.pending[0]
+        chunk = next(chunks, None)
+        if chunk is None:
+            self.device.fence(ctx)
+            self.log.mark_applied(ctx, epoch)
+            self.pending.popleft()
+            self._done_ns[epoch] = ctx.now
+            self._done_ns.pop(epoch - 2, None)
+        else:
+            self.device.write_persistent(ctx, chunk[1], chunk[2],
+                                         CAT_WRITE_ACCESS)
+        self._due = max(ctx.now, self._due + 1) if self.pending else NEVER
 
 
 class MmioMapping:
@@ -341,11 +371,12 @@ class MmioMapping:
       recovers all of an epoch or none of it.  Undo is exactly the
       plain path with a pre-image append before each in-place store
       and a commit word after the flush; redo appends the new bytes,
-      stages them in a DRAM overlay and applies them after the commit
-      word.  While such a mapping is live the owning file system also
-      routes conventional read/write/fsync requests through
-      :meth:`handle_request`, so descriptor I/O and mapped stores stay
-      POSIX-coherent and share one epoch timeline.
+      stages them in a DRAM overlay and hands them to the mapping's
+      :class:`EpochApplier` after the commit word.  While such a
+      mapping is live the owning file system also routes conventional
+      read/write/fsync requests through :meth:`handle_request`, so
+      descriptor I/O and mapped stores stay POSIX-coherent and share
+      one epoch timeline.
     """
 
     def __init__(self, fs, ino, policy=None, log_blocks=4,
@@ -356,9 +387,10 @@ class MmioMapping:
         self.ino = ino
         self.closed = False
         self.policy = policy
-        #: The epoch log, or None on a plain mapping.
+        #: The epoch log and its applier, or None on a plain mapping.
         self.log = None if policy is None else \
             MmioLog(fs, ino, checksums=log_checksums)
+        self.applier = None
         self.log_blocks = log_blocks
         self._mu = VMutex(fs.env, "mmio:%d" % ino)
         #: Resolved policy for the current epoch (auto re-resolves at the
@@ -382,10 +414,16 @@ class MmioMapping:
         ``mmap`` syscall that created the mapping)."""
         if self.log is not None:
             self.log.setup(ctx, self.log_blocks, _POLICY_CODES[self.policy])
+            self.applier = self.fs.env.background.register(
+                EpochApplier(self))
         self.fs.env.stats.bump("mmio_maps")
 
     def _detach_log(self, ctx):
+        """Finish every committed apply, then drop the applier and the
+        log (munmap, unlink)."""
         if self.log is not None:
+            self.applier.wait(ctx, self.log.committed)
+            self.fs.env.background.unregister(self.applier)
             _clear_pointer(self.fs, ctx, self.ino)
             self.fs.balloc.free_many(self.log.all_blocks())
 
@@ -511,12 +549,18 @@ class MmioMapping:
                     ctx, block_addr(nvmm_block) + in_off, take))
             pos += take
             remaining -= take
-        for over_off, over in self._overlay:
-            lo = max(offset, over_off)
-            hi = min(offset + length, over_off + len(over))
-            if lo < hi:
-                out[lo - offset:hi - offset] = \
-                    over[lo - over_off:hi - over_off]
+        # Committed epochs the applier has not put in place yet, oldest
+        # first, then the open epoch's staging.
+        overlays = [] if self.applier is None else \
+            [overlay for _e, _c, overlay in self.applier.pending]
+        overlays.append(self._overlay)
+        for overlay in overlays:
+            for over_off, over in overlay:
+                lo = max(offset, over_off)
+                hi = min(offset + length, over_off + len(over))
+                if lo < hi:
+                    out[lo - offset:hi - offset] = \
+                        over[lo - over_off:hi - over_off]
         return bytes(out)
 
     def _store_locked(self, ctx, offset, data):
@@ -525,67 +569,66 @@ class MmioMapping:
             return
         if self._epoch_policy is None:
             self._epoch_policy = self._resolve_policy()
+            if self._epoch_policy == POLICY_UNDO and self.log is not None:
+                # Pre-images must be the committed bytes: every pending
+                # apply lands before the epoch's first in-place store.
+                self.applier.wait(ctx, self.log.committed)
         self._epoch_stores += 1
         fs = self.fs
         fs.env.stats.bump("mmio_stores")
         inode = fs._inode(self.ino)
-        if offset + len(data) > inode.size:
+        end = offset + len(data)
+        if end > inode.size:
             # Grow the file (the kernel updates i_size on extending maps)
-            # before the first chunk: an autocommit mid-store applies the
-            # chunks staged so far, clamped to the size.
+            # before the first entry: an autocommit mid-store applies the
+            # pieces staged so far, clamped to the size.
             tx = fs.journal.begin(ctx)
-            inode.size = offset + len(data)
+            inode.size = end
             inode.mtime = ctx.now
             fs.itable.write_core(ctx, tx, inode)
             fs.journal.commit(ctx, tx)
         blockmap = fs._map(self.ino)
-        pos = 0
-        while pos < len(data):
-            file_block, in_off = divmod(offset + pos, BLOCK_SIZE)
-            # An entry never spans a log block, so a block-sized store
-            # is two chunks (on a plain mapping too: one algorithm).
-            take = min(BLOCK_SIZE - in_off, len(data) - pos,
-                       MAX_ENTRY_PAYLOAD)
-            # Every policy maps the block now (a page fault on a hole,
-            # which maps the store's other holes with it: one journaled
-            # transaction), so recovery and apply always find a home
-            # for the entries' bytes.
-            nvmm_block = blockmap.get(file_block)
-            if nvmm_block is None:
-                tx = fs.journal.begin(ctx)
-                try:
-                    fresh = fs._ensure_mapped(ctx, tx, blockmap,
-                                              offset + pos, len(data) - pos)
-                finally:
-                    fs.journal.commit(ctx, tx)
-                nvmm_block = fresh[file_block]
-            self._store_chunk(ctx, offset + pos,
-                              block_addr(nvmm_block) + in_off,
-                              data[pos:pos + take])
-            pos += take
+        # Every policy maps the store's holes now (a page fault, one
+        # journaled transaction), so recovery and apply always find a
+        # home for the entries' bytes.
+        if any(blockmap.get(b) is None for b in
+               range(offset // BLOCK_SIZE, (end - 1) // BLOCK_SIZE + 1)):
+            tx = fs.journal.begin(ctx)
+            try:
+                fs._ensure_mapped(ctx, tx, blockmap, offset, len(data))
+            finally:
+                fs.journal.commit(ctx, tx)
+        # One log entry per store, split only where it outgrows half
+        # the log; a plain mapping stores it whole.
+        step = len(data) if self.log is None else self.log.max_payload
+        for pos in range(0, len(data), step):
+            self._store_piece(ctx, blockmap, offset + pos,
+                              data[pos:pos + step])
 
-    def _store_chunk(self, ctx, file_offset, addr, chunk):
+    def _store_piece(self, ctx, blockmap, file_offset, piece):
         if self._epoch_policy == POLICY_REDO:
-            self._append(ctx, KIND_REDO, file_offset, chunk)
-            self._overlay.append((file_offset, chunk))
+            self._append(ctx, KIND_REDO, file_offset, piece)
+            self._overlay.append((file_offset, piece))
             return
         device = self.fs.device
+        spans = list(_in_place(blockmap, file_offset + len(piece),
+                               ((file_offset, piece),)))
         if self.log is not None:
             # The undo image is durable (persist-event order) before the
             # in-place store can land, so every crash state rolls back.
-            self._append(ctx, KIND_UNDO, file_offset,
-                         device.read(ctx, addr, len(chunk)))
-        device.write_cached(ctx, addr, chunk, CAT_WRITE_ACCESS)
-        self._dirty_ranges.append((file_offset, addr, len(chunk)))
+            self._append(ctx, KIND_UNDO, file_offset, b"".join(
+                device.read(ctx, addr, len(chunk))
+                for _off, addr, chunk in spans))
+        for off, addr, chunk in spans:
+            device.write_cached(ctx, addr, chunk, CAT_WRITE_ACCESS)
+            self._dirty_ranges.append((off, addr, len(chunk)))
 
     def _append(self, ctx, kind, file_offset, payload):
         plan = self.fs.env.faults
         if plan is not None:
             plan.check("mmio:append", self.ino)
         log = self.log
-        try:
-            log.append(ctx, kind, log.committed + 1, file_offset, payload)
-        except LogFull:
+        if not log.fits(len(payload)):
             # The interrupted store belongs to the epoch the autocommit
             # opens, and one epoch runs one policy: re-resolving
             # mid-store would mix undo dirty ranges with a redo overlay
@@ -594,11 +637,16 @@ class MmioMapping:
             self._commit_epoch(ctx)
             self._epoch_policy = policy
             self.fs.env.stats.bump("mmio_autocommits")
-            log.append(ctx, kind, log.committed + 1, file_offset, payload)
+        epoch = log.committed + 1
+        if log.tail == 0:
+            # The epoch's first entry reuses the half of the epoch before
+            # the last: that one must be in place.
+            self.applier.wait(ctx, epoch - 2)
+        log.append(ctx, kind, epoch, file_offset, payload)
 
     def _msync_locked(self, ctx):
         self._enter("msync")
-        if (self.log is None or self.log.tail_empty) \
+        if (self.log is None or self.log.tail == 0) \
                 and not self._dirty_ranges and not self._overlay:
             self.fs.device.fence(ctx)
             return 0
@@ -611,12 +659,13 @@ class MmioMapping:
         epoch = 0 if log is None else log.committed + 1
         committed = len(self._dirty_ranges) + len(self._overlay)
         if self._epoch_policy == POLICY_REDO:
-            # Entries are already persistent; the commit word makes the
-            # epoch recoverable, then the apply moves it in place.
+            # Entries are already persistent: the commit word is the
+            # durability point, and the applier moves the epoch in place
+            # behind it while the next epoch appends into the other half.
             log.commit(ctx, epoch)
-            _write_back(fs, ctx, fs._map(self.ino), fs._inode(self.ino),
-                        self._overlay)
-            fs.device.fence(ctx)
+            self.applier.submit(ctx, epoch, _in_place(
+                fs._map(self.ino), fs._inode(self.ino).size, self._overlay),
+                self._overlay)
             self._overlay = []
         else:
             for _foff, addr, length in self._dirty_ranges:
@@ -624,9 +673,8 @@ class MmioMapping:
             fs.device.fence(ctx)
             if log is not None:
                 log.commit(ctx, epoch)
+                log.mark_applied(ctx, epoch)
             self._dirty_ranges = []
-        if log is not None:
-            log.mark_applied(ctx, epoch)
         self._prev_loads = self._epoch_loads
         self._prev_stores = self._epoch_stores
         self._epoch_loads = 0
@@ -637,14 +685,16 @@ class MmioMapping:
 
     # -- truncate coherence ----------------------------------------------
 
-    def invalidate_past(self, new_size):
-        """Drop staged state past a new (smaller) EOF.
+    def invalidate_past(self, ctx, new_size):
+        """Settle staged state before a shrinking truncate.
 
-        Called by the file system under ``truncate``: the blocks past
-        EOF are freed (and may be reallocated to another file), so a
-        later ``msync`` must not flush, apply -- or keep addresses into
-        -- blocks this mapping no longer owns.
+        Called by the file system before it frees the blocks past the
+        new EOF (another file may get them back): every pending apply
+        lands first, and a later ``msync`` must not flush, apply -- or
+        keep addresses into -- blocks this mapping will no longer own.
         """
+        if self.applier is not None:
+            self.applier.wait(ctx, self.log.committed)
         self._dirty_ranges = [
             (off, addr, min(length, new_size - off))
             for off, addr, length in self._dirty_ranges if off < new_size]
@@ -658,12 +708,13 @@ def recover(fs, ctx):
     """Recover every live file's mmio log at mount.
 
     Runs after journal recovery and the DRAM rebuild: for each inode
-    whose slot carries a log pointer, roll back uncommitted undo
-    entries (reverse order), re-apply a committed-but-unapplied redo
-    epoch (idempotent), then detach the log.  The log's blocks were
-    never referenced by a blockmap, so the rebuilt allocator already
-    counts them free; detaching before the mount serves I/O keeps them
-    from ever being seen half-owned.
+    whose slot carries a log pointer, re-apply every committed epoch
+    above ``applied`` (at most two, oldest first, each from its own
+    half; idempotent), roll back uncommitted undo entries (reverse
+    order), then detach the log.  The log's blocks were never referenced
+    by a blockmap, so the rebuilt allocator already counts them free;
+    detaching before the mount serves I/O keeps them from ever being
+    seen half-owned.
     """
     recovered = 0
     for inode in fs.itable.live_inodes():
@@ -672,7 +723,7 @@ def recover(fs, ctx):
                 inode_addr(fs.sb, inode.ino) + MMIO_PTR_OFFSET, 8)
         except MediaError:
             continue
-        head_block = struct.unpack("<Q", raw)[0]
+        head_block = _WORD.unpack(raw)[0]
         if head_block == 0:
             continue
         log = MmioLog.from_media(fs, inode.ino, head_block)
@@ -688,57 +739,50 @@ def recover(fs, ctx):
 def _clear_pointer(fs, ctx, ino):
     """Detach a log from its inode (munmap, unlink, recovery)."""
     fs.device.write_persistent(ctx, inode_addr(fs.sb, ino) + MMIO_PTR_OFFSET,
-                               struct.pack("<Q", 0), CAT_WRITE_ACCESS)
+                               _WORD.pack(0), CAT_WRITE_ACCESS)
     fs.device.fence(ctx)
 
 
 def _recover_log(fs, ctx, inode, log):
     entries = log.scan_media()
-    blockmap = fs._map(inode.ino)
-    if log.applied < log.committed:
-        # A redo epoch committed but its apply was cut short: re-apply
-        # the whole epoch (idempotent full-image writes).
-        _write_back(fs, ctx, blockmap, inode, [
-            (e.file_offset, e.payload) for e in entries
-            if e.kind == KIND_REDO and e.epoch == log.committed])
+
+    def logged(kind, epoch):
+        return [(e.file_offset, e.payload) for e in entries
+                if e.kind == kind and e.epoch == epoch]
+
+    # Redo epochs committed but not (fully) applied: the applier's work,
+    # redone from the entries, oldest first.
+    ranges = []
+    for epoch in range(log.applied + 1, log.committed + 1):
+        ranges += logged(KIND_REDO, epoch)
         fs.env.stats.bump("mmio_recovered_applies")
     # Uncommitted undo entries: the in-place bytes may hold any subset
     # of the torn epoch's stores; restore the pre-images in reverse.
-    active = log.committed + 1
-    undo = [(e.file_offset, e.payload) for e in entries
-            if e.kind == KIND_UNDO and e.epoch == active]
-    _write_back(fs, ctx, blockmap, inode, reversed(undo))
+    undo = logged(KIND_UNDO, log.committed + 1)
     if undo:
         fs.env.stats.bump("mmio_recovered_rollbacks")
+    for _off, addr, chunk in _in_place(fs._map(inode.ino), inode.size,
+                                       ranges + undo[::-1]):
+        fs.device.write_persistent(ctx, addr, chunk, CAT_WRITE_ACCESS)
     fs.device.fence(ctx)
 
 
-def _write_back(fs, ctx, blockmap, inode, ranges):
-    """Write logged ``(file_offset, bytes)`` ranges in place through the
-    blockmap (a redo epoch's apply, and both recovery directions),
-    skipping holes (the journal rolled their allocation back) and
-    clamping to the file's size (a truncate may have shrunk it under
-    the epoch).
-
-    The persists are booked across the writer slots, as HiNFS's
-    parallel flush books them, and waited for once: the caller resumes
-    when the slowest is durable.  Bytes land in range order, so a later
-    overlapping range still wins."""
-    end = ctx.now
-    try:
-        for file_offset, data in ranges:
-            stop = min(file_offset + len(data), inode.size)
-            pos = file_offset
-            while pos < stop:
-                file_block, in_off = divmod(pos, BLOCK_SIZE)
-                take = min(BLOCK_SIZE - in_off, stop - pos)
-                nvmm_block = blockmap.get(file_block)
-                if nvmm_block is not None:
-                    start = pos - file_offset
-                    end = max(end, fs.device.write_persistent_async(
-                        ctx, block_addr(nvmm_block) + in_off,
-                        data[start:start + take]))
-                pos += take
-    finally:
-        with ctx.layer(LAYER_NVMM):
-            ctx.sync_to(end, CAT_WRITE_ACCESS)
+def _in_place(blockmap, size, ranges):
+    """The in-place ``(file_offset, nvmm_addr, bytes)`` pieces of logged
+    ``(file_offset, bytes)`` ranges, in range order (a later overlapping
+    range still wins): split at block edges, clamped to ``size`` (a
+    truncate may have shrunk the file under the epoch), holes skipped
+    (the journal rolled their allocation back).  The one apply routine
+    of undo stores, the applier and recovery."""
+    for file_offset, data in ranges:
+        stop = min(file_offset + len(data), size)
+        pos = file_offset
+        while pos < stop:
+            file_block, in_off = divmod(pos, BLOCK_SIZE)
+            take = min(BLOCK_SIZE - in_off, stop - pos)
+            nvmm_block = blockmap.get(file_block)
+            if nvmm_block is not None:
+                start = pos - file_offset
+                yield (pos, block_addr(nvmm_block) + in_off,
+                       data[start:start + take])
+            pos += take

@@ -53,6 +53,18 @@ class BlockAllocator:
         self._low = index + 1
         return self.first_block + index
 
+    def alloc_run(self, count):
+        """Allocate the lowest run of ``count`` contiguous free blocks;
+        returns its first block."""
+        index = self._map.find(b"\x01" * count, self._low)
+        if index < 0:
+            raise OutOfSpaceError("no run of %d free blocks" % count)
+        self._map[index:index + count] = bytes(count)
+        self.free_count -= count
+        if index == self._low:
+            self._low = index + count
+        return self.first_block + index
+
     def alloc_many(self, count):
         """Allocate ``count`` blocks (not necessarily contiguous)."""
         if count > self.free_count:

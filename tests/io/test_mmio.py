@@ -23,7 +23,7 @@ from repro.fs.errors import InvalidArgument, MediaError
 from repro.fs.pmfs import PMFS
 from repro.fs.pmfs.layout import block_addr
 from repro.io import mmio
-from repro.nvmm.config import CACHELINE_SIZE
+from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
 
 from tests.fs.conftest import PmfsRig
 from tests.fs.test_shard import ShardRig, name_on
@@ -177,40 +177,164 @@ def msync_ns(rig, region):
     return rig.ctx.now - t0
 
 
-def test_redo_apply_spreads_across_the_writer_slots(rig):
-    """A redo msync books its in-place chunks on the writer slots at
-    once and waits for the slowest: ``N_w``-wide rounds, not one chunk
-    after another (the serial apply took ``chunks * chunk_ns``)."""
-    stores = 3
-    _fd, region = amap(rig, "/m", data=b"o" * (stores * 4096),
-                       policy="redo", log_blocks=2 * stores)
-    for i in range(stores):
-        region.store(rig.ctx, i * 4096, b"P" * 4096)
-    assert rig.env.stats.count("mmio_autocommits") == 0
-    chunks = 2 * stores  # a 4 KB store is two log entries, a block each
-    chunk_ns = rig.config.nvmm_persist_cost_ns(
-        mmio.MAX_ENTRY_PAYLOAD // CACHELINE_SIZE)
-    rounds = -(-chunks // rig.config.nvmm_writer_slots)
-    assert rounds < chunks
-    assert rounds * chunk_ns <= msync_ns(rig, region) < chunks * chunk_ns
+def persist_log(rig, monkeypatch):
+    """Record every ``write_persistent`` as (ctx, start, end, block)."""
+    log = []
+    real = rig.device.write_persistent
+
+    def spy(ctx, addr, data, *args, **kwargs):
+        start = ctx.now
+        real(ctx, addr, data, *args, **kwargs)
+        log.append((ctx, start, ctx.now, addr // BLOCK_SIZE))
+
+    monkeypatch.setattr(rig.device, "write_persistent", spy)
+    return log
 
 
-def test_redo_msync_returns_with_the_apply_durable(rig):
-    """Nothing the apply booked is still in flight when msync returns:
-    the in-place bytes are on media, the overlay is gone, so the next
-    load, store or truncate acts on finished writes."""
-    _fd, region = amap(rig, "/m", data=b"q" * 8192, policy="redo")
-    region.store(rig.ctx, 0, b"R" * 8192)
+def test_redo_msync_returns_at_the_commit_word(rig):
+    """A redo msync costs its commit -- fence, one 8-byte persist,
+    fence -- and returns with the apply still queued: the in-place bytes
+    are the old ones until the applier runs."""
+    _fd, region = amap(rig, "/m", data=b"o" * 12288, policy="redo")
+    region.store(rig.ctx, 100, b"P" * 8192)
+    commit_ns = 2 * rig.config.fence_ns + rig.config.nvmm_persist_cost_ns(1)
+    assert msync_ns(rig, region) == commit_ns
+    assert (region.log.committed, region.log.applied) == (1, 0)
+    addr = block_addr(rig.fs._map(region.ino).get(1))
+    assert rig.device.read_media(addr, 4096) == b"o" * 4096
+    rig.env.background.advance_to(rig.ctx.now + 10 ** 9)
+    assert region.log.applied == 1
+    assert rig.device.read_media(addr, 4096) == b"P" * 4096
+
+
+def test_the_apply_is_one_serial_stream(rig, monkeypatch):
+    """The applier's chunks never overlap each other in virtual time:
+    each starts where the last ended, one block piece per wake, and the
+    ``applied`` word comes last."""
+    log = persist_log(rig, monkeypatch)
+    _fd, region = amap(rig, "/m", data=b"o" * 16384, policy="redo")
+    region.store(rig.ctx, 100, b"P" * 12000)
+    region.store(rig.ctx, 5000, b"Q" * 3000)
     region.msync(rig.ctx)
-    assert region._overlay == [] and region.log.applied == 1
-    assert all(server.next_free() <= rig.ctx.now
-               for server in rig.device.write_slots._servers)
+    rig.env.background.advance_to(rig.ctx.now + 10 ** 9)
+    applied = [(start, end, block) for ctx, start, end, block in log
+               if ctx is region.applier.ctx]
+    data_blocks = [block for _s, _e, block in applied[:-1]]
     blockmap = rig.fs._map(region.ino)
-    for file_block in (0, 1):
-        addr = block_addr(blockmap.get(file_block))
-        assert rig.device.read_media(addr, 4096) == b"R" * 4096
-    rig.vfs.truncate(rig.ctx, "/m", 4096)
-    assert region.load(rig.ctx, 0, 4096) == b"R" * 4096
+    # 100..12100 spans three blocks, 5000..8000 one: four chunks.
+    assert data_blocks == [blockmap.get(b) for b in (0, 1, 2, 1)]
+    assert applied[-1][2] == region.log.head_block
+    spans = [(start, end) for start, end, _b in applied]
+    assert all(later[0] >= earlier[1]
+               for earlier, later in zip(spans, spans[1:]))
+
+
+def test_an_epoch_reuses_a_half_only_once_its_apply_is_durable(
+        rig, monkeypatch):
+    """Epoch 2 appends into the other half while epoch 1 applies; epoch
+    3's first append reuses epoch 1's half and starts no earlier than
+    epoch 1's ``applied`` persist."""
+    log = persist_log(rig, monkeypatch)
+    _fd, region = amap(rig, "/m", data=b"o" * 16384, policy="redo")
+    half = region.log.half_lines // mmio.LINES_PER_BLOCK
+    first = region.log.head_block + 1
+
+    def appends(ctx_log, lo):
+        return [start for ctx, start, _e, block in ctx_log
+                if ctx is rig.ctx and lo <= block < lo + half]
+
+    region.store(rig.ctx, 0, b"A" * 12288)          # epoch 1: half 1
+    region.msync(rig.ctx)
+    region.store(rig.ctx, 0, b"B" * 64)             # epoch 2: half 0
+    region.msync(rig.ctx)
+    region.store(rig.ctx, 64, b"C" * 64)            # epoch 3: half 1
+    applied_at = {}
+    for ctx, _start, end, block in log:
+        if ctx is region.applier.ctx and block == region.log.head_block:
+            applied_at[len(applied_at) + 1] = end
+    epoch2_append, = appends(log, first)
+    epoch1_append, epoch3_append = appends(log, first + half)
+    assert epoch2_append < applied_at[1] <= epoch3_append
+    assert epoch1_append < epoch2_append
+
+
+@pytest.mark.parametrize("op", ["undo store", "truncate", "unlink",
+                                "munmap"])
+def test_no_apply_write_lands_after_its_block_was_given_up(
+        rig, monkeypatch, op):
+    """An epoch's apply is still queued when each of these ops starts.
+    Each lets it land first: no apply write follows an undo store's
+    in-place bytes or the free of its block, and the mapping holds
+    nothing more to apply."""
+    fd, region = amap(rig, "/m", data=b"o" * 12288, policy="auto")
+    region.store(rig.ctx, 0, b"1")                  # epoch 1: undo
+    region.msync(rig.ctx)
+    region.store(rig.ctx, 10, b"R" * 12000)         # epoch 2: redo ...
+    for _ in range(2):
+        region.load(rig.ctx, 0, 1)                  # ... read-heavy
+    region.msync(rig.ctx)
+    assert region.applier.pending
+    events = []
+    applier = region.applier.ctx
+    write_persistent = rig.device.write_persistent
+    write_cached = rig.device.write_cached
+    free = rig.fs.balloc.free
+
+    def persist(ctx, addr, data, *args):
+        if ctx is applier:
+            events.append(("apply", addr // BLOCK_SIZE))
+        write_persistent(ctx, addr, data, *args)
+
+    def store_in_place(ctx, addr, data, *args):
+        events.append(("gone", addr // BLOCK_SIZE))
+        write_cached(ctx, addr, data, *args)
+
+    def give_up(block):
+        events.append(("gone", block))
+        free(block)
+
+    monkeypatch.setattr(rig.device, "write_persistent", persist)
+    monkeypatch.setattr(rig.device, "write_cached", store_in_place)
+    monkeypatch.setattr(rig.fs.balloc, "free", give_up)
+    if op == "undo store":
+        region.store(rig.ctx, 0, b"U" * 8192)       # epoch 3: undo
+        assert region._epoch_policy == mmio.POLICY_UNDO
+    elif op == "truncate":
+        rig.vfs.truncate(rig.ctx, "/m", 100)
+    elif op == "unlink":
+        rig.vfs.unlink(rig.ctx, "/m")
+        rig.vfs.close(rig.ctx, fd)
+    else:
+        region.munmap(rig.ctx)
+    assert not region.applier.pending
+    rig.env.background.advance_to(rig.ctx.now + 10 ** 9)
+    gone = set()
+    for kind, block in events:
+        if kind == "gone":
+            gone.add(block)
+        else:
+            assert block not in gone, (op, block)
+    assert gone and ("apply", region.log.head_block) in events
+
+
+def test_loads_during_a_pending_apply_return_the_committed_bytes(rig):
+    """Two committed epochs wait on the applier, the older one half
+    applied: a load and a pread read through both overlays, oldest
+    first, so the newer epoch's bytes win where they overlap."""
+    fd, region = amap(rig, "/m", data=b"o" * 12288, policy="redo")
+    region.store(rig.ctx, 0, b"A" * 8000)
+    region.msync(rig.ctx)
+    rig.ctx.now += 1
+    rig.env.background.advance_to(rig.ctx.now)      # one chunk lands
+    region.store(rig.ctx, 4000, b"B" * 6000)
+    region.msync(rig.ctx)
+    assert [e for e, _c, _o in region.applier.pending] == [1, 2]
+    want = b"A" * 4000 + b"B" * 6000 + b"o" * 2288
+    assert region.load(rig.ctx, 0, 12288) == want
+    assert rig.vfs.pread(rig.ctx, fd, 0, 12288) == want
+    rig.env.background.advance_to(rig.ctx.now + 10 ** 9)
+    assert not region.applier.pending
+    assert region.load(rig.ctx, 0, 12288) == want
 
 
 def test_undo_msync_timing_is_unchanged(rig):
@@ -248,14 +372,14 @@ def test_log_full_autocommits_and_retries():
         _fd, region = amap(rig, "/m", data=b"e" * 16384, policy=policy,
                            log_blocks=1)
         count = rig.env.stats.count
-        # Each 2048-byte store costs 33 log lines; a 64-line block fills
-        # after the second store, forcing an automatic epoch commit.
+        # Each 2048-byte store costs 33 log lines; a 64-line half takes
+        # one, so the second forces an automatic epoch commit.
         for i in range(4):
             region.store(rig.ctx, i * 2048, b"F" * 2048)
         assert count("mmio_autocommits") >= 1
-        # One store of four entries fills the log on its second and
-        # third chunks: the epoch the autocommit opens mid-store keeps
-        # the interrupted entry's policy for the chunks that follow.
+        # An 8 KB store is three entries of at most 63 lines, each
+        # filling a half: the epoch the autocommit opens mid-store keeps
+        # the interrupted entry's policy for the entries that follow.
         before = count("mmio_autocommits")
         region.store(rig.ctx, 8192, b"G" * 8192)
         assert count("mmio_autocommits") - before >= 2
@@ -308,10 +432,24 @@ def test_stores_survive_autocommits_under_log_pressure():
         assert region.load(rig.ctx, 0, size) == shadow, seed
 
 
-def test_oversized_single_entry_is_rejected(rig):
-    _fd, region = amap(rig, "/m")
+def test_a_store_larger_than_a_half_is_split_into_entries_that_fit(rig):
+    """One entry per store, unless the store outgrows half the log: a
+    1-block log (63 payload lines a half) takes a 10 000-byte store as
+    three entries, each in an epoch of its own."""
+    _fd, region = amap(rig, "/m", data=b"s" * 12288, policy="redo",
+                       log_blocks=1)
+    log = region.log
+    assert log.max_payload == 63 * CACHELINE_SIZE
     with pytest.raises(InvalidArgument):
-        region.log.append(rig.ctx, mmio.KIND_UNDO, 1, 0, b"x" * 4096)
+        log.append(rig.ctx, mmio.KIND_REDO, 1, 0, b"x" * (log.max_payload + 1))
+    count = rig.env.stats.count
+    region.store(rig.ctx, 1000, b"T" * 10000)
+    assert count("mmio_log_appends") == 3
+    assert count("mmio_autocommits") == 2
+    region.msync(rig.ctx)
+    rig.crash_and_remount()
+    assert rig.vfs.read_file(rig.ctx, "/m") == \
+        b"s" * 1000 + b"T" * 10000 + b"s" * 1288
 
 
 # -- syscall routing (POSIX coherence) ------------------------------------
@@ -390,13 +528,35 @@ def test_munmap_commits_and_frees_log_blocks(rig):
     fd = rig.vfs.open(rig.ctx, "/m", f.O_RDWR)
     free0 = rig.fs.balloc.free_count
     region = rig.vfs.mmap(rig.ctx, fd, flags=f.MAP_ATOMIC, log_blocks=4)
-    assert rig.fs.balloc.free_count == free0 - 5  # head + 4 payload
+    assert rig.fs.balloc.free_count == free0 - 9  # head + two 4-block halves
     region.store(rig.ctx, 0, b"LAST")
     region.munmap(rig.ctx)
     assert rig.fs.balloc.free_count == free0
     rig.crash_and_remount()
     assert rig.vfs.read_file(rig.ctx, "/m")[:4] == b"LAST"
     assert rig.env.stats.count("mmio_logs_recovered") == 0
+
+
+def test_a_detached_mapping_leaves_no_task_in_the_registry(rig):
+    """Each atomic mapping registers its applier; munmap and unlink
+    take it out again, with an apply still queued at the time."""
+    rig.vfs.write_file(rig.ctx, "/m", b"i" * 4096)
+    fd = rig.vfs.open(rig.ctx, "/m", f.O_RDWR)
+    tasks = list(rig.env.background._tasks)
+    for i in range(200):
+        region = rig.vfs.mmap(rig.ctx, fd, flags=f.MAP_ATOMIC,
+                              policy="redo")
+        assert rig.env.background._tasks == tasks + [region.applier]
+        region.store(rig.ctx, i, b"c")
+        region.msync(rig.ctx)
+        region.munmap(rig.ctx)
+    region = rig.vfs.mmap(rig.ctx, fd, flags=f.MAP_ATOMIC, policy="redo")
+    region.store(rig.ctx, 0, b"d")
+    region.msync(rig.ctx)
+    rig.vfs.unlink(rig.ctx, "/m")
+    rig.vfs.close(rig.ctx, fd)
+    assert region.closed
+    assert rig.env.background._tasks == tasks
 
 
 def test_unlink_of_mapped_file_invalidates_mapping(rig):

@@ -106,8 +106,9 @@ def test_allocator_never_hands_out_duplicates(ops):
 
 class _LowestFreeFirst(RuleBasedStateMachine):
     """The allocator against its specification: the free blocks are a
-    set, ``alloc()`` returns its minimum, a quarantined block never
-    returns to it."""
+    set, ``alloc()`` returns its minimum, ``alloc_run(n)`` the lowest
+    start of n consecutive members, a quarantined block never returns
+    to it."""
 
     FIRST, COUNT = 7, 24
     blocks = st.integers(FIRST, FIRST + COUNT - 1)
@@ -127,6 +128,18 @@ class _LowestFreeFirst(RuleBasedStateMachine):
         block = self.alloc.alloc()
         assert block == min(self.free)
         self.free.remove(block)
+
+    @rule(count=st.integers(1, 6))
+    def alloc_run(self, count):
+        runs = [block for block in sorted(self.free)
+                if all(block + i in self.free for i in range(count))]
+        if not runs:
+            with pytest.raises(OutOfSpaceError):
+                self.alloc.alloc_run(count)
+            return
+        first = self.alloc.alloc_run(count)
+        assert first == runs[0]
+        self.free.difference_update(range(first, first + count))
 
     @rule(block=blocks)
     def free_one(self, block):
