@@ -103,8 +103,10 @@ def trace_main(argv):
                        trace_capacity=args.capacity)
     ring = result.trace
     doc = chrome_trace(ring.spans())
+    # Compact, and in one write: ``json.dump`` streams through the
+    # pure-Python encoder, ``json.dumps`` runs the C one.
     with open(args.output, "w") as fileobj:
-        json.dump(doc, fileobj, indent=1)
+        fileobj.write(json.dumps(doc, separators=(",", ":")))
     print("%s/%s: %d ops, %d spans recorded (%d dropped) -> %s"
           % (result.fs_name, result.workload_name, result.ops,
              ring.recorded, ring.dropped, args.output))

@@ -108,7 +108,13 @@ class BackgroundRegistry:
         self._min_due_stale = True
 
     def advance_to(self, horizon_ns):
-        """Run every task's work due at or before ``horizon_ns``."""
+        """Run every task's work due at or before ``horizon_ns``.
+
+        Each round scans the tasks once: the ones due run in due order
+        (ties in registration order, by the stable sort), then the
+        registry rescans; a scan that finds none due is also the new
+        cached minimum.
+        """
         if self._min_due_stale:
             self._min_due_ns = min(
                 (t.next_due_ns() for t in self._tasks), default=NEVER
@@ -118,13 +124,20 @@ class BackgroundRegistry:
             return
         rounds = 0
         while True:
-            due = [t for t in self._tasks if t.next_due_ns() <= horizon_ns]
+            due = []
+            min_due = NEVER
+            for task in self._tasks:
+                due_ns = task.next_due_ns()
+                if due_ns <= horizon_ns:
+                    due.append(task)
+                elif due_ns < min_due:
+                    min_due = due_ns
             if not due:
-                self._min_due_ns = min(
-                    (t.next_due_ns() for t in self._tasks), default=NEVER
-                )
+                self._min_due_ns = min_due
                 return
-            for task in sorted(due, key=lambda t: t.next_due_ns()):
+            if len(due) > 1:
+                due.sort(key=lambda t: t.next_due_ns())
+            for task in due:
                 before = task.next_due_ns()
                 task.run_due(horizon_ns)
                 after = task.next_due_ns()

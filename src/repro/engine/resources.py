@@ -13,7 +13,7 @@ cacheline flush happening "now" -- the foreground request slots into the
 earlier gap, exactly as real hardware would interleave the streams.
 """
 
-import bisect
+from bisect import bisect_left, bisect_right
 
 from repro.engine.errors import SimulationError
 
@@ -54,24 +54,9 @@ class _ServerTimeline:
         self.starts = []
         self.ends = []
 
-    def earliest_start(self, request_ns, duration_ns):
-        """Earliest t >= request_ns with [t, t+duration) free."""
-        starts, ends = self.starts, self.ends
-        n = len(starts)
-        # First interval that could conflict: the one before the request
-        # (it may still be running) onwards.
-        i = bisect.bisect_right(ends, request_ns)
-        candidate = request_ns
-        while i < n:
-            if candidate + duration_ns <= starts[i]:
-                return candidate
-            candidate = max(candidate, ends[i])
-            i += 1
-        return candidate
-
     def book(self, start_ns, end_ns):
         """Insert a busy interval (must not overlap existing ones)."""
-        i = bisect.bisect_left(self.starts, start_ns)
+        i = bisect_left(self.starts, start_ns)
         # Coalesce with neighbours when exactly adjacent.
         if i > 0 and self.ends[i - 1] == start_ns:
             self.ends[i - 1] = end_ns
@@ -143,7 +128,18 @@ class FCFSServers:
                 self.total_busy_ns += duration_ns
                 self.total_grants += 1
                 return request_ns
-            start = server.earliest_start(request_ns, duration_ns)
+            # The earliest t >= request_ns with [t, t + duration) free,
+            # from the interval that may still run at the request on.
+            starts = server.starts
+            n = len(starts)
+            i = bisect_right(ends, request_ns)
+            start = request_ns
+            while i < n:
+                if start + duration_ns <= starts[i]:
+                    break
+                if ends[i] > start:
+                    start = ends[i]
+                i += 1
             if best_start is None or start < best_start:
                 best_start = start
                 best_server = server

@@ -305,9 +305,11 @@ class EpochApplier(BackgroundTask):
         super().__init__(mapping.fs.env, "mmio-apply:%d" % mapping.ino)
         self.device = mapping.fs.device
         self.log = mapping.log
+        self.index = mapping._index
         #: Committed epochs not yet in place, oldest first: ``(epoch,
         #: iterator of in-place chunks, overlay)``.  Loads read through
-        #: the overlays until the epoch's ``applied`` word is durable.
+        #: the overlays (via the mapping's index) until the epoch's
+        #: ``applied`` word is durable.
         self.pending = deque()
         #: epoch -> when its ``applied`` word was durable (recent ones).
         self._done_ns = {}
@@ -346,7 +348,7 @@ class EpochApplier(BackgroundTask):
         if chunk is None:
             self.device.fence(ctx)
             self.log.mark_applied(ctx, epoch)
-            self.pending.popleft()
+            _index_drop(self.index, self.pending.popleft()[2])
             self._done_ns[epoch] = ctx.now
             self._done_ns.pop(epoch - 2, None)
         else:
@@ -402,6 +404,10 @@ class MmioMapping:
         self._dirty_ranges = []
         #: Redo staging: (file_offset, bytes) in store order.
         self._overlay = []
+        #: file_block -> the redo overlay entries touching it that are
+        #: staged or committed but not yet applied, oldest first: the
+        #: open epoch's and every pending epoch's, by reference.
+        self._index = {}
         self._epoch_loads = 0
         self._epoch_stores = 0
         self._prev_loads = 0
@@ -435,6 +441,7 @@ class MmioMapping:
         self._overlay = []
         self._dirty_ranges = []
         self._detach_log(ctx)
+        self._index.clear()
 
     def munmap(self, ctx):
         """Commit the open epoch (an implicit msync, as on a clean
@@ -535,6 +542,7 @@ class MmioMapping:
         fs = self.fs
         fs.env.stats.bump("mmio_loads")
         blockmap = fs._map(self.ino)
+        index = self._index
         out = bytearray()
         pos, remaining = offset, length
         while remaining > 0:
@@ -547,20 +555,21 @@ class MmioMapping:
             else:
                 out.extend(fs.device.read(
                     ctx, block_addr(nvmm_block) + in_off, take))
+            entries = index.get(file_block)
+            if entries:
+                # Unapplied redo bytes of this block, oldest first, each
+                # clipped to the block's part of the load.
+                stop = pos + take
+                for over_off, over in entries:
+                    lo = pos if pos > over_off else over_off
+                    hi = over_off + len(over)
+                    if hi > stop:
+                        hi = stop
+                    if lo < hi:
+                        out[lo - offset:hi - offset] = \
+                            over[lo - over_off:hi - over_off]
             pos += take
             remaining -= take
-        # Committed epochs the applier has not put in place yet, oldest
-        # first, then the open epoch's staging.
-        overlays = [] if self.applier is None else \
-            [overlay for _e, _c, overlay in self.applier.pending]
-        overlays.append(self._overlay)
-        for overlay in overlays:
-            for over_off, over in overlay:
-                lo = max(offset, over_off)
-                hi = min(offset + length, over_off + len(over))
-                if lo < hi:
-                    out[lo - offset:hi - offset] = \
-                        over[lo - over_off:hi - over_off]
         return bytes(out)
 
     def _store_locked(self, ctx, offset, data):
@@ -608,7 +617,9 @@ class MmioMapping:
     def _store_piece(self, ctx, blockmap, file_offset, piece):
         if self._epoch_policy == POLICY_REDO:
             self._append(ctx, KIND_REDO, file_offset, piece)
-            self._overlay.append((file_offset, piece))
+            entry = (file_offset, piece)
+            self._overlay.append(entry)
+            _index_add(self._index, entry)
             return
         device = self.fs.device
         spans = list(_in_place(blockmap, file_offset + len(piece),
@@ -700,6 +711,10 @@ class MmioMapping:
             for off, addr, length in self._dirty_ranges if off < new_size]
         self._overlay = [(off, over[:new_size - off])
                          for off, over in self._overlay if off < new_size]
+        # Nothing is pending any more: the index is the open epoch's.
+        self._index.clear()
+        for entry in self._overlay:
+            _index_add(self._index, entry)
 
 
 # -- mount-time recovery ---------------------------------------------------
@@ -765,6 +780,27 @@ def _recover_log(fs, ctx, inode, log):
                                        ranges + undo[::-1]):
         fs.device.write_persistent(ctx, addr, chunk, CAT_WRITE_ACCESS)
     fs.device.fence(ctx)
+
+
+def _index_add(index, entry):
+    """Append a redo overlay entry to the list of every block it
+    touches (:attr:`MmioMapping._index`)."""
+    file_offset, data = entry
+    last = (file_offset + len(data) - 1) // BLOCK_SIZE
+    for file_block in range(file_offset // BLOCK_SIZE, last + 1):
+        index.setdefault(file_block, []).append(entry)
+
+
+def _index_drop(index, overlay):
+    """Remove an applied epoch's overlay entries from the index: in
+    every list they are in, they are the oldest."""
+    for file_offset, data in overlay:
+        last = (file_offset + len(data) - 1) // BLOCK_SIZE
+        for file_block in range(file_offset // BLOCK_SIZE, last + 1):
+            entries = index[file_block]
+            del entries[0]
+            if not entries:
+                del index[file_block]
 
 
 def _in_place(blockmap, size, ranges):

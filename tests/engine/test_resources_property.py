@@ -1,5 +1,6 @@
 """Property tests for the gap-aware FCFS servers."""
 
+import bisect
 import random
 
 import pytest
@@ -79,12 +80,27 @@ def test_interval_history_is_bounded():
     assert len(timeline.starts) <= 128
 
 
-# -- the grant body against the algorithm it replaced -------------------------
+# -- the grant body against the algorithms it replaced ------------------------
+
+
+def _earliest_start(server, request_ns, duration_ns):
+    """The gap search ``grant`` used to call per server: earliest
+    t >= request_ns with [t, t+duration) free."""
+    starts, ends = server.starts, server.ends
+    n = len(starts)
+    i = bisect.bisect_right(ends, request_ns)
+    candidate = request_ns
+    while i < n:
+        if candidate + duration_ns <= starts[i]:
+            return candidate
+        candidate = max(candidate, ends[i])
+        i += 1
+    return candidate
 
 
 class _ReserveReference:
     """The previous ``reserve``: only server 0 has the idle-at-tail
-    shortcut; otherwise every server is probed with ``earliest_start``
+    shortcut; otherwise every server is probed with ``_earliest_start``
     and the first earliest one is booked through the bisecting ``book``."""
 
     def __init__(self, capacity):
@@ -110,7 +126,7 @@ class _ReserveReference:
             return request_ns, end, 0
         best_server = best_start = None
         for server in self.servers:
-            start = server.earliest_start(request_ns, duration_ns)
+            start = _earliest_start(server, request_ns, duration_ns)
             if best_start is None or start < best_start:
                 best_start = start
                 best_server = server
@@ -186,3 +202,29 @@ def test_grant_matches_reference_past_the_interval_bound(capacity):
             at_bound[k] |= len(server.starts) == _MAX_INTERVALS
     assert all(at_bound)
     assert servers.total_wait_ns > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       grants=st.integers(min_value=800, max_value=1_500))
+def test_inline_gap_search_grants_what_earliest_start_granted(
+        capacity, seed, grants):
+    """Random streams: a creeping foreground clock, bookings far ahead of
+    it that leave gaps behind, and requests queued behind those, long
+    enough that server 0 reaches ``_MAX_INTERVALS`` and merges.  Every
+    start and the pool's totals match the reference."""
+    servers = FCFSServers(capacity)
+    ref = _ReserveReference(capacity)
+    rng = random.Random(seed)
+    clock = 0
+    merged = False
+    for _ in range(grants):
+        clock += rng.choice((0, 5, 90, 400))
+        request = clock + rng.choice((0, 0, 0, 0, 700, 20_000, 400_000))
+        duration = rng.choice((0, 1, 17, 64, 300))
+        assert servers.grant(request, duration) \
+            == ref.reserve(request, duration)[0]
+        merged |= len(servers._servers[0].starts) == _MAX_INTERVALS
+    assert merged
+    _assert_same_pool(servers, ref)

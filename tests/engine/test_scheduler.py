@@ -170,6 +170,56 @@ def test_background_no_progress_detected():
         env.background.advance_to(100)
 
 
+class _StepTask(BackgroundTask):
+    """One step per wake: logs ``(name, due)``, then moves ``period`` on."""
+
+    def __init__(self, env, name, due, period, log):
+        super().__init__(env, name)
+        self.due = due
+        self.period = period
+        self.log = log
+        self.on_run = None
+
+    def next_due_ns(self):
+        return self.due
+
+    def run_due(self, horizon_ns):
+        self.log.append((self.name, self.due))
+        self.due += self.period
+        if self.on_run is not None:
+            self.on_run()
+
+
+def test_registry_runs_due_tasks_in_due_order_ties_by_registration():
+    """Each round runs the tasks due at its scan in due order (ties in
+    registration order), then rescans.  ``c`` pulls ``b`` earlier during
+    its first run: ``b`` keeps its place in the round (the order was
+    fixed at the scan) and runs once, at its new due time."""
+    env = SimEnv()
+    registry = env.background
+    log = []
+    a = registry.register(_StepTask(env, "a", 10, 30, log))
+    b = registry.register(_StepTask(env, "b", 10, 30, log))
+    c = registry.register(_StepTask(env, "c", 4, 25, log))
+
+    def pull_b():
+        c.on_run = None
+        b.due = 6
+        registry.note_earlier(6)
+
+    c.on_run = pull_b
+    registry.advance_to(60)
+    assert log == [("c", 4), ("a", 10), ("b", 6),
+                   ("c", 29), ("b", 36), ("a", 40),
+                   ("c", 54)]
+    assert (a.due, b.due, c.due) == (70, 66, 79)
+    assert registry._min_due_ns == 66
+    registry.advance_to(65)
+    assert len(log) == 7
+    registry.advance_to(70)
+    assert log[7:] == [("b", 66), ("a", 70)]
+
+
 # -- deadlock diagnostics ------------------------------------------------
 
 
