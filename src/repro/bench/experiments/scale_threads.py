@@ -39,11 +39,8 @@ MIXES = (("write", 0.0), ("mixed", 1 / 3))
 
 def run(scale=SMALL, file_systems=FILE_SYSTEMS, thread_counts=THREAD_COUNTS,
         mixes=MIXES, aggregate_ops=2400, io_size=4096, file_size=1 << 20,
-        fsync_every=32, nr_writeback_workers=4):
+        fsync_every=32):
     config = scale.nvmm_config()
-    hinfs_config = scale.hinfs_config(
-        nr_writeback_workers=nr_writeback_workers
-    )
     tables = []
     mixes_data = {}
     latency_tails = {}
@@ -70,7 +67,6 @@ def run(scale=SMALL, file_systems=FILE_SYSTEMS, thread_counts=THREAD_COUNTS,
                 result = scale.run(
                     fs_name, workload,
                     config=config,
-                    hinfs_config=hinfs_config,
                     record_latencies=True,
                 )
                 per_fs[fs_name].add(threads, result.throughput)

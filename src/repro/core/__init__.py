@@ -15,9 +15,9 @@ direct single-copy path to avoid double-copy overheads:
   Least-Recently-Written list, or LFU/2Q/ARC.
 - :mod:`repro.core.benefit` -- the Buffer Benefit Model with its ghost
   buffer (Section 3.3.2) deciding eager- vs lazy-persistent block states.
-- :mod:`repro.core.writeback` -- the background writeback workers
+- :mod:`repro.core.writeback` -- the background writeback timeline
   (5-second periodic wakeups, Low_f pressure flushes, 30-second age
-  flushes); worker ``ino % N`` owns a file's blocks.
+  flushes), its batches spread over the NVMM writer slots.
 - :mod:`repro.core.hinfs` -- the file system itself; the paper's
   ablation variants HiNFS-NCLFW (no cacheline-level fetch/writeback) and
   HiNFS-WB (no eager-persistent write checker) are

@@ -36,10 +36,6 @@ class HiNFSConfig:
     #: Buffer replacement policy: "lrw" (the paper's default), or the
     #: alternatives the paper defers to future work: "lfu", "arc", "2q".
     replacement_policy: str = "lrw"
-    #: Parallel background writeback workers (the paper runs multiple
-    #: writeback threads, Section 3.2); worker ``ino % N`` owns a file's
-    #: blocks and flushes them on its own virtual timeline.
-    nr_writeback_workers: int = 1
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)

@@ -29,7 +29,7 @@ from repro.core.benefit import BufferBenefitModel
 from repro.core.bitmap import FULL_MASK, iter_runs, iter_valid_runs, popcount
 from repro.core.buffer import WriteBuffer
 from repro.core.config import HiNFSConfig
-from repro.core.writeback import WritebackPool
+from repro.core.writeback import WritebackTask
 from repro.engine.errors import DeadlockError, ThreadDiagnostic
 from repro.engine.locks import VCompletion
 from repro.engine.stats import CAT_READ_ACCESS, CAT_WRITE_ACCESS
@@ -79,7 +79,7 @@ class HiNFS(PMFS):
         self.hconfig = hconfig or HiNFSConfig()
         self.buffer = WriteBuffer(env, config, self.hconfig)
         self.benefit = BufferBenefitModel(env, config, self.hconfig)
-        self.writeback = WritebackPool(env, self)
+        self.writeback = WritebackTask(env, self)
         env.background.register(self.writeback)
         self.journal.make_room = self.make_room
         # ino -> deque of that file's open deferred commits, oldest first;
@@ -254,7 +254,7 @@ class HiNFS(PMFS):
                 # evict it before returning to the user.
                 self._fetch_before_write(ctx, buffered, in_off, take)
                 self.buffer.write_into(ctx, buffered, in_off, chunk, ctx.now)
-                self.flush_and_evict(ctx, buffered)
+                self.flush_blocks(ctx, [buffered])
             else:
                 self.device.write_persistent(
                     ctx, block_addr(nvmm_block) + in_off, chunk
@@ -289,10 +289,8 @@ class HiNFS(PMFS):
             raise DeadlockError(
                 "DRAM write buffer exhausted: demand reclaim freed no "
                 "blocks (%d buffered, 0 free)" % self.buffer.used_blocks,
-                diagnostics=[ThreadDiagnostic.of(ctx)] + [
-                    ThreadDiagnostic.of(worker.ctx)
-                    for worker in self.writeback.workers
-                ],
+                diagnostics=[ThreadDiagnostic.of(ctx),
+                             ThreadDiagnostic.of(self.writeback.ctx)],
                 notes=notes,
             )
         block = self.buffer.insert(ino, file_block, nvmm_block)
@@ -424,10 +422,6 @@ class HiNFS(PMFS):
     # ------------------------------------------------------------------
     # flush / discard machinery
     # ------------------------------------------------------------------
-
-    def flush_and_evict(self, ctx, block):
-        """Persist one buffered block and release it."""
-        self.flush_blocks(ctx, [block])
 
     def flush_blocks(self, ctx, blocks, parallel=False, record_errors=False,
                      wait=True):

@@ -1,4 +1,4 @@
-"""Background writeback workers (paper Section 3.2).
+"""Background writeback (paper Section 3.2).
 
 Two wakeup causes, exactly as the paper specifies:
 
@@ -12,44 +12,22 @@ Two wakeup causes, exactly as the paper specifies:
    30 s ago.
 2. Periodic: every 5 seconds it writes cold updated data back to NVMM.
 
-The paper runs *multiple* writeback threads; here that is a
-:class:`WritebackPool` of ``nr_writeback_workers`` timelines.  Worker
-``ino % nr_writeback_workers`` owns a file's blocks and flushes its
-victims on its own virtual clock, so a batch spanning many files drains
-in parallel (bounded below by the shared ``N_w`` NVMM writer slots).
-When victims cluster on one worker, idle workers *steal* the tail of
-the longest queue (``writeback_steals``), so a single hot file still
-spreads across the pool.
-
-All worker flushes occupy NVMM writer slots, contending with foreground
-eager writes -- the effect Figure 9 attributes background traffic to.
-When the foreground runs the buffer completely dry it calls
-:meth:`demand_reclaim` and *waits* for the slowest participating
-worker, which is the only time writeback latency enters the critical
-path.  Worker 0 runs on the pool's registered timeline (named
-``hinfs-writeback``); extra workers are ``hinfs-writeback-N``.
+The paper runs *multiple* writeback threads.  Here that parallelism is
+the device's: every batch books its dirty runs across the ``N_w`` NVMM
+writer slots (``HiNFS.flush_blocks(parallel=True)``), on the one
+``hinfs-writeback`` timeline, contending with foreground eager writes --
+the effect Figure 9 attributes background traffic to.  When the
+foreground runs the buffer completely dry it calls
+:meth:`~WritebackTask.demand_reclaim` and *waits* for the batch, which
+is the only time writeback latency enters the critical path.
 """
 
 from repro.engine.background import NEVER, BackgroundTask
-from repro.engine.context import ExecContext
 from repro.obs.trace import LAYER_WRITEBACK
 
 
-class WritebackWorker:
-    """One parallel writeback timeline."""
-
-    __slots__ = ("worker_id", "ctx")
-
-    def __init__(self, worker_id, ctx):
-        self.worker_id = worker_id
-        self.ctx = ctx
-
-    def __repr__(self):
-        return "WritebackWorker(%d, now=%d)" % (self.worker_id, self.ctx.now)
-
-
-class WritebackPool(BackgroundTask):
-    """The lazily-advanced writeback worker pool of one HiNFS instance.
+class WritebackTask(BackgroundTask):
+    """The lazily-advanced writeback timeline of one HiNFS instance.
 
     Two due times drive it: the periodic wakeup, and a pressure wakeup
     that :meth:`signal_pressure` pulls in and each paced reclaim batch
@@ -60,25 +38,11 @@ class WritebackPool(BackgroundTask):
         super().__init__(env, "hinfs-writeback")
         self.hinfs = hinfs
         self.config = hinfs.hconfig
-        nr = max(1, self.config.nr_writeback_workers)
-        #: Worker 0 reuses the pool's registered context (and its name,
-        #: which diagnostics and tests key on); the rest get their own.
-        self.workers = []
-        for wid in range(nr):
-            ctx = self.ctx if wid == 0 else ExecContext(
-                env, "hinfs-writeback-%d" % wid
-            )
-            self.workers.append(WritebackWorker(wid, ctx))
         self._next_periodic_ns = self.config.periodic_interval_ns
         self._pressure_ns = NEVER
 
-    @property
-    def nr_workers(self):
-        return len(self.workers)
-
     def quiesce(self):
-        for worker in self.workers:
-            worker.ctx.now = 0
+        super().quiesce()
         self._next_periodic_ns = self.config.periodic_interval_ns
         self._pressure_ns = NEVER
 
@@ -90,8 +54,7 @@ class WritebackPool(BackgroundTask):
     def run_due(self, horizon_ns):
         while self.next_due_ns() <= horizon_ns:
             due = self.next_due_ns()
-            for worker in self.workers:
-                worker.ctx.now = max(worker.ctx.now, due)
+            self.ctx.now = max(self.ctx.now, due)
             if self._pressure_ns <= due:
                 self._pressure_ns = NEVER
                 if not self._reclaim_step(due):
@@ -122,105 +85,64 @@ class WritebackPool(BackgroundTask):
     def demand_reclaim(self, fg_ctx):
         """The buffer is completely full: reclaim a batch *synchronously*.
 
-        Every worker's clock catches up to the foreground's, the victim
-        batch is partitioned across the pool (occupying NVMM writer
-        slots), and the foreground waits for the slowest participating
-        worker -- the paper's foreground stall, shortened by worker
-        parallelism.
+        The writeback clock catches up to the foreground's, the victim
+        batch is flushed (occupying NVMM writer slots), and the
+        foreground waits for it -- the paper's foreground stall.
         """
-        for worker in self.workers:
-            worker.ctx.now = max(worker.ctx.now, fg_ctx.now)
+        ctx = self.ctx
+        ctx.now = max(ctx.now, fg_ctx.now)
         victims = self.hinfs.buffer.all_blocks_lrw_order(
             self.config.reclaim_batch)
         with fg_ctx.waiting("hinfs-writeback demand reclaim "
                             "(%d victim blocks)" % len(victims)):
-            end = self._flush_distributed("demand", victims)
+            self._flush_batch("demand", victims)
             self.env.stats.bump("writeback_demand_stalls")
             # The only time writeback latency enters the critical path:
             # the foreground's wait shows up as a writeback phase on its
             # own in-flight request's span.
-            if end is not None:
+            if victims:
                 with fg_ctx.layer(LAYER_WRITEBACK):
-                    fg_ctx.sync_to(end)
+                    fg_ctx.sync_to(ctx.now)
         # Let the background continue towards High_f off the critical path.
         self.signal_pressure(fg_ctx.now)
         return len(victims)
 
-    # -- work distribution ----------------------------------------------------
-
-    def _partition(self, victims):
-        """Split a victim batch across the workers.
-
-        Blocks go to their file's owner, worker ``ino % N``, first; then
-        idle workers steal the tail half of the longest queue until nobody
-        sits idle while another worker holds more than one block.
-        """
-        nr = self.nr_workers
-        parts = [[] for _ in range(nr)]
-        for block in victims:
-            parts[block.ino % nr].append(block)
-        if nr == 1:
-            return parts
-        while True:
-            busiest = max(range(nr), key=lambda w: len(parts[w]))
-            idle = min(range(nr), key=lambda w: len(parts[w]))
-            take = len(parts[busiest]) // 2
-            if parts[idle] or take == 0:
-                break
-            parts[idle] = parts[busiest][-take:]
-            del parts[busiest][-take:]
-            self.env.stats.bump("writeback_steals")
-            self.env.stats.bump("writeback_stolen_blocks", take)
-        return parts
-
-    def _flush_distributed(self, cause, victims):
-        """Partition a batch and flush each part on its worker's timeline;
-        returns the latest clock among the workers that flushed, or None
-        if the batch was empty."""
-        ends = []
-        for worker, part in zip(self.workers, self._partition(victims)):
-            if not part:
-                continue
-            with worker.ctx.waiting("flushing %d %s victims"
-                                    % (len(part), cause)):
-                self._flush_batch(worker.ctx, cause, part)
-            self.env.stats.bump(
-                "writeback_worker%d_blocks" % worker.worker_id, len(part)
-            )
-            ends.append(worker.ctx.now)
-        self.env.stats.bump("writeback_%s_blocks" % cause, len(victims))
-        return max(ends, default=None)
-
     # -- work items -----------------------------------------------------------
 
-    def _flush_batch(self, ctx, cause, victims):
-        """Flush one batch under a ``writeback``-layer span.
+    def _flush_batch(self, cause, victims):
+        """Flush one batch under a ``writeback``-layer span and count it
+        in ``writeback_<cause>_blocks`` (an empty batch counts 0).
 
         When tracing is on the span is tagged with the ids of the
         requests whose buffered data this batch persists, joining the
         background timeline to the foreground requests in the exported
         trace (and letting fault injection target one request's
-        writeback, whichever worker flushes it).
+        writeback).
         """
-        meta = None
-        if self.env.trace is not None:
-            meta = {
-                "cause": cause,
-                "req_ids": sorted({block.last_req_id for block in victims
-                                   if block.last_req_id is not None}),
-            }
-        with ctx.span("wb:%s" % cause, layer=LAYER_WRITEBACK, meta=meta):
-            self.hinfs.flush_blocks(ctx, victims, parallel=True,
-                                    record_errors=True)
+        if victims:
+            ctx = self.ctx
+            meta = None
+            if self.env.trace is not None:
+                meta = {
+                    "cause": cause,
+                    "req_ids": sorted({block.last_req_id for block in victims
+                                       if block.last_req_id is not None}),
+                }
+            with ctx.waiting("flushing %d %s victims" % (len(victims), cause)):
+                with ctx.span("wb:%s" % cause, layer=LAYER_WRITEBACK,
+                              meta=meta):
+                    self.hinfs.flush_blocks(ctx, victims, parallel=True,
+                                            record_errors=True)
+        self.env.stats.bump("writeback_%s_blocks" % cause, len(victims))
 
     def _reclaim_step(self, due):
         """One pressure wake: flush one ``reclaim_batch`` of LRW victims.
 
         While the buffer is still short of ``High_f`` the next wake is
-        armed at the batch's device-side end (the latest worker clock,
-        held strictly after ``due`` so the registry sees progress) and
-        True is returned.  False means the climb is over: ``High_f``
-        was reached, or nothing was left to reclaim.
+        armed at the batch's device-side end (the writeback clock, held
+        strictly after ``due`` so the registry sees progress) and True
+        is returned.  False means the climb is over: ``High_f`` was
+        reached, or nothing was left to reclaim.
         """
         buffer = self.hinfs.buffer
         if buffer.at_high_watermark:
@@ -228,11 +150,10 @@ class WritebackPool(BackgroundTask):
         victims = buffer.all_blocks_lrw_order(self.config.reclaim_batch)
         if not victims:
             return False
-        self._flush_distributed("pressure", victims)
+        self._flush_batch("pressure", victims)
         if buffer.at_high_watermark:
             return False
-        self._pressure_ns = max(due + 1,
-                                max(worker.ctx.now for worker in self.workers))
+        self._pressure_ns = max(due + 1, self.ctx.now)
         return True
 
     def _journal_relief(self):
@@ -251,10 +172,10 @@ class WritebackPool(BackgroundTask):
         data (``periodic``).
 
         Scans the dirty list (first-dirtied order), not the whole LRW
-        list; the victims are then partitioned across the workers.
+        list.
         """
-        now = max(worker.ctx.now for worker in self.workers)
-        self._flush_distributed(cause, [
+        now = self.ctx.now
+        self._flush_batch(cause, [
             block for block in self.hinfs.buffer.dirty_blocks()
             if now - block.last_written_ns >= age_ns
         ])

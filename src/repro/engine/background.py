@@ -58,7 +58,7 @@ class BackgroundRegistry:
     returns without touching any task while the horizon stays below it.
     Due times move *forward* only inside ``run_due`` (where the cache is
     refreshed); the one place they move *backward* from outside is
-    :meth:`~repro.core.writeback.WritebackPool.signal_pressure`, which
+    :meth:`~repro.core.writeback.WritebackTask.signal_pressure`, which
     calls :meth:`note_earlier` to pull the cached minimum down in place.
     """
 

@@ -614,6 +614,15 @@ PRESSURE_OPS = (
     ("fsync", "/a"),
     ("tick", 30_000),                    # wake 3: High_f, relief, aged scan
 )
+#: HiNFS's demand reclaim, behind the same warmup: a five-block append
+#: runs the buffer dry, so the foreground flushes a batch of LRW victims
+#: itself and waits for it, the one time writeback enters the critical
+#: path.
+DEMAND_OPS = (
+    ("append", "/a", 5 * 4096),          # 3 fit, then 4 demand-reclaimed
+    ("fsync", "/a"),                     # /a's 5 blocks out: 7 free
+    ("tick", 30_000),                    # 2 pressure wakes: 15 free, High_f
+)
 
 
 #: HiNFS on the explorer's stacks: a 64-block buffer, and a reclaim batch

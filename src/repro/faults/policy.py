@@ -17,7 +17,7 @@ It has two users.  The device (:meth:`repro.nvmm.device.NVMMDevice.
 _guard_persist`) retries a transient persist failure and marks the
 lines bad once the budget runs out, so a :class:`~repro.fs.errors.
 MediaError` that leaves the device is permanent: the ring, the VFS and
-the writeback pool report it (``-EIO`` CQE, raised EIO, errseq) and
+the writeback task report it (``-EIO`` CQE, raised EIO, errseq) and
 never retry it.  The tenant client (:mod:`repro.workloads.tenants`)
 backs off and resubmits requests the QoS layer sheds.
 

@@ -7,7 +7,7 @@ formal VFS-switch model's argument): it implements the same inode-level
 composing M *shards* -- independent PMFS/HiNFS instances, one per
 :class:`~repro.nvmm.device.NVMMDevice`, each device constructed with its
 own resource ``domain`` so writer slots, media faults, errseq logs, and
-(for HiNFS) write buffer + writeback pool are all per-device.
+(for HiNFS) write buffer + writeback timeline are all per-device.
 
 Layout
 ------

@@ -81,7 +81,7 @@ def test_chain_commits_in_order_as_blocks_flush(rig, monkeypatch, order):
     monkeypatch.setattr(fs.journal, "commit", recording)
     flushed = set()
     for i in order:
-        fs.flush_and_evict(rig.ctx, blocks[i])
+        fs.flush_blocks(rig.ctx, [blocks[i]])
         flushed.add(i)
         durable = 0
         while durable in flushed:

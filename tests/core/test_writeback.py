@@ -173,7 +173,7 @@ def test_journal_relief_closes_the_oldest_deferred_commits_only():
         rig.vfs.write_file(rig.ctx, "/j%d" % files, b"x" * 4096)
         files += 1
     assert journal.open_transactions == files
-    # The write that crossed the line signalled the pool by itself.
+    # The write that crossed the line signalled the writeback task by itself.
     rig.env.background.advance_to(rig.ctx.now + 1)
     relieved = rig.env.stats.count("writeback_journal_relief_blocks")
     assert 0 < relieved < files // 4

@@ -1,14 +1,11 @@
-"""Parallel writeback workers: file ownership, stealing, determinism.
+"""The writeback timeline: its name, determinism, pressure signalling.
 
-The pool replaces the single writeback timeline with
-``nr_writeback_workers`` worker clocks; these tests pin down the
-partitioning rules (owner ``ino % N`` first, tail-stealing for hot
-files),
-the per-worker accounting, and that one worker reproduces the old
-single-task behaviour exactly.
+HiNFS's background writeback is one :class:`WritebackTask` timeline
+whose batches spread over the NVMM writer slots; these tests pin down
+its registered name, that a demand reclaim is deterministic, how
+pressure signals reach the background registry, and that ``quiesce``
+rewinds the clock and both wakeups.
 """
-
-import pytest
 
 from repro.core import HiNFS, HiNFSConfig
 from repro.engine.background import NEVER
@@ -22,87 +19,18 @@ def make_rig(**hconf):
 
 
 def test_worker_zero_keeps_the_registered_timeline_name():
-    rig = make_rig(nr_writeback_workers=4)
-    pool = rig.fs.writeback
-    assert pool.nr_workers == 4
-    assert pool.workers[0].ctx is pool.ctx
-    assert pool.ctx.name == "hinfs-writeback"
-    assert [w.ctx.name for w in pool.workers[1:]] == [
-        "hinfs-writeback-1", "hinfs-writeback-2", "hinfs-writeback-3",
-    ]
-
-
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_demand_victims_land_on_worker_ino_mod_n(workers):
-    rig = make_rig(nr_writeback_workers=workers, reclaim_batch=64)
-    inos = []
-    for i in range(12):  # one block per file, every worker gets some
-        rig.vfs.write_file(rig.ctx, "/f%d" % i, b"w" * 4096)
-        inos.append(rig.vfs.stat(rig.ctx, "/f%d" % i).ino)
-    if workers == 3:
-        # With N = 3, ino % N and (ino % 8) % N disagree for some inode
-        # here, so this case tells the two rules apart.
-        assert any(ino % 8 % 3 != ino % 3 for ino in inos)
-    pool = rig.fs.writeback
-    owner = {w.ctx: w.worker_id for w in pool.workers}
-    landed = {}
-    flush = pool._flush_batch
-
-    def spy(ctx, cause, part):
-        landed.update((block.ino, owner[ctx]) for block in part)
-        flush(ctx, cause, part)
-
-    pool._flush_batch = spy
-    assert pool.demand_reclaim(rig.ctx) == len(inos)
-    assert rig.env.stats.count("writeback_steals") == 0
-    assert landed == {ino: ino % workers for ino in inos}
-
-
-def test_demand_reclaim_spreads_across_workers():
-    rig = make_rig(nr_writeback_workers=4, reclaim_batch=32)
-    rig.vfs.write_file(rig.ctx, "/spread", b"d" * (64 * 4096))
-    assert rig.fs.buffer.free_blocks == 0
-    freed = rig.fs.writeback.demand_reclaim(rig.ctx)
-    assert freed > 0
-    per_worker = [rig.env.stats.count("writeback_worker%d_blocks" % w)
-                  for w in range(4)]
-    assert sum(per_worker) == freed
-    # A 32-block batch over many files cannot land on a single worker.
-    assert sum(1 for n in per_worker if n > 0) >= 2
-
-
-def test_single_hot_file_is_stolen_from():
-    rig = make_rig(nr_writeback_workers=4, reclaim_batch=32)
-    # One big file: every block shares an inode, hence one owner.
-    rig.vfs.write_file(rig.ctx, "/hot", b"h" * (64 * 4096))
-    assert rig.fs.buffer.free_blocks == 0
-    freed = rig.fs.writeback.demand_reclaim(rig.ctx)
-    assert freed > 0
-    assert rig.env.stats.count("writeback_steals") > 0
-    assert rig.env.stats.count("writeback_stolen_blocks") > 0
-    busy = sum(1 for w in range(4)
-               if rig.env.stats.count("writeback_worker%d_blocks" % w))
-    assert busy >= 2
-
-
-def test_parallel_demand_reclaim_is_not_slower():
-    """Four timelines draining a batch finish no later than one."""
-    def stall_ns(workers):
-        rig = make_rig(nr_writeback_workers=workers)
-        rig.vfs.write_file(rig.ctx, "/fill", b"d" * (64 * 4096))
-        before = rig.ctx.now
-        rig.fs.writeback.demand_reclaim(rig.ctx)
-        return rig.ctx.now - before
-
-    assert stall_ns(4) <= stall_ns(1)
+    rig = make_rig()
+    task = rig.fs.writeback
+    assert task.ctx.name == "hinfs-writeback"
+    assert task.name == "hinfs-writeback"
 
 
 def test_one_worker_matches_pool_of_one():
-    """The pool with one worker must reproduce the legacy behaviour:
-    same freed count, same foreground stall."""
+    """Two identical rigs free the same blocks behind the same
+    foreground stall."""
     results = []
     for _ in range(2):
-        rig = make_rig(nr_writeback_workers=1)
+        rig = make_rig()
         rig.vfs.write_file(rig.ctx, "/fill", b"d" * (64 * 4096))
         before = rig.ctx.now
         freed = rig.fs.writeback.demand_reclaim(rig.ctx)
@@ -116,24 +44,24 @@ def test_pressure_signals_coalesce_without_invalidating_cache():
     signal pulls the wakeup earlier in place, later (no-earlier) signals
     are pure no-ops."""
     rig = make_rig()
-    pool = rig.fs.writeback
+    task = rig.fs.writeback
     registry = rig.env.background
     # Warm the registry cache (PR 7's idle fast path).
     registry.advance_to(0)
     assert not registry._min_due_stale
-    pool.signal_pressure(1_000)
-    assert pool.next_due_ns() == 1_000
+    task.signal_pressure(1_000)
+    assert task.next_due_ns() == 1_000
     # The cached minimum was lowered in place, not invalidated.
     assert not registry._min_due_stale
     assert registry._min_due_ns == 1_000
     # Later signals at the same or later times change nothing.
-    pool.signal_pressure(1_000)
-    pool.signal_pressure(5_000)
-    assert pool.next_due_ns() == 1_000
+    task.signal_pressure(1_000)
+    task.signal_pressure(5_000)
+    assert task.next_due_ns() == 1_000
     assert registry._min_due_ns == 1_000
     # An *earlier* signal still wins.
-    pool.signal_pressure(500)
-    assert pool.next_due_ns() == 500
+    task.signal_pressure(500)
+    assert task.next_due_ns() == 500
     assert registry._min_due_ns == 500
 
 
@@ -149,12 +77,17 @@ def test_note_earlier_respects_stale_cache():
 
 
 def test_quiesce_rewinds_workers_and_signals():
-    rig = make_rig(nr_writeback_workers=4)
-    pool = rig.fs.writeback
+    rig = make_rig()
+    task = rig.fs.writeback
     rig.vfs.write_file(rig.ctx, "/fill", b"d" * (64 * 4096))
-    pool.demand_reclaim(rig.ctx)
-    assert any(w.ctx.now > 0 for w in pool.workers)
-    pool.quiesce()
-    assert all(w.ctx.now == 0 for w in pool.workers)
-    assert pool._pressure_ns == NEVER
-    assert pool.next_due_ns() == pool.config.periodic_interval_ns
+    task.demand_reclaim(rig.ctx)
+    interval = task.config.periodic_interval_ns
+    rig.env.background.advance_to(interval)  # one periodic wake
+    task.signal_pressure(rig.ctx.now)
+    assert task.ctx.now >= interval
+    assert task._next_periodic_ns == 2 * interval
+    assert task.next_due_ns() == rig.ctx.now
+    task.quiesce()
+    assert task.ctx.now == 0
+    assert task._pressure_ns == NEVER
+    assert task.next_due_ns() == task.config.periodic_interval_ns

@@ -9,11 +9,11 @@ pre-refactor engine, so any future hot-path edit that silently changes
 virtual-time results fails here rather than drifting the paper's
 figures.
 
-The grid covers seed in {0, 1337}, writeback workers in {1, 4}, and
-ring batch depth in {1, 8} (depth 0 = the sync syscall path) across all
-five comparison stacks, plus the library-mode mmap data plane (depth
--1) on the stacks that support it -- those entries pin the mmio charge
-accounting exactly, including the empty ``syscall_time_ns`` ledger.
+The grid covers seed in {0, 1337} and ring batch depth in {1, 8}
+(depth 0 = the sync syscall path) across all five comparison stacks,
+plus the library-mode mmap data plane (depth -1) on the stacks that
+support it -- those entries pin the mmio charge accounting exactly,
+including the empty ``syscall_time_ns`` ledger.
 Trace-ring contents are pinned as a SHA-256 over the canonicalised
 span stream -- exact, but compact enough to check in.
 
@@ -39,39 +39,38 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
 
 STACKS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd")
 
-#: (fs, seed, workers, depth): depth 0 is the sync path, otherwise the
-#: ring at that batch depth.  Every stack sees both seeds and both
-#: depth classes; the worker axis only changes behaviour on hinfs, so
-#: the full worker grid runs there.
-CASES = [(fs, 0, 1, 0) for fs in STACKS] + \
-        [(fs, 1337, 4, 8) for fs in STACKS] + [
-    ("hinfs", 0, 4, 1),
-    ("hinfs", 0, 4, 8),
-    ("hinfs", 1337, 1, 1),
-    ("pmfs", 0, 1, 8),
+#: (fs, seed, depth): depth 0 is the sync path, otherwise the ring at
+#: that batch depth.  Every stack sees both seeds and both depth
+#: classes; hinfs also runs the rest of the seed x depth grid.
+CASES = [(fs, 0, 0) for fs in STACKS] + \
+        [(fs, 1337, 8) for fs in STACKS] + [
+    ("hinfs", 0, 1),
+    ("hinfs", 0, 8),
+    ("hinfs", 1337, 1),
+    ("pmfs", 0, 8),
     # depth -1: MAP_ATOMIC mappings on the library-mode stacks.  These
     # pin the zero-syscall ledger and the mmio counters/spans exactly.
-    ("hinfs", 0, 1, -1),
-    ("pmfs", 1337, 1, -1),
-    ("ext4-dax", 0, 1, -1),
+    ("hinfs", 0, -1),
+    ("pmfs", 1337, -1),
+    ("ext4-dax", 0, -1),
     # Sharded mounts ("base@M"): M devices, each its own resource
     # domain, behind one VFS mount.  These pin the shard routing
     # layer's virtual-time results including the per-device
     # ``sharded_reqs@devN``/``nvmm_slot_grants@devN`` ledgers; the
     # single-device entries above stay bit-identical through the shard
     # refactor (domain-None devices bump no per-domain counters).
-    ("hinfs@2", 0, 1, 0),
-    ("hinfs@4", 1337, 4, 8),
-    ("pmfs@2", 0, 1, 8),
+    ("hinfs@2", 0, 0),
+    ("hinfs@4", 1337, 8),
+    ("pmfs@2", 0, 8),
 ]
 
 
-def case_key(fs, seed, workers, depth):
+def case_key(fs, seed, depth):
     mech = "mmap" if depth < 0 else "d%d" % depth
-    return "%s/seed%d/w%d/%s" % (fs, seed, workers, mech)
+    return "%s/seed%d/%s" % (fs, seed, mech)
 
 
-def run_case(fs, seed, workers, depth):
+def run_case(fs, seed, depth):
     """One deterministic traced run; returns its full fingerprint."""
     kwargs = dict(threads=2, ops_per_thread=50, io_size=4096,
                   file_size=256 << 10, read_fraction=1 / 3,
@@ -84,7 +83,7 @@ def run_case(fs, seed, workers, depth):
         workload = RingFioWorkload(batch_depth=depth, **kwargs)
     else:
         workload = FioWorkload(**kwargs)
-    hc = HiNFSConfig(buffer_bytes=2 << 20, nr_writeback_workers=workers)
+    hc = HiNFSConfig(buffer_bytes=2 << 20)
     result = run_workload(fs, workload, device_size=32 << 20,
                           hinfs_config=hc, trace_capacity=1 << 14,
                           setup=setup)
@@ -126,12 +125,12 @@ def golden():
     return load_golden()
 
 
-@pytest.mark.parametrize("fs,seed,workers,depth", CASES,
+@pytest.mark.parametrize("fs,seed,depth", CASES,
                          ids=[case_key(*c) for c in CASES])
-def test_virtual_time_results_match_golden(golden, fs, seed, workers, depth):
-    key = case_key(fs, seed, workers, depth)
+def test_virtual_time_results_match_golden(golden, fs, seed, depth):
+    key = case_key(fs, seed, depth)
     assert key in golden, "no golden entry for %s (regen needed?)" % key
-    got = run_case(fs, seed, workers, depth)
+    got = run_case(fs, seed, depth)
     want = golden[key]
     # Compare field by field so a mismatch names what drifted.
     for field in sorted(want):

@@ -48,6 +48,7 @@ import pytest
 from repro.core import HiNFS
 from repro.faults.crashpoints import (
     DEFAULT_OPS,
+    DEMAND_OPS,
     MMIO_OPS,
     PRESSURE_OPS,
     PRESSURE_WARMUP,
@@ -272,7 +273,7 @@ def test_wrap_ops_do_what_their_comments_say(kind):
 # -- paced pressure writeback -------------------------------------------------
 
 #: ``PRESSURE_OPS`` behind ``PRESSURE_WARMUP`` (see their comment): three
-#: paced pressure wakes of HiNFS's writeback pool, each flushing one
+#: paced pressure wakes of HiNFS's writeback timeline, each flushing one
 #: warmup append and then appending its deferred commit, with a lazy
 #: append between two wakes and an fsync before the last.  No row above
 #: runs the background timelines at all.
@@ -282,21 +283,37 @@ PRESSURE_PINNED = (
     "48 eviction subsets sampled, 48 torn states sampled, 0 violations")
 
 
-def _explore_pressure(samples=8):
+#: ``DEMAND_OPS`` behind the same warmup: an append that runs the
+#: buffer dry and reclaims a batch on the foreground, then an fsync and
+#: the paced wakes back up to ``High_f``.
+DEMAND_PINNED = (
+    "hinfs: 3 ops, 65 tape events, 20 boundaries, "
+    "56 states checked (56 duplicates skipped), "
+    "24 eviction subsets sampled, 24 torn states sampled, 0 violations")
+
+
+def _explore_pressure(samples=8, ops=PRESSURE_OPS):
     return CrashPointExplorer("hinfs", seed=3,
                               eviction_samples_per_op=samples,
                               torn_samples_per_op=samples,
-                              warmup=PRESSURE_WARMUP).explore(PRESSURE_OPS)
+                              warmup=PRESSURE_WARMUP).explore(ops)
 
 
 def test_exploration_of_paced_pressure_writeback_is_pinned():
     assert _explore_pressure().summary() == PRESSURE_PINNED
 
 
-def test_a_commit_ahead_of_its_data_is_caught(monkeypatch):
+def test_exploration_of_a_demand_reclaim_is_pinned():
+    assert _explore_pressure(ops=DEMAND_OPS).summary() == DEMAND_PINNED
+
+
+@pytest.mark.parametrize("ops", [PRESSURE_OPS, DEMAND_OPS],
+                         ids=["pressure", "demand"])
+def test_a_commit_ahead_of_its_data_is_caught(monkeypatch, ops):
     """Negative control: a flush that appends the deferred commit before
     it persists the data leaves states whose size covers bytes that
-    never reached NVMM -- zeroes where the append's payload should be."""
+    never reached NVMM -- zeroes where the append's payload should be.
+    The paced wakes and the foreground's demand reclaim both show it."""
     flush = HiNFS.flush_blocks
 
     def commit_first(self, ctx, blocks, *args, **kwargs):
@@ -305,7 +322,7 @@ def test_a_commit_ahead_of_its_data_is_caught(monkeypatch):
         return flush(self, ctx, blocks, *args, **kwargs)
 
     monkeypatch.setattr(HiNFS, "flush_blocks", commit_first)
-    report = _explore_pressure(samples=0)  # plain prefixes show it
+    report = _explore_pressure(samples=0, ops=ops)  # plain prefixes show it
     assert any("/p0: size 16384 covers bytes that never persisted"
                in str(violation) for violation in report.failures)
 
@@ -319,10 +336,10 @@ def test_pressure_ops_do_what_their_comments_say():
     class Watching(CrashPointExplorer):
         def _execute(self, vfs, ctx, op, op_index):
             super()._execute(vfs, ctx, op, op_index)
-            fs, pool = vfs.fs, vfs.fs.writeback
+            fs, task = vfs.fs, vfs.fs.writeback
             seen.append((fs.buffer.free_blocks,
                          fs.env.stats.count("writeback_pressure_blocks"),
-                         pool.next_due_ns() < pool.config.periodic_interval_ns,
+                         task.next_due_ns() < task.config.periodic_interval_ns,
                          fs.journal.open_transactions))
 
     Watching("hinfs", warmup=PRESSURE_WARMUP)._run_ops(PRESSURE_OPS)
@@ -334,3 +351,24 @@ def test_pressure_ops_do_what_their_comments_say():
         True, True, True, True, True, False]
     opened = [o for _f, _b, _a, o in recorded]
     assert [opened[i] - opened[i + 1] for i in (0, 2, 4)] == [1, 1, 1]
+
+
+def test_demand_ops_do_what_their_comments_say():
+    """The append runs the buffer dry and stalls on one demand reclaim
+    inside op 0; the fsync takes ``/a``'s blocks out, and the tick's
+    paced wakes climb back to ``High_f``."""
+    seen = []
+
+    class Watching(CrashPointExplorer):
+        def _execute(self, vfs, ctx, op, op_index):
+            super()._execute(vfs, ctx, op, op_index)
+            stats = vfs.fs.env.stats
+            seen.append((vfs.fs.buffer.free_blocks,
+                         stats.count("writeback_demand_stalls"),
+                         stats.count("writeback_demand_blocks"),
+                         stats.count("writeback_pressure_blocks")))
+
+    Watching("hinfs", warmup=PRESSURE_WARMUP)._run_ops(DEMAND_OPS)
+    recorded = seen[len(PRESSURE_WARMUP):]
+    assert seen[len(PRESSURE_WARMUP) - 1] == (3, 0, 0, 0)
+    assert recorded == [(2, 1, 4, 0), (7, 1, 4, 0), (15, 1, 4, 8)]

@@ -138,7 +138,7 @@ class TestTransientRetry:
 
     def test_background_flush_charges_only_the_device_backoff(self):
         """Transient faults that outlast the device's budget: the device
-        retries and marks the line bad, and the writeback pool records
+        retries and marks the line bad, and the writeback task records
         the loss without retrying a line that is now permanent."""
         def flush_with(fault):
             env, config, device, fs, vfs, ctx, model = build_hinfs()

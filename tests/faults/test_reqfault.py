@@ -120,7 +120,7 @@ def test_writeback_spans_tag_flushed_request_ids(rig):
     ino = rig.vfs.fstat(rig.ctx, fd).ino
     (block,) = rig.fs.buffer.file_blocks(ino)
     req_id = block.last_req_id
-    rig.fs.writeback._flush_batch(rig.fs.writeback.ctx, "test", [block])
+    rig.fs.writeback._flush_batch("test", [block])
     wb_spans = [s for s in ring.spans() if s.layer == "writeback"]
     assert wb_spans
     assert wb_spans[-1].meta == {"cause": "test", "req_ids": [req_id]}

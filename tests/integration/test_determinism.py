@@ -2,10 +2,9 @@
 
 The whole simulation is a deterministic function of (workload seed,
 configuration): two runs must produce identical statistics and an
-identical trace spine -- including with parallel writeback workers,
-whose partitioning and stealing decisions must not depend on iteration
-order of any unordered container.  This is the regression fence for
-"someone iterated a set".
+identical trace spine: no decision may depend on the iteration order
+of an unordered container.  This is the regression fence for "someone
+iterated a set".
 """
 
 import pytest
@@ -37,35 +36,34 @@ def fingerprint(result):
     }
 
 
-def one_run(fs_name, workers, seed=7):
+def one_run(fs_name, seed=7):
     workload = FioWorkload(threads=4, ops_per_thread=60, io_size=4096,
                            file_size=256 << 10, read_fraction=1 / 3,
                            fsync_every=16, seed=seed)
-    hc = HiNFSConfig(buffer_bytes=2 << 20, nr_writeback_workers=workers)
+    hc = HiNFSConfig(buffer_bytes=2 << 20)
     result = run_workload(fs_name, workload, device_size=32 << 20,
                           hinfs_config=hc, trace_capacity=1 << 14)
     return fingerprint(result)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_hinfs_runs_are_identical(workers):
-    a = one_run("hinfs", workers)
-    b = one_run("hinfs", workers)
+def test_hinfs_runs_are_identical():
+    a = one_run("hinfs")
+    b = one_run("hinfs")
     for key in a:
         assert a[key] == b[key], "mismatch in %s" % key
 
 
 def test_different_seeds_differ():
     """The fingerprint is sensitive enough to catch a changed run."""
-    a = one_run("hinfs", 4, seed=7)
-    b = one_run("hinfs", 4, seed=8)
+    a = one_run("hinfs", seed=7)
+    b = one_run("hinfs", seed=8)
     assert a["spans"] != b["spans"]
 
 
 @pytest.mark.parametrize("fs_name", ["pmfs", "ext4-dax", "ext2-nvmmbd"])
 def test_other_stacks_are_deterministic_too(fs_name):
-    a = one_run(fs_name, 1)
-    b = one_run(fs_name, 1)
+    a = one_run(fs_name)
+    b = one_run(fs_name)
     for key in a:
         assert a[key] == b[key], "mismatch in %s" % key
 
@@ -75,7 +73,7 @@ def one_ring_run(batch_depth, seed=7):
                                ops_per_thread=60, io_size=4096,
                                file_size=256 << 10, read_fraction=1 / 3,
                                fsync_every=16, seed=seed)
-    hc = HiNFSConfig(buffer_bytes=2 << 20, nr_writeback_workers=4)
+    hc = HiNFSConfig(buffer_bytes=2 << 20)
     result = run_workload("hinfs", workload, device_size=32 << 20,
                           hinfs_config=hc, trace_capacity=1 << 14)
     return fingerprint(result)
@@ -167,9 +165,9 @@ def test_make_room_is_identical_across_hash_seeds():
 
 
 def paced_reclaim_run(seed=5):
-    """A fileserver loop over a 1 MB buffer (256 blocks) with two
-    writeback workers: ~100 paced pressure wakes, each re-armed at its
-    batch's end, with demand reclaims and steals between them.  Returns
+    """A fileserver loop over a 1 MB buffer (256 blocks): ~100 paced
+    pressure wakes, each re-armed at its batch's end, with demand
+    reclaims between them.  Returns
     a digest of the counters and the writer slots' final bookings --
     where each batch landed on which server."""
     import hashlib
@@ -178,13 +176,12 @@ def paced_reclaim_run(seed=5):
 
     workload = Fileserver(seed=seed, threads=2, files_per_thread=16,
                           duration_ops=60)
-    hc = HiNFSConfig(buffer_bytes=1 << 20, nr_writeback_workers=2)
+    hc = HiNFSConfig(buffer_bytes=1 << 20)
     result = run_workload("hinfs", workload, device_size=32 << 20,
                           hinfs_config=hc)
     counters = result.stats.counters
     assert counters["writeback_pressure_blocks"] > 50 * hc.reclaim_batch
     assert counters["writeback_demand_stalls"] > 0
-    assert counters["writeback_steals"] > 0
     slots = result.fs.device.write_slots
     return hashlib.sha256(repr((
         result.elapsed_ns, sorted(counters.items()), slots.total_grants,

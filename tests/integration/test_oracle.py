@@ -14,7 +14,7 @@ returns -- and the shard layer must be invisible at the syscall
 surface.
 
 A ``tick`` rule lets virtual time pass on every stack: the background
-timelines (HiNFS's writeback pool, the page cache's flusher, jbd2)
+timelines (HiNFS's writeback task, the page cache's flusher, jbd2)
 catch up through the registry the scheduler drives.  The HiNFS stacks
 run an 8-block buffer with a one-block reclaim batch, so buffer
 pressure, demand reclaim and paced pressure wakes all happen between
