@@ -17,7 +17,7 @@ Two legs:
    the admission controller on and once with it off.  Expected shape:
    *off*, everyone queues behind the collapsing backlog and the gold
    class's p999 blows past the SLO; *on*, pressure crosses the high
-   watermark, the mount reports OVERLOADED, bronze gets shed with
+   watermark, the QoS controller enters overload, bronze gets shed with
    EAGAIN (client backoff + drops), and gold p999 stays inside the SLO
    bound -- graceful degradation, only the lowest class pays.
 
@@ -104,7 +104,8 @@ def _fleet_leg(scale, file_systems, seed, n_tenants):
             "throttle_ns": run.stats.count("qos_throttle_ns"),
             "overload_enters": run.stats.count("qos_overload_enters"),
         }
-        summary["observable_state"] = vfs.health.observable_state
+        summary["observable_state"] = (
+            "overloaded" if qos.overloaded else vfs.health.state)
         results[fs_name] = summary
     return results
 
@@ -189,7 +190,6 @@ def _overload_leg(scale, seed, n_tenants):
             "sqes": run.stats.count("ring_sqes"),
         }
         if qos_on:
-            qos, vfs = holder[0]
             summary["qos"] = {
                 "admitted_ops": run.stats.count("qos_admitted_ops"),
                 "shed_ops": run.stats.count("qos_shed_ops"),
@@ -201,7 +201,9 @@ def _overload_leg(scale, seed, n_tenants):
                     "qos_shed_ops_prio_%d" % PRIO_GOLD),
                 "throttle_ns": run.stats.count("qos_throttle_ns"),
                 "overload_enters": run.stats.count("qos_overload_enters"),
-                "overload_toggles": len(vfs.health.overload_history),
+                "overload_toggles": (
+                    run.stats.count("qos_overload_enters")
+                    + run.stats.count("qos_overload_exits")),
             }
         legs["qos_on" if qos_on else "qos_off"] = summary
     # The honest load factor: aggregate offered byte rate over what the

@@ -418,7 +418,6 @@ class ChaosCampaign:
         self.fs, self.vfs = build_stack(self.env, self.fs_name, self.config,
                                         self.device_size)
         self.vfs.health.media_error_threshold = self.media_error_threshold
-        self.vfs.health.isolate_threshold = self.media_error_threshold * 4
         self.model = self._device().attach_faults(
             MediaFaultModel(seed=self.seed))
         self.ctx = ExecContext(self.env, "chaos")

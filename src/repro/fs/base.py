@@ -245,16 +245,9 @@ class FileSystem:
 
     def scrub(self, ctx):
         """Walk allocated extents, verify/repair bad media, return a
-        :class:`~repro.fs.scrub.ScrubReport`.
-
-        The base implementation builds the right scrubber for this fs
-        (:func:`repro.fs.scrub.scrubber_for`) and runs one pass; file
-        systems with no scrubbable substrate return a clean empty report.
-        """
-        from repro.fs.scrub import scrubber_for
-
-        scrubber = scrubber_for(self)
-        return scrubber.run(ctx)
+        :class:`~repro.fs.scrub.ScrubReport`: one pass of the scrubber
+        of this fs's on-media layout (:mod:`repro.fs.scrub`)."""
+        raise NotImplementedError
 
     # -- lifecycle --------------------------------------------------------
 

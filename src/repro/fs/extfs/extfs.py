@@ -423,6 +423,13 @@ class Ext2(FileSystem):
         """EXT2 does not journal: every sync is complete on return."""
         return 0
 
+    # -- integrity ---------------------------------------------------------
+
+    def scrub(self, ctx):
+        from repro.fs.scrub import ExtScrubber
+
+        return ExtScrubber(self).run(ctx)
+
     # -- lifecycle ---------------------------------------------------------
 
     def unmount(self, ctx):

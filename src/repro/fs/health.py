@@ -31,29 +31,16 @@ directly measurable from the history (the chaos campaign's MTTR metric).
 HEALTHY = "healthy"
 DEGRADED_RO = "degraded_ro"
 ISOLATED = "isolated"
-#: Observable overlay, not an FSM state: the mount is HEALTHY but the
-#: QoS admission controller reports saturation (see
-#: :mod:`repro.fs.qos`).  Kept out of ``state``/``history`` so media
-#: degradation metrics (MTTR, transition counts) are unaffected by load.
-OVERLOADED = "overloaded"
 
 
 class MountHealth:
     """Threshold-driven health FSM for one mount."""
 
-    def __init__(self, env, media_error_threshold=5, isolate_threshold=None):
+    def __init__(self, env, media_error_threshold=5):
         self.env = env
         if media_error_threshold <= 0:
             raise ValueError("media_error_threshold must be positive")
         self.media_error_threshold = media_error_threshold
-        #: Total errors (including those that caused degradation) at which
-        #: a degraded mount is isolated.  Defaults to 4x the degradation
-        #: threshold; ``None`` computes that default.
-        if isolate_threshold is None:
-            isolate_threshold = media_error_threshold * 4
-        if isolate_threshold < media_error_threshold:
-            raise ValueError("isolate_threshold below media_error_threshold")
-        self.isolate_threshold = isolate_threshold
         self.state = HEALTHY
         #: Errors observed in the current HEALTHY/DEGRADED episode; reset
         #: by a clean scrub, not by time.
@@ -61,11 +48,6 @@ class MountHealth:
         self.reason = None
         #: ``(from_state, to_state, at_ns, reason)`` in transition order.
         self.history = []
-        #: Overload observable (orthogonal to the media FSM): set/cleared
-        #: by the QoS admission controller's watermark hysteresis.
-        self.overloaded = False
-        #: ``(at_ns, active, reason)`` toggles, coalesced (no repeats).
-        self.overload_history = []
 
     # -- queries -----------------------------------------------------------
 
@@ -78,12 +60,10 @@ class MountHealth:
         return self.state != ISOLATED
 
     @property
-    def observable_state(self):
-        """What monitoring sees: OVERLOADED overlays a HEALTHY mount;
-        media degradation (the real FSM) always wins over load."""
-        if self.state == HEALTHY and self.overloaded:
-            return OVERLOADED
-        return self.state
+    def isolate_threshold(self):
+        """Total errors (including those that caused degradation) at
+        which a degraded mount is isolated: 4x the degradation one."""
+        return self.media_error_threshold * 4
 
     def __repr__(self):
         return "MountHealth(%s, errors=%d, reason=%r)" % (
@@ -105,7 +85,7 @@ class MountHealth:
             self._transition(DEGRADED_RO, now_ns, reason)
             self.env.stats.bump("vfs_remount_ro")
 
-    def count_media_error(self, now_ns, reason="media error threshold"):
+    def count_media_error(self, now_ns):
         """One EIO observed (sync read/write or async writeback).
 
         Returns the state after accounting, so callers can react without
@@ -117,7 +97,7 @@ class MountHealth:
                 self.media_errors >= self.media_error_threshold:
             self._transition(
                 DEGRADED_RO, now_ns,
-                "%s (%d errors)" % (reason, self.media_errors))
+                "media error threshold (%d errors)" % self.media_errors)
             self.env.stats.bump("vfs_remount_ro")
         elif self.state == DEGRADED_RO and \
                 self.media_errors >= self.isolate_threshold:
@@ -127,23 +107,6 @@ class MountHealth:
                 % self.media_errors)
             self.env.stats.bump("vfs_isolated")
         return self.state
-
-    def note_overload(self, now_ns, active, reason=None):
-        """Record an overload toggle from the admission controller.
-
-        Coalesced: repeating the current level is a no-op, so sustained
-        saturation costs one history entry per episode, not one per
-        request.  Deliberately NOT a ``_transition``: overload is load
-        posture, not media health, and must not perturb ``history`` or
-        :meth:`mttr_ns`.
-        """
-        active = bool(active)
-        if active == self.overloaded:
-            return
-        self.overloaded = active
-        self.overload_history.append((now_ns, active, reason))
-        self.env.stats.bump(
-            "health_overload_enters" if active else "health_overload_exits")
 
     def scrub_result(self, now_ns, report):
         """Feed a completed scrub pass into the FSM.

@@ -479,6 +479,13 @@ class PMFS(FileSystem):
         for mapping in self._mappings.pop(ino, ()):
             mapping.invalidate(ctx)
 
+    # -- integrity ---------------------------------------------------------
+
+    def scrub(self, ctx):
+        from repro.fs.scrub import PmfsScrubber
+
+        return PmfsScrubber(self).run(ctx)
+
     # -- lifecycle ---------------------------------------------------------
 
     def unmount(self, ctx):

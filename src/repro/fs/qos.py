@@ -20,8 +20,9 @@ enforcement point, two mechanisms deep:
 - **Admission control with watermark hysteresis**: the controller
   derives a scalar *pressure* from the two saturating resources (DRAM
   buffer occupancy and writer-slot backlog).  When pressure crosses the
-  high watermark the mount enters an OVERLOADED observable state (fed to
-  :class:`repro.fs.health.MountHealth`) and requests from shed-class
+  high watermark the controller enters overload -- its ``overloaded``
+  flag and ``qos_overload_enters``/``_exits`` counters are the mount's
+  only overload record -- and requests from shed-class
   (lowest-priority) tenants are refused with ``EAGAIN``
   (:class:`repro.fs.errors.TryAgain`) instead of queueing behind a
   collapsing backlog; clients back off and retry through
@@ -146,8 +147,7 @@ class QosController:
 
     def __init__(self, env, capacity_bps, default_burst_bytes=1 << 16,
                  buffer=None, high_watermark=0.85, low_watermark=0.60,
-                 shed_priority=PRIO_BRONZE, slot_ceiling_ns=2_000_000,
-                 health=None):
+                 shed_priority=PRIO_BRONZE, slot_ceiling_ns=2_000_000):
         if capacity_bps <= 0:
             raise ValueError("capacity_bps must be positive")
         if not 0.0 < low_watermark <= high_watermark:
@@ -167,8 +167,6 @@ class QosController:
         #: pressure 1.0; the slots are the paper's N_w bottleneck and
         #: exist in every stack, so this signal is stack-agnostic.
         self.slot_ceiling_ns = int(slot_ceiling_ns)
-        #: MountHealth fed the OVERLOADED observable; optional.
-        self.health = health
         self.overloaded = False
         self._tenants = {}
         self._total_weight = 0
@@ -228,18 +226,9 @@ class QosController:
             if p >= self.high_watermark:
                 self.overloaded = True
                 self.env.stats.bump("qos_overload_enters")
-                if self.health is not None:
-                    self.health.note_overload(
-                        now_ns, True, "pressure %.2f >= %.2f"
-                        % (p, self.high_watermark))
         elif p <= self.low_watermark:
             self.overloaded = False
             self.env.stats.bump("qos_overload_exits")
-            if self.health is not None:
-                self.health.note_overload(
-                    now_ns, False, "pressure %.2f <= %.2f"
-                    % (p, self.low_watermark))
-        return p
 
     # -- the dispatch-boundary hook ---------------------------------------
 

@@ -98,15 +98,6 @@ class ScrubReport:
                                self.clean))
 
 
-def scrubber_for(fs):
-    """Build the right scrubber for a concrete file system."""
-    if hasattr(fs, "sb") and hasattr(fs, "journal") and hasattr(fs, "itable"):
-        return PmfsScrubber(fs)
-    if getattr(fs, "bdev", None) is not None:
-        return ExtScrubber(fs)
-    return NullScrubber(fs)
-
-
 class _ScrubberBase:
     """Shared walk/report plumbing; subclasses implement the regions."""
 
@@ -207,15 +198,6 @@ class _ScrubberBase:
         report.isolated_lines += len(lost)
         fs.note_wb_error(ino)
         return new_block
-
-
-class NullScrubber(_ScrubberBase):
-    """For file systems with no scrubbable substrate: trivially clean."""
-
-    def run(self, ctx):
-        report = ScrubReport(self.fs.name, ctx.now)
-        self.env.stats.bump("scrub_passes")
-        return report
 
 
 class PmfsScrubber(_ScrubberBase):
@@ -551,5 +533,4 @@ class ScrubTask(BackgroundTask):
             self.vfs.scrub(self.ctx)
 
 
-__all__ = ["ScrubReport", "ScrubTask", "scrubber_for", "PmfsScrubber",
-           "ExtScrubber", "NullScrubber"]
+__all__ = ["ScrubReport", "ScrubTask", "PmfsScrubber", "ExtScrubber"]

@@ -47,11 +47,11 @@ redoes the rename.  Every crash point therefore recovers to *exactly
 one name* for the moved file.  Directory renames are journaled the same
 way (``dirmv``) with shard 0 as the commit shard.
 
-Health is per shard: each shard owns a
-:class:`~repro.fs.health.MountHealth`; async writeback errors feed only
-the owning shard's FSM, so one shard entering DEGRADED_RO refuses writes
-to *its* files while the mount -- and every other shard -- stays
-writable.
+Health is per mount: the VFS's one
+:class:`~repro.fs.health.MountHealth` hears every media error on every
+shard (the VFS's writeback hook is installed on each of them), and a
+shard that fails recovery degrades the whole mount, so the mount is
+exactly as writable as the state machine the VFS reads says.
 """
 
 import json
@@ -61,9 +61,7 @@ import zlib
 from repro.engine.context import FreeContext
 from repro.fs import STACKS, make_fs
 from repro.fs.base import FileStat, FileSystem, ROOT_INO
-from repro.fs.errors import NotADirectory, ReadOnly
-from repro.fs.health import DEGRADED_RO, HEALTHY, ISOLATED, MountHealth, OVERLOADED
-from repro.io import OP_WRITE
+from repro.fs.errors import NotADirectory
 
 #: Steps of :meth:`ShardedFS._rename_swap`, in protocol order: after
 #: each, the fault site ``xmv:<step>``.
@@ -125,12 +123,7 @@ class ShardedFS(FileSystem):
         self.shards = list(shards)
         self.nshards = len(self.shards)
         self.name = "%s@%d" % (self.shards[0].name, self.nshards)
-        #: Per-shard health FSMs (satellite: one shard degrading must not
-        #: flip the whole mount).
-        self.shard_health = [MountHealth(env) for _ in self.shards]
         self._wb_err_view = _ShardedErrseq(self)
-        for s, inner in enumerate(self.shards):
-            inner.wb_error_hook = self._shard_error_hook(s)
         #: global dir ino -> [local ino of the mirror on each shard].
         self._dir_locals = {}
         #: (shard, local ino) -> global dir ino, for every mirror.
@@ -152,15 +145,6 @@ class ShardedFS(FileSystem):
         for s, local in enumerate(locals_):
             self._dir_gino[(s, local)] = gino
 
-    def _shard_error_hook(self, s):
-        def hook(_local_ino):
-            # Async writeback EIO: bill the owning shard's FSM only --
-            # the other shards (and the mount) stay writable.
-            self.shard_health[s].count_media_error(
-                0, reason="dev%d writeback error" % s)
-            self.env.stats.bump("shard_wb_errors@dev%d" % s)
-        return hook
-
     # -- inode number codec -------------------------------------------------
 
     def _enc(self, local, shard):
@@ -174,12 +158,6 @@ class ShardedFS(FileSystem):
         if locals_ is None:
             raise NotADirectory("inode %d" % parent_gino)
         return locals_
-
-    def _check_shard_writable(self, s, what):
-        health = self.shard_health[s]
-        if not health.writable:
-            raise ReadOnly("%s on %s shard dev%d (%s)"
-                           % (what, health.state, s, health.reason))
 
     # -- mount / recovery ---------------------------------------------------
 
@@ -208,9 +186,11 @@ class ShardedFS(FileSystem):
             # read, read-only, rather than failing the mount outright.
             self.degraded_reason = "shard recovery hit bad media: %s" % exc
             self.env.stats.bump("mount_degraded")
-        for s, inner in enumerate(self.shards):
-            if s and inner.degraded_reason:
-                self.shard_health[s].force_degraded(0, inner.degraded_reason)
+        for inner in self.shards[1:]:
+            # Any other shard that could not recover degrades the mount
+            # too: there is one health record per mount.
+            if inner.degraded_reason and not self.degraded_reason:
+                self.degraded_reason = inner.degraded_reason
 
     def _recover_intents(self, free):
         pending = {}
@@ -358,14 +338,11 @@ class ShardedFS(FileSystem):
     def create_file(self, ctx, parent_ino, name):
         locals_ = self._plocals(parent_ino)
         owner = shard_of(name, self.nshards, parent=parent_ino)
-        self._check_shard_writable(owner, "create of %r" % name)
         local = self.shards[owner].create_file(ctx, locals_[owner], name)
         return self._enc(local, owner)
 
     def mkdir(self, ctx, parent_ino, name):
         locals_ = self._plocals(parent_ino)
-        for s in range(self.nshards):
-            self._check_shard_writable(s, "mkdir of %r" % name)
         # Mirrors first, canonical shard 0 LAST: an interrupted mkdir
         # leaves only orphan mirrors, which reconcile drops.
         child = [0] * self.nshards
@@ -378,7 +355,6 @@ class ShardedFS(FileSystem):
     def unlink(self, ctx, parent_ino, name, ino):
         locals_ = self._plocals(parent_ino)
         s, local = self._dec(ino)
-        self._check_shard_writable(s, "unlink of %r" % name)
         self.shards[s].unlink(ctx, locals_[s], name, local)
 
     def rmdir(self, ctx, parent_ino, name, ino):
@@ -409,13 +385,11 @@ class ShardedFS(FileSystem):
                              self._dir_locals[ino])
             return
         s1, l1 = self._dec(ino)
-        self._check_shard_writable(s1, "rename of %r" % old_name)
         sr, lr = (s1, None) if replaced_ino is None else self._dec(replaced_ino)
         if sr == s1:
             self.shards[s1].rename(ctx, p1[s1], old_name, p2[s1], new_name,
                                    l1, replaced_ino=lr)
             return
-        self._check_shard_writable(sr, "replace of %r" % new_name)
         self._rename_swap(ctx, s1, l1, p1, old_name, p2, new_name, sr, lr)
 
     def _next_intent_seq(self):
@@ -475,8 +449,6 @@ class ShardedFS(FileSystem):
 
     def submit(self, ctx, req):
         s, local = self._dec(req.ino)
-        if req.op == OP_WRITE:
-            self._check_shard_writable(s, "write to inode %d" % req.ino)
         stats = self.env.stats
         stats.bump("sharded_reqs@dev%d" % s)
         stats.bump("sharded_reqs_total")
@@ -489,15 +461,12 @@ class ShardedFS(FileSystem):
 
     def truncate(self, ctx, ino, new_size):
         s, local = self._dec(ino)
-        self._check_shard_writable(s, "truncate of inode %d" % ino)
         self.shards[s].truncate(ctx, local, new_size)
 
     # -- memory-mapped I/O ---------------------------------------------------
 
     def mmap(self, ctx, ino, policy=None, log_blocks=4, log_checksums=True):
         s, local = self._dec(ino)
-        if policy is not None:
-            self._check_shard_writable(s, "atomic mmap of inode %d" % ino)
         return self.shards[s].mmap(ctx, local, policy, log_blocks,
                                    log_checksums)
 
@@ -507,35 +476,19 @@ class ShardedFS(FileSystem):
     def wb_err(self):
         return self._wb_err_view
 
-    @property
-    def shard_states(self):
-        """Per-device observable health states, in shard order."""
-        return [h.observable_state for h in self.shard_health]
+    def _set_wb_error_hook(self, hook):
+        """The VFS's async-error hook reaches every shard."""
+        for inner in self.shards:
+            inner.wb_error_hook = hook
 
-    @property
-    def aggregate_observable(self):
-        """What fleet monitoring reports for the mount: the *worst*
-        shard state, with the whole mount only as unhealthy as its most
-        degraded device."""
-        worst = HEALTHY
-        rank = {HEALTHY: 0, OVERLOADED: 1, DEGRADED_RO: 2, ISOLATED: 3}
-        for state in self.shard_states:
-            if rank[state] > rank[worst]:
-                worst = state
-        return worst
-
-    def shard_mttr_ns(self):
-        """Per-device mean-time-to-recovery, in shard order (None for
-        shards that never degraded or never recovered)."""
-        return [h.mttr_ns() for h in self.shard_health]
+    wb_error_hook = property(None, _set_wb_error_hook)
 
     def scrub(self, ctx):
         from repro.fs.scrub import ScrubReport
 
         merged = ScrubReport(self.name, started_ns=ctx.now)
-        for s, inner in enumerate(self.shards):
+        for inner in self.shards:
             report = inner.scrub(ctx)
-            self.shard_health[s].scrub_result(ctx.now, report)
             merged.scanned_lines += report.scanned_lines
             merged.bad_lines_found += report.bad_lines_found
             merged.repaired_lines += report.repaired_lines

@@ -94,7 +94,7 @@ class VFS:
     """
 
     def __init__(self, env, fs, config, sync_mount=False,
-                 media_error_threshold=5, isolate_threshold=None):
+                 media_error_threshold=5):
         self.env = env
         self.fs = fs
         self.config = config
@@ -114,9 +114,7 @@ class VFS:
         #: Mount-health FSM (HEALTHY -> DEGRADED_RO -> ISOLATED with a
         #: scrub-driven recovery edge back to HEALTHY).
         self.health = MountHealth(
-            env, media_error_threshold=media_error_threshold,
-            isolate_threshold=isolate_threshold,
-        )
+            env, media_error_threshold=media_error_threshold)
         fs.wb_error_hook = self._on_async_media_error
         #: Per-tenant QoS controller (:class:`repro.fs.qos.QosController`)
         #: or None; the data path consults it once per request.
@@ -131,15 +129,11 @@ class VFS:
     # -- QoS ---------------------------------------------------------------
 
     def attach_qos(self, qos):
-        """Install a :class:`repro.fs.qos.QosController` on the data path.
-
-        Wires the controller to this mount's health FSM (the OVERLOADED
-        observable) and returns it.  Untenanted requests are unaffected;
-        detach by attaching ``None``.
+        """Install a :class:`repro.fs.qos.QosController` on the data path
+        and return it.  Untenanted requests are unaffected; detach by
+        attaching ``None``.
         """
         self.qos = qos
-        if qos is not None:
-            qos.health = self.health
         return qos
 
     # -- degradation / health --------------------------------------------

@@ -31,8 +31,6 @@ def test_initial_state_serves_everything():
 def test_threshold_validation():
     with pytest.raises(ValueError):
         _health(media_error_threshold=0)
-    with pytest.raises(ValueError):
-        _health(media_error_threshold=5, isolate_threshold=3)
     assert _health(media_error_threshold=5).isolate_threshold == 20
 
 
@@ -54,8 +52,8 @@ def test_degrades_at_threshold_and_refuses_writes():
 
 
 def test_isolates_when_errors_keep_climbing():
-    health = _health(media_error_threshold=2, isolate_threshold=4)
-    for at in (1, 2, 3, 4):
+    health = _health(media_error_threshold=2)
+    for at in range(1, 9):
         state = health.count_media_error(at)
     assert state == ISOLATED
     assert not health.readable
@@ -78,11 +76,11 @@ def test_clean_scrub_recovers_degraded_mount():
 
 
 def test_clean_scrub_recovers_isolated_mount():
-    health = _health(media_error_threshold=1, isolate_threshold=2)
-    health.count_media_error(10)
-    health.count_media_error(20)
+    health = _health(media_error_threshold=1)
+    for at in (10, 20, 30, 40):
+        health.count_media_error(at)
     assert health.state == ISOLATED
-    assert health.scrub_result(50, _report(isolated=2)) == HEALTHY
+    assert health.scrub_result(50, _report(isolated=4)) == HEALTHY
 
 
 def test_dirty_scrub_changes_nothing():

@@ -1,5 +1,5 @@
 """Tests for the QoS layer: token buckets, admission control, overload
-observability -- including the two Hypothesis properties the design
+hysteresis -- including the two Hypothesis properties the design
 document pins down (bucket admission bound, weighted-fairness spread)."""
 
 import types
@@ -12,7 +12,6 @@ from repro.bench.runner import run_workload
 from repro.engine.env import SimEnv
 from repro.engine.stats import fairness_spread, jain_index
 from repro.fs.errors import TryAgain
-from repro.fs.health import MountHealth, OVERLOADED, HEALTHY
 from repro.fs.qos import (
     PRIO_BRONZE,
     PRIO_GOLD,
@@ -194,27 +193,6 @@ def test_overload_sheds_only_shed_class_with_hysteresis():
     assert env.stats.count("qos_shed_ops") == 2
     assert env.stats.count("qos_shed_ops_prio_%d" % PRIO_BRONZE) == 2
     assert qos.tenant("low").shed_ops == 2
-
-
-def test_overload_feeds_health_observable():
-    env = SimEnv()
-    health = MountHealth(env)
-    buffer = _FakeBuffer(used=0, total=100)
-    qos = QosController(env, 1 << 30, buffer=buffer, health=health)
-    qos.register("low", priority=PRIO_BRONZE)
-    ctx = _Ctx(now=5)
-    buffer.used_blocks = 95
-    with pytest.raises(TryAgain):
-        qos.admit(ctx, _req("low"))
-    assert health.overloaded
-    assert health.observable_state == OVERLOADED
-    assert health.state == HEALTHY  # the FSM proper never moved
-    buffer.used_blocks = 0
-    qos.admit(ctx, _req("low"))
-    assert not health.overloaded
-    assert health.observable_state == HEALTHY
-    assert [active for _at, active, _why in health.overload_history] \
-        == [True, False]
 
 
 # -- weighted fairness on the full stack -----------------------------------

@@ -7,13 +7,9 @@ from repro.bench.runner import build_stack
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.faults.media import MediaFaultModel
+from repro.fs import STACKS
 from repro.fs import flags as f
-from repro.fs.scrub import (
-    LINES_PER_BLOCK,
-    NullScrubber,
-    ScrubTask,
-    scrubber_for,
-)
+from repro.fs.scrub import LINES_PER_BLOCK, ScrubTask
 from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
 
 from tests.fs.conftest import PmfsRig
@@ -298,25 +294,14 @@ class TestExtScrubber:
 
 
 class TestPlumbing:
-    def test_scrubber_for_picks_the_right_walker(self, rig):
-        from repro.fs.scrub import ExtScrubber, PmfsScrubber
-
-        assert isinstance(scrubber_for(rig.fs), PmfsScrubber)
+    @pytest.mark.parametrize("fs_name", list(STACKS) + ["hinfs@2"])
+    def test_every_stack_scrubs_clean(self, fs_name):
         env = SimEnv()
-        ext, _ = build_stack(env, "ext2-nvmmbd", NVMMConfig(), 32 << 20)
-        assert isinstance(scrubber_for(ext), ExtScrubber)
-
-    def test_null_scrubber_is_trivially_clean(self):
-        class Bare:
-            name = "bare"
-
-            def __init__(self):
-                self.env = SimEnv()
-
-        fs = Bare()
-        assert isinstance(scrubber_for(fs), NullScrubber)
-        report = NullScrubber(fs).run(ExecContext(fs.env, "t"))
-        assert report.clean and report.scanned_lines == 0
+        _, vfs = build_stack(env, fs_name, NVMMConfig(), 32 << 20)
+        ctx = ExecContext(env, "t")
+        vfs.write_file(ctx, "/a", b"s" * 8192, sync=True)
+        report = vfs.scrub(ctx)
+        assert report.clean and report.scanned_lines > 0
 
     def test_report_as_dict_round_trips(self, rig):
         attach(rig)

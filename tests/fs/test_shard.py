@@ -5,10 +5,9 @@ ops through the unchanged VFS (including a rename to a name that hashes
 to another shard, with open descriptors, and a power cut at every step
 of a rename over a victim on another shard), remount reconciliation of
 the mirrored directory skeleton, the per-device request/slot ledgers,
-and -- the health satellite -- that one shard entering DEGRADED_RO
-refuses writes to its own files only while the mount and every other
-shard stay writable, with per-shard MTTR measurable after scrub
-recovery.
+and that every media error on every shard -- synchronous, writeback,
+or a failed recovery -- reaches the mount's one health FSM, which a
+clean scrub recovers.
 """
 
 import pytest
@@ -16,10 +15,12 @@ import pytest
 from repro.engine.context import ExecContext, FreeContext
 from repro.engine.env import SimEnv
 from repro.faults import FaultPlan, PowerCut
+from repro.faults.media import MediaFaultModel
 from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
 from repro.fs.errors import MediaError, ReadOnly
 from repro.fs.health import DEGRADED_RO, HEALTHY
+from repro.fs.pmfs.layout import block_addr
 from repro.fs.shard import (
     INTENT_LOG_NAME,
     XMV_STEPS,
@@ -28,7 +29,7 @@ from repro.fs.shard import (
     shard_of,
 )
 from repro.fs.vfs import VFS
-from repro.nvmm.config import NVMMConfig
+from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
 from repro.nvmm.device import NVMMDevice
 from repro.workloads.base import payload
 
@@ -347,7 +348,12 @@ def test_per_device_ledgers_sum_exactly():
         assert grants[s] == pools["nvmm_write_slots@dev%d" % s].total_grants
 
 
-# -- per-shard health (one shard degrading must not flip the mount) --------
+# -- one health FSM per mount: every shard's errors reach the VFS's --------
+
+
+def _local(rig, name):
+    """``(shard, local ino)`` of the root entry ``name``."""
+    return rig.fs._dec(rig.fs.lookup(rig.ctx, ROOT_INO, name))
 
 
 def _degrade_shard(rig, shard, local_ino, errors=5):
@@ -355,59 +361,98 @@ def _degrade_shard(rig, shard, local_ino, errors=5):
         rig.fs.shards[shard].note_wb_error(local_ino)
 
 
-def test_one_shard_degraded_ro_keeps_the_rest_writable():
+def test_writeback_errors_on_any_shard_degrade_the_mount():
     rig = ShardRig(nshards=2)
     names = [name_on(s, 2, prefix="h") for s in range(2)]
     fds = []
     for name in names:
         fds.append(rig.vfs.open(rig.ctx, "/" + name, f.O_CREAT | f.O_RDWR))
-    sick = rig.fs._dec(rig.fs.lookup(rig.ctx, ROOT_INO, names[1]))
+    sick = _local(rig, names[1])
     assert sick[0] == 1
     _degrade_shard(rig, 1, sick[1])
-    assert rig.env.stats.count("shard_wb_errors@dev1") == 5
-    assert rig.fs.shard_health[1].state == DEGRADED_RO
-    assert rig.fs.shard_health[0].state == HEALTHY
-    assert rig.fs.shard_states == [HEALTHY, DEGRADED_RO]
-    assert rig.fs.aggregate_observable == DEGRADED_RO
-    # The mount-level FSM did NOT flip: the VFS still admits writes...
-    assert rig.vfs.health.writable
-    # ...and shard 0 serves them, while shard 1 refuses its own.
-    rig.vfs.pwrite(rig.ctx, fds[0], 0, b"ok")
-    with pytest.raises(ReadOnly):
-        rig.vfs.pwrite(rig.ctx, fds[1], 0, b"no")
-    # Creates route by hash owner: a shard-1 name refuses, shard 0 works.
-    with pytest.raises(ReadOnly):
-        rig.vfs.open(rig.ctx, "/" + name_on(1, 2, prefix="new"),
-                     f.O_CREAT | f.O_RDWR)
-    fd = rig.vfs.open(rig.ctx, "/" + name_on(0, 2, prefix="new"),
-                      f.O_CREAT | f.O_RDWR)
-    rig.vfs.close(rig.ctx, fd)
-    # Reads of the degraded shard still serve (remount-ro posture).
-    assert rig.vfs.pread(rig.ctx, fds[1], 0, 4) == b""
+    assert rig.vfs.health.state == DEGRADED_RO
+    assert rig.vfs.health.media_errors == 5
+    # The whole mount is read-only: writes and creates on either shard
+    # refuse...
+    for fd in fds:
+        with pytest.raises(ReadOnly):
+            rig.vfs.pwrite(rig.ctx, fd, 0, b"no")
+    for s in range(2):
+        with pytest.raises(ReadOnly):
+            rig.vfs.open(rig.ctx, "/" + name_on(s, 2, prefix="new"),
+                         f.O_CREAT | f.O_RDWR)
+    # ...while reads of either shard still serve (remount-ro posture).
+    for fd in fds:
+        assert rig.vfs.pread(rig.ctx, fd, 0, 4) == b""
 
 
-def test_scrub_recovers_degraded_shard_with_per_device_mttr():
+def test_sync_and_async_errors_on_one_shard_feed_one_fsm():
+    """Read EIOs surface through the VFS, writeback EIOs through the
+    shard's hook: on one shard, both count toward the same threshold."""
+    rig = ShardRig(base="hinfs", nshards=2)
+    sick, well = name_on(1, 2, prefix="s"), name_on(0, 2, prefix="w")
+    for name in (sick, well):
+        rig.vfs.write_file(rig.ctx, "/" + name, b"d" * 4096, sync=True)
+    shard, local = _local(rig, sick)
+    assert shard == 1
+    inner = rig.fs.shards[1]
+    model = inner.device.attach_faults(MediaFaultModel(seed=0))
+    block = sorted(b for _fb, b in inner._map(local).mapped_blocks())[0]
+    rig.fs.unmount(rig.ctx)
+    rig.fs.drop_caches()
+    model.poison_line(block_addr(block) // CACHELINE_SIZE)
+    for _ in range(3):
+        with pytest.raises(MediaError):
+            rig.vfs.read_file(rig.ctx, "/" + sick)
+    assert rig.vfs.health.state == HEALTHY
+    _degrade_shard(rig, 1, local, errors=2)
+    assert rig.vfs.health.state == DEGRADED_RO
+    assert rig.vfs.health.media_errors == 5
+    with pytest.raises(ReadOnly):
+        rig.vfs.write_file(rig.ctx, "/" + well, b"x")
+    assert rig.vfs.read_file(rig.ctx, "/" + well) == b"d" * 4096
+
+
+def test_a_shard_that_failed_recovery_degrades_the_mount():
+    rig = ShardRig(nshards=2)
+    keep = name_on(0, 2, prefix="k")
+    rig.vfs.write_file(rig.ctx, "/" + keep, b"k" * 4096, sync=True)
+    rig.vfs.unmount(rig.ctx)
+    devices = [inner.device for inner in rig.fs.shards]
+    model = devices[1].attach_faults(MediaFaultModel(seed=0))
+    # Poison shard 1's journal header: its recovery cannot read the ring.
+    model.poison_line(rig.fs.shards[1].journal.base_addr // CACHELINE_SIZE)
+    for device in devices:
+        device.crash()
+    fs = mount_sharded(rig.env, devices, "pmfs", rig.config)
+    assert fs.shards[0].degraded_reason is None
+    assert fs.degraded_reason == fs.shards[1].degraded_reason is not None
+    vfs = VFS(rig.env, fs, rig.config)
+    assert vfs.health.state == DEGRADED_RO
+    assert vfs.read_file(rig.ctx, "/" + keep) == b"k" * 4096
+    with pytest.raises(ReadOnly):
+        vfs.write_file(rig.ctx, "/" + name_on(0, 2, prefix="n"), b"x")
+
+
+def test_scrub_recovers_a_degraded_sharded_mount():
     rig = ShardRig(nshards=2)
     name = name_on(1, 2, prefix="r")
     fd = rig.vfs.open(rig.ctx, "/" + name, f.O_CREAT | f.O_RDWR)
     rig.vfs.close(rig.ctx, fd)
-    local = rig.fs._dec(rig.fs.lookup(rig.ctx, ROOT_INO, name))[1]
-    _degrade_shard(rig, 1, local)  # outage opens at t=0
-    assert rig.fs.shard_mttr_ns() == [None, None]  # still down: no MTTR
+    _degrade_shard(rig, 1, _local(rig, name)[1])  # outage opens at t=0
+    assert rig.vfs.health.state == DEGRADED_RO
+    assert rig.vfs.health.mttr_ns() is None  # still down: no MTTR
     rig.ctx.charge(750_000)
-    report = rig.fs.scrub(rig.ctx)  # no bad media lines -> clean pass
+    report = rig.vfs.scrub(rig.ctx)  # no bad media lines -> clean pass
     assert report.clean
-    assert rig.fs.shard_health[1].state == HEALTHY
-    assert rig.fs.shard_states == [HEALTHY, HEALTHY]
-    assert rig.fs.aggregate_observable == HEALTHY
-    mttrs = rig.fs.shard_mttr_ns()
-    assert mttrs[0] is None            # dev0 never degraded
-    assert mttrs[1] is not None and mttrs[1] >= 750_000
+    assert rig.vfs.health.state == HEALTHY
+    assert rig.vfs.health.mttr_ns() >= 750_000
     # Recovered means writable again.  The injected writeback errors
     # are still owed to the file exactly once (errseq semantics) ...
     fd = rig.vfs.open(rig.ctx, "/" + name, f.O_RDWR)
     with pytest.raises(MediaError):
         rig.vfs.fsync(rig.ctx, fd)
-    # ... and once reported, the shard serves writes like any other.
+    rig.vfs.fsync(rig.ctx, fd)
+    # ... and once reported, the mount serves writes like any other.
     rig.vfs.pwrite(rig.ctx, fd, 0, b"back")
     rig.vfs.close(rig.ctx, fd)
