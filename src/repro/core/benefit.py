@@ -22,7 +22,8 @@ regenerates the paper's Figure 6.
 
 from collections import OrderedDict
 
-from repro.core.bitmap import line_range_mask, popcount
+from repro.core.bitmap import FULL_MASK, line_range_mask
+from repro.nvmm.config import BLOCK_SIZE, LINES_PER_BLOCK
 
 STATE_LAZY = 0
 STATE_EAGER = 1
@@ -71,22 +72,38 @@ class BufferBenefitModel:
         if entry is not None:
             self._entries.move_to_end(key)
             return entry
-        if not create:
-            return None
-        entry = GhostEntry()
-        self._entries[key] = entry
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        return self._admit(key) if create else None
+
+    def _admit(self, key):
+        """A fresh entry for ``key``, dropping the least recent one past
+        ``max_entries``."""
+        entries = self._entries
+        entry = entries[key] = GhostEntry()
+        if len(entries) > self.max_entries:
+            entries.popitem(last=False)
         return entry
 
     def record_write(self, ino, file_block, offset_in_block, length, now_ns):
         """Every write (buffered or direct) updates the ghost buffer."""
-        entry = self._entry(ino, file_block)
-        mask = line_range_mask(offset_in_block, length)
-        entry.n_cw += popcount(mask)
-        entry.ghost_dirty |= mask
+        key = (ino, file_block)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._admit(key)
+        else:
+            self._entries.move_to_end(key)
+        if length == BLOCK_SIZE:
+            entry.n_cw += LINES_PER_BLOCK
+            entry.ghost_dirty = FULL_MASK
+        else:
+            mask = line_range_mask(offset_in_block, length)
+            entry.n_cw += mask.bit_count()
+            entry.ghost_dirty |= mask
         entry.last_write_ns = now_ns
-        self._pending_by_file.setdefault(ino, set()).add(file_block)
+        pending = self._pending_by_file.get(ino)
+        if pending is None:
+            self._pending_by_file[ino] = {file_block}
+        else:
+            pending.add(file_block)
 
     def pending_blocks(self, ino):
         """Blocks written since the file's last sync; resets the set."""
@@ -137,7 +154,7 @@ class BufferBenefitModel:
         if flushed_by_background or now_ns - entry.last_write_ns > self.config.dirty_age_ns:
             n_cf = 0
         else:
-            n_cf = popcount(entry.ghost_dirty)
+            n_cf = entry.ghost_dirty.bit_count()
         buffering_wins = (
             n_cw * self.l_dram_ns + n_cf * self.l_nvmm_ns < n_cw * self.l_nvmm_ns
         )

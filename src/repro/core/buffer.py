@@ -17,12 +17,12 @@ Beside them one dirty list holds every written block in first-dirtied
 order, for the aged and periodic writeback scans.
 """
 
-from repro.core.bitmap import CachelineBitmap
+from repro.core.bitmap import FULL_MASK, CachelineBitmap
 from repro.core.policies import make_policy
 from repro.engine.stats import CAT_WRITE_ACCESS
 from repro.nvmm.allocator import BlockAllocator, OutOfSpaceError
 from repro.nvmm.device import DRAMDevice
-from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE, lines_spanned
+from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE, LINES_PER_BLOCK
 
 
 class BufferBlock:
@@ -32,6 +32,7 @@ class BufferBlock:
         "ino",
         "file_block",
         "dram_block",
+        "dram_addr",
         "nvmm_block",
         "bitmap",
         "last_written_ns",
@@ -43,6 +44,7 @@ class BufferBlock:
         self.ino = ino
         self.file_block = file_block
         self.dram_block = dram_block
+        self.dram_addr = dram_block * BLOCK_SIZE
         self.nvmm_block = nvmm_block
         self.bitmap = CachelineBitmap()
         self.last_written_ns = 0
@@ -55,10 +57,6 @@ class BufferBlock:
         #: transactions in a reproducible order (a ``set`` would iterate
         #: in ``id()`` order and break run-to-run determinism).
         self.pending_txs = {}
-
-    @property
-    def dram_addr(self):
-        return self.dram_block * BLOCK_SIZE
 
     @property
     def is_dirty(self):
@@ -92,8 +90,10 @@ class WriteBuffer:
         #: Every written block, first-dirtied first (a dict used as an
         #: insertion-ordered set); a block leaves it only on eviction.
         self._dirty = {}
-        #: ``L_dram``: what a buffered write pays per touched cacheline.
+        #: ``L_dram``: what a buffered write pays per touched cacheline,
+        #: and what a whole-block store pays for its 64 lines.
         self._line_store_ns = nvmm_config.dram_store_cost_ns(CACHELINE_SIZE)
+        self._block_store_ns = LINES_PER_BLOCK * self._line_store_ns
 
     # -- capacity ---------------------------------------------------------
 
@@ -138,7 +138,7 @@ class WriteBuffer:
         # not tell the policy about it again.  Admitting here, not there,
         # keeps a block whose edge-line fetch raised in the victim order.
         self.policy.on_buffered(block)
-        self.env.stats.bump("buffer_inserts")
+        self.env.stats.counters["buffer_inserts"] += 1
         return block
 
     def evict(self, block):
@@ -155,7 +155,7 @@ class WriteBuffer:
         self._dirty.pop(block, None)
         self.policy.on_evict(block)
         self._alloc.free(block.dram_block)
-        self.env.stats.bump("buffer_evictions")
+        self.env.stats.counters["buffer_evictions"] += 1
 
     def file_blocks(self, ino):
         """All buffered blocks of a file, in file-offset order."""
@@ -180,12 +180,21 @@ class WriteBuffer:
         cost the Buffer Benefit Model's Inequality (1) attributes to a
         buffered write -- this is the "extra copy" half of the double-copy
         overhead the paper eliminates for eager-persistent writes.
+        ``data`` may be any bytes-like object (a caller's memoryview
+        slice included): this store is the one copy it gets.
         """
+        length = len(data)
         self.dram.mem.write(block.dram_addr + offset_in_block, data)
-        nlines = lines_spanned(len(data), offset_in_block % CACHELINE_SIZE)
-        ctx.charge(nlines * self._line_store_ns, CAT_WRITE_ACCESS)
-        self.env.stats.bytes_written_dram += len(data)
-        block.bitmap.mark_written(offset_in_block, len(data))
+        bitmap = block.bitmap
+        if length == BLOCK_SIZE:
+            ctx.charge(self._block_store_ns, CAT_WRITE_ACCESS)
+            bitmap.valid |= FULL_MASK
+            bitmap.dirty |= FULL_MASK
+        else:
+            mask = bitmap.mark_written(offset_in_block, length)
+            ctx.charge(mask.bit_count() * self._line_store_ns,
+                       CAT_WRITE_ACCESS)
+        self.env.stats.bytes_written_dram += length
         block.last_written_ns = now_ns
         if block in self._dirty:
             self.policy.on_write(block)

@@ -36,7 +36,10 @@ from repro.engine.stats import CAT_READ_ACCESS, CAT_WRITE_ACCESS
 from repro.fs.errors import IsADirectory, MediaError
 from repro.fs.pmfs.layout import block_addr
 from repro.fs.pmfs.pmfs import PMFS
-from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
+from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE, LINES_PER_BLOCK
+
+#: A fully dirty block's one writeback run, ``(first_line, nlines)``.
+_WHOLE_BLOCK_RUN = ((0, LINES_PER_BLOCK),)
 
 
 class PendingTx:
@@ -122,6 +125,11 @@ class HiNFS(PMFS):
         ino = inode.ino
         blockmap = self._map(ino)
         mmapped = ino in self._mappings
+        lookup = self.buffer.lookup
+        write_into = self.buffer.write_into
+        record_write = self.benefit.record_write
+        counters = self.env.stats.counters
+        clfw = self.hconfig.enable_clfw
         pending = None
         pos = offset
         # ONE Buffer Benefit Model evaluation per request: the first
@@ -133,14 +141,14 @@ class HiNFS(PMFS):
         while view:
             file_block, in_off = divmod(pos, BLOCK_SIZE)
             take = min(BLOCK_SIZE - in_off, len(view))
-            chunk = bytes(view[:take])
-            self.benefit.record_write(ino, file_block, in_off, take, ctx.now)
-            buffered = self.buffer.lookup(ino, file_block)
+            whole = take == BLOCK_SIZE
+            record_write(ino, file_block, in_off, take, ctx.now)
+            buffered = lookup(ino, file_block)
             if decided is None:
                 decided = mmapped or self.benefit.is_eager(
                     ino, file_block, ctx.now, inode.last_sync
                 )
-                self.env.stats.bump("hinfs_benefit_decisions")
+                counters["hinfs_benefit_decisions"] += 1
             nvmm_block = blockmap.get(file_block)
             if nvmm_block is None:
                 fresh = self._ensure_mapped(ctx, tx, blockmap, pos, len(view))
@@ -149,27 +157,29 @@ class HiNFS(PMFS):
                 # Direct single-copy write to NVMM; safe because the
                 # block's newest data is already persistent (Sec 3.3.2).
                 self.device.write_persistent(
-                    ctx, block_addr(nvmm_block) + in_off, chunk
+                    ctx, block_addr(nvmm_block) + in_off, view[:take]
                 )
-                self.env.stats.bump("hinfs_eager_writes")
+                counters["hinfs_eager_writes"] += 1
             else:
                 if buffered is None:
                     buffered = self._buffer_insert(
                         ctx, ino, file_block, nvmm_block,
-                        file_block in fresh
+                        file_block in fresh, whole
                     )
-                    self.env.stats.bump("hinfs_buffer_misses")
+                    counters["hinfs_buffer_misses"] += 1
                 else:
-                    self.env.stats.bump("hinfs_buffer_hits")
-                self._fetch_before_write(ctx, buffered, in_off, take)
-                self.buffer.write_into(ctx, buffered, in_off, chunk, ctx.now)
+                    counters["hinfs_buffer_hits"] += 1
+                if not (whole and clfw):
+                    # A whole-block store has no edge lines to fetch.
+                    self._fetch_before_write(ctx, buffered, in_off, take)
+                write_into(ctx, buffered, in_off, view[:take], ctx.now)
                 # Tag the block with its originating request so fault
                 # injection can target this request's writeback.
                 buffered.last_req_id = req.req_id
                 if pending is None:
                     pending = self._defer(tx, ino, writing=True)
                 pending.attach(buffered)
-                self.env.stats.bump("hinfs_lazy_writes")
+                counters["hinfs_lazy_writes"] += 1
             pos += take
             view = view[take:]
         written = pos - offset
@@ -242,7 +252,7 @@ class HiNFS(PMFS):
         while view:
             file_block, in_off = divmod(pos, BLOCK_SIZE)
             take = min(BLOCK_SIZE - in_off, len(view))
-            chunk = bytes(view[:take])
+            chunk = view[:take]
             self.benefit.record_write(ino, file_block, in_off, take, ctx.now)
             nvmm_block = blockmap.get(file_block)
             if nvmm_block is None:
@@ -270,36 +280,45 @@ class HiNFS(PMFS):
 
     # -- write-path helpers -------------------------------------------------
 
-    def _buffer_insert(self, ctx, ino, file_block, nvmm_block, fresh):
-        """Get a free DRAM block (stalling on the flusher if dry)."""
+    def _buffer_insert(self, ctx, ino, file_block, nvmm_block, fresh, whole):
+        """Get a free DRAM block (stalling on the flusher if dry).
+
+        ``fresh``: the NVMM block was just allocated, so its lines are
+        zeroes; ``whole``: the caller's store is about to cover all of
+        them."""
         if self.buffer.free_blocks == 0:
             self.writeback.demand_reclaim(ctx)
-        if self.buffer.free_blocks == 0:
-            # Demand reclaim freed nothing: every buffered block is stuck
-            # (e.g. its writeback target sits on bad media).  Raise the
-            # diagnosable deadlock instead of overfilling the buffer.
-            notes = []
-            model = getattr(self.device, "fault_model", None)
-            if model is not None and model.bad_lines:
-                notes.append(
-                    "%d NVMM cacheline(s) are marked bad; writeback of "
-                    "blocks mapped onto them cannot complete"
-                    % len(model.bad_lines)
-                )
-            raise DeadlockError(
-                "DRAM write buffer exhausted: demand reclaim freed no "
-                "blocks (%d buffered, 0 free)" % self.buffer.used_blocks,
-                diagnostics=[ThreadDiagnostic.of(ctx),
-                             ThreadDiagnostic.of(self.writeback.ctx)],
-                notes=notes,
-            )
+            if self.buffer.free_blocks == 0:
+                raise self._buffer_exhausted(ctx)
         block = self.buffer.insert(ino, file_block, nvmm_block)
         if fresh:
             # Freshly-allocated NVMM blocks are all zeroes; materialise
-            # them in DRAM instead of "fetching" zeroes.
-            self.buffer.dram.mem.fill(block.dram_addr, BLOCK_SIZE, 0)
-            block.bitmap.mark_fetched(FULL_MASK)
+            # them in DRAM instead of "fetching" zeroes (an untimed fill:
+            # skipping it under a whole-block store changes no charge).
+            if not whole:
+                self.buffer.dram.mem.fill(block.dram_addr, BLOCK_SIZE, 0)
+            block.bitmap.valid = FULL_MASK  # a new block: nothing valid yet
         return block
+
+    def _buffer_exhausted(self, ctx):
+        """Demand reclaim freed nothing: every buffered block is stuck
+        (e.g. its writeback target sits on bad media).  The diagnosable
+        deadlock to raise instead of overfilling the buffer."""
+        notes = []
+        model = getattr(self.device, "fault_model", None)
+        if model is not None and model.bad_lines:
+            notes.append(
+                "%d NVMM cacheline(s) are marked bad; writeback of "
+                "blocks mapped onto them cannot complete"
+                % len(model.bad_lines)
+            )
+        return DeadlockError(
+            "DRAM write buffer exhausted: demand reclaim freed no "
+            "blocks (%d buffered, 0 free)" % self.buffer.used_blocks,
+            diagnostics=[ThreadDiagnostic.of(ctx),
+                         ThreadDiagnostic.of(self.writeback.ctx)],
+            notes=notes,
+        )
 
     def _fetch_before_write(self, ctx, block, in_off, length):
         """CLFW: fetch only the partially-overwritten edge cachelines;
@@ -335,14 +354,20 @@ class HiNFS(PMFS):
         count = min(count, inode.size - offset)
         ctx.charge(self.config.index_lookup_ns)
         blockmap = self._map(ino)
+        lookup = self.buffer.lookup
+        dram_read = self.buffer.dram.read
         out = bytearray()
         pos = offset
         remaining = count
         while remaining > 0:
             file_block, in_off = divmod(pos, BLOCK_SIZE)
             take = min(BLOCK_SIZE - in_off, remaining)
-            buffered = self.buffer.lookup(ino, file_block)
-            if buffered is None or buffered.bitmap.valid == 0:
+            buffered = lookup(ino, file_block)
+            valid = 0 if buffered is None else buffered.bitmap.valid
+            if valid == FULL_MASK:
+                # One run, all in DRAM: what the merged walk would copy.
+                out.extend(dram_read(ctx, buffered.dram_addr + in_off, take))
+            elif valid == 0:
                 out.extend(self._read_nvmm(ctx, blockmap, file_block, in_off, take))
             else:
                 out.extend(
@@ -456,31 +481,34 @@ class HiNFS(PMFS):
         ends = []
         failed = set()
         plan = self.env.faults
+        clfw = self.hconfig.enable_clfw
+        dram_read = self.buffer.dram.read
+        persist = (self.device.write_persistent_async if parallel
+                   else self.device.write_persistent)
+        counters = self.env.stats.counters
         for block in blocks:
-            if self.hconfig.enable_clfw:
-                mask = block.bitmap.dirty
+            bitmap = block.bitmap
+            if clfw:
+                mask = bitmap.dirty
             else:
-                mask = block.bitmap.valid if block.bitmap.dirty else 0
+                mask = bitmap.valid if bitmap.dirty else 0
             if not mask:
                 continue
+            src_base = block.dram_addr
             dst_base = block_addr(block.nvmm_block)
             try:
                 if plan is not None:
                     # The ``writeback`` fault site: fail the persist of
                     # blocks last written by an armed request id.
                     plan.check("writeback", block.last_req_id)
-                for start, nlines in iter_runs(mask):
-                    data = self.buffer.read_from(
-                        ctx, block, start * CACHELINE_SIZE,
-                        nlines * CACHELINE_SIZE
-                    )
-                    dst = dst_base + start * CACHELINE_SIZE
+                for start, nlines in (_WHOLE_BLOCK_RUN if mask == FULL_MASK
+                                      else iter_runs(mask)):
+                    off = start * CACHELINE_SIZE
+                    data = dram_read(ctx, src_base + off,
+                                     nlines * CACHELINE_SIZE)
+                    done = persist(ctx, dst_base + off, data)
                     if parallel:
-                        ends.append(
-                            self.device.write_persistent_async(ctx, dst, data)
-                        )
-                    else:
-                        self.device.write_persistent(ctx, dst, data)
+                        ends.append(done)
             except MediaError:
                 if not record_errors:
                     if ends:
@@ -488,22 +516,23 @@ class HiNFS(PMFS):
                     raise
                 self.note_wb_error(block.ino)
                 failed.add(block)
-                self.env.stats.bump("hinfs_wb_media_errors")
+                counters["hinfs_wb_media_errors"] += 1
             else:
-                self.env.stats.bump("hinfs_flushed_lines", popcount(mask))
+                counters["hinfs_flushed_lines"] += mask.bit_count()
         end = max(ends) if ends else None
         if ends and wait:
             ctx.sync_to(end, CAT_WRITE_ACCESS)
+        evict = self.buffer.evict
         for block in blocks:
-            if block in failed:
+            if failed and block in failed:
                 # Data lost: complete the deferred commits (the metadata
                 # is already acknowledged) and free the DRAM block so the
                 # buffer cannot wedge on unpersistable lines.
                 self.discard_block(ctx, block)
                 continue
-            block.bitmap.clean()
+            block.bitmap.dirty = 0  # written back: every line stays valid
             self._complete_pending(ctx, block)
-            self.buffer.evict(block)
+            evict(block)
         return end
 
     def discard_block(self, ctx, block):
@@ -519,7 +548,8 @@ class HiNFS(PMFS):
         for pending in block.pending_txs:
             del pending.blocks[block]
         block.pending_txs.clear()
-        self._drain(ctx, block.ino)
+        if block.ino in self._pending:
+            self._drain(ctx, block.ino)
 
     def make_room(self, ctx, limit):
         """Log space comes back oldest first: flush the blocks the oldest

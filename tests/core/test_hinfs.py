@@ -130,6 +130,51 @@ def test_nclfw_fetches_whole_block():
     assert data[112:] == (b"base" * 1024)[112:]
 
 
+@pytest.mark.parametrize("clfw", [True, False])
+def test_fresh_block_written_in_part_reads_zeroes_past_the_write(clfw):
+    """Only a whole-block store may skip the zero-fill of a fresh block:
+    the recycled DRAM frame still holds its last tenant's bytes."""
+    rig = make_rig(enable_clfw=clfw)
+    fd = rig.vfs.open(rig.ctx, "/old", f.O_CREAT | f.O_RDWR)
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"\xff" * 4096)
+    (old,) = rig.fs.buffer.file_blocks(rig.vfs.fstat(rig.ctx, fd).ino)
+    rig.vfs.fsync(rig.ctx, fd)  # frees the frame
+    fd = rig.vfs.open(rig.ctx, "/new", f.O_CREAT | f.O_RDWR)
+    rig.vfs.pwrite(rig.ctx, fd, 1000, b"d" * 100)
+    rig.vfs.pwrite(rig.ctx, fd, 8192, b"t")  # size past block 0
+    ino = rig.vfs.fstat(rig.ctx, fd).ino
+    assert rig.fs.buffer.lookup(ino, 0).dram_block == old.dram_block
+    expected = b"\0" * 1000 + b"d" * 100 + b"\0" * 2996
+    assert rig.vfs.pread(rig.ctx, fd, 0, 4096) == expected
+    rig.vfs.fsync(rig.ctx, fd)
+    assert rig.fs.buffer.file_blocks(ino) == []
+    assert rig.vfs.pread(rig.ctx, fd, 0, 4096) == expected
+
+
+@pytest.mark.parametrize("clfw,fetched", [(True, 0), (False, 64)])
+def test_whole_block_overwrite_fetches_only_under_nclfw(clfw, fetched):
+    """CLFW has no edge lines to fetch for a whole-block store;
+    HiNFS-NCLFW still fetches the missing block first (Figure 9)."""
+    rig = make_rig(enable_clfw=clfw)
+    fd = rig.vfs.open(rig.ctx, "/w", f.O_CREAT | f.O_RDWR)
+    rig.vfs.pwrite(rig.ctx, fd, 0, b"a" * 8192)
+    rig.vfs.fdatasync(rig.ctx, fd)  # block 1 leaves the buffer, lazy
+    before = rig.env.stats.count("hinfs_fetched_lines")
+    rig.vfs.pwrite(rig.ctx, fd, 4096, b"b" * 4096)
+    assert rig.env.stats.count("hinfs_fetched_lines") - before == fetched
+    assert rig.vfs.pread(rig.ctx, fd, 0, 8192) == b"a" * 4096 + b"b" * 4096
+
+
+def test_mutating_the_callers_buffer_after_pwrite_leaves_the_data(rig):
+    fd = rig.vfs.open(rig.ctx, "/m", f.O_CREAT | f.O_RDWR)
+    payload = bytearray(b"p" * (8192 + 100))
+    rig.vfs.pwrite(rig.ctx, fd, 0, payload)
+    payload[:] = b"z" * len(payload)
+    assert rig.vfs.pread(rig.ctx, fd, 0, 8292) == b"p" * 8292
+    rig.vfs.fsync(rig.ctx, fd)
+    assert rig.vfs.pread(rig.ctx, fd, 0, 8292) == b"p" * 8292
+
+
 def test_clfw_writes_back_fewer_bytes_than_nclfw():
     """Figure 9(b): small unaligned writes -> CLFW's NVMM write size is
     far smaller."""

@@ -2,10 +2,12 @@
 
 Host time in this simulator is mostly interpreter frames, so the number
 of Python ``call`` events one syscall raises is a deterministic proxy
-for its cost.  The ceilings sit about 5 % above what the tree achieves
-(105 and 1 479; the two-step persist path and the per-block constant
-recomputation they replaced cost 131 and 1 798): ceilings, not
-equalities, so interpreter versions that inline comprehensions or a
+for its cost.  The ceilings sit about 5 % above what the tree achieves:
+105 for the pmfs overwrite (the two-step persist path cost 131), and on
+hinfs 466 for the 64 KB append, 391 for the fsync of 16 buffered blocks
+and 215 for the 128 KB buffered read (the per-block bookkeeping that
+the whole-block fast paths replaced cost 755, 535 and 375).  Ceilings,
+not equalities, so interpreter versions that inline comprehensions or a
 harmless extra helper do not flip them, while a lost fast path does.
 """
 
@@ -15,6 +17,7 @@ import pytest
 
 from repro.bench.runner import build_stack
 from repro.core import HiNFSConfig
+from repro.core.bitmap import FULL_MASK
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.fs import flags as f
@@ -61,7 +64,26 @@ def test_64k_append_on_hinfs_stays_under_its_frame_ceiling():
     vfs, ctx, fd = _open_file("hinfs")
     vfs.pwrite(ctx, fd, 0, b"a" * 65536)
     chunk = b"b" * 65536
-    assert _python_calls(lambda: vfs.pwrite(ctx, fd, 65536, chunk)) <= 1550
+    assert _python_calls(lambda: vfs.pwrite(ctx, fd, 65536, chunk)) <= 490
+
+
+def test_16_block_fsync_on_hinfs_stays_under_its_frame_ceiling():
+    vfs, ctx, fd = _open_file("hinfs")
+    vfs.pwrite(ctx, fd, 0, b"a" * 65536)
+    ino = vfs.fstat(ctx, fd).ino
+    assert len(vfs.fs.buffer.file_blocks(ino)) == 16
+    assert _python_calls(lambda: vfs.fsync(ctx, fd)) <= 410
+    assert vfs.fs.buffer.file_blocks(ino) == []
+
+
+def test_buffered_128k_read_on_hinfs_stays_under_its_frame_ceiling():
+    vfs, ctx, fd = _open_file("hinfs")
+    vfs.pwrite(ctx, fd, 0, b"a" * 131072)
+    ino = vfs.fstat(ctx, fd).ino
+    assert all(b.bitmap.valid == FULL_MASK
+               for b in vfs.fs.buffer.file_blocks(ino))
+    vfs.pread(ctx, fd, 0, 4096)  # warm: the read ring entry
+    assert _python_calls(lambda: vfs.pread(ctx, fd, 0, 131072)) <= 225
 
 
 @pytest.mark.parametrize("fs_name,ceiling", [("pmfs", 100), ("hinfs", 150)])
