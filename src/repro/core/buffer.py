@@ -157,6 +157,12 @@ class WriteBuffer:
         self._alloc.free(block.dram_block)
         self.env.stats.counters["buffer_evictions"] += 1
 
+    def file_index(self, ino):
+        """The file's ``{file_block: BufferBlock}`` index, or None when
+        none of its blocks is buffered.  Read-only: for a caller that
+        looks up many blocks of one file."""
+        return self._index.get(ino)
+
     def file_blocks(self, ino):
         """All buffered blocks of a file, in file-offset order."""
         blocks = self._index.get(ino, {})

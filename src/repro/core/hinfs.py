@@ -230,6 +230,8 @@ class HiNFS(PMFS):
         out of order would let a crash roll an older transaction back
         over the newer committed state.
         """
+        if self.buffer.file_index(ino) is None:
+            return  # nothing buffered: the common O_SYNC case
         self.flush_blocks(ctx, [b for b in self.buffer.file_blocks(ino)
                                 if b.pending_txs])
 
@@ -245,33 +247,48 @@ class HiNFS(PMFS):
                 self.journal.commit(ctx, tx)
 
     def _write_sync_body(self, ctx, inode, offset, tx, view):
-        """The per-block persist loop of an eager request."""
+        """The per-block persist loop of an eager request, in one pass:
+        what it looks up per block is bound once per request."""
         ino = inode.ino
         blockmap = self._map(ino)
+        mapped = blockmap.mirror.get
+        # None -- the usual case once the barrier has run -- skips every
+        # per-block buffer lookup.
+        buffered_index = self.buffer.file_index(ino)
+        record_write = self.benefit.record_write
+        persist = self.device.write_persistent
         pos = offset
-        while view:
-            file_block, in_off = divmod(pos, BLOCK_SIZE)
-            take = min(BLOCK_SIZE - in_off, len(view))
-            chunk = view[:take]
-            self.benefit.record_write(ino, file_block, in_off, take, ctx.now)
-            nvmm_block = blockmap.get(file_block)
-            if nvmm_block is None:
-                fresh = self._ensure_mapped(ctx, tx, blockmap, pos, len(view))
-                nvmm_block = fresh[file_block]
-            buffered = self.buffer.lookup(ino, file_block)
-            if buffered is not None:
-                # Paper 3.3.2: write into the DRAM copy, then explicitly
-                # evict it before returning to the user.
-                self._fetch_before_write(ctx, buffered, in_off, take)
-                self.buffer.write_into(ctx, buffered, in_off, chunk, ctx.now)
-                self.flush_blocks(ctx, [buffered])
-            else:
-                self.device.write_persistent(
-                    ctx, block_addr(nvmm_block) + in_off, chunk
-                )
-            self.env.stats.bump("hinfs_sync_writes")
-            pos += take
-            view = view[take:]
+        blocks = 0
+        try:
+            while view:
+                file_block, in_off = divmod(pos, BLOCK_SIZE)
+                take = min(BLOCK_SIZE - in_off, len(view))
+                chunk = view[:take]
+                record_write(ino, file_block, in_off, take, ctx.now)
+                nvmm_block = mapped(file_block)
+                if nvmm_block is None:
+                    # A hole: map it and every later one of the request
+                    # (the blocks before it are already durable).
+                    nvmm_block = self._ensure_mapped(
+                        ctx, tx, blockmap, pos, len(view))[file_block]
+                buffered = (None if buffered_index is None
+                            else buffered_index.get(file_block))
+                if buffered is not None:
+                    # Paper 3.3.2: write into the DRAM copy, then
+                    # explicitly evict it before returning to the user.
+                    self._fetch_before_write(ctx, buffered, in_off, take)
+                    self.buffer.write_into(ctx, buffered, in_off, chunk,
+                                           ctx.now)
+                    self.flush_blocks(ctx, [buffered])
+                else:
+                    persist(ctx, nvmm_block * BLOCK_SIZE + in_off, chunk)
+                blocks += 1
+                pos += take
+                view = view[take:]
+        finally:
+            # One bump per request, of the blocks that reached NVMM.
+            if blocks:
+                self.env.stats.counters["hinfs_sync_writes"] += blocks
         written = pos - offset
         inode.size = max(inode.size, offset + written)
         inode.mtime = ctx.now

@@ -624,6 +624,19 @@ DEMAND_OPS = (
     ("tick", 30_000),                    # 2 pressure wakes: 15 free, High_f
 )
 
+#: HiNFS's eager (O_SYNC) write over a file with buffered blocks: the
+#: lazy append leaves blocks 0 and 1 in the DRAM buffer with their
+#: commit deferred; the O_SYNC write over [3000, 12000) first flushes
+#: them and closes that commit (the file barrier), then persists the
+#: rest of block 0 and all of the mapped block 1 straight to NVMM and
+#: maps block 2, a fresh hole, in the middle of the request: blocks 0
+#: and 1 are durable before the hole's pointer is journaled, and all
+#: three before the inode is.
+EAGER_OPS = (
+    ("append", "/e", 6000),              # lazy: blocks 0 and 1 buffered
+    ("sync_write", "/e", 3000, 9000),    # barrier, 0-1 in place, 2 mapped
+)
+
 
 #: HiNFS on the explorer's stacks: a 64-block buffer, and a reclaim batch
 #: cut down with it (four blocks; the default 16 goes with a 16 384-block

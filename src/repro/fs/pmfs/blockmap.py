@@ -40,8 +40,10 @@ class BlockMap:
         self.itable = inode_table
         self.inode = inode
         self.balloc = balloc
-        # file block index -> nvmm block (holes absent)
-        self._mirror = {}
+        #: file block index -> nvmm block (holes absent).  Read-only
+        #: outside this class; a loop over many blocks may bind its
+        #: ``get`` once instead of calling :meth:`get` per block.
+        self.mirror = {}
         # file of L2 pointer blocks: index in dindirect L1 -> nvmm block
         self._l2_blocks = {}
 
@@ -49,14 +51,14 @@ class BlockMap:
 
     def get(self, file_block):
         """NVMM block for ``file_block`` or ``None`` for a hole."""
-        return self._mirror.get(file_block)
+        return self.mirror.get(file_block)
 
     def mapped_blocks(self):
         """All (file_block, nvmm_block) pairs."""
-        return list(self._mirror.items())
+        return list(self.mirror.items())
 
     def block_count(self):
-        return len(self._mirror)
+        return len(self.mirror)
 
     # -- pointer slot resolution ----------------------------------------------
 
@@ -137,7 +139,7 @@ class BlockMap:
         """Map ``file_block`` to ``nvmm_block`` (journaled)."""
         slot, _ = self._pointer_slot(ctx, tx, file_block)
         self.journal.journaled_write(ctx, tx, slot, _PTR.pack(nvmm_block))
-        self._mirror[file_block] = nvmm_block
+        self.mirror[file_block] = nvmm_block
         if file_block < N_DIRECT:
             # Keep the DRAM inode's direct[] mirror coherent, so a later
             # write_pointers (e.g. drop_all) never resurrects stale slots.
@@ -154,7 +156,7 @@ class BlockMap:
         writer persists those blocks, arrives at the first one left
         unmapped, calls again and gets the ``NoSpace`` raised for a
         ``first`` that cannot be mapped."""
-        mirror = self._mirror
+        mirror = self.mirror
         fresh = {}
         file_block, end = first, first + count
         try:
@@ -182,7 +184,7 @@ class BlockMap:
 
     def clear(self, ctx, tx, file_block):
         """Unmap ``file_block`` (journaled); returns the freed NVMM block."""
-        nvmm_block = self._mirror.pop(file_block, None)
+        nvmm_block = self.mirror.pop(file_block, None)
         if nvmm_block is None:
             return None
         slot, _ = self._pointer_slot(ctx, tx, file_block)
@@ -197,13 +199,13 @@ class BlockMap:
         Only the 112-byte in-inode pointer area needs journaling: once the
         root pointers are zero, the old indirect blocks are unreachable.
         """
-        freed = list(self._mirror.values())
+        freed = list(self.mirror.values())
         if self.inode.indirect:
             freed.append(self.inode.indirect)
         if self.inode.dindirect:
             freed.append(self.inode.dindirect)
         freed.extend(self._l2_blocks.values())
-        self._mirror.clear()
+        self.mirror.clear()
         self._l2_blocks.clear()
         self.inode.direct = [0] * N_DIRECT
         self.inode.indirect = 0
@@ -222,7 +224,7 @@ class BlockMap:
 
     def load_from_nvmm(self):
         """Rebuild the mirror by walking the persistent pointers."""
-        mirror = self._mirror
+        mirror = self.mirror
         mirror.clear()
         self._l2_blocks.clear()
         for i, ptr in enumerate(self.inode.direct):
@@ -240,7 +242,7 @@ class BlockMap:
 
     def all_physical_blocks(self):
         """Every NVMM block this map pins (data + pointer blocks)."""
-        blocks = list(self._mirror.values())
+        blocks = list(self.mirror.values())
         if self.inode.indirect:
             blocks.append(self.inode.indirect)
         if self.inode.dindirect:

@@ -236,7 +236,16 @@ class Journal:
     def journaled_write(self, ctx, tx, addr, new_bytes):
         """Undo-log then mutate a metadata range in place (flushed)."""
         new_bytes = bytes(new_bytes)
-        self.log_undo(ctx, tx, addr, len(new_bytes))
+        length = len(new_bytes)
+        if 0 < length <= ENTRY_PAYLOAD_MAX:
+            # One entry holds the whole undo image (an inode core, a
+            # block pointer): append it without the capture loop.
+            if not tx.open:
+                raise ValueError("transaction %d already closed" % tx.tx_id)
+            self._append(ctx, tx, KIND_UNDO, addr,
+                         self.device.mem.read(addr, length))
+        else:
+            self.log_undo(ctx, tx, addr, length)
         self.device.persist_cached(ctx, addr, new_bytes, CAT_OTHERS)
 
     def commit(self, ctx, tx):

@@ -250,26 +250,26 @@ class QosController:
             return
         now = ctx.now
         self._update_overload(now)
+        counters = self.env.stats.counters
         if self.overloaded and state.priority <= self.shed_priority:
             state.shed_ops += 1
-            stats = self.env.stats
-            stats.bump("qos_shed_ops")
-            stats.bump("qos_shed_ops_prio_%d" % state.priority)
+            counters["qos_shed_ops"] += 1
+            counters["qos_shed_ops_prio_%d" % state.priority] += 1
             raise TryAgain(
                 "tenant %r shed under overload (%s class)"
                 % (tenant, PRIORITY_NAMES.get(state.priority,
                                               state.priority)))
-        wait = state.bucket.take(now, req.total_bytes)
+        nbytes = req.total_bytes
+        wait = state.bucket.take(now, nbytes)
         if wait:
             with ctx.layer(LAYER_QOS):
                 ctx.charge(wait)
             state.throttle_ns += wait
-            self.env.stats.bump("qos_throttle_ns", wait)
+            counters["qos_throttle_ns"] += wait
         state.admitted_ops += 1
-        state.admitted_bytes += req.total_bytes
-        stats = self.env.stats
-        stats.bump("qos_admitted_ops")
-        stats.bump("qos_admitted_bytes", req.total_bytes)
+        state.admitted_bytes += nbytes
+        counters["qos_admitted_ops"] += 1
+        counters["qos_admitted_bytes"] += nbytes
 
     def __repr__(self):
         return "QosController(%d tenants, cap=%dB/s, overloaded=%s)" % (

@@ -352,7 +352,7 @@ class PmfsScrubber(_ScrubberBase):
         ptrs = [0] * PTRS_PER_BLOCK
         if kind == "indirect":
             for i in range(PTRS_PER_BLOCK):
-                ptrs[i] = blockmap._mirror.get(N_DIRECT + i, 0)
+                ptrs[i] = blockmap.mirror.get(N_DIRECT + i, 0)
         elif kind == "dindirect":
             for i, l2 in blockmap._l2_blocks.items():
                 ptrs[i] = l2
@@ -360,7 +360,7 @@ class PmfsScrubber(_ScrubberBase):
             l1_index = owner[2]
             base = N_DIRECT + PTRS_PER_BLOCK + l1_index * PTRS_PER_BLOCK
             for j in range(PTRS_PER_BLOCK):
-                ptrs[j] = blockmap._mirror.get(base + j, 0)
+                ptrs[j] = blockmap.mirror.get(base + j, 0)
         for line in lines:
             model.heal_line(line)
         device.write_persistent(

@@ -124,6 +124,9 @@ class ShardedFS(FileSystem):
         self.nshards = len(self.shards)
         self.name = "%s@%d" % (self.shards[0].name, self.nshards)
         self._wb_err_view = _ShardedErrseq(self)
+        #: Per-device request counter names, by shard index.
+        self._req_counters = ["sharded_reqs@dev%d" % s
+                              for s in range(self.nshards)]
         #: global dir ino -> [local ino of the mirror on each shard].
         self._dir_locals = {}
         #: (shard, local ino) -> global dir ino, for every mirror.
@@ -448,12 +451,12 @@ class ShardedFS(FileSystem):
     # -- data path -----------------------------------------------------------
 
     def submit(self, ctx, req):
-        s, local = self._dec(req.ino)
-        stats = self.env.stats
-        stats.bump("sharded_reqs@dev%d" % s)
-        stats.bump("sharded_reqs_total")
         gino = req.ino
-        req.ino = local
+        local, s = divmod(gino - 1, self.nshards)  # _dec, inline
+        counters = self.env.stats.counters
+        counters[self._req_counters[s]] += 1
+        counters["sharded_reqs_total"] += 1
+        req.ino = local + 1
         try:
             return self.shards[s].submit(ctx, req)
         finally:

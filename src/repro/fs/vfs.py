@@ -138,18 +138,22 @@ class VFS:
 
     # -- degradation / health --------------------------------------------
 
-    def _check_writable(self, what):
+    def _check_writable(self, what, path):
+        """Refuse ``what`` (``"write to"``, ``"create of"``, ...) of
+        ``path`` unless the mount is writable; the message is only
+        formatted when it is raised."""
         if not self.health.writable:
             raise ReadOnly(
-                "%s on %s mount (%s)"
-                % (what, self.health.state, self.health.reason)
+                "%s %r on %s mount (%s)"
+                % (what, path, self.health.state, self.health.reason)
             )
 
-    def _check_readable(self, what):
+    def _check_readable(self, what, path):
         """An ISOLATED mount refuses even reads (the media is rotting)."""
         if not self.health.readable:
             raise MediaError(
-                "%s on isolated mount (%s)" % (what, self.health.reason)
+                "%s %r on isolated mount (%s)" % (what, path,
+                                                  self.health.reason)
             )
 
     def _on_async_media_error(self, ino):
@@ -242,7 +246,7 @@ class VFS:
             if ino is None:
                 if not flags & f.O_CREAT:
                     raise NotFound(path)
-                self._check_writable("create of %r" % path)
+                self._check_writable("create of", path)
                 ino = self._guarded(ctx, self.fs.create_file, parent, name)
                 # A new inode starts with a clean errseq, even where it
                 # reuses the number of an unlinked file with an error
@@ -253,7 +257,7 @@ class VFS:
                 if self.fs.getattr(ctx, ino).is_dir:
                     raise IsADirectory(path)
                 if flags & f.O_TRUNC and f.writable(flags):
-                    self._check_writable("truncate of %r" % path)
+                    self._check_writable("truncate of", path)
                     with self.ilocks.write_locked(ctx, ino):
                         self._guarded(ctx, self.fs.truncate, ino, 0)
             fd = self._next_fd
@@ -274,7 +278,7 @@ class VFS:
 
     def mkdir(self, ctx, path):
         with _Syscall(self, ctx, "mkdir"):
-            self._check_writable("mkdir of %r" % path)
+            self._check_writable("mkdir of", path)
             parent, name = self._resolve_parent(ctx, path)
             if self._lookup_child(ctx, parent, name) is not None:
                 raise ExistsError(path)
@@ -284,7 +288,7 @@ class VFS:
 
     def unlink(self, ctx, path):
         with _Syscall(self, ctx, "unlink"):
-            self._check_writable("unlink of %r" % path)
+            self._check_writable("unlink of", path)
             parent, name = self._resolve_parent(ctx, path)
             ino = self._lookup_child(ctx, parent, name)
             if ino is None:
@@ -300,7 +304,7 @@ class VFS:
 
     def rmdir(self, ctx, path):
         with _Syscall(self, ctx, "rmdir"):
-            self._check_writable("rmdir of %r" % path)
+            self._check_writable("rmdir of", path)
             parent, name = self._resolve_parent(ctx, path)
             ino = self._lookup_child(ctx, parent, name)
             if ino is None:
@@ -319,7 +323,7 @@ class VFS:
         is rejected to keep the namespace model simple.
         """
         with _Syscall(self, ctx, "rename"):
-            self._check_writable("rename of %r" % old_path)
+            self._check_writable("rename of", old_path)
             old_parent, old_name = self._resolve_parent(ctx, old_path)
             ino = self._lookup_child(ctx, old_parent, old_name)
             if ino is None:
@@ -427,7 +431,7 @@ class VFS:
         if sqe.op == uring.IORING_OP_READV:
             if not f.readable(file.flags):
                 raise ReadOnly("fd %d not open for reading" % sqe.fd)
-            self._check_readable("read of %r" % file.path)
+            self._check_readable("read of", file.path)
             offset = file.pos if positional else sqe.offset
             if offset < 0 or any(count < 0 for count in sqe.iovecs):
                 raise InvalidArgument("negative offset/count")
@@ -451,7 +455,7 @@ class VFS:
             offset = sqe.offset
         if offset < 0:
             raise InvalidArgument("negative offset")
-        self._check_writable("write to %r" % file.path)
+        self._check_writable("write to", file.path)
         eager = self.sync_mount or bool(file.flags & (f.O_SYNC | f.O_DSYNC))
         datasync = bool(
             eager and not self.sync_mount and not file.flags & f.O_SYNC
@@ -549,7 +553,7 @@ class VFS:
 
     def truncate(self, ctx, path, new_size):
         with _Syscall(self, ctx, "truncate"):
-            self._check_writable("truncate of %r" % path)
+            self._check_writable("truncate of", path)
             parts = [p for p in path.split("/") if p]
             ino = self._walk(ctx, parts)
             with self.ilocks.write_locked(ctx, ino), ctx.layer("fs"):
@@ -600,7 +604,7 @@ class VFS:
             if not flags & f.MAP_ATOMIC:
                 policy = None
             else:
-                self._check_writable("atomic mmap of %r" % file.path)
+                self._check_writable("atomic mmap of", file.path)
                 if not f.writable(file.flags):
                     raise InvalidArgument(
                         "MAP_ATOMIC needs a writable descriptor")

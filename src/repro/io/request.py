@@ -30,8 +30,8 @@ OP_SYNC = "sync"
 class IORequest:
     """One in-flight data-path operation crossing the layer stack."""
 
-    __slots__ = ("req_id", "op", "ino", "iovecs", "offset", "flags",
-                 "eager", "datasync", "syscall", "span", "tenant")
+    __slots__ = ("req_id", "op", "ino", "iovecs", "total_bytes", "offset",
+                 "flags", "eager", "datasync", "syscall", "span", "tenant")
 
     def __init__(self, req_id, op, ino, iovecs, offset, flags=0,
                  eager=False, datasync=False, syscall=None, tenant=None):
@@ -41,13 +41,19 @@ class IORequest:
         self.op = op
         self.ino = ino
         if op == OP_WRITE:
-            self.iovecs = [bytes(vec) for vec in iovecs]
+            self.iovecs = list(map(bytes, iovecs))
+            total = sum(map(len, self.iovecs))
         elif op == OP_READ:
-            self.iovecs = [int(count) for count in iovecs]
+            self.iovecs = list(map(int, iovecs))
+            total = sum(self.iovecs)
         else:
             if iovecs:
                 raise ValueError("sync requests carry no iovecs")
             self.iovecs = []
+            total = 0
+        #: Bytes this request covers (sum over the iovec list), counted
+        #: once here: the iovecs never change after construction.
+        self.total_bytes = total
         self.offset = offset
         self.flags = flags
         #: Synchronous-persistence policy (O_SYNC / ``mount -o sync``):
@@ -69,13 +75,6 @@ class IORequest:
         self.tenant = tenant
 
     # -- geometry ---------------------------------------------------------
-
-    @property
-    def total_bytes(self):
-        """Bytes this request covers (sum over the iovec list)."""
-        if self.op == OP_WRITE:
-            return sum(len(vec) for vec in self.iovecs)
-        return sum(self.iovecs)
 
     @property
     def end_offset(self):

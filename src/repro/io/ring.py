@@ -246,10 +246,10 @@ class IORing:
         is waited for inline.
         """
         ctx = self.ctx
-        stats = self.env.stats
-        stats.bump("ring_batches")
-        stats.bump("ring_sqes")
-        stats.bump("ring_cqes")
+        counters = self.env.stats.counters
+        counters["ring_batches"] += 1
+        counters["ring_sqes"] += 1
+        counters["ring_cqes"] += 1
         seq = self._seq
         self._seq += 1
         self._entry_done = False

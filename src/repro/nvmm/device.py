@@ -98,6 +98,9 @@ class NVMMDevice:
         #: Slot occupancy per persisted cacheline; the config method is
         #: the one formula (linear in lines), evaluated once.
         self._line_persist_ns = int(config.nvmm_persist_cost_ns(1))
+        #: What storing one cacheline into the cache costs -- every
+        #: journal entry's store -- evaluated once as well.
+        self._line_store_ns = config.dram_store_cost_ns(CACHELINE_SIZE)
         #: Per-domain slot-grant counter for sharded stacks.  Single-
         #: device stacks (domain None) have none, so their counter dicts
         #: -- and the golden-seed fingerprints pinned on them -- stay
@@ -227,8 +230,9 @@ class NVMMDevice:
         duration = nlines * self._line_persist_ns
         end = self.write_slots.grant(request_ns, duration) + duration
         if self._grant_counter is not None:
-            self.env.stats.bump(self._grant_counter)
-            self.env.stats.bump("nvmm_slot_grants_total")
+            counters = self.env.stats.counters
+            counters[self._grant_counter] += 1
+            counters["nvmm_slot_grants_total"] += 1
         return end
 
     def _persist_lines(self, ctx, nlines, category):
@@ -251,9 +255,12 @@ class NVMMDevice:
         if self.fault_model is not None:
             self._guard_persist(ctx, addr, length)
         self.mem.write_nocache(addr, data)
-        nlines = lines_spanned(length, addr % CACHELINE_SIZE)
-        self._persist_lines(ctx, nlines, category)
         if not ctx.free:
+            if length:
+                # lines_spanned(length, addr % CACHELINE_SIZE), inline.
+                nlines = (addr % CACHELINE_SIZE + length - 1) \
+                    // CACHELINE_SIZE + 1
+                ctx.sync_to(self._grant_slot(ctx.now, nlines), category)
             self.env.stats.bytes_written_nvmm += length
         if span is not None:
             span.add_phase(LAYER_NVMM, start, ctx.now)
@@ -297,13 +304,15 @@ class NVMMDevice:
         mem = self.mem
         length = len(data)
         span = ctx.trace_span
+        store_ns = (self._line_store_ns if length == CACHELINE_SIZE
+                    else self.config.dram_store_cost_ns(length))
         if self.fault_model is None:
             flushed = mem.write_flush(addr, data)
-            ctx.charge(self.config.dram_store_cost_ns(length), category)
+            ctx.charge(store_ns, category)
             start = ctx.now
         else:
             mem.write(addr, data)
-            ctx.charge(self.config.dram_store_cost_ns(length), category)
+            ctx.charge(store_ns, category)
             start = ctx.now
             self._guard_persist(ctx, addr, length)
             flushed = mem.clflush(addr, length)

@@ -13,7 +13,11 @@ The grid covers seed in {0, 1337} and ring batch depth in {1, 8}
 (depth 0 = the sync syscall path) across all five comparison stacks,
 plus the library-mode mmap data plane (depth -1) on the stacks that
 support it -- those entries pin the mmio charge accounting exactly,
-including the empty ``syscall_time_ns`` ledger.
+including the empty ``syscall_time_ns`` ledger.  Two more entries pin
+the eager (O_SYNC) write path, which none of the fio cases takes: a
+shrunk tenant fleet on ``hinfs@2`` behind a QoS controller, and an
+unaligned O_SYNC stream on ``hinfs`` over lazily buffered blocks and
+holes (``EAGER_CASES``).
 Trace-ring contents are pinned as a SHA-256 over the canonicalised
 span stream -- exact, but compact enough to check in.
 
@@ -31,8 +35,12 @@ import pytest
 
 from repro.bench.runner import run_workload
 from repro.core import HiNFSConfig
+from repro.fs import flags as f
+from repro.fs.qos import QosController
+from repro.workloads.base import Workload, payload
 from repro.workloads.fio import FioWorkload, RingFioWorkload
 from repro.workloads.mmio import MmapFioWorkload
+from repro.workloads.tenants import TenantFleet
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "hotpath_golden.json")
@@ -65,24 +73,104 @@ CASES = [(fs, 0, 0) for fs in STACKS] + \
 ]
 
 
+class EagerOverlapWorkload(Workload):
+    """Unaligned 16 KB O_SYNC writes mixed with lazy 6000-byte writes
+    and 8 KB reads, at random offsets over a file whose 16 KB extents
+    alternate with 16 KB holes: an eager request lands on blocks the
+    lazy writes left in the DRAM buffer, on mapped blocks, and on holes
+    it maps mid-request, and some extend the file."""
+
+    name = "eager-overlap"
+    file_size = 512 << 10
+    extent = 16 << 10
+
+    def __init__(self, ops_per_thread=40, **kwargs):
+        super().__init__(**kwargs)
+        self.ops_per_thread = ops_per_thread
+
+    def path(self, thread_id):
+        return "/eager.%d.dat" % thread_id
+
+    def prepare(self, vfs, ctx):
+        data = payload(self.extent, tag=7)
+        for tid in range(self.threads):
+            fd = vfs.open(ctx, self.path(tid), f.O_CREAT | f.O_RDWR)
+            for offset in range(0, self.file_size, 2 * self.extent):
+                vfs.pwrite(ctx, fd, offset, data)
+            vfs.close(ctx, fd)
+
+    def make_thread_body(self, vfs, thread_id):
+        rng = self.rng(thread_id)
+        eager_chunk = payload(self.extent, tag=thread_id + 1)
+        lazy_chunk = payload(6000, tag=thread_id + 3)
+
+        def body(ctx):
+            path = self.path(thread_id)
+            lazy = vfs.open(ctx, path, f.O_RDWR)
+            eager = vfs.open(ctx, path, f.O_RDWR | f.O_SYNC)
+            for _ in range(self.ops_per_thread):
+                offset = rng.randrange(self.file_size)
+                kind = rng.random()
+                if kind < 0.4:
+                    vfs.pwrite(ctx, lazy, offset, lazy_chunk)
+                elif kind < 0.9:
+                    vfs.pwrite(ctx, eager, offset, eager_chunk)
+                else:
+                    vfs.pread(ctx, lazy, offset, 8192)
+                yield
+            vfs.close(ctx, eager)
+            vfs.close(ctx, lazy)
+
+        return body
+
+
+#: (fs, seed, mechanism) of the eager-path entries: ``tenants`` is
+#: perfbench's serve-tenants fleet cut to 8 tenants of 12 ops, its
+#: O_SYNC 16 KB writes billed through a QoS controller whose capacity is
+#: low enough to throttle them; ``osync`` is :class:`EagerOverlapWorkload`.
+EAGER_CASES = [
+    ("hinfs@2", 0, "tenants"),
+    ("hinfs", 0, "osync"),
+]
+
+
 def case_key(fs, seed, depth):
-    mech = "mmap" if depth < 0 else "d%d" % depth
+    if isinstance(depth, str):
+        mech = depth
+    else:
+        mech = "mmap" if depth < 0 else "d%d" % depth
     return "%s/seed%d/%s" % (fs, seed, mech)
+
+
+def _workload(seed, depth):
+    """``(workload, setup)`` of one case."""
+    if depth == "tenants":
+        fleet = TenantFleet.mixed(
+            8, ops=12, io_size=16 << 10, read_fraction=0.25,
+            think_ns=800_000, interval_ns=1_600_000, seed=seed, sync=True)
+
+        def attach(env, fs, vfs):
+            qos = QosController(env, 64 << 20)
+            vfs.attach_qos(qos)
+            fleet.register_all(qos)
+
+        return fleet, attach
+    if depth == "osync":
+        return EagerOverlapWorkload(threads=2, seed=seed), None
+    kwargs = dict(threads=2, ops_per_thread=50, io_size=4096,
+                  file_size=256 << 10, read_fraction=1 / 3,
+                  fsync_every=16, seed=seed)
+    if depth < 0:
+        workload = MmapFioWorkload(**kwargs)
+        return workload, workload.attach
+    if depth:
+        return RingFioWorkload(batch_depth=depth, **kwargs), None
+    return FioWorkload(**kwargs), None
 
 
 def run_case(fs, seed, depth):
     """One deterministic traced run; returns its full fingerprint."""
-    kwargs = dict(threads=2, ops_per_thread=50, io_size=4096,
-                  file_size=256 << 10, read_fraction=1 / 3,
-                  fsync_every=16, seed=seed)
-    setup = None
-    if depth < 0:
-        workload = MmapFioWorkload(**kwargs)
-        setup = workload.attach
-    elif depth:
-        workload = RingFioWorkload(batch_depth=depth, **kwargs)
-    else:
-        workload = FioWorkload(**kwargs)
+    workload, setup = _workload(seed, depth)
     hc = HiNFSConfig(buffer_bytes=2 << 20)
     result = run_workload(fs, workload, device_size=32 << 20,
                           hinfs_config=hc, trace_capacity=1 << 14,
@@ -125,8 +213,8 @@ def golden():
     return load_golden()
 
 
-@pytest.mark.parametrize("fs,seed,depth", CASES,
-                         ids=[case_key(*c) for c in CASES])
+@pytest.mark.parametrize("fs,seed,depth", CASES + EAGER_CASES,
+                         ids=[case_key(*c) for c in CASES + EAGER_CASES])
 def test_virtual_time_results_match_golden(golden, fs, seed, depth):
     key = case_key(fs, seed, depth)
     assert key in golden, "no golden entry for %s (regen needed?)" % key
@@ -141,8 +229,42 @@ def test_virtual_time_results_match_golden(golden, fs, seed, depth):
     assert sorted(got) == sorted(want)
 
 
+def test_the_eager_cases_take_the_paths_they_pin(golden, monkeypatch):
+    """``osync``'s O_SYNC requests flush lazily buffered blocks first
+    (the stream has no fsync and no writeback runs, so only the barrier
+    flushes) and map holes mid-request; ``tenants`` is throttled on
+    both shards."""
+    from repro.core import HiNFS
+
+    eager, mid_request_holes = [], []
+    body, ensure = HiNFS._write_sync_body, HiNFS._ensure_mapped
+
+    def watched_body(self, ctx, inode, offset, tx, view):
+        eager.append(offset)  # the O_SYNC request in progress
+        try:
+            return body(self, ctx, inode, offset, tx, view)
+        finally:
+            eager.pop()
+
+    def watched_ensure(self, ctx, tx, blockmap, offset, length):
+        if eager and offset > eager[-1]:
+            mid_request_holes.append(offset)
+        return ensure(self, ctx, tx, blockmap, offset, length)
+
+    monkeypatch.setattr(HiNFS, "_write_sync_body", watched_body)
+    monkeypatch.setattr(HiNFS, "_ensure_mapped", watched_ensure)
+    counters = run_case("hinfs", 0, "osync")["counters"]
+    assert counters == golden[case_key("hinfs", 0, "osync")]["counters"]
+    assert counters["hinfs_lazy_writes"] and counters["hinfs_flushed_lines"]
+    assert not [name for name in counters if name.startswith("writeback_")]
+    assert mid_request_holes
+    tenants = golden[case_key("hinfs@2", 0, "tenants")]["counters"]
+    assert tenants["qos_throttle_ns"] > 0
+    assert tenants["sharded_reqs@dev0"] and tenants["sharded_reqs@dev1"]
+
+
 def regen():
-    out = {case_key(*case): run_case(*case) for case in CASES}
+    out = {case_key(*case): run_case(*case) for case in CASES + EAGER_CASES}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fileobj:
         json.dump(out, fileobj, indent=1, sort_keys=True)

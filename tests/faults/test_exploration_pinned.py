@@ -49,6 +49,7 @@ from repro.core import HiNFS
 from repro.faults.crashpoints import (
     DEFAULT_OPS,
     DEMAND_OPS,
+    EAGER_OPS,
     MMIO_OPS,
     PRESSURE_OPS,
     PRESSURE_WARMUP,
@@ -372,3 +373,49 @@ def test_demand_ops_do_what_their_comments_say():
     recorded = seen[len(PRESSURE_WARMUP):]
     assert seen[len(PRESSURE_WARMUP) - 1] == (3, 0, 0, 0)
     assert recorded == [(2, 1, 4, 0), (7, 1, 4, 0), (15, 1, 4, 8)]
+
+
+# -- an eager write over buffered blocks and a hole ---------------------------
+
+#: ``EAGER_OPS`` (see its comment): the O_SYNC write lands on a file
+#: with buffered blocks and a deferred commit, and maps a hole half-way
+#: through.  Every ``sync_write`` above lands on a fresh file at 0.
+EAGER_PINNED = (
+    "hinfs: 2 ops, 59 tape events, 24 boundaries, "
+    "44 states checked (54 duplicates skipped), "
+    "16 eviction subsets sampled, 16 torn states sampled, 0 violations")
+
+
+def test_exploration_of_an_eager_write_over_buffered_blocks_is_pinned():
+    report = CrashPointExplorer("hinfs", seed=3, eviction_samples_per_op=8,
+                                torn_samples_per_op=8).explore(EAGER_OPS)
+    assert report.summary() == EAGER_PINNED
+
+
+def test_eager_ops_do_what_their_comments_say():
+    """Before the O_SYNC write blocks 0 and 1 are buffered and hold a
+    deferred commit; after it nothing of the file is buffered, nothing
+    is left open, and exactly one block -- the hole -- was mapped."""
+    seen = []
+
+    class Watching(CrashPointExplorer):
+        def _execute(self, vfs, ctx, op, op_index):
+            def state():
+                fs = vfs.fs
+                buffered = [(b.file_block, bool(b.pending_txs))
+                            for b in fs.buffer.file_blocks(
+                                vfs.stat(ctx, "/e").ino)] \
+                    if vfs.exists(ctx, "/e") else []
+                return (sorted(buffered), fs.balloc.used_count,
+                        fs.journal.open_transactions)
+
+            before = state()
+            super()._execute(vfs, ctx, op, op_index)
+            seen.append((before, state()))
+
+    Watching("hinfs")._run_ops(EAGER_OPS)
+    (_, appended), (before, after) = seen
+    assert appended == before
+    assert before[0] == [(0, True), (1, True)] and before[2] == 1
+    assert after[0] == [] and after[2] == 0
+    assert after[1] - before[1] == 1

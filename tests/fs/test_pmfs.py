@@ -401,8 +401,8 @@ def test_indirect_maps_and_a_directory_hole_survive_crash_and_remount(rig):
     vfs = rig.vfs
     blockmap = rig.fs._map(file_ino)
     mirror, l2_blocks = _reference_blockmap_scan(rig.device, blockmap.inode)
-    assert blockmap._mirror == mirror == file_map
-    assert list(blockmap._mirror) == list(mirror)
+    assert blockmap.mirror == mirror == file_map
+    assert list(blockmap.mirror) == list(mirror)
     assert blockmap._l2_blocks == l2_blocks and sorted(l2_blocks) == [0, 3]
     fd = vfs.open(ctx, "/sparse")
     for n, block in enumerate(blocks):

@@ -6,7 +6,13 @@ for its cost.  The ceilings sit about 5 % above what the tree achieves:
 105 for the pmfs overwrite (the two-step persist path cost 131), and on
 hinfs 466 for the 64 KB append, 391 for the fsync of 16 buffered blocks
 and 215 for the 128 KB buffered read (the per-block bookkeeping that
-the whole-block fast paths replaced cost 755, 535 and 375).  Ceilings,
+the whole-block fast paths replaced cost 755, 535 and 375).  An
+unaligned 16 KB O_SYNC overwrite raises 130 on hinfs and 131 on
+hinfs@2; a buffer lookup, a block-address, a line-count and a persist
+helper and a counter bump per block, the barrier's flush of an empty
+list and the undo capture loop around the inode core's one journal
+entry made it 166 and 186 (on hinfs@2 each writer-slot grant also
+bumped its two per-device counters through calls).  Ceilings,
 not equalities, so interpreter versions that inline comprehensions or a
 harmless extra helper do not flip them, while a lost fast path does.
 """
@@ -84,6 +90,22 @@ def test_buffered_128k_read_on_hinfs_stays_under_its_frame_ceiling():
                for b in vfs.fs.buffer.file_blocks(ino))
     vfs.pread(ctx, fd, 0, 4096)  # warm: the read ring entry
     assert _python_calls(lambda: vfs.pread(ctx, fd, 0, 131072)) <= 225
+
+
+@pytest.mark.parametrize("fs_name,ceiling", [("hinfs", 137), ("hinfs@2", 138)])
+def test_unaligned_16k_osync_overwrite_stays_under_its_frame_ceiling(
+        fs_name, ceiling):
+    """Five blocks, two of them partial, straight to NVMM: the eager
+    path, and on hinfs@2 the shard layer's routing too."""
+    env = SimEnv()
+    _, vfs = build_stack(env, fs_name, NVMMConfig(), 32 << 20)
+    ctx = ExecContext(env, "app")
+    fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR | f.O_SYNC)
+    vfs.pwrite(ctx, fd, 0, b"a" * 65536)
+    vfs.pwrite(ctx, fd, 1000, b"b" * 16384)  # warm: ring, lock table
+    chunk = b"c" * 16384
+    assert _python_calls(lambda: vfs.pwrite(ctx, fd, 1000, chunk)) \
+        <= ceiling
 
 
 @pytest.mark.parametrize("fs_name,ceiling", [("pmfs", 100), ("hinfs", 150)])
