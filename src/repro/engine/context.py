@@ -61,7 +61,9 @@ class _SpanCM:
         ctx.trace_span = self.previous
         end_ns = ctx.now
         if self.layer == LAYER_VFS:
-            ctx.env.stats.add_syscall_time(self.name, end_ns - self.start_ns)
+            stats = ctx.env.stats
+            stats.syscall_time_ns[self.name] += end_ns - self.start_ns
+            stats.syscall_counts[self.name] += 1
         sp = self.sp
         if sp is not None:
             sp.close(end_ns)
@@ -72,27 +74,37 @@ class _SpanCM:
         return False
 
 
+class _NoPhase:
+    """What :meth:`ExecContext.layer` returns outside a traced span: one
+    shared instance that does nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, exc_type, exc, tb):
+        return False
+
+
+_NO_PHASE = _NoPhase()
+
+
 class _PhaseCM:
-    """Attaches a sub-layer phase to the enclosing span (no-op untraced)."""
+    """Attaches a sub-layer phase to the enclosing traced span."""
 
     __slots__ = ("ctx", "name", "sp", "enter_ns")
 
-    def __init__(self, ctx, name):
+    def __init__(self, ctx, name, sp):
         self.ctx = ctx
         self.name = name
+        self.sp = sp
 
     def __enter__(self):
-        ctx = self.ctx
-        sp = ctx.trace_span
-        self.sp = sp
-        if sp is not None:
-            self.enter_ns = ctx.now
-        return ctx
+        self.enter_ns = self.ctx.now
 
     def __exit__(self, exc_type, exc, tb):
-        sp = self.sp
-        if sp is not None:
-            sp.add_phase(self.name, self.enter_ns, self.ctx.now)
+        self.sp.add_phase(self.name, self.enter_ns, self.ctx.now)
         return False
 
 
@@ -194,13 +206,21 @@ class ExecContext:
 
     def syscall(self, name, req=None):
         """Record the duration of one syscall for per-syscall breakdowns
-        (and, when tracing, as a ``vfs``-layer span carrying ``req``)."""
+        (and, when tracing, as a ``vfs``-layer span carrying ``req``).
+        Untraced, the span's disabled path without the :meth:`span`
+        frame."""
+        if self.env.trace is None:
+            return _SpanCM(self, name, LAYER_VFS, None, self.now)
         return self.span(name, layer=LAYER_VFS, req=req)
 
     def layer(self, name):
         """Record a sub-layer visit (``fs``/``writeback``/``nvmm``) as a
-        phase on the enclosing span.  No-op when untraced."""
-        return _PhaseCM(self, name)
+        phase on the enclosing span.  Outside a traced span it returns
+        a shared no-op."""
+        sp = self.trace_span
+        if sp is None:
+            return _NO_PHASE
+        return _PhaseCM(self, name, sp)
 
     def __repr__(self):
         return "ExecContext(name=%r, now=%d)" % (self.name, self.now)

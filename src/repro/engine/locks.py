@@ -293,7 +293,14 @@ class InodeLockTable:
 
 
 class _InodeGuard:
-    """One inode lock held for a ``with`` block (lockdep-tracked)."""
+    """One inode lock held for a ``with`` block (lockdep-tracked).
+
+    An uncontended lock is taken and dropped inline -- what ``lock``,
+    ``_push``, ``acquire_read``/``acquire_write``, ``release_*`` and
+    ``_pop`` do, without their frames: the lockdep check runs only when
+    the context already holds a lock, and ``_wait_until`` only when the
+    lock is busy past the context's clock.
+    """
 
     __slots__ = ("table", "ctx", "ino", "mode", "lock")
 
@@ -304,25 +311,44 @@ class _InodeGuard:
         self.mode = mode
 
     def __enter__(self):
-        table, ctx, ino = self.table, self.ctx, self.ino
-        lock = table.lock(ino)
+        table, ctx, ino, mode = self.table, self.ctx, self.ino, self.mode
+        lock = table._locks.get(ino)
+        if lock is None:
+            lock = table.lock(ino)
         self.lock = lock
-        if self.mode == "read":
-            table._push(ctx, ino, "read")
-            lock.acquire_read(ctx)
+        held = ctx.held_locks
+        if held:
+            table._check_order(ctx, ino, mode)
+        held.append((ino, mode))
+        if mode == "read":
+            free_at = lock._write_free_at
         else:
-            table._push(ctx, ino, "write")
-            lock.acquire_write(ctx)
+            free_at = lock._write_free_at
+            if lock._read_free_at > free_at:
+                free_at = lock._read_free_at
+        if free_at > ctx.now:
+            lock._wait_until(ctx, free_at, mode + " acquire")
+        else:
+            lock.env.stats.counters["lock_acquisitions"] += 1
+        if mode != "read":
+            lock.writer = ctx.name
         return lock
 
     def __exit__(self, exc_type, exc, tb):
-        table, ctx, ino = self.table, self.ctx, self.ino
+        ctx, lock = self.ctx, self.lock
+        now = ctx.now
         if self.mode == "read":
-            self.lock.release_read(ctx)
-            table._pop(ctx, ino, "read")
+            if now > lock._read_free_at:
+                lock._read_free_at = now
         else:
-            self.lock.release_write(ctx)
-            table._pop(ctx, ino, "write")
+            if now > lock._write_free_at:
+                lock._write_free_at = now
+            lock.writer = None
+        held = ctx.held_locks
+        if held and held[-1] == (self.ino, self.mode):
+            held.pop()
+        else:
+            self.table._pop(ctx, self.ino, self.mode)
         return False
 
 

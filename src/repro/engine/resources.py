@@ -13,7 +13,7 @@ cacheline flush happening "now" -- the foreground request slots into the
 earlier gap, exactly as real hardware would interleave the streams.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from repro.engine.errors import SimulationError
 
@@ -21,6 +21,10 @@ from repro.engine.errors import SimulationError
 #: simulated clocks advance roughly together, so a deep history is never
 #: probed again.
 _MAX_INTERVALS = 128
+
+#: Later than any start (292 years of virtual ns), so the first probed
+#: server always beats it; an int, as every start is.
+_NEVER = 1 << 63
 
 
 class Reservation:
@@ -54,9 +58,11 @@ class _ServerTimeline:
         self.starts = []
         self.ends = []
 
-    def book(self, start_ns, end_ns):
-        """Insert a busy interval (must not overlap existing ones)."""
-        i = bisect_left(self.starts, start_ns)
+    def book(self, start_ns, end_ns, i):
+        """Insert the busy interval ``[start_ns, end_ns)`` at index ``i``,
+        where the gap search stopped: every interval before ``i`` ends
+        by ``start_ns`` and ``starts[i]`` (if any) is at or after
+        ``end_ns``."""
         # Coalesce with neighbours when exactly adjacent.
         if i > 0 and self.ends[i - 1] == start_ns:
             self.ends[i - 1] = end_ns
@@ -105,12 +111,17 @@ class FCFSServers:
         append-or-coalesce with no bisect.  That covers a foreground
         persist on any server, not just server 0 -- the others matter
         whenever background writeback has booked server 0 ahead.
+
+        Otherwise a server's gap walk stops as soon as its candidate
+        start reaches the best start found so far (it can only lose),
+        and the winner is booked at the index where its walk stopped.
         """
         if duration_ns < 0:
             raise SimulationError("negative reservation on %r" % self.name)
         end_ns = request_ns + duration_ns
         best_server = None
-        best_start = None
+        best_start = _NEVER
+        best_index = 0
         for server in self._servers:
             ends = server.ends
             if not ends or ends[-1] <= request_ns:
@@ -139,14 +150,17 @@ class FCFSServers:
                     break
                 if ends[i] > start:
                     start = ends[i]
+                    if start >= best_start:
+                        break  # cannot beat the best server any more
                 i += 1
-            if best_start is None or start < best_start:
+            if start < best_start:
                 best_start = start
                 best_server = server
+                best_index = i
                 if start == request_ns:
                     break  # a gap right at the request: cannot do better
         if duration_ns > 0:
-            best_server.book(best_start, best_start + duration_ns)
+            best_server.book(best_start, best_start + duration_ns, best_index)
         self.total_busy_ns += duration_ns
         self.total_wait_ns += best_start - request_ns
         self.total_grants += 1

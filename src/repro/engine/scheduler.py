@@ -47,8 +47,11 @@ class Scheduler:
         "run for N simulated seconds" mode).  Returns the largest virtual
         time reached by any thread (the elapsed makespan).
         """
+        # Clocks are read as ``thread.ctx.now``, not through the
+        # ``SimThread.now`` property: no frame per step.
         heap = [
-            (t.now, next(self._counter), t) for t in self.threads if not t.finished
+            (t.ctx.now, next(self._counter), t)
+            for t in self.threads if not t.finished
         ]
         heapq.heapify(heap)
         heappop = heapq.heappop
@@ -80,7 +83,7 @@ class Scheduler:
                 # may have made background work due *at* ``now`` (buffer
                 # pressure), and that work precedes the next step.  The
                 # registry's cached min-due makes the idle case O(1).
-                advance_to(thread.now)
+                advance_to(thread.ctx.now)
                 try:
                     stepped = thread.step()
                 except DeadlockError as exc:
@@ -89,7 +92,7 @@ class Scheduler:
                     raise exc.attach(
                         self.diagnostics(exclude=exc.diagnostics))
                 if stepped:
-                    heappush(heap, (thread.now, next(counter), thread))
+                    heappush(heap, (thread.ctx.now, next(counter), thread))
             batch.clear()
         return self.elapsed_ns()
 

@@ -5,8 +5,8 @@ Two of the paper's figures are pure accounting artifacts:
 - Figure 1 breaks PMFS run time into *Read Access*, *Write Access*, and
   *Others*; :class:`TimeBreakdown` accumulates exactly those categories.
 - Figure 12 breaks trace-replay time into per-syscall buckets (read,
-  write, unlink, fsync); the VFS layer records those through
-  :meth:`SimStats.add_syscall_time`.
+  write, unlink, fsync): ``syscall_time_ns`` / ``syscall_counts``,
+  booked when a syscall span closes (:mod:`repro.engine.context`).
 """
 
 from collections import defaultdict
@@ -155,10 +155,6 @@ class SimStats:
 
     def add_time(self, category, ns):
         self.breakdown.add(category, ns)
-
-    def add_syscall_time(self, syscall, ns):
-        self.syscall_time_ns[syscall] += int(ns)
-        self.syscall_counts[syscall] += 1
 
     def add_layer_time(self, layer, ns):
         if ns:

@@ -105,6 +105,9 @@ class InodeTable:
         self.device = device
         self.journal = journal
         self.sb = sb
+        #: Address of inode 1: the table is one contiguous run, so inode
+        #: ``ino``'s core sits ``(ino - 1) * INODE_SIZE`` past it.
+        self._table_addr = inode_addr(sb, 1)
         self._mirror = {}
         #: Min-heap of free inode numbers (an ascending list is one):
         #: ``alloc`` hands out the lowest free inode in O(log n).
@@ -127,10 +130,12 @@ class InodeTable:
         return inode_addr(self.sb, ino)
 
     def write_core(self, ctx, tx, inode):
-        """Persist kind/nlink/size/times with one journaled cacheline."""
+        """Persist kind/nlink/size/times with one journaled cacheline:
+        one undo entry, then the core stored by the device's line
+        kernel (:meth:`core_addr`, inline)."""
         self.journal.journaled_write(
-            ctx, tx, self.core_addr(inode.ino), inode.pack_core()
-        )
+            ctx, tx, self._table_addr + (inode.ino - 1) * INODE_SIZE,
+            inode.pack_core())
 
     def write_pointers(self, ctx, tx, inode):
         """Persist the 112-byte block-pointer area (journaled)."""

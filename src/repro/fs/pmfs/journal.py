@@ -191,8 +191,7 @@ class Journal:
         self.device.mem.write_nocache(self.base_addr, self._header_bytes())
 
     def _write_header(self, ctx):
-        self.device.persist_cached(ctx, self.base_addr, self._header_bytes(),
-                                   CAT_OTHERS, fence=True)
+        self.device.persist_line(ctx, self.base_addr, self._header_bytes())
 
     def _slot_addr(self, slot):
         return self.base_addr + (slot + 1) * ENTRY_SIZE
@@ -239,11 +238,15 @@ class Journal:
         length = len(new_bytes)
         if 0 < length <= ENTRY_PAYLOAD_MAX:
             # One entry holds the whole undo image (an inode core, a
-            # block pointer): append it without the capture loop.
+            # block pointer): append it without the capture loop, and
+            # store a range inside one line with the line kernel.
             if not tx.open:
                 raise ValueError("transaction %d already closed" % tx.tx_id)
             self._append(ctx, tx, KIND_UNDO, addr,
                          self.device.mem.read(addr, length))
+            if addr % CACHELINE_SIZE + length <= CACHELINE_SIZE:
+                self.device.persist_line(ctx, addr, new_bytes, fences=0)
+                return
         else:
             self.log_undo(ctx, tx, addr, length)
         self.device.persist_cached(ctx, addr, new_bytes, CAT_OTHERS)
@@ -253,8 +256,8 @@ class Journal:
         the tail moves up to the oldest transaction still open."""
         if not tx.open:
             raise ValueError("transaction %d already closed" % tx.tx_id)
-        self._append(ctx, tx, KIND_COMMIT, 0, b"")
-        self.device.fence(ctx)
+        # The entry's own fence, then the commit's ordering point.
+        self._append(ctx, tx, KIND_COMMIT, 0, b"", fences=2)
         tx.open = False
         self._open_txs.pop(tx.tx_id, None)
         logged = self._logged
@@ -278,7 +281,7 @@ class Journal:
 
     # -- ring management --------------------------------------------------
 
-    def _append(self, ctx, tx, kind, addr, payload):
+    def _append(self, ctx, tx, kind, addr, payload, fences=1):
         head = self.head
         # Only a COMMIT may take a slot held back for the COMMITs.
         held = len(self._open_txs) if kind != KIND_COMMIT else 0
@@ -306,9 +309,10 @@ class Journal:
             # entry *is* entry_checksum(entry); patch it in.
             _CSUM_PACK_INTO(entry, _CSUM_OFFSET, zlib.crc32(entry))
         # One cacheline: write, flush, fence -- the entry (including its
-        # generation stamp) becomes persistent atomically.
-        self.device.persist_cached(ctx, self._slot_addr(slot), entry,
-                                   CAT_OTHERS, fence=True)
+        # generation stamp) becomes persistent atomically.  The slot
+        # address is _slot_addr(slot), inline.
+        self.device.persist_line(
+            ctx, self.base_addr + (slot + 1) * ENTRY_SIZE, entry, fences)
         if tx.first is None:
             # With nothing logged the tail sat at the head: this is it.
             tx.first = head

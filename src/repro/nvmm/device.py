@@ -17,6 +17,9 @@ from repro.obs.trace import LAYER_NVMM
 
 NVMM_WRITE_RESOURCE = "nvmm_write_slots"
 
+#: ``config -> store cost of 0..64 bytes`` (``NVMMConfig`` is frozen).
+_STORE_NS = {}
+
 
 class NVMMDevice:
     """Byte-addressable NVMM with slow, bandwidth-capped writes.
@@ -30,9 +33,10 @@ class NVMMDevice:
       slot without waiting for it (HiNFS writeback, which overlaps many
       blocks across the ``N_w`` slots and syncs to the last end).
     - :meth:`persist_cached` -- a cached store flushed in the same breath
-      (``pmem_memcpy_persist``): every journal entry, journaled metadata
-      range, journal header and recovery rollback, i.e. all metadata of
-      every PMFS-family stack.
+      (``pmem_memcpy_persist``): every journaled metadata range and
+      recovery rollback, i.e. all metadata of every PMFS-family stack;
+      :meth:`persist_line` is its one-line form plus fences (journal
+      entries and header, inode cores).
     - :meth:`write_cached`, later :meth:`clflush` + :meth:`fence` -- a
       store that stays volatile until a flush an epoch away; only mapped
       files (:mod:`repro.io.mmio`: store now, ``msync`` later) need the
@@ -98,9 +102,14 @@ class NVMMDevice:
         #: Slot occupancy per persisted cacheline; the config method is
         #: the one formula (linear in lines), evaluated once.
         self._line_persist_ns = int(config.nvmm_persist_cost_ns(1))
-        #: What storing one cacheline into the cache costs -- every
-        #: journal entry's store -- evaluated once as well.
-        self._line_store_ns = config.dram_store_cost_ns(CACHELINE_SIZE)
+        #: What storing 0..64 bytes into the cache costs, by length --
+        #: every journal entry and inode core -- evaluated once per
+        #: config (the crash explorer binds a device per crash state).
+        self._store_ns = _STORE_NS.get(config)
+        if self._store_ns is None:
+            self._store_ns = _STORE_NS[config] = tuple(
+                config.dram_store_cost_ns(n)
+                for n in range(CACHELINE_SIZE + 1))
         #: Per-domain slot-grant counter for sharded stacks.  Single-
         #: device stacks (domain None) have none, so their counter dicts
         #: -- and the golden-seed fingerprints pinned on them -- stay
@@ -287,16 +296,14 @@ class NVMMDevice:
         self.env.stats.bytes_written_nvmm += length
         return self._grant_slot(ctx.now, nlines)
 
-    def persist_cached(self, ctx, addr, data, category=CAT_OTHERS,
-                       fence=False):
+    def persist_cached(self, ctx, addr, data, category=CAT_OTHERS):
         """Store through the cache and flush the same range at once
-        (``pmem_memcpy_persist``); with ``fence``, order it as well.
+        (``pmem_memcpy_persist``).
 
-        Charges what :meth:`write_cached` then :meth:`clflush` (then
-        :meth:`fence`) charge, in their order: the store lands in the
-        cache and pays its DRAM cost first, so the writer slot is
-        requested at the time the flush would start; only the flush is
-        an ``nvmm`` phase; the fence is charged last (as ``CAT_OTHERS``).
+        Charges what :meth:`write_cached` then :meth:`clflush` charge,
+        in their order: the store lands in the cache and pays its DRAM
+        cost first, so the writer slot is requested at the time the
+        flush would start; only the flush is an ``nvmm`` phase.
         The fault guard sits between store and flush: a
         :class:`MediaError` leaves the bytes visible but volatile and
         nothing durable.  Returns the lines flushed.
@@ -304,7 +311,7 @@ class NVMMDevice:
         mem = self.mem
         length = len(data)
         span = ctx.trace_span
-        store_ns = (self._line_store_ns if length == CACHELINE_SIZE
+        store_ns = (self._store_ns[length] if length <= CACHELINE_SIZE
                     else self.config.dram_store_cost_ns(length))
         if self.fault_model is None:
             flushed = mem.write_flush(addr, data)
@@ -322,10 +329,78 @@ class NVMMDevice:
             self.env.stats.bytes_written_nvmm += flushed * CACHELINE_SIZE
         if span is not None:
             span.add_phase(LAYER_NVMM, start, ctx.now)
-        if fence:
-            ctx.charge(self.config.fence_ns, CAT_OTHERS)
-            mem.fence()
         return flushed
+
+    def persist_line(self, ctx, addr, data, fences=1):
+        """:meth:`persist_cached` of 1 to 64 bytes inside one aligned
+        cacheline -- a journal entry, an inode core -- then ``fences``
+        :meth:`fence` calls, in one frame: the same bytes, flags,
+        charges (all ``CAT_OTHERS``), slot booking, ledger, ``nvmm``
+        phase and observer events in the same order.  A journal entry
+        takes one fence; a commit two, the entry's and its own.
+
+        A fault model, an observer, a free context and a traced span
+        are branches of this one body.
+        """
+        mem = self.mem
+        length = len(data)
+        if addr % CACHELINE_SIZE + length > CACHELINE_SIZE or not length:
+            raise ValueError("persist_line of %d bytes at %#x is not inside "
+                             "one cacheline" % (length, addr))
+        free = ctx.free
+        # The store lands in the cache and is charged first.
+        now = ctx.now if free else ctx.now + self._store_ns[length]
+        others = now - ctx.now
+        start = now
+        model = self.fault_model
+        if model is None and mem.observer is None:
+            # mem.write_flush of one line, inline: a clean line takes
+            # the bytes, a volatile one becomes durable as it stands.
+            mem._mv[addr:addr + length] = data
+            if mem._saved:
+                line = addr // CACHELINE_SIZE
+                if mem._flags[line]:
+                    mem._flags[line] = 0
+                    del mem._saved[line]
+        else:
+            mem.write(addr, data)
+            if model is not None:
+                # Between store and flush, as in persist_cached: a
+                # MediaError leaves the line volatile, nothing durable.
+                ctx.now = now
+                if others:
+                    self.env.stats.breakdown._ns[CAT_OTHERS] += others
+                    others = 0
+                self._guard_persist(ctx, addr, length)
+                now = ctx.now
+            mem.clflush(addr, length)
+        if not free:
+            persist_ns = self._line_persist_ns
+            end = self.write_slots.grant(now, persist_ns) + persist_ns
+            stats = self.env.stats
+            if self._grant_counter is not None:
+                counters = stats.counters
+                counters[self._grant_counter] += 1
+                counters["nvmm_slot_grants_total"] += 1
+            if end > now:
+                others += end - now
+                now = end
+            stats.bytes_written_nvmm += CACHELINE_SIZE
+        span = ctx.trace_span
+        if span is not None:
+            span.add_phase(LAYER_NVMM, start, now)
+        if fences:
+            if not free:
+                fence_ns = fences * self.config.fence_ns
+                others += fence_ns
+                now += fence_ns
+            observer = mem.observer
+            if observer is not None:
+                for _ in range(fences):
+                    observer.on_fence(mem)
+        ctx.now = now
+        if others:
+            self.env.stats.breakdown._ns[CAT_OTHERS] += others
 
     def write_cached(self, ctx, addr, data, category=CAT_OTHERS):
         """Ordinary store: lands in the CPU cache, volatile until flushed."""

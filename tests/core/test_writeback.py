@@ -109,8 +109,8 @@ def test_foreground_persists_between_wakes_wait_one_batch_at_most():
         rig.ctx.now = max(rig.ctx.now, pool.next_due_ns())
         rig.env.background.advance_to(rig.ctx.now)
         start = rig.ctx.now
-        rig.device.persist_cached(rig.ctx, spare_block, b"j" * 4096,
-                                  fence=True)
+        rig.device.persist_cached(rig.ctx, spare_block, b"j" * 4096)
+        rig.device.fence(rig.ctx)
         assert rig.ctx.now - start - own_ns <= batch_ns
         wakes += 1
     assert wakes == 4  # 2 -> 5 -> 8 -> 11 -> 14 free

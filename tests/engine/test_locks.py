@@ -6,6 +6,8 @@ assert on clock positions and the SimStats lock counters.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import InodeLockTable, VMutex, VRWLock
 from repro.engine.context import ExecContext
@@ -198,3 +200,131 @@ class TestInodeLockTable:
         with table.write_locked(b, 6):
             assert b.now == 10
         assert env.stats.count("lock_contentions") == 0
+
+
+# -- the inline inode guard against the calls it replaced ---------------------
+
+
+class _ReferenceGuard:
+    """The previous ``_InodeGuard``: ``lock``, ``_push`` (lockdep on every
+    acquisition), ``acquire_*``, then ``release_*`` and ``_pop``."""
+
+    def __init__(self, table, ctx, ino, mode):
+        self.table, self.ctx, self.ino, self.mode = table, ctx, ino, mode
+
+    def __enter__(self):
+        table, ctx, ino = self.table, self.ctx, self.ino
+        self.lock = lock = table.lock(ino)
+        table._push(ctx, ino, self.mode)
+        if self.mode == "read":
+            lock.acquire_read(ctx)
+        else:
+            lock.acquire_write(ctx)
+        return lock
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.mode == "read":
+            self.lock.release_read(self.ctx)
+        else:
+            self.lock.release_write(self.ctx)
+        self.table._pop(self.ctx, self.ino, self.mode)
+        return False
+
+
+class _LockWorld:
+    def __init__(self, inline, traced):
+        self.env = SimEnv()
+        if traced:
+            self.env.enable_tracing(256)
+        self.table = InodeLockTable(self.env)
+        self.inline = inline
+        self.ctxs = [ctx_at(self.env, name, now)
+                     for name, now in (("a", 0), ("b", 50), ("c", 120))]
+
+    def guard(self, ctx, ino, mode):
+        if self.inline:
+            locked = (self.table.read_locked if mode == "read"
+                      else self.table.write_locked)
+            return locked(ctx, ino)
+        return _ReferenceGuard(self.table, ctx, ino, mode)
+
+    def step(self, who, outer, inner, hold_ns):
+        """One syscall-like span: an outer guard, optionally a nested
+        one, time spent inside.  Returns the DeadlockError's text."""
+        ctx = self.ctxs[who]
+        try:
+            with ctx.syscall("op"):
+                with self.guard(ctx, *outer):
+                    ctx.charge(hold_ns)
+                    if inner is not None:
+                        with self.guard(ctx, *inner):
+                            ctx.charge(hold_ns // 2)
+        except DeadlockError as err:
+            return str(err)
+        return None
+
+    def state(self):
+        locks = self.table._locks
+        return {
+            "now": [ctx.now for ctx in self.ctxs],
+            "held": [list(ctx.held_locks) for ctx in self.ctxs],
+            "stats": self.env.stats.summary(),
+            "locks": {ino: (lock._write_free_at, lock._read_free_at,
+                            lock.writer, lock.contentions,
+                            lock.wait_ns_total)
+                      for ino, lock in locks.items()},
+            "spans": None if self.env.trace is None else [
+                (sp.name, sp.thread, sp.start_ns, sp.end_ns, sp.phases)
+                for sp in self.env.trace.spans()],
+        }
+
+
+_GUARD = st.tuples(st.integers(1, 4), st.sampled_from(["read", "write"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(traced=st.booleans(), steps=st.lists(
+    st.tuples(st.integers(0, 2), _GUARD, st.one_of(st.none(), _GUARD),
+              st.integers(0, 400)),
+    min_size=1, max_size=40))
+def test_inline_inode_guard_matches_the_reference_guard(traced, steps):
+    """Random nests over four inodes and three threads at different
+    clocks: contended and free acquisitions, readers and writers,
+    recursion and ABBA order (a nested inode at or below the outer one).
+    Every error, clock, held-lock list, counter, lock's free times and
+    traced ``lock`` phase agree."""
+    ref, new = _LockWorld(False, traced), _LockWorld(True, traced)
+    for who, outer, inner, hold_ns in steps:
+        assert new.step(who, outer, inner, hold_ns) \
+            == ref.step(who, outer, inner, hold_ns)
+        assert new.state() == ref.state()
+
+
+def test_inline_guard_counts_a_contended_wait_and_records_its_phase(env):
+    env.enable_tracing(16)
+    table = InodeLockTable(env)
+    a, b = ctx_at(env, "a", 0), ctx_at(env, "b", 100)
+    with table.write_locked(a, 5):
+        a.charge(500)
+    with b.syscall("read"):
+        with table.read_locked(b, 5):
+            assert b.now == 500
+    counters = env.stats.counters
+    assert (counters["lock_acquisitions"], counters["lock_contentions"],
+            counters["lock_wait_ns"]) == (2, 1, 400)
+    (phase,) = [p for sp in env.trace.spans() for p in sp.phases]
+    assert phase == (LAYER_LOCK, 100, 500)
+    assert a.held_locks == b.held_locks == []
+
+
+def test_inline_guard_runs_lockdep_only_with_a_lock_held(env, monkeypatch):
+    table = InodeLockTable(env)
+    a = ctx_at(env, "a", 0)
+    checked = []
+    real = table._check_order
+    monkeypatch.setattr(table, "_check_order",
+                        lambda *args: checked.append(args[1:]) or real(*args))
+    with table.write_locked(a, 3):
+        with table.read_locked(a, 4):
+            pass
+    assert checked == [(4, "read")]

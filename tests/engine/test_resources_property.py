@@ -98,10 +98,31 @@ def _earliest_start(server, request_ns, duration_ns):
     return candidate
 
 
+def _book(server, start_ns, end_ns):
+    """The previous ``_ServerTimeline.book``: bisect for the insertion
+    point, then coalesce with exactly adjacent neighbours."""
+    starts, ends = server.starts, server.ends
+    i = bisect.bisect_left(starts, start_ns)
+    if i > 0 and ends[i - 1] == start_ns:
+        ends[i - 1] = end_ns
+        if i < len(starts) and starts[i] == end_ns:
+            ends[i - 1] = ends[i]
+            del starts[i], ends[i]
+    elif i < len(starts) and starts[i] == end_ns:
+        starts[i] = start_ns
+    else:
+        starts.insert(i, start_ns)
+        ends.insert(i, end_ns)
+    if len(starts) > _MAX_INTERVALS:
+        ends[0] = ends[1]
+        del starts[1], ends[1]
+
+
 class _ReserveReference:
     """The previous ``reserve``: only server 0 has the idle-at-tail
-    shortcut; otherwise every server is probed with ``_earliest_start``
-    and the first earliest one is booked through the bisecting ``book``."""
+    shortcut; otherwise every server is probed to the end with
+    ``_earliest_start`` and the first earliest one is booked through the
+    bisecting ``_book``."""
 
     def __init__(self, capacity):
         self.servers = [_ServerTimeline() for _ in range(capacity)]
@@ -134,7 +155,7 @@ class _ReserveReference:
                     break
         end = best_start + duration_ns
         if duration_ns > 0:
-            best_server.book(best_start, end)
+            _book(best_server, best_start, end)
         wait = best_start - request_ns
         self.total_busy_ns += duration_ns
         self.total_wait_ns += wait
@@ -228,3 +249,34 @@ def test_inline_gap_search_grants_what_earliest_start_granted(
         merged |= len(servers._servers[0].starts) == _MAX_INTERVALS
     assert merged
     _assert_same_pool(servers, ref)
+
+
+@pytest.mark.parametrize("capacity,seed", [(2, 0), (3, 1), (3, 2), (4, 3)])
+def test_walk_heavy_streams_grant_what_the_reference_granted(capacity, seed):
+    """Streams that make every server walk: each one holds far-future
+    bookings, a third of the requests are zero-length, and each server's
+    history passes ``_MAX_INTERVALS``.  Early-stopped walks and the
+    booking at the walk's index must leave every grant, every interval
+    and every total exactly where the bisecting reference left them."""
+    servers = FCFSServers(capacity)
+    ref = _ReserveReference(capacity)
+    rng = random.Random(seed)
+    # Far-future islands on every server: server k holds bookings every
+    # 300 ns from 50 us on, offset by k, so later requests walk them.
+    for k in range(capacity):
+        for j in range(40):
+            request = 50_000 + k * 7 + j * 300
+            assert servers.grant(request, 100) == ref.reserve(request, 100)[0]
+    clock = 0
+    walked_past_bound = [False] * capacity
+    for _ in range(5 * capacity * _MAX_INTERVALS):
+        clock += rng.choice((0, 3, 40, 150))
+        request = clock + rng.choice((0, 0, 200, 45_000, 60_000, 90_000))
+        duration = rng.choice((0, 0, 0, 1, 30, 120, 400))
+        assert servers.grant(request, duration) \
+            == ref.reserve(request, duration)[0]
+        _assert_same_pool(servers, ref)
+        for k, server in enumerate(servers._servers):
+            walked_past_bound[k] |= len(server.starts) == _MAX_INTERVALS
+    assert all(walked_past_bound)
+    assert servers.total_wait_ns > 0

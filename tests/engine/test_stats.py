@@ -119,7 +119,8 @@ def test_stats_summary_is_plain_data():
     stats = SimStats()
     stats.bump("c")
     stats.add_time("write_access", 7)
-    stats.add_syscall_time("fsync", 9)
+    stats.syscall_time_ns["fsync"] += 9
+    stats.syscall_counts["fsync"] += 1
     summary = stats.summary()
     assert summary["counters"] == {"c": 1}
     assert summary["breakdown"] == {"write_access": 7}

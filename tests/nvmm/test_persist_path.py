@@ -1,4 +1,5 @@
-"""The fused persist call against the three calls it replaced.
+"""The fused persist call against the three calls it replaced, and the
+one-line kernel against the fused call.
 
 ``write_cached`` + ``clflush`` (+ ``fence``) of one range is kept here
 as the reference.  Two worlds -- own env, own device, own contexts --
@@ -53,8 +54,10 @@ class Tap:
 
 class World:
     def __init__(self, fused, observed=False, traced=False, domain=None,
-                 faulty=False):
+                 faulty=False, line=False):
         self.fused = fused
+        #: One-line persists go through persist_line, not persist_cached.
+        self.line = line
         self.env = SimEnv()
         if traced:
             self.env.enable_tracing()
@@ -69,18 +72,31 @@ class World:
         # one that books writer slots ahead of both.
         self.ctxs = [ExecContext(self.env, "a"),
                      ExecContext(self.env, "b", start_ns=7_777),
-                     ExecContext(self.env, "bg")]
+                     ExecContext(self.env, "bg"),
+                     FreeContext(self.env, "mkfs")]
 
     def persist(self, ctx, addr, data, fence):
         dev = self.dev
         if self.fused:
-            return dev.persist_cached(ctx, addr, data, CAT_OTHERS,
-                                      fence=fence)
-        dev.write_cached(ctx, addr, data, CAT_OTHERS)
-        flushed = dev.clflush(ctx, addr, len(data), CAT_OTHERS)
+            flushed = dev.persist_cached(ctx, addr, data, CAT_OTHERS)
+        else:
+            dev.write_cached(ctx, addr, data, CAT_OTHERS)
+            flushed = dev.clflush(ctx, addr, len(data), CAT_OTHERS)
         if fence:
             dev.fence(ctx)
         return flushed
+
+    def persist_line(self, ctx, addr, data, fences):
+        """One journal entry (``fences=1``) or commit (2) or in-place
+        inode core (0): the line kernel, or persist_cached followed by
+        ``fences`` fence() calls."""
+        dev = self.dev
+        if self.line:
+            return dev.persist_line(ctx, addr, data, fences)
+        dev.persist_cached(ctx, addr, data, CAT_OTHERS)
+        for _ in range(fences):
+            dev.fence(ctx)
+        return None
 
     def step(self, index, step):
         """Run one step; returns its value or the MediaError's lines."""
@@ -109,6 +125,8 @@ class World:
             with ctx.span("step%d" % index):
                 if kind == "persist":
                     return self.persist(ctx, step[2], step[3], step[4])
+                if kind == "line":
+                    return self.persist_line(ctx, step[2], step[3], step[4])
                 if kind == "cached":
                     return dev.write_cached(ctx, step[2], step[3])
                 assert kind == "nt"
@@ -196,11 +214,15 @@ def _pair(**kwargs):
 
 
 def test_permanent_fault_leaves_the_store_volatile_and_visible():
-    for world in _pair(faulty=True, observed=True):
+    line = World(True, faulty=True, observed=True, line=True)
+    for world in _pair(faulty=True, observed=True) + (line,):
         world.model.poison_line(3)
         ctx = world.ctxs[0]
         with pytest.raises(MediaError) as err:
-            world.persist(ctx, 3 * 64 + 8, b"entry", True)
+            if world.line:
+                world.persist_line(ctx, 3 * 64 + 8, b"entry", 2)
+            else:
+                world.persist(ctx, 3 * 64 + 8, b"entry", True)
         assert list(err.value.lines) == [3]
         mem = world.dev.mem
         assert mem.read(3 * 64 + 8, 5) == b"entry"
@@ -277,3 +299,105 @@ def test_zero_length_persist_is_a_boundary_and_nothing_else():
         assert world.ctxs[0].now == CFG.fence_ns
         assert [ev[0] for ev in world.tap.events] == ["boundary", "fence"]
     assert new.state() == ref.state()
+
+
+# -- the line kernel against persist_cached + fence -------------------------
+
+
+def _in_one_line():
+    """``(addr, data)``: 1 to 64 bytes inside one cacheline."""
+    return st.tuples(st.integers(0, NLINES - 1), st.integers(0, 63)).flatmap(
+        lambda t: st.tuples(
+            st.just(t[0] * CACHELINE_SIZE + t[1]),
+            st.binary(min_size=1, max_size=CACHELINE_SIZE - t[1])))
+
+
+#: Thread 3 is the FreeContext (mkfs, recovery).
+LINE_STEP = st.tuples(st.sampled_from([0, 1, 3]), _in_one_line(),
+                      st.integers(0, 2)).map(
+    lambda t: ("line", t[0], t[1][0], t[1][1], t[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    observed=st.booleans(), traced=st.booleans(), faulty=st.booleans(),
+    domain=st.sampled_from([None, "dev1"]), data=st.data(),
+)
+def test_line_kernel_matches_persist_cached_with_fence(observed, traced,
+                                                       faulty, domain, data):
+    """Journal entries, commits and inode cores between volatile stores,
+    non-temporal stores, writeback booked ahead and media faults: the
+    same bytes, volatile flags, clocks, buckets, ledger, slot intervals,
+    grant counters, spans, observer events and fault state."""
+    steps = data.draw(st.lists(
+        st.one_of([LINE_STEP, LINE_STEP] + PLAIN_STEPS
+                  + (FAULT_STEPS if faulty else [])),
+        min_size=1, max_size=40))
+    ref = World(True, observed, traced, domain, faulty)
+    new = World(True, observed, traced, domain, faulty, line=True)
+    for index, step in enumerate(steps):
+        assert new.step(index, step) == ref.step(index, step), step
+        assert new.state() == ref.state(), step
+
+
+#: A journal transaction's persists: an undo entry landing on a line a
+#: cached store left volatile, the inode core in place, the commit.
+_TRANSACTION = [
+    ("cached", 0, 2 * 64 + 8, b"dirty"),
+    ("line", 0, 2 * 64, b"u" * 64, 1),
+    ("line", 0, 5 * 64 + 16, b"c" * 40, 0),
+    ("line", 0, 3 * 64, b"C" * 64, 2),
+]
+
+
+@pytest.mark.parametrize("setting", [
+    "exec", "free", "traced", "faulty", "observed", "domain"])
+def test_one_transaction_through_the_line_kernel(setting):
+    # The faulty world is traced too: its nvmm phase spans the retries.
+    kwargs = {"traced": setting in ("traced", "faulty"),
+              "faulty": setting == "faulty",
+              "observed": setting in ("observed", "faulty"),
+              "domain": "dev1" if setting == "domain" else None}
+    who = 3 if setting == "free" else 0
+    ref, new = World(True, **kwargs), World(True, line=True, **kwargs)
+    for world in (ref, new):
+        if setting == "faulty":
+            world.model.inject_transient(3, failures=2)
+        for index, step in enumerate(_TRANSACTION):
+            world.step(index, (step[0], who) + step[2:])
+    assert new.state() == ref.state()
+    ctx, stats = new.ctxs[who], new.env.stats
+    mem = new.dev.mem
+    assert mem.persistent_read(5 * 64 + 16, 40) == b"c" * 40
+    assert mem.dirty_line_indices() == []
+    if setting == "free":
+        assert ctx.now == 0 and new.dev.write_slots.total_grants == 0
+        assert stats.bytes_written_nvmm == 0
+        return
+    store = CFG.dram_store_cost_ns
+    line_ns = CFG.nvmm_persist_cost_ns(1)
+    backoff = 3 * CFG.media_retry_backoff_ns if setting == "faulty" else 0
+    # Serial on an idle pool: no slot wait, three fences in all.
+    assert ctx.now == (store(5) + 2 * store(64) + store(40) + 3 * line_ns
+                       + 3 * CFG.fence_ns + backoff)
+    assert stats.bytes_written_nvmm == 3 * CACHELINE_SIZE
+    assert new.dev.write_slots.total_grants == 3
+    if setting == "domain":
+        assert stats.counters["nvmm_slot_grants@dev1"] == 3
+    if setting == "traced":
+        phases = [sp.phases for sp in new.env.trace.spans()]
+        assert [[p[0] for p in ph] for ph in phases] \
+            == [[], ["nvmm"], ["nvmm"], ["nvmm"]]
+    if setting == "observed":
+        kinds = [ev[0] for ev in new.tap.events]
+        assert kinds == ["store", "store", "persist", "boundary", "fence",
+                         "store", "persist", "boundary",
+                         "store", "persist", "boundary", "fence", "fence"]
+
+
+def test_the_line_kernel_refuses_a_range_across_two_lines():
+    world = World(True, line=True)
+    with pytest.raises(ValueError):
+        world.persist_line(world.ctxs[0], 60, b"x" * 8, 1)
+    with pytest.raises(ValueError):
+        world.persist_line(world.ctxs[0], 64, b"", 1)
