@@ -146,7 +146,13 @@ class VCompletion:
 
 
 class VMutex(_VLockBase):
-    """A mutual-exclusion lock on the virtual timeline."""
+    """A mutual-exclusion lock on the virtual timeline.
+
+    :class:`~repro.io.mmio.MmioMapping` takes its mutex inline: a free
+    one (``_free_at`` not past the acquirer's clock) without
+    :meth:`_wait_until`, by bumping ``lock_acquisitions`` and setting
+    ``owner``; it releases it as :meth:`release` does.
+    """
 
     def __init__(self, env, name="vmutex"):
         super().__init__(env, name)

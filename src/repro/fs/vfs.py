@@ -433,7 +433,7 @@ class VFS:
                 raise ReadOnly("fd %d not open for reading" % sqe.fd)
             self._check_readable("read of", file.path)
             offset = file.pos if positional else sqe.offset
-            if offset < 0 or any(count < 0 for count in sqe.iovecs):
+            if offset < 0 or min(sqe.iovecs, default=0) < 0:
                 raise InvalidArgument("negative offset/count")
             req = IORequest(
                 self.env.next_req_id(), OP_READ, file.ino, sqe.iovecs, offset,

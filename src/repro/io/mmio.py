@@ -127,8 +127,11 @@ class MmioLog:
         self.token = 0
         self.head_block = 0
         self.nblocks = 0
-        #: One epoch's capacity, in lines.
+        #: One epoch's capacity, in lines; the largest payload one entry
+        #: can carry (an empty half); where the payload run starts.
         self.half_lines = 0
+        self.max_payload = 0
+        self._payload_addr = 0
         self.committed = 0
         self.applied = 0
         #: Lines the open epoch has filled in its half.
@@ -145,9 +148,8 @@ class MmioLog:
         fenced *before* the inode pointer is set, so a crash mid-setup
         either shows no log at all or a valid empty one.
         """
-        self.nblocks = 2 * log_blocks
-        self.head_block = self.fs._alloc_run(1 + self.nblocks)
-        self.half_lines = log_blocks * LINES_PER_BLOCK
+        self._set_geometry(self.fs._alloc_run(1 + 2 * log_blocks),
+                           2 * log_blocks)
         # Per-incarnation token: stale entries from a previous life of
         # these blocks can never parse, so payload blocks need no
         # zeroing pass at setup.
@@ -183,31 +185,28 @@ class MmioLog:
             return None
         log = cls(fs, ino, checksums=bool(policy_word & _CHECKSUM_FLAG))
         log.token = token
-        log.head_block = head_block
-        log.nblocks = nblocks
-        log.half_lines = nblocks // 2 * LINES_PER_BLOCK
+        log._set_geometry(head_block, nblocks)
         log.committed = _WORD.unpack_from(raw, COMMITTED_OFF)[0]
         log.applied = _WORD.unpack_from(raw, APPLIED_OFF)[0]
         return log
 
+    def _set_geometry(self, head_block, nblocks):
+        self.head_block = head_block
+        self.nblocks = nblocks
+        self.half_lines = nblocks // 2 * LINES_PER_BLOCK
+        self.max_payload = (self.half_lines - 1) * CACHELINE_SIZE
+        self._payload_addr = block_addr(head_block + 1)
+
     def _half_addr(self, epoch):
-        return block_addr(self.head_block + 1) \
-            + (epoch % 2) * self.half_lines * CACHELINE_SIZE
+        return self._payload_addr + (epoch % 2) * self.half_lines \
+            * CACHELINE_SIZE
 
     # -- appending --------------------------------------------------------
 
-    @property
-    def max_payload(self):
-        """The largest payload one entry can carry: an empty half."""
-        return (self.half_lines - 1) * CACHELINE_SIZE
-
-    def fits(self, length):
-        """Whether a ``length``-byte entry fits the open epoch's half."""
-        return self.tail + 1 + -(-length // CACHELINE_SIZE) <= self.half_lines
-
     def append(self, ctx, kind, epoch, file_offset, payload):
         """Persist one entry (header + payload, one contiguous persist)
-        at the tail of ``epoch``'s half; the caller checked :meth:`fits`."""
+        at the tail of ``epoch``'s half; the caller checked that the
+        entry fits the lines the half has left."""
         length = len(payload)
         if length > self.max_payload:
             raise InvalidArgument("mmio entry of %d bytes cannot fit half "
@@ -224,11 +223,13 @@ class MmioLog:
             # The CRC field above is zero, so the CRC of the packed entry
             # is its checksum: patch it in.
             _CRC.pack_into(buf, _ENTRY_CRC_OFF, zlib.crc32(entry))
+        # _half_addr(epoch), inline, then the tail.
         self.device.write_persistent(
-            ctx, self._half_addr(epoch) + self.tail * CACHELINE_SIZE, entry,
-            CAT_WRITE_ACCESS)
+            ctx, self._payload_addr
+            + ((epoch % 2) * self.half_lines + self.tail) * CACHELINE_SIZE,
+            entry, CAT_WRITE_ACCESS)
         self.tail += 1 + -(-length // CACHELINE_SIZE)
-        self.fs.env.stats.bump("mmio_log_appends")
+        self.fs.env.stats.counters["mmio_log_appends"] += 1
 
     # -- epoch state ------------------------------------------------------
 
@@ -290,6 +291,21 @@ class MmioLog:
         return entries
 
 
+class _PendingEpoch:
+    """A committed redo epoch on its applier's queue: its overlay, the
+    block map it applies against, its :func:`_pieces` and the index of
+    the next one to write."""
+
+    __slots__ = ("epoch", "overlay", "blockmap", "pieces", "next")
+
+    def __init__(self, epoch, overlay, blockmap, size):
+        self.epoch = epoch
+        self.overlay = overlay
+        self.blockmap = blockmap
+        self.pieces = _pieces(size, overlay)
+        self.next = 0
+
+
 class EpochApplier(BackgroundTask):
     """A mapping's redo apply: one serial writer stream on its own clock.
 
@@ -306,10 +322,10 @@ class EpochApplier(BackgroundTask):
         self.device = mapping.fs.device
         self.log = mapping.log
         self.index = mapping._index
-        #: Committed epochs not yet in place, oldest first: ``(epoch,
-        #: iterator of in-place chunks, overlay)``.  Loads read through
-        #: the overlays (via the mapping's index) until the epoch's
-        #: ``applied`` word is durable.
+        #: Committed epochs not yet in place, oldest first, as
+        #: :class:`_PendingEpoch`.  Loads read through the overlays (via
+        #: the mapping's index) until the epoch's ``applied`` word is
+        #: durable.
         self.pending = deque()
         #: epoch -> when its ``applied`` word was durable (recent ones).
         self._done_ns = {}
@@ -318,9 +334,11 @@ class EpochApplier(BackgroundTask):
     def next_due_ns(self):
         return self._due
 
-    def submit(self, ctx, epoch, chunks, overlay):
-        """Queue a just-committed epoch's apply, from ``ctx.now`` on."""
-        self.pending.append((epoch, chunks, overlay))
+    def submit(self, ctx, epoch, overlay, blockmap, size):
+        """Queue a just-committed epoch's apply, from ``ctx.now`` on:
+        the ``overlay`` ranges against the file's ``blockmap``, clamped
+        to ``size`` (the file's size at the commit)."""
+        self.pending.append(_PendingEpoch(epoch, overlay, blockmap, size))
         if self._due == NEVER:
             self._due = max(self.ctx.now, ctx.now)
             self.env.background.note_earlier(self._due)
@@ -332,7 +350,7 @@ class EpochApplier(BackgroundTask):
     def wait(self, ctx, epoch):
         """Apply every epoch up to ``epoch``; ``ctx`` waits until the
         ``applied`` word of ``epoch`` is durable."""
-        while self.pending and self.pending[0][0] <= epoch:
+        while self.pending and self.pending[0].epoch <= epoch:
             self._step()
         done = self._done_ns.get(epoch, 0)
         if done > ctx.now:
@@ -340,21 +358,37 @@ class EpochApplier(BackgroundTask):
                 ctx.sync_to(done, CAT_WRITE_ACCESS)
 
     def _step(self):
-        """One wake: the next chunk, or the epoch's ``applied`` word."""
+        """One wake: the oldest epoch's next piece, or its ``applied``
+        word.
+
+        Each piece's block is looked up at the wake that writes it, not
+        at the commit: the scrubber may remap a block
+        (:meth:`~repro.fs.pmfs.blockmap.BlockMap.set`) while the epoch
+        waits, and a hole is skipped."""
         ctx = self.ctx
-        ctx.now = max(ctx.now, self._due)
-        epoch, chunks, _overlay = self.pending[0]
-        chunk = next(chunks, None)
-        if chunk is None:
-            self.device.fence(ctx)
-            self.log.mark_applied(ctx, epoch)
-            _index_drop(self.index, self.pending.popleft()[2])
-            self._done_ns[epoch] = ctx.now
-            self._done_ns.pop(epoch - 2, None)
-        else:
-            self.device.write_persistent(ctx, chunk[1], chunk[2],
-                                         CAT_WRITE_ACCESS)
-        self._due = max(ctx.now, self._due + 1) if self.pending else NEVER
+        due = self._due
+        if due > ctx.now:
+            ctx.now = due
+        head = self.pending[0]
+        pieces = head.pieces
+        lookup = head.blockmap.mirror.get
+        while head.next < len(pieces):
+            _pos, file_block, in_off, chunk = pieces[head.next]
+            head.next += 1
+            nvmm_block = lookup(file_block)
+            if nvmm_block is not None:
+                # block_addr(nvmm_block), inline.
+                self.device.write_persistent(
+                    ctx, nvmm_block * BLOCK_SIZE + in_off, chunk,
+                    CAT_WRITE_ACCESS)
+                self._due = ctx.now if ctx.now > due else due + 1
+                return
+        self.device.fence(ctx)
+        self.log.mark_applied(ctx, head.epoch)
+        _index_drop(self.index, self.pending.popleft().overlay)
+        self._done_ns[head.epoch] = ctx.now
+        self._done_ns.pop(head.epoch - 2, None)
+        self._due = max(ctx.now, due + 1) if self.pending else NEVER
 
 
 class MmioMapping:
@@ -448,42 +482,72 @@ class MmioMapping:
         munmap), detach the log, release its blocks."""
         if self.closed:
             return
-        with ctx.span("mmio.munmap", layer=LAYER_MMIO):
-            with self._mu.held(ctx):
-                self._msync_locked(ctx)
-                self._detach_log(ctx)
+        self._op(ctx, "mmio.munmap", self._munmap_locked)
         self.closed = True
-        self.fs.env.stats.ops_completed += 1
         self.fs.on_munmap(self.ino, self)
+
+    def _munmap_locked(self, ctx):
+        self._msync_locked(ctx)
+        self._detach_log(ctx)
 
     # -- library-mode ops (zero syscall charges) --------------------------
 
     def load(self, ctx, offset, length):
         """A load through the mapping -- no syscall entry, no VFS."""
-        with ctx.span("mmio.load", layer=LAYER_MMIO):
-            with self._mu.held(ctx):
-                data = self._load_locked(ctx, offset, length)
-        self.fs.env.stats.ops_completed += 1
-        return data
+        return self._op(ctx, "mmio.load", self._load_locked, offset, length)
 
     def store(self, ctx, offset, data):
         """A store through the mapping: logged, then staged or applied
         per the epoch's policy.  Volatile until ``msync`` commits."""
-        with ctx.span("mmio.store", layer=LAYER_MMIO):
-            with self._mu.held(ctx):
-                self._store_locked(ctx, offset, bytes(data))
-        self.fs.env.stats.ops_completed += 1
+        self._op(ctx, "mmio.store", self._store_locked, offset, bytes(data))
         return len(data)
 
     def msync(self, ctx):
         """Commit the epoch: everything stored so far becomes durable
         (and, with a log, atomic -- a crash now recovers all of it or
         none of it).  Returns the number of staged ranges committed."""
-        with ctx.span("mmio.msync", layer=LAYER_MMIO):
-            with self._mu.held(ctx):
-                committed = self._msync_locked(ctx)
-        self.fs.env.stats.ops_completed += 1
-        return committed
+        return self._op(ctx, "mmio.msync", self._msync_locked)
+
+    def _op(self, ctx, name, body, *args):
+        """Run ``body(ctx, *args)`` as the op ``name``: inside an
+        ``mmio`` span, holding the mapping's mutex, counted as one
+        completed op.
+
+        Untraced, the span is its disabled path without the span object
+        (``trace_span`` saved, cleared and restored).  The mutex is
+        taken and dropped inline, as :meth:`VMutex.acquire` and
+        :meth:`VMutex.release` do: a busy one still waits in
+        ``_wait_until``, with its counters, ``lock`` phase and
+        ``waiting`` label.
+        """
+        env = self.fs.env
+        if env.trace is None:
+            span = None
+            previous = ctx.trace_span
+            ctx.trace_span = None
+        else:
+            span = ctx.span(name, layer=LAYER_MMIO)
+            span.__enter__()
+        mu = self._mu
+        try:
+            if mu._free_at > ctx.now:
+                mu._wait_until(ctx, mu._free_at, "acquire")
+            else:
+                env.stats.counters["lock_acquisitions"] += 1
+            mu.owner = ctx.name
+            try:
+                result = body(ctx, *args)
+            finally:
+                if ctx.now > mu._free_at:
+                    mu._free_at = ctx.now
+                mu.owner = None
+        finally:
+            if span is None:
+                ctx.trace_span = previous
+            else:
+                span.__exit__(None, None, None)
+        env.stats.ops_completed += 1
+        return result
 
     # -- syscall routing --------------------------------------------------
 
@@ -537,24 +601,33 @@ class MmioMapping:
         return POLICY_UNDO
 
     def _load_locked(self, ctx, offset, length):
-        self._enter("load")
-        self._epoch_loads += 1
+        # _enter("load"), inline.
+        if self.closed:
+            raise InvalidArgument("mapping already unmapped")
         fs = self.fs
-        fs.env.stats.bump("mmio_loads")
-        blockmap = fs._map(self.ino)
+        env = fs.env
+        if env.faults is not None:
+            env.faults.check("mmio:load", self.ino)
+        self._epoch_loads += 1
+        env.stats.counters["mmio_loads"] += 1
+        mirror = fs._map(self.ino).mirror
+        read = fs.device.read
         index = self._index
         out = bytearray()
         pos, remaining = offset, length
         while remaining > 0:
-            file_block, in_off = divmod(pos, BLOCK_SIZE)
-            take = min(BLOCK_SIZE - in_off, remaining)
-            nvmm_block = blockmap.get(file_block)
+            file_block = pos // BLOCK_SIZE
+            in_off = pos % BLOCK_SIZE
+            take = BLOCK_SIZE - in_off
+            if take > remaining:
+                take = remaining
+            nvmm_block = mirror.get(file_block)
             if nvmm_block is None:
-                out.extend(b"\0" * take)
+                out += bytes(take)
                 ctx.charge(fs.config.load_cost_ns(take), CAT_READ_ACCESS)
             else:
-                out.extend(fs.device.read(
-                    ctx, block_addr(nvmm_block) + in_off, take))
+                # block_addr(nvmm_block), inline.
+                out += read(ctx, nvmm_block * BLOCK_SIZE + in_off, take)
             entries = index.get(file_block)
             if entries:
                 # Unapplied redo bytes of this block, oldest first, each
@@ -573,20 +646,28 @@ class MmioMapping:
         return bytes(out)
 
     def _store_locked(self, ctx, offset, data):
-        self._enter("store")
+        # _enter("store"), inline.
+        if self.closed:
+            raise InvalidArgument("mapping already unmapped")
+        fs = self.fs
+        env = fs.env
+        if env.faults is not None:
+            env.faults.check("mmio:store", self.ino)
         if not data:
             return
+        log = self.log
         if self._epoch_policy is None:
             self._epoch_policy = self._resolve_policy()
-            if self._epoch_policy == POLICY_UNDO and self.log is not None:
+            if self._epoch_policy == POLICY_UNDO and log is not None:
                 # Pre-images must be the committed bytes: every pending
                 # apply lands before the epoch's first in-place store.
-                self.applier.wait(ctx, self.log.committed)
+                self.applier.wait(ctx, log.committed)
         self._epoch_stores += 1
-        fs = self.fs
-        fs.env.stats.bump("mmio_stores")
-        inode = fs._inode(self.ino)
-        end = offset + len(data)
+        env.stats.counters["mmio_stores"] += 1
+        blockmap = fs._map(self.ino)
+        inode = blockmap.inode
+        length = len(data)
+        end = offset + length
         if end > inode.size:
             # Grow the file (the kernel updates i_size on extending maps)
             # before the first entry: an autocommit mid-store applies the
@@ -596,21 +677,26 @@ class MmioMapping:
             inode.mtime = ctx.now
             fs.itable.write_core(ctx, tx, inode)
             fs.journal.commit(ctx, tx)
-        blockmap = fs._map(self.ino)
         # Every policy maps the store's holes now (a page fault, one
         # journaled transaction), so recovery and apply always find a
         # home for the entries' bytes.
-        if any(blockmap.get(b) is None for b in
-               range(offset // BLOCK_SIZE, (end - 1) // BLOCK_SIZE + 1)):
-            tx = fs.journal.begin(ctx)
-            try:
-                fs._ensure_mapped(ctx, tx, blockmap, offset, len(data))
-            finally:
-                fs.journal.commit(ctx, tx)
+        mirror = blockmap.mirror
+        for file_block in range(offset // BLOCK_SIZE,
+                                (end - 1) // BLOCK_SIZE + 1):
+            if file_block not in mirror:
+                tx = fs.journal.begin(ctx)
+                try:
+                    fs._ensure_mapped(ctx, tx, blockmap, offset, length)
+                finally:
+                    fs.journal.commit(ctx, tx)
+                break
         # One log entry per store, split only where it outgrows half
         # the log; a plain mapping stores it whole.
-        step = len(data) if self.log is None else self.log.max_payload
-        for pos in range(0, len(data), step):
+        if log is None or length <= log.max_payload:
+            self._store_piece(ctx, blockmap, offset, data)
+            return
+        step = log.max_payload
+        for pos in range(0, length, step):
             self._store_piece(ctx, blockmap, offset + pos,
                               data[pos:pos + step])
 
@@ -622,14 +708,15 @@ class MmioMapping:
             _index_add(self._index, entry)
             return
         device = self.fs.device
-        spans = list(_in_place(blockmap, file_offset + len(piece),
-                               ((file_offset, piece),)))
+        spans = _in_place(blockmap, file_offset + len(piece),
+                          ((file_offset, piece),))
         if self.log is not None:
             # The undo image is durable (persist-event order) before the
             # in-place store can land, so every crash state rolls back.
-            self._append(ctx, KIND_UNDO, file_offset, b"".join(
-                device.read(ctx, addr, len(chunk))
-                for _off, addr, chunk in spans))
+            image = bytearray()
+            for _off, addr, chunk in spans:
+                image += device.read(ctx, addr, len(chunk))
+            self._append(ctx, KIND_UNDO, file_offset, image)
         for off, addr, chunk in spans:
             device.write_cached(ctx, addr, chunk, CAT_WRITE_ACCESS)
             self._dirty_ranges.append((off, addr, len(chunk)))
@@ -639,7 +726,8 @@ class MmioMapping:
         if plan is not None:
             plan.check("mmio:append", self.ino)
         log = self.log
-        if not log.fits(len(payload)):
+        if log.tail + 1 + -(-len(payload) // CACHELINE_SIZE) \
+                > log.half_lines:
             # The interrupted store belongs to the epoch the autocommit
             # opens, and one epoch runs one policy: re-resolving
             # mid-store would mix undo dirty ranges with a redo overlay
@@ -674,9 +762,8 @@ class MmioMapping:
             # durability point, and the applier moves the epoch in place
             # behind it while the next epoch appends into the other half.
             log.commit(ctx, epoch)
-            self.applier.submit(ctx, epoch, _in_place(
-                fs._map(self.ino), fs._inode(self.ino).size, self._overlay),
-                self._overlay)
+            self.applier.submit(ctx, epoch, self._overlay,
+                                fs._map(self.ino), fs._inode(self.ino).size)
             self._overlay = []
         else:
             for _foff, addr, length in self._dirty_ranges:
@@ -803,22 +890,38 @@ def _index_drop(index, overlay):
                 del index[file_block]
 
 
-def _in_place(blockmap, size, ranges):
-    """The in-place ``(file_offset, nvmm_addr, bytes)`` pieces of logged
-    ``(file_offset, bytes)`` ranges, in range order (a later overlapping
-    range still wins): split at block edges, clamped to ``size`` (a
-    truncate may have shrunk the file under the epoch), holes skipped
-    (the journal rolled their allocation back).  The one apply routine
-    of undo stores, the applier and recovery."""
+def _pieces(size, ranges):
+    """The ``(file_offset, file_block, in_block_offset, bytes)`` pieces
+    of logged ``(file_offset, bytes)`` ranges, in range order (a later
+    overlapping range still wins): split at block edges and clamped to
+    ``size`` (a truncate may have shrunk the file under the epoch).  The
+    one split of undo stores, the applier and recovery."""
+    pieces = []
     for file_offset, data in ranges:
-        stop = min(file_offset + len(data), size)
+        stop = file_offset + len(data)
+        if stop > size:
+            stop = size
         pos = file_offset
         while pos < stop:
             file_block, in_off = divmod(pos, BLOCK_SIZE)
-            take = min(BLOCK_SIZE - in_off, stop - pos)
-            nvmm_block = blockmap.get(file_block)
-            if nvmm_block is not None:
-                start = pos - file_offset
-                yield (pos, block_addr(nvmm_block) + in_off,
-                       data[start:start + take])
+            take = BLOCK_SIZE - in_off
+            if take > stop - pos:
+                take = stop - pos
+            start = pos - file_offset
+            pieces.append((pos, file_block, in_off, data[start:start + take]))
             pos += take
+    return pieces
+
+
+def _in_place(blockmap, size, ranges):
+    """The in-place ``(file_offset, nvmm_addr, bytes)`` pieces of logged
+    ranges (:func:`_pieces`), holes skipped: the journal rolled their
+    allocation back."""
+    lookup = blockmap.mirror.get
+    out = []
+    for pos, file_block, in_off, chunk in _pieces(size, ranges):
+        nvmm_block = lookup(file_block)
+        if nvmm_block is not None:
+            # block_addr(nvmm_block), inline.
+            out.append((pos, nvmm_block * BLOCK_SIZE + in_off, chunk))
+    return out

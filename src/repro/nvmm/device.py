@@ -218,7 +218,8 @@ class NVMMDevice:
         span = ctx.trace_span
         start = ctx.now if span is not None else 0
         ctx.charge(self.config.load_cost_ns(length), category)
-        self._guard_read(addr, length, ctx)
+        if self.fault_model is not None:
+            self._guard_read(addr, length, ctx)
         data = self.mem.read(addr, length)
         self.env.stats.bytes_read_nvmm += length
         if span is not None:
@@ -233,25 +234,27 @@ class NVMMDevice:
 
     # -- stores -----------------------------------------------------------
 
-    def _grant_slot(self, request_ns, nlines):
-        """Book a writer slot for ``nlines`` cacheline persists from
-        ``request_ns``; returns when they complete."""
-        duration = nlines * self._line_persist_ns
-        end = self.write_slots.grant(request_ns, duration) + duration
-        if self._grant_counter is not None:
-            counters = self.env.stats.counters
-            counters[self._grant_counter] += 1
-            counters["nvmm_slot_grants_total"] += 1
-        return end
-
     def _persist_lines(self, ctx, nlines, category):
-        """Occupy a writer slot for ``nlines`` cacheline persists.
+        """Occupy a writer slot for ``nlines`` cacheline persists from
+        ``ctx.now`` and wait for them, the wait charged to ``category``,
+        in this one frame.
 
         Contexts marked ``free`` (mkfs, recovery setup) neither pay nor
         pollute the shared slot timeline.
         """
-        if nlines > 0 and not ctx.free:
-            ctx.sync_to(self._grant_slot(ctx.now, nlines), category)
+        if nlines <= 0 or ctx.free:
+            return
+        now = ctx.now
+        duration = nlines * self._line_persist_ns
+        end = self.write_slots.grant(now, duration) + duration
+        stats = self.env.stats
+        if self._grant_counter is not None:
+            counters = stats.counters
+            counters[self._grant_counter] += 1
+            counters["nvmm_slot_grants_total"] += 1
+        if end > now:
+            ctx.now = end
+            stats.breakdown._ns[category] += end - now
 
     def write_persistent(self, ctx, addr, data, category=CAT_WRITE_ACCESS):
         """Non-temporal store: durable on return, pays full NVMM cost.
@@ -267,9 +270,8 @@ class NVMMDevice:
         if not ctx.free:
             if length:
                 # lines_spanned(length, addr % CACHELINE_SIZE), inline.
-                nlines = (addr % CACHELINE_SIZE + length - 1) \
-                    // CACHELINE_SIZE + 1
-                ctx.sync_to(self._grant_slot(ctx.now, nlines), category)
+                self._persist_lines(ctx, (addr % CACHELINE_SIZE + length - 1)
+                                    // CACHELINE_SIZE + 1, category)
             self.env.stats.bytes_written_nvmm += length
         if span is not None:
             span.add_phase(LAYER_NVMM, start, ctx.now)
@@ -293,8 +295,15 @@ class NVMMDevice:
         nlines = lines_spanned(length, addr % CACHELINE_SIZE)
         if nlines <= 0:
             return ctx.now
-        self.env.stats.bytes_written_nvmm += length
-        return self._grant_slot(ctx.now, nlines)
+        stats = self.env.stats
+        stats.bytes_written_nvmm += length
+        duration = nlines * self._line_persist_ns
+        end = self.write_slots.grant(ctx.now, duration) + duration
+        if self._grant_counter is not None:
+            counters = stats.counters
+            counters[self._grant_counter] += 1
+            counters["nvmm_slot_grants_total"] += 1
+        return end
 
     def persist_cached(self, ctx, addr, data, category=CAT_OTHERS):
         """Store through the cache and flush the same range at once
@@ -324,8 +333,7 @@ class NVMMDevice:
             self._guard_persist(ctx, addr, length)
             flushed = mem.clflush(addr, length)
         if not ctx.free:
-            if flushed:
-                ctx.sync_to(self._grant_slot(ctx.now, flushed), category)
+            self._persist_lines(ctx, flushed, category)
             self.env.stats.bytes_written_nvmm += flushed * CACHELINE_SIZE
         if span is not None:
             span.add_phase(LAYER_NVMM, start, ctx.now)

@@ -263,6 +263,61 @@ def test_the_eager_cases_take_the_paths_they_pin(golden, monkeypatch):
     assert tenants["sharded_reqs@dev0"] and tenants["sharded_reqs@dev1"]
 
 
+#: (fs, seed, workload kwargs) of the untraced-mapping fence: the three
+#: ``mmap`` golden cases, perfbench ``fio-mmap``'s shape (``auto``
+#: policy, a 64-block log, 4 MB files, an msync every 32 ops) and each
+#: atomic policy alone.
+UNTRACED_MMAP_CASES = [
+    ("hinfs", 0, {}),
+    ("pmfs", 1337, {}),
+    ("ext4-dax", 0, {}),
+    ("pmfs", 42, dict(policy="auto", log_blocks=64, ops_per_thread=400,
+                      file_size=4 << 20, fsync_every=32)),
+    ("pmfs", 7, dict(policy="undo")),
+    ("pmfs", 7, dict(policy="redo")),
+]
+
+
+def _mmap_fingerprint(fs, seed, overrides, traced):
+    kwargs = dict(threads=2, ops_per_thread=50, io_size=4096,
+                  file_size=256 << 10, read_fraction=1 / 3,
+                  fsync_every=16, seed=seed)
+    kwargs.update(overrides)
+    workload = MmapFioWorkload(**kwargs)
+    result = run_workload(fs, workload, device_size=32 << 20,
+                          hinfs_config=HiNFSConfig(buffer_bytes=2 << 20),
+                          trace_capacity=(1 << 16) if traced else None,
+                          setup=workload.attach)
+    stats = result.stats
+    slots = result.fs.device.write_slots
+    return {
+        "ops": result.ops,
+        "elapsed_ns": result.elapsed_ns,
+        "counters": dict(stats.counters),
+        "breakdown": stats.breakdown.as_dict(),
+        "bytes": (stats.bytes_written_nvmm, stats.bytes_read_nvmm,
+                  stats.bytes_written_dram),
+        "slots": (slots.total_grants, slots.total_busy_ns,
+                  slots.total_wait_ns),
+    }
+
+
+@pytest.mark.parametrize(
+    "fs,seed,overrides", UNTRACED_MMAP_CASES,
+    ids=["%s/seed%d/%s" % (fs, seed, o.get("policy", "auto"))
+         + ("/perfbench" if "log_blocks" in o else "")
+         for fs, seed, o in UNTRACED_MMAP_CASES])
+def test_untraced_mapped_runs_match_their_traced_twins(fs, seed, overrides):
+    """The goldens all run traced, so the mapping's untraced entry (no
+    span, the mapping mutex taken inline) is pinned here instead: the
+    same run without the trace spine keeps every virtual number."""
+    traced = _mmap_fingerprint(fs, seed, overrides, traced=True)
+    untraced = _mmap_fingerprint(fs, seed, overrides, traced=False)
+    assert traced["counters"]["mmio_stores"] > 0
+    for field in sorted(traced):
+        assert untraced[field] == traced[field], field
+
+
 def regen():
     out = {case_key(*case): run_case(*case) for case in CASES + EAGER_CASES}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)

@@ -16,6 +16,8 @@ import random
 import pytest
 
 from repro.core.hinfs import HiNFS
+from repro.engine.context import ExecContext
+from repro.engine.errors import DeadlockError, ThreadDiagnostic
 from repro.faults import FaultPlan
 from repro.fs import flags as f
 from repro.fs.base import ROOT_INO
@@ -24,6 +26,7 @@ from repro.fs.pmfs import PMFS
 from repro.fs.pmfs.layout import block_addr
 from repro.io import mmio
 from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
+from repro.obs.trace import LAYER_MMIO
 
 from tests.fs.conftest import PmfsRig
 from tests.fs.test_shard import ShardRig, name_on
@@ -82,6 +85,96 @@ def test_mmio_time_lands_in_the_mmio_layer(rig):
     assert rig.env.stats.layer_time_ns.get("mmio", 0) > 0
     names = [sp.name for sp in rig.env.trace.spans()]
     assert "mmio.store" in names and "mmio.msync" in names
+
+
+def _reference_op(self, ctx, name, body, *args):
+    """``MmioMapping._op`` as the span and ``VMutex.held`` spell it."""
+    with ctx.span(name, layer=LAYER_MMIO):
+        with self._mu.held(ctx):
+            result = body(ctx, *args)
+    self.fs.env.stats.ops_completed += 1
+    return result
+
+
+def _stuck_in_labelled_waits(patch):
+    """Make ``ExecContext.sync_to`` find a deadlock inside every
+    labelled wait."""
+    sync_to = ExecContext.sync_to
+
+    def stuck(self, *args):
+        if self.waiting_on is not None:
+            raise DeadlockError("stuck",
+                                diagnostics=[ThreadDiagnostic.of(self)])
+        return sync_to(self, *args)
+
+    patch.setattr(ExecContext, "sync_to", stuck)
+
+
+def _mutex_run(monkeypatch, inline, traced, busy_ns, deadlock):
+    rig = PmfsRig()
+    _fd, region = amap(rig, "/m", policy="redo")
+    if not inline:
+        monkeypatch.setattr(region, "_op",
+                            _reference_op.__get__(region))
+    if traced:
+        rig.env.enable_tracing(capacity=256)
+    mu = region._mu
+    errors = []
+    for op in ("store", "load", "msync"):
+        mu._free_at = rig.ctx.now + busy_ns
+        with monkeypatch.context() as patch:
+            if deadlock:
+                _stuck_in_labelled_waits(patch)
+            try:
+                if op == "store":
+                    region.store(rig.ctx, 1000, b"s" * 4096)
+                elif op == "load":
+                    region.load(rig.ctx, 1000, 4096)
+                else:
+                    region.msync(rig.ctx)
+            except DeadlockError as err:
+                errors.append([d.waiting_on for d in err.diagnostics])
+        assert rig.ctx.trace_span is None and mu.owner is None
+    stats = rig.env.stats
+    return {
+        "ino": region.ino,
+        "now": rig.ctx.now,
+        "errors": errors,
+        "counters": {name: stats.count(name) for name in (
+            "lock_acquisitions", "lock_contentions", "lock_wait_ns",
+            "mmio_stores", "mmio_loads", "mmio_epochs_committed")},
+        "ops": stats.ops_completed,
+        "breakdown": stats.breakdown.as_dict(),
+        "mutex": (mu._free_at, mu.contentions, mu.wait_ns_total),
+        "spans": None if rig.env.trace is None else [
+            (sp.name, sp.start_ns, sp.end_ns, sp.phases)
+            for sp in rig.env.trace.spans()],
+    }
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("busy_ns,deadlock", [(-1, False), (0, False),
+                                              (5000, False), (5000, True)],
+                         ids=["free", "free-at-now", "busy", "deadlock"])
+def test_the_inline_mapping_mutex_matches_vmutex_held(
+        monkeypatch, traced, busy_ns, deadlock):
+    """A store, a load and an msync with the mapping's mutex free before
+    the clock, free at it, or busy past it -- and a deadlock found
+    inside that wait.  The inline take and drop agree with
+    ``VMutex.held`` on the clock, the lock counters, every op's outcome,
+    the ``lock`` phase of each traced ``mmio`` span, and the
+    ``waiting`` label a DeadlockError reports."""
+    ref = _mutex_run(monkeypatch, False, traced, busy_ns, deadlock)
+    new = _mutex_run(monkeypatch, True, traced, busy_ns, deadlock)
+    assert new == ref
+    contended = busy_ns > 0
+    assert (ref["counters"]["lock_contentions"] > 0) == contended
+    if deadlock:
+        assert ref["errors"] == [["acquire of 'mmio:%d'" % ref["ino"]]] * 3
+    elif traced:
+        lock_phases = [p for sp in ref["spans"] for p in sp[3]
+                       if p[0] == "lock"]
+        assert len(lock_phases) == (3 if contended else 0)
 
 
 # -- undo policy ----------------------------------------------------------
@@ -317,6 +410,29 @@ def test_no_apply_write_lands_after_its_block_was_given_up(
     assert gone and ("apply", region.log.head_block) in events
 
 
+def test_a_block_remapped_under_a_pending_epoch_gets_its_apply(rig):
+    """The applier looks each block up at the wake that writes it: a
+    block the scrubber remaps (``BlockMap.set``) after the commit and
+    before the apply gets the epoch's bytes, and the old one none."""
+    _fd, region = amap(rig, "/m", data=b"o" * 8192, policy="redo")
+    region.store(rig.ctx, 0, b"N" * 8192)
+    region.msync(rig.ctx)
+    rig.ctx.now += 1
+    rig.env.background.advance_to(rig.ctx.now)      # block 0 lands
+    assert region.applier.pending
+    blockmap = rig.fs._map(region.ino)
+    old, new = blockmap.get(1), rig.fs.balloc.alloc()
+    tx = rig.fs.journal.begin(rig.ctx)
+    blockmap.set(rig.ctx, tx, 1, new)               # the scrubber's remap
+    rig.fs.journal.commit(rig.ctx, tx)
+    region.applier.wait(rig.ctx, region.log.committed)
+    assert rig.device.mem.read(block_addr(new), BLOCK_SIZE) \
+        == b"N" * BLOCK_SIZE
+    assert rig.device.mem.read(block_addr(old), BLOCK_SIZE) \
+        == b"o" * BLOCK_SIZE
+    assert region.load(rig.ctx, 0, 8192) == b"N" * 8192
+
+
 def test_loads_during_a_pending_apply_return_the_committed_bytes(rig):
     """Two committed epochs wait on the applier, the older one half
     applied: a load and a pread read through both overlays, oldest
@@ -328,7 +444,7 @@ def test_loads_during_a_pending_apply_return_the_committed_bytes(rig):
     rig.env.background.advance_to(rig.ctx.now)      # one chunk lands
     region.store(rig.ctx, 4000, b"B" * 6000)
     region.msync(rig.ctx)
-    assert [e for e, _c, _o in region.applier.pending] == [1, 2]
+    assert [p.epoch for p in region.applier.pending] == [1, 2]
     want = b"A" * 4000 + b"B" * 6000 + b"o" * 2288
     assert region.load(rig.ctx, 0, 12288) == want
     assert rig.vfs.pread(rig.ctx, fd, 0, 12288) == want

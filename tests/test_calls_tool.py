@@ -33,3 +33,23 @@ def test_the_cli_prints_one_row_per_stack(capsys):
     assert pmfs == calls.syscall_frames("pmfs")
     # A write on pmfs persists a journal transaction; a read does not.
     assert pmfs["pwrite"] > pmfs["pread"] > 0
+
+
+def test_the_default_run_adds_the_mapped_table(capsys):
+    assert calls.main([]) == 0
+    syscalls, mapped = capsys.readouterr().out.split("\n\n")
+    assert [row.split()[0] for row in syscalls.splitlines()[1:]] \
+        == list(calls.STACKS)
+    header, *rows = mapped.splitlines()
+    assert header.split() == ["policy"] + list(calls.MAPPED_OPS)
+    table = {row.split()[0]: row.split()[1:] for row in rows}
+    assert list(table) == list(calls.POLICIES)
+    for policy in calls.POLICIES:
+        frames = calls.mapped_frames(policy)
+        assert table[policy] == [str(frames.get(op, "-"))
+                                 for op in calls.MAPPED_OPS]
+    redo, undo = (calls.mapped_frames(p) for p in ("redo", "undo"))
+    # Only redo queues work on the applier; an undo store also reads
+    # and logs the pre-image before its in-place store.
+    assert "wake" in redo and "wake" not in undo
+    assert undo["store"] > redo["store"] > 0

@@ -6,24 +6,38 @@ of Python ``call`` events one syscall raises is a deterministic proxy
 for its cost.  ``tests/integration/test_call_budget.py`` holds ceilings
 on these counts and counts with :func:`python_calls` from here.
 
-    PYTHONPATH=src python tools/calls.py              # pmfs, hinfs, hinfs@2
-    PYTHONPATH=src python tools/calls.py pmfs hinfs-wb
+    PYTHONPATH=src python tools/calls.py              # both tables
+    PYTHONPATH=src python tools/calls.py pmfs hinfs-wb  # syscalls only
 
-One row per stack name (any name ``build_stack`` takes): the frames of
-a warm 4 KB ``pwrite`` over written data, then of a warm 4 KB ``pread``
-and a warm ``fsync`` of the same file.  Warm means the same call ran
-once just before, so the ring entry and the inode's lock exist.
+The syscall table has one row per stack name (any name ``build_stack``
+takes): the frames of a warm 4 KB ``pwrite`` over written data, then of
+a warm 4 KB ``pread`` and a warm ``fsync`` of the same file.  Warm
+means the same call ran once just before, so the ring entry and the
+inode's lock exist.
+
+The mapped table (default run only) has one row per ``MAP_ATOMIC``
+policy on pmfs: see :func:`mapped_frames`.
 """
 
+import gc
 import sys
 
 STACKS = ("pmfs", "hinfs", "hinfs@2")
 SYSCALLS = ("pwrite", "pread", "fsync")
+POLICIES = ("redo", "undo")
+MAPPED_OPS = ("store", "load", "msync", "wake")
 
 
 def python_calls(fn):
     """Python ``call`` events raised while ``fn()`` runs, ``fn``'s own
-    frame not counted."""
+    frame not counted.
+
+    The cyclic collector is run first and kept off during the call.  A
+    collection that the call's allocations happen to trigger calls every
+    ``gc.callbacks`` entry at its start and at its stop -- Hypothesis
+    installs one once any of its tests ran, two frames -- and the
+    finalisers of whatever garbage earlier code left; those would count.
+    """
     calls = 0
 
     def profiler(frame, event, arg):
@@ -31,12 +45,17 @@ def python_calls(fn):
         if event == "call":
             calls += 1
 
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls - 1
 
 
@@ -68,14 +87,66 @@ def syscall_frames(fs_name):
     return frames
 
 
+def mapped_frames(policy):
+    """``{op: frames}`` on an untraced pmfs ``MAP_ATOMIC`` mapping of
+    ``policy``, every op 4 KB at byte 1000 (two blocks) of an 8 KB file:
+    a warm ``store`` (not its epoch's first), a ``load`` of the same
+    bytes, the ``msync`` of an epoch of one such store and, on redo, one
+    ``wake`` of the applier (one in-place chunk).  ``wake`` is absent
+    where the applier has nothing queued (undo)."""
+    from repro.bench.runner import build_stack
+    from repro.engine.context import ExecContext
+    from repro.engine.env import SimEnv
+    from repro.fs import flags as f
+    from repro.nvmm.config import NVMMConfig
+
+    env = SimEnv()
+    _, vfs = build_stack(env, "pmfs", NVMMConfig(), 32 << 20)
+    ctx = ExecContext(env, "app")
+    fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
+    vfs.pwrite(ctx, fd, 0, b"a" * 8192)
+    mapping = vfs.mmap(ctx, fd, flags=f.MAP_ATOMIC, policy=policy)
+    block = b"c" * 4096
+
+    def store():
+        mapping.store(ctx, 1000, block)
+
+    def load():
+        mapping.load(ctx, 1000, 4096)
+
+    def msync():
+        mapping.msync(ctx)
+
+    frames = {}
+    store()
+    frames["store"] = python_calls(store)
+    load()
+    frames["load"] = python_calls(load)
+    msync()
+    store()
+    frames["msync"] = python_calls(msync)
+    if mapping.applier.pending:
+        frames["wake"] = python_calls(lambda: mapping.applier._step())
+    return frames
+
+
 def main(argv=None):
-    names = tuple(sys.argv[1:] if argv is None else argv) or STACKS
+    args = tuple(sys.argv[1:] if argv is None else argv)
+    names = args or STACKS
     width = max(len(name) for name in names + ("stack",))
     print("%-*s %7s %7s %7s" % ((width, "stack") + SYSCALLS))
     for name in names:
         frames = syscall_frames(name)
         print("%-*s %7d %7d %7d"
               % ((width, name) + tuple(frames[s] for s in SYSCALLS)))
+    if not args:
+        print()
+        print("%-7s %7s %7s %7s %7s" % (("policy",) + MAPPED_OPS))
+        for policy in POLICIES:
+            frames = mapped_frames(policy)
+            print("%-7s %7s %7s %7s %7s"
+                  % ((policy,) + tuple(frames.get(op, "-")
+                                       for op in MAPPED_OPS)))
     return 0
 
 
