@@ -10,12 +10,18 @@ due time, or synchronously when a foreground thread must wait for them
 work is off the critical path unless the buffer runs dry.
 """
 
+from operator import itemgetter
+
 from repro.engine.context import ExecContext
 from repro.engine.errors import DeadlockError, SimulationError, ThreadDiagnostic
 
 #: Returned by :meth:`BackgroundTask.next_due_ns` when the task has no
 #: scheduled work.
 NEVER = float("inf")
+
+#: Sort key of a round's ``(due_ns, task)`` pairs: ties keep
+#: registration order (the sort is stable).
+_due_ns = itemgetter(0)
 
 
 class BackgroundTask:
@@ -129,16 +135,20 @@ class BackgroundRegistry:
             for task in self._tasks:
                 due_ns = task.next_due_ns()
                 if due_ns <= horizon_ns:
-                    due.append(task)
+                    due.append((due_ns, task))
                 elif due_ns < min_due:
                     min_due = due_ns
             if not due:
                 self._min_due_ns = min_due
                 return
             if len(due) > 1:
-                due.sort(key=lambda t: t.next_due_ns())
-            for task in due:
-                before = task.next_due_ns()
+                # Nothing has run since the scan: its due times stand.
+                due.sort(key=_due_ns)
+            for index, (before, task) in enumerate(due):
+                if index:
+                    # An earlier task's run_due may have pulled this one
+                    # in: only the first may keep its scanned due time.
+                    before = task.next_due_ns()
                 task.run_due(horizon_ns)
                 after = task.next_due_ns()
                 if after <= before:

@@ -16,11 +16,13 @@ evicted on its own before the crash.
 
 Every crash image of one recorded run equals the pre-run baseline
 outside the cachelines some tape event touched, so a state is kept as a
-*sparse delta*: the bytes of those line extents only.  Each state is
-written over the baseline on one reusable device image (the arena),
-power-cycled -- a fresh env, device and file system on the surviving
-media -- and the recovered file system is checked against invariants
-derived from the operations that had completed before the crash point:
+*sparse delta*: the bytes of those line extents only.  The recorder
+saves a line's durable bytes the first time the run changes them, so
+the run's own regions, crashed and given those bytes back, hold the
+baseline again (the arena).  Each state is written over it, power-cycled
+-- a fresh env, device and file system on the surviving media -- and
+the recovered file system is checked against invariants derived from
+the operations that had completed before the crash point:
 
 1. recovery succeeds (journal replay / rollback is correct) and no
    device comes up degraded;
@@ -39,7 +41,9 @@ derived from the operations that had completed before the crash point:
    persist (the ordering promise of HiNFS's deferred commits);
 5. each device's rebuilt allocator agrees exactly with the union of its
    block maps: no block referenced twice, none out of range, no orphans;
-6. a second crash immediately after recovery mounts cleanly too.
+6. a second crash immediately after recovery mounts cleanly too --
+   mounted once per distinct recovered image and set of expectations,
+   since that mount sees nothing else.
 
 The explored stack is any PMFS-layout name of :data:`repro.fs.STACKS`,
 optionally sharded (``"pmfs@2"``): the M devices of a sharded mount
@@ -64,7 +68,6 @@ from repro.fs import make_fs
 from repro.fs.errors import FSError
 from repro.fs.shard import ShardedFS, check_pmfs_layout
 from repro.fs.vfs import VFS
-from repro.mem.cpucache import CachedPersistentRegion
 from repro.nvmm.config import CACHELINE_SIZE, NVMMConfig
 from repro.nvmm.device import NVMMDevice
 from repro.workloads.base import payload
@@ -105,17 +108,26 @@ def merge_words(old, new, mask):
 
 
 class TapeRecorder:
-    """Observer that records the persistence tape of a region.
+    """Observer that records the persistence tape of region ``mem``.
 
-    ``TapeRecorder(base, tape)`` is a second device's view of ``tape``:
-    it appends to the same lists, its addresses shifted by ``base``.
+    Before a line's durable bytes first change -- a non-temporal store
+    or a flush reaches it -- they go to ``saved`` (tape line index ->
+    bytes): with those written back over the crashed region it holds
+    the pre-run baseline again.  ``enabled = False`` drops events only;
+    the saving goes on.
+
+    ``TapeRecorder(mem, base, tape)`` is a second device's view of
+    ``tape``: it appends to the same lists and saves to the same dict,
+    its addresses shifted by ``base``.
     """
 
-    def __init__(self, base=0, tape=None):
+    def __init__(self, mem, base=0, tape=None):
+        self.mem = mem
         self.base = base
         # (kind, addr, bytes), and event indices of clflush/fence points
         self.events = [] if tape is None else tape.events
         self.boundaries = [] if tape is None else tape.boundaries
+        self.saved = {} if tape is None else tape.saved
         self.enabled = True
 
     # -- CachedPersistentRegion observer protocol ----------------------
@@ -127,6 +139,22 @@ class TapeRecorder:
     def on_persist(self, addr, data):
         if self.enabled:
             self.events.append((EV_PERSIST, self.base + addr, bytes(data)))
+        if not data:
+            return
+        shift = self.base // CACHELINE_SIZE
+        saved = self.saved
+        new = [line for line in range(addr // CACHELINE_SIZE,
+                                      (addr + len(data) - 1)
+                                      // CACHELINE_SIZE + 1)
+               if line + shift not in saved]
+        if new:
+            # Called before the change: these are still the old bytes.
+            lo = new[0] * CACHELINE_SIZE
+            durable = self.mem.persistent_read(
+                lo, min((new[-1] + 1) * CACHELINE_SIZE, self.mem.size) - lo)
+            for line in new:
+                off = line * CACHELINE_SIZE - lo
+                saved[line + shift] = durable[off:off + CACHELINE_SIZE]
 
     def on_flush_boundary(self, region):
         if self.enabled:
@@ -135,10 +163,6 @@ class TapeRecorder:
     def on_fence(self, region):
         if self.enabled:
             self.boundaries.append(len(self.events))
-
-    def clear(self):
-        del self.events[:]
-        del self.boundaries[:]
 
 
 def touched_extents(events, size, device_bytes=None):
@@ -156,6 +180,11 @@ def touched_extents(events, size, device_bytes=None):
         if data:
             lines.update(range(addr // CACHELINE_SIZE,
                                (addr + len(data) - 1) // CACHELINE_SIZE + 1))
+    return line_extents(lines, size, device_bytes)
+
+
+def line_extents(lines, size, device_bytes=None):
+    """:func:`touched_extents` of a set of cacheline indices."""
     extents = []
     for line in sorted(lines):
         base = line * CACHELINE_SIZE
@@ -177,24 +206,27 @@ class ShadowImage:
     candidates -- whole dirty lines that may additionally persist.
 
     Only the bytes inside ``extents`` are kept (see
-    :func:`touched_extents`), concatenated in address order; images come
-    back in that compact form.  The tape must stay inside the extents.
-    Without ``extents`` the whole baseline is one extent and the compact
-    form *is* the full image.
+    :func:`touched_extents`), concatenated in address order: ``baseline``
+    is the pre-run image in that compact form, and images come back in
+    it.  The tape must stay inside the extents.  Without ``extents``
+    the whole baseline is one extent and the compact form *is* the full
+    image.
     """
 
     def __init__(self, baseline, extents=None):
-        self.size = len(baseline)
         if extents is None:
-            extents = [(0, self.size)]
+            extents = [(0, len(baseline))]
         self._starts = [start for start, _end in extents]
         self._ends = [end for _start, end in extents]
         self._offsets = []
-        self.image = bytearray()
-        view = memoryview(baseline)
+        covered = 0
         for start, end in extents:
-            self._offsets.append(len(self.image))
-            self.image += view[start:end]
+            self._offsets.append(covered)
+            covered += end - start
+        if covered != len(baseline):
+            raise ValueError("a baseline of %d bytes for extents of %d"
+                             % (len(baseline), covered))
+        self.image = bytearray(baseline)
         self.dirty = {}  # line index -> bytearray(CACHELINE_SIZE)
 
     def _offset(self, addr, length):
@@ -209,10 +241,15 @@ class ShadowImage:
         return self._offsets[i] + addr - self._starts[i]
 
     def _line_span(self, line):
-        """``(compact offset, length)`` of a line, clamped to the region."""
+        """``(compact offset, length)`` of a line, clamped to the region
+        (an extent ends at the region's end, or on a line boundary)."""
         base = line * CACHELINE_SIZE
-        length = min(base + CACHELINE_SIZE, self.size) - base
-        return self._offset(base, length), length
+        i = bisect_right(self._starts, base) - 1
+        if i < 0 or base >= self._ends[i]:
+            raise ValueError("line %d lies outside the shadow's extents"
+                             % line)
+        return (self._offsets[i] + base - self._starts[i],
+                min(CACHELINE_SIZE, self._ends[i] - base))
 
     def _line_buf(self, line):
         buf = self.dirty.get(line)
@@ -294,59 +331,146 @@ class ShadowImage:
         return (addr + len(data) - 1) // WORD_SIZE - addr // WORD_SIZE + 1
 
 
-class CrashArena:
-    """The device images every crash state of a run is mounted on.
+class _MountWatch:
+    """Observer of one arena region while a state is mounted: the lines
+    outside the extents that a mount changes durably since the last
+    load (``changed``), each one's baseline saved the first time any
+    mount changes it -- before the change, as the run's recorder saves
+    its own.  Cached stores need no note: a crash drops them."""
 
-    ``baseline`` is the ``devices`` equal-sized device images end to
-    end, as the tape addresses them; the regions are loaded with it
-    once.  Between two ``load`` calls a :class:`TapeRecorder` per region
-    notes what the mounts of that state store -- through the observer
-    protocol the run's own tape was recorded with, so a store it missed
-    would already corrupt the crash states themselves.  ``load`` puts
-    the baseline back over exactly those lines (volatile lines dropped:
-    whatever the previous state's recovery wrote is gone) and writes a
-    state's compact bytes at their extents, each on the device it lies
-    on; the regions then hold exactly that state's durable image, at a
-    cost that does not depend on the device size.
+    def __init__(self, mem, base, extents):
+        self.mem = mem
+        #: Tape line index of the region's line 0.
+        self.first = base // CACHELINE_SIZE
+        #: One byte per line: 1 where the line lies in the extents.
+        self.inside = bytearray(mem.num_lines)
+        for start, end in extents:
+            if base <= start < base + mem.size:
+                first = (start - base) // CACHELINE_SIZE
+                stop = (end - base - 1) // CACHELINE_SIZE + 1
+                self.inside[first:stop] = b"\x01" * (stop - first)
+        self.baseline = {}
+        self.changed = set()
+
+    def on_cached_write(self, addr, data):
+        pass
+
+    def on_persist(self, addr, data):
+        if not data:
+            return
+        inside = self.inside
+        stop = (addr + len(data) - 1) // CACHELINE_SIZE + 1
+        line = inside.find(0, addr // CACHELINE_SIZE, stop)
+        while line != -1:
+            if line not in self.changed:
+                self.changed.add(line)
+                if line not in self.baseline:
+                    base = line * CACHELINE_SIZE
+                    self.baseline[line] = self.mem.persistent_read(
+                        base, min(CACHELINE_SIZE, self.mem.size - base))
+            line = inside.find(0, line + 1, stop)
+
+    def on_flush_boundary(self, region):
+        pass
+
+    def on_fence(self, region):
+        pass
+
+
+class CrashArena:
+    """The device regions every crash state of a run is mounted on: the
+    recorded run's own, adopted rather than copied.
+
+    Adopting crashes them (the run's volatile lines are dropped) and
+    writes ``saved`` back -- each line's durable bytes from before the
+    run first changed it, by tape line index (:class:`TapeRecorder`) --
+    so they hold the baseline again; ``baseline`` is then its bytes over
+    ``extents``, end to end, the compact form :class:`ShadowImage`
+    replays from.  While a state is mounted, a :class:`_MountWatch` per
+    region notes the lines outside the extents a mount changes durably.
+    ``load`` crashes the regions, puts those lines' baseline back and
+    writes a state's compact bytes at the extents, each on the device it
+    lies on; the regions then hold exactly that state's durable image,
+    at a cost that does not depend on the device size.
+
+    ``key_lines`` are lines outside the extents that a mount changes
+    whatever the state (a journal's header, the ring slots the baseline
+    stamps): :meth:`durable_key` reads them with the extents, in a few
+    slices, instead of line by line.  ``remounts`` is the explorer's
+    memo of post-recovery verdicts by that key.
     """
 
-    def __init__(self, baseline, extents, devices=1):
+    def __init__(self, mems, saved, extents, key_lines=()):
+        self.mems = list(mems)
         self.extents = extents
-        size = len(baseline) // devices
-        view = memoryview(baseline)
-        self._baselines = [view[s * size:(s + 1) * size]
-                           for s in range(devices)]
-        self.mems = [CachedPersistentRegion(size) for _ in range(devices)]
-        self.recorders = [TapeRecorder() for _ in range(devices)]
-        for mem, image in zip(self.mems, self._baselines):
-            mem.load_snapshot(image)
+        size = self.mems[0].size
+        for mem in self.mems:
+            mem.observer = None
+            mem.crash()
+        for line, data in saved.items():
+            addr = line * CACHELINE_SIZE
+            self.mems[addr // size].write_nocache(addr % size, data)
+        self.baseline = b"".join(self._read(start, end)
+                                 for start, end in extents)
+        self.watches = [_MountWatch(mem, s * size, extents)
+                        for s, mem in enumerate(self.mems)]
+        self._key_lines = frozenset(key_lines)
+        lines = set(key_lines)
+        for start, end in extents:
+            lines.update(range(start // CACHELINE_SIZE,
+                               (end - 1) // CACHELINE_SIZE + 1))
+        self._key_extents = line_extents(lines, size * len(self.mems), size)
+        self.remounts = {}
+
+    def _read(self, start, end):
+        size = self.mems[0].size
+        return self.mems[start // size].read(start % size, end - start)
 
     def load(self, compact):
-        size = self.mems[0].size
-        for mem, image, recorder in zip(self.mems, self._baselines,
-                                        self.recorders):
+        for mem, watch in zip(self.mems, self.watches):
             mem.observer = None
-            mem.load_extents(image, touched_extents(recorder.events, size))
-            recorder.clear()
+            mem.crash()
+            for line in watch.changed:
+                mem.write_nocache(line * CACHELINE_SIZE, watch.baseline[line])
+            watch.changed.clear()
+        size = self.mems[0].size
         view = memoryview(compact)
         off = 0
         for start, end in self.extents:
             self.mems[start // size].write_nocache(
                 start % size, view[off:off + end - start])
             off += end - start
-        for mem, recorder in zip(self.mems, self.recorders):
-            mem.observer = recorder
+        for mem, watch in zip(self.mems, self.watches):
+            mem.observer = watch
+
+    def durable_key(self):
+        """Digest of the regions' image, which must hold no volatile
+        line: the bytes over the extents and ``key_lines``, then, with
+        its tape line index, each line outside them that a mount changed
+        and that no longer reads as the baseline.  Every other line *is*
+        the baseline, so equal keys are equal images."""
+        digest = hashlib.sha1()
+        for start, end in self._key_extents:
+            digest.update(self._read(start, end))
+        for watch in self.watches:
+            for line in sorted(watch.changed):
+                if watch.first + line in self._key_lines:
+                    continue
+                old = watch.baseline[line]
+                now = watch.mem.read(line * CACHELINE_SIZE, len(old))
+                if now != old:
+                    digest.update((watch.first + line).to_bytes(8, "little"))
+                    digest.update(now)
+        return digest.digest()
 
     def close(self):
         """Release the device-sized slabs now: the stacks mounted on
-        them are cyclic garbage that would pin them until some later
-        collection.  ``extents`` stays readable."""
+        them, the recorded run's among them, are cyclic garbage that
+        would pin them until some later collection.  ``extents`` stays
+        readable."""
         for mem in self.mems:
             mem.observer = None
             mem.close()
-        for image in self._baselines:
-            image.release()
-        self._baselines = []
 
 
 class Expectations:
@@ -737,13 +861,17 @@ class CrashPointExplorer:
         """Execute ``self.warmup`` unrecorded, then ``ops``, recording the
         tape and expectation checkpoints.
 
-        Returns ``(tape, baseline, checkpoints)`` where checkpoints is a
+        Returns ``(tape, mems, checkpoints)`` where checkpoints is a
         list of ``(event_position, op_index, Expectations)`` in tape
         order; the expectations entered at an op's *start* are weakened
         (the op may touch its paths at any intermediate state), the ones
         at its *end* carry the op's durable guarantees.  The first
         checkpoint carries what the warmup acknowledged, and the
-        baseline is the media as it left them.
+        baseline is the media as it left them: ``mems``, the run's
+        regions as the run leaves them, with ``tape.saved`` what it
+        takes to put them back (:class:`CrashArena`).  Sets
+        ``self._key_lines`` to each journal's header line and the ring
+        slots the baseline stamps, by tape line index.
         """
         # Small journal and inode table: every crash-state mount scans
         # the whole ring, so the defaults would dominate the run time.
@@ -767,11 +895,24 @@ class CrashPointExplorer:
         env = vfs.env
         # Unarmed: only records which fault sites the sequence reached.
         plan = FaultPlan(env)
-        tape = TapeRecorder()
-        baseline = b"".join(fs.device.mem.persistent_snapshot()
-                            for fs in shards)
+        mems = [fs.device.mem for fs in shards]
+        self._key_lines = []
         for s, fs in enumerate(shards):
-            fs.device.mem.observer = TapeRecorder(s * self.device_bytes, tape)
+            # Every recovery steps the header's generation and zeroes the
+            # stamped slots: whatever the state, mounts change these.
+            journal = fs.journal
+            first = (s * self.device_bytes + journal.base_addr) \
+                // CACHELINE_SIZE
+            ring = fs.device.mem.persistent_read(
+                journal.base_addr, (journal.capacity + 1) * CACHELINE_SIZE)
+            self._key_lines.append(first)
+            self._key_lines.extend(
+                first + slot for slot in range(1, journal.capacity + 1)
+                if ring[slot * CACHELINE_SIZE:(slot + 1) * CACHELINE_SIZE]
+                .strip(b"\0"))
+        tape = mems[0].observer = TapeRecorder(mems[0])
+        for s, mem in enumerate(mems[1:], 1):
+            mem.observer = TapeRecorder(mem, s * self.device_bytes, tape)
         checkpoints = [(0, -1, expect.copy())]
         op_request_ids = {}
         for op_index, op in enumerate(ops):
@@ -786,20 +927,20 @@ class CrashPointExplorer:
                 op_request_ids[op_index] = (first_req + 1, last_req - 1)
             expect = self._strengthen(weakened, vfs, ctx, op)
             checkpoints.append((len(tape.events), op_index, expect.copy()))
-        for fs in shards:
-            fs.device.mem.observer = None
+        for mem in mems:
+            # The tape ends here; whatever the reads below might still
+            # make durable is saved all the same.
+            mem.observer.enabled = False
         #: path -> final content of every append-only file: any crash
         #: state must read back a prefix of it.
         self._grown = {path: vfs.read_file(ctx, path)
                        for path in _append_only(self.warmup + tuple(ops))
                        if vfs.exists(ctx, path)}
-        for fs in shards:
-            # The run's stack is cyclic garbage from here on; its
-            # device must not wait for a collection.
-            fs.device.mem.close()
+        for mem in mems:
+            mem.observer = None
         self._op_request_ids = op_request_ids
         self._sites = sorted({site for site, _key in plan.observed})
-        return tape, baseline, checkpoints
+        return tape, mems, checkpoints
 
     def _execute(self, vfs, ctx, op, op_index):
         kind = op[0]
@@ -943,22 +1084,24 @@ class CrashPointExplorer:
     def explore(self, ops=DEFAULT_OPS):
         ops = list(ops)
         report = ExplorationReport(self.fs_kind, ops)
-        tape, baseline, checkpoints = self._run_ops(ops)
-        extents = touched_extents(tape.events, len(baseline),
+        tape, mems, checkpoints = self._run_ops(ops)
+        extents = touched_extents(tape.events,
+                                  self.devices * self.device_bytes,
                                   self.device_bytes)
         report.events = len(tape.events)
         report.boundaries = len(set(tape.boundaries))
         report.op_request_ids = dict(self._op_request_ids)
         report.sites = self._sites
-        self._arena = CrashArena(baseline, extents, self.devices)
+        self._arena = CrashArena(mems, tape.saved, extents, self._key_lines)
         try:
-            self._enumerate(report, tape, baseline, extents, checkpoints)
+            self._enumerate(report, tape, checkpoints)
         finally:
             self._arena.close()
         return report
 
-    def _enumerate(self, report, tape, baseline, extents, checkpoints):
+    def _enumerate(self, report, tape, checkpoints):
         """Check every crash state of the recorded run on the arena."""
+        baseline, extents = self._arena.baseline, self._arena.extents
 
         # Checkpoint lookup: for event prefix k, the newest checkpoint at
         # position <= k governs.
@@ -1094,15 +1237,25 @@ class CrashPointExplorer:
         # Crash again right after recovery: remount must also be clean
         # (recovery itself only persists ordered, flushed state).  The
         # media is not restored in between -- the second mount sees
-        # exactly what the first one's recovery left durable.
+        # exactly what the first one's recovery left durable, in a
+        # fresh env: its verdict depends on that image and ``expect``
+        # alone, so each pair is mounted once.
         for fs in shards:
             fs.device.crash()
+        key = (self._arena.durable_key(), id(expect))
+        verdict = self._arena.remounts.get(key)
+        if verdict is None:
+            verdict = self._arena.remounts[key] = self._remount(expect)
+        return list(verdict)
+
+    def _remount(self, expect):
+        """The post-recovery invariants on the arena as it stands."""
         try:
-            shards2, vfs2, ctx2 = self._mount()
+            shards, vfs, ctx = self._mount()
         except Exception as exc:  # noqa: BLE001
             return ["remount after recovery failed: %r" % (exc,)]
-        problems.extend(self._check_namespace(vfs2, ctx2, expect))
-        for fs in shards2:
+        problems = self._check_namespace(vfs, ctx, expect)
+        for fs in shards:
             problems.extend(self._check_allocator(fs))
         return problems
 

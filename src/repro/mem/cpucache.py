@@ -52,6 +52,8 @@ class CachedPersistentRegion:
         #: stores, ``on_persist(addr, data)`` for every byte range that
         #: becomes durable, ``on_flush_boundary(region)`` after each
         #: ``clflush``, and ``on_fence(region)`` at every ordering point.
+        #: Both store hooks run *before* the change: a ``read`` or
+        #: ``persistent_read`` inside one still sees the old bytes.
         self.observer = None
 
     @property
@@ -107,9 +109,9 @@ class CachedPersistentRegion:
         if self._saved and length:
             self._flush_lines(addr // CACHELINE_SIZE,
                               (addr + length - 1) // CACHELINE_SIZE + 1)
-        self._mv[addr : addr + length] = data
         if self.observer is not None:
             self.observer.on_persist(addr, bytes(data))
+        self._mv[addr : addr + length] = data
 
     # -- flush / ordering ---------------------------------------------------
 
@@ -123,12 +125,12 @@ class CachedPersistentRegion:
         line = flags.find(1, first, stop)
         flushed = 0
         while line != -1:
-            flags[line] = 0
-            del saved[line]
             if observer is not None:
                 base = line * CACHELINE_SIZE
                 observer.on_persist(
                     base, bytes(self._mv[base : base + CACHELINE_SIZE]))
+            flags[line] = 0
+            del saved[line]
             flushed += 1
             # Step through a dense run by index; ``find`` only to jump
             # a gap (flush_all crosses millions of clean lines).
@@ -289,27 +291,6 @@ class CachedPersistentRegion:
             out[lo - addr : hi - addr] = image[lo - base : hi - base]
             line = find(1, line + 1, stop)
         return bytes(out)
-
-    def load_snapshot(self, image):
-        """Replace the persistent contents with ``image`` (crash-state
-        replay); all volatile lines are discarded."""
-        self.load_extents(image, ((0, self.size),))
-
-    def load_extents(self, image, extents):
-        """:meth:`load_snapshot` for a region that already reads as
-        ``image`` outside the ``(start, end)`` byte ranges ``extents``:
-        only those are copied, so the cost is what was stored since the
-        region last equalled ``image``, not the region's size."""
-        if len(image) != self.size:
-            raise ValueError(
-                "snapshot of %d bytes does not match region of %d bytes"
-                % (len(image), self.size)
-            )
-        self._discard_volatile()
-        mv = self._mv
-        image = memoryview(image)
-        for start, end in extents:
-            mv[start:end] = image[start:end]
 
     def close(self):
         """Release the slab (see :meth:`MemoryRegion.close`): every

@@ -5,7 +5,7 @@ import pytest
 from repro.engine.background import NEVER, BackgroundTask
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
-from repro.engine.errors import SimulationError
+from repro.engine.errors import DeadlockError, SimulationError
 from repro.engine.scheduler import Scheduler
 from repro.engine.stats import CAT_OTHERS
 
@@ -218,6 +218,36 @@ def test_registry_runs_due_tasks_in_due_order_ties_by_registration():
     assert len(log) == 7
     registry.advance_to(70)
     assert log[7:] == [("b", 66), ("a", 70)]
+
+
+def test_a_task_pulled_in_by_an_earlier_run_is_judged_from_its_new_due():
+    """Both are due at the first scan; ``c`` runs first and pulls ``b``
+    from 6 in to 2.  ``b``'s run takes it to 5: progress from 2, though
+    short of the 6 the scan read.  Stuck at 2 instead, the error fires
+    in that same first round and names the due time ``b`` really had."""
+    env = SimEnv()
+    registry = env.background
+    log = []
+    b = registry.register(_StepTask(env, "b", 6, 3, log))
+    c = registry.register(_StepTask(env, "c", 4, 100, log))
+
+    def pull_b():
+        c.on_run = None
+        b.due = 2
+        registry.note_earlier(2)
+
+    c.on_run = pull_b
+    registry.advance_to(10)
+    assert log == [("c", 4), ("b", 2), ("b", 5), ("b", 8)]
+
+    log.clear()
+    b.due, b.period, c.due = 6, 0, 4
+    c.on_run = pull_b
+    registry.invalidate()
+    with pytest.raises(DeadlockError, match=r"'b' made no progress "
+                                            r"\(due 2 -> 2\)"):
+        registry.advance_to(10)
+    assert log == [("c", 4), ("b", 2)]
 
 
 # -- deadlock diagnostics ------------------------------------------------

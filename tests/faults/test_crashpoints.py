@@ -10,6 +10,7 @@ from repro.faults.crashpoints import (
     ShadowImage,
     TapeRecorder,
 )
+from repro.mem.cpucache import CachedPersistentRegion
 from repro.nvmm.config import CACHELINE_SIZE
 
 SHORT_OPS = (
@@ -49,12 +50,35 @@ class TestShadowImage:
 
 class TestTapeRecorder:
     def test_disabled_recorder_drops_events(self):
-        tape = TapeRecorder()
-        tape.on_cached_write(0, b"a")
+        mem = CachedPersistentRegion(4 * CACHELINE_SIZE)
+        mem.write_nocache(CACHELINE_SIZE, b"old")
+        tape = mem.observer = TapeRecorder(mem)
+        mem.write(0, b"a")
         tape.enabled = False
-        tape.on_persist(0, b"a")
-        tape.on_fence(None)
+        mem.write_nocache(CACHELINE_SIZE, b"new")
+        mem.fence()
         assert len(tape.events) == 1 and not tape.boundaries
+        # ... but not the baseline: the durable line from before the
+        # store is saved all the same.
+        assert tape.saved == {1: b"old".ljust(CACHELINE_SIZE, b"\0")}
+
+    def test_saves_each_line_once_before_its_first_durable_change(self):
+        mem = CachedPersistentRegion(3 * CACHELINE_SIZE + 8)
+        mem.write_nocache(0, b"A" * len(mem.read(0, mem.size)))
+        tape = mem.observer = TapeRecorder(mem, base=CACHELINE_SIZE * 10)
+        mem.write(CACHELINE_SIZE + 5, b"cached")   # no durable change yet
+        assert tape.saved == {}
+        mem.clflush(CACHELINE_SIZE, 1)              # line 1 persists
+        mem.write_nocache(CACHELINE_SIZE * 3 - 4, b"x" * 12)  # 2 and tail
+        mem.write_nocache(CACHELINE_SIZE, b"z")     # line 1 again: kept
+        mem.write_nocache(0, b"y")
+        # Keys are tape lines (shifted by ``base``); values the bytes a
+        # crash would have left before the first change, the tail line
+        # clamped to the region.
+        assert tape.saved == {10: b"A" * CACHELINE_SIZE,
+                              11: b"A" * CACHELINE_SIZE,
+                              12: b"A" * CACHELINE_SIZE,
+                              13: b"A" * 8}
 
 
 class TestExplorerAcceptance:

@@ -1,9 +1,11 @@
 """Sparse crash states equal the full images they stand for.
 
 The explorer keeps a crash state as the bytes of the tape-touched line
-extents and materialises it on one reusable arena.  The reference here
-is the same :class:`ShadowImage` with no extents -- the whole baseline
-as one extent, i.e. a full device image per state, which is what the
+extents and materialises it on the recorded run's own regions (the
+arena), put back to the baseline from the lines the run saved before
+changing them.  The reference here is the same :class:`ShadowImage`
+with no extents -- the whole baseline, read off the adopted regions, as
+one extent, i.e. a full device image per state, which is what the
 explorer mounted before it went sparse.
 """
 
@@ -25,6 +27,7 @@ from repro.faults.crashpoints import (
     touched_extents,
 )
 from repro.fs.pmfs.journal import Journal
+from repro.mem.cpucache import CachedPersistentRegion
 from repro.nvmm.config import CACHELINE_SIZE
 
 #: Small device: the reference copies and hashes a full image per state.
@@ -47,8 +50,14 @@ class CheckedExplorer(CrashPointExplorer):
         self._pending = None
 
     def _run_ops(self, ops):
-        self.tape, self.baseline, checkpoints = super()._run_ops(ops)
-        return self.tape, self.baseline, checkpoints
+        self.tape, mems, checkpoints = super()._run_ops(ops)
+        return self.tape, mems, checkpoints
+
+    def _enumerate(self, report, tape, checkpoints):
+        # The arena has just adopted the run's regions: the full image
+        # it restored them to is the reference's baseline.
+        self.baseline = durable(self._arena)
+        super()._enumerate(report, tape, checkpoints)
 
     def _reference(self, k, evicted, torn):
         ref = ShadowImage(self.baseline)
@@ -121,13 +130,13 @@ def test_restore_on_a_perfbench_sized_device():
 
 class DeafArenaExplorer(CheckedExplorer):
     """The negative control of the comparison above: the arena's
-    recorders (not the run's) hear nothing, so nothing a mount stores is
-    put back before the next state.  Deaf to ``on_persist`` alone would
-    not do -- the journal's persists are cached stores first."""
+    watches (not the run's recorder) hear nothing, so no line a mount
+    makes durable outside the extents is put back before the next
+    state.  What a mount leaves volatile the arena's crash drops."""
 
     def _check_image(self, *args, **kwargs):
-        for recorder in self._arena.recorders:
-            recorder.enabled = False
+        for watch in self._arena.watches:
+            watch.on_persist = lambda addr, data: None
         super()._check_image(*args, **kwargs)
 
 
@@ -181,6 +190,8 @@ def test_explore_releases_every_device_slab(fail_at_state):
             explorer.explore(SHARD_OPS[:2])
     arena = explorer._arena
     assert len(arena.mems) == len(explorer.run_mems) == 2
+    # The arena adopted the run's regions: no second device-sized slab.
+    assert all(a is b for a, b in zip(arena.mems, explorer.run_mems))
     for mem in arena.mems + explorer.run_mems:
         assert mem.observer is None
         with pytest.raises(ValueError):
@@ -209,8 +220,11 @@ def test_unaligned_region_tail_line():
     ]
     extents = touched_extents(tape, size)
     assert extents == [(64, 128), (3 * CACHELINE_SIZE, size)]
-    arena = CrashArena(baseline, extents)
-    sparse, ref = ShadowImage(baseline, extents), ShadowImage(baseline)
+    mem = CachedPersistentRegion(size)
+    mem.write_nocache(0, baseline)
+    arena = CrashArena([mem], {}, extents)
+    assert arena.baseline == baseline[64:128] + baseline[3 * CACHELINE_SIZE:]
+    sparse, ref = ShadowImage(arena.baseline, extents), ShadowImage(baseline)
 
     def same(sparse_image, ref_image):
         arena.load(sparse_image)
@@ -240,7 +254,9 @@ def test_unaligned_region_tail_line():
 
 
 def test_tape_outside_extents_is_rejected():
-    shadow = ShadowImage(b"\0" * 512, [(64, 128)])
+    with pytest.raises(ValueError):
+        ShadowImage(b"\0" * 512, [(64, 128)])  # a full image, not compact
+    shadow = ShadowImage(b"\0" * 64, [(64, 128)])
     with pytest.raises(ValueError):
         shadow.apply((EV_PERSIST, 256, b"x"))
     with pytest.raises(ValueError):
@@ -254,10 +270,11 @@ def prepared(fs_kind, ops):
     """An explorer with its run recorded and its arena built, plus the
     compact crash image and expectations of every event prefix."""
     explorer = CrashPointExplorer(fs_kind, device_bytes=DEVICE_BYTES)
-    tape, baseline, checkpoints = explorer._run_ops(ops)
-    extents = touched_extents(tape.events, len(baseline))
-    explorer._arena = CrashArena(baseline, extents)
-    shadow = ShadowImage(baseline, extents)
+    tape, mems, checkpoints = explorer._run_ops(ops)
+    extents = touched_extents(tape.events, DEVICE_BYTES)
+    explorer._arena = CrashArena(mems, tape.saved, extents,
+                                 explorer._key_lines)
+    shadow = ShadowImage(explorer._arena.baseline, extents)
     states = []
     for k in range(len(tape.events) + 1):
         expect = [cp[2] for cp in checkpoints if cp[0] <= k][-1]
@@ -288,6 +305,9 @@ def test_recovery_writes_do_not_leak_into_the_next_state(
         return rollbacks[-1]
 
     monkeypatch.setattr(Journal, "recover", counting_recover)
+    # The remount memo forced cold: every state is mounted twice, and
+    # both mounts' media are compared below.
+    monkeypatch.setattr(CrashArena, "durable_key", lambda arena: object())
 
     first, states = prepared(fs_kind, ops)
     # Find a state whose recovery rolls a transaction back, and the next

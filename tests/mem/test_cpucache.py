@@ -185,12 +185,6 @@ def test_crash_accepts_dirty_line_eviction():
     assert region.read(CACHELINE_SIZE, 2) == b"zz"
 
 
-def test_load_snapshot_rejects_size_mismatch():
-    region = CachedPersistentRegion(512)
-    with pytest.raises(ValueError):
-        region.load_snapshot(b"\0" * 100)
-
-
 def test_persistent_read_is_a_range_of_the_durable_image():
     region = CachedPersistentRegion(512)
     region.write_nocache(60, b"durable!")

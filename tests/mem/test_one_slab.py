@@ -42,8 +42,9 @@ class TwoSlabReference:
             return 0
         self.dirty.remove(line)
         lo, hi = line * LINE, min((line + 1) * LINE, self.size)
+        self.events.append(("persist", lo, bytes(self.current[lo:hi]),
+                            bytes(self.persistent[lo:hi])))
         self.persistent[lo:hi] = self.current[lo:hi]
-        self.events.append(("persist", lo, bytes(self.current[lo:hi])))
         return 1
 
     def write(self, addr, data):
@@ -56,9 +57,10 @@ class TwoSlabReference:
     def write_nocache(self, addr, data):
         for line in self._lines(addr, len(data)):
             self._flush(line)
+        self.events.append(("persist", addr, bytes(data),
+                            bytes(self.persistent[addr:addr + len(data)])))
         self.persistent[addr:addr + len(data)] = data
         self.current[addr:addr + len(data)] = data
-        self.events.append(("persist", addr, bytes(data)))
 
     def clflush(self, addr, length):
         flushed = sum(self._flush(line) for line in self._lines(addr, length))
@@ -77,16 +79,13 @@ class TwoSlabReference:
         self.current[:] = self.persistent
         self.dirty.clear()
 
-    def load_snapshot(self, image):
-        self.persistent[:] = image
-        self.current[:] = image
-        self.dirty.clear()
 
 
 class Recorder:
     """Observer logging the reference's event tuples.  A store event
-    also captures what a load saw at that moment, which pins
-    ``on_cached_write`` to *before* the mutation."""
+    also captures what a load saw at that moment, and a persist event
+    what a durable load saw, which pins ``on_cached_write`` and
+    ``on_persist`` to *before* the mutation."""
 
     def __init__(self, region):
         self.region = region
@@ -97,7 +96,8 @@ class Recorder:
             ("store", addr, data, self.region.read(addr, len(data))))
 
     def on_persist(self, addr, data):
-        self.events.append(("persist", addr, data))
+        self.events.append(("persist", addr, data,
+                            self.region.persistent_read(addr, len(data))))
 
     def on_flush_boundary(self, region):
         assert region is self.region
@@ -116,16 +116,10 @@ class Differential(RuleBasedStateMachine):
         self.region = CachedPersistentRegion(self.SIZE)
         self.ref = TwoSlabReference(self.SIZE)
         self.recorder = self.region.observer = Recorder(self.region)
-        #: What the last load left in both, and the byte ranges stored
-        #: since: all ``load_extents`` may assume and all it needs.
-        self.image = bytes(self.SIZE)
-        self.stored = []
 
     def _clamp(self, addr, data):
         addr %= self.SIZE
-        data = data[:self.SIZE - addr]
-        self.stored.append((addr, addr + len(data)))
-        return addr, data
+        return addr, data[:self.SIZE - addr]
 
     # 200 bytes is up to five lines: the multi-line save path, and with
     # an address near the end, the clamped tail line.
@@ -191,29 +185,6 @@ class Differential(RuleBasedStateMachine):
         with pytest.raises(ValueError):
             self.region.crash([min(self.ref.dirty), clean])
 
-    @rule(seed=st.binary(min_size=1, max_size=40))
-    def load_snapshot(self, seed):
-        image = (seed * (self.SIZE // len(seed) + 1))[:self.SIZE]
-        self.region.load_snapshot(image)
-        self.ref.load_snapshot(image)
-        self.image = image
-        self.stored = []
-
-    @rule(extra=st.lists(st.tuples(st.integers(0, 1 << 16),
-                                   st.integers(0, 300)), max_size=3),
-          as_view=st.booleans())
-    def load_extents(self, extra, as_view):
-        """Reference = a full ``load_snapshot`` of the last loaded image.
-        The extents cover every range stored since (unsorted, possibly
-        overlapping or empty), plus a few that nothing touched."""
-        extents = self.stored + [
-            (addr % self.SIZE, min(addr % self.SIZE + length, self.SIZE))
-            for addr, length in extra]
-        image = memoryview(self.image) if as_view else self.image
-        self.region.load_extents(image, extents)
-        self.ref.load_snapshot(self.image)
-        self.stored = []
-
     @rule(addr=st.integers(0, 1 << 16), length=st.integers(0, 300))
     def read_ranges(self, addr, length):
         addr %= self.SIZE
@@ -272,18 +243,6 @@ def test_out_of_bounds_access_raises_and_changes_nothing(call):
     assert region.persistent_snapshot() == bytes(1024)
 
 
-def test_load_extents_refuses_an_image_of_another_size():
-    region = CachedPersistentRegion(1024)
-    region.write(960, b"volatile")
-    for image in (bytes(1023), bytes(1025), b""):
-        with pytest.raises(ValueError):
-            region.load_extents(image, [(0, 64)])
-        with pytest.raises(ValueError):
-            region.load_snapshot(image)
-    assert region.dirty_line_indices() == [15]
-    assert region.read(960, 8) == b"volatile"
-
-
 # Below and above the mmap threshold: a bytearray and an mmap backing.
 @pytest.mark.parametrize("size", [1024, 2 << 20])
 def test_use_after_close_raises(size):
@@ -307,9 +266,7 @@ def test_use_after_close_raises(size):
                  lambda: region.write_nocache(100, b"x"),
                  lambda: region.write_flush(100, b"x"),
                  lambda: region.persistent_read(100, 8),
-                 region.persistent_snapshot,
-                 lambda: region.load_snapshot(bytes(size)),
-                 lambda: region.load_extents(bytes(size), [(0, 64)])):
+                 region.persistent_snapshot):
         with pytest.raises(ValueError):
             call()
     # Nothing volatile is left to flush or to lose.
