@@ -21,6 +21,10 @@ Cooperating pieces:
   would leave at each point (plus sampled uncontrolled-eviction subsets
   and torn lines where only some 8-byte words of a dirty cacheline
   persist), then replays recovery and checks file-system invariants.
+- :mod:`repro.faults.model` -- the reference model of the namespace and
+  file bytes, with what fsync, ``O_SYNC`` and msync promised durable:
+  each recovered crash state must refine one of its states, and the
+  differential oracle checks every stack's syscalls against it.
 - :mod:`repro.faults.plan` -- the one :class:`FaultPlan` of named
   injection sites an environment carries (``env.faults``): fail the
   writeback of the blocks one :class:`repro.io.IORequest` wrote, the Nth

@@ -21,29 +21,29 @@ saves a line's durable bytes the first time the run changes them, so
 the run's own regions, crashed and given those bytes back, hold the
 baseline again (the arena).  Each state is written over it, power-cycled
 -- a fresh env, device and file system on the surviving media -- and
-the recovered file system is checked against invariants derived from
-the operations that had completed before the crash point:
+the recovered file system is checked against the reference model
+(:mod:`repro.faults.model`) stepped through the same operations:
 
 1. recovery succeeds (journal replay / rollback is correct) and no
    device comes up degraded;
-2. durably-acknowledged namespace operations survive (created files
-   exist, unlinked files are gone, a rename shows exactly one name --
-   and *during* a rename, at least one of the two names; a durable name
-   being renamed *over* resolves at every point, to the victim or to
-   the moved file);
-3. fsynced (or O_SYNC-written) bytes are never lost, and they follow a
-   rename: during it exactly one of the two names reads them back,
-   after it the new one does -- for a directory, every fsynced file
-   below it;
-4. every file's size matches its readable contents, and a file the ops
+2. the recovered tree refines a state of the model the crash point
+   allows -- after an op, the state it left; inside one, the state
+   before it or after it, a file the op writes volatile in both (the
+   second keeps the first's promise only if the op keeps one): the
+   same paths, of the same kinds, and every file an fsync, O_SYNC write
+   or msync acknowledged reads back at least those bytes, exactly while
+   nothing has written it since.  So a rename shows one of its two
+   names, never both or neither, a directory's subtree moves with it,
+   and a mapping's epoch recovers exactly as committed or not at all;
+3. every file's size matches its readable contents, and a file the ops
    only ever create, append to and fsync reads back a prefix of its
    final content: its size never covers a block whose data did not
    persist (the ordering promise of HiNFS's deferred commits);
-5. each device's rebuilt allocator agrees exactly with the union of its
+4. each device's rebuilt allocator agrees exactly with the union of its
    block maps: no block referenced twice, none out of range, no orphans;
-6. a second crash immediately after recovery mounts cleanly too --
-   mounted once per distinct recovered image and set of expectations,
-   since that mount sees nothing else.
+5. a second crash immediately after recovery mounts cleanly too --
+   mounted once per distinct recovered image and crash window, since
+   that mount sees nothing else.
 
 The explored stack is any PMFS-layout name of :data:`repro.fs.STACKS`,
 optionally sharded (``"pmfs@2"``): the M devices of a sharded mount
@@ -62,6 +62,7 @@ from bisect import bisect_right
 from repro.core import HiNFSConfig
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
+from repro.faults.model import DIR, Model
 from repro.faults.plan import FaultPlan
 from repro.fs import flags as f
 from repro.fs import make_fs
@@ -113,8 +114,7 @@ class TapeRecorder:
     Before a line's durable bytes first change -- a non-temporal store
     or a flush reaches it -- they go to ``saved`` (tape line index ->
     bytes): with those written back over the crashed region it holds
-    the pre-run baseline again.  ``enabled = False`` drops events only;
-    the saving goes on.
+    the pre-run baseline again.
 
     ``TapeRecorder(mem, base, tape)`` is a second device's view of
     ``tape``: it appends to the same lists and saves to the same dict,
@@ -128,17 +128,14 @@ class TapeRecorder:
         self.events = [] if tape is None else tape.events
         self.boundaries = [] if tape is None else tape.boundaries
         self.saved = {} if tape is None else tape.saved
-        self.enabled = True
 
     # -- CachedPersistentRegion observer protocol ----------------------
 
     def on_cached_write(self, addr, data):
-        if self.enabled:
-            self.events.append((EV_STORE, self.base + addr, bytes(data)))
+        self.events.append((EV_STORE, self.base + addr, bytes(data)))
 
     def on_persist(self, addr, data):
-        if self.enabled:
-            self.events.append((EV_PERSIST, self.base + addr, bytes(data)))
+        self.events.append((EV_PERSIST, self.base + addr, bytes(data)))
         if not data:
             return
         shift = self.base // CACHELINE_SIZE
@@ -157,12 +154,10 @@ class TapeRecorder:
                 saved[line + shift] = durable[off:off + CACHELINE_SIZE]
 
     def on_flush_boundary(self, region):
-        if self.enabled:
-            self.boundaries.append(len(self.events))
+        self.boundaries.append(len(self.events))
 
     def on_fence(self, region):
-        if self.enabled:
-            self.boundaries.append(len(self.events))
+        self.boundaries.append(len(self.events))
 
 
 def touched_extents(events, size, device_bytes=None):
@@ -473,44 +468,6 @@ class CrashArena:
             mem.close()
 
 
-class Expectations:
-    """What must hold in any crash state taken at or after a checkpoint."""
-
-    __slots__ = ("present", "absent", "fsynced", "either_present",
-                 "moving", "epoch_window")
-
-    def __init__(self):
-        self.present = set()   # paths that must exist
-        self.absent = set()    # paths that must not exist
-        #: path -> (bytes, clean): fsync-acknowledged content.  ``clean``
-        #: means no later write touched the file, so the recovered prefix
-        #: must match byte-for-byte; otherwise only the length guarantee
-        #: holds (fsynced bytes may be legally overwritten, never lost).
-        self.fsynced = {}
-        #: (old, new) pairs inside a rename window: at least one of the
-        #: two names must resolve (rename atomicity).  One pair per
-        #: durable path at or below the renamed one.
-        self.either_present = []
-        #: (old, new, bytes, clean) inside a rename window, one per
-        #: ``fsynced`` path at or below the renamed one: the content
-        #: must read back under exactly one of the two names.
-        self.moving = []
-        #: path -> (pre, post) inside an mmio msync/munmap window: the
-        #: epoch commit is atomic, so recovery must yield exactly the
-        #: pre-epoch or the post-epoch image -- never a blend.
-        self.epoch_window = {}
-
-    def copy(self):
-        out = Expectations()
-        out.present = set(self.present)
-        out.absent = set(self.absent)
-        out.fsynced = dict(self.fsynced)
-        out.either_present = list(self.either_present)
-        out.moving = list(self.moving)
-        out.epoch_window = dict(self.epoch_window)
-        return out
-
-
 class Violation:
     """One invariant failure at one reconstructed crash state."""
 
@@ -781,11 +738,27 @@ def _append_only(ops):
                              for other in touched))
 
 
-def _moved(paths, old, new):
-    """``(path, its path after the move)`` for each of ``paths`` at or
-    below ``old`` when ``old`` is renamed to ``new``, sorted."""
-    return [(path, new + path[len(old):]) for path in sorted(paths)
-            if path == old or path.startswith(old + "/")]
+#: The ops that write a file through a descriptor: a crash inside one
+#: may leave any part of the write behind.
+_WRITES = ("append", "write", "sync_write", "truncate")
+
+
+def _window(before, after, op):
+    """The model states a crash inside ``op`` may leave: the ones on
+    either side of it, with the file a write targets volatile in both.
+    The second keeps the first's promise for it only where the op keeps
+    a promise at all.  Mapped stores and commits are never volatile: an
+    epoch recovers exactly as ``before`` or as ``after``."""
+    if op[0] not in _WRITES:
+        return (before, after)
+    before, after = before.copy(), after.copy()
+    old, new = before.tree.get(op[1]), after.tree[op[1]]
+    if old is not None:
+        old.clean = False
+    new.clean = False
+    if new.synced is not None:
+        new.synced = old.synced if old is not None else None
+    return (before, after)
 
 
 class CrashPointExplorer:
@@ -859,15 +832,14 @@ class CrashPointExplorer:
 
     def _run_ops(self, ops):
         """Execute ``self.warmup`` unrecorded, then ``ops``, recording the
-        tape and expectation checkpoints.
+        tape and the crash windows.
 
         Returns ``(tape, mems, checkpoints)`` where checkpoints is a
-        list of ``(event_position, op_index, Expectations)`` in tape
-        order; the expectations entered at an op's *start* are weakened
-        (the op may touch its paths at any intermediate state), the ones
-        at its *end* carry the op's durable guarantees.  The first
-        checkpoint carries what the warmup acknowledged, and the
-        baseline is the media as it left them: ``mems``, the run's
+        list of ``(event_position, op_index, window)`` in tape order: a
+        window is the tuple of model states a crash state there may
+        refine (:func:`_window` at an op's start, the state it left at
+        its end).  The first checkpoint is what the warmup left, and
+        the baseline is the media as it left them: ``mems``, the run's
         regions as the run leaves them, with ``tape.saved`` what it
         takes to put them back (:class:`CrashArena`).  Sets
         ``self._key_lines`` to each journal's header line and the ring
@@ -877,11 +849,9 @@ class CrashPointExplorer:
         # the whole ring, so the defaults would dominate the run time.
         shards, vfs, ctx = self._stack(None, "crashpoints", journal_blocks=8,
                                        inode_count=64)
-        #: path -> (fd, MmioMapping) for the mmap op family, plus the
-        #: staged-content model backing the epoch-window expectations.
+        #: path -> (fd, MmioMapping) for the mmap op family.
         self._mmaps = {}
-        self._mmio_staged = {}
-        expect = Expectations()
+        model = Model()
         for op_index, op in enumerate(self.warmup, -len(self.warmup)):
             if op == ("remount",):
                 # Clean unmount, then the stack recovered on its media.
@@ -889,9 +859,8 @@ class CrashPointExplorer:
                 shards, vfs, ctx = self._stack(
                     [fs.device.mem for fs in shards], "crashpoints")
                 continue
-            expect = self._weaken(expect, op)
             self._execute(vfs, ctx, op, op_index)
-            expect = self._strengthen(expect, vfs, ctx, op)
+            model.apply(op, op_index)
         env = vfs.env
         # Unarmed: only records which fault sites the sequence reached.
         plan = FaultPlan(env)
@@ -913,11 +882,13 @@ class CrashPointExplorer:
         tape = mems[0].observer = TapeRecorder(mems[0])
         for s, mem in enumerate(mems[1:], 1):
             mem.observer = TapeRecorder(mem, s * self.device_bytes, tape)
-        checkpoints = [(0, -1, expect.copy())]
+        checkpoints = [(0, -1, (model,))]
         op_request_ids = {}
         for op_index, op in enumerate(ops):
-            weakened = self._weaken(expect.copy(), op)
-            checkpoints.append((len(tape.events), op_index, weakened))
+            before, model = model, model.copy()
+            model.apply(op, op_index)
+            checkpoints.append((len(tape.events), op_index,
+                                _window(before, model, op)))
             # Bracket the op with the env's request-id counter so every
             # tape event inside it maps to a request-id range.
             first_req = env.next_req_id()
@@ -925,19 +896,14 @@ class CrashPointExplorer:
             last_req = env.next_req_id()
             if last_req - first_req > 1:
                 op_request_ids[op_index] = (first_req + 1, last_req - 1)
-            expect = self._strengthen(weakened, vfs, ctx, op)
-            checkpoints.append((len(tape.events), op_index, expect.copy()))
-        for mem in mems:
-            # The tape ends here; whatever the reads below might still
-            # make durable is saved all the same.
-            mem.observer.enabled = False
-        #: path -> final content of every append-only file: any crash
-        #: state must read back a prefix of it.
-        self._grown = {path: vfs.read_file(ctx, path)
-                       for path in _append_only(self.warmup + tuple(ops))
-                       if vfs.exists(ctx, path)}
+            checkpoints.append((len(tape.events), op_index, (model,)))
         for mem in mems:
             mem.observer = None
+        #: path -> final content of every append-only file: any crash
+        #: state must read back a prefix of it.
+        self._grown = {path: model.tree[path].data
+                       for path in _append_only(self.warmup + tuple(ops))
+                       if path in model.tree}
         self._op_request_ids = op_request_ids
         self._sites = sorted({site for site, _key in plan.observed})
         return tape, mems, checkpoints
@@ -982,14 +948,7 @@ class CrashPointExplorer:
             self._mmaps[op[1]] = (fd, region)
         elif kind == "mstore":
             _fd, region = self._mmaps[op[1]]
-            data = payload(op[3], op_index)
-            region.store(ctx, op[2], data)
-            # Keep the staged-content model current: it becomes the
-            # "post" side of the next commit's epoch window.
-            staged = self._mmio_staged[op[1]]
-            if op[2] + len(data) > len(staged):
-                staged.extend(b"\0" * (op[2] + len(data) - len(staged)))
-            staged[op[2]:op[2] + len(data)] = data
+            region.store(ctx, op[2], payload(op[3], op_index))
         elif kind == "msync_m":
             _fd, region = self._mmaps[op[1]]
             region.msync(ctx)
@@ -1002,82 +961,6 @@ class CrashPointExplorer:
             vfs.env.background.advance_to(ctx.now)
         else:
             raise ValueError("unknown op kind %r" % (kind,))
-
-    def _weaken(self, expect, op):
-        """Relax expectations for the paths ``op`` is about to touch."""
-        kind = op[0]
-        if kind in ("create", "mkdir"):
-            expect.absent.discard(op[1])
-        elif kind in ("append", "write", "sync_write"):
-            expect.absent.discard(op[1])
-            if op[1] in expect.fsynced:
-                data, _ = expect.fsynced[op[1]]
-                expect.fsynced[op[1]] = (data, False)
-        elif kind == "unlink":
-            expect.present.discard(op[1])
-            expect.fsynced.pop(op[1], None)
-        elif kind == "rename":
-            old, new = op[1], op[2]
-            # A durable ``new`` stays in ``present``: rename-over swaps
-            # what the name resolves to, it never lets the name vanish.
-            # Only its fsynced content stops being promised.
-            expect.fsynced.pop(new, None)
-            expect.either_present = _moved(expect.present, old, new)
-            for path, dest in expect.either_present:
-                expect.present.discard(path)
-                expect.absent.discard(dest)
-            for path, dest in _moved(expect.fsynced, old, new):
-                expect.moving.append((path, dest) + expect.fsynced.pop(path))
-        elif kind == "truncate":
-            expect.fsynced.pop(op[1], None)
-        elif kind == "mstore":
-            # Deliberately NOT weakened: an uncommitted epoch's stores
-            # are invisible to recovery, so the strict pre-epoch content
-            # expectation keeps holding through the whole store window.
-            pass
-        elif kind in ("msync_m", "munmap"):
-            # The commit window: recovery must produce exactly the
-            # pre-epoch or post-epoch image, never a blend.
-            path = op[1]
-            pre, _clean = expect.fsynced.pop(path)
-            expect.epoch_window[path] = (pre, bytes(self._mmio_staged[path]))
-        return expect
-
-    def _strengthen(self, expect, vfs, ctx, op):
-        """Add the guarantees the completed ``op`` acknowledged."""
-        expect = expect.copy()
-        kind = op[0]
-        if kind in ("create", "mkdir", "append", "write", "truncate"):
-            # Namespace metadata commits synchronously on the PMFS family,
-            # so an acknowledged create/open(O_CREAT) is durable.
-            expect.present.add(op[1])
-        elif kind in ("sync_write", "fsync"):
-            expect.present.add(op[1])
-            expect.fsynced[op[1]] = (vfs.read_file(ctx, op[1]), True)
-        elif kind == "unlink":
-            expect.absent.add(op[1])
-        elif kind == "rename":
-            # One op is in flight at a time: both windows are this op's.
-            for path, dest in expect.either_present:
-                expect.present.add(dest)
-                expect.absent.add(path)
-            for _path, dest, data, clean in expect.moving:
-                expect.fsynced[dest] = (data, clean)
-            expect.either_present = []
-            expect.moving = []
-        elif kind == "mmap":
-            # The op fsynced before mapping: the mapped baseline is
-            # durable, and every later crash state inside the epoch must
-            # recover it byte-for-byte.
-            expect.present.add(op[1])
-            content = vfs.read_file(ctx, op[1])
-            expect.fsynced[op[1]] = (content, True)
-            self._mmio_staged[op[1]] = bytearray(content)
-        elif kind in ("msync_m", "munmap"):
-            path = op[1]
-            expect.epoch_window.pop(path, None)
-            expect.fsynced[path] = (vfs.read_file(ctx, path), True)
-        return expect
 
     # -- state enumeration --------------------------------------------
 
@@ -1105,7 +988,7 @@ class CrashPointExplorer:
 
         # Checkpoint lookup: for event prefix k, the newest checkpoint at
         # position <= k governs.
-        def expect_at(k):
+        def window_at(k):
             active = checkpoints[0]
             for cp in checkpoints:
                 if cp[0] <= k:
@@ -1139,10 +1022,10 @@ class CrashPointExplorer:
         for k in range(len(tape.events) + 1):
             if k:
                 shadow.apply(tape.events[k - 1])
-            self._check_dedup(report, seen, shadow, k, expect_at, ())
+            self._check_dedup(report, seen, shadow, k, window_at, ())
             for op_index in draw_points.get(k, ()):
                 report.eviction_draws[op_index] += 1
-                self._check_eviction_draw(report, seen, shadow, k, expect_at)
+                self._check_eviction_draw(report, seen, shadow, k, window_at)
 
         # Sub-cacheline (torn-write) states, per op: at seeded points
         # inside each op's window, tear the next persist event mid-flight
@@ -1163,53 +1046,53 @@ class CrashPointExplorer:
             for op_index in torn_points.get(k, ()):
                 report.torn_draws[op_index] += 1
                 self._check_torn_draw(report, seen, shadow, tape, k,
-                                      expect_at)
+                                      window_at)
             if k < len(tape.events):
                 shadow.apply(tape.events[k])
 
-    def _check_torn_draw(self, report, seen, shadow, tape, k, expect_at):
+    def _check_torn_draw(self, report, seen, shadow, tape, k, window_at):
         event = tape.events[k] if k < len(tape.events) else None
         if event is not None:
             nwords = ShadowImage.persist_word_count(event)
             if nwords >= 2:
                 mask = word_mask(self._rng, nwords)
                 image = shadow.torn_persist_image(event, mask)
-                self._check_image(report, seen, image, k, expect_at, (),
+                self._check_image(report, seen, image, k, window_at, (),
                                   torn=("persist", mask))
         dirty = sorted(shadow.dirty)
         if dirty:
             line = self._rng.choice(dirty)
             mask = word_mask(self._rng, WORDS_PER_LINE)
             image = shadow.crash_image(torn={line: mask})
-            self._check_image(report, seen, image, k, expect_at, (),
+            self._check_image(report, seen, image, k, window_at, (),
                               torn=("line", line, mask))
 
-    def _check_eviction_draw(self, report, seen, shadow, k, expect_at):
+    def _check_eviction_draw(self, report, seen, shadow, k, window_at):
         dirty = sorted(shadow.dirty)
         if dirty:
             nlines = self._rng.randint(1, len(dirty))
             evicted = tuple(sorted(self._rng.sample(dirty, nlines)))
         else:
             evicted = ()
-        self._check_dedup(report, seen, shadow, k, expect_at, evicted)
+        self._check_dedup(report, seen, shadow, k, window_at, evicted)
 
-    def _check_dedup(self, report, seen, shadow, k, expect_at, evicted):
+    def _check_dedup(self, report, seen, shadow, k, window_at, evicted):
         self._check_image(report, seen, shadow.crash_image(evicted), k,
-                          expect_at, evicted)
+                          window_at, evicted)
 
-    def _check_image(self, report, seen, image, k, expect_at, evicted,
+    def _check_image(self, report, seen, image, k, window_at, evicted,
                      torn=None):
-        op_index, expect = expect_at(k)
+        op_index, window = window_at(k)
         # ``image`` is compact (the touched extents only).  Baseline and
         # extents are fixed for the run, so two compact images are equal
         # exactly when the full device images are: the key is still exact.
-        key = (hashlib.sha1(image).digest(), id(expect))
+        key = (hashlib.sha1(image).digest(), id(window))
         if key in seen:
             report.states_deduped += 1
             return
         seen[key] = True
         report.states_checked += 1
-        for message in self._check_state(image, expect):
+        for message in self._check_state(image, window):
             report.failures.append(
                 Violation(self.fs_kind, op_index, k, evicted, message,
                           torn=torn)
@@ -1217,8 +1100,7 @@ class CrashPointExplorer:
 
     # -- invariants -----------------------------------------------------
 
-    def _check_state(self, image, expect):
-        problems = []
+    def _check_state(self, image, window):
         self._arena.load(image)
         try:
             shards, vfs, ctx = self._mount()
@@ -1228,105 +1110,48 @@ class CrashPointExplorer:
         degraded.discard(None)
         if degraded:
             return ["mount degraded: %s" % "; ".join(sorted(degraded))]
-        problems.extend(self._check_namespace(vfs, ctx, expect))
-        problems.extend(self._check_files(vfs, ctx))
-        for fs in shards:
-            problems.extend(self._check_allocator(fs))
+        problems = self._check_mounted(shards, vfs, ctx, window)
         if problems:
             return problems
         # Crash again right after recovery: remount must also be clean
         # (recovery itself only persists ordered, flushed state).  The
         # media is not restored in between -- the second mount sees
         # exactly what the first one's recovery left durable, in a
-        # fresh env: its verdict depends on that image and ``expect``
+        # fresh env: its verdict depends on that image and ``window``
         # alone, so each pair is mounted once.
         for fs in shards:
             fs.device.crash()
-        key = (self._arena.durable_key(), id(expect))
+        key = (self._arena.durable_key(), id(window))
         verdict = self._arena.remounts.get(key)
         if verdict is None:
-            verdict = self._arena.remounts[key] = self._remount(expect)
+            verdict = self._arena.remounts[key] = self._remount(window)
         return list(verdict)
 
-    def _remount(self, expect):
+    def _remount(self, window):
         """The post-recovery invariants on the arena as it stands."""
         try:
             shards, vfs, ctx = self._mount()
         except Exception as exc:  # noqa: BLE001
             return ["remount after recovery failed: %r" % (exc,)]
-        problems = self._check_namespace(vfs, ctx, expect)
+        return self._check_mounted(shards, vfs, ctx, window)
+
+    def _check_mounted(self, shards, vfs, ctx, window):
+        """Invariants 2 to 4 on a mounted state: the recovered tree, as
+        one walk reads it, refines a state of ``window`` -- where none
+        does, the reasons are the closest state's, the later on a tie --
+        and each allocator agrees with its block maps."""
+        tree = {}
+        problems = self._check_files(vfs, ctx, tree)
+        reasons = [state.mismatches(tree) for state in window]
+        if all(reasons):
+            problems += min(reversed(reasons), key=len)
         for fs in shards:
             problems.extend(self._check_allocator(fs))
         return problems
 
-    @staticmethod
-    def _lost(vfs, ctx, path, data, clean):
-        """Why fsynced ``data`` does not read back at ``path``, or None
-        when it does.  Not ``clean`` (written since): only the length is
-        promised -- fsynced bytes may be overwritten, never lost."""
-        if not vfs.exists(ctx, path):
-            return "fsynced file %s missing" % path
-        recovered = vfs.read_file(ctx, path)
-        if len(recovered) < len(data):
-            return ("fsynced bytes lost on %s: %d < %d"
-                    % (path, len(recovered), len(data)))
-        if clean and recovered[: len(data)] != data:
-            return "fsynced content of %s corrupted" % path
-        return None
-
-    def _check_namespace(self, vfs, ctx, expect):
-        problems = []
-        try:
-            for path in sorted(expect.present):
-                if not vfs.exists(ctx, path):
-                    problems.append("durable path %s missing" % path)
-            for path in sorted(expect.absent):
-                if vfs.exists(ctx, path):
-                    problems.append(
-                        "unlinked/renamed-away path %s present" % path)
-            for old, new in expect.either_present:
-                if not vfs.exists(ctx, old) and not vfs.exists(ctx, new):
-                    problems.append(
-                        "rename atomicity broken: neither %s nor %s exists"
-                        % (old, new)
-                    )
-            for old, new, data, clean in expect.moving:
-                holders = [path for path in (old, new)
-                           if self._lost(vfs, ctx, path, data, clean) is None]
-                if not holders:
-                    problems.append(
-                        "fsynced content of %s lost in its rename to %s"
-                        % (old, new))
-                elif len(holders) == 2 and clean and data:
-                    # Content tells the moved file from a victim at
-                    # ``new`` only when it is exact and non-empty.
-                    problems.append(
-                        "fsynced content of %s readable under both it and "
-                        "%s" % (old, new))
-            for path, (data, clean) in sorted(expect.fsynced.items()):
-                why = self._lost(vfs, ctx, path, data, clean)
-                if why is not None:
-                    problems.append(why)
-            for path, (pre, post) in sorted(expect.epoch_window.items()):
-                if not vfs.exists(ctx, path):
-                    problems.append("mmio-mapped file %s missing" % path)
-                    continue
-                recovered = vfs.read_file(ctx, path)
-                if recovered != pre and recovered != post:
-                    problems.append(
-                        "mmio epoch atomicity broken on %s: recovered image "
-                        "is neither the pre- nor the post-epoch content"
-                        % path
-                    )
-        except FSError as exc:
-            # A probe that cannot even walk the tree (a half-moved
-            # directory mirror reads as ENOTDIR) is this state's finding,
-            # not the exploration's abort.
-            problems.append("namespace walk failed: %r" % (exc,))
-        return problems
-
-    def _check_files(self, vfs, ctx, root="/"):
-        """Every reachable file reads exactly stat.size bytes."""
+    def _check_files(self, vfs, ctx, tree, root="/"):
+        """Every reachable file reads exactly stat.size bytes; ``tree``
+        gets each reachable path's bytes, or DIR."""
         problems = []
         try:
             entries = vfs.readdir(ctx, root)
@@ -1340,10 +1165,11 @@ class CrashPointExplorer:
                 problems.append("stat(%s) failed: %r" % (path, exc))
                 continue
             if stat.is_dir:
-                problems.extend(self._check_files(vfs, ctx, path))
+                tree[path] = DIR
+                problems.extend(self._check_files(vfs, ctx, tree, path))
                 continue
             try:
-                contents = vfs.read_file(ctx, path)
+                contents = tree[path] = vfs.read_file(ctx, path)
             except FSError as exc:
                 problems.append("read(%s) failed: %r" % (path, exc))
                 continue

@@ -49,19 +49,6 @@ class TestShadowImage:
 
 
 class TestTapeRecorder:
-    def test_disabled_recorder_drops_events(self):
-        mem = CachedPersistentRegion(4 * CACHELINE_SIZE)
-        mem.write_nocache(CACHELINE_SIZE, b"old")
-        tape = mem.observer = TapeRecorder(mem)
-        mem.write(0, b"a")
-        tape.enabled = False
-        mem.write_nocache(CACHELINE_SIZE, b"new")
-        mem.fence()
-        assert len(tape.events) == 1 and not tape.boundaries
-        # ... but not the baseline: the durable line from before the
-        # store is saved all the same.
-        assert tape.saved == {1: b"old".ljust(CACHELINE_SIZE, b"\0")}
-
     def test_saves_each_line_once_before_its_first_durable_change(self):
         mem = CachedPersistentRegion(3 * CACHELINE_SIZE + 8)
         mem.write_nocache(0, b"A" * len(mem.read(0, mem.size)))

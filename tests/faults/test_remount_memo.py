@@ -1,9 +1,9 @@
-"""Invariant 6, the post-recovery remount, mounted once per recovered image.
+"""Invariant 5, the post-recovery remount, mounted once per recovered image.
 
 The second mount of a state runs in a fresh env on the image the first
 recovery left durable, so its verdict is a function of that image and
-the state's expectations: the explorer keeps it per exploration under
-``(CrashArena.durable_key(), id(expect))``.  Forcing that key to miss
+the state's crash window: the explorer keeps it per exploration under
+``(CrashArena.durable_key(), id(window))``.  Forcing that key to miss
 (``cold``) mounts every state twice, as the explorer did before the
 memo; every row here must report exactly the same either way.
 """
@@ -34,9 +34,9 @@ def count_remounts(monkeypatch):
     calls = []
     remount = CrashPointExplorer._remount
 
-    def counted(explorer, expect):
-        calls.append(expect)
-        return remount(explorer, expect)
+    def counted(explorer, window):
+        calls.append(window)
+        return remount(explorer, window)
 
     monkeypatch.setattr(CrashPointExplorer, "_remount", counted)
     return calls
@@ -112,7 +112,7 @@ def unflushed_rollback(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["pmfs", "hinfs"])
 def test_an_unflushed_rollback_fails_the_remount_alone(monkeypatch, kind):
-    """Negative control for invariant 6: only the post-recovery remount
+    """Negative control for invariant 5: only the post-recovery remount
     can see this bug, and it does, warm or cold alike."""
     unflushed_rollback(monkeypatch)
     warm, warm_mounts = explored(monkeypatch, kind, DEFAULT_OPS, True)
@@ -124,7 +124,7 @@ def test_an_unflushed_rollback_fails_the_remount_alone(monkeypatch, kind):
     # Every finding is the remount's: with it skipped there are none.
     with monkeypatch.context() as patch:
         patch.setattr(CrashPointExplorer, "_remount",
-                      lambda explorer, expect: [])
+                      lambda explorer, window: [])
         skipped = CrashPointExplorer(kind, seed=3, eviction_samples_per_op=8,
                                      torn_samples_per_op=8).explore(
                                          DEFAULT_OPS)

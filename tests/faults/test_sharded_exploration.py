@@ -59,7 +59,7 @@ def test_negative_control_recovery_turned_off_is_caught(method, monkeypatch):
     if method == "_recover_dirmv":
         # A half-moved directory mirror reads as ENOTDIR: the probe's
         # failure is that state's finding, not the exploration's abort.
-        assert any("namespace walk failed: NotADirectory" in v.message
+        assert any("readdir(/d) failed: NotADirectory" in v.message
                    for v in broken.failures)
 
 

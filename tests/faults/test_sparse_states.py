@@ -70,12 +70,12 @@ class CheckedExplorer(CrashPointExplorer):
         _, line, mask = torn
         return ref.crash_image(torn={line: mask})
 
-    def _check_image(self, report, seen, image, k, expect_at, evicted,
+    def _check_image(self, report, seen, image, k, window_at, evicted,
                      torn=None):
         self._pending = self._reference(k, evicted, torn)
         self.digests.append((hashlib.sha1(image).digest(),
                              hashlib.sha1(self._pending).digest()))
-        super()._check_image(report, seen, image, k, expect_at, evicted,
+        super()._check_image(report, seen, image, k, window_at, evicted,
                              torn=torn)
 
     def _mount(self):
@@ -173,11 +173,11 @@ class SlabWatcher(CrashPointExplorer):
             self.run_mems = [fs.device.mem for fs in shards]
         return shards, vfs, ctx
 
-    def _check_state(self, image, expect):
+    def _check_state(self, image, window):
         self.states += 1
         if self.states == self.fail_at_state:
             raise RuntimeError("checker bug")
-        return super()._check_state(image, expect)
+        return super()._check_state(image, window)
 
 
 @pytest.mark.parametrize("fail_at_state", [None, 3])
@@ -268,7 +268,7 @@ def test_tape_outside_extents_is_rejected():
 
 def prepared(fs_kind, ops):
     """An explorer with its run recorded and its arena built, plus the
-    compact crash image and expectations of every event prefix."""
+    compact crash image and crash window of every event prefix."""
     explorer = CrashPointExplorer(fs_kind, device_bytes=DEVICE_BYTES)
     tape, mems, checkpoints = explorer._run_ops(ops)
     extents = touched_extents(tape.events, DEVICE_BYTES)
@@ -277,8 +277,8 @@ def prepared(fs_kind, ops):
     shadow = ShadowImage(explorer._arena.baseline, extents)
     states = []
     for k in range(len(tape.events) + 1):
-        expect = [cp[2] for cp in checkpoints if cp[0] <= k][-1]
-        states.append((shadow.crash_image(), expect))
+        window = [cp[2] for cp in checkpoints if cp[0] <= k][-1]
+        states.append((shadow.crash_image(), window))
         if k < len(tape.events):
             shadow.apply(tape.events[k])
     # Record the media each mount sees.
@@ -313,9 +313,9 @@ def test_recovery_writes_do_not_leak_into_the_next_state(
     # Find a state whose recovery rolls a transaction back, and the next
     # prefix whose image differs from it.
     x = None
-    for k, (image, expect) in enumerate(states):
+    for k, (image, window) in enumerate(states):
         del rollbacks[:]
-        first._check_state(image, expect)
+        first._check_state(image, window)
         if rollbacks[0] > 0:
             x = k
             break

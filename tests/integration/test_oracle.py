@@ -1,12 +1,13 @@
-"""Differential conformance oracle: six stacks vs a dict-of-bytes model.
+"""Differential conformance oracle: six stacks vs the reference model.
 
 A Hypothesis stateful machine drives random syscalls -- open / read /
 write / writev / lseek / truncate / rename / unlink / fsync -- against
 all five simulated file systems, a two-device sharded HiNFS mount
 (``hinfs@2`` -- the namespace hashed across independent shards behind
-one VFS, including cross-shard renames), *and* a trivially-correct
-in-memory reference (paths -> byte buffers, descriptors -> (buffer,
-position)).  Every return value, every raised error class, and the
+one VFS, including cross-shard renames), *and* the reference model the
+crash explorer refines against (:class:`repro.faults.model.Model`:
+paths -> files of bytes), with a descriptor table of (file, position)
+kept here.  Every return value, every raised error class, and the
 final visible namespace must agree across all seven.  This is the
 conformance fence the concurrency refactor is locked in by: per-inode
 locking and parallel writeback must never change what a syscall
@@ -49,9 +50,10 @@ from repro.core import HiNFSConfig
 from repro.engine.context import ExecContext
 from repro.engine.env import SimEnv
 from repro.engine.scheduler import Scheduler
+from repro.faults.model import File, Model
 from repro.fs import flags as f
 from repro.fs.base import FileSystem
-from repro.fs.errors import FSError
+from repro.fs.errors import FSError, InvalidArgument
 from repro.nvmm.config import NVMMConfig
 
 ORACLE_FS = ("hinfs", "pmfs", "ext4-dax", "ext2-nvmmbd", "ext4-nvmmbd",
@@ -60,107 +62,6 @@ PATHS = ["/f0", "/f1", "/f2", "/f3"]
 #: Small enough that a few KB of writes fill it: ``Low_f`` is 1 free
 #: block, ``High_f`` 2, and each pressure wake reclaims one.
 ORACLE_HINFS = HiNFSConfig(buffer_bytes=8 * 4096, reclaim_batch=1)
-
-
-class RefFile:
-    """One reference inode: a plain byte buffer."""
-
-    __slots__ = ("data",)
-
-    def __init__(self):
-        self.data = bytearray()
-
-    def pwrite(self, offset, data):
-        if offset > len(self.data):
-            self.data.extend(b"\0" * (offset - len(self.data)))
-        self.data[offset:offset + len(data)] = data
-        return len(data)
-
-    def pread(self, offset, count):
-        return bytes(self.data[offset:offset + count])
-
-    def truncate(self, size):
-        if size <= len(self.data):
-            del self.data[size:]
-        else:
-            self.data.extend(b"\0" * (size - len(self.data)))
-
-
-class RefModel:
-    """The obviously-correct model: POSIX files over Python bytes."""
-
-    def __init__(self):
-        self.namespace = {}
-        self.fds = {}
-
-    def open(self, handle, path, flags):
-        file = self.namespace.get(path)
-        if file is None:
-            if not flags & f.O_CREAT:
-                raise FSError(path)
-            file = self.namespace[path] = RefFile()
-        elif flags & f.O_TRUNC:
-            file.truncate(0)
-        self.fds[handle] = [file, 0, flags]
-
-    def close(self, handle):
-        del self.fds[handle]
-
-    def write(self, handle, data):
-        file, pos, flags = self.fds[handle]
-        if flags & f.O_APPEND:
-            pos = len(file.data)
-        written = file.pwrite(pos, data)
-        self.fds[handle][1] = pos + written
-        return written
-
-    def writev(self, handle, iovecs):
-        return self.write(handle, b"".join(iovecs))
-
-    def read(self, handle, count):
-        file, pos, _flags = self.fds[handle]
-        data = file.pread(pos, count)
-        self.fds[handle][1] = pos + len(data)
-        return data
-
-    def lseek(self, handle, pos, whence):
-        file, cur, _flags = self.fds[handle]
-        if whence == f.SEEK_SET:
-            new = pos
-        elif whence == f.SEEK_CUR:
-            new = cur + pos
-        else:
-            new = len(file.data) + pos
-        if new < 0:
-            raise FSError("negative offset")
-        self.fds[handle][1] = new
-        return new
-
-    def truncate(self, path, size):
-        file = self.namespace.get(path)
-        if file is None:
-            raise FSError(path)
-        file.truncate(size)
-
-    def rename(self, old, new):
-        file = self.namespace.get(old)
-        if file is None:
-            raise FSError(old)
-        if old != new:
-            self.namespace[new] = self.namespace.pop(old)
-
-    def unlink(self, path):
-        if path not in self.namespace:
-            raise FSError(path)
-        del self.namespace[path]
-
-    def open_paths(self):
-        paths = set()
-        for file, _pos, _flags in self.fds.values():
-            for path, named in self.namespace.items():
-                if named is file:
-                    paths.add(path)
-        return paths
 
 
 class OracleStack:
@@ -175,16 +76,12 @@ class OracleStack:
 
 
 def outcome(fn, *args):
-    """Run one syscall; normalise to a comparable (tag, value) pair.
-
-    Error *classes* are not compared across the model and the stacks
-    (the model only knows generic :class:`FSError`); what must agree is
-    whether the call failed and what a successful call returned.
-    """
+    """Run one syscall; normalise to a comparable (tag, value) pair: what
+    a successful call returned, or the class of the error it raised."""
     try:
         return ("ok", fn(*args))
-    except FSError:
-        return ("err", None)
+    except FSError as exc:
+        return ("err", type(exc))
 
 
 class DifferentialOracle(RuleBasedStateMachine):
@@ -193,11 +90,51 @@ class DifferentialOracle(RuleBasedStateMachine):
     @initialize()
     def build_stacks(self):
         self.stacks = [OracleStack(name) for name in ORACLE_FS]
-        self.ref = RefModel()
+        self.model = Model()
+        #: handle -> [File, position, flags]: a descriptor keeps its
+        #: file whatever later happens to the name.
+        self.fds = {}
         self._next_handle = 0
         #: path -> per-stack [("real", fd, region) | ("emul", fd, None)]
         #: for live MAP_ATOMIC mappings (emulated on kernel-only stacks).
         self.mappings = {}
+
+    # -- the model's side of the descriptor calls ------------------------
+
+    def ref_open(self, handle, path, flags):
+        self.fds[handle] = [self.model.open(path, flags), 0, flags]
+
+    def ref_write(self, handle, data):
+        file, pos, flags = self.fds[handle]
+        if flags & f.O_APPEND:
+            pos = len(file.data)
+        written = file.pwrite(pos, data)
+        self.fds[handle][1] = pos + written
+        return written
+
+    def ref_read(self, handle, count):
+        file, pos, _flags = self.fds[handle]
+        data = file.pread(pos, count)
+        self.fds[handle][1] = pos + len(data)
+        return data
+
+    def ref_lseek(self, handle, pos, whence):
+        file, cur, _flags = self.fds[handle]
+        if whence == f.SEEK_SET:
+            new = pos
+        elif whence == f.SEEK_CUR:
+            new = cur + pos
+        else:
+            new = len(file.data) + pos
+        if new < 0:
+            raise InvalidArgument("negative offset")
+        self.fds[handle][1] = new
+        return new
+
+    def open_paths(self):
+        held = [file for file, _pos, _flags in self.fds.values()]
+        return {path for path, node in self.model.tree.items()
+                if any(node is file for file in held)}
 
     def check_all(self, expected, per_stack):
         for stack, got in zip(self.stacks, per_stack):
@@ -217,10 +154,12 @@ class DifferentialOracle(RuleBasedStateMachine):
         flags |= f.O_APPEND if append else 0
         handle = self._next_handle
         self._next_handle += 1
-        expected = outcome(self.ref.open, handle, path, flags)
+        expected = outcome(self.ref_open, handle, path, flags)
         for stack in self.stacks:
             got = outcome(stack.vfs.open, stack.ctx, path, flags)
-            assert got[0] == expected[0], (path, flags, got, expected)
+            assert got[0] == expected[0] and (
+                got[0] == "ok" or got == expected), (path, flags, got,
+                                                     expected)
             if got[0] == "ok":
                 stack.fds[handle] = got[1]
         if expected[0] == "err":
@@ -229,13 +168,13 @@ class DifferentialOracle(RuleBasedStateMachine):
 
     @rule(handle=consumes(handles))
     def close(self, handle):
-        self.ref.close(handle)
+        del self.fds[handle]
         for stack in self.stacks:
             stack.vfs.close(stack.ctx, stack.fds.pop(handle))
 
     @rule(path=st.sampled_from(PATHS), size=st.integers(0, 32 << 10))
     def truncate(self, path, size):
-        expected = outcome(self.ref.truncate, path, size)
+        expected = outcome(self.model.truncate, path, size)
         self.check_all(expected, [
             outcome(stack.vfs.truncate, stack.ctx, path, size)
             for stack in self.stacks
@@ -248,9 +187,9 @@ class DifferentialOracle(RuleBasedStateMachine):
         # descriptors usable, the stacks reuse the inode -- out of the
         # oracle's scope, like open-unlinked files.  Mapped paths hold a
         # descriptor too (the mapping's own fd).
-        if {old, new} & (self.ref.open_paths() | set(self.mappings)):
+        if {old, new} & (self.open_paths() | set(self.mappings)):
             return
-        expected = outcome(self.ref.rename, old, new)
+        expected = outcome(self.model.rename, old, new)
         self.check_all(expected, [
             outcome(stack.vfs.rename, stack.ctx, old, new)
             for stack in self.stacks
@@ -258,9 +197,9 @@ class DifferentialOracle(RuleBasedStateMachine):
 
     @rule(path=st.sampled_from(PATHS))
     def unlink(self, path):
-        if path in self.ref.open_paths() or path in self.mappings:
+        if path in self.open_paths() or path in self.mappings:
             return
-        expected = outcome(self.ref.unlink, path)
+        expected = outcome(self.model.unlink, path)
         self.check_all(expected, [
             outcome(stack.vfs.unlink, stack.ctx, path)
             for stack in self.stacks
@@ -270,7 +209,7 @@ class DifferentialOracle(RuleBasedStateMachine):
 
     @rule(handle=handles, data=st.binary(min_size=1, max_size=2048))
     def write(self, handle, data):
-        expected = outcome(self.ref.write, handle, data)
+        expected = outcome(self.ref_write, handle, data)
         self.check_all(expected, [
             outcome(stack.vfs.write, stack.ctx, stack.fds[handle], data)
             for stack in self.stacks
@@ -285,7 +224,7 @@ class DifferentialOracle(RuleBasedStateMachine):
           iovecs=st.lists(st.binary(min_size=1, max_size=512),
                           min_size=1, max_size=4))
     def writev(self, handle, iovecs):
-        expected = outcome(self.ref.writev, handle, iovecs)
+        expected = outcome(self.ref_write, handle, b"".join(iovecs))
         self.check_all(expected, [
             outcome(stack.vfs.writev, stack.ctx, stack.fds[handle], iovecs)
             for stack in self.stacks
@@ -293,7 +232,7 @@ class DifferentialOracle(RuleBasedStateMachine):
 
     @rule(handle=handles, count=st.integers(0, 8 << 10))
     def read(self, handle, count):
-        expected = outcome(self.ref.read, handle, count)
+        expected = outcome(self.ref_read, handle, count)
         self.check_all(expected, [
             outcome(stack.vfs.read, stack.ctx, stack.fds[handle], count)
             for stack in self.stacks
@@ -302,7 +241,7 @@ class DifferentialOracle(RuleBasedStateMachine):
     @rule(handle=handles, pos=st.integers(-512, 16 << 10),
           whence=st.sampled_from([f.SEEK_SET, f.SEEK_CUR, f.SEEK_END]))
     def lseek(self, handle, pos, whence):
-        expected = outcome(self.ref.lseek, handle, pos, whence)
+        expected = outcome(self.ref_lseek, handle, pos, whence)
         self.check_all(expected, [
             outcome(stack.vfs.lseek, stack.ctx, stack.fds[handle], pos,
                     whence)
@@ -338,7 +277,7 @@ class DifferentialOracle(RuleBasedStateMachine):
     @rule(path=st.sampled_from(PATHS),
           policy=st.sampled_from(["auto", "undo", "redo"]))
     def mmap_atomic(self, path, policy):
-        if path in self.mappings or path not in self.ref.namespace:
+        if path in self.mappings or path not in self.model.tree:
             return
         per_stack = []
         for stack in self.stacks:
@@ -358,7 +297,7 @@ class DifferentialOracle(RuleBasedStateMachine):
         if entry is None:
             return
         data = bytes([tag]) * size
-        self.ref.namespace[path].pwrite(offset, data)
+        self.model.lookup(path).pwrite(offset, data)
         for stack, (kind, fd, region) in zip(self.stacks, entry):
             if kind == "real":
                 assert region.store(stack.ctx, offset, data) == size
@@ -371,7 +310,7 @@ class DifferentialOracle(RuleBasedStateMachine):
         entry = self.mappings.get(path)
         if entry is None:
             return
-        file = self.ref.namespace[path]
+        file = self.model.lookup(path)
         # Clamp to EOF: a real load past the last page would fault, and
         # the bytes between size and the end of the last block are
         # unspecified -- the oracle compares the defined range only.
@@ -413,13 +352,7 @@ class DifferentialOracle(RuleBasedStateMachine):
 
     @rule(path=st.sampled_from(PATHS))
     def stat(self, path):
-        def ref_stat():
-            file = self.ref.namespace.get(path)
-            if file is None:
-                raise FSError(path)
-            return len(file.data)
-
-        expected = outcome(ref_stat)
+        expected = outcome(lambda: len(self.model.lookup(path).data))
         self.check_all(expected, [
             outcome(lambda s=stack: s.vfs.stat(s.ctx, path).size)
             for stack in self.stacks
@@ -427,7 +360,7 @@ class DifferentialOracle(RuleBasedStateMachine):
 
     @rule(handle=handles)
     def fstat(self, handle):
-        file, _pos, _flags = self.ref.fds[handle]
+        file, _pos, _flags = self.fds[handle]
         expected = ("ok", len(file.data))
         self.check_all(expected, [
             outcome(lambda s=stack: s.vfs.fstat(s.ctx, s.fds[handle]).size)
@@ -436,7 +369,7 @@ class DifferentialOracle(RuleBasedStateMachine):
 
     @rule()
     def readdir(self):
-        expected = ("ok", sorted(self.ref.namespace))
+        expected = ("ok", sorted(self.model.tree))
         self.check_all(expected, [
             outcome(lambda s=stack: sorted(
                 "/" + name for name, _ino in s.vfs.readdir(s.ctx, "/")
@@ -450,7 +383,7 @@ class DifferentialOracle(RuleBasedStateMachine):
     def namespaces_agree(self):
         if not hasattr(self, "stacks"):
             return
-        expected = sorted(self.ref.namespace)
+        expected = sorted(self.model.tree)
         for stack in self.stacks:
             listing = sorted(
                 "/" + entry[0]
@@ -461,7 +394,7 @@ class DifferentialOracle(RuleBasedStateMachine):
     def teardown(self):
         if not hasattr(self, "stacks"):
             return
-        for path, file in self.ref.namespace.items():
+        for path, file in self.model.tree.items():
             for stack in self.stacks:
                 data = stack.vfs.read_file(stack.ctx, path)
                 assert data == bytes(file.data), (
@@ -556,7 +489,7 @@ op_strategy = st.one_of(
 
 def apply_ref(script):
     """Replay one thread's script on the reference; returns (reads, data)."""
-    file = RefFile()
+    file = File()
     reads = []
     for op in script:
         if op[0] == "write":
