@@ -105,14 +105,56 @@ class BufferBenefitModel:
         else:
             pending.add(file_block)
 
+    def record_run(self, ino, file_block, offset_in_block, length, now_ns,
+                   store_ns):
+        """:meth:`record_write` for each block of a buffered request's
+        run, from ``offset_in_block`` of ``file_block`` on, in one pass:
+        the first block is stamped ``now_ns``, each later one with the
+        clock its buffered store starts at -- ``store_ns`` (where the
+        first block's store started) plus ``L_dram`` per line stored
+        before it."""
+        entries = self._entries
+        pending = self._pending_by_file.get(ino)
+        if pending is None:
+            pending = self._pending_by_file[ino] = set()
+        line_ns = self.l_dram_ns
+        while length:
+            take = BLOCK_SIZE - offset_in_block
+            if take > length:
+                take = length
+            key = (ino, file_block)
+            entry = entries.get(key)
+            if entry is None:  # _admit, inline: a frame less per new block
+                entry = entries[key] = GhostEntry()
+                if len(entries) > self.max_entries:
+                    entries.popitem(last=False)
+            else:
+                entries.move_to_end(key)
+            if take == BLOCK_SIZE:
+                lines = LINES_PER_BLOCK
+                entry.ghost_dirty = FULL_MASK
+            else:
+                mask = line_range_mask(offset_in_block, take)
+                lines = mask.bit_count()
+                entry.ghost_dirty |= mask
+            entry.n_cw += lines
+            entry.last_write_ns = now_ns
+            pending.add(file_block)
+            store_ns += lines * line_ns
+            now_ns = store_ns
+            file_block += 1
+            offset_in_block = 0
+            length -= take
+
     def pending_blocks(self, ino):
         """Blocks written since the file's last sync; resets the set."""
         return sorted(self._pending_by_file.pop(ino, ()))
 
     def drop_file(self, ino):
         """Forget a deleted file's ghost state."""
+        pop = self._entries.pop
         for file_block in self._pending_by_file.pop(ino, ()):
-            self._entries.pop((ino, file_block), None)
+            pop((ino, file_block), None)
 
     # -- state queries -----------------------------------------------------
 

@@ -17,7 +17,7 @@ Beside them one dirty list holds every written block in first-dirtied
 order, for the aged and periodic writeback scans.
 """
 
-from repro.core.bitmap import FULL_MASK, CachelineBitmap
+from repro.core.bitmap import FULL_MASK, CachelineBitmap, line_range_mask
 from repro.core.policies import make_policy
 from repro.engine.stats import CAT_WRITE_ACCESS
 from repro.nvmm.allocator import BlockAllocator, OutOfSpaceError
@@ -57,10 +57,6 @@ class BufferBlock:
         #: transactions in a reproducible order (a ``set`` would iterate
         #: in ``id()`` order and break run-to-run determinism).
         self.pending_txs = {}
-
-    @property
-    def is_dirty(self):
-        return self.bitmap.dirty != 0
 
     def __repr__(self):
         return "BufferBlock(ino=%d, fb=%d, dram=%d, nvmm=%d, %r)" % (
@@ -123,39 +119,58 @@ class WriteBuffer:
 
     def insert(self, ino, file_block, nvmm_block):
         """Allocate a DRAM block and index it; caller guarantees space."""
+        return self.insert_run(ino, file_block, (nvmm_block,))[0]
+
+    def insert_run(self, ino, file_block, nvmm_blocks):
+        """Allocate and index DRAM blocks for file blocks ``file_block``,
+        ``file_block + 1``, ... over ``nvmm_blocks`` -- one allocator
+        call, the frames :meth:`insert` would have handed out one by
+        one -- and admit them to the policy in that order; caller
+        guarantees space."""
         try:
-            dram_block = self._alloc.alloc()
+            dram_blocks = self._alloc.alloc_many(len(nvmm_blocks))
         except OutOfSpaceError:
             raise RuntimeError(
                 "buffer insert without a free block; caller must reclaim first"
             ) from None
-        block = BufferBlock(ino, file_block, dram_block, nvmm_block)
         blocks = self._index.get(ino)
         if blocks is None:
             blocks = self._index[ino] = {}
-        blocks[file_block] = block
+        run = []
+        for dram_block, nvmm_block in zip(dram_blocks, nvmm_blocks):
+            block = BufferBlock(ino, file_block, dram_block, nvmm_block)
+            blocks[file_block] = block
+            run.append(block)
+            file_block += 1
         # Admission counts as the block's first write: write_into() does
         # not tell the policy about it again.  Admitting here, not there,
         # keeps a block whose edge-line fetch raised in the victim order.
-        self.policy.on_buffered(block)
-        self.env.stats.counters["buffer_inserts"] += 1
-        return block
+        self.policy.on_buffered_run(run)
+        self.env.stats.counters["buffer_inserts"] += len(run)
+        return run
 
-    def evict(self, block):
-        """Remove a block from the index/LRW and free its DRAM frame.
+    def evict_many(self, blocks):
+        """Remove blocks from the index, the dirty list and the policy,
+        in order, and free their DRAM frames in one allocator call.
 
         The caller is responsible for having flushed or discarded the
         dirty lines first.
         """
-        blocks = self._index.get(block.ino)
-        if blocks is not None:
-            blocks.pop(block.file_block, None)
-            if not blocks:
-                del self._index[block.ino]
-        self._dirty.pop(block, None)
-        self.policy.on_evict(block)
-        self._alloc.free(block.dram_block)
-        self.env.stats.counters["buffer_evictions"] += 1
+        index = self._index
+        dirty = self._dirty
+        frames = []
+        for block in blocks:
+            file_blocks = index.get(block.ino)
+            if file_blocks is not None:
+                file_blocks.pop(block.file_block, None)
+                if not file_blocks:
+                    del index[block.ino]
+            dirty.pop(block, None)
+            frames.append(block.dram_block)
+        if frames:
+            self.policy.on_evict_run(blocks)
+            self._alloc.free_many(frames)
+            self.env.stats.counters["buffer_evictions"] += len(frames)
 
     def file_index(self, ino):
         """The file's ``{file_block: BufferBlock}`` index, or None when
@@ -206,6 +221,57 @@ class WriteBuffer:
             self.policy.on_write(block)
         else:
             self._dirty[block] = None
+
+    def admit_run(self, ctx, ino, file_block, nvmm_blocks, offset_in_block,
+                  data, req_id):
+        """Buffer a request's run of new blocks in one pass: what
+        :meth:`insert` and :meth:`write_into` do block by block, with the
+        stores, stamps and ``L_dram`` charges they make.
+
+        ``data`` starts at ``offset_in_block`` of ``file_block`` and
+        covers the run; a block it covers only in part must sit on a
+        freshly allocated (all-zero) NVMM block, so every line of every
+        block is valid in DRAM and none needs a fetch.  Each block is
+        stamped with the clock its own store starts at, and ``req_id``
+        as its last writer."""
+        run = self.insert_run(ino, file_block, nvmm_blocks)
+        mem = self.dram.mem
+        dirty = self._dirty
+        block_ns, line_ns = self._block_store_ns, self._line_store_ns
+        length = len(data)
+        now = ctx.now
+        last = len(run) - 1
+        addr = run[0].dram_addr + offset_in_block  # the stretch's store
+        stored = pos = 0
+        for i, block in enumerate(run):
+            take = BLOCK_SIZE - offset_in_block
+            if take > length - pos:
+                take = length - pos
+            bitmap = block.bitmap
+            bitmap.valid = FULL_MASK
+            if take == BLOCK_SIZE:
+                bitmap.dirty = FULL_MASK
+                cost = block_ns
+            else:
+                # A partial block on a fresh NVMM block: its other lines
+                # read as the zeroes NVMM holds (an untimed fill).
+                mem.fill(block.dram_addr, BLOCK_SIZE, 0)
+                mask = bitmap.dirty = line_range_mask(offset_in_block, take)
+                cost = mask.bit_count() * line_ns
+            block.last_written_ns = now
+            block.last_req_id = req_id
+            dirty[block] = None
+            now += cost
+            pos += take
+            offset_in_block = 0
+            # One store per stretch of consecutive DRAM frames.
+            if i == last or run[i + 1].dram_block != block.dram_block + 1:
+                mem.write(addr, data[stored:pos])
+                if i != last:
+                    addr, stored = run[i + 1].dram_addr, pos
+        ctx.charge(now - ctx.now, CAT_WRITE_ACCESS)
+        self.env.stats.bytes_written_dram += length
+        return run
 
     def read_from(self, ctx, block, offset_in_block, length):
         return self.dram.read(ctx, block.dram_addr + offset_in_block, length)

@@ -36,10 +36,7 @@ from repro.engine.stats import CAT_READ_ACCESS, CAT_WRITE_ACCESS
 from repro.fs.errors import IsADirectory, MediaError
 from repro.fs.pmfs.layout import block_addr
 from repro.fs.pmfs.pmfs import PMFS
-from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE, LINES_PER_BLOCK
-
-#: A fully dirty block's one writeback run, ``(first_line, nlines)``.
-_WHOLE_BLOCK_RUN = ((0, LINES_PER_BLOCK),)
+from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
 
 
 class PendingTx:
@@ -65,9 +62,10 @@ class PendingTx:
         # make_room flushes these in the order they were written.
         self.blocks = {}
 
-    def attach(self, block):
-        self.blocks[block] = None
-        block.pending_txs[self] = None
+    def attach(self, blocks):
+        for block in blocks:
+            self.blocks[block] = None
+            block.pending_txs[self] = None
 
 
 class HiNFS(PMFS):
@@ -124,66 +122,96 @@ class HiNFS(PMFS):
     def _write_async_body(self, ctx, inode, offset, tx, view, req):
         ino = inode.ino
         blockmap = self._map(ino)
-        mmapped = ino in self._mappings
-        lookup = self.buffer.lookup
-        write_into = self.buffer.write_into
+        mapped = blockmap.mirror.get
+        buffer = self.buffer
         record_write = self.benefit.record_write
         counters = self.env.stats.counters
         clfw = self.hconfig.enable_clfw
-        pending = None
-        pos = offset
         # ONE Buffer Benefit Model evaluation per request: the first
         # touched block decides eager vs. lazy for the whole request
         # (Inequality (1) is a per-write-pattern judgement, and a
         # coalesced gather write is one pattern, not N).
-        decided = None
+        eager = ino in self._mappings or self.benefit.is_eager(
+            ino, offset // BLOCK_SIZE, ctx.now, inode.last_sync)
+        counters["hinfs_benefit_decisions"] += 1
+        pending = None
         fresh = ()  # file blocks this request mapped (at its first hole)
-        while view:
+        pos, end = offset, offset + len(view)
+        while pos < end:
             file_block, in_off = divmod(pos, BLOCK_SIZE)
-            take = min(BLOCK_SIZE - in_off, len(view))
-            whole = take == BLOCK_SIZE
-            record_write(ino, file_block, in_off, take, ctx.now)
-            buffered = lookup(ino, file_block)
-            if decided is None:
-                decided = mmapped or self.benefit.is_eager(
-                    ino, file_block, ctx.now, inode.last_sync
-                )
-                counters["hinfs_benefit_decisions"] += 1
-            nvmm_block = blockmap.get(file_block)
+            take = min(BLOCK_SIZE - in_off, end - pos)
+            reached = ctx.now  # the block's ghost stamp
+            nvmm_block = mapped(file_block)
             if nvmm_block is None:
-                fresh = self._ensure_mapped(ctx, tx, blockmap, pos, len(view))
+                fresh = self._ensure_mapped(ctx, tx, blockmap, pos, end - pos)
                 nvmm_block = fresh[file_block]
-            if decided and buffered is None:
+            index = buffer.file_index(ino)
+            buffered = None if index is None else index.get(file_block)
+            if buffered is None and not eager and (
+                    file_block in fresh or clfw and take == BLOCK_SIZE):
+                # A run of new blocks none of which needs a fetch (fresh
+                # ones, and whole ones under CLFW): admitted, stamped
+                # and stored in one pass, up to the next block that is
+                # buffered, unmapped or needs a fetch, or as far as the
+                # buffer's free blocks reach.
+                room = self._buffer_room(ctx)
+                index = buffer.file_index(ino)
+                nvmm_blocks = [nvmm_block]
+                run_end = pos + take
+                nxt = file_block + 1
+                while run_end < end and nxt - file_block < room:
+                    nvmm_block = mapped(nxt)
+                    whole = end - run_end >= BLOCK_SIZE
+                    if nvmm_block is None or index and nxt in index or (
+                            nxt not in fresh and not (clfw and whole)):
+                        break
+                    nvmm_blocks.append(nvmm_block)
+                    run_end = run_end + BLOCK_SIZE if whole else end
+                    nxt += 1
+                self.benefit.record_run(ino, file_block, in_off,
+                                        run_end - pos, reached, ctx.now)
+                run = buffer.admit_run(ctx, ino, file_block, nvmm_blocks,
+                                       in_off, view[pos - offset:
+                                                    run_end - offset],
+                                       req.req_id)
+                if pending is None:
+                    pending = self._defer(tx, ino, writing=True)
+                pending.attach(run)
+                counters["hinfs_buffer_misses"] += len(run)
+                counters["hinfs_lazy_writes"] += len(run)
+                pos = run_end
+                continue
+            record_write(ino, file_block, in_off, take, reached)
+            chunk = view[pos - offset:pos - offset + take]
+            if eager and buffered is None:
                 # Direct single-copy write to NVMM; safe because the
                 # block's newest data is already persistent (Sec 3.3.2).
                 self.device.write_persistent(
-                    ctx, block_addr(nvmm_block) + in_off, view[:take]
-                )
+                    ctx, block_addr(nvmm_block) + in_off, chunk)
                 counters["hinfs_eager_writes"] += 1
             else:
                 if buffered is None:
-                    buffered = self._buffer_insert(
-                        ctx, ino, file_block, nvmm_block,
-                        file_block in fresh, whole
-                    )
+                    # A mapped block only partly overwritten (or any,
+                    # under NCLFW): admitted alone, before its fetch.
+                    self._buffer_room(ctx)
+                    buffered = buffer.insert(ino, file_block, nvmm_block)
                     counters["hinfs_buffer_misses"] += 1
                 else:
                     counters["hinfs_buffer_hits"] += 1
-                if not (whole and clfw):
+                if not (clfw and take == BLOCK_SIZE):
                     # A whole-block store has no edge lines to fetch.
                     self._fetch_before_write(ctx, buffered, in_off, take)
-                write_into(ctx, buffered, in_off, view[:take], ctx.now)
+                buffer.write_into(ctx, buffered, in_off, chunk, ctx.now)
                 # Tag the block with its originating request so fault
                 # injection can target this request's writeback.
                 buffered.last_req_id = req.req_id
                 if pending is None:
                     pending = self._defer(tx, ino, writing=True)
-                pending.attach(buffered)
+                pending.attach((buffered,))
                 counters["hinfs_lazy_writes"] += 1
             pos += take
-            view = view[take:]
-        written = pos - offset
-        inode.size = max(inode.size, offset + written)
+        written = end - offset
+        inode.size = max(inode.size, end)
         inode.mtime = ctx.now
         self.itable.write_core(ctx, tx, inode)
         return written
@@ -297,25 +325,16 @@ class HiNFS(PMFS):
 
     # -- write-path helpers -------------------------------------------------
 
-    def _buffer_insert(self, ctx, ino, file_block, nvmm_block, fresh, whole):
-        """Get a free DRAM block (stalling on the flusher if dry).
-
-        ``fresh``: the NVMM block was just allocated, so its lines are
-        zeroes; ``whole``: the caller's store is about to cover all of
-        them."""
-        if self.buffer.free_blocks == 0:
+    def _buffer_room(self, ctx):
+        """The buffer's free blocks, after stalling on the flusher if it
+        has none."""
+        free = self.buffer.free_blocks
+        if not free:
             self.writeback.demand_reclaim(ctx)
-            if self.buffer.free_blocks == 0:
+            free = self.buffer.free_blocks
+            if not free:
                 raise self._buffer_exhausted(ctx)
-        block = self.buffer.insert(ino, file_block, nvmm_block)
-        if fresh:
-            # Freshly-allocated NVMM blocks are all zeroes; materialise
-            # them in DRAM instead of "fetching" zeroes (an untimed fill:
-            # skipping it under a whole-block store changes no charge).
-            if not whole:
-                self.buffer.dram.mem.fill(block.dram_addr, BLOCK_SIZE, 0)
-            block.bitmap.valid = FULL_MASK  # a new block: nothing valid yet
-        return block
+        return free
 
     def _buffer_exhausted(self, ctx):
         """Demand reclaim freed nothing: every buffered block is stuck
@@ -495,11 +514,17 @@ class HiNFS(PMFS):
         retries: the device already retried a transient persist before
         it raised.
         """
+        if not blocks:
+            return None
         ends = []
         failed = set()
         plan = self.env.faults
         clfw = self.hconfig.enable_clfw
-        dram_read = self.buffer.dram.read
+        # What DRAMDevice.read does per run, bound once: the copy out of
+        # the buffer and its load charge.
+        dram_read = self.buffer.dram.mem.read
+        load_ns = self.buffer.dram.config.load_cost_ns
+        block_load_ns = load_ns(BLOCK_SIZE)
         persist = (self.device.write_persistent_async if parallel
                    else self.device.write_persistent)
         counters = self.env.stats.counters
@@ -512,20 +537,28 @@ class HiNFS(PMFS):
             if not mask:
                 continue
             src_base = block.dram_addr
-            dst_base = block_addr(block.nvmm_block)
+            dst_base = block.nvmm_block * BLOCK_SIZE
             try:
                 if plan is not None:
                     # The ``writeback`` fault site: fail the persist of
                     # blocks last written by an armed request id.
                     plan.check("writeback", block.last_req_id)
-                for start, nlines in (_WHOLE_BLOCK_RUN if mask == FULL_MASK
-                                      else iter_runs(mask)):
-                    off = start * CACHELINE_SIZE
-                    data = dram_read(ctx, src_base + off,
-                                     nlines * CACHELINE_SIZE)
-                    done = persist(ctx, dst_base + off, data)
+                if mask == FULL_MASK:
+                    data = dram_read(src_base, BLOCK_SIZE)
+                    ctx.charge(block_load_ns, CAT_READ_ACCESS)
+                    done = persist(ctx, dst_base, data)
                     if parallel:
                         ends.append(done)
+                else:
+                    for start, nlines in iter_runs(mask):
+                        off = start * CACHELINE_SIZE
+                        data = dram_read(src_base + off,
+                                         nlines * CACHELINE_SIZE)
+                        ctx.charge(load_ns(nlines * CACHELINE_SIZE),
+                                   CAT_READ_ACCESS)
+                        done = persist(ctx, dst_base + off, data)
+                        if parallel:
+                            ends.append(done)
             except MediaError:
                 if not record_errors:
                     if ends:
@@ -539,34 +572,43 @@ class HiNFS(PMFS):
         end = max(ends) if ends else None
         if ends and wait:
             ctx.sync_to(end, CAT_WRITE_ACCESS)
-        evict = self.buffer.evict
         for block in blocks:
-            if failed and block in failed:
-                # Data lost: complete the deferred commits (the metadata
-                # is already acknowledged) and free the DRAM block so the
-                # buffer cannot wedge on unpersistable lines.
-                self.discard_block(ctx, block)
-                continue
-            block.bitmap.dirty = 0  # written back: every line stays valid
-            self._complete_pending(ctx, block)
-            evict(block)
+            if not (failed and block in failed):
+                block.bitmap.dirty = 0  # written back: every line stays valid
+        # A block whose data was lost is released all the same: its
+        # deferred commits complete (the metadata is already
+        # acknowledged) and its DRAM block is freed, so the buffer
+        # cannot wedge on unpersistable lines.
+        self._complete_pending(ctx, blocks)
+        self.buffer.evict_many(blocks)
+        if failed:
+            counters["hinfs_discarded_blocks"] += len(failed)
         return end
 
-    def discard_block(self, ctx, block):
-        """Drop a buffered block without writeback (unlink/truncate path:
+    def discard_blocks(self, ctx, blocks):
+        """Drop buffered blocks without writeback (unlink/truncate path:
         writes to files that are later deleted never touch NVMM)."""
-        self._complete_pending(ctx, block)
-        self.buffer.evict(block)
-        self.env.stats.bump("hinfs_discarded_blocks")
+        if blocks:
+            self._complete_pending(ctx, blocks)
+            self.buffer.evict_many(blocks)
+            self.env.stats.counters["hinfs_discarded_blocks"] += len(blocks)
 
-    def _complete_pending(self, ctx, block):
-        """``block`` was persisted (or discarded): it no longer holds back
-        the deferred commits it carried."""
-        for pending in block.pending_txs:
-            del pending.blocks[block]
-        block.pending_txs.clear()
-        if block.ino in self._pending:
-            self._drain(ctx, block.ino)
+    def _complete_pending(self, ctx, blocks):
+        """``blocks`` were persisted (or discarded): in order, each stops
+        holding back the deferred commits it carried, and its file's
+        queue drains at the block that frees the queue's head -- the
+        commits land at the clocks a block-by-block release gives them,
+        and those commits are all the release charges."""
+        queues = self._pending
+        for block in blocks:
+            carried = block.pending_txs
+            if carried:
+                for pending in carried:
+                    del pending.blocks[block]
+                carried.clear()
+            queue = queues.get(block.ino)
+            if queue and not queue[0].blocks and not queue[0].writing:
+                self._drain(ctx, block.ino)
 
     def make_room(self, ctx, limit):
         """Log space comes back oldest first: flush the blocks the oldest
@@ -604,15 +646,14 @@ class HiNFS(PMFS):
     # ------------------------------------------------------------------
 
     def on_release(self, ctx, ino):
-        for block in self.buffer.file_blocks(ino):
-            self.discard_block(ctx, block)
+        self.discard_blocks(ctx, self.buffer.file_blocks(ino))
         self.benefit.drop_file(ino)
 
     def truncate(self, ctx, ino, new_size):
         first_dead = -(-new_size // BLOCK_SIZE)
-        for block in self.buffer.file_blocks(ino):
-            if block.file_block >= first_dead:
-                self.discard_block(ctx, block)
+        self.discard_blocks(ctx, [
+            block for block in self.buffer.file_blocks(ino)
+            if block.file_block >= first_dead])
         # The buffered copy of the partial tail block wins over NVMM on
         # reads, so its bytes past new_size must be zeroed too (PMFS
         # below zeroes the NVMM side).

@@ -48,6 +48,18 @@ class ReplacementPolicy:
         """The block left the buffer (flushed or discarded)."""
         raise NotImplementedError
 
+    def on_buffered_run(self, blocks):
+        """A run of blocks entered the buffer: :meth:`on_buffered` for
+        each, in order."""
+        for block in blocks:
+            self.on_buffered(block)
+
+    def on_evict_run(self, blocks):
+        """A batch of blocks left the buffer: :meth:`on_evict` for each,
+        in order."""
+        for block in blocks:
+            self.on_evict(block)
+
     def iter_order(self, limit=None):
         """Buffered blocks, best-victim first (snapshot): all of them,
         or the first ``limit`` without walking the rest.  The buffer
@@ -74,6 +86,16 @@ class LRWPolicy(ReplacementPolicy):
 
     def on_evict(self, block):
         self._list.pop(block, None)
+
+    def on_buffered_run(self, blocks):
+        order = self._list
+        for block in blocks:
+            order[block] = None
+
+    def on_evict_run(self, blocks):
+        pop = self._list.pop
+        for block in blocks:
+            pop(block, None)
 
     def iter_order(self, limit=None):
         return _chain((self._list,), limit)

@@ -20,6 +20,7 @@ import struct
 from repro.fs.errors import InvalidArgument, NoSpace
 from repro.fs.pmfs.inodes import CORE_SIZE
 from repro.fs.pmfs.layout import (
+    BLOCK_SIZE,
     MAX_FILE_BLOCKS,
     N_DIRECT,
     PTRS_PER_BLOCK,
@@ -29,6 +30,10 @@ from repro.fs.pmfs.layout import (
 
 _PTR = struct.Struct("<Q")
 _PTR_BLOCK = struct.Struct("<%dQ" % PTRS_PER_BLOCK)
+#: The source of a fresh stretch's zeroing store, up to 16 blocks a store.
+#: Fixed: a source grown to the longest run raised the peak RSS by MBs.
+_ZERO_RUN = 16
+_ZEROS = memoryview(ZERO_BLOCK * _ZERO_RUN)
 
 
 class BlockMap:
@@ -57,9 +62,6 @@ class BlockMap:
         """All (file_block, nvmm_block) pairs."""
         return list(self.mirror.items())
 
-    def block_count(self):
-        return len(self.mirror)
-
     # -- pointer slot resolution ----------------------------------------------
 
     def _pointer_slot(self, ctx, tx, file_block):
@@ -86,7 +88,8 @@ class BlockMap:
         """New blocks for the ``count`` adjacent empty pointer slots at
         ``slot_addr`` -- as many as the allocator still has, ``NoSpace``
         if it has none -- zeroed so they read as holes (data plane;
-        charged to the journaled write), their addresses journaled as
+        charged to the journaled write; one non-temporal store per
+        stretch of consecutive blocks), their addresses journaled as
         ONE range: undo entries of ``ENTRY_PAYLOAD_MAX`` bytes and one
         flush of the lines the slots span, not an entry and a flush per
         pointer.  If that write raises, the blocks go back to the
@@ -100,8 +103,19 @@ class BlockMap:
             raise NoSpace("NVMM device full")
         blocks = balloc.alloc_many(count)
         mem = self.device.mem
-        for block in blocks:
-            mem.write_nocache(block_addr(block), ZERO_BLOCK)
+        if mem.observer is None:
+            # One store per stretch of consecutive blocks.
+            start = 0
+            for end in range(1, count + 1):
+                if end == count or blocks[end] != blocks[end - 1] + 1 \
+                        or end - start == _ZERO_RUN:
+                    mem.write_nocache(blocks[start] * BLOCK_SIZE,
+                                      _ZEROS[:(end - start) * BLOCK_SIZE])
+                    start = end
+        else:
+            # An observer records a zeroing store per block.
+            for block in blocks:
+                mem.write_nocache(block_addr(block), ZERO_BLOCK)
         try:
             self.journal.journaled_write(
                 ctx, tx, slot_addr, struct.pack("<%dQ" % count, *blocks))

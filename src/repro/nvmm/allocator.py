@@ -1,5 +1,7 @@
 """Bitmap block allocator shared by every storage substrate."""
 
+from itertools import chain
+
 
 class OutOfSpaceError(Exception):
     """Raised when an allocation cannot be satisfied."""
@@ -66,12 +68,37 @@ class BlockAllocator:
         return self.first_block + index
 
     def alloc_many(self, count):
-        """Allocate ``count`` blocks (not necessarily contiguous)."""
+        """Allocate ``count`` blocks (not necessarily contiguous): the
+        ``count`` lowest free ones, ascending -- what ``count`` calls of
+        :meth:`alloc` return -- taken a free run at a time."""
         if count > self.free_count:
             raise OutOfSpaceError(
                 "asked for %d blocks, only %d free" % (count, self.free_count)
             )
-        return [self.alloc() for _ in range(count)]
+        blocks = []
+        if not count:
+            return blocks
+        bitmap = self._map
+        first = self.first_block
+        index = self._low
+        left = count
+        while left:
+            index = bitmap.find(1, index)
+            end = index + 1
+            if left > 1 and end < self.num_blocks and bitmap[end]:
+                end = bitmap.find(0, end, index + left)
+                if end < 0:
+                    end = min(index + left, self.num_blocks)
+                bitmap[index:end] = bytes(end - index)
+                blocks.extend(range(first + index, first + end))
+            else:  # a run of one
+                bitmap[index] = 0
+                blocks.append(first + index)
+            left -= end - index
+            index = end
+        self.free_count -= count
+        self._low = index
+        return blocks
 
     def free(self, block):
         index = self._index(block)
@@ -85,8 +112,36 @@ class BlockAllocator:
             self._low = index
 
     def free_many(self, blocks):
-        for block in blocks:
-            self.free(block)
+        """:meth:`free` every block of ``blocks`` in order, a run of
+        consecutive blocks at a time; on a bad block it raises what
+        :meth:`free` raises, with the blocks before it freed."""
+        if self.quarantined:
+            for block in blocks:
+                self.free(block)
+            return
+        bitmap = self._map
+        first = self.first_block
+        start = stop = None
+        for block in chain(blocks, (None,)):
+            if block is not None and block == stop:
+                stop += 1
+                continue
+            if stop is not None:
+                # Free the run [start, stop) -- block by block if any of
+                # it is out of range or already free: free() then frees
+                # the blocks before that one and raises.
+                index, end = start - first, stop - first
+                if index < 0 or end > self.num_blocks \
+                        or bitmap.find(1, index, end) >= 0:
+                    for each in range(start, stop):
+                        self.free(each)
+                else:
+                    bitmap[index:end] = b"\x01" * (end - index)
+                    self.free_count += end - index
+                    if index < self._low:
+                        self._low = index
+            if block is not None:
+                start, stop = block, block + 1
 
     def mark_allocated(self, block):
         """Claim a specific block (used when rebuilding state at recovery)."""

@@ -34,7 +34,7 @@ def test_insert_and_lookup(rig):
 
 def test_evict_frees_frame_and_index(rig):
     block = rig.buffer.insert(1, 5, nvmm_block=100)
-    rig.buffer.evict(block)
+    rig.buffer.evict_many([block])
     assert rig.buffer.lookup(1, 5) is None
     assert rig.buffer.used_blocks == 0
     assert rig.buffer.free_blocks == rig.buffer.blocks_total
@@ -52,11 +52,11 @@ def test_file_blocks_sorted_by_offset(rig):
         rig.buffer.insert(3, fb, nvmm_block=fb)
     assert [b.file_block for b in rig.buffer.file_blocks(3)] == [2, 5, 9]
     assert rig.buffer.file_blocks(99) == []
-    rig.buffer.evict(rig.buffer.lookup(3, 5))
+    rig.buffer.evict_many([rig.buffer.lookup(3, 5)])
     rig.buffer.insert(3, 0, nvmm_block=0)
     assert [b.file_block for b in rig.buffer.file_blocks(3)] == [0, 2, 9]
     for block in rig.buffer.file_blocks(3):
-        rig.buffer.evict(block)
+        rig.buffer.evict_many([block])
     assert rig.buffer.file_blocks(3) == []
 
 
@@ -64,7 +64,7 @@ def test_write_into_roundtrip_and_state(rig):
     block = rig.buffer.insert(1, 0, nvmm_block=50)
     rig.buffer.write_into(rig.ctx, block, 100, b"hello", now_ns=77)
     assert rig.buffer.read_from(rig.ctx, block, 100, 5) == b"hello"
-    assert block.is_dirty
+    assert block.bitmap.dirty
     assert block.last_written_ns == 77
     assert rig.env.stats.bytes_written_dram == 5
 
@@ -90,7 +90,7 @@ def test_dirty_blocks_are_first_dirtied_across_inodes(rig):
         buffer.write_into(rig.ctx, block, 0, b"x", now_ns=0)
     buffer.write_into(rig.ctx, b, 64, b"y", now_ns=1)  # not re-ordered
     assert buffer.dirty_blocks() == [b, c, a, d]
-    buffer.evict(c)
+    buffer.evict_many([c])
     assert buffer.dirty_blocks() == [b, a, d]
 
 

@@ -93,7 +93,7 @@ def test_block_whose_fetch_raised_is_still_evictable(policy):
     with pytest.raises(MediaError):
         rig.vfs.pwrite(rig.ctx, fd, 0, b"y" * 112)  # fetches line 1
     (block,) = rig.fs.buffer.file_blocks(ino)
-    assert not block.is_dirty
+    assert not block.bitmap.dirty
     assert rig.fs.buffer.all_blocks_lrw_order() == [block]
     rig.fs.writeback.demand_reclaim(rig.ctx)
     assert rig.fs.buffer.file_blocks(ino) == []

@@ -17,7 +17,10 @@ including the empty ``syscall_time_ns`` ledger.  Two more entries pin
 the eager (O_SYNC) write path, which none of the fio cases takes: a
 shrunk tenant fleet on ``hinfs@2`` behind a QoS controller, and an
 unaligned O_SYNC stream on ``hinfs`` over lazily buffered blocks and
-holes (``EAGER_CASES``).
+holes (``EAGER_CASES``).  The ``LIFECYCLE_CASES`` run a shrunk
+filebench fileserver -- files created, appended, read and deleted in
+the measured phase -- with a buffer small enough for demand reclaim,
+pressure writeback and unlink discards, under LRW, ARC and 2Q.
 Trace-ring contents are pinned as a SHA-256 over the canonicalised
 span stream -- exact, but compact enough to check in.
 
@@ -38,6 +41,7 @@ from repro.core import HiNFSConfig
 from repro.fs import flags as f
 from repro.fs.qos import QosController
 from repro.workloads.base import Workload, payload
+from repro.workloads.filebench import Fileserver
 from repro.workloads.fio import FioWorkload, RingFioWorkload
 from repro.workloads.mmio import MmapFioWorkload
 from repro.workloads.tenants import TenantFleet
@@ -134,6 +138,23 @@ EAGER_CASES = [
 ]
 
 
+#: (fs, seed, mechanism) of the lifecycle entries: ``fileserver`` is a
+#: shrunk :class:`Fileserver` (6 files of 32 KB mean per thread, 32 KB
+#: requests) over a 192 KB buffer; ``fileserver-arc`` / ``-2q`` run it
+#: under that replacement policy (``LIFECYCLE_POLICIES``).
+LIFECYCLE_CASES = [
+    ("hinfs", 0, "fileserver"),
+    ("hinfs-nclfw", 0, "fileserver"),
+    ("pmfs", 0, "fileserver"),
+    ("hinfs", 0, "fileserver-arc"),
+    ("hinfs", 0, "fileserver-2q"),
+]
+LIFECYCLE_POLICIES = {"fileserver": "lrw", "fileserver-arc": "arc",
+                      "fileserver-2q": "2q"}
+
+ALL_CASES = CASES + EAGER_CASES + LIFECYCLE_CASES
+
+
 def case_key(fs, seed, depth):
     if isinstance(depth, str):
         mech = depth
@@ -157,6 +178,10 @@ def _workload(seed, depth):
         return fleet, attach
     if depth == "osync":
         return EagerOverlapWorkload(threads=2, seed=seed), None
+    if depth in LIFECYCLE_POLICIES:
+        return Fileserver(seed=seed, threads=2, files_per_thread=6,
+                          mean_file_size=32 << 10, io_size=32 << 10,
+                          duration_ops=12), None
     kwargs = dict(threads=2, ops_per_thread=50, io_size=4096,
                   file_size=256 << 10, read_fraction=1 / 3,
                   fsync_every=16, seed=seed)
@@ -171,7 +196,11 @@ def _workload(seed, depth):
 def run_case(fs, seed, depth):
     """One deterministic traced run; returns its full fingerprint."""
     workload, setup = _workload(seed, depth)
-    hc = HiNFSConfig(buffer_bytes=2 << 20)
+    if depth in LIFECYCLE_POLICIES:
+        hc = HiNFSConfig(buffer_bytes=192 << 10,
+                         replacement_policy=LIFECYCLE_POLICIES[depth])
+    else:
+        hc = HiNFSConfig(buffer_bytes=2 << 20)
     result = run_workload(fs, workload, device_size=32 << 20,
                           hinfs_config=hc, trace_capacity=1 << 14,
                           setup=setup)
@@ -213,8 +242,8 @@ def golden():
     return load_golden()
 
 
-@pytest.mark.parametrize("fs,seed,depth", CASES + EAGER_CASES,
-                         ids=[case_key(*c) for c in CASES + EAGER_CASES])
+@pytest.mark.parametrize("fs,seed,depth", ALL_CASES,
+                         ids=[case_key(*c) for c in ALL_CASES])
 def test_virtual_time_results_match_golden(golden, fs, seed, depth):
     key = case_key(fs, seed, depth)
     assert key in golden, "no golden entry for %s (regen needed?)" % key
@@ -261,6 +290,19 @@ def test_the_eager_cases_take_the_paths_they_pin(golden, monkeypatch):
     tenants = golden[case_key("hinfs@2", 0, "tenants")]["counters"]
     assert tenants["qos_throttle_ns"] > 0
     assert tenants["sharded_reqs@dev0"] and tenants["sharded_reqs@dev1"]
+
+
+@pytest.mark.parametrize("fs,seed,depth", [
+    c for c in LIFECYCLE_CASES if c[0].startswith("hinfs")])
+def test_the_lifecycle_cases_reclaim_write_back_and_discard(golden, fs, seed,
+                                                            depth):
+    """Each buffered lifecycle entry runs the buffer dry (a foreground
+    demand reclaim), writes back under pressure and drops a deleted
+    file's buffered blocks without writing them."""
+    counters = golden[case_key(fs, seed, depth)]["counters"]
+    for name in ("writeback_demand_stalls", "writeback_pressure_blocks",
+                 "hinfs_discarded_blocks"):
+        assert counters.get(name, 0) > 0, name
 
 
 #: (fs, seed, workload kwargs) of the untraced-mapping fence: the three
@@ -319,7 +361,7 @@ def test_untraced_mapped_runs_match_their_traced_twins(fs, seed, overrides):
 
 
 def regen():
-    out = {case_key(*case): run_case(*case) for case in CASES + EAGER_CASES}
+    out = {case_key(*case): run_case(*case) for case in ALL_CASES}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fileobj:
         json.dump(out, fileobj, indent=1, sort_keys=True)

@@ -360,8 +360,7 @@ def test_a_commit_ahead_of_its_data_is_caught(monkeypatch, ops):
     flush = HiNFS.flush_blocks
 
     def commit_first(self, ctx, blocks, *args, **kwargs):
-        for block in blocks:
-            self._complete_pending(ctx, block)
+        self._complete_pending(ctx, blocks)
         return flush(self, ctx, blocks, *args, **kwargs)
 
     monkeypatch.setattr(HiNFS, "flush_blocks", commit_first)

@@ -127,7 +127,7 @@ def test_drop_all_frees_pointer_blocks():
     rig.journal.commit(rig.ctx, tx)
     # 3 data blocks + indirect + dindirect + one L2 block.
     assert len(freed) == 6
-    assert rig.map.block_count() == 0
+    assert len(rig.map.mirror) == 0
     assert rig.reload().mapped_blocks() == []
 
 

@@ -21,9 +21,20 @@ rows.  The ceilings sit about 5 % above what the tree achieves:
   load, log append and applier wake bound their lookups once, they
   raised 38 / 30 / 34 / 9 and 66 / 30 / 57.
 - hinfs, the 64 KB append / fsync of 16 buffered blocks / 128 KB
-  buffered read: 423 / 352 / 210 over 403 / 335 / 200 (456 / 355 / 210
-  before the same change; the per-block bookkeeping that the whole-block
-  fast paths replaced cost 755, 535 and 375).
+  buffered read: 166 / 190 / 210 over 158 / 181 / 200.  Before a
+  request's run of fresh blocks was admitted in one pass (one DRAM
+  ``alloc_many``, one ``admit_run``, the ghost stamps in one
+  ``record_run``) and a flushed batch released in one pass (one
+  ``_complete_pending`` walk, one ``evict_many``, one ``free_many``),
+  the append and the fsync raised 402 / 319 (456 / 355 before the
+  whole-block fast paths; the per-block bookkeeping those replaced cost
+  755, 535 and 375).
+- ``tools/calls.py``'s lifecycle table: the unlink of a file holding 16
+  buffered blocks, 137 over 130 on hinfs (286 when each block was
+  discarded, evicted and freed on its own) and 123 over 117 on pmfs
+  (151 with a ``free`` per block), and pmfs's 64 KB append over fresh
+  blocks, 194 over 185 (233 with an ``alloc`` and a zeroing store per
+  block).
 - an unaligned 16 KB O_SYNC overwrite: 97 on hinfs and 98 on hinfs@2
   over 92 / 93 (127 / 128 before the same change; a buffer lookup, a
   block-address, a line-count and a persist helper and a counter bump
@@ -58,6 +69,11 @@ _spec = importlib.util.spec_from_file_location("calls", _PATH)
 calls = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(calls)
 _python_calls = calls.python_calls
+
+
+#: Lifecycle ceilings (see the module docstring).
+APPEND_HINFS, FSYNC_HINFS, UNLINK_HINFS = 166, 190, 137
+APPEND_PMFS, UNLINK_PMFS = 194, 123
 
 
 def _open_file(fs_name):
@@ -110,7 +126,8 @@ def test_64k_append_on_hinfs_stays_under_its_frame_ceiling():
     vfs, ctx, fd = _open_file("hinfs")
     vfs.pwrite(ctx, fd, 0, b"a" * 65536)
     chunk = b"b" * 65536
-    assert _python_calls(lambda: vfs.pwrite(ctx, fd, 65536, chunk)) <= 423
+    assert _python_calls(lambda: vfs.pwrite(ctx, fd, 65536, chunk)) \
+        <= APPEND_HINFS
 
 
 def test_16_block_fsync_on_hinfs_stays_under_its_frame_ceiling():
@@ -118,8 +135,27 @@ def test_16_block_fsync_on_hinfs_stays_under_its_frame_ceiling():
     vfs.pwrite(ctx, fd, 0, b"a" * 65536)
     ino = vfs.fstat(ctx, fd).ino
     assert len(vfs.fs.buffer.file_blocks(ino)) == 16
-    assert _python_calls(lambda: vfs.fsync(ctx, fd)) <= 352
+    assert _python_calls(lambda: vfs.fsync(ctx, fd)) <= FSYNC_HINFS
     assert vfs.fs.buffer.file_blocks(ino) == []
+
+
+@pytest.mark.parametrize("fs_name,op,ceiling", [
+    ("hinfs", "unlink", UNLINK_HINFS), ("pmfs", "unlink", UNLINK_PMFS),
+    ("pmfs", "append", APPEND_PMFS)])
+def test_a_files_blocks_cost_one_pass_per_request(fs_name, op, ceiling):
+    """``tools/calls.py``'s lifecycle table: the unlink of a file whose
+    16 blocks sit in the DRAM buffer (hinfs discards them) or on NVMM
+    (pmfs frees them), and pmfs's 64 KB append over 16 fresh blocks."""
+    assert calls.lifecycle_frames(fs_name)[op] <= ceiling
+
+
+def test_an_unlink_discards_the_buffered_blocks_it_is_measured_on():
+    vfs, ctx, fd = _open_file("hinfs")
+    vfs.pwrite(ctx, fd, 0, b"a" * 65536)
+    vfs.close(ctx, fd)
+    vfs.unlink(ctx, "/f")
+    assert vfs.env.stats.count("hinfs_discarded_blocks") == 16
+    assert vfs.fs.buffer.used_blocks == 0
 
 
 def test_buffered_128k_read_on_hinfs_stays_under_its_frame_ceiling():

@@ -372,6 +372,7 @@ def test_no_apply_write_lands_after_its_block_was_given_up(
     write_persistent = rig.device.write_persistent
     write_cached = rig.device.write_cached
     free = rig.fs.balloc.free
+    free_many = rig.fs.balloc.free_many
 
     def persist(ctx, addr, data, *args):
         if ctx is applier:
@@ -386,9 +387,15 @@ def test_no_apply_write_lands_after_its_block_was_given_up(
         events.append(("gone", block))
         free(block)
 
+    def give_up_many(blocks):
+        blocks = list(blocks)
+        events.extend(("gone", block) for block in blocks)
+        free_many(blocks)
+
     monkeypatch.setattr(rig.device, "write_persistent", persist)
     monkeypatch.setattr(rig.device, "write_cached", store_in_place)
     monkeypatch.setattr(rig.fs.balloc, "free", give_up)
+    monkeypatch.setattr(rig.fs.balloc, "free_many", give_up_many)
     if op == "undo store":
         region.store(rig.ctx, 0, b"U" * 8192)       # epoch 3: undo
         assert region._epoch_policy == mmio.POLICY_UNDO

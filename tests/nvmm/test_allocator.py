@@ -182,3 +182,70 @@ class _LowestFreeFirst(RuleBasedStateMachine):
 _LowestFreeFirst.TestCase.settings = settings(
     max_examples=60, stateful_step_count=60, deadline=None)
 TestLowestFreeFirst = _LowestFreeFirst.TestCase
+
+
+class _BlockAtATime(BlockAllocator):
+    """The reference for the run-granular calls: ``alloc_many`` and
+    ``free_many`` as loops of :meth:`alloc` and :meth:`free`."""
+
+    def alloc_many(self, count):
+        if count > self.free_count:
+            raise OutOfSpaceError(
+                "asked for %d blocks, only %d free" % (count, self.free_count)
+            )
+        return [self.alloc() for _ in range(count)]
+
+    def free_many(self, blocks):
+        for block in blocks:
+            self.free(block)
+
+
+def _state(alloc):
+    return bytes(alloc._map), alloc._low, alloc.free_count, alloc.quarantined
+
+
+def _outcome(alloc, name, args):
+    try:
+        return "ok", getattr(alloc, name)(*args)
+    except (ValueError, OutOfSpaceError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_run_granular_calls_match_block_at_a_time_calls(data):
+    """Interleaved ``alloc_many`` / ``free_many`` / ``alloc`` / ``free``
+    / ``quarantine``: the same blocks in the same order, the same
+    ``_map``, ``_low`` and ``free_count`` after every step, and a bad
+    ``free_many`` (double, duplicate or out-of-range block, at any
+    position) raises the reference's error with the reference's blocks
+    before it freed."""
+    first, count = 5, 40
+    fast = BlockAllocator(count, first_block=first)
+    ref = _BlockAtATime(count, first_block=first)
+    blocks = st.integers(first - 2, first + count + 1)
+    for _ in range(data.draw(st.integers(1, 30))):
+        name = data.draw(st.sampled_from(
+            ["alloc_many", "alloc_many", "free_many", "free_many", "alloc",
+             "free", "quarantine"]))
+        if name == "alloc_many":
+            args = (data.draw(st.integers(0, 12)),)
+        elif name == "free_many":
+            held = [block for block in range(first, first + count)
+                    if ref.is_allocated(block)
+                    and block not in ref.quarantined]
+            start = data.draw(st.integers(0, len(held)))
+            run = held[start:start + data.draw(st.integers(0, 12))]
+            if data.draw(st.booleans()):
+                run = data.draw(st.permutations(run))
+            if data.draw(st.integers(0, 3)) == 0:
+                bad = data.draw(st.one_of(blocks, st.sampled_from(run or [0])))
+                run.insert(data.draw(st.integers(0, len(run))), bad)
+            args = (run,)
+        elif name == "alloc":
+            args = ()
+        else:
+            args = (data.draw(blocks),)
+        got, want = _outcome(fast, name, args), _outcome(ref, name, args)
+        assert got == want, (name, args)
+        assert _state(fast) == _state(ref), (name, args)

@@ -36,8 +36,9 @@ def test_the_cli_prints_one_row_per_stack(capsys):
 
 
 def test_the_default_run_adds_the_mapped_table(capsys):
+    """... and the lifecycle table after it."""
     assert calls.main([]) == 0
-    syscalls, mapped = capsys.readouterr().out.split("\n\n")
+    syscalls, mapped, lifecycle = capsys.readouterr().out.split("\n\n")
     assert [row.split()[0] for row in syscalls.splitlines()[1:]] \
         == list(calls.STACKS)
     header, *rows = mapped.splitlines()
@@ -53,3 +54,10 @@ def test_the_default_run_adds_the_mapped_table(capsys):
     # and logs the pre-image before its in-place store.
     assert "wake" in redo and "wake" not in undo
     assert undo["store"] > redo["store"] > 0
+    header, *rows = lifecycle.splitlines()
+    assert header.split() == ["stack"] + list(calls.LIFECYCLE_OPS)
+    table = {row.split()[0]: list(map(int, row.split()[1:])) for row in rows}
+    assert list(table) == list(calls.LIFECYCLE_STACKS)
+    for name in calls.LIFECYCLE_STACKS:
+        frames = calls.lifecycle_frames(name)
+        assert table[name] == [frames[op] for op in calls.LIFECYCLE_OPS]

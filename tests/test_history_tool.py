@@ -31,11 +31,16 @@ def test_every_history_row_parses_with_its_keys():
         loc = dict(row["loc"])
         total = loc.pop("total")
         assert loc and total == sum(loc.values())
-        assert sorted(row["calls"]) == ["mapped", "syscalls"]
+        # Rows older than the lifecycle table lack it.
+        assert {"mapped", "syscalls"} <= set(row["calls"]) \
+            <= {"mapped", "syscalls", "lifecycle"}
         for frames in row["calls"]["syscalls"].values():
             assert sorted(frames) == sorted(calls.SYSCALLS)
         for frames in row["calls"]["mapped"].values():
             assert set(frames) <= set(calls.MAPPED_OPS)
+        for name, frames in row["calls"].get("lifecycle", {}).items():
+            assert name in calls.LIFECYCLE_STACKS
+            assert sorted(frames) == sorted(calls.LIFECYCLE_OPS)
         assert row["host_ops_per_s"]
         for key, ab in row["host_ops_per_s"].items():
             workload, seed = key.split("@")

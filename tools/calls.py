@@ -6,7 +6,7 @@ of Python ``call`` events one syscall raises is a deterministic proxy
 for its cost.  ``tests/integration/test_call_budget.py`` holds ceilings
 on these counts and counts with :func:`python_calls` from here.
 
-    PYTHONPATH=src python tools/calls.py              # both tables
+    PYTHONPATH=src python tools/calls.py              # all three tables
     PYTHONPATH=src python tools/calls.py pmfs hinfs-wb  # syscalls only
 
 The syscall table has one row per stack name (any name ``build_stack``
@@ -16,7 +16,11 @@ means the same call ran once just before, so the ring entry and the
 inode's lock exist.
 
 The mapped table (default run only) has one row per ``MAP_ATOMIC``
-policy on pmfs: see :func:`mapped_frames`.
+policy on pmfs: see :func:`mapped_frames`.  The lifecycle table
+(default run only) has one row per stack of ``LIFECYCLE_STACKS``: a
+file's create, a 64 KB append over fresh blocks, an fsync of 16
+buffered blocks and an unlink of a file holding them -- see
+:func:`lifecycle_frames`.
 """
 
 import gc
@@ -26,6 +30,8 @@ STACKS = ("pmfs", "hinfs", "hinfs@2")
 SYSCALLS = ("pwrite", "pread", "fsync")
 POLICIES = ("redo", "undo")
 MAPPED_OPS = ("store", "load", "msync", "wake")
+LIFECYCLE_STACKS = ("hinfs", "pmfs")
+LIFECYCLE_OPS = ("create", "append", "fsync", "unlink")
 
 
 def python_calls(fn):
@@ -130,6 +136,41 @@ def mapped_frames(policy):
     return frames
 
 
+def lifecycle_frames(fs_name):
+    """``{op: frames}`` of a buffered file's life on an untraced
+    ``fs_name`` stack, each op on a stack of its own: ``create``, an
+    ``O_CREAT`` open of a new name (after one such open); ``append``, a
+    64 KB ``pwrite`` over 16 fresh blocks past the 64 KB written first;
+    ``fsync`` of a file holding 16 buffered blocks (one 64 KB
+    ``pwrite``); ``unlink`` of such a file."""
+    from repro.bench.runner import build_stack
+    from repro.engine.context import ExecContext
+    from repro.engine.env import SimEnv
+    from repro.fs import flags as f
+    from repro.nvmm.config import NVMMConfig
+
+    def written():
+        env = SimEnv()
+        _, vfs = build_stack(env, fs_name, NVMMConfig(), 32 << 20)
+        ctx = ExecContext(env, "app")
+        fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR)
+        vfs.pwrite(ctx, fd, 0, b"a" * 65536)
+        return vfs, ctx, fd
+
+    vfs, ctx, _ = written()
+    chunk = b"b" * 65536
+    frames = {"create": python_calls(
+        lambda: vfs.open(ctx, "/g", f.O_CREAT | f.O_RDWR))}
+    vfs, ctx, fd = written()
+    frames["append"] = python_calls(lambda: vfs.pwrite(ctx, fd, 65536, chunk))
+    vfs, ctx, fd = written()
+    frames["fsync"] = python_calls(lambda: vfs.fsync(ctx, fd))
+    vfs, ctx, fd = written()
+    vfs.close(ctx, fd)
+    frames["unlink"] = python_calls(lambda: vfs.unlink(ctx, "/f"))
+    return frames
+
+
 def main(argv=None):
     args = tuple(sys.argv[1:] if argv is None else argv)
     names = args or STACKS
@@ -147,6 +188,12 @@ def main(argv=None):
             print("%-7s %7s %7s %7s %7s"
                   % ((policy,) + tuple(frames.get(op, "-")
                                        for op in MAPPED_OPS)))
+        print()
+        print("%-7s %7s %7s %7s %7s" % (("stack",) + LIFECYCLE_OPS))
+        for name in LIFECYCLE_STACKS:
+            frames = lifecycle_frames(name)
+            print("%-7s %7d %7d %7d %7d"
+                  % ((name,) + tuple(frames[op] for op in LIFECYCLE_OPS)))
     return 0
 
 

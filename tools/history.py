@@ -2,7 +2,7 @@
 """Append one row per change to ``BENCH_history.jsonl``.
 
 A row records what the tree costs at that change, on both clocks'
-host side: the ``tools/loc.py`` code lines per package, both
+host side: the ``tools/loc.py`` code lines per package, the three
 ``tools/calls.py`` frame tables, and per workload the median
 ``host_ops_per_s`` of the parent's and the change's perfbench runs,
 with how many alternated pairs were run and in how many the change was
@@ -50,14 +50,17 @@ def loc_table():
 
 
 def calls_tables():
-    """Both ``tools/calls.py`` tables: frames per warm syscall by stack,
-    and per mapped op by ``MAP_ATOMIC`` policy."""
+    """The three ``tools/calls.py`` tables: frames per warm syscall by
+    stack, per mapped op by ``MAP_ATOMIC`` policy, and per lifecycle op
+    (create, append, fsync, unlink) by stack."""
     calls = _tool("calls")
     return {
         "syscalls": {name: calls.syscall_frames(name)
                      for name in calls.STACKS},
         "mapped": {policy: calls.mapped_frames(policy)
                    for policy in calls.POLICIES},
+        "lifecycle": {name: calls.lifecycle_frames(name)
+                      for name in calls.LIFECYCLE_STACKS},
     }
 
 
