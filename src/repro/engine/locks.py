@@ -285,6 +285,53 @@ class InodeLockTable:
         except ValueError:
             pass
 
+    # -- one inode lock: the take/drop pair -------------------------------
+
+    def acquire(self, ctx, ino, mode):
+        """Take inode ``ino``'s lock for ``ctx``, shared (``"read"``) or
+        exclusive (``"write"``); returns the lock to hand back to
+        :meth:`release`.
+
+        An uncontended lock is taken inline -- what ``lock``, ``_push``
+        and ``acquire_read``/``acquire_write`` do, without their frames:
+        the lockdep check runs only when the context already holds a
+        lock, and ``_wait_until`` only when the lock is busy past the
+        context's clock.
+        """
+        lock = self._locks.get(ino)
+        if lock is None:
+            lock = self.lock(ino)
+        held = ctx.held_locks
+        if held:
+            self._check_order(ctx, ino, mode)
+        held.append((ino, mode))
+        free_at = lock._write_free_at
+        if mode != "read" and lock._read_free_at > free_at:
+            free_at = lock._read_free_at
+        if free_at > ctx.now:
+            lock._wait_until(ctx, free_at, mode + " acquire")
+        else:
+            lock.env.stats.counters["lock_acquisitions"] += 1
+        if mode != "read":
+            lock.writer = ctx.name
+        return lock
+
+    def release(self, ctx, lock, ino, mode):
+        """Drop a lock :meth:`acquire` returned, at ``ctx``'s clock."""
+        now = ctx.now
+        if mode == "read":
+            if now > lock._read_free_at:
+                lock._read_free_at = now
+        else:
+            if now > lock._write_free_at:
+                lock._write_free_at = now
+            lock.writer = None
+        held = ctx.held_locks
+        if held and held[-1] == (ino, mode):
+            held.pop()
+        else:
+            self._pop(ctx, ino, mode)
+
     # -- acquisition context managers ------------------------------------
 
     def read_locked(self, ctx, ino):
@@ -299,14 +346,8 @@ class InodeLockTable:
 
 
 class _InodeGuard:
-    """One inode lock held for a ``with`` block (lockdep-tracked).
-
-    An uncontended lock is taken and dropped inline -- what ``lock``,
-    ``_push``, ``acquire_read``/``acquire_write``, ``release_*`` and
-    ``_pop`` do, without their frames: the lockdep check runs only when
-    the context already holds a lock, and ``_wait_until`` only when the
-    lock is busy past the context's clock.
-    """
+    """One inode lock held for a ``with`` block: the namespace syscalls'
+    wrapper over :meth:`InodeLockTable.acquire` / ``release``."""
 
     __slots__ = ("table", "ctx", "ino", "mode", "lock")
 
@@ -317,44 +358,11 @@ class _InodeGuard:
         self.mode = mode
 
     def __enter__(self):
-        table, ctx, ino, mode = self.table, self.ctx, self.ino, self.mode
-        lock = table._locks.get(ino)
-        if lock is None:
-            lock = table.lock(ino)
-        self.lock = lock
-        held = ctx.held_locks
-        if held:
-            table._check_order(ctx, ino, mode)
-        held.append((ino, mode))
-        if mode == "read":
-            free_at = lock._write_free_at
-        else:
-            free_at = lock._write_free_at
-            if lock._read_free_at > free_at:
-                free_at = lock._read_free_at
-        if free_at > ctx.now:
-            lock._wait_until(ctx, free_at, mode + " acquire")
-        else:
-            lock.env.stats.counters["lock_acquisitions"] += 1
-        if mode != "read":
-            lock.writer = ctx.name
-        return lock
+        self.lock = self.table.acquire(self.ctx, self.ino, self.mode)
+        return self.lock
 
     def __exit__(self, exc_type, exc, tb):
-        ctx, lock = self.ctx, self.lock
-        now = ctx.now
-        if self.mode == "read":
-            if now > lock._read_free_at:
-                lock._read_free_at = now
-        else:
-            if now > lock._write_free_at:
-                lock._write_free_at = now
-            lock.writer = None
-        held = ctx.held_locks
-        if held and held[-1] == (self.ino, self.mode):
-            held.pop()
-        else:
-            self.table._pop(ctx, self.ino, self.mode)
+        self.table.release(self.ctx, self.lock, self.ino, self.mode)
         return False
 
 

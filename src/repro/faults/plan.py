@@ -14,7 +14,8 @@ site                    key                    consulted by
 ======================  =====================  ==========================
 ``writeback``           request id that last   ``HiNFS.flush_blocks``,
                         wrote the block        once per block persisted
-``ring``                SQE sequence number    ``IORing._dispatch``,
+``ring``                SQE sequence number    ``IORing.execute_one``
+                                               and ``IORing.submit``,
                                                before the SQE runs
 ``ring:after``          SQE sequence number    ``IORing``, after the SQE
                                                completed -- between it

@@ -27,6 +27,12 @@ ROOT_INO = 1
 S_IFREG = 1
 S_IFDIR = 2
 
+#: The op switch of :meth:`FileSystem.submit`: the hook that runs each
+#: request op.  An override that routes some requests elsewhere (a live
+#: MAP_ATOMIC mapping) dispatches the rest through it in the same frame.
+ITER_HOOKS = {OP_READ: "read_iter", OP_WRITE: "write_iter",
+              OP_SYNC: "sync_iter"}
+
 
 class FileStat:
     """stat(2)-style attributes returned by :meth:`FileSystem.getattr`."""
@@ -118,11 +124,7 @@ class FileSystem:
         :class:`~repro.engine.locks.VCompletion` the submission ring
         resolves into a CQE when the persist actually lands.
         """
-        if req.op == OP_WRITE:
-            return self.write_iter(ctx, req)
-        if req.op == OP_SYNC:
-            return self.sync_iter(ctx, req)
-        return self.read_iter(ctx, req)
+        return getattr(self, ITER_HOOKS[req.op])(ctx, req)
 
     def write_iter(self, ctx, req):
         """Write the request's gathered payload at ``req.offset``.

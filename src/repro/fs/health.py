@@ -42,6 +42,11 @@ class MountHealth:
             raise ValueError("media_error_threshold must be positive")
         self.media_error_threshold = media_error_threshold
         self.state = HEALTHY
+        #: What the state allows, kept beside it so that every syscall's
+        #: check is one attribute read: writes only while HEALTHY, reads
+        #: until ISOLATED.
+        self.writable = True
+        self.readable = True
         #: Errors observed in the current HEALTHY/DEGRADED episode; reset
         #: by a clean scrub, not by time.
         self.media_errors = 0
@@ -50,14 +55,6 @@ class MountHealth:
         self.history = []
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def writable(self):
-        return self.state == HEALTHY
-
-    @property
-    def readable(self):
-        return self.state != ISOLATED
 
     @property
     def isolate_threshold(self):
@@ -75,6 +72,8 @@ class MountHealth:
     def _transition(self, to_state, now_ns, reason):
         self.history.append((self.state, to_state, now_ns, reason))
         self.state = to_state
+        self.writable = to_state == HEALTHY
+        self.readable = to_state != ISOLATED
         self.reason = reason
         self.env.stats.bump("health_transitions")
 

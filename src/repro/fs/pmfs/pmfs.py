@@ -9,7 +9,8 @@ Figures 7-13 use as the baseline.
 
 from repro.engine.context import FreeContext
 from repro.engine.stats import CAT_OTHERS
-from repro.fs.base import FileStat, FileSystem, ROOT_INO, S_IFDIR, S_IFREG
+from repro.fs.base import FileStat, FileSystem, ITER_HOOKS, ROOT_INO, \
+    S_IFDIR, S_IFREG
 from repro.fs.errors import (
     InvalidArgument,
     IsADirectory,
@@ -443,21 +444,14 @@ class PMFS(FileSystem):
         self._mappings.setdefault(ino, []).append(mapping)
         return mapping
 
-    def atomic_mapping(self, ino):
-        """The inode's live MAP_ATOMIC mapping, or None."""
-        live = self._mappings.get(ino)
-        if live and live[0].log is not None:
-            return live[0]
-        return None
-
     def submit(self, ctx, req):
-        """Route requests on atomically-mapped inodes through the
-        mapping (POSIX coherence with library-mode stores); everything
-        else takes the normal path."""
-        mapping = self.atomic_mapping(req.ino)
-        if mapping is not None:
-            return mapping.handle_request(ctx, req)
-        return super().submit(ctx, req)
+        """Route requests on an inode with a live MAP_ATOMIC mapping
+        through the mapping (POSIX coherence with library-mode stores);
+        everything else goes straight to its ``*_iter`` hook."""
+        live = self._mappings.get(req.ino)
+        if live and live[0].log is not None:
+            return live[0].handle_request(ctx, req)
+        return getattr(self, ITER_HOOKS[req.op])(ctx, req)
 
     def on_mmap(self, ctx, ino):
         """Hook: HiNFS flushes the file's buffered DRAM blocks here

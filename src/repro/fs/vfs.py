@@ -27,6 +27,7 @@ from repro.fs.base import ROOT_INO
 from repro.fs.health import MountHealth
 from repro.io import OP_READ, OP_SYNC, OP_WRITE, IORequest
 from repro.io import ring as uring
+from repro.obs.trace import LAYER_FS
 from repro.fs.errors import (
     BadFileDescriptor,
     ExistsError,
@@ -395,8 +396,12 @@ class VFS:
 
     def execute(self, ctx, sqe, ring):
         """Run one SQE: descriptor and generic checks, one
-        :class:`IORequest`, one trip down :meth:`_submit` under the
-        request's span.
+        :class:`IORequest`, then the request pipeline every data
+        operation shares, in order, under the syscall's span: the entry
+        charge (the ring's batch pays ``T_syscall`` once), QoS admission,
+        the inode lock (shared for reads, exclusive for writes and
+        syncs), the fs -- an EIO from it feeds the health FSM before the
+        lock is released -- and the completed op count.
 
         Returns a read's per-iovec buffers, a write's byte count, or for
         fsync 0 -- unless the SQE allows a deferred completion
@@ -406,29 +411,23 @@ class VFS:
         (honouring O_APPEND) and advance it.  The descriptor is resolved
         before anything is charged or recorded, for every opcode.
         """
-        file = self._file(sqe.fd)
-        if sqe.op == uring.IORING_OP_FSYNC:
-            # The span opens before the request is built: a traced run
+        # An OpenFile is always true: _file only runs to raise EBADF.
+        file = self._files.get(sqe.fd) or self._file(sqe.fd)
+        op = sqe.op
+        positional = sqe.offset is None
+        if op == uring.IORING_OP_FSYNC:
+            # The span is made before the request is built: a traced run
             # draws the span's id, then the request's, and the golden
             # fixtures pin that order.
-            with ctx.syscall(sqe.syscall):
-                req = IORequest(
-                    self.env.next_req_id(), OP_SYNC, file.ino, (), 0,
-                    flags=file.flags, eager=not sqe.flags & uring.IOSQE_ASYNC,
-                    datasync=bool(
-                        sqe.fsync_flags & uring.IORING_FSYNC_DATASYNC),
-                    syscall=sqe.syscall, tenant=sqe.tenant,
-                )
-                token = self._submit(ctx, req, ring)
-                self.env.stats.bump(
-                    "app_bytes_fsynced", self._unsynced_bytes.pop(file.ino, 0))
-                # A deferred error from background writeback of this
-                # inode is reported by the first fsync after it was
-                # recorded -- exactly once per fd (errseq semantics).
-                self._check_wb_error(file)
-            return token
-        positional = sqe.offset is None
-        if sqe.op == uring.IORING_OP_READV:
+            syscall = ctx.syscall(sqe.syscall)
+            req = IORequest(
+                self.env.next_req_id(), OP_SYNC, file.ino, (), 0,
+                flags=file.flags, eager=not sqe.flags & uring.IOSQE_ASYNC,
+                datasync=bool(sqe.fsync_flags & uring.IORING_FSYNC_DATASYNC),
+                syscall=sqe.syscall, tenant=sqe.tenant,
+            )
+            mode = "write"
+        elif op == uring.IORING_OP_READV:
             if not f.readable(file.flags):
                 raise ReadOnly("fd %d not open for reading" % sqe.fd)
             self._check_readable("read of", file.path)
@@ -439,65 +438,77 @@ class VFS:
                 self.env.next_req_id(), OP_READ, file.ino, sqe.iovecs, offset,
                 flags=file.flags, syscall=sqe.syscall, tenant=sqe.tenant,
             )
-            with ctx.syscall(sqe.syscall, req=req):
-                data = self._submit(ctx, req, ring)
-                bufs = req.scatter(data)
-            if positional:
-                file.pos += len(data)
-            return bufs
-        if not f.writable(file.flags):
-            raise ReadOnly("fd %d not open for writing" % sqe.fd)
-        if positional:
-            if file.flags & f.O_APPEND:
-                file.pos = self.fs.getattr(ctx, file.ino).size
-            offset = file.pos
+            syscall = ctx.syscall(sqe.syscall, req=req)
+            mode = "read"
         else:
-            offset = sqe.offset
-        if offset < 0:
-            raise InvalidArgument("negative offset")
-        self._check_writable("write to", file.path)
-        eager = self.sync_mount or bool(file.flags & (f.O_SYNC | f.O_DSYNC))
-        datasync = bool(
-            eager and not self.sync_mount and not file.flags & f.O_SYNC
-        )
-        req = IORequest(
-            self.env.next_req_id(), OP_WRITE, file.ino, sqe.iovecs, offset,
-            flags=file.flags, eager=eager, datasync=datasync,
-            syscall=sqe.syscall, tenant=sqe.tenant,
-        )
-        with ctx.syscall(sqe.syscall, req=req):
-            written = self._submit(ctx, req, ring)
-            stats = self.env.stats
-            stats.bump("app_bytes_written", written)
-            if eager:
-                stats.bump("app_bytes_fsynced", written)
+            if not f.writable(file.flags):
+                raise ReadOnly("fd %d not open for writing" % sqe.fd)
+            if positional:
+                if file.flags & f.O_APPEND:
+                    file.pos = self.fs.getattr(ctx, file.ino).size
+                offset = file.pos
             else:
-                self._unsynced_bytes[file.ino] = (
-                    self._unsynced_bytes.get(file.ino, 0) + written
-                )
-        if positional:
-            file.pos += written
-        return written
-
-    def _submit(self, ctx, req, ring):
-        """The request pipeline every data operation shares, in order:
-        entry charge, QoS admission, the inode lock (shared for reads,
-        exclusive for writes and syncs), the fs -- an EIO from it feeds
-        the health FSM before the lock is released -- and the completed
-        op count."""
-        ring.charge_entry(ctx)
-        if self.qos is not None:
-            self.qos.admit(ctx, req)
-        lock = self.ilocks.read_locked if req.op == OP_READ \
-            else self.ilocks.write_locked
-        with lock(ctx, req.ino):
+                offset = sqe.offset
+            if offset < 0:
+                raise InvalidArgument("negative offset")
+            self._check_writable("write to", file.path)
+            eager = self.sync_mount or bool(
+                file.flags & (f.O_SYNC | f.O_DSYNC))
+            req = IORequest(
+                self.env.next_req_id(), OP_WRITE, file.ino, sqe.iovecs, offset,
+                flags=file.flags, eager=eager, datasync=bool(
+                    eager and not self.sync_mount
+                    and not file.flags & f.O_SYNC),
+                syscall=sqe.syscall, tenant=sqe.tenant,
+            )
+            syscall = ctx.syscall(sqe.syscall, req=req)
+            mode = "write"
+        counters = self.env.stats.counters
+        with syscall:
+            config = self.config
+            if ring._entry_done:
+                ctx.charge(config.vfs_op_ns)
+            else:
+                ring._entry_done = True
+                ctx.charge(config.syscall_ns + config.vfs_op_ns)
+                counters["vfs_syscall_entries"] += 1
+            if self.qos is not None:
+                self.qos.admit(ctx, req)
+            ino = file.ino
+            lock = self.ilocks.acquire(ctx, ino, mode)
+            sp = ctx.trace_span
+            fs_start = ctx.now
             try:
-                with ctx.layer("fs"):
-                    result = self.fs.submit(ctx, req)
+                result = self.fs.submit(ctx, req)
             except MediaError:
                 self.health.count_media_error(ctx.now)
                 raise
-        self.env.stats.ops_completed += 1
+            finally:
+                if sp is not None:
+                    sp.add_phase(LAYER_FS, fs_start, ctx.now)
+                self.ilocks.release(ctx, lock, ino, mode)
+            self.env.stats.ops_completed += 1
+            if op == uring.IORING_OP_FSYNC:
+                counters["app_bytes_fsynced"] += \
+                    self._unsynced_bytes.pop(ino, 0)
+                # A deferred error from background writeback of this
+                # inode is reported by the first fsync after it was
+                # recorded -- exactly once per fd (errseq semantics).
+                self._check_wb_error(file)
+                return result
+            if op == uring.IORING_OP_READV:
+                moved = len(result)
+                result = req.scatter(result)
+            else:
+                moved = result
+                counters["app_bytes_written"] += moved
+                if req.eager:
+                    counters["app_bytes_fsynced"] += moved
+                else:
+                    self._unsynced_bytes[ino] = \
+                        self._unsynced_bytes.get(ino, 0) + moved
+        if positional:
+            file.pos += moved
         return result
 
     # -- data syscalls: one SQE each, executed now --------------------------

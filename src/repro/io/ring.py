@@ -1,11 +1,12 @@
 """io_uring-style submission/completion rings in virtual time.
 
 Every data operation of the stack is one :class:`SQE` run by one
-per-SQE core, :meth:`IORing._dispatch` (the ``ring`` fault site, then
-:meth:`repro.fs.vfs.VFS.execute`), reached two ways.  The sync syscalls
-call :meth:`IORing.execute_one`: the value comes straight back (or the
-exception is raised), with no SQ/CQ traffic and no CQE.  Workloads that
-want the real benefit :meth:`IORing.submit` many SQEs per batch:
+per-SQE core, :meth:`repro.fs.vfs.VFS.execute`, reached two ways; each
+entrance consults the ``ring`` fault site just before it.  The sync
+syscalls call :meth:`IORing.execute_one`: the value comes straight back
+(or the exception is raised), with no SQ/CQ traffic and no CQE.
+Workloads that want the real benefit :meth:`IORing.submit` many SQEs
+per batch:
 submission pays the user/kernel mode switch (``T_syscall``) once per
 **batch**, not once per operation -- the amortization KucoFS and
 io_uring are built on -- while the per-op VFS bookkeeping cost
@@ -185,26 +186,11 @@ class IORing:
         self._cq = []
         self._pending = []
         self._seq = 0
-        #: True once the current batch has paid the T_syscall entry.
+        #: True once the current batch has paid the T_syscall entry:
+        #: :meth:`VFS.execute` charges the batch's first executed op the
+        #: full mode switch plus its VFS bookkeeping, every later op only
+        #: the bookkeeping -- the amortization the ring exists for.
         self._entry_done = False
-
-    # -- accounting shared with the VFS dispatch handlers -----------------
-
-    def charge_entry(self, ctx):
-        """Charge this operation's share of the batch's entry overhead.
-
-        The first executed op of a batch pays the full mode switch plus
-        its VFS bookkeeping (exactly the old per-syscall entry); every
-        later op in the same batch pays only the bookkeeping -- the
-        amortization the ring exists for.
-        """
-        config = self.vfs.config
-        if not self._entry_done:
-            self._entry_done = True
-            ctx.charge(config.syscall_ns + config.vfs_op_ns)
-            self.env.stats.bump("vfs_syscall_entries")
-        else:
-            ctx.charge(config.vfs_op_ns)
 
     # -- submission -------------------------------------------------------
 
@@ -237,7 +223,7 @@ class IORing:
 
     def execute_one(self, sqe):
         """Run one SQE now and return its value, raising its failure:
-        the sync syscalls' entrance to :meth:`_dispatch`.
+        the sync syscalls' entrance to :meth:`VFS.execute`.
 
         Accounted as the batch of one it replaces (one ``T_syscall``
         entry, one sequence number, the ``ring_*`` counters) but nothing
@@ -257,7 +243,9 @@ class IORing:
         if sqe.flags & IOSQE_IO_DRAIN:
             self._drain(ctx)
         try:
-            value = self._dispatch(ctx, seq, sqe)
+            if plan is not None:
+                plan.check("ring", seq)
+            value = self.vfs.execute(ctx, sqe, self)
             if isinstance(value, VCompletion):
                 value = value.wait(ctx, layer=RING_CQ_WAIT)
         except FSError:
@@ -291,7 +279,14 @@ class IORing:
             error = None
             result = None
             try:
-                result = self._dispatch(ctx, seq, sqe)
+                # The ``ring`` fault site (:mod:`repro.faults.plan`).  A
+                # failure is final: the device has already retried a
+                # transient persist, so an EIO completes the SQE and
+                # resubmission is the application's call, as with
+                # io_uring.
+                if plan is not None:
+                    plan.check("ring", seq)
+                result = self.vfs.execute(ctx, sqe, self)
             except FSError as exc:
                 error = exc
             if sp is not None:
@@ -316,25 +311,13 @@ class IORing:
                 plan.check("ring:after", seq)
             linked_prev = bool(sqe.flags & IOSQE_IO_LINK)
 
-    def _dispatch(self, ctx, seq, sqe):
-        """The per-SQE core both entrances share: consult the ``ring``
-        fault site (:mod:`repro.faults.plan`), then run the SQE through
-        :meth:`VFS.execute`.  A failure is final: the device has already
-        retried a transient persist, so an EIO here completes the SQE
-        (``-EIO`` CQE, or raised to a sync syscall) and resubmission is
-        the application's call, as with io_uring."""
-        plan = self.env.faults
-        if plan is not None:
-            plan.check("ring", seq)
-        return self.vfs.execute(ctx, sqe, self)
-
     def _complete(self, sqe, seq, error, at_ns):
         res = -int(getattr(error, "errno", _errno.EIO) or _errno.EIO)
         self._push(CQE(sqe.user_data, res, None, error, seq, at_ns))
 
     def _push(self, cqe):
         self._cq.append(cqe)
-        self.env.stats.bump("ring_cqes")
+        self.env.stats.counters["ring_cqes"] += 1
 
     # -- completion -------------------------------------------------------
 

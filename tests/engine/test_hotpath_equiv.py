@@ -193,17 +193,21 @@ def _workload(seed, depth):
     return FioWorkload(**kwargs), None
 
 
-def run_case(fs, seed, depth):
-    """One deterministic traced run; returns its full fingerprint."""
+def _run(fs, seed, depth, trace_capacity):
     workload, setup = _workload(seed, depth)
     if depth in LIFECYCLE_POLICIES:
         hc = HiNFSConfig(buffer_bytes=192 << 10,
                          replacement_policy=LIFECYCLE_POLICIES[depth])
     else:
         hc = HiNFSConfig(buffer_bytes=2 << 20)
-    result = run_workload(fs, workload, device_size=32 << 20,
-                          hinfs_config=hc, trace_capacity=1 << 14,
-                          setup=setup)
+    return run_workload(fs, workload, device_size=32 << 20,
+                        hinfs_config=hc, trace_capacity=trace_capacity,
+                        setup=setup)
+
+
+def run_case(fs, seed, depth):
+    """One deterministic traced run; returns its full fingerprint."""
+    result = _run(fs, seed, depth, 1 << 14)
     stats = result.stats
     spans = [
         [sp.req_id, sp.name, sp.layer, sp.thread, sp.start_ns, sp.end_ns,
@@ -356,6 +360,51 @@ def test_untraced_mapped_runs_match_their_traced_twins(fs, seed, overrides):
     traced = _mmap_fingerprint(fs, seed, overrides, traced=True)
     untraced = _mmap_fingerprint(fs, seed, overrides, traced=False)
     assert traced["counters"]["mmio_stores"] > 0
+    for field in sorted(traced):
+        assert untraced[field] == traced[field], field
+
+
+#: (fs, seed, depth) of the untraced-syscall fence: the sync path (d0)
+#: and the ring at depth 16 on the three stacks perfbench's syscall
+#: workloads use, the two eager-path entries and one lifecycle entry.
+UNTRACED_SYSCALL_CASES = [
+    (fs, seed, depth) for fs in ("pmfs", "hinfs", "hinfs@2")
+    for seed, depth in ((0, 0), (1337, 16))] + [
+    ("hinfs", 0, "osync"),
+    ("hinfs@2", 0, "tenants"),
+    ("hinfs", 0, "fileserver"),
+]
+
+
+def _syscall_fingerprint(fs, seed, depth, traced):
+    result = _run(fs, seed, depth, (1 << 16) if traced else None)
+    stats = result.stats
+    devices = [inner.device for inner in getattr(result.fs, "shards",
+                                                 [result.fs])]
+    return {
+        "ops": result.ops,
+        "elapsed_ns": result.elapsed_ns,
+        "counters": dict(stats.counters),
+        "breakdown": stats.breakdown.as_dict(),
+        "syscall_time_ns": dict(stats.syscall_time_ns),
+        "syscall_counts": dict(stats.syscall_counts),
+        "bytes": (stats.bytes_written_nvmm, stats.bytes_read_nvmm,
+                  stats.bytes_written_dram),
+        "slots": [(d.write_slots.total_grants, d.write_slots.total_busy_ns,
+                   d.write_slots.total_wait_ns) for d in devices],
+    }
+
+
+@pytest.mark.parametrize("fs,seed,depth", UNTRACED_SYSCALL_CASES,
+                         ids=[case_key(*c) for c in UNTRACED_SYSCALL_CASES])
+def test_untraced_syscall_runs_match_their_traced_twins(fs, seed, depth):
+    """The goldens all run traced, while perfbench and the experiments
+    run untraced: the syscall path without the trace spine (no span, no
+    ``fs`` phase) is pinned here -- the same run keeps every virtual
+    number."""
+    traced = _syscall_fingerprint(fs, seed, depth, traced=True)
+    untraced = _syscall_fingerprint(fs, seed, depth, traced=False)
+    assert traced["counters"]["vfs_syscall_entries"] > 0
     for field in sorted(traced):
         assert untraced[field] == traced[field], field
 

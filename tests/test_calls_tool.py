@@ -36,9 +36,10 @@ def test_the_cli_prints_one_row_per_stack(capsys):
 
 
 def test_the_default_run_adds_the_mapped_table(capsys):
-    """... and the lifecycle table after it."""
+    """... and the lifecycle and workload tables after it."""
     assert calls.main([]) == 0
-    syscalls, mapped, lifecycle = capsys.readouterr().out.split("\n\n")
+    syscalls, mapped, lifecycle, workloads = \
+        capsys.readouterr().out.split("\n\n")
     assert [row.split()[0] for row in syscalls.splitlines()[1:]] \
         == list(calls.STACKS)
     header, *rows = mapped.splitlines()
@@ -61,3 +62,10 @@ def test_the_default_run_adds_the_mapped_table(capsys):
     for name in calls.LIFECYCLE_STACKS:
         frames = calls.lifecycle_frames(name)
         assert table[name] == [frames[op] for op in calls.LIFECYCLE_OPS]
+    header, *rows = workloads.splitlines()
+    assert header.split() == ["workload", "frames/op"]
+    table = {row.split()[0]: float(row.split()[1]) for row in rows}
+    assert list(table) == list(calls.WORKLOADS)
+    assert table["fio-mmap"] == calls.workload_frames("fio-mmap")
+    # Mapped stores skip the syscall path a sync write takes.
+    assert table["fio-sync"] > table["fio-mmap"] > 0

@@ -31,9 +31,9 @@ def test_every_history_row_parses_with_its_keys():
         loc = dict(row["loc"])
         total = loc.pop("total")
         assert loc and total == sum(loc.values())
-        # Rows older than the lifecycle table lack it.
+        # Rows older than the lifecycle or workload table lack it.
         assert {"mapped", "syscalls"} <= set(row["calls"]) \
-            <= {"mapped", "syscalls", "lifecycle"}
+            <= {"mapped", "syscalls", "lifecycle", "workloads"}
         for frames in row["calls"]["syscalls"].values():
             assert sorted(frames) == sorted(calls.SYSCALLS)
         for frames in row["calls"]["mapped"].values():
@@ -41,6 +41,9 @@ def test_every_history_row_parses_with_its_keys():
         for name, frames in row["calls"].get("lifecycle", {}).items():
             assert name in calls.LIFECYCLE_STACKS
             assert sorted(frames) == sorted(calls.LIFECYCLE_OPS)
+        for name, per_op in row["calls"].get("workloads", {}).items():
+            assert name in calls.WORKLOADS
+            assert per_op > 0
         assert row["host_ops_per_s"]
         for key, ab in row["host_ops_per_s"].items():
             workload, seed = key.split("@")

@@ -6,24 +6,28 @@ of Python ``call`` events one syscall raises is a deterministic proxy
 for its cost.  ``tests/integration/test_call_budget.py`` holds ceilings
 on these counts and counts with :func:`python_calls` from here.
 
-    PYTHONPATH=src python tools/calls.py              # all three tables
+    PYTHONPATH=src python tools/calls.py              # all four tables
     PYTHONPATH=src python tools/calls.py pmfs hinfs-wb  # syscalls only
 
 The syscall table has one row per stack name (any name ``build_stack``
 takes): the frames of a warm 4 KB ``pwrite`` over written data, then of
 a warm 4 KB ``pread`` and a warm ``fsync`` of the same file.  Warm
 means the same call ran once just before, so the ring entry and the
-inode's lock exist.
+inode's lock exist; the measured ``fsync`` follows an uncounted 4 KB
+``pwrite``, so on every stack it persists one written block (a
+buffering stack's warm-up ``fsync`` left the file clean).
 
 The mapped table (default run only) has one row per ``MAP_ATOMIC``
 policy on pmfs: see :func:`mapped_frames`.  The lifecycle table
 (default run only) has one row per stack of ``LIFECYCLE_STACKS``: a
 file's create, a 64 KB append over fresh blocks, an fsync of 16
 buffered blocks and an unlink of a file holding them -- see
-:func:`lifecycle_frames`.
+:func:`lifecycle_frames`.  The workload table (default run only) has one
+row per simulated-thread perfbench case: see :func:`workload_frames`.
 """
 
 import gc
+import os
 import sys
 
 STACKS = ("pmfs", "hinfs", "hinfs@2")
@@ -32,6 +36,10 @@ POLICIES = ("redo", "undo")
 MAPPED_OPS = ("store", "load", "msync", "wake")
 LIFECYCLE_STACKS = ("hinfs", "pmfs")
 LIFECYCLE_OPS = ("create", "append", "fsync", "unlink")
+WORKLOADS = ("fio-sync", "fio-ring", "fio-mmap", "fileserver",
+             "serve-tenants")
+#: The checkout: ``perfbench/`` sits beside ``tools/``.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def python_calls(fn):
@@ -89,6 +97,8 @@ def syscall_frames(fs_name):
     frames = {}
     for name in SYSCALLS:
         calls[name]()
+        if name == "fsync":
+            calls["pwrite"]()
         frames[name] = python_calls(calls[name])
     return frames
 
@@ -171,6 +181,26 @@ def lifecycle_frames(fs_name):
     return frames
 
 
+def workload_frames(name):
+    """Frames per op of perfbench's ``name`` case (one of
+    ``WORKLOADS``) in its ``--quick`` shape at seed 42, untraced: the
+    calls of the measured phase over the ops it completes, to two
+    decimals.  The case is built and run through ``perfbench.cases``
+    as perfbench builds and runs it; nothing of it is changed here."""
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    from perfbench.cases import CASES
+
+    case = CASES[name](42, quick=True)
+    case.setup(trace=False)
+
+    def measured_phase():
+        for _ in case.slices():
+            pass
+
+    return round(python_calls(measured_phase) / case.units(), 2)
+
+
 def main(argv=None):
     args = tuple(sys.argv[1:] if argv is None else argv)
     names = args or STACKS
@@ -194,6 +224,10 @@ def main(argv=None):
             frames = lifecycle_frames(name)
             print("%-7s %7d %7d %7d %7d"
                   % ((name,) + tuple(frames[op] for op in LIFECYCLE_OPS)))
+        print()
+        print("%-13s %9s" % ("workload", "frames/op"))
+        for name in WORKLOADS:
+            print("%-13s %9.2f" % (name, workload_frames(name)))
     return 0
 
 

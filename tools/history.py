@@ -2,7 +2,7 @@
 """Append one row per change to ``BENCH_history.jsonl``.
 
 A row records what the tree costs at that change, on both clocks'
-host side: the ``tools/loc.py`` code lines per package, the three
+host side: the ``tools/loc.py`` code lines per package, the four
 ``tools/calls.py`` frame tables, and per workload the median
 ``host_ops_per_s`` of the parent's and the change's perfbench runs,
 with how many alternated pairs were run and in how many the change was
@@ -50,9 +50,10 @@ def loc_table():
 
 
 def calls_tables():
-    """The three ``tools/calls.py`` tables: frames per warm syscall by
-    stack, per mapped op by ``MAP_ATOMIC`` policy, and per lifecycle op
-    (create, append, fsync, unlink) by stack."""
+    """The four ``tools/calls.py`` tables: frames per warm syscall by
+    stack, per mapped op by ``MAP_ATOMIC`` policy, per lifecycle op
+    (create, append, fsync, unlink) by stack, and per op of each
+    simulated-thread perfbench workload."""
     calls = _tool("calls")
     return {
         "syscalls": {name: calls.syscall_frames(name)
@@ -61,6 +62,8 @@ def calls_tables():
                    for policy in calls.POLICIES},
         "lifecycle": {name: calls.lifecycle_frames(name)
                       for name in calls.LIFECYCLE_STACKS},
+        "workloads": {name: calls.workload_frames(name)
+                      for name in calls.WORKLOADS},
     }
 
 
