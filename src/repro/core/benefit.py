@@ -105,19 +105,23 @@ class BufferBenefitModel:
         else:
             pending.add(file_block)
 
-    def record_run(self, ino, file_block, offset_in_block, length, now_ns,
-                   store_ns):
-        """:meth:`record_write` for each block of a buffered request's
-        run, from ``offset_in_block`` of ``file_block`` on, in one pass:
-        the first block is stamped ``now_ns``, each later one with the
-        clock its buffered store starts at -- ``store_ns`` (where the
-        first block's store started) plus ``L_dram`` per line stored
-        before it."""
+    def record_run(self, ino, file_block, offset_in_block, length, stamps,
+                   store_ns=None):
+        """:meth:`record_write` for each block of a request's run, from
+        ``offset_in_block`` of ``file_block`` on, in one pass.  An eager
+        run passes each block's stamp in ``stamps`` -- the clock its
+        NVMM store started at, as the device reported it -- and stops at
+        the last one.  A buffered run passes ``(now_ns,)`` for its first
+        block and ``store_ns``, where that block's store started: each
+        later block is stamped with the clock its buffered store starts
+        at, ``store_ns`` plus ``L_dram`` per line stored before it."""
         entries = self._entries
         pending = self._pending_by_file.get(ino)
         if pending is None:
             pending = self._pending_by_file[ino] = set()
         line_ns = self.l_dram_ns
+        now_ns = stamps[0]
+        next_stamp = 1
         while length:
             take = BLOCK_SIZE - offset_in_block
             if take > length:
@@ -140,8 +144,14 @@ class BufferBenefitModel:
             entry.n_cw += lines
             entry.last_write_ns = now_ns
             pending.add(file_block)
-            store_ns += lines * line_ns
-            now_ns = store_ns
+            if store_ns is not None:
+                store_ns += lines * line_ns
+                now_ns = store_ns
+            elif next_stamp < len(stamps):
+                now_ns = stamps[next_stamp]
+                next_stamp += 1
+            else:
+                return
             file_block += 1
             offset_in_block = 0
             length -= take

@@ -169,7 +169,7 @@ class HiNFS(PMFS):
                     run_end = run_end + BLOCK_SIZE if whole else end
                     nxt += 1
                 self.benefit.record_run(ino, file_block, in_off,
-                                        run_end - pos, reached, ctx.now)
+                                        run_end - pos, (reached,), ctx.now)
                 run = buffer.admit_run(ctx, ino, file_block, nvmm_blocks,
                                        in_off, view[pos - offset:
                                                     run_end - offset],
@@ -275,53 +275,78 @@ class HiNFS(PMFS):
                 self.journal.commit(ctx, tx)
 
     def _write_sync_body(self, ctx, inode, offset, tx, view):
-        """The per-block persist loop of an eager request, in one pass:
-        what it looks up per block is bound once per request."""
+        """An eager request's blocks in one pass: a buffered block is
+        written into its DRAM copy and flushed; each run of other blocks
+        goes to NVMM in one device call and has its ghost stamps
+        recorded in one -- a hole maps it and every later one of the
+        request first (the blocks before it are already durable)."""
         ino = inode.ino
         blockmap = self._map(ino)
         mapped = blockmap.mirror.get
-        # None -- the usual case once the barrier has run -- skips every
-        # per-block buffer lookup.
-        buffered_index = self.buffer.file_index(ino)
-        record_write = self.benefit.record_write
-        persist = self.device.write_persistent
+        # Empty -- the usual case once the barrier has run -- when
+        # nothing of the file is buffered.
+        buffered_index = self.buffer.file_index(ino) or {}
+        end = offset + len(view)
         pos = offset
-        blocks = 0
+        synced = 0  # blocks that reached NVMM
         try:
-            while view:
+            while pos < end:
                 file_block, in_off = divmod(pos, BLOCK_SIZE)
-                take = min(BLOCK_SIZE - in_off, len(view))
-                chunk = view[:take]
-                record_write(ino, file_block, in_off, take, ctx.now)
-                nvmm_block = mapped(file_block)
-                if nvmm_block is None:
-                    # A hole: map it and every later one of the request
-                    # (the blocks before it are already durable).
-                    nvmm_block = self._ensure_mapped(
-                        ctx, tx, blockmap, pos, len(view))[file_block]
-                buffered = (None if buffered_index is None
-                            else buffered_index.get(file_block))
+                reached = ctx.now  # the block's ghost stamp
+                buffered = buffered_index.get(file_block)
                 if buffered is not None:
                     # Paper 3.3.2: write into the DRAM copy, then
                     # explicitly evict it before returning to the user.
+                    take = min(BLOCK_SIZE - in_off, end - pos)
+                    self.benefit.record_write(ino, file_block, in_off,
+                                              take, reached)
                     self._fetch_before_write(ctx, buffered, in_off, take)
-                    self.buffer.write_into(ctx, buffered, in_off, chunk,
-                                           ctx.now)
+                    self.buffer.write_into(
+                        ctx, buffered, in_off,
+                        view[pos - offset:pos - offset + take], ctx.now)
                     self.flush_blocks(ctx, [buffered])
-                else:
-                    persist(ctx, nvmm_block * BLOCK_SIZE + in_off, chunk)
-                blocks += 1
-                pos += take
-                view = view[take:]
+                    synced += 1
+                    pos += take
+                    continue
+                stamps = []  # each stored block's start clock
+                stored = False
+                try:
+                    nvmm_block = mapped(file_block)
+                    if nvmm_block is None:
+                        nvmm_block = self._ensure_mapped(
+                            ctx, tx, blockmap, pos, end - pos)[file_block]
+                    # The run: this block and every later mapped,
+                    # unbuffered one up to the request's end.
+                    run = [nvmm_block]
+                    run_end = min(pos - in_off + BLOCK_SIZE, end)
+                    while run_end < end:
+                        nvmm_block = mapped(file_block + len(run))
+                        if nvmm_block is None or \
+                                file_block + len(run) in buffered_index:
+                            break
+                        run.append(nvmm_block)
+                        run_end = min(run_end + BLOCK_SIZE, end)
+                    self.device.persist_run(
+                        ctx, run, in_off, view[pos - offset:run_end - offset],
+                        stamps)
+                    stored = True
+                finally:
+                    # Every block the request reached is stamped: the
+                    # first with the clock before its hole was mapped,
+                    # and one whose mapping or store failed too.
+                    stamps[:1] = (reached,)
+                    self.benefit.record_run(ino, file_block, in_off,
+                                            end - pos, stamps)
+                    synced += len(stamps) if stored else len(stamps) - 1
+                pos = run_end
         finally:
             # One bump per request, of the blocks that reached NVMM.
-            if blocks:
-                self.env.stats.counters["hinfs_sync_writes"] += blocks
-        written = pos - offset
-        inode.size = max(inode.size, offset + written)
+            if synced:
+                self.env.stats.counters["hinfs_sync_writes"] += synced
+        inode.size = max(inode.size, end)
         inode.mtime = ctx.now
         self.itable.write_core(ctx, tx, inode)
-        return written
+        return end - offset
 
     # -- write-path helpers -------------------------------------------------
 
@@ -380,7 +405,10 @@ class HiNFS(PMFS):
     # ------------------------------------------------------------------
 
     def read_iter(self, ctx, req):
-        """Direct read from DRAM and/or NVMM guided by the bitmaps."""
+        """Direct read from DRAM and/or NVMM guided by the bitmaps: each
+        run of blocks with no valid DRAM line -- holes among them -- is
+        one device pass, a fully valid block one DRAM copy, and a partly
+        valid one a merged copy."""
         ino, offset, count = req.ino, req.offset, req.total_bytes
         inode = self._inode(ino)
         if inode.is_dir:
@@ -389,36 +417,39 @@ class HiNFS(PMFS):
             return b""
         count = min(count, inode.size - offset)
         ctx.charge(self.config.index_lookup_ns)
-        blockmap = self._map(ino)
-        lookup = self.buffer.lookup
-        dram_read = self.buffer.dram.read
+        end = offset + count
+        first = offset // BLOCK_SIZE
+        blocks = list(map(self._map(ino).mirror.get,
+                          range(first, (end - 1) // BLOCK_SIZE + 1)))
+        index = self.buffer.file_index(ino)
         out = bytearray()
         pos = offset
-        remaining = count
-        while remaining > 0:
-            file_block, in_off = divmod(pos, BLOCK_SIZE)
-            take = min(BLOCK_SIZE - in_off, remaining)
-            buffered = lookup(ino, file_block)
-            valid = 0 if buffered is None else buffered.bitmap.valid
-            if valid == FULL_MASK:
-                # One run, all in DRAM: what the merged walk would copy.
-                out.extend(dram_read(ctx, buffered.dram_addr + in_off, take))
-            elif valid == 0:
-                out.extend(self._read_nvmm(ctx, blockmap, file_block, in_off, take))
-            else:
-                out.extend(
-                    self._read_merged(ctx, buffered, in_off, take)
-                )
-            pos += take
-            remaining -= take
+        if index is not None:
+            dram_read = self.buffer.dram.read
+            for file_block in range(first, first + len(blocks)):
+                buffered = index.get(file_block)
+                if buffered is None or not buffered.bitmap.valid:
+                    continue
+                base = file_block * BLOCK_SIZE
+                if base > pos:
+                    # The run of NVMM blocks and holes before this one.
+                    self.device.read_run(
+                        ctx, blocks[pos // BLOCK_SIZE - first:
+                                    file_block - first],
+                        pos % BLOCK_SIZE, base - pos, out)
+                    pos = base
+                take = min(base + BLOCK_SIZE, end) - pos
+                if buffered.bitmap.valid == FULL_MASK:
+                    # One run, all in DRAM: what the merged walk would copy.
+                    out += dram_read(ctx, buffered.dram_addr + pos - base,
+                                     take)
+                else:
+                    out += self._read_merged(ctx, buffered, pos - base, take)
+                pos += take
+        if pos < end:
+            self.device.read_run(ctx, blocks[pos // BLOCK_SIZE - first:],
+                                 pos % BLOCK_SIZE, end - pos, out)
         return bytes(out)
-
-    def _read_nvmm(self, ctx, blockmap, file_block, in_off, take):
-        nvmm_block = blockmap.get(file_block)
-        if nvmm_block is None:
-            ctx.charge(self.config.load_cost_ns(take), CAT_READ_ACCESS)
-            return b"\0" * take
-        return self.device.read(ctx, block_addr(nvmm_block) + in_off, take)
 
     def _read_merged(self, ctx, block, in_off, take):
         """One memcpy per run of equal Cacheline-Bitmap bits (Sec 3.3.1)."""
@@ -525,8 +556,8 @@ class HiNFS(PMFS):
         dram_read = self.buffer.dram.mem.read
         load_ns = self.buffer.dram.config.load_cost_ns
         block_load_ns = load_ns(BLOCK_SIZE)
-        persist = (self.device.write_persistent_async if parallel
-                   else self.device.write_persistent)
+        persist_run = self.device.persist_run
+        sequential = not parallel
         counters = self.env.stats.counters
         for block in blocks:
             bitmap = block.bitmap
@@ -537,7 +568,7 @@ class HiNFS(PMFS):
             if not mask:
                 continue
             src_base = block.dram_addr
-            dst_base = block.nvmm_block * BLOCK_SIZE
+            dst = (block.nvmm_block,)
             try:
                 if plan is not None:
                     # The ``writeback`` fault site: fail the persist of
@@ -546,7 +577,7 @@ class HiNFS(PMFS):
                 if mask == FULL_MASK:
                     data = dram_read(src_base, BLOCK_SIZE)
                     ctx.charge(block_load_ns, CAT_READ_ACCESS)
-                    done = persist(ctx, dst_base, data)
+                    done = persist_run(ctx, dst, 0, data, wait=sequential)
                     if parallel:
                         ends.append(done)
                 else:
@@ -556,7 +587,8 @@ class HiNFS(PMFS):
                                          nlines * CACHELINE_SIZE)
                         ctx.charge(load_ns(nlines * CACHELINE_SIZE),
                                    CAT_READ_ACCESS)
-                        done = persist(ctx, dst_base + off, data)
+                        done = persist_run(ctx, dst, off, data,
+                                           wait=sequential)
                         if parallel:
                             ends.append(done)
             except MediaError:

@@ -17,9 +17,11 @@ from bisect import bisect_right
 
 from repro.engine.errors import SimulationError
 
-#: Busy intervals kept per server; older ones are coalesced away.  All
-#: simulated clocks advance roughly together, so a deep history is never
-#: probed again.
+#: Busy intervals kept per server; the two oldest are merged when a
+#: booking passes it, which closes the gap between them.  That gap is
+#: not always in every clock's past: a thread far behind the others may
+#: still have fitted into it, so the cap is part of the model --
+#: ``hinfs-bench scale`` gives other latencies with it raised to 2**20.
 _MAX_INTERVALS = 128
 
 #: Later than any start (292 years of virtual ns), so the first probed
@@ -58,31 +60,6 @@ class _ServerTimeline:
         self.starts = []
         self.ends = []
 
-    def book(self, start_ns, end_ns, i):
-        """Insert the busy interval ``[start_ns, end_ns)`` at index ``i``,
-        where the gap search stopped: every interval before ``i`` ends
-        by ``start_ns`` and ``starts[i]`` (if any) is at or after
-        ``end_ns``."""
-        # Coalesce with neighbours when exactly adjacent.
-        if i > 0 and self.ends[i - 1] == start_ns:
-            self.ends[i - 1] = end_ns
-            if i < len(self.starts) and self.starts[i] == end_ns:
-                self.ends[i - 1] = self.ends[i]
-                del self.starts[i], self.ends[i]
-        elif i < len(self.starts) and self.starts[i] == end_ns:
-            self.starts[i] = start_ns
-        else:
-            self.starts.insert(i, start_ns)
-            self.ends.insert(i, end_ns)
-        if len(self.starts) > _MAX_INTERVALS:
-            # Merge the two oldest intervals (the gap between them is in
-            # the distant past of every clock).
-            self.ends[0] = self.ends[1]
-            del self.starts[1], self.ends[1]
-
-    def next_free(self):
-        return self.ends[-1] if self.ends else 0
-
 
 class FCFSServers:
     """``capacity`` identical servers granting gap-aware reservations."""
@@ -105,62 +82,87 @@ class FCFSServers:
 
         Servers are probed in order and the first one with the earliest
         start wins -- which server holds an interval shapes later gaps,
-        so the order is part of the model.  A server idle at its tail
-        (nothing booked past the request) can start *at* the request,
-        which nothing beats: the scan stops there, and the booking is an
-        append-or-coalesce with no bisect.  That covers a foreground
-        persist on any server, not just server 0 -- the others matter
-        whenever background writeback has booked server 0 ahead.
+        so the order is part of the model.  Nothing beats a start *at*
+        the request, so the first pass takes the first server that can
+        start there: idle at its tail (nothing booked past the request;
+        the booking is an append-or-coalesce with no bisect), or with a
+        gap right at the request before the first interval still
+        running at it.  That covers a foreground persist on any server,
+        not just server 0 -- the others matter whenever background
+        writeback has booked server 0 ahead.
 
-        Otherwise a server's gap walk stops as soon as its candidate
-        start reaches the best start found so far (it can only lose),
-        and the winner is booked at the index where its walk stopped.
+        Only when no server can start at the request does each walk its
+        gaps, stopping as soon as its candidate start reaches the best
+        found so far (it can only lose).  The winner is booked, in this
+        frame, at the index where its search stopped: every interval
+        before it ends by the start, and the one at it (if any) starts
+        at or after the end; an exactly adjacent neighbour is coalesced
+        with.
         """
         if duration_ns < 0:
             raise SimulationError("negative reservation on %r" % self.name)
-        end_ns = request_ns + duration_ns
-        best_server = None
-        best_start = _NEVER
-        best_index = 0
         for server in self._servers:
             ends = server.ends
             if not ends or ends[-1] <= request_ns:
                 if duration_ns > 0:
                     if ends and ends[-1] == request_ns:
-                        ends[-1] = end_ns
+                        ends[-1] = request_ns + duration_ns
                     else:
                         server.starts.append(request_ns)
-                        ends.append(end_ns)
+                        ends.append(request_ns + duration_ns)
                         if len(ends) > _MAX_INTERVALS:
-                            # As in book(); a steady-state timeline is
-                            # always full, so this runs on most grants.
+                            # A steady-state timeline is always full, so
+                            # this runs on most grants: merge the two
+                            # oldest intervals.
                             ends[0] = ends[1]
                             del server.starts[1], ends[1]
                 self.total_busy_ns += duration_ns
                 self.total_grants += 1
                 return request_ns
-            # The earliest t >= request_ns with [t, t + duration) free,
-            # from the interval that may still run at the request on.
-            starts = server.starts
-            n = len(starts)
-            i = bisect_right(ends, request_ns)
-            start = request_ns
-            while i < n:
-                if start + duration_ns <= starts[i]:
-                    break
-                if ends[i] > start:
+            # Busy past the request: the first interval that may still
+            # run at it, and a gap before that one right at the request.
+            best_index = bisect_right(ends, request_ns)
+            if request_ns + duration_ns <= server.starts[best_index]:
+                best_server, best_start = server, request_ns
+                break
+        else:
+            # No server can start at the request.  The earliest
+            # t >= request_ns with [t, t + duration) free, per server:
+            # each ends[i] the walk reaches lies past ``start``, as
+            # bisect_right put it past every interval ending by the
+            # request and the booked ends rise strictly.
+            best_start = _NEVER
+            for server in self._servers:
+                starts, ends = server.starts, server.ends
+                n = len(starts)
+                i = bisect_right(ends, request_ns)
+                start = request_ns
+                while i < n and start + duration_ns > starts[i]:
                     start = ends[i]
                     if start >= best_start:
                         break  # cannot beat the best server any more
-                i += 1
-            if start < best_start:
-                best_start = start
-                best_server = server
-                best_index = i
-                if start == request_ns:
-                    break  # a gap right at the request: cannot do better
+                    i += 1
+                if start < best_start:
+                    best_server, best_start, best_index = server, start, i
         if duration_ns > 0:
-            best_server.book(best_start, best_start + duration_ns, best_index)
+            starts = best_server.starts
+            ends = best_server.ends
+            end_ns = best_start + duration_ns
+            i = best_index
+            if i and ends[i - 1] == best_start:
+                if i < len(starts) and starts[i] == end_ns:
+                    ends[i - 1] = ends[i]
+                    del starts[i], ends[i]
+                else:
+                    ends[i - 1] = end_ns
+            elif i < len(starts) and starts[i] == end_ns:
+                starts[i] = best_start
+            else:
+                starts.insert(i, best_start)
+                ends.insert(i, end_ns)
+                if len(ends) > _MAX_INTERVALS:
+                    ends[0] = ends[1]
+                    del starts[1], ends[1]
         self.total_busy_ns += duration_ns
         self.total_wait_ns += best_start - request_ns
         self.total_grants += 1
@@ -175,13 +177,8 @@ class FCFSServers:
 
     def earliest_free_ns(self):
         """Earliest end-of-timeline across servers (legacy metric)."""
-        return min(server.next_free() for server in self._servers)
-
-    def utilisation(self, horizon_ns):
-        """Fraction of aggregate server time busy up to ``horizon_ns``."""
-        if horizon_ns <= 0:
-            return 0.0
-        return min(1.0, self.total_busy_ns / (horizon_ns * self.capacity))
+        return min(server.ends[-1] if server.ends else 0
+                   for server in self._servers)
 
     def reset(self):
         """Forget all reservations (used between benchmark repetitions)."""

@@ -116,10 +116,6 @@ class TimeBreakdown:
     def as_dict(self):
         return dict(self._ns)
 
-    def merge(self, other):
-        for cat, ns in other.as_dict().items():
-            self._ns[cat] += ns
-
     def __repr__(self):
         parts = ", ".join(
             "%s=%s" % (cat, format_ns(ns)) for cat, ns in sorted(self._ns.items())
@@ -153,19 +149,11 @@ class SimStats:
 
     # -- time accounting --------------------------------------------------
 
-    def add_time(self, category, ns):
-        self.breakdown.add(category, ns)
-
     def add_layer_time(self, layer, ns):
         if ns:
             self.layer_time_ns[layer] += int(ns)
 
     # -- reporting ------------------------------------------------------
-
-    def throughput_ops_per_sec(self, elapsed_ns):
-        if elapsed_ns <= 0:
-            return 0.0
-        return self.ops_completed * 1e9 / elapsed_ns
 
     def summary(self):
         """A plain-dict snapshot suitable for printing or asserting on."""

@@ -292,7 +292,8 @@ class PMFS(FileSystem):
     # -- data I/O -----------------------------------------------------------
 
     def read_iter(self, ctx, req):
-        """Direct copy NVMM -> user buffer (single copy)."""
+        """Direct copy NVMM -> user buffer (single copy), the request's
+        blocks -- holes among them -- in one device pass."""
         ino, offset, count = req.ino, req.offset, req.total_bytes
         inode = self._inode(ino)
         if inode.is_dir:
@@ -301,23 +302,11 @@ class PMFS(FileSystem):
             return b""
         count = min(count, inode.size - offset)
         ctx.charge(self.config.index_lookup_ns)
-        blockmap = self._map(ino)
+        first, in_off = divmod(offset, BLOCK_SIZE)
+        last = (offset + count - 1) // BLOCK_SIZE
+        blocks = list(map(self._map(ino).mirror.get, range(first, last + 1)))
         out = bytearray()
-        pos = offset
-        remaining = count
-        while remaining > 0:
-            file_block, in_off = divmod(pos, BLOCK_SIZE)
-            take = min(BLOCK_SIZE - in_off, remaining)
-            nvmm_block = blockmap.get(file_block)
-            if nvmm_block is None:
-                out.extend(b"\0" * take)
-                ctx.charge(self.config.load_cost_ns(take))
-            else:
-                out.extend(
-                    self.device.read(ctx, block_addr(nvmm_block) + in_off, take)
-                )
-            pos += take
-            remaining -= take
+        self.device.read_run(ctx, blocks, in_off, count, out, CAT_OTHERS)
         return bytes(out)
 
     def write_iter(self, ctx, req):
@@ -336,22 +325,27 @@ class PMFS(FileSystem):
         ctx.charge(self.config.index_lookup_ns)
         blockmap = self._map(ino)
         tx = self.journal.begin(ctx)
-        pos = offset
+        mapped = blockmap.mirror.get
+        first, in_off = divmod(offset, BLOCK_SIZE)
+        last = (offset + len(data) - 1) // BLOCK_SIZE
+        blocks = list(map(mapped, range(first, last + 1)))
         view = memoryview(data)
         try:
-            while view:
-                file_block, in_off = divmod(pos, BLOCK_SIZE)
-                take = min(BLOCK_SIZE - in_off, len(view))
-                nvmm_block = blockmap.get(file_block)
-                if nvmm_block is None:
-                    fresh = self._ensure_mapped(ctx, tx, blockmap, pos,
-                                                len(view))
-                    nvmm_block = fresh[file_block]
-                self.device.write_persistent(
-                    ctx, block_addr(nvmm_block) + in_off, bytes(view[:take])
-                )
-                pos += take
-                view = view[take:]
+            while None in blocks:
+                # The mapped blocks before a hole persist first; then it
+                # and every later hole there is room for map at once.
+                hole = blocks.index(None)
+                if hole:
+                    split = hole * BLOCK_SIZE - in_off
+                    self.device.persist_run(ctx, blocks[:hole], in_off,
+                                            view[:split])
+                    first += hole
+                    in_off = 0
+                    view = view[split:]
+                self._ensure_mapped(ctx, tx, blockmap,
+                                    first * BLOCK_SIZE + in_off, len(view))
+                blocks = list(map(mapped, range(first, last + 1)))
+            self.device.persist_run(ctx, blocks, in_off, view)
             inode.size = max(inode.size, offset + len(data))
             inode.mtime = ctx.now
             self.itable.write_core(ctx, tx, inode)

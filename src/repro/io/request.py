@@ -35,22 +35,25 @@ class IORequest:
 
     def __init__(self, req_id, op, ino, iovecs, offset, flags=0,
                  eager=False, datasync=False, syscall=None, tenant=None):
-        if op not in (OP_READ, OP_WRITE, OP_SYNC):
-            raise ValueError("unknown request op %r" % (op,))
-        self.req_id = req_id
-        self.op = op
-        self.ino = ino
+        # The one copy of the caller's iovecs: a write's fragments are
+        # snapshotted as ``bytes``, so a buffer the caller reuses later
+        # cannot change what the fs holds.
         if op == OP_WRITE:
             self.iovecs = list(map(bytes, iovecs))
             total = sum(map(len, self.iovecs))
         elif op == OP_READ:
             self.iovecs = list(map(int, iovecs))
             total = sum(self.iovecs)
-        else:
+        elif op == OP_SYNC:
             if iovecs:
                 raise ValueError("sync requests carry no iovecs")
             self.iovecs = []
             total = 0
+        else:
+            raise ValueError("unknown request op %r" % (op,))
+        self.req_id = req_id
+        self.op = op
+        self.ino = ino
         #: Bytes this request covers (sum over the iovec list), counted
         #: once here: the iovecs never change after construction.
         self.total_bytes = total
@@ -75,10 +78,6 @@ class IORequest:
         self.tenant = tenant
 
     # -- geometry ---------------------------------------------------------
-
-    @property
-    def end_offset(self):
-        return self.offset + self.total_bytes
 
     def coalesce(self):
         """The write payload as ONE contiguous buffer.

@@ -76,7 +76,9 @@ class SQE:
         #: File offset, or None for "use and advance the descriptor's
         #: position" (read(2)/write(2) semantics, honouring O_APPEND).
         self.offset = offset
-        self.iovecs = list(iovecs)
+        #: The caller's iovecs as given: the request built from this
+        #: entry snapshots them (a write's fragments as ``bytes``), once.
+        self.iovecs = iovecs
         self.flags = flags
         self.fsync_flags = fsync_flags
         #: Opaque caller cookie, copied verbatim into the CQE.
@@ -99,25 +101,28 @@ class SQE:
 
 
 def prep_readv(fd, sizes, offset=None, **kwargs):
-    """Scatter read of ``sizes`` byte counts."""
+    """Scatter read of ``sizes`` byte counts (a sequence, read when the
+    entry runs)."""
     return SQE(IORING_OP_READV, fd, offset, sizes, **kwargs)
 
 
 def prep_read(fd, count, offset=None, **kwargs):
     """Single-buffer read (accounted as ``read``)."""
     kwargs.setdefault("syscall", "read")
-    return SQE(IORING_OP_READV, fd, offset, [count], **kwargs)
+    return SQE(IORING_OP_READV, fd, offset, (count,), **kwargs)
 
 
 def prep_writev(fd, iovecs, offset=None, **kwargs):
-    """Gather write of bytes-like ``iovecs``."""
+    """Gather write of bytes-like ``iovecs`` (a sequence), read when the
+    entry runs -- as io_uring reads the iovec array at submission -- and
+    snapshotted then, so the fs never holds the caller's buffers."""
     return SQE(IORING_OP_WRITEV, fd, offset, iovecs, **kwargs)
 
 
 def prep_write(fd, data, offset=None, **kwargs):
     """Single-buffer write (accounted as ``write``)."""
     kwargs.setdefault("syscall", "write")
-    return SQE(IORING_OP_WRITEV, fd, offset, [bytes(data)], **kwargs)
+    return SQE(IORING_OP_WRITEV, fd, offset, (bytes(data),), **kwargs)
 
 
 def prep_fsync(fd, datasync=False, **kwargs):

@@ -12,7 +12,7 @@ from repro.faults.policy import RetryPolicy
 from repro.fs.errors import MediaError
 from repro.mem.cpucache import CachedPersistentRegion
 from repro.mem.region import MemoryRegion
-from repro.nvmm.config import CACHELINE_SIZE, lines_spanned
+from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE
 from repro.obs.trace import LAYER_NVMM
 
 NVMM_WRITE_RESOURCE = "nvmm_write_slots"
@@ -27,11 +27,12 @@ class NVMMDevice:
     Four store paths mirror the hardware:
 
     - :meth:`write_persistent` -- non-temporal store; pays the NVMM write
-      latency per cacheline while holding a writer slot (PMFS data path,
-      HiNFS eager writes, mmio epoch-log appends, scrub repairs).
-    - :meth:`write_persistent_async` -- the same store booked on a writer
-      slot without waiting for it (HiNFS writeback, which overlaps many
-      blocks across the ``N_w`` slots and syncs to the last end).
+      latency per cacheline while holding a writer slot (mmio epoch-log
+      appends, scrub repairs, metadata blocks); :meth:`persist_run` is
+      the same store for each block-bounded piece of a request (PMFS
+      data, HiNFS eager writes and writeback), and with ``wait=False``
+      books the slots without waiting (HiNFS writeback overlapping
+      many blocks across the ``N_w`` slots, synced to the last end).
     - :meth:`persist_cached` -- a cached store flushed in the same breath
       (``pmem_memcpy_persist``): every journaled metadata range and
       recovery rollback, i.e. all metadata of every PMFS-family stack;
@@ -102,6 +103,8 @@ class NVMMDevice:
         #: Slot occupancy per persisted cacheline; the config method is
         #: the one formula (linear in lines), evaluated once.
         self._line_persist_ns = int(config.nvmm_persist_cost_ns(1))
+        #: What loading a whole block costs (a run read's usual piece).
+        self._block_load_ns = config.load_cost_ns(BLOCK_SIZE)
         #: What storing 0..64 bytes into the cache costs, by length --
         #: every journal entry and inode core -- evaluated once per
         #: config (the crash explorer binds a device per crash state).
@@ -226,6 +229,40 @@ class NVMMDevice:
             span.add_phase(LAYER_NVMM, start, ctx.now)
         return data
 
+    def read_run(self, ctx, blocks, in_off, length, out,
+                 hole_category=CAT_READ_ACCESS):
+        """:meth:`read` of each block-bounded piece of ``length`` bytes
+        laid over ``blocks`` (NVMM block numbers, None for a hole) from
+        ``in_off`` of the first, appended to ``out`` in order, in one
+        frame: per piece the same charge, fault guard, byte count and
+        ``nvmm`` phase.  A hole reads zeros and pays the same load
+        charge, under ``hole_category``, with no phase."""
+        span = ctx.trace_span
+        stats = self.env.stats
+        for block in blocks:
+            take = BLOCK_SIZE - in_off
+            if take > length:
+                take = length
+            ns = (self._block_load_ns if take == BLOCK_SIZE
+                  else self.config.load_cost_ns(take))
+            start = ctx.now
+            if not ctx.free:
+                ctx.now = start + ns
+                stats.breakdown._ns[CAT_READ_ACCESS if block is not None
+                                    else hole_category] += ns
+            if block is None:
+                out += bytes(take)
+            else:
+                addr = block * BLOCK_SIZE + in_off
+                if self.fault_model is not None:
+                    self._guard_read(addr, take, ctx)
+                out += self.mem._mv[addr:addr + take]
+                stats.bytes_read_nvmm += take
+                if span is not None:
+                    span.add_phase(LAYER_NVMM, start, ctx.now)
+            length -= take
+            in_off = 0
+
     def read_media(self, addr, length):
         """Fault-checked, untimed load (recovery scans: the data plane
         must still observe bad lines, but mount setup is not charged)."""
@@ -276,34 +313,71 @@ class NVMMDevice:
         if span is not None:
             span.add_phase(LAYER_NVMM, start, ctx.now)
 
-    def write_persistent_async(self, ctx, addr, data, category=CAT_WRITE_ACCESS):
-        """Book a persistent store without waiting for it.
+    def persist_run(self, ctx, blocks, in_off, data, stamps=None, wait=True):
+        """:meth:`write_persistent` of each block-bounded piece of
+        ``data`` laid over ``blocks`` (NVMM block numbers) from
+        ``in_off`` of the first, in order, in one frame: per piece the
+        same fault guard, store (``write_nocache`` whenever an observer
+        or a volatile line could see it), one writer-slot grant
+        requested at the clock the previous piece ended, charges, byte
+        count and ``nvmm`` phase.  ``stamps``, if given, gets each
+        piece's start clock as the piece begins -- a failing piece's
+        too, before its guard raises.
 
-        Reserves writer-slot time starting at ``ctx.now`` and returns the
-        completion timestamp instead of advancing the clock, so a caller
-        flushing many blocks can overlap them across the ``N_w`` slots --
-        the paper's HiNFS runs *multiple* writeback threads (Section 3.2)
-        and this is their aggregate effect.  The caller must
-        ``ctx.sync_to(max(end))`` before acting on the data's durability.
+        ``wait=False`` books each piece at ``ctx.now`` without waiting
+        and returns the latest end (``ctx.now`` if nothing was booked);
+        no phase is added.  The caller must ``ctx.sync_to`` that end
+        before acting on the data's durability.
         """
-        length = len(data)
-        if self.fault_model is not None:
-            self._guard_persist(ctx, addr, length)
-        self.mem.write_nocache(addr, data)
-        if ctx.free:
-            return ctx.now
-        nlines = lines_spanned(length, addr % CACHELINE_SIZE)
-        if nlines <= 0:
-            return ctx.now
         stats = self.env.stats
-        stats.bytes_written_nvmm += length
-        duration = nlines * self._line_persist_ns
-        end = self.write_slots.grant(ctx.now, duration) + duration
-        if self._grant_counter is not None:
-            counters = stats.counters
-            counters[self._grant_counter] += 1
-            counters["nvmm_slot_grants_total"] += 1
-        return end
+        breakdown = stats.breakdown._ns
+        grant, line_ns, counter = (self.write_slots.grant,
+                                   self._line_persist_ns, self._grant_counter)
+        mem = self.mem
+        # With no observer and no volatile line a non-temporal store is
+        # a plain slab copy (else write_nocache, which the crash tape
+        # sees); nothing in the run adds either.
+        mv = None if mem.observer is not None or mem._saved else mem._mv
+        span = ctx.trace_span if wait else None
+        last = ctx.now
+        size = len(data)
+        pos = 0
+        for block in blocks:
+            take = BLOCK_SIZE - in_off
+            if take > size - pos:
+                take = size - pos
+            addr = block * BLOCK_SIZE + in_off
+            start = ctx.now
+            if stamps is not None:
+                stamps.append(start)
+            if self.fault_model is not None:
+                self._guard_persist(ctx, addr, take)
+            if mv is not None:
+                mv[addr:addr + take] = data[pos:pos + take]
+            else:
+                mem.write_nocache(addr, data[pos:pos + take])
+            if take and not ctx.free:
+                now = ctx.now
+                # lines_spanned(take, addr % CACHELINE_SIZE), inline.
+                duration = ((addr % CACHELINE_SIZE + take - 1)
+                            // CACHELINE_SIZE + 1) * line_ns
+                end = grant(now, duration) + duration
+                if counter is not None:
+                    counters = stats.counters
+                    counters[counter] += 1
+                    counters["nvmm_slot_grants_total"] += 1
+                if not wait:
+                    if end > last:
+                        last = end
+                elif end > now:
+                    ctx.now = end
+                    breakdown[CAT_WRITE_ACCESS] += end - now
+                stats.bytes_written_nvmm += take
+            if span is not None:
+                span.add_phase(LAYER_NVMM, start, ctx.now)
+            pos += take
+            in_off = 0
+        return last
 
     def persist_cached(self, ctx, addr, data, category=CAT_OTHERS):
         """Store through the cache and flush the same range at once

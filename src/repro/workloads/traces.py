@@ -78,11 +78,6 @@ class SyntheticTrace:
                 pending.pop(record.path, None)
         return total, fsynced
 
-    @property
-    def fsync_fraction(self):
-        total, fsynced = self.fsync_byte_stats()
-        return 0.0 if total == 0 else fsynced / total
-
 
 def _mixed_trace(name, seed, ops, nfiles, write_frac, read_frac, unlink_frac,
                  sync_every_writes, io_size_fn, locality_skew=1.3,

@@ -22,7 +22,11 @@ filebench fileserver -- files created, appended, read and deleted in
 the measured phase -- with a buffer small enough for demand reclaim,
 pressure writeback and unlink discards, under LRW, ARC and 2Q.
 Trace-ring contents are pinned as a SHA-256 over the canonicalised
-span stream -- exact, but compact enough to check in.
+span stream -- exact, but compact enough to check in.  Two small
+direct-stack entries pin what no workload reaches: an O_SYNC request
+whose third block sits on a bad line (``EAGER_FAULT_CASES``), and reads
+that cross holes, DRAM-valid, partly valid and NVMM blocks, traced and
+not (``READ_MIX_CASES``).
 
 Regenerate (only when an *intentional* virtual-time change lands, with
 a changelog note)::
@@ -36,10 +40,16 @@ import os
 
 import pytest
 
-from repro.bench.runner import run_workload
+from repro.bench.runner import build_stack, run_workload
 from repro.core import HiNFSConfig
+from repro.core.bitmap import FULL_MASK
+from repro.engine.context import ExecContext
+from repro.engine.env import SimEnv
+from repro.faults.media import MediaFaultModel
 from repro.fs import flags as f
+from repro.fs.errors import MediaError
 from repro.fs.qos import QosController
+from repro.nvmm.config import BLOCK_SIZE, CACHELINE_SIZE, NVMMConfig
 from repro.workloads.base import Workload, payload
 from repro.workloads.filebench import Fileserver
 from repro.workloads.fio import FioWorkload, RingFioWorkload
@@ -409,8 +419,185 @@ def test_untraced_syscall_runs_match_their_traced_twins(fs, seed, depth):
         assert untraced[field] == traced[field], field
 
 
+def _direct_stack(fs_name, traced=False):
+    env = SimEnv()
+    fs, vfs = build_stack(env, fs_name, NVMMConfig(), 32 << 20,
+                          hinfs_config=HiNFSConfig(buffer_bytes=2 << 20))
+    if traced:
+        env.enable_tracing(1 << 12)
+    return env, fs, vfs, ExecContext(env, "app")
+
+
+def _fingerprint(env, fs, ctx):
+    """Clock, ledgers, writer-slot totals and the durable bytes of every
+    mapped block of every file."""
+    stats = env.stats
+    slots = fs.device.write_slots
+    durable = hashlib.sha256()
+    for ino in sorted(fs._maps):
+        for _, nvmm_block in sorted(fs._maps[ino].mirror.items()):
+            durable.update(fs.device.mem.persistent_read(
+                nvmm_block * BLOCK_SIZE, BLOCK_SIZE))
+    return {
+        "now": ctx.now,
+        "counters": dict(stats.counters),
+        "breakdown": stats.breakdown.as_dict(),
+        "bytes": [stats.bytes_written_nvmm, stats.bytes_read_nvmm,
+                  stats.bytes_written_dram],
+        "slots": [slots.total_grants, slots.total_busy_ns,
+                  slots.total_wait_ns],
+        "durable_sha256": durable.hexdigest(),
+    }
+
+
+#: (fs, where) of the O_SYNC fault entries: a 16 KB O_SYNC write at
+#: byte 1000 (file blocks 0-4) whose third block (file block 2) holds a
+#: permanently bad line and whose second a line that fails once and is
+#: retried.  ``mapped``: all five blocks were written before; ``hole``:
+#: only blocks 0-1 were, so the request maps block 2 on -- mid-request
+#: -- before its persist fails.
+EAGER_FAULT_CASES = [(fs, where) for fs in ("hinfs", "pmfs")
+                     for where in ("mapped", "hole")]
+
+
+def _osync_file(fs_name, where):
+    env, fs, vfs, ctx = _direct_stack(fs_name)
+    fd = vfs.open(ctx, "/f", f.O_CREAT | f.O_RDWR | f.O_SYNC)
+    blocks = 2 if where == "hole" else 8
+    vfs.pwrite(ctx, fd, 0, payload(blocks * BLOCK_SIZE, tag=1))
+    return env, fs, vfs, ctx, fd
+
+
+def eager_fault_case(fs_name, where):
+    """The fingerprint of the failing O_SYNC write: the error's lines,
+    the ghost entry of every block the request reached (none past the
+    failing one), and :func:`_fingerprint`."""
+    chunk = payload(4 * BLOCK_SIZE, tag=5)
+    # Where the request puts file blocks 1 and 2, from a clean twin.
+    env, fs, vfs, ctx, fd = _osync_file(fs_name, where)
+    vfs.pwrite(ctx, fd, 1000, chunk)
+    ino = vfs.fstat(ctx, fd).ino
+    twin = fs._maps[ino].mirror
+    env, fs, vfs, ctx, fd = _osync_file(fs_name, where)
+    model = MediaFaultModel(seed=0)
+    fs.device.attach_faults(model)
+    lines_per_block = BLOCK_SIZE // CACHELINE_SIZE
+    model.inject_transient(twin[1] * lines_per_block + 3)
+    model.poison_line(twin[2] * lines_per_block + 5)
+    synced = env.stats.count("hinfs_sync_writes")
+    with pytest.raises(MediaError) as err:
+        vfs.pwrite(ctx, fd, 1000, chunk)
+    benefit = getattr(fs, "benefit", None)
+    ghost = None
+    if benefit is not None:
+        ghost = []
+        for file_block in range(8):
+            entry = benefit._entries.get((ino, file_block))
+            if entry is not None:
+                ghost.append([file_block, entry.n_cw, entry.ghost_dirty,
+                              entry.last_write_ns, entry.state])
+        ghost.append(sorted(benefit._pending_by_file.get(ino, ())))
+    out = _fingerprint(env, fs, ctx)
+    out["error_lines"] = sorted(err.value.lines)
+    out["reached_nvmm"] = env.stats.count("hinfs_sync_writes") - synced
+    out["ghost"] = ghost
+    out["size"] = vfs.fstat(ctx, fd).size
+    return out
+
+
+#: (fs, traced) of the read entries: see :func:`read_mix_case`.
+READ_MIX_CASES = [(fs, traced) for fs in ("hinfs", "pmfs")
+                  for traced in (False, True)]
+
+
+def read_mix_case(fs_name, traced):
+    """Reads over eight blocks laid out, on hinfs, as: 0 hole, 1 buffered
+    and fully valid, 2 buffered and partly valid (a lazy write of some of
+    its lines over NVMM data), 3-4 on NVMM, 5 hole, 6 fully valid, 7 on
+    NVMM (pmfs: the same writes, all on NVMM).  Pins each read's bytes,
+    the clock after each, and :func:`_fingerprint` plus the trace."""
+    env, fs, vfs, ctx = _direct_stack(fs_name, traced)
+    sync = vfs.open(ctx, "/r", f.O_CREAT | f.O_RDWR | f.O_SYNC)
+    lazy = vfs.open(ctx, "/r", f.O_RDWR)
+    vfs.pwrite(ctx, sync, 2 * BLOCK_SIZE, payload(3 * BLOCK_SIZE, tag=2))
+    vfs.pwrite(ctx, sync, 7 * BLOCK_SIZE, payload(BLOCK_SIZE, tag=3))
+    vfs.pwrite(ctx, lazy, 1 * BLOCK_SIZE, payload(BLOCK_SIZE, tag=4))
+    vfs.pwrite(ctx, lazy, 6 * BLOCK_SIZE, payload(BLOCK_SIZE, tag=6))
+    vfs.pwrite(ctx, lazy, 2 * BLOCK_SIZE + 700, payload(1500, tag=8))
+    reads = []
+    for offset, count in ((100, 8 * BLOCK_SIZE - 200), (0, 8 * BLOCK_SIZE),
+                          (3 * BLOCK_SIZE + 5, 2 * BLOCK_SIZE),
+                          (2 * BLOCK_SIZE + 64, 3 * BLOCK_SIZE),
+                          (5 * BLOCK_SIZE + 1, 100)):
+        data = vfs.pread(ctx, lazy, offset, count)
+        reads.append([offset, count, len(data),
+                      hashlib.sha256(data).hexdigest(), ctx.now])
+    out = _fingerprint(env, fs, ctx)
+    out["reads"] = reads
+    buffered = getattr(fs, "buffer", None)
+    if buffered is not None:
+        ino = vfs.fstat(ctx, lazy).ino
+        out["valid"] = [[b.file_block, b.bitmap.valid]
+                        for b in sorted(buffered.file_blocks(ino),
+                                        key=lambda b: b.file_block)]
+    if traced:
+        spans = [[sp.req_id, sp.name, sp.layer, sp.thread, sp.start_ns,
+                  sp.end_ns, [list(p) for p in sp.phases], repr(sp.meta)]
+                 for sp in env.trace.spans()]
+        out["span_sha256"] = hashlib.sha256(json.dumps(
+            spans, separators=(",", ":")).encode()).hexdigest()
+    return out
+
+
+def direct_key(kind, fs, variant):
+    if isinstance(variant, bool):
+        variant = "traced" if variant else "untraced"
+    return "%s/%s/%s" % (kind, fs, variant)
+
+
+@pytest.mark.parametrize("fs,where", EAGER_FAULT_CASES,
+                         ids=["%s/%s" % c for c in EAGER_FAULT_CASES])
+def test_an_osync_write_failing_on_its_third_block_matches_golden(
+        golden, fs, where):
+    """Blocks 0-1 reach NVMM (hinfs counts two sync writes), block 2's
+    persist raises before its store, and every block up to and including
+    it carries the ghost stamp of the clock its turn came at."""
+    got = eager_fault_case(fs, where)
+    want = golden[direct_key("eager-fault", fs, where)]
+    assert got == want
+    if fs == "hinfs":
+        assert got["reached_nvmm"] == 2
+        stamps = {row[0]: row[3] for row in got["ghost"][:-1]}
+        reached = [stamps[b] for b in (0, 1, 2)]
+        assert reached == sorted(set(reached))
+        # Blocks past the failing one keep the prewrite's stamps.
+        assert all(stamps[b] < reached[0] for b in stamps if b > 2)
+
+
+@pytest.mark.parametrize("fs,traced", READ_MIX_CASES,
+                         ids=[direct_key("", *c)[1:]
+                              for c in READ_MIX_CASES])
+def test_reads_across_holes_buffered_and_nvmm_blocks_match_golden(
+        golden, fs, traced):
+    got = read_mix_case(fs, traced)
+    assert got == golden[direct_key("read-mix", fs, traced)]
+    if "valid" in got:
+        masks = dict(got["valid"])
+        assert masks[1] == masks[6] == FULL_MASK
+        assert 0 < masks[2] < FULL_MASK
+
+
+def direct_cases():
+    out = {direct_key("eager-fault", *case): eager_fault_case(*case)
+           for case in EAGER_FAULT_CASES}
+    out.update((direct_key("read-mix", *case), read_mix_case(*case))
+               for case in READ_MIX_CASES)
+    return out
+
+
 def regen():
     out = {case_key(*case): run_case(*case) for case in ALL_CASES}
+    out.update(direct_cases())
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w") as fileobj:
         json.dump(out, fileobj, indent=1, sort_keys=True)

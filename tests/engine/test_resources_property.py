@@ -280,3 +280,27 @@ def test_walk_heavy_streams_grant_what_the_reference_granted(capacity, seed):
             walked_past_bound[k] |= len(server.starts) == _MAX_INTERVALS
     assert all(walked_past_bound)
     assert servers.total_wait_ns > 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(capacity=st.integers(min_value=1, max_value=4),
+       requests=st.lists(_REQUEST, min_size=1, max_size=400))
+def test_every_timeline_stays_sorted_disjoint_and_strictly_rising(
+        capacity, requests):
+    """What the gap walk leans on: after any sequence of grants, each
+    server's intervals are non-empty, its ``ends`` rise strictly and no
+    interval starts before the previous one ends -- so once
+    ``bisect_right`` has put the walk past the request, every ``ends[i]``
+    it reaches lies past the candidate start."""
+    servers = FCFSServers(capacity)
+    clock = 0
+    for advance, ahead, duration in requests:
+        clock += advance
+        servers.grant(clock + ahead, duration)
+        for server in servers._servers:
+            starts, ends = server.starts, server.ends
+            assert len(starts) == len(ends) <= _MAX_INTERVALS
+            assert all(s < e for s, e in zip(starts, ends))
+            assert all(a < b for a, b in zip(ends, ends[1:]))
+            assert all(starts[i] >= ends[i - 1]
+                       for i in range(1, len(starts)))

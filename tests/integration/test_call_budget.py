@@ -5,9 +5,11 @@ of Python ``call`` events one syscall raises is a deterministic proxy
 for its cost; ``tools/calls.py`` counts them and prints the warm 4 KB
 rows.  The ceilings sit about 5 % above what the tree achieves:
 
-- pmfs, a warm 4 KB overwrite / pread / fsync: 48 / 33 / 26 over
-  46 / 31 / 25.  Before a data syscall's trip from the ring to the fs
-  became one frame (``VFS.execute`` running the request pipeline, the
+- pmfs, a warm 4 KB overwrite / pread / fsync: 44 / 27 / 26 over
+  42 / 26 / 25 (46 / 31 / 25 before a request's blocks went to the
+  device's run-shaped store and load bodies).  Before a data
+  syscall's trip from the ring to the fs became one frame
+  (``VFS.execute`` running the request pipeline, the
   inode lock's one ``acquire``/``release`` pair, no untraced ``fs``
   phase, ``PMFS.submit`` dispatching to its hook in the same frame, the
   counters bumped in place), they raised 60 / 44 / 38, through
@@ -27,9 +29,11 @@ rows.  The ceilings sit about 5 % above what the tree achieves:
   load, log append and applier wake bound their lookups once, they
   raised 38 / 30 / 34 / 9 and 66 / 30 / 57.
 - hinfs, the 64 KB append / fsync of 16 buffered blocks / 128 KB
-  buffered read: 151 / 176 / 194 over 144 / 168 / 185 (158 / 181 / 198
-  before the one-frame syscall path).  Before a request's run of fresh
-  blocks was admitted in one pass (one DRAM
+  buffered read: 151 / 143 / 162 over 144 / 136 / 154 (the fsync and
+  the read were 168 / 185 before writeback stored through the device's
+  run body and a read looked its blocks up in the file's buffer index;
+  158 / 181 / 198 before the one-frame syscall path).  Before a
+  request's run of fresh blocks was admitted in one pass (one DRAM
   ``alloc_many``, one ``admit_run``, the ghost stamps in one
   ``record_run``) and a flushed batch released in one pass (one
   ``_complete_pending`` walk, one ``evict_many``, one ``free_many``),
@@ -40,18 +44,25 @@ rows.  The ceilings sit about 5 % above what the tree achieves:
   buffered blocks, 135 over 129 on hinfs (130 before the one-frame
   syscall path, 286 when each block was discarded, evicted and freed on
   its own) and 122 over 116 on pmfs (117; 151 with a ``free`` per
-  block), and pmfs's 64 KB append over fresh blocks, 179 over 171 (185;
+  block), and pmfs's 64 KB append over fresh blocks, 97 over 92 (171
+  with a persist call per block; 185 before the one-frame syscall path;
   233 with an ``alloc`` and a zeroing store per block).
+- a warm 64 KB ``pread`` of NVMM-resident blocks: 28 on hinfs and 27 on
+  pmfs over 27 / 26 (153 / 121 with a device load -- and on hinfs a
+  buffer lookup and a helper -- per block).
 - ``tools/calls.py``'s workload table, frames per op of perfbench's
   simulated-thread cases in ``--quick`` shape at seed 42, untraced:
-  ``fio-sync`` 56.7 over 53.96, ``fio-ring`` 56.4 over 53.68,
-  ``fileserver`` 243.5 over 231.95 and ``serve-tenants`` 96.2 over
-  91.62 (68.03 / 67.81 / 247.39 / 106.08 before the one-frame syscall
-  path).  ``fio-mmap``'s stores bypass the VFS and the ring, so its
-  ceiling is its count, 31.64: a frame on the syscall path that shows
-  there has leaked into the mapped path.
-- an unaligned 16 KB O_SYNC overwrite: 76 on hinfs and 77 on hinfs@2
-  over 72 / 73 (87 / 88 before the one-frame syscall path, 127 / 128
+  ``fio-sync`` 47.1 over 44.83, ``fio-ring`` 46.9 over 44.66,
+  ``fileserver`` 206.6 over 196.76 and ``serve-tenants`` 68.3 over
+  65.04 (53.96 / 53.68 / 231.95 / 91.62 before the run-shaped device
+  bodies and the one-frame writer-slot booking; 68.03 / 67.81 / 247.39
+  / 106.08 before the one-frame syscall path).  ``fio-mmap``'s stores
+  bypass the VFS and the ring, so its ceiling is its count, 30.66
+  (31.64 before the booking moved into ``FCFSServers.grant``): a frame
+  on the syscall path that shows there has leaked into the mapped path.
+- an unaligned 16 KB O_SYNC overwrite: 57 on hinfs and 58 on hinfs@2
+  over 54 / 55 (72 / 73 with a persist call per block, 87 / 88 before
+  the one-frame syscall path, 127 / 128
   before the run-granular change; a buffer lookup, a block-address, a
   line-count and a persist helper and a counter bump per block, the
   barrier's flush of an empty list and the undo capture
@@ -88,11 +99,11 @@ _python_calls = calls.python_calls
 
 
 #: Lifecycle ceilings (see the module docstring).
-APPEND_HINFS, FSYNC_HINFS, UNLINK_HINFS = 151, 176, 135
-APPEND_PMFS, UNLINK_PMFS = 179, 122
+APPEND_HINFS, FSYNC_HINFS, UNLINK_HINFS = 151, 143, 135
+APPEND_PMFS, UNLINK_PMFS = 97, 122
 #: Frames per op of each perfbench workload (see the module docstring).
-WORKLOAD_CEILINGS = {"fio-sync": 56.7, "fio-ring": 56.4, "fio-mmap": 31.64,
-                     "fileserver": 243.5, "serve-tenants": 96.2}
+WORKLOAD_CEILINGS = {"fio-sync": 47.1, "fio-ring": 46.9, "fio-mmap": 30.66,
+                     "fileserver": 206.6, "serve-tenants": 68.3}
 
 
 def _open_file(fs_name):
@@ -117,10 +128,10 @@ def test_overwriting_4k_pwrite_on_pmfs_stays_under_its_frame_ceiling(
         pmfs_frames):
     """One journal transaction: an undo entry, the inode core, the
     commit -- three line-kernel persists."""
-    assert pmfs_frames["pwrite"] <= 48
+    assert pmfs_frames["pwrite"] <= 44
 
 
-@pytest.mark.parametrize("syscall,ceiling", [("pread", 33), ("fsync", 26)])
+@pytest.mark.parametrize("syscall,ceiling", [("pread", 27), ("fsync", 26)])
 def test_warm_4k_pread_and_fsync_on_pmfs_stay_under_their_frame_ceilings(
         pmfs_frames, syscall, ceiling):
     """Little more than the fixed per-request path every syscall shares:
@@ -185,10 +196,24 @@ def test_buffered_128k_read_on_hinfs_stays_under_its_frame_ceiling():
     assert all(b.bitmap.valid == FULL_MASK
                for b in vfs.fs.buffer.file_blocks(ino))
     vfs.pread(ctx, fd, 0, 4096)  # warm: the read ring entry
-    assert _python_calls(lambda: vfs.pread(ctx, fd, 0, 131072)) <= 194
+    assert _python_calls(lambda: vfs.pread(ctx, fd, 0, 131072)) <= 162
 
 
-@pytest.mark.parametrize("fs_name,ceiling", [("hinfs", 76), ("hinfs@2", 77)])
+@pytest.mark.parametrize("fs_name,ceiling", [("hinfs", 28), ("pmfs", 27)])
+def test_nvmm_resident_64k_read_stays_under_its_frame_ceiling(fs_name,
+                                                               ceiling):
+    """Sixteen blocks written back and out of the buffer: one device
+    pass over the run, not a load per block."""
+    vfs, ctx, fd = _open_file(fs_name)
+    vfs.pwrite(ctx, fd, 0, b"a" * 65536)
+    vfs.fsync(ctx, fd)
+    if fs_name == "hinfs":
+        assert vfs.fs.buffer.file_blocks(vfs.fstat(ctx, fd).ino) == []
+    vfs.pread(ctx, fd, 0, 4096)  # warm: the read ring entry
+    assert _python_calls(lambda: vfs.pread(ctx, fd, 0, 65536)) <= ceiling
+
+
+@pytest.mark.parametrize("fs_name,ceiling", [("hinfs", 57), ("hinfs@2", 58)])
 def test_unaligned_16k_osync_overwrite_stays_under_its_frame_ceiling(
         fs_name, ceiling):
     """Five blocks, two of them partial, straight to NVMM: the eager

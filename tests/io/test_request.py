@@ -13,7 +13,7 @@ def test_unknown_op_rejected():
 def test_write_geometry():
     req = IORequest(1, OP_WRITE, 7, [b"abc", b"", b"defg"], 100)
     assert req.total_bytes == 7
-    assert req.end_offset == 107
+    assert req.offset + req.total_bytes == 107
     assert list(req.fragments()) == [(100, b"abc"), (103, b""), (103, b"defg")]
     assert req.coalesce() == b"abcdefg"
 
@@ -33,7 +33,7 @@ def test_single_fragment_coalesce_returns_fragment():
 def test_read_geometry_and_scatter():
     req = IORequest(2, OP_READ, 7, [3, 4, 5], 10)
     assert req.total_bytes == 12
-    assert req.end_offset == 22
+    assert req.offset + req.total_bytes == 22
     assert req.scatter(b"aaabbbbccccc") == [b"aaa", b"bbbb", b"ccccc"]
 
 

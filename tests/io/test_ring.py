@@ -44,6 +44,38 @@ def test_sync_syscalls_are_single_sqe_batches():
     assert rig.vfs.ring(rig.ctx).in_flight == 0
 
 
+@pytest.mark.parametrize("fs_name", ["hinfs", "pmfs"])
+@pytest.mark.parametrize("batched", [False, True], ids=["sync", "batch"])
+def test_a_bytearray_fragment_is_snapshotted_before_the_fs_sees_it(
+        fs_name, batched):
+    """The request built from a ``prep_writev`` entry holds ``bytes`` of
+    each fragment, so a caller reusing its bytearray once the entry ran
+    -- the data buffered in DRAM on hinfs, persisted on pmfs -- does not
+    change the file."""
+    rig = Rig(fs_name)
+    fd = rig.open()
+    seen = []
+    submit = rig.fs.submit
+
+    def spy(ctx, req):
+        seen.extend(map(type, req.iovecs))
+        return submit(ctx, req)
+
+    rig.fs.submit = spy
+    buf = bytearray(b"a" * 5000)
+    sqe = uring.prep_writev(fd, [buf, b"b" * 100], 0)
+    buf[4000:] = b"c" * 1000  # after prep, before the entry runs
+    ring = rig.vfs.ring(rig.ctx)
+    if batched:
+        assert [c.res for c in ring.submit_and_wait([sqe])] == [5100]
+    else:
+        assert ring.execute_one(sqe) == 5100
+    assert seen == [bytes, bytes]
+    buf[:] = b"z" * 5000
+    assert rig.vfs.pread(rig.ctx, fd, 0, 5100) == \
+        b"a" * 4000 + b"c" * 1000 + b"b" * 100
+
+
 def test_batch_pays_one_entry_and_saves_syscall_ns():
     """A batch of N pays T_syscall once; N separate submissions pay it N
     times -- everything else identical."""

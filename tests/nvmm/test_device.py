@@ -90,12 +90,12 @@ def test_concurrent_writers_queue_for_slots(env, cfg):
 def test_async_persist_returns_the_end_without_waiting(env, cfg):
     dev = make_nvmm(env, cfg)
     ctx = ExecContext(env, "wb", start_ns=1_000)
-    end = dev.write_persistent_async(ctx, 60, b"ab cd efg")  # 2 lines
+    end = dev.persist_run(ctx, (0,), 60, b"ab cd efg", wait=False)  # 2 lines
     assert end == 1_000 + 2 * 200
     assert ctx.now == 1_000
     assert env.stats.bytes_written_nvmm == 9
     assert dev.mem.persistent_read(60, 9) == b"ab cd efg"
-    assert dev.write_persistent_async(ctx, 0, b"") == ctx.now
+    assert dev.persist_run(ctx, (0,), 0, b"", wait=False) == ctx.now
     assert dev.write_slots.total_grants == 1
 
 
@@ -104,7 +104,7 @@ def test_async_persists_overlap_across_the_writer_slots(env, cfg):
     slots = cfg.nvmm_writer_slots
     ctx = ExecContext(env, "wb")
     block = b"z" * 4096
-    ends = [dev.write_persistent_async(ctx, i * 4096, block)
+    ends = [dev.persist_run(ctx, (i,), 0, block, wait=False)
             for i in range(slots + 1)]
     # One block per slot in parallel; the extra one queues behind the first.
     assert ends == [64 * 200] * slots + [2 * 64 * 200]
@@ -118,13 +118,14 @@ def test_async_persists_overlap_across_the_writer_slots(env, cfg):
 def test_async_persist_on_a_free_context_books_nothing(env, cfg):
     dev = NVMMDevice(env, cfg, 1 << 16, domain="dev1")
     ctx = FreeContext(env, "mkfs", start_ns=500)
-    assert dev.write_persistent_async(ctx, 0, b"q" * 4096) == 500
+    assert dev.persist_run(ctx, (0,), 0, b"q" * 4096, wait=False) == 500
     assert dev.mem.persistent_read(0, 4096) == b"q" * 4096
     assert dev.write_slots.total_grants == 0
     assert env.stats.bytes_written_nvmm == 0
     assert env.stats.counters == {}
     # A paying context on the same device is counted per domain.
-    dev.write_persistent_async(ExecContext(env, "wb"), 0, b"q" * 64)
+    dev.persist_run(ExecContext(env, "wb"), (0,), 0, b"q" * 64,
+                   wait=False)
     assert env.stats.count("nvmm_slot_grants@dev1") == 1
     assert env.stats.count("nvmm_slot_grants_total") == 1
 

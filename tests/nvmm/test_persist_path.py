@@ -117,7 +117,8 @@ class World:
             bg = self.ctxs[2]
             bg.now = max(ctx.now for ctx in self.ctxs) + ahead
             try:
-                return dev.write_persistent_async(bg, addr, data)
+                # SIZE is under a block: every store is a one-piece run.
+                return dev.persist_run(bg, (0,), addr, data, wait=False)
             except MediaError as err:
                 return ("EIO", err.lines)
         ctx = self.ctxs[step[1]]
@@ -277,9 +278,9 @@ def test_persist_while_writeback_holds_slot_0_takes_the_next_idle_slot():
     store = CFG.dram_store_cost_ns(64)
     for world in (ref, new):
         bg, ctx = world.ctxs[2], world.ctxs[0]
-        world.dev.write_persistent_async(bg, 512, b"w" * 512)
+        world.dev.persist_run(bg, (0,), 512, b"w" * 512, wait=False)
         bg.now = 50_000
-        world.dev.write_persistent_async(bg, 512, b"w" * 512)
+        world.dev.persist_run(bg, (0,), 512, b"w" * 512, wait=False)
         assert world.persist(ctx, 0, b"j" * 64, False) == 1
         assert ctx.now == store + 200
         ctx.now = 10_000

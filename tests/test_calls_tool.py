@@ -24,6 +24,16 @@ def test_python_calls_counts_the_frames_below_the_callable():
     assert calls.python_calls(lambda: sorted([3, 1, 2])) == 0
 
 
+def test_python_opcodes_counts_the_instructions_below_the_callable():
+    assert calls.python_opcodes(_leaf) == 0
+    leaf = calls.python_opcodes(lambda: _leaf())
+    # The callable's own instructions are not counted; each _leaf frame
+    # runs the same ones, whoever calls it.
+    assert leaf > 0
+    assert calls.python_opcodes(_two_leaves) == 2 * leaf
+    assert calls.python_opcodes(lambda: sorted([3, 1, 2])) == 0
+
+
 def test_the_cli_prints_one_row_per_stack(capsys):
     assert calls.main(["pmfs", "hinfs"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
@@ -63,9 +73,12 @@ def test_the_default_run_adds_the_mapped_table(capsys):
         frames = calls.lifecycle_frames(name)
         assert table[name] == [frames[op] for op in calls.LIFECYCLE_OPS]
     header, *rows = workloads.splitlines()
-    assert header.split() == ["workload", "frames/op"]
+    assert header.split() == ["workload", "frames/op", "opcodes/op"]
     table = {row.split()[0]: float(row.split()[1]) for row in rows}
     assert list(table) == list(calls.WORKLOADS)
     assert table["fio-mmap"] == calls.workload_frames("fio-mmap")
     # Mapped stores skip the syscall path a sync write takes.
     assert table["fio-sync"] > table["fio-mmap"] > 0
+    opcodes = {row.split()[0]: float(row.split()[2]) for row in rows}
+    assert opcodes["fio-mmap"] == calls.workload_opcodes("fio-mmap")
+    assert all(opcodes[name] > table[name] for name in calls.WORKLOADS)

@@ -31,9 +31,11 @@ def test_every_history_row_parses_with_its_keys():
         loc = dict(row["loc"])
         total = loc.pop("total")
         assert loc and total == sum(loc.values())
-        # Rows older than the lifecycle or workload table lack it.
+        # Rows older than the lifecycle or workload table, or the
+        # opcode column, lack it.
         assert {"mapped", "syscalls"} <= set(row["calls"]) \
-            <= {"mapped", "syscalls", "lifecycle", "workloads"}
+            <= {"mapped", "syscalls", "lifecycle", "workloads",
+                "workload_opcodes"}
         for frames in row["calls"]["syscalls"].values():
             assert sorted(frames) == sorted(calls.SYSCALLS)
         for frames in row["calls"]["mapped"].values():
@@ -44,6 +46,12 @@ def test_every_history_row_parses_with_its_keys():
         for name, per_op in row["calls"].get("workloads", {}).items():
             assert name in calls.WORKLOADS
             assert per_op > 0
+        opcodes = row["calls"].get("workload_opcodes", {})
+        if opcodes:
+            assert sorted(opcodes) == sorted(row["calls"]["workloads"])
+        for name, per_op in opcodes.items():
+            # An instruction per frame at the very least.
+            assert per_op > row["calls"]["workloads"][name]
         assert row["host_ops_per_s"]
         for key, ab in row["host_ops_per_s"].items():
             workload, seed = key.split("@")
@@ -67,6 +75,11 @@ def test_the_ab_table_pairs_the_saved_runs_in_order(tmp_path):
     # The change's unpaired fifth run counts in no pair but in its median.
     assert table == {"fio-mmap@42": {"parent": 105.0, "change": 130.0,
                                      "pairs": 4, "better": 3}}
+
+
+def test_the_newest_row_records_the_opcode_column():
+    assert sorted(_rows()[-1]["calls"]["workload_opcodes"]) \
+        == sorted(calls.WORKLOADS)
 
 
 def test_the_tool_appends_one_row_per_call(tmp_path):

@@ -9,6 +9,11 @@ on these counts and counts with :func:`python_calls` from here.
     PYTHONPATH=src python tools/calls.py              # all four tables
     PYTHONPATH=src python tools/calls.py pmfs hinfs-wb  # syscalls only
 
+The workload table also gives the bytecode instructions per op
+(:func:`python_opcodes`): frames fall faster than the work they carry
+when a change only inlines calls, so the two columns together say how
+much of the host cost went.
+
 The syscall table has one row per stack name (any name ``build_stack``
 takes): the frames of a warm 4 KB ``pwrite`` over written data, then of
 a warm 4 KB ``pread`` and a warm ``fsync`` of the same file.  Warm
@@ -42,16 +47,31 @@ WORKLOADS = ("fio-sync", "fio-ring", "fio-mmap", "fileserver",
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _collector_off(fn, hook, counter):
+    """Run ``fn()`` with ``counter`` installed by ``hook`` (the C
+    ``sys.setprofile`` or ``sys.settrace``, so the hooking itself is no
+    Python frame) and the cyclic collector run first and kept off.  A
+    collection that the call's allocations happen to trigger calls
+    every ``gc.callbacks`` entry at its start and at its stop --
+    Hypothesis installs one once any of its tests ran, two frames --
+    and the finalisers of whatever garbage earlier code left; those
+    would count."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile() if hook is sys.setprofile else sys.gettrace()
+    hook(counter)
+    try:
+        fn()
+    finally:
+        hook(previous)
+        if collecting:
+            gc.enable()
+
+
 def python_calls(fn):
     """Python ``call`` events raised while ``fn()`` runs, ``fn``'s own
-    frame not counted.
-
-    The cyclic collector is run first and kept off during the call.  A
-    collection that the call's allocations happen to trigger calls every
-    ``gc.callbacks`` entry at its start and at its stop -- Hypothesis
-    installs one once any of its tests ran, two frames -- and the
-    finalisers of whatever garbage earlier code left; those would count.
-    """
+    frame not counted."""
     calls = 0
 
     def profiler(frame, event, arg):
@@ -59,18 +79,35 @@ def python_calls(fn):
         if event == "call":
             calls += 1
 
-    collecting = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-        if collecting:
-            gc.enable()
+    _collector_off(fn, sys.setprofile, profiler)
     return calls - 1
+
+
+def python_opcodes(fn):
+    """Bytecode instructions executed in the Python frames below
+    ``fn()`` (``sys.settrace`` ``opcode`` events), ``fn``'s own frame
+    not counted; the collector is handled as in :func:`python_calls`.
+    The count is exact for one interpreter version -- another compiles
+    the same source to other instructions."""
+    opcodes = 0
+    top = []
+
+    def local(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return local
+
+    def tracer(frame, event, arg):
+        if not top:
+            top.append(frame)
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    _collector_off(fn, sys.settrace, tracer)
+    return opcodes
 
 
 def syscall_frames(fs_name):
@@ -181,12 +218,13 @@ def lifecycle_frames(fs_name):
     return frames
 
 
-def workload_frames(name):
+def workload_frames(name, counter=python_calls):
     """Frames per op of perfbench's ``name`` case (one of
     ``WORKLOADS``) in its ``--quick`` shape at seed 42, untraced: the
     calls of the measured phase over the ops it completes, to two
     decimals.  The case is built and run through ``perfbench.cases``
-    as perfbench builds and runs it; nothing of it is changed here."""
+    as perfbench builds and runs it; nothing of it is changed here.
+    ``counter=python_opcodes`` counts bytecode instructions instead."""
     if ROOT not in sys.path:
         sys.path.insert(0, ROOT)
     from perfbench.cases import CASES
@@ -198,7 +236,13 @@ def workload_frames(name):
         for _ in case.slices():
             pass
 
-    return round(python_calls(measured_phase) / case.units(), 2)
+    return round(counter(measured_phase) / case.units(), 2)
+
+
+def workload_opcodes(name):
+    """Bytecode instructions per op of ``name``, measured as
+    :func:`workload_frames` measures frames."""
+    return workload_frames(name, python_opcodes)
 
 
 def main(argv=None):
@@ -225,9 +269,10 @@ def main(argv=None):
             print("%-7s %7d %7d %7d %7d"
                   % ((name,) + tuple(frames[op] for op in LIFECYCLE_OPS)))
         print()
-        print("%-13s %9s" % ("workload", "frames/op"))
+        print("%-13s %9s %10s" % ("workload", "frames/op", "opcodes/op"))
         for name in WORKLOADS:
-            print("%-13s %9.2f" % (name, workload_frames(name)))
+            print("%-13s %9.2f %10.2f" % (name, workload_frames(name),
+                                          workload_opcodes(name)))
     return 0
 
 

@@ -3,7 +3,8 @@
 
 A row records what the tree costs at that change, on both clocks'
 host side: the ``tools/loc.py`` code lines per package, the four
-``tools/calls.py`` frame tables, and per workload the median
+``tools/calls.py`` frame tables and its opcodes-per-op column, and per
+workload the median
 ``host_ops_per_s`` of the parent's and the change's perfbench runs,
 with how many alternated pairs were run and in how many the change was
 faster.
@@ -53,7 +54,8 @@ def calls_tables():
     """The four ``tools/calls.py`` tables: frames per warm syscall by
     stack, per mapped op by ``MAP_ATOMIC`` policy, per lifecycle op
     (create, append, fsync, unlink) by stack, and per op of each
-    simulated-thread perfbench workload."""
+    simulated-thread perfbench workload -- plus that table's bytecode
+    instructions per op (``workload_opcodes``)."""
     calls = _tool("calls")
     return {
         "syscalls": {name: calls.syscall_frames(name)
@@ -64,6 +66,8 @@ def calls_tables():
                       for name in calls.LIFECYCLE_STACKS},
         "workloads": {name: calls.workload_frames(name)
                       for name in calls.WORKLOADS},
+        "workload_opcodes": {name: calls.workload_opcodes(name)
+                             for name in calls.WORKLOADS},
     }
 
 
